@@ -3,12 +3,16 @@
 Usage: python3 child.py SRC_DIR, with a JSON job on stdin.
 
 The process imports ``pseudoplane.cli`` (the set-up every CLI user waits
-for), writes ``ready`` and then reads its job.  An empty job ends the
-process, which is how the parent times set-up alone.  Otherwise the job
-holds the triples, ``max_weight``, ``max_exponent`` and ``trace``; the
-process certifies the triples in order with ``report.verify_triple`` and
-prints one JSON line with the wall time, per-triple latencies, verdicts,
+for) while sampling the reference loop of ``speed.py``, writes ``ready``
+with the loop's total and mean time, and then reads its job.  An empty job
+ends the process, which is how the parent times set-up alone.  Otherwise
+the job holds the triples, ``max_weight``, ``max_exponent`` and ``trace``;
+the process certifies the triples in order with ``report.verify_triple``
+and prints one JSON line with the wall time, per-triple latencies, verdicts,
 report digests, errors, peak RSS and, when traced, the span statistics.
+Untraced, it samples the loop throughout and also returns every latency
+scaled to the reference speed; a traced pass skips the loop, as its times
+are compared only with each other.
 
 A triple whose ``verify_triple`` raises is recorded with its message and
 the pass goes on with the next triple.
@@ -23,6 +27,10 @@ def run(job: dict) -> dict:
     import json
     import resource
 
+    from contextlib import nullcontext
+
+    from speed import Sampler
+
     tracer = None
     if job["trace"]:
         from tracer import Tracer
@@ -33,17 +41,23 @@ def run(job: dict) -> dict:
 
     verify = report.verify_triple
     max_weight, max_exponent = job["max_weight"], job["max_exponent"]
-    latencies, outcomes = [], []
-    start = perf_counter()
-    for d, e, m in job["triples"]:
-        t0 = perf_counter()
-        try:
-            outcome = verify(d, e, m, max_weight=max_weight, max_exponent=max_exponent)
-        except Exception as exc:  # one bad triple must not stop the pass
-            outcome = f"{type(exc).__name__}: {exc}"
-        latencies.append(perf_counter() - t0)
-        outcomes.append(outcome)
-    wall_s = perf_counter() - start
+    intervals, outcomes = [], []
+    sampler = None if job["trace"] else Sampler()
+    with sampler or nullcontext():
+        for d, e, m in job["triples"]:
+            t0 = perf_counter()
+            try:
+                outcome = verify(
+                    d, e, m, max_weight=max_weight, max_exponent=max_exponent
+                )
+            except Exception as exc:  # one bad triple must not stop the pass
+                outcome = f"{type(exc).__name__}: {exc}"
+            intervals.append((t0, perf_counter()))
+            outcomes.append(outcome)
+    if sampler:
+        latencies, scaled = zip(*(sampler.scaled(*i) for i in intervals))
+    else:
+        latencies, scaled = [t1 - t0 for t0, t1 in intervals], None
 
     triples = []
     for outcome in outcomes:
@@ -58,8 +72,11 @@ def run(job: dict) -> dict:
                 }
             )
     return {
-        "wall_s": wall_s,
+        "wall_s": sum(latencies),
         "latencies_s": latencies,
+        "scaled_latencies_s": scaled,
+        "loop_samples": len(sampler.loops) if sampler else 0,
+        "loop_s": sum(sampler.loops) / len(sampler.loops) if sampler else None,
         "triples": triples,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "spans": tracer.snapshot() if tracer else None,
@@ -67,10 +84,16 @@ def run(job: dict) -> dict:
 
 
 def main() -> None:
-    sys.path.insert(0, sys.argv[1])
-    import pseudoplane.cli  # noqa: F401  (this import is the measured set-up)
+    from speed import Sampler
 
-    sys.stdout.write("ready\n")
+    sys.path.insert(0, sys.argv[1])
+    with Sampler() as sampler:
+        import pseudoplane.cli  # noqa: F401  (this import is the measured set-up)
+
+    # the parent takes the loop's time out of the set-up and scales the rest
+    # by the loop's mean time
+    loop_s = sum(sampler.loops)
+    sys.stdout.write(f"ready {loop_s!r} {loop_s / len(sampler.loops)!r}\n")
     sys.stdout.flush()
     import json
 

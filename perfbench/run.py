@@ -8,12 +8,22 @@ pass runs in a fresh interpreter (``child.py``), because the package's memo
 caches live as long as the process and a CLI user always starts cold.  One
 process, one thread at a time; the parent only waits.
 
-``--trace 0`` times set-up alone ten times, then makes cold passes over the
-workload's triples until ``--seconds`` is used up, and at least three.
-Every pass certifies the same triples in the same order from a cold start,
-so a triple does the same work in every pass; its latency is its fastest
-``verify_triple`` time over the passes, the one least disturbed by other
-load on the machine.  The end-to-end metrics are ``setup_s`` (spawn to
+``--trace 0`` makes cold passes over the workload's triples until
+``--seconds`` is used up, and at least three, each after four spawns that
+time set-up alone.  Every pass certifies the same triples in the same order
+from a cold start, so a triple does the same work in every pass.
+
+Every timing is scaled to a reference machine speed (``speed.py``), because
+the shared host's speed drifts by more than the bounds within a run and
+between runs.  Each fresh interpreter runs a fixed reference loop every
+25 ms from a signal handler while it imports the package and while it
+certifies the triples; a timing leaves out the loop's own time and is
+multiplied by the reference time over the loop's mean time around it.  The
+result line's times are these scaled seconds; a header line gives the
+unscaled wall time and the loop's time.
+
+A triple's latency is the median of its scaled ``verify_triple`` times over
+the passes.  The end-to-end metrics are ``setup_s`` (spawn to
 ``pseudoplane.cli`` imported, median over every spawn), ``wall_s`` (the sum
 of the triples' latencies: a cold pass over the workload),
 ``triple_p50_ms`` (their median), ``triple_tail_ms`` (their 90th percentile,
@@ -50,6 +60,7 @@ import sys
 from pathlib import Path
 from time import perf_counter
 
+from speed import REFERENCE_S, scale
 from tracer import LAYERS
 from workloads import (
     MAX_EXPONENT,
@@ -65,8 +76,8 @@ SRC = HERE.parent / "src"
 CHILD = HERE / "child.py"
 DIGESTS = HERE / "digests.json"
 
-SETUP_SPAWNS = 10
-MIN_PASSES = 3  # each triple's latency is at least a best of three
+SETUP_SPAWNS_PER_PASS = 4
+MIN_PASSES = 3  # each triple's latency is at least a median of three
 TAIL_PERCENTILE = 90
 TRACED_PASSES = 2
 RUN_LIMIT_S = 170  # a child still running this long after the start is killed
@@ -124,7 +135,8 @@ class BenchError(RuntimeError):
 
 def spawn(job: dict | None, kill_at: float) -> tuple[float, dict | None]:
     """Start a fresh interpreter, time it until pseudoplane.cli is imported,
-    then hand it the job; return (set-up seconds, pass result or None)."""
+    then hand it the job; return (scaled set-up seconds, pass result or
+    None)."""
     # a fixed hash seed fixes set and dict iteration order, so two passes
     # over the same triples make the same calls
     env = dict(os.environ, PYTHONHASHSEED="0")
@@ -146,8 +158,11 @@ def spawn(job: dict | None, kill_at: float) -> tuple[float, dict | None]:
             proc.kill()
             proc.wait()
             raise
-    if ready != "ready\n" or proc.returncode != 0:
+    fields = ready.split()
+    if proc.returncode != 0 or len(fields) != 3 or fields[0] != "ready":
         raise BenchError(f"child process failed (exit code {proc.returncode})")
+    loop_total_s, loop_mean_s = map(float, fields[1:])
+    setup_s = scale(setup_s - loop_total_s, loop_mean_s)
     return setup_s, json.loads(out) if job else None
 
 
@@ -172,16 +187,17 @@ def check_pass(triples, result: dict, digests: dict[str, str]) -> list[str]:
 
 
 def timed_run(job: dict, seconds: int, kill_at: float):
-    """Untraced cold passes for --seconds; returns (passes, setup samples)."""
+    """Untraced cold passes for --seconds, each after SETUP_SPAWNS_PER_PASS
+    spawns that time set-up alone; returns (passes, set-up times)."""
     deadline = perf_counter() + seconds
-    setups = [spawn(None, kill_at)[0] for _ in range(SETUP_SPAWNS)]
-    passes, durations = [], []
+    passes, durations, setups = [], [], []
     while True:
         start = perf_counter()
+        setups += [spawn(None, kill_at)[0] for _ in range(SETUP_SPAWNS_PER_PASS)]
         setup_s, result = spawn(job, kill_at)
-        durations.append(perf_counter() - start)
         setups.append(setup_s)
         passes.append(result)
+        durations.append(perf_counter() - start)
         if len(passes) >= MIN_PASSES and (
             perf_counter() + statistics.median(durations) > deadline
         ):
@@ -189,8 +205,10 @@ def timed_run(job: dict, seconds: int, kill_at: float):
 
 
 def end_to_end_metrics(passes: list[dict], setups: list[float]):
+    # each triple's latency is the median of its scaled latencies over the passes
     latencies = sorted(
-        min(samples) for samples in zip(*(p["latencies_s"] for p in passes))
+        statistics.median(samples)
+        for samples in zip(*(p["scaled_latencies_s"] for p in passes))
     )
     n = len(latencies)
     tail_rank = -(-TAIL_PERCENTILE * n // 100)  # nearest rank, 1-based
@@ -201,10 +219,15 @@ def end_to_end_metrics(passes: list[dict], setups: list[float]):
         "triple_tail_ms": (latencies[tail_rank - 1] * 1000, "ms"),
         "peak_rss_mb": (statistics.median(p["peak_rss_mb"] for p in passes), "MiB"),
     }
+    loop_ms = statistics.median(p["loop_s"] for p in passes) * 1000
     notes = [
         f"# measured: {len(passes)} cold passes of {n} triples, each triple's "
-        f"latency the fastest of its passes; triple_tail_ms is the latency of rank "
-        f"{tail_rank} of {n}; {len(setups)} set-up samples"
+        f"latency the median of its passes; triple_tail_ms is the latency of rank "
+        f"{tail_rank} of {n}; {len(setups)} set-up samples",
+        f"# unscaled: wall_s {statistics.median(p['wall_s'] for p in passes):.4f} s "
+        f"(median pass); reference loop {loop_ms:.4f} ms "
+        f"(median pass mean, {sum(p['loop_samples'] for p in passes)} samples; "
+        f"reference {REFERENCE_S * 1000:g} ms)",
     ]
     return metrics, notes
 
