@@ -2,7 +2,7 @@
 
     pseudoplane verify -d INT -e INT -m INT [--max-weight INT] [--max-exponent INT] [--json]
     pseudoplane classify --d-plus STR --d-minus STR [--lnd-degree INT] [--json]
-    pseudoplane sweep --d-max INT --m-max INT [--max-weight INT] [--json]
+    pseudoplane sweep --d-max INT --m-max INT [--max-weight INT] [--max-exponent INT] [--json]
 
 Divisor strings are comma-separated ``point:coefficient`` entries with exact
 rationals, e.g. ``0:-2/3,1:-1/2``.  Exit codes: 0 = consistent or excluded as
@@ -61,6 +61,8 @@ def _build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--d-max", type=int, required=True)
     swp.add_argument("--m-max", type=int, required=True)
     swp.add_argument("--max-weight", type=int, default=8)
+    swp.add_argument("--max-exponent", type=int, default=10,
+                     help="search bound for valid derivation degrees")
     swp.add_argument("--json", action="store_true", help="emit the JSON summary")
 
     return parser
@@ -196,7 +198,10 @@ def main(argv: list[str] | None = None) -> int:
                 _print_classify_text(report)
             return EXIT_OK
         if args.command == "sweep":
-            result = sweep(args.d_max, args.m_max, max_weight=args.max_weight)
+            result = sweep(
+                args.d_max, args.m_max,
+                max_weight=args.max_weight, max_exponent=args.max_exponent,
+            )
             if args.json:
                 _emit_json(result)
             else:

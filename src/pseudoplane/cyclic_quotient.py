@@ -10,7 +10,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
+from operator import add
 from typing import NamedTuple
 
 from .dpd_presentation import product_defect, pseudoplane_dpd_pair
@@ -19,10 +21,13 @@ from .hypersurface_ring import (
     HypersurfaceRing,
     NonPolynomial,
     RingElement,
+    _base_power,
+    _normalized_ring,
     derivation_apply,
     nilpotency_index,
     normal_form,
 )
+from .qdivisor import DpdPair
 
 
 class StructuralError(RuntimeError):
@@ -83,8 +88,8 @@ class SurfaceTriple:
 
     @classmethod
     def make(cls, d: int, e: int, m: int) -> "SurfaceTriple":
-        if d < 1 or e < 1 or m < 1:
-            raise ValueError(f"d, e, m must be positive integers: ({d}, {e}, {m})")
+        if any(isinstance(x, bool) or not isinstance(x, int) or x < 1 for x in (d, e, m)):
+            raise ValueError(f"d, e, m must be positive integers: ({d!r}, {e!r}, {m!r})")
         if math.gcd(e, d) != 1:
             raise ValueError(f"e and d must be coprime: gcd({e}, {d}) = {math.gcd(e, d)}")
         e_prime = mod_inverse(e, d)
@@ -110,11 +115,6 @@ class SurfaceTriple:
 def normalized_ring(triple: SurfaceTriple) -> HypersurfaceRing:
     """The normalized model u^m w - (s^d - 1) for the triple."""
     return _normalized_ring(triple.m, triple.d)
-
-
-def _normalized_ring(m: int, d: int) -> HypersurfaceRing:
-    s = MultiPoly.variable(("s",), "s")
-    return HypersurfaceRing(m, s ** d - MultiPoly.constant(("s",), 1), "w")
 
 
 def induced_action(triple: SurfaceTriple) -> CyclicAction:
@@ -191,9 +191,6 @@ def freeness_check(action: CyclicAction, ring: HypersurfaceRing) -> FreenessResu
     return FreenessResult(not loci, loci)
 
 
-_basis_cache: dict[tuple[int, tuple[tuple[str, int], ...]], list[tuple[int, ...]]] = {}
-
-
 def hilbert_basis(action: CyclicAction) -> list[tuple[int, ...]]:
     """Minimal generating set of the monoid of invariant exponent vectors.
 
@@ -201,15 +198,15 @@ def hilbert_basis(action: CyclicAction) -> list[tuple[int, ...]]:
     each axis, so any vector with a coordinate exceeding d is reducible.  An
     element is a generator iff no nonzero invariant vector sits strictly below
     it componentwise (the difference is then automatically invariant).
+    Exponent vectors follow the order of ``action.weights``.
     """
     if len(action.weights) != 3:
         raise ValueError(f"expected a three-variable action, got {tuple(action.weights)}")
-    d = action.modulus
-    key = (d, tuple(sorted(action.weights.items())))
-    cached = _basis_cache.get(key)
-    if cached is not None:
-        return list(cached)
-    wts = tuple(action.weights.values())
+    return list(_hilbert_basis(action.modulus, tuple(action.weights.values())))
+
+
+@lru_cache(maxsize=64)
+def _hilbert_basis(d: int, wts: tuple[int, int, int]) -> tuple[tuple[int, ...], ...]:
     points = [
         v
         for v in product(range(d + 1), repeat=3)
@@ -220,9 +217,7 @@ def hilbert_basis(action: CyclicAction) -> list[tuple[int, ...]]:
         for x in points
         if not any(y != x and all(a <= b for a, b in zip(y, x)) for y in points)
     ]
-    basis.sort()
-    _basis_cache[key] = basis
-    return list(basis)
+    return tuple(sorted(basis))
 
 
 def weight_piece_generator(triple: SurfaceTriple, n: int) -> tuple[int, int, int]:
@@ -284,12 +279,14 @@ def product_structure_check(triple: SurfaceTriple, n: int, n_prime: int) -> Prod
     defect of the graded pieces.  A failed exact division here means the piece
     convention is wrong and raises :class:`StructuralError`.
     """
-    ring = normalized_ring(triple)
     d = triple.d
+    ring = _normalized_ring(triple.m, d)
     g1 = weight_piece_generator(triple, n)
     g2 = weight_piece_generator(triple, n_prime)
     g12 = weight_piece_generator(triple, n + n_prime)
-    prod = normal_form(ring, ring.monomial(*g1) * ring.monomial(*g2))
+    # the product of the two generator monomials: exponents add
+    g1g2 = MultiPoly._trusted(ring.variables, {tuple(map(add, g1, g2)): Fraction(1)})
+    prod = normal_form(ring, g1g2)
     a12, b12, c12 = g12
     rest: dict[int, Fraction] = {}
     for (a, b, c), coeff in prod.poly.terms.items():
@@ -299,7 +296,7 @@ def product_structure_check(triple: SurfaceTriple, n: int, n_prime: int) -> Prod
                 f"weight-{n + n_prime} generator: term u^{a}*w^{b}*s^{c} vs generator {g12}"
             )
         rest[c - c12] = coeff
-    r = MultiPoly(("s",), {(c,): v for c, v in rest.items()})
+    r = MultiPoly._trusted(("s",), {(c,): v for c, v in rest.items()})
     val = r.valuation("s")
     span = r.degree() - val
     if val % d or span % d:
@@ -307,16 +304,22 @@ def product_structure_check(triple: SurfaceTriple, n: int, n_prime: int) -> Prod
             f"residual factor {format_poly(r)} is not of the form (s^d)^kappa*(s^d-1)^lam"
         )
     kappa, lam = val // d, span // d
-    s = MultiPoly.variable(("s",), "s")
-    rebuilt = s ** val * (s ** d - MultiPoly.constant(("s",), 1)) ** lam
+    # s^val * (s^d - 1)^lam: the cached power shifted by val
+    shifted = {(e + val,): v for (e,), v in _base_power(d, lam).terms.items()}
+    rebuilt = MultiPoly._trusted(("s",), shifted)
     if r != rebuilt:
         raise StructuralError(
             f"residual factor {format_poly(r)} does not factor as s^{val}*(s^{d}-1)^{lam}"
         )
     measured = {p: v for p, v in ((Fraction(0), kappa), (Fraction(1), lam)) if v}
-    pair = pseudoplane_dpd_pair(triple.d, triple.e_prime, triple.m)
+    pair = _family_pair(d, triple.e_prime, triple.m)
     predicted = product_defect(pair, n, n_prime)
     return ProductCheck(measured, predicted, measured == predicted)
+
+
+@lru_cache(maxsize=64)
+def _family_pair(d: int, e_prime: int, m: int) -> DpdPair:
+    return pseudoplane_dpd_pair(d, e_prime, m)
 
 
 def same_subgroup(a1: CyclicAction, a2: CyclicAction) -> bool:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping, Union
 
@@ -96,6 +97,12 @@ def graded_piece(pair: DpdPair, n: int) -> FractionalIdealA1:
     )
 
 
+# Pieces are immutable, so product_defect may share them between calls.  A
+# pair's pieces are reused within one product sweep over |n|, |n'| <= W,
+# which needs the 4*W + 1 weights of n + n'; 128 covers W <= 31.
+_cached_piece = lru_cache(maxsize=128)(graded_piece)
+
+
 def product_defect(pair: DpdPair, n: int, n_prime: int) -> dict[Fraction, int]:
     """Pointwise exponent defect piece(n) + piece(n') - piece(n+n').
 
@@ -104,13 +111,12 @@ def product_defect(pair: DpdPair, n: int, n_prime: int) -> dict[Fraction, int]:
     generator times t^defect(0) * (t-1)^defect(1) * ...  Values are always
     >= 0 (floor superadditivity plus D+ + D- <= 0); zeros are pruned.
     """
-    e1 = graded_piece(pair, n)
-    e2 = graded_piece(pair, n_prime)
-    e12 = graded_piece(pair, n + n_prime)
-    points = set(e1.support) | set(e2.support) | set(e12.support)
+    e1 = _cached_piece(pair, n)._exponents
+    e2 = _cached_piece(pair, n_prime)._exponents
+    e12 = _cached_piece(pair, n + n_prime)._exponents
     out: dict[Fraction, int] = {}
-    for p in sorted(points):
-        v = e1.exponent(p) + e2.exponent(p) - e12.exponent(p)
+    for p in sorted(e1.keys() | e2.keys() | e12.keys()):
+        v = e1.get(p, 0) + e2.get(p, 0) - e12.get(p, 0)
         if v:
             out[p] = v
     return out

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import add
 from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
@@ -69,6 +70,21 @@ class MultiPoly:
         object.__setattr__(self, "_variables", variables)
         object.__setattr__(self, "_terms", clean)
         object.__setattr__(self, "_hash", None)
+
+    @classmethod
+    def _trusted(cls, variables: tuple[str, ...], clean_terms: dict[Exponents, Fraction]) -> "MultiPoly":
+        """Wrap an already clean term map without re-validating it.
+
+        For arithmetic results only: `variables` is a tuple of distinct
+        names, every key an exponent tuple of non-negative ints of the right
+        length, and every value a nonzero `Fraction`.  The dict is taken
+        over, not copied, so the caller must not keep mutating it.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "_variables", variables)
+        object.__setattr__(self, "_terms", clean_terms)
+        object.__setattr__(self, "_hash", None)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
@@ -181,17 +197,17 @@ class MultiPoly:
             return NotImplemented
         out = dict(self._terms)
         for exps, coeff in other._terms.items():
-            total = out.get(exps, Fraction(0)) + coeff
+            total = out.get(exps, 0) + coeff
             if total:
                 out[exps] = total
             else:
-                out.pop(exps, None)
-        return MultiPoly(self._variables, out)
+                del out[exps]
+        return MultiPoly._trusted(self._variables, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self._variables, {e: -c for e, c in self._terms.items()})
+        return MultiPoly._trusted(self._variables, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other) -> "MultiPoly":
         other = self._coerce(other)
@@ -206,28 +222,24 @@ class MultiPoly:
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
             if not c:
-                return MultiPoly(self._variables)
-            return MultiPoly(self._variables, {e: c * v for e, v in self._terms.items()})
+                return MultiPoly._trusted(self._variables, {})
+            return MultiPoly._trusted(self._variables, {e: c * v for e, v in self._terms.items()})
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         out: dict[Exponents, Fraction] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                total = out.get(key, Fraction(0)) + c1 * c2
-                if total:
-                    out[key] = total
-                else:
-                    del out[key]
-        return MultiPoly(self._variables, out)
+                key = tuple(map(add, e1, e2))
+                out[key] = out.get(key, 0) + c1 * c2
+        return MultiPoly._trusted(self._variables, {e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "MultiPoly":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError(f"polynomial exponent must be a non-negative integer: {exponent}")
-        result = MultiPoly.constant(self._variables, 1)
+        result = MultiPoly._trusted(self._variables, {(0,) * len(self._variables): Fraction(1)})
         base = self
         n = exponent
         while n:
@@ -246,25 +258,9 @@ class MultiPoly:
             e = exps[idx]
             if e == 0:
                 continue
-            key = exps[:idx] + (e - 1,) + exps[idx + 1:]
-            out[key] = out.get(key, Fraction(0)) + coeff * e
-        return MultiPoly(self._variables, out)
-
-    def evaluate(self, assignment: Mapping[str, Scalar]) -> Fraction:
-        """Evaluate at a rational point; every variable must be assigned."""
-        point = []
-        for v in self._variables:
-            if v not in assignment:
-                raise ValueError(f"missing assignment for variable {v!r}")
-            point.append(Fraction(assignment[v]))
-        total = Fraction(0)
-        for exps, coeff in self._terms.items():
-            value = coeff
-            for base, e in zip(point, exps):
-                if e:
-                    value *= base ** e
-            total += value
-        return total
+            # lowering one exponent is injective on the terms it keeps
+            out[exps[:idx] + (e - 1,) + exps[idx + 1:]] = coeff * e
+        return MultiPoly._trusted(self._variables, out)
 
     def with_variables(self, variables: Iterable[str]) -> "MultiPoly":
         """Re-embed into a larger (or reordered) variable list."""
@@ -294,21 +290,6 @@ class MultiPoly:
 
     def __repr__(self) -> str:
         return f"MultiPoly({self._variables!r}, {format_poly(self)!r})"
-
-
-# -- free-function operation aliases --------------------------------------------
-
-
-def poly_add(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    return p + q
-
-
-def poly_mul(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    return p * q
-
-
-def poly_partial(p: MultiPoly, var: str) -> MultiPoly:
-    return p.partial(var)
 
 
 def _require_univariate(p: MultiPoly, q: MultiPoly | None = None) -> str:
@@ -341,12 +322,12 @@ def poly_divmod(p: MultiPoly, q: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
         quo[(shift,)] = factor
         for exps, coeff in q.terms.items():
             key = (exps[0] + shift,)
-            total = rem.get(key, Fraction(0)) - factor * coeff
+            total = rem.get(key, 0) - factor * coeff
             if total:
                 rem[key] = total
             else:
-                rem.pop(key, None)
-    return MultiPoly(p.variables, quo), MultiPoly(p.variables, rem)
+                del rem[key]
+    return MultiPoly._trusted(p.variables, quo), MultiPoly._trusted(p.variables, rem)
 
 
 def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:

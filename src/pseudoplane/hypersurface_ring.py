@@ -151,10 +151,10 @@ class NormalizationWitness(NamedTuple):
     normalized_smooth: bool
 
 
-@lru_cache(maxsize=None)
-def _rhs_power(ring: HypersurfaceRing, j: int) -> MultiPoly:
-    """P(s)^j embedded in the ring's three variables."""
-    return (ring.P ** j).with_variables(ring.variables)
+@lru_cache(maxsize=256)
+def _rhs_power(p: MultiPoly, j: int) -> MultiPoly:
+    """P(s)^j as a univariate polynomial in s."""
+    return p ** j
 
 
 def normal_form(ring: HypersurfaceRing, p: MultiPoly) -> RingElement:
@@ -166,16 +166,19 @@ def normal_form(ring: HypersurfaceRing, p: MultiPoly) -> RingElement:
     """
     if p.variables != ring.variables:
         raise ValueError(f"polynomial variables {p.variables} do not match ring {ring.variables}")
-    out = MultiPoly.zero(ring.variables)
+    k = ring.k
+    out: dict[tuple[int, int, int], Fraction] = {}
     for (a, b, c), coeff in p.terms.items():
-        j = min(a // ring.k, b)
+        j = min(a // k, b)
         if j == 0:
-            out += MultiPoly.monomial(ring.variables, (a, b, c), coeff)
-        else:
-            out += _rhs_power(ring, j) * MultiPoly.monomial(
-                ring.variables, (a - j * ring.k, b - j, c), coeff
-            )
-    return RingElement(ring, out)
+            out[a, b, c] = out.get((a, b, c), 0) + coeff
+            continue
+        a, b = a - j * k, b - j
+        for (e,), pc in _rhs_power(ring.P, j).terms.items():
+            key = (a, b, c + e)
+            out[key] = out.get(key, 0) + coeff * pc
+    clean = {key: v for key, v in out.items() if v}
+    return RingElement(ring, MultiPoly._trusted(ring.variables, clean))
 
 
 def homogeneous_weight(x: RingElement) -> int | None:
@@ -241,9 +244,22 @@ def fiber_analysis(ring: HypersurfaceRing, u_value: Scalar) -> list[tuple[int, i
     return [(f.degree(), mult) for f, mult in squarefree_decomposition(ring.P)]
 
 
+@lru_cache(maxsize=64)
 def _pure_power_base(d: int) -> MultiPoly:
-    s = MultiPoly.variable(("s",), "s")
-    return s ** d - MultiPoly.constant(("s",), 1)
+    """s^d - 1, the right-hand side of the normalized relation."""
+    return MultiPoly(("s",), {(d,): 1, (0,): -1})
+
+
+@lru_cache(maxsize=512)
+def _base_power(d: int, b: int) -> MultiPoly:
+    """(s^d - 1)^b as a univariate polynomial in s."""
+    return _pure_power_base(d) ** b
+
+
+@lru_cache(maxsize=64)
+def _normalized_ring(m: int, d: int) -> HypersurfaceRing:
+    """The normalized model u^m w - (s^d - 1)."""
+    return HypersurfaceRing(m, _pure_power_base(d), "w")
 
 
 def normalize_power_relation(
@@ -260,7 +276,7 @@ def normalize_power_relation(
         raise ValueError(f"k must equal m*m': {k} != {m}*{m_prime}")
     if min(k, m, m_prime, d) < 1:
         raise ValueError("all parameters must be positive integers")
-    expected = _pure_power_base(d) ** m_prime
+    expected = _base_power(d, m_prime)
     if ring is None:
         ring = HypersurfaceRing(k, expected, "v")
     else:
@@ -270,7 +286,7 @@ def normalize_power_relation(
             raise ValueError(
                 "general Q normalization unsupported: P must be (s^d - 1)^m_prime"
             )
-    normalized = HypersurfaceRing(m, _pure_power_base(d), "w")
+    normalized = _normalized_ring(m, d)
     reduced = normal_form(ring, ring.monomial(m * m_prime, 1, 0))
     power_identity = reduced.poly == expected.with_variables(ring.variables)
     normalized_smooth = smooth_check(normalized).smooth
@@ -290,12 +306,6 @@ def _normalized_params(ring: HypersurfaceRing) -> tuple[int, int]:
     return ring.k, d
 
 
-@lru_cache(maxsize=None)
-def _base_power(d: int, b: int) -> MultiPoly:
-    """(s^d - 1)^b as a univariate polynomial in s."""
-    return _pure_power_base(d) ** b
-
-
 def _to_localization(ring: HypersurfaceRing, poly: MultiPoly) -> dict[int, dict[int, Fraction]]:
     """Expand w = (s^d - 1) * u^(-m): map {u-exponent j -> {s-exponent -> coeff}}."""
     m, d = _normalized_params(ring)
@@ -305,7 +315,7 @@ def _to_localization(ring: HypersurfaceRing, poly: MultiPoly) -> dict[int, dict[
         row = loc.setdefault(j, {})
         for (e,), c2 in _base_power(d, b).terms.items():
             key = e + c
-            total = row.get(key, Fraction(0)) + coeff * c2
+            total = row.get(key, 0) + coeff * c2
             if total:
                 row[key] = total
             else:
@@ -325,7 +335,7 @@ def _from_localization(
         row = loc[j]
         if not row:
             continue
-        f = MultiPoly(("s",), {(e,): c for e, c in row.items()})
+        f = MultiPoly._trusted(("s",), {(e,): c for e, c in row.items()})
         if j >= 0:
             a, b, g = j, 0, f
         else:
@@ -338,7 +348,8 @@ def _from_localization(
             a = j + m * b
         for (e,), coeff in g.terms.items():
             terms[(a, b, e)] = coeff
-    return RingElement(ring, MultiPoly(ring.variables, terms))
+    # distinct u-exponents j = a - m*b give distinct (a, b), so no key repeats
+    return RingElement(ring, MultiPoly._trusted(ring.variables, terms))
 
 
 def derivation_apply(ring: HypersurfaceRing, e: int, x: RingElement) -> RingElement | NonPolynomial:

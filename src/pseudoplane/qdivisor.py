@@ -32,7 +32,7 @@ class RegimeError(ValueError):
 class QDivisor:
     """Finitely supported Q-divisor on the affine line."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_coeffs", "_hash")
 
     def __init__(self, coefficients: Mapping[Scalar, Scalar] | Iterable[tuple[Scalar, Scalar]] = ()):
         items = coefficients.items() if isinstance(coefficients, Mapping) else coefficients
@@ -48,6 +48,7 @@ class QDivisor:
             else:
                 clean.pop(point, None)
         object.__setattr__(self, "_coeffs", clean)
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("QDivisor is immutable")
@@ -82,7 +83,9 @@ class QDivisor:
         return self._coeffs == other._coeffs
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._coeffs.items()))
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(frozenset(self._coeffs.items())))
+        return self._hash
 
     def __add__(self, other: "QDivisor") -> "QDivisor":
         if not isinstance(other, QDivisor):

@@ -45,6 +45,7 @@ from .dpd_presentation import (
 )
 from .exact_algebra import MultiPoly, format_poly
 from .hypersurface_ring import (
+    _base_power,
     build_covering_ring,
     fiber_analysis,
     normalize_power_relation,
@@ -79,7 +80,7 @@ _REASON_D1 = (
 
 def _validate_input(d: int, e: int, m: int) -> None:
     for name, value in (("d", d), ("e", e), ("m", m)):
-        if not isinstance(value, int) or value < 1:
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
             raise ValueError(f"{name} must be a positive integer, got {value!r}")
     if math.gcd(e, d) != 1:
         raise ValueError(
@@ -118,8 +119,7 @@ def verify_triple(
     check("divisor_polynomial", l_from_divisor == triple.l and q == expected_q)
 
     covering = build_covering_ring(triple.k, d, triple.e_prime, triple.l, q)
-    s = MultiPoly.variable(("s",), "s")
-    expected_p = (s ** d - MultiPoly.constant(("s",), 1)) ** triple.m_prime
+    expected_p = _base_power(d, triple.m_prime)
     check("covering_relation", covering.P == expected_p)
 
     covering_smooth = smooth_check(covering)

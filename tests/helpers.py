@@ -72,6 +72,55 @@ def rational_roots(p: MultiPoly) -> dict[Fraction, int]:
     return result
 
 
+def oracle_add(p: MultiPoly, q: MultiPoly) -> MultiPoly:
+    """Sum through the validating constructor, as MultiPoly.__add__ once did."""
+    out = dict(p.terms)
+    for exps, coeff in q.terms.items():
+        total = out.get(exps, Fraction(0)) + coeff
+        if total:
+            out[exps] = total
+        else:
+            out.pop(exps, None)
+    return MultiPoly(p.variables, out)
+
+
+def oracle_mul(p: MultiPoly, q: MultiPoly) -> MultiPoly:
+    """Product through the validating constructor, as MultiPoly.__mul__ once did."""
+    out: dict[tuple[int, ...], Fraction] = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            key = tuple(a + b for a, b in zip(e1, e2))
+            total = out.get(key, Fraction(0)) + c1 * c2
+            if total:
+                out[key] = total
+            else:
+                del out[key]
+    return MultiPoly(p.variables, out)
+
+
+def oracle_normal_form(ring, p: MultiPoly) -> MultiPoly:
+    """Term-by-term rewriting u^k * second -> P(s), adding one validated
+    polynomial per input term (quadratic in the number of terms)."""
+    out = MultiPoly.zero(ring.variables)
+    for (a, b, c), coeff in p.terms.items():
+        j = min(a // ring.k, b)
+        term = MultiPoly.monomial(ring.variables, (a - j * ring.k, b - j, c), coeff)
+        rhs = MultiPoly.constant(ring.variables, 1)
+        for _ in range(j):
+            rhs = oracle_mul(rhs, ring.P.with_variables(ring.variables))
+        out = oracle_add(out, oracle_mul(rhs, term))
+    return out
+
+
+def assert_clean(p: MultiPoly) -> None:
+    """The invariants the validating constructor enforces hold for p."""
+    assert p == MultiPoly(p.variables, p.terms)
+    for exps, coeff in p.terms.items():
+        assert type(coeff) is Fraction and coeff != 0
+        assert len(exps) == len(p.variables)
+        assert all(type(e) is int and e >= 0 for e in exps)
+
+
 def monoid_points(d: int, weights: tuple[int, int, int], bound: int) -> set[tuple[int, int, int]]:
     return {
         (a, b, c)

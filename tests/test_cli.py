@@ -158,6 +158,26 @@ def test_sweep_cli_exit_code_and_text(capsys):
     assert "consistent: 1" in out and "inconsistent: 0" in out
 
 
+def test_sweep_cli_max_exponent(capsys):
+    code, out = run_cli(
+        capsys, "sweep", "--d-max", "2", "--m-max", "2", "--max-weight", "1",
+        "--max-exponent", "12", "--json",
+    )
+    assert code == 0
+    assert json.loads(out) == sweep(2, 2, max_weight=1, max_exponent=12)
+    _, default = run_cli(capsys, "sweep", "--d-max", "2", "--m-max", "2", "--max-weight", "1")
+    _, explicit = run_cli(
+        capsys, "sweep", "--d-max", "2", "--m-max", "2", "--max-weight", "1",
+        "--max-exponent", "10",
+    )
+    assert explicit == default
+    code, out = run_cli(
+        capsys, "sweep", "--d-max", "1", "--m-max", "1", "--max-exponent", "0", "--json"
+    )
+    assert code == 2
+    assert "max_exponent" in json.loads(out)["error"]
+
+
 def test_verify_max_weight_zero_skips_product_section(capsys):
     report = verify_triple(3, 2, 2, max_weight=0)
     assert report["product_structure"] == {"max_weight": 0, "all_match": None}

@@ -1,0 +1,158 @@
+"""Fast paths against the slow paths they replaced, and the bounds on the
+memo caches."""
+
+import importlib
+import pkgutil
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from helpers import (
+    F,
+    assert_clean,
+    oracle_add,
+    oracle_mul,
+    oracle_normal_form,
+    small_fractions,
+    small_multipolys,
+    small_upolys,
+)
+
+import pseudoplane
+from pseudoplane import (
+    CyclicAction,
+    HypersurfaceRing,
+    MultiPoly,
+    NonPolynomial,
+    SurfaceTriple,
+    derivation_apply,
+    hilbert_basis,
+    normal_form,
+    poly_divmod,
+    verify_triple,
+)
+
+UVS = ("u", "v", "s")
+UWS = ("u", "w", "s")
+
+
+@given(small_multipolys(UVS), small_multipolys(UVS))
+def test_add_and_mul_match_validated_oracles(p, q):
+    # (p + q) * (p - q) cancels the cross terms p*q - q*p
+    cancelling = ((p + q) * (p - q), oracle_mul(oracle_add(p, q), oracle_add(p, -q)))
+    for got, want in ((p + q, oracle_add(p, q)), (p * q, oracle_mul(p, q)), cancelling):
+        assert got == want
+        assert_clean(got)
+    assert -p == oracle_mul(p, MultiPoly.constant(UVS, -1))
+    for got in (-p, p - q, p.partial("u"), p.partial("s"), p ** 2):
+        assert_clean(got)
+
+
+@given(small_multipolys(UVS), small_fractions())
+def test_scalar_mul_matches_oracle(p, c):
+    got = p * c
+    assert got == oracle_mul(p, MultiPoly.constant(UVS, c))
+    assert_clean(got)
+    assert_clean(c * p)
+
+
+@given(small_upolys(), small_upolys())
+def test_divmod_results_are_clean(p, q):
+    if q.is_zero():
+        return
+    for part in poly_divmod(p, q):
+        assert_clean(part)
+    assert_clean(p.monic())
+
+
+_rings = st.builds(
+    lambda k, P: HypersurfaceRing(k, P, "v"),
+    st.integers(1, 3),
+    small_upolys(max_deg=3).filter(lambda P: not P.is_zero()),
+)
+
+
+@given(_rings, small_multipolys(UVS, max_exp=5, max_terms=6))
+def test_normal_form_matches_term_by_term_oracle(ring, p):
+    got = normal_form(ring, p).poly
+    assert got == oracle_normal_form(ring, p)
+    assert_clean(got)
+    # every multiple of the relation rewrites to zero, term by term cancelling
+    assert normal_form(ring, p * ring.relation()).is_zero()
+
+
+@given(
+    st.integers(1, 3),
+    st.integers(1, 4),
+    st.integers(1, 4),
+    small_multipolys(UWS, max_exp=4, max_terms=4),
+)
+def test_derivation_images_are_clean(m, d, e, p):
+    ring = HypersurfaceRing(m, MultiPoly(("s",), {(d,): 1, (0,): -1}), "w")
+    image = derivation_apply(ring, e, normal_form(ring, p))
+    if not isinstance(image, NonPolynomial):
+        assert_clean(image.poly)
+
+
+def _memo_caches():
+    found = {}
+    for info in pkgutil.iter_modules(pseudoplane.__path__):
+        module = importlib.import_module(f"pseudoplane.{info.name}")
+        for name, obj in vars(module).items():
+            if hasattr(obj, "cache_parameters"):
+                found[f"{info.name}.{name}"] = obj
+            assert not (isinstance(obj, dict) and "cache" in name), (
+                f"{info.name}.{name} is an unbounded dict cache"
+            )
+    return found
+
+
+def test_every_memo_cache_is_bounded():
+    caches = _memo_caches()
+    assert {
+        "hypersurface_ring._pure_power_base",
+        "hypersurface_ring._base_power",
+        "hypersurface_ring._rhs_power",
+        "hypersurface_ring._normalized_ring",
+        "cyclic_quotient._hilbert_basis",
+        "cyclic_quotient._family_pair",
+        "dpd_presentation._cached_piece",
+    } <= set(caches)
+    for name, cache in caches.items():
+        maxsize = cache.cache_parameters()["maxsize"]
+        assert isinstance(maxsize, int) and maxsize > 0, name
+
+
+def test_hilbert_basis_returns_a_fresh_list():
+    action = CyclicAction(5, {"u": 1, "w": -3, "s": 2})
+    first = hilbert_basis(action)
+    first.append((0, 0, 0))
+    second = hilbert_basis(action)
+    assert (0, 0, 0) not in second
+    assert second is not hilbert_basis(action)
+
+
+def test_hilbert_basis_follows_the_weight_order():
+    forward = CyclicAction(5, {"u": 1, "w": -3, "s": 2})
+    backward = CyclicAction(5, {"s": 2, "w": -3, "u": 1})
+    reordered = sorted(tuple(reversed(v)) for v in hilbert_basis(forward))
+    assert hilbert_basis(backward) == reordered
+
+
+@pytest.mark.parametrize("d, e, m", [(True, True, 2), (3, True, 2), (3, 2, True), (3.0, 2, 2)])
+def test_non_int_parameters_rejected(d, e, m):
+    with pytest.raises(ValueError):
+        verify_triple(d, e, m)
+    with pytest.raises(ValueError):
+        SurfaceTriple.make(d, e, m)
+
+
+def test_cached_constants_are_shared_not_rebuilt():
+    from pseudoplane.hypersurface_ring import _base_power, _normalized_ring, _pure_power_base
+
+    assert _pure_power_base(4) is _pure_power_base(4)
+    assert _pure_power_base(4) == MultiPoly(("s",), {(4,): F(1), (0,): F(-1)})
+    assert _base_power(3, 2) == _pure_power_base(3) * _pure_power_base(3)
+    assert _normalized_ring(2, 3) is _normalized_ring(2, 3)
+    assert _normalized_ring(2, 3).P is _pure_power_base(3)
