@@ -50,7 +50,7 @@ def main() -> int:
             if math.gcd(e, d) != 1:
                 continue
             for m in range(1, args.m_max + 1):
-                triple = SurfaceTriple.make(d, e, m)
+                triple = SurfaceTriple(d, e, m)
                 bound = m + 2 * d + args.slack
                 found = find_valid_lnd_degrees(triple, bound)
                 lowest = min(found) if found else None

@@ -8,7 +8,7 @@ gcd/squarefree data of the defining polynomial, never with numeric roots.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -71,45 +71,44 @@ def mod_inverse(e: int, d: int) -> int:
 
 @dataclass(frozen=True)
 class SurfaceTriple:
-    """Input (d, e, m) with the derived constants used throughout.
+    """A validated input (d, e, m) with the constants derived from it.
 
-    e' inverts e mod d, k = lcm(d, m) = m*m' = d*d', and l = -e'*d'; the
-    identity k*e' + d*l = 0 holds by construction and is re-checked here.
+    e' inverts e mod d, k = lcm(d, m) = m*m' = d*d', and l = -e'*d', so that
+    k*e' + d*l = 0.  ``pair`` is the divisor pair presenting the surface,
+    D+ = -(e'/d)[0] and D- = (e'/d)[0] - (1/m)[1].
     """
 
     d: int
     e: int
     m: int
-    e_prime: int
-    k: int
-    m_prime: int
-    d_prime: int
-    l: int
-
-    @classmethod
-    def make(cls, d: int, e: int, m: int) -> "SurfaceTriple":
-        if any(isinstance(x, bool) or not isinstance(x, int) or x < 1 for x in (d, e, m)):
-            raise ValueError(f"d, e, m must be positive integers: ({d!r}, {e!r}, {m!r})")
-        if math.gcd(e, d) != 1:
-            raise ValueError(f"e and d must be coprime: gcd({e}, {d}) = {math.gcd(e, d)}")
-        e_prime = mod_inverse(e, d)
-        k = d * m // math.gcd(d, m)
-        m_prime = k // m
-        d_prime = k // d
-        return cls(d, e, m, e_prime, k, m_prime, d_prime, -e_prime * d_prime)
+    e_prime: int = field(init=False)
+    k: int = field(init=False)
+    m_prime: int = field(init=False)
+    d_prime: int = field(init=False)
+    l: int = field(init=False)
+    pair: DpdPair = field(init=False)
 
     def __post_init__(self):
-        if math.gcd(self.e, self.d) != 1:
-            raise ValueError("e and d must be coprime")
-        if (self.e * self.e_prime) % self.d != 1 % self.d:
-            raise ValueError("e_prime is not the inverse of e modulo d")
-        lcm = self.d * self.m // math.gcd(self.d, self.m)
-        if self.k != lcm or self.k != self.m * self.m_prime or self.k != self.d * self.d_prime:
-            raise ValueError("k must be lcm(d, m) with k = m*m' = d*d'")
-        if self.l != -self.e_prime * self.d_prime:
-            raise ValueError("l must equal -e'*d'")
-        if self.k * self.e_prime + self.d * self.l != 0:
-            raise ValueError("exponent identity k*e' + d*l = 0 violated")
+        d, e, m = self.d, self.e, self.m
+        for name, value in (("d", d), ("e", e), ("m", m)):
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        if math.gcd(e, d) != 1:
+            raise ValueError(
+                f"e and d must be coprime for the quotient to act freely: gcd({e}, {d}) = {math.gcd(e, d)}"
+            )
+        e_prime = mod_inverse(e, d)
+        k = d * m // math.gcd(d, m)
+        derived = {
+            "e_prime": e_prime,
+            "k": k,
+            "m_prime": k // m,
+            "d_prime": k // d,
+            "l": -e_prime * (k // d),
+            "pair": pseudoplane_dpd_pair(d, e_prime, m),
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
 
 def normalized_ring(triple: SurfaceTriple) -> HypersurfaceRing:
@@ -212,11 +211,12 @@ def _hilbert_basis(d: int, wts: tuple[int, int, int]) -> tuple[tuple[int, ...], 
         for v in product(range(d + 1), repeat=3)
         if any(v) and sum(e * w for e, w in zip(v, wts)) % d == 0
     ]
-    basis = [
-        x
-        for x in points
-        if not any(y != x and all(a <= b for a, b in zip(y, x)) for y in points)
-    ]
+    # a reducible point lies above a minimal invariant point, which is a basis
+    # element of smaller total degree, so scanning by total degree suffices
+    basis: list[tuple[int, ...]] = []
+    for x in sorted(points, key=sum):
+        if not any(all(a <= b for a, b in zip(y, x)) for y in basis):
+            basis.append(x)
     return tuple(sorted(basis))
 
 
@@ -312,14 +312,8 @@ def product_structure_check(triple: SurfaceTriple, n: int, n_prime: int) -> Prod
             f"residual factor {format_poly(r)} does not factor as s^{val}*(s^{d}-1)^{lam}"
         )
     measured = {p: v for p, v in ((Fraction(0), kappa), (Fraction(1), lam)) if v}
-    pair = _family_pair(d, triple.e_prime, triple.m)
-    predicted = product_defect(pair, n, n_prime)
+    predicted = product_defect(triple.pair, n, n_prime)
     return ProductCheck(measured, predicted, measured == predicted)
-
-
-@lru_cache(maxsize=64)
-def _family_pair(d: int, e_prime: int, m: int) -> DpdPair:
-    return pseudoplane_dpd_pair(d, e_prime, m)
 
 
 def same_subgroup(a1: CyclicAction, a2: CyclicAction) -> bool:

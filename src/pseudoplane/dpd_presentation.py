@@ -14,11 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Mapping, Union
+from typing import Mapping
 
+from .exact_algebra import Scalar
 from .qdivisor import DpdPair, QDivisor, format_divisor, negative_locus
-
-Scalar = Union[int, Fraction]
 
 
 class FractionalIdealA1:
@@ -122,69 +121,33 @@ def product_defect(pair: DpdPair, n: int, n_prime: int) -> dict[Fraction, int]:
     return out
 
 
-ACTION_KINDS = ("elliptic", "parabolic", "hyperbolic", "none")
-
-
 @dataclass(frozen=True)
 class ActionClass:
-    kind: str
     admissible: bool
     reason: str
 
-    def __post_init__(self):
-        if self.kind not in ACTION_KINDS:
-            raise ValueError(f"unknown action kind {self.kind!r}")
 
+def classify_presentation(pair: DpdPair, lnd_degree: int | None = None) -> ActionClass:
+    """Decision table ruling a hyperbolic presentation in or out as a candidate
+    for a surface with an essentially unique ruling over the affine line.
 
-@dataclass(frozen=True)
-class PresentationDescriptor:
-    """What kind of one-dimensional torus action presents the surface.
-
-    kind 'hyperbolic' carries the divisor pair; 'parabolic' is understood over
-    the affine line (the only base in scope); lnd_degree, when known, is the
-    degree of a homogeneous locally nilpotent derivation.
+    lnd_degree, when known, is the degree of a homogeneous locally nilpotent
+    derivation.  This performs no ring computation: each exclusion is a
+    recorded fact about the presentation.
     """
-
-    kind: str
-    pair: DpdPair | None = None
-    lnd_degree: int | None = None
-
-
-def classify_presentation(descriptor: PresentationDescriptor) -> ActionClass:
-    """Decision table ruling configurations in or out as candidates for a
-    surface with an essentially unique ruling over the affine line.
-
-    This performs no ring computation: each exclusion is a recorded fact about
-    the presentation type.
-    """
-    kind = descriptor.kind
-    if kind == "elliptic":
-        return ActionClass("elliptic", False, "excluded: elliptic action presents the affine plane")
-    if kind == "parabolic":
+    if lnd_degree == 0:
         return ActionClass(
-            "parabolic",
             False,
-            "excluded: parabolic action over the affine line presents the affine plane",
+            "excluded: degree-0 derivation presents a line times a torus (ruling over the torus)",
         )
-    if kind == "hyperbolic":
-        if descriptor.pair is None:
-            raise ValueError("hyperbolic descriptor requires a divisor pair")
-        if descriptor.lnd_degree == 0:
-            return ActionClass(
-                "hyperbolic",
-                False,
-                "excluded: degree-0 derivation presents a line times a torus (ruling over the torus)",
-            )
-        locus = negative_locus(descriptor.pair)
-        if not locus.torsion_compatible:
-            return ActionClass(
-                "hyperbolic",
-                False,
-                f"excluded: negative locus has {locus.l} points, so Picard rank >= "
-                f"{locus.picard_rank_lower_bound} is not a torsion group",
-            )
-        return ActionClass("hyperbolic", True, "admissible")
-    raise ValueError(f"malformed descriptor kind {kind!r}")
+    locus = negative_locus(pair)
+    if not locus.torsion_compatible:
+        return ActionClass(
+            False,
+            f"excluded: negative locus has {locus.l} points, so Picard rank >= "
+            f"{locus.picard_rank_lower_bound} is not a torsion group",
+        )
+    return ActionClass(True, "admissible")
 
 
 def smoothness_condition(m: int, a: int) -> bool:

@@ -28,8 +28,6 @@ from operator import add
 from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
-Rational = Fraction
-
 Exponents = tuple[int, ...]
 Scalar = Union[int, Fraction]
 

@@ -19,10 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 from .exact_algebra import (
     MultiPoly,
+    Scalar,
     format_poly,
     parse_poly,
     poly_divmod,
@@ -30,8 +31,6 @@ from .exact_algebra import (
     squarefree_decomposition,
     substitute_power,
 )
-
-Scalar = Union[int, Fraction]
 
 
 @dataclass(frozen=True)

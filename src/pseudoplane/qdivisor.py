@@ -17,11 +17,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Union
+from typing import Iterable, Mapping, NamedTuple
 
-from .exact_algebra import MultiPoly
-
-Scalar = Union[int, Fraction]
+from .exact_algebra import MultiPoly, Scalar
 
 
 class RegimeError(ValueError):

@@ -37,12 +37,7 @@ from .cyclic_quotient import (
     same_subgroup,
     standard_action,
 )
-from .dpd_presentation import (
-    PresentationDescriptor,
-    classify_presentation,
-    pseudoplane_dpd_pair,
-    smoothness_condition,
-)
+from .dpd_presentation import classify_presentation, smoothness_condition
 from .exact_algebra import MultiPoly, format_poly
 from .hypersurface_ring import (
     _base_power,
@@ -78,24 +73,13 @@ _REASON_D1 = (
 )
 
 
-def _validate_input(d: int, e: int, m: int) -> None:
-    for name, value in (("d", d), ("e", e), ("m", m)):
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise ValueError(f"{name} must be a positive integer, got {value!r}")
-    if math.gcd(e, d) != 1:
-        raise ValueError(
-            f"e and d must be coprime for the quotient to act freely: gcd({e}, {d}) = {math.gcd(e, d)}"
-        )
-
-
 def verify_triple(
     d: int, e: int, m: int, max_weight: int = 8, max_exponent: int = 10
 ) -> Report:
     """Run the full verification pipeline for one (d, e, m) triple."""
-    _validate_input(d, e, m)
+    triple = SurfaceTriple(d, e, m)
     if max_weight < 0 or max_exponent < 1:
         raise ValueError("max_weight must be >= 0 and max_exponent >= 1")
-    triple = SurfaceTriple.make(d, e, m)
     failed: list[str] = []
 
     def check(name: str, ok: bool) -> bool:
@@ -106,7 +90,7 @@ def verify_triple(
     exponent_check = triple.k * triple.e_prime + triple.d * triple.l == 0
     check("exponent_identity", exponent_check)
 
-    pair = pseudoplane_dpd_pair(d, triple.e_prime, m)
+    pair = triple.pair
     ml1 = ml1_test(pair)
     check("ml1_prediction", ml1 == (d >= 2 and m >= 2))
 
@@ -271,9 +255,7 @@ def classify_pair(
     d_minus = parse_divisor(d_minus_text)
     pair = DpdPair(d_plus, d_minus)  # raises ValueError with pointwise witness
 
-    action = classify_presentation(
-        PresentationDescriptor("hyperbolic", pair=pair, lnd_degree=lnd_degree)
-    )
+    action = classify_presentation(pair, lnd_degree)
     locus = negative_locus(pair)
     ml1: bool | None
     ml1_note: str | None
@@ -309,7 +291,7 @@ def classify_pair(
             "lnd_degree": lnd_degree,
         },
         "action_class": {
-            "kind": action.kind,
+            "kind": "hyperbolic",
             "admissible": action.admissible,
             "reason": action.reason,
         },
@@ -364,7 +346,12 @@ def sweep(
     counts["total"] = len(rows)
     return {
         "format_version": FORMAT_VERSION,
-        "params": {"d_max": d_max, "m_max": m_max, "max_weight": max_weight},
+        "params": {
+            "d_max": d_max,
+            "m_max": m_max,
+            "max_weight": max_weight,
+            "max_exponent": max_exponent,
+        },
         "rows": rows,
         "aggregate": counts,
     }

@@ -132,6 +132,18 @@ def monoid_points(d: int, weights: tuple[int, int, int], bound: int) -> set[tupl
     }
 
 
+def oracle_hilbert_basis(d: int, weights: tuple[int, int, int]) -> tuple[tuple[int, ...], ...]:
+    """The quadratic minimality filter: an invariant point of [0, d]^3 is a
+    generator iff no other invariant point lies below it componentwise."""
+    points = sorted(monoid_points(d, weights, d))
+    basis = [
+        x
+        for x in points
+        if not any(y != x and all(a <= b for a, b in zip(y, x)) for y in points)
+    ]
+    return tuple(sorted(basis))
+
+
 def reachable_sums(generators: list[tuple[int, int, int]], bound: int) -> set[tuple[int, int, int]]:
     """All nonzero sums of generators with every coordinate <= bound (BFS)."""
     seen = {(0, 0, 0)}

@@ -42,7 +42,7 @@ from pseudoplane import (
 
 D_MAX, M_MAX = 6, 5
 GRID = grid_triples(D_MAX, M_MAX)
-TRIPLES = [SurfaceTriple.make(d, e, m) for d, e, m in GRID]
+TRIPLES = [SurfaceTriple(d, e, m) for d, e, m in GRID]
 
 
 def _passed(n: int, name: str) -> None:

@@ -50,8 +50,22 @@ def test_verify_cli_exit_codes(capsys):
 
 
 def test_verify_cli_invalid_values(capsys):
-    code, _ = run_cli(capsys, "verify", "-d", "0", "-e", "1", "-m", "1")
-    assert code == 2
+    # the exact messages and exit code the CLI has always given
+    for argv, message in [
+        (("-d", "0", "-e", "1", "-m", "1"), "d must be a positive integer, got 0"),
+        (
+            ("-d", "4", "-e", "2", "-m", "3"),
+            "e and d must be coprime for the quotient to act freely: gcd(2, 4) = 2",
+        ),
+    ]:
+        code = main(["verify", *argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        code, out = run_cli(capsys, "verify", *argv, "--json")
+        assert code == 2
+        assert json.loads(out) == {"format_version": 1, "error": message}
 
 
 def test_classify_cli_family_pair(capsys):
@@ -164,7 +178,9 @@ def test_sweep_cli_max_exponent(capsys):
         "--max-exponent", "12", "--json",
     )
     assert code == 0
-    assert json.loads(out) == sweep(2, 2, max_weight=1, max_exponent=12)
+    result = json.loads(out)
+    assert result == sweep(2, 2, max_weight=1, max_exponent=12)
+    assert result["params"]["max_exponent"] == 12
     _, default = run_cli(capsys, "sweep", "--d-max", "2", "--m-max", "2", "--max-weight", "1")
     _, explicit = run_cli(
         capsys, "sweep", "--d-max", "2", "--m-max", "2", "--max-weight", "1",

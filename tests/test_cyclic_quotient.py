@@ -27,7 +27,7 @@ from pseudoplane import (
     weight_piece_is_rank_one,
 )
 
-TRIPLES = [SurfaceTriple.make(d, e, m) for d, e, m in grid_triples(5, 4)]
+TRIPLES = [SurfaceTriple(d, e, m) for d, e, m in grid_triples(5, 4)]
 
 
 def test_mod_inverse():
@@ -50,13 +50,16 @@ def test_mod_inverse_brute_force():
 
 
 def test_surface_triple_derived_constants():
-    t = SurfaceTriple.make(3, 2, 2)
+    t = SurfaceTriple(3, 2, 2)
     assert (t.e_prime, t.k, t.m_prime, t.d_prime, t.l) == (2, 6, 3, 2, -4)
     assert t.k * t.e_prime + t.d * t.l == 0
+    assert t.pair == pseudoplane_dpd_pair(3, 2, 2)
     with pytest.raises(ValueError, match="coprime"):
-        SurfaceTriple.make(4, 2, 3)
+        SurfaceTriple(4, 2, 3)
     with pytest.raises(ValueError):
-        SurfaceTriple(3, 2, 2, e_prime=1, k=6, m_prime=3, d_prime=2, l=-4)
+        SurfaceTriple(True, 1, 1)
+    with pytest.raises(ValueError):
+        SurfaceTriple(3, 2.0, 2)
 
 
 # -- freeness ---------------------------------------------------------------------
@@ -134,7 +137,7 @@ def test_hilbert_basis_against_exhaustive_decomposition(d, weights):
 
 
 def test_weight_piece_generator_examples():
-    t = SurfaceTriple.make(3, 2, 2)
+    t = SurfaceTriple(3, 2, 2)
     assert weight_piece_generator(t, 1) == (1, 0, 1)
     assert weight_piece_generator(t, -1) == (1, 1, 2)
     assert weight_piece_generator(t, 0) == (0, 0, 0)
@@ -176,7 +179,7 @@ def test_weight_pieces_have_rank_one():
 
 
 def test_product_structure_examples():
-    t = SurfaceTriple.make(3, 2, 2)
+    t = SurfaceTriple(3, 2, 2)
     check = product_structure_check(t, 1, -1)
     assert check.measured == {F(0): 1, F(1): 1}
     assert check.match
@@ -239,21 +242,21 @@ def test_fractional_ideal_divisor_string():
 
 
 def test_find_valid_lnd_degrees_examples():
-    t = SurfaceTriple.make(3, 2, 2)
+    t = SurfaceTriple(3, 2, 2)
     degrees = find_valid_lnd_degrees(t, 8)
     assert 2 in degrees
     assert all(deg % 3 == 2 for deg in degrees)
 
-    t = SurfaceTriple.make(2, 1, 3)
+    t = SurfaceTriple(2, 1, 3)
     degrees = find_valid_lnd_degrees(t, 8)
     assert 1 not in degrees and 3 in degrees
 
-    t = SurfaceTriple.make(1, 1, 2)
+    t = SurfaceTriple(1, 1, 2)
     assert find_valid_lnd_degrees(t, 8) == [2, 3, 4, 5, 6, 7, 8]
 
 
 def test_find_valid_lnd_degrees_bound_precondition():
-    t = SurfaceTriple.make(3, 2, 2)
+    t = SurfaceTriple(3, 2, 2)
     with pytest.raises(ValueError, match="bound"):
         find_valid_lnd_degrees(t, 4)
 

@@ -9,7 +9,6 @@ from helpers import F, grid_triples, nonpositive_divisors, small_divisors
 from pseudoplane import (
     DpdPair,
     FractionalIdealA1,
-    PresentationDescriptor,
     QDivisor,
     classify_presentation,
     floor_div,
@@ -59,39 +58,21 @@ def test_product_defect_examples():
 
 def test_classify_hyperbolic_admissible():
     pair = pseudoplane_dpd_pair(3, 2, 2)
-    out = classify_presentation(PresentationDescriptor("hyperbolic", pair=pair, lnd_degree=2))
-    assert out.kind == "hyperbolic" and out.admissible
-
-
-def test_classify_parabolic_excluded_as_plane():
-    out = classify_presentation(PresentationDescriptor("parabolic"))
-    assert out.kind == "parabolic" and not out.admissible
-    assert "plane" in out.reason
-
-
-def test_classify_elliptic_excluded_as_plane():
-    out = classify_presentation(PresentationDescriptor("elliptic"))
-    assert not out.admissible and "plane" in out.reason
+    out = classify_presentation(pair, lnd_degree=2)
+    assert out.admissible
 
 
 def test_classify_degree_zero_excluded():
     pair = pseudoplane_dpd_pair(3, 2, 2)
-    out = classify_presentation(PresentationDescriptor("hyperbolic", pair=pair, lnd_degree=0))
-    assert out.kind == "hyperbolic" and not out.admissible
+    out = classify_presentation(pair, lnd_degree=0)
+    assert not out.admissible
     assert "torus" in out.reason
 
 
 def test_classify_picard_excluded():
     pair = DpdPair(QDivisor.zero(), QDivisor({1: F(-1, 2), 2: F(-1, 2)}))
-    out = classify_presentation(PresentationDescriptor("hyperbolic", pair=pair))
+    out = classify_presentation(pair)
     assert not out.admissible and "Picard" in out.reason
-
-
-def test_classify_malformed():
-    with pytest.raises(ValueError):
-        classify_presentation(PresentationDescriptor("spherical"))
-    with pytest.raises(ValueError):
-        classify_presentation(PresentationDescriptor("hyperbolic"))
 
 
 def test_smoothness_condition():

@@ -3,6 +3,7 @@ memo caches."""
 
 import importlib
 import pkgutil
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -12,6 +13,7 @@ from helpers import (
     F,
     assert_clean,
     oracle_add,
+    oracle_hilbert_basis,
     oracle_mul,
     oracle_normal_form,
     small_fractions,
@@ -30,6 +32,7 @@ from pseudoplane import (
     hilbert_basis,
     normal_form,
     poly_divmod,
+    standard_action,
     verify_triple,
 )
 
@@ -116,7 +119,6 @@ def test_every_memo_cache_is_bounded():
         "hypersurface_ring._rhs_power",
         "hypersurface_ring._normalized_ring",
         "cyclic_quotient._hilbert_basis",
-        "cyclic_quotient._family_pair",
         "dpd_presentation._cached_piece",
     } <= set(caches)
     for name, cache in caches.items():
@@ -140,12 +142,30 @@ def test_hilbert_basis_follows_the_weight_order():
     assert hilbert_basis(backward) == reordered
 
 
+def test_hilbert_basis_matches_the_quadratic_filter():
+    from pseudoplane.cyclic_quotient import _hilbert_basis
+
+    for d in range(1, 8):
+        for wts in product(range(d), repeat=3):
+            assert _hilbert_basis.__wrapped__(d, wts) == oracle_hilbert_basis(d, wts)
+
+
+@pytest.mark.parametrize("d", [21, 33, 43])
+def test_hilbert_basis_matches_the_quadratic_filter_at_large_d(d):
+    # the standard actions of the benchmark's large_d triples with this d
+    m = 3 + (d - 21) // 2 % 7
+    for e in (d - 1, d - 2):
+        action = standard_action(SurfaceTriple(d, e, m))
+        wts = tuple(action.weights.values())
+        assert hilbert_basis(action) == list(oracle_hilbert_basis(d, wts))
+
+
 @pytest.mark.parametrize("d, e, m", [(True, True, 2), (3, True, 2), (3, 2, True), (3.0, 2, 2)])
 def test_non_int_parameters_rejected(d, e, m):
     with pytest.raises(ValueError):
         verify_triple(d, e, m)
     with pytest.raises(ValueError):
-        SurfaceTriple.make(d, e, m)
+        SurfaceTriple(d, e, m)
 
 
 def test_cached_constants_are_shared_not_rebuilt():
