@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 from operator import add
 from typing import NamedTuple
@@ -21,8 +20,8 @@ from .hypersurface_ring import (
     HypersurfaceRing,
     NonPolynomial,
     RingElement,
-    _base_power,
     _normalized_ring,
+    _rhs_power,
     derivation_apply,
     nilpotency_index,
     normal_form,
@@ -201,11 +200,8 @@ def hilbert_basis(action: CyclicAction) -> list[tuple[int, ...]]:
     """
     if len(action.weights) != 3:
         raise ValueError(f"expected a three-variable action, got {tuple(action.weights)}")
-    return list(_hilbert_basis(action.modulus, tuple(action.weights.values())))
-
-
-@lru_cache(maxsize=64)
-def _hilbert_basis(d: int, wts: tuple[int, int, int]) -> tuple[tuple[int, ...], ...]:
+    d = action.modulus
+    wts = tuple(action.weights.values())
     points = [
         v
         for v in product(range(d + 1), repeat=3)
@@ -217,7 +213,7 @@ def _hilbert_basis(d: int, wts: tuple[int, int, int]) -> tuple[tuple[int, ...], 
     for x in sorted(points, key=sum):
         if not any(all(a <= b for a, b in zip(y, x)) for y in basis):
             basis.append(x)
-    return tuple(sorted(basis))
+    return sorted(basis)
 
 
 def weight_piece_generator(triple: SurfaceTriple, n: int) -> tuple[int, int, int]:
@@ -305,7 +301,7 @@ def product_structure_check(triple: SurfaceTriple, n: int, n_prime: int) -> Prod
         )
     kappa, lam = val // d, span // d
     # s^val * (s^d - 1)^lam: the cached power shifted by val
-    shifted = {(e + val,): v for (e,), v in _base_power(d, lam).terms.items()}
+    shifted = {(e + val,): v for (e,), v in _rhs_power(ring.P, lam).terms.items()}
     rebuilt = MultiPoly._trusted(("s",), shifted)
     if r != rebuilt:
         raise StructuralError(

@@ -150,9 +150,9 @@ class NormalizationWitness(NamedTuple):
     normalized_smooth: bool
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=512)
 def _rhs_power(p: MultiPoly, j: int) -> MultiPoly:
-    """P(s)^j as a univariate polynomial in s."""
+    """P(s)^j as a univariate polynomial in s; the one memo of such powers."""
     return p ** j
 
 
@@ -249,12 +249,6 @@ def _pure_power_base(d: int) -> MultiPoly:
     return MultiPoly(("s",), {(d,): 1, (0,): -1})
 
 
-@lru_cache(maxsize=512)
-def _base_power(d: int, b: int) -> MultiPoly:
-    """(s^d - 1)^b as a univariate polynomial in s."""
-    return _pure_power_base(d) ** b
-
-
 @lru_cache(maxsize=64)
 def _normalized_ring(m: int, d: int) -> HypersurfaceRing:
     """The normalized model u^m w - (s^d - 1)."""
@@ -262,31 +256,24 @@ def _normalized_ring(m: int, d: int) -> HypersurfaceRing:
 
 
 def normalize_power_relation(
-    k: int, m: int, m_prime: int, d: int, ring: HypersurfaceRing | None = None
+    ring: HypersurfaceRing, m: int, d: int
 ) -> tuple[HypersurfaceRing, NormalizationWitness]:
-    """Normalize u^k v = (s^d - 1)^m' (k = m*m') to u^m w = s^d - 1.
+    """Normalize the covering ring u^k v = (s^d - 1)^m' (k = m*m') to u^m w = s^d - 1.
 
     The integral element w = (s^d - 1)/u^m satisfies w^m' = v, which is
     certified as the polynomial identity (s^d - 1)^m' = u^(m*m') * v modulo
     the relation; the normalized ring is additionally checked smooth.  Only
     the pure-power shape is normalized: any other P is refused.
     """
-    if k != m * m_prime:
-        raise ValueError(f"k must equal m*m': {k} != {m}*{m_prime}")
-    if min(k, m, m_prime, d) < 1:
+    if m < 1 or d < 1:
         raise ValueError("all parameters must be positive integers")
-    expected = _base_power(d, m_prime)
-    if ring is None:
-        ring = HypersurfaceRing(k, expected, "v")
-    else:
-        if ring.k != k:
-            raise ValueError(f"ring exponent {ring.k} does not match k={k}")
-        if ring.P != expected:
-            raise ValueError(
-                "general Q normalization unsupported: P must be (s^d - 1)^m_prime"
-            )
+    if ring.k % m:
+        raise ValueError(f"k must equal m*m' for an integer m': k = {ring.k}, m = {m}")
+    expected = _rhs_power(_pure_power_base(d), ring.k // m)
+    if ring.P != expected:
+        raise ValueError("general Q normalization unsupported: P must be (s^d - 1)^m_prime")
     normalized = _normalized_ring(m, d)
-    reduced = normal_form(ring, ring.monomial(m * m_prime, 1, 0))
+    reduced = normal_form(ring, ring.monomial(ring.k, 1, 0))
     power_identity = reduced.poly == expected.with_variables(ring.variables)
     normalized_smooth = smooth_check(normalized).smooth
     return normalized, NormalizationWitness(power_identity, normalized_smooth)
@@ -307,12 +294,12 @@ def _normalized_params(ring: HypersurfaceRing) -> tuple[int, int]:
 
 def _to_localization(ring: HypersurfaceRing, poly: MultiPoly) -> dict[int, dict[int, Fraction]]:
     """Expand w = (s^d - 1) * u^(-m): map {u-exponent j -> {s-exponent -> coeff}}."""
-    m, d = _normalized_params(ring)
+    m = ring.k
     loc: dict[int, dict[int, Fraction]] = {}
     for (a, b, c), coeff in poly.terms.items():
         j = a - m * b
         row = loc.setdefault(j, {})
-        for (e,), c2 in _base_power(d, b).terms.items():
+        for (e,), c2 in _rhs_power(ring.P, b).terms.items():
             key = e + c
             total = row.get(key, 0) + coeff * c2
             if total:
@@ -328,7 +315,7 @@ def _from_localization(
     """Reassemble a Laurent expansion into a normal-form element, or report
     the first u-exponent whose s-part is not divisible by the required power
     of s^d - 1."""
-    m, d = _normalized_params(ring)
+    m = ring.k
     terms: dict[tuple[int, int, int], Fraction] = {}
     for j in sorted(loc):
         row = loc[j]
@@ -339,7 +326,7 @@ def _from_localization(
             a, b, g = j, 0, f
         else:
             b = (-j + m - 1) // m
-            g, rem = poly_divmod(f, _base_power(d, b))
+            g, rem = poly_divmod(f, _rhs_power(ring.P, b))
             if not rem.is_zero():
                 top = max(rem.terms)
                 coeff = rem.terms[top]
@@ -363,6 +350,7 @@ def derivation_apply(ring: HypersurfaceRing, e: int, x: RingElement) -> RingElem
         raise ValueError(f"derivation degree must be a positive integer: {e}")
     if x.ring != ring:
         raise ValueError("element belongs to a different ring")
+    _normalized_params(ring)  # the localization helpers rely on the shape
     loc = _to_localization(ring, x.poly)
     image: dict[int, dict[int, Fraction]] = {}
     for j, row in loc.items():

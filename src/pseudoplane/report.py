@@ -37,10 +37,11 @@ from .cyclic_quotient import (
     same_subgroup,
     standard_action,
 )
-from .dpd_presentation import classify_presentation, smoothness_condition
+from .dpd_presentation import classify_presentation, pseudoplane_dpd_pair, smoothness_condition
 from .exact_algebra import MultiPoly, format_poly
 from .hypersurface_ring import (
-    _base_power,
+    _pure_power_base,
+    _rhs_power,
     build_covering_ring,
     fiber_analysis,
     normalize_power_relation,
@@ -48,7 +49,6 @@ from .hypersurface_ring import (
 )
 from .qdivisor import (
     DpdPair,
-    QDivisor,
     RegimeError,
     canonical_pair,
     divisor_to_poly,
@@ -73,11 +73,19 @@ _REASON_D1 = (
 )
 
 
+def _require_int(**bounds: Any) -> None:
+    """Reject bool and non-int bounds the way ``SurfaceTriple`` rejects them."""
+    for name, value in bounds.items():
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def verify_triple(
     d: int, e: int, m: int, max_weight: int = 8, max_exponent: int = 10
 ) -> Report:
     """Run the full verification pipeline for one (d, e, m) triple."""
     triple = SurfaceTriple(d, e, m)
+    _require_int(max_weight=max_weight, max_exponent=max_exponent)
     if max_weight < 0 or max_exponent < 1:
         raise ValueError("max_weight must be >= 0 and max_exponent >= 1")
     failed: list[str] = []
@@ -103,15 +111,13 @@ def verify_triple(
     check("divisor_polynomial", l_from_divisor == triple.l and q == expected_q)
 
     covering = build_covering_ring(triple.k, d, triple.e_prime, triple.l, q)
-    expected_p = _base_power(d, triple.m_prime)
+    expected_p = _rhs_power(_pure_power_base(d), triple.m_prime)
     check("covering_relation", covering.P == expected_p)
 
     covering_smooth = smooth_check(covering)
     check("pre_normalization_smoothness", covering_smooth.smooth == (triple.m_prime == 1))
 
-    normalized, witness = normalize_power_relation(
-        triple.k, m, triple.m_prime, d, ring=covering
-    )
+    normalized, witness = normalize_power_relation(covering, m, d)
     check("normalization_witnesses", witness.power_identity and witness.normalized_smooth)
 
     action = standard_action(triple)
@@ -205,45 +211,23 @@ def verify_triple(
 
 
 def _recover_family_parameters(pair: DpdPair) -> Report | None:
-    """Recognize pairs of the family shape (-(e'/d)[0], (e'/d)[0] - (1/m)[1]),
-    exactly or up to the integral shift equivalence."""
-
-    def boundary_m(coeff: Fraction) -> int | None:
-        # coefficient at the point 1 must be a/m with a = -1 for a smooth surface
-        if coeff == 0:
-            return None
-        if not smoothness_condition(coeff.denominator, coeff.numerator):
-            return None
-        return coeff.denominator
-
-    d_plus, d_minus = pair.d_plus, pair.d_minus
-    c0 = d_plus.coefficient(0)
-    if d_plus.support == (Fraction(0),) and -1 <= c0 < 0:
-        ratio = -c0
-        m = boundary_m(d_minus.coefficient(1))
-        if m is not None and d_minus == QDivisor({0: ratio, 1: Fraction(-1, m)}):
-            return {
-                "d": ratio.denominator,
-                "e_prime": ratio.numerator,
-                "m": m,
-                "up_to_equivalence": False,
-            }
-    fractional = fract_div(d_plus)
+    """Recognize pairs of the family shape (-(e'/d)[0], (e'/d)[0] - (1/m)[1])
+    up to the integral shift equivalence; ``up_to_equivalence`` is False when
+    the pair is the family pair itself."""
+    fractional = fract_div(pair.d_plus)
     if any(p != 0 for p in fractional.support):
         return None
     total = pair.total
     if total.support != (Fraction(1),):
         return None
-    m = boundary_m(total.coefficient(1))
-    if m is None:
+    # the coefficient at the point 1 must be a/m with a = -1 for a smooth surface
+    boundary = total.coefficient(1)
+    if not smoothness_condition(boundary.denominator, boundary.numerator):
         return None
     ratio = 1 - fractional.coefficient(0)
-    return {
-        "d": ratio.denominator,
-        "e_prime": ratio.numerator,
-        "m": m,
-        "up_to_equivalence": True,
-    }
+    d, e_prime, m = ratio.denominator, ratio.numerator, boundary.denominator
+    exact = pair == pseudoplane_dpd_pair(d, e_prime, m)
+    return {"d": d, "e_prime": e_prime, "m": m, "up_to_equivalence": not exact}
 
 
 def classify_pair(
@@ -321,6 +305,7 @@ def sweep(
 ) -> Report:
     """Verify every admissible triple with d <= d_max, e in [1, d] coprime to
     d, m <= m_max; rows are ordered by (d, e, m)."""
+    _require_int(d_max=d_max, m_max=m_max)
     if d_max < 1 or m_max < 1:
         raise ValueError("d_max and m_max must be positive integers")
     rows: list[Report] = []

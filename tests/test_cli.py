@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from pseudoplane import classify_pair, sweep, verify_triple
 from pseudoplane.cli import main
 
@@ -117,6 +119,22 @@ def test_classify_cli_recovers_after_shift(capsys):
     assert report["recovered"] == {
         "d": 3, "e_prime": 2, "m": 2, "up_to_equivalence": True,
     }
+
+
+@pytest.mark.parametrize(
+    "d_plus, d_minus, recovered",
+    [
+        ("0:-1", "0:1,1:-1/2", {"d": 1, "e_prime": 1, "m": 2, "up_to_equivalence": False}),
+        ("", "1:-1/2", {"d": 1, "e_prime": 1, "m": 2, "up_to_equivalence": True}),
+        ("0:-2/3", "0:2/3,1:-2/3", None),
+    ],
+)
+def test_classify_cli_recovered_block(capsys, d_plus, d_minus, recovered):
+    code, out = run_cli(
+        capsys, "classify", "--d-plus", d_plus, "--d-minus", d_minus, "--json"
+    )
+    assert code == 0
+    assert json.loads(out)["recovered"] == recovered
 
 
 def test_classify_cli_degree_zero_excluded(capsys):

@@ -255,6 +255,14 @@ def test_find_valid_lnd_degrees_examples():
     assert find_valid_lnd_degrees(t, 8) == [2, 3, 4, 5, 6, 7, 8]
 
 
+def test_least_lnd_degree_across_acceptance_grid():
+    # the least valid degree is the least x >= m with x = e (mod d)
+    for d, e, m in grid_triples():
+        t = SurfaceTriple(d, e, m)
+        least = next(x for x in range(m, m + d) if (x - e) % d == 0)
+        assert min(find_valid_lnd_degrees(t, t.m + t.d)) == least, (d, e, m)
+
+
 def test_find_valid_lnd_degrees_bound_precondition():
     t = SurfaceTriple(3, 2, 2)
     with pytest.raises(ValueError, match="bound"):

@@ -33,6 +33,7 @@ from pseudoplane import (
     normal_form,
     poly_divmod,
     standard_action,
+    sweep,
     verify_triple,
 )
 
@@ -98,6 +99,19 @@ def test_derivation_images_are_clean(m, d, e, p):
         assert_clean(image.poly)
 
 
+@given(st.integers(1, 3), st.integers(1, 4), small_multipolys(UWS, max_exp=4, max_terms=4))
+def test_localization_round_trip_is_the_normal_form(m, d, p):
+    from pseudoplane.hypersurface_ring import (
+        _from_localization,
+        _normalized_ring,
+        _to_localization,
+    )
+
+    ring = _normalized_ring(m, d)
+    back = _from_localization(ring, _to_localization(ring, p))
+    assert back.poly == normal_form(ring, p).poly
+
+
 def _memo_caches():
     found = {}
     for info in pkgutil.iter_modules(pseudoplane.__path__):
@@ -115,10 +129,8 @@ def test_every_memo_cache_is_bounded():
     caches = _memo_caches()
     assert {
         "hypersurface_ring._pure_power_base",
-        "hypersurface_ring._base_power",
         "hypersurface_ring._rhs_power",
         "hypersurface_ring._normalized_ring",
-        "cyclic_quotient._hilbert_basis",
         "dpd_presentation._cached_piece",
     } <= set(caches)
     for name, cache in caches.items():
@@ -143,11 +155,10 @@ def test_hilbert_basis_follows_the_weight_order():
 
 
 def test_hilbert_basis_matches_the_quadratic_filter():
-    from pseudoplane.cyclic_quotient import _hilbert_basis
-
     for d in range(1, 8):
         for wts in product(range(d), repeat=3):
-            assert _hilbert_basis.__wrapped__(d, wts) == oracle_hilbert_basis(d, wts)
+            action = CyclicAction(d, dict(zip(UWS, wts)))
+            assert hilbert_basis(action) == list(oracle_hilbert_basis(d, wts))
 
 
 @pytest.mark.parametrize("d", [21, 33, 43])
@@ -168,11 +179,23 @@ def test_non_int_parameters_rejected(d, e, m):
         SurfaceTriple(d, e, m)
 
 
+@pytest.mark.parametrize("bad", [True, False, 2.5, 10.0, "3", None])
+def test_non_int_bounds_rejected(bad):
+    for name in ("max_weight", "max_exponent"):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            verify_triple(3, 2, 2, **{name: bad})
+    with pytest.raises(ValueError, match="d_max must be an integer"):
+        sweep(bad, 1)
+    with pytest.raises(ValueError, match="m_max must be an integer"):
+        sweep(1, bad)
+
+
 def test_cached_constants_are_shared_not_rebuilt():
-    from pseudoplane.hypersurface_ring import _base_power, _normalized_ring, _pure_power_base
+    from pseudoplane.hypersurface_ring import _normalized_ring, _pure_power_base, _rhs_power
 
     assert _pure_power_base(4) is _pure_power_base(4)
     assert _pure_power_base(4) == MultiPoly(("s",), {(4,): F(1), (0,): F(-1)})
-    assert _base_power(3, 2) == _pure_power_base(3) * _pure_power_base(3)
+    assert _rhs_power(_pure_power_base(3), 2) == _pure_power_base(3) * _pure_power_base(3)
+    assert _rhs_power(_pure_power_base(3), 2) is _rhs_power(_pure_power_base(3), 2)
     assert _normalized_ring(2, 3) is _normalized_ring(2, 3)
     assert _normalized_ring(2, 3).P is _pure_power_base(3)

@@ -9,8 +9,10 @@ from pseudoplane import (
     MultiPoly,
     NonPolynomial,
     RingElement,
+    SurfaceTriple,
     build_covering_ring,
     derivation_apply,
+    divisor_to_poly,
     fiber_analysis,
     homogeneous_weight,
     nilpotency_index,
@@ -28,6 +30,11 @@ def s_pow_minus_1(d):
 def w_ring(m, d):
     """Normalized model u^m w - (s^d - 1)."""
     return HypersurfaceRing(m, s_pow_minus_1(d), "w")
+
+
+def v_ring(k, d, m_prime):
+    """Covering model u^k v - (s^d - 1)^m'."""
+    return HypersurfaceRing(k, s_pow_minus_1(d) ** m_prime, "v")
 
 
 T_MINUS_1 = upoly("t", {1: 1, 0: -1})
@@ -131,31 +138,40 @@ def test_fiber_analysis_examples():
 
 
 def test_normalize_examples():
-    normalized, witness = normalize_power_relation(6, 2, 3, 3)
+    normalized, witness = normalize_power_relation(v_ring(6, 3, 3), 2, 3)
     assert normalized == w_ring(2, 3)
     assert witness.power_identity and witness.normalized_smooth
 
-    normalized, witness = normalize_power_relation(2, 2, 1, 2)
+    normalized, witness = normalize_power_relation(v_ring(2, 2, 1), 2, 2)
     assert normalized == w_ring(2, 2)
     assert witness.power_identity and witness.normalized_smooth
 
-    normalized, witness = normalize_power_relation(6, 3, 2, 2)
+    normalized, witness = normalize_power_relation(v_ring(6, 2, 2), 3, 2)
     assert normalized == w_ring(3, 2)
     assert witness.power_identity and witness.normalized_smooth
 
 
 def test_normalize_accepts_matching_ring():
-    ring = HypersurfaceRing(6, s_pow_minus_1(3) ** 3, "v")
-    normalized, witness = normalize_power_relation(6, 2, 3, 3, ring=ring)
+    # the covering ring the pipeline builds for (d, e, m) = (3, 2, 2)
+    triple = SurfaceTriple(3, 2, 2)
+    _, q = divisor_to_poly(triple.pair.d_minus, triple.k)
+    ring = build_covering_ring(triple.k, 3, triple.e_prime, triple.l, q)
+    normalized, witness = normalize_power_relation(ring, 2, 3)
     assert normalized == w_ring(2, 3) and witness.power_identity
 
 
 def test_normalize_errors():
+    ring = v_ring(6, 3, 3)
     with pytest.raises(ValueError, match="k must equal"):
-        normalize_power_relation(5, 2, 3, 3)
-    wrong = HypersurfaceRing(6, s_pow_minus_1(2) ** 3, "v")
+        normalize_power_relation(ring, 4, 3)
+    for m, d in ((0, 3), (2, 0)):
+        with pytest.raises(ValueError, match="positive integers"):
+            normalize_power_relation(ring, m, d)
     with pytest.raises(ValueError, match="general Q normalization unsupported"):
-        normalize_power_relation(6, 2, 3, 3, ring=wrong)
+        normalize_power_relation(v_ring(6, 2, 3), 2, 3)
+    # right polynomial, wrong m: m' = 2 would need (s^3 - 1)^2
+    with pytest.raises(ValueError, match="general Q normalization unsupported"):
+        normalize_power_relation(ring, 3, 3)
 
 
 # -- derivation -------------------------------------------------------------------

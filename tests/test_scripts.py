@@ -12,7 +12,6 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 @pytest.mark.parametrize(
     "script, args",
     [
-        ("lnd_degree_scan.py", ["--d-max", "2", "--m-max", "2"]),
         ("run_sweep.py", ["--d-max", "2", "--m-max", "2", "--max-weight", "1"]),
     ],
 )
