@@ -15,7 +15,7 @@ from operator import add
 from typing import NamedTuple
 
 from .dpd_presentation import product_defect, pseudoplane_dpd_pair
-from .exact_algebra import MultiPoly, format_poly
+from .exact_algebra import MultiPoly, Scalar, format_poly
 from .hypersurface_ring import (
     HypersurfaceRing,
     NonPolynomial,
@@ -192,21 +192,30 @@ def freeness_check(action: CyclicAction, ring: HypersurfaceRing) -> FreenessResu
 def hilbert_basis(action: CyclicAction) -> list[tuple[int, ...]]:
     """Minimal generating set of the monoid of invariant exponent vectors.
 
-    Exhaustive search in the box [0, d]^3 is complete: d*e_i is invariant for
-    each axis, so any vector with a coordinate exceeding d is reducible.  An
-    element is a generator iff no nonzero invariant vector sits strictly below
-    it componentwise (the difference is then automatically invariant).
-    Exponent vectors follow the order of ``action.weights``.
+    The box [0, d]^3 holds every generator: d*e_i is invariant for each axis,
+    so any vector with a coordinate exceeding d is reducible.  For each
+    (a, b) in [0, d]^2 only the least c making (a, b, c) invariant (the least
+    nonzero one for (0, 0)) can give a generator, because a larger solution
+    c' lies above it by the nonzero invariant vector (0, 0, c' - c).  That c
+    solves c*w2 = -(a*w0 + b*w1) mod d, which has a solution iff
+    g = gcd(w2, d) divides the right-hand side.  An element is a generator
+    iff no nonzero invariant vector sits strictly below it componentwise (the
+    difference is then automatically invariant).  Exponent vectors follow the
+    order of ``action.weights``.
     """
     if len(action.weights) != 3:
         raise ValueError(f"expected a three-variable action, got {tuple(action.weights)}")
     d = action.modulus
-    wts = tuple(action.weights.values())
-    points = [
-        v
-        for v in product(range(d + 1), repeat=3)
-        if any(v) and sum(e * w for e, w in zip(v, wts)) % d == 0
-    ]
+    w0, w1, w2 = action.weights.values()
+    g = math.gcd(w2, d)
+    step = d // g
+    inv = pow(w2 // g, -1, step) if step > 1 else 0
+    points = [(0, 0, step)]
+    for a in range(d + 1):
+        for b in range(d + 1):
+            r = (a * w0 + b * w1) % d
+            if (a or b) and r % g == 0:
+                points.append((a, b, (-(r // g) * inv) % step))
     # a reducible point lies above a minimal invariant point, which is a basis
     # element of smaller total degree, so scanning by total degree suffices
     basis: list[tuple[int, ...]] = []
@@ -281,10 +290,10 @@ def product_structure_check(triple: SurfaceTriple, n: int, n_prime: int) -> Prod
     g2 = weight_piece_generator(triple, n_prime)
     g12 = weight_piece_generator(triple, n + n_prime)
     # the product of the two generator monomials: exponents add
-    g1g2 = MultiPoly._trusted(ring.variables, {tuple(map(add, g1, g2)): Fraction(1)})
+    g1g2 = MultiPoly._trusted(ring.variables, {tuple(map(add, g1, g2)): 1})
     prod = normal_form(ring, g1g2)
     a12, b12, c12 = g12
-    rest: dict[int, Fraction] = {}
+    rest: dict[int, Scalar] = {}
     for (a, b, c), coeff in prod.poly.terms.items():
         if a != a12 or b != b12 or c < c12:
             raise StructuralError(

@@ -1,8 +1,12 @@
 """Exact arithmetic substrate: rationals and sparse multivariate polynomials.
 
-Coefficients are `fractions.Fraction` (arbitrary precision, always normalized,
-positive denominator), so every computation downstream is exact.  A polynomial
-is a sparse map from exponent vectors to nonzero coefficients:
+Coefficients are exact integers or rationals: an integral coefficient is
+stored as an `int`, and division (`poly_divmod`, `monic`) promotes to
+`fractions.Fraction` only when the quotient is not integral, so integer
+arithmetic skips `Fraction`'s gcd normalisation and every computation stays
+exact.  A `Fraction` equal to an integer may remain after mixed arithmetic;
+it compares and hashes equal to that integer.  A polynomial is a sparse map
+from exponent vectors to nonzero coefficients:
 
     MultiPoly(("u", "v", "s"), {(2, 1, 0): 1})   # u^2*v
     MultiPoly(("s",), {(3,): 1, (0,): -1})       # s^3 - 1
@@ -46,7 +50,7 @@ class MultiPoly:
         variables = tuple(variables)
         if len(set(variables)) != len(variables):
             raise ValueError(f"duplicate variable names: {variables}")
-        clean: dict[Exponents, Fraction] = {}
+        clean: dict[Exponents, Scalar] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for exps, coeff in items:
             exps = tuple(exps)
@@ -56,7 +60,7 @@ class MultiPoly:
                 )
             if any(not isinstance(e, int) or e < 0 for e in exps):
                 raise ValueError(f"exponents must be non-negative integers: {exps}")
-            coeff = Fraction(coeff)
+            coeff = _exact(coeff)
             if not coeff:
                 continue
             acc = clean.get(exps)
@@ -70,13 +74,14 @@ class MultiPoly:
         object.__setattr__(self, "_hash", None)
 
     @classmethod
-    def _trusted(cls, variables: tuple[str, ...], clean_terms: dict[Exponents, Fraction]) -> "MultiPoly":
+    def _trusted(cls, variables: tuple[str, ...], clean_terms: dict[Exponents, Scalar]) -> "MultiPoly":
         """Wrap an already clean term map without re-validating it.
 
         For arithmetic results only: `variables` is a tuple of distinct
         names, every key an exponent tuple of non-negative ints of the right
-        length, and every value a nonzero `Fraction`.  The dict is taken
-        over, not copied, so the caller must not keep mutating it.
+        length, and every value a nonzero `int` or `Fraction` (never a `bool`
+        or a `float`).  The dict is taken over, not copied, so the caller
+        must not keep mutating it.
         """
         self = object.__new__(cls)
         object.__setattr__(self, "_variables", variables)
@@ -96,7 +101,7 @@ class MultiPoly:
     @classmethod
     def constant(cls, variables: Iterable[str], value: Scalar) -> "MultiPoly":
         variables = tuple(variables)
-        return cls(variables, {(0,) * len(variables): Fraction(value)})
+        return cls(variables, {(0,) * len(variables): value})
 
     @classmethod
     def variable(cls, variables: Iterable[str], name: str) -> "MultiPoly":
@@ -104,11 +109,11 @@ class MultiPoly:
         if name not in variables:
             raise ValueError(f"unknown variable {name!r} for list {variables}")
         exps = tuple(1 if v == name else 0 for v in variables)
-        return cls(variables, {exps: Fraction(1)})
+        return cls(variables, {exps: 1})
 
     @classmethod
     def monomial(cls, variables: Iterable[str], exps: Iterable[int], coeff: Scalar = 1) -> "MultiPoly":
-        return cls(tuple(variables), {tuple(exps): Fraction(coeff)})
+        return cls(tuple(variables), {tuple(exps): coeff})
 
     # -- basic queries -------------------------------------------------------
 
@@ -117,7 +122,7 @@ class MultiPoly:
         return self._variables
 
     @property
-    def terms(self) -> Mapping[Exponents, Fraction]:
+    def terms(self) -> Mapping[Exponents, Scalar]:
         return MappingProxyType(self._terms)
 
     def is_zero(self) -> bool:
@@ -126,11 +131,11 @@ class MultiPoly:
     def __bool__(self) -> bool:
         return bool(self._terms)
 
-    def coefficient(self, exps: Iterable[int]) -> Fraction:
-        return self._terms.get(tuple(exps), Fraction(0))
+    def coefficient(self, exps: Iterable[int]) -> Scalar:
+        return self._terms.get(tuple(exps), 0)
 
-    def constant_coefficient(self) -> Fraction:
-        return self._terms.get((0,) * len(self._variables), Fraction(0))
+    def constant_coefficient(self) -> Scalar:
+        return self._terms.get((0,) * len(self._variables), 0)
 
     def degree(self, var: str | None = None) -> int:
         """Total degree, or the degree in one variable; -1 for the zero polynomial."""
@@ -148,11 +153,11 @@ class MultiPoly:
         idx = self._var_index(var)
         return min(exps[idx] for exps in self._terms)
 
-    def leading_coefficient(self) -> Fraction:
+    def leading_coefficient(self) -> Scalar:
         """Coefficient of the highest-degree term of a univariate polynomial."""
-        var = _require_univariate(self)
+        _require_univariate(self)
         if not self._terms:
-            return Fraction(0)
+            return 0
         return self._terms[max(self._terms)]
 
     def _var_index(self, var: str) -> int:
@@ -218,14 +223,14 @@ class MultiPoly:
 
     def __mul__(self, other) -> "MultiPoly":
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
+            c = _exact(other)
             if not c:
                 return MultiPoly._trusted(self._variables, {})
             return MultiPoly._trusted(self._variables, {e: c * v for e, v in self._terms.items()})
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out: dict[Exponents, Fraction] = {}
+        out: dict[Exponents, Scalar] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
                 key = tuple(map(add, e1, e2))
@@ -237,7 +242,7 @@ class MultiPoly:
     def __pow__(self, exponent: int) -> "MultiPoly":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError(f"polynomial exponent must be a non-negative integer: {exponent}")
-        result = MultiPoly._trusted(self._variables, {(0,) * len(self._variables): Fraction(1)})
+        result = MultiPoly._trusted(self._variables, {(0,) * len(self._variables): 1})
         base = self
         n = exponent
         while n:
@@ -251,7 +256,7 @@ class MultiPoly:
     def partial(self, var: str) -> "MultiPoly":
         """Formal partial derivative with respect to `var`."""
         idx = self._var_index(var)
-        out: dict[Exponents, Fraction] = {}
+        out: dict[Exponents, Scalar] = {}
         for exps, coeff in self._terms.items():
             e = exps[idx]
             if e == 0:
@@ -268,7 +273,7 @@ class MultiPoly:
             if v not in variables:
                 raise ValueError(f"cannot drop variable {v!r} (new list {variables})")
             positions.append(variables.index(v))
-        out: dict[Exponents, Fraction] = {}
+        out: dict[Exponents, Scalar] = {}
         for exps, coeff in self._terms.items():
             new = [0] * len(variables)
             for pos, e in zip(positions, exps):
@@ -281,13 +286,19 @@ class MultiPoly:
         _require_univariate(self)
         if not self._terms:
             return self
-        return self * (1 / self.leading_coefficient())
+        return self * Fraction(1, self.leading_coefficient())
 
     def __str__(self) -> str:
         return format_poly(self)
 
     def __repr__(self) -> str:
         return f"MultiPoly({self._variables!r}, {format_poly(self)!r})"
+
+
+def _exact(c) -> Scalar:
+    """`c` as an exact coefficient: an `int` when integral, else a `Fraction`."""
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 def _require_univariate(p: MultiPoly, q: MultiPoly | None = None) -> str:
@@ -303,19 +314,19 @@ def _require_univariate(p: MultiPoly, q: MultiPoly | None = None) -> str:
 
 def poly_divmod(p: MultiPoly, q: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
     """Exact univariate division with remainder over the rationals."""
-    var = _require_univariate(p, q)
+    _require_univariate(p, q)
     if q.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     qdeg = q.degree()
     qlead = q.leading_coefficient()
     rem = dict(p.terms)
-    quo: dict[Exponents, Fraction] = {}
+    quo: dict[Exponents, Scalar] = {}
     while rem:
         top = max(rem)
         deg = top[0]
         if deg < qdeg:
             break
-        factor = rem[top] / qlead
+        factor = _exact(Fraction(rem[top], qlead))
         shift = deg - qdeg
         quo[(shift,)] = factor
         for exps, coeff in q.terms.items():

@@ -166,7 +166,7 @@ def normal_form(ring: HypersurfaceRing, p: MultiPoly) -> RingElement:
     if p.variables != ring.variables:
         raise ValueError(f"polynomial variables {p.variables} do not match ring {ring.variables}")
     k = ring.k
-    out: dict[tuple[int, int, int], Fraction] = {}
+    out: dict[tuple[int, int, int], Scalar] = {}
     for (a, b, c), coeff in p.terms.items():
         j = min(a // k, b)
         if j == 0:
@@ -292,10 +292,10 @@ def _normalized_params(ring: HypersurfaceRing) -> tuple[int, int]:
     return ring.k, d
 
 
-def _to_localization(ring: HypersurfaceRing, poly: MultiPoly) -> dict[int, dict[int, Fraction]]:
+def _to_localization(ring: HypersurfaceRing, poly: MultiPoly) -> dict[int, dict[int, Scalar]]:
     """Expand w = (s^d - 1) * u^(-m): map {u-exponent j -> {s-exponent -> coeff}}."""
     m = ring.k
-    loc: dict[int, dict[int, Fraction]] = {}
+    loc: dict[int, dict[int, Scalar]] = {}
     for (a, b, c), coeff in poly.terms.items():
         j = a - m * b
         row = loc.setdefault(j, {})
@@ -310,13 +310,13 @@ def _to_localization(ring: HypersurfaceRing, poly: MultiPoly) -> dict[int, dict[
 
 
 def _from_localization(
-    ring: HypersurfaceRing, loc: dict[int, dict[int, Fraction]]
+    ring: HypersurfaceRing, loc: dict[int, dict[int, Scalar]]
 ) -> RingElement | NonPolynomial:
     """Reassemble a Laurent expansion into a normal-form element, or report
     the first u-exponent whose s-part is not divisible by the required power
     of s^d - 1."""
     m = ring.k
-    terms: dict[tuple[int, int, int], Fraction] = {}
+    terms: dict[tuple[int, int, int], Scalar] = {}
     for j in sorted(loc):
         row = loc[j]
         if not row:
@@ -352,7 +352,7 @@ def derivation_apply(ring: HypersurfaceRing, e: int, x: RingElement) -> RingElem
         raise ValueError("element belongs to a different ring")
     _normalized_params(ring)  # the localization helpers rely on the shape
     loc = _to_localization(ring, x.poly)
-    image: dict[int, dict[int, Fraction]] = {}
+    image: dict[int, dict[int, Scalar]] = {}
     for j, row in loc.items():
         target = image.setdefault(j + e, {})
         for c, coeff in row.items():

@@ -33,6 +33,7 @@ from .cyclic_quotient import (
     find_valid_lnd_degrees,
     freeness_check,
     induced_action,
+    normalized_ring,
     product_structure_check,
     same_subgroup,
     standard_action,
@@ -40,6 +41,7 @@ from .cyclic_quotient import (
 from .dpd_presentation import classify_presentation, pseudoplane_dpd_pair, smoothness_condition
 from .exact_algebra import MultiPoly, format_poly
 from .hypersurface_ring import (
+    NormalizationWitness,
     _pure_power_base,
     _rhs_power,
     build_covering_ring,
@@ -112,12 +114,18 @@ def verify_triple(
 
     covering = build_covering_ring(triple.k, d, triple.e_prime, triple.l, q)
     expected_p = _rhs_power(_pure_power_base(d), triple.m_prime)
-    check("covering_relation", covering.P == expected_p)
+    covering_ok = check("covering_relation", covering.P == expected_p)
 
     covering_smooth = smooth_check(covering)
     check("pre_normalization_smoothness", covering_smooth.smooth == (triple.m_prime == 1))
 
-    normalized, witness = normalize_power_relation(covering, m, d)
+    if covering_ok:
+        normalized, witness = normalize_power_relation(covering, m, d)
+    else:
+        # normalize_power_relation refuses any other P; the failed check
+        # above already names the fault, so carry on with the normalized model
+        normalized = normalized_ring(triple)
+        witness = NormalizationWitness(False, smooth_check(normalized).smooth)
     check("normalization_witnesses", witness.power_identity and witness.normalized_smooth)
 
     action = standard_action(triple)

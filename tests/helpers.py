@@ -116,7 +116,7 @@ def assert_clean(p: MultiPoly) -> None:
     """The invariants the validating constructor enforces hold for p."""
     assert p == MultiPoly(p.variables, p.terms)
     for exps, coeff in p.terms.items():
-        assert type(coeff) is Fraction and coeff != 0
+        assert type(coeff) in (int, Fraction) and coeff != 0
         assert len(exps) == len(p.variables)
         assert all(type(e) is int and e >= 0 for e in exps)
 

@@ -221,6 +221,24 @@ def test_verify_max_weight_zero_skips_product_section(capsys):
     assert "not checked" in out
 
 
+def test_failed_covering_relation_is_reported_not_raised(capsys, monkeypatch):
+    from pseudoplane import HypersurfaceRing, report as report_module
+
+    build = report_module.build_covering_ring
+
+    def doubled(*args):
+        ring = build(*args)
+        return HypersurfaceRing(ring.k, 2 * ring.P, ring.second_var)
+
+    monkeypatch.setattr(report_module, "build_covering_ring", doubled)
+    report = verify_triple(3, 2, 2)
+    assert report["verdict"] == "inconsistent"
+    assert {"covering_relation", "normalization_witnesses"} <= set(report["failed_checks"])
+    code, out = run_cli(capsys, "verify", "-d", "3", "-e", "2", "-m", "2")
+    assert code == 1
+    assert "verdict: inconsistent" in out
+
+
 def test_exit_code_is_function_of_verdict():
     from pseudoplane import verify_exit_code
 

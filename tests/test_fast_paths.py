@@ -2,7 +2,9 @@
 memo caches."""
 
 import importlib
+import math
 import pkgutil
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -19,6 +21,7 @@ from helpers import (
     small_fractions,
     small_multipolys,
     small_upolys,
+    upoly,
 )
 
 import pseudoplane
@@ -29,12 +32,17 @@ from pseudoplane import (
     NonPolynomial,
     SurfaceTriple,
     derivation_apply,
+    divisor_to_poly,
     hilbert_basis,
+    monomial_element,
     normal_form,
+    normalized_ring,
     poly_divmod,
+    poly_gcd,
     standard_action,
     sweep,
     verify_triple,
+    weight_piece_generator,
 )
 
 UVS = ("u", "v", "s")
@@ -169,6 +177,70 @@ def test_hilbert_basis_matches_the_quadratic_filter_at_large_d(d):
         action = standard_action(SurfaceTriple(d, e, m))
         wts = tuple(action.weights.values())
         assert hilbert_basis(action) == list(oracle_hilbert_basis(d, wts))
+
+
+@pytest.mark.parametrize("d", [8, 9, 10, 12])
+def test_hilbert_basis_matches_the_quadratic_filter_for_non_invertible_last_weight(d):
+    # gcd(w2, d) > 1: the congruence for the last coordinate is solvable only
+    # for some (a, b), and its solutions repeat with period d / gcd(w2, d)
+    for w2 in [w for w in range(d) if math.gcd(w, d) > 1]:
+        for m in range(1, 5):
+            action = CyclicAction(d, {"u": 1, "w": -m, "s": w2})
+            wts = tuple(action.weights.values())
+            assert hilbert_basis(action) == list(oracle_hilbert_basis(d, wts))
+
+
+def _assert_int_coefficients(p):
+    assert p.terms and all(type(c) is int for c in p.terms.values()), p
+
+
+def test_pipeline_coefficients_stay_int():
+    from pseudoplane.hypersurface_ring import _pure_power_base, _rhs_power
+
+    for d in range(1, 7):
+        for j in range(7):
+            _assert_int_coefficients(_rhs_power(_pure_power_base(d), j))
+    triple = SurfaceTriple(3, 2, 2)
+    ring = normalized_ring(triple)
+    g1 = ring.monomial(*weight_piece_generator(triple, -5))
+    g2 = ring.monomial(*weight_piece_generator(triple, 3))
+    _assert_int_coefficients(normal_form(ring, g1 * g2).poly)
+    images = [
+        derivation_apply(ring, 2, monomial_element(ring, g))
+        for g in hilbert_basis(standard_action(triple))
+    ]
+    assert not any(isinstance(x, NonPolynomial) for x in images)
+    for x in images:
+        if not x.is_zero():
+            _assert_int_coefficients(x.poly)
+    _assert_int_coefficients(divisor_to_poly(triple.pair.d_minus, triple.k)[1])
+
+
+def test_division_promotes_to_fraction_not_float():
+    s = upoly("s", {1: 1})
+    quo, rem = poly_divmod(2 * s ** 3 + 1, 3 * s)
+    assert quo.terms == {(2,): Fraction(2, 3)}
+    assert type(quo.terms[(2,)]) is Fraction
+    assert rem == 1 and type(rem.terms[(0,)]) is int
+    half = (2 * s + 1).monic()
+    assert half == s + Fraction(1, 2)
+    assert_clean(half)
+
+
+_int_upolys = st.dictionaries(st.integers(0, 5), st.integers(-5, 5), max_size=4).map(
+    lambda d: upoly("s", d)
+)
+
+
+@given(_int_upolys, _int_upolys)
+def test_integer_inputs_never_give_floats(p, q):
+    for ring_op in (p + q, p * q, p ** 3):
+        assert all(type(c) is int for c in ring_op.terms.values())
+    results = [p.monic(), poly_gcd(p, q)]
+    if q:
+        results.extend(poly_divmod(p, q))
+    for got in results:
+        assert_clean(got)
 
 
 @pytest.mark.parametrize("d, e, m", [(True, True, 2), (3, True, 2), (3, 2, True), (3.0, 2, 2)])
