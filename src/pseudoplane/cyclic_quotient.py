@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import product
 from operator import add
 from typing import NamedTuple
@@ -268,9 +267,14 @@ def monomial_element(ring: HypersurfaceRing, exps: tuple[int, int, int]) -> Ring
 
 
 class ProductCheck(NamedTuple):
-    measured: dict[Fraction, int]
-    predicted: dict[Fraction, int]
+    measured: dict[Scalar, int]
+    predicted: dict[Scalar, int]
     match: bool
+
+
+def _format_residual(rest: dict[int, Scalar]) -> str:
+    """The residual factor {s-exponent: coeff} as a polynomial in s."""
+    return format_poly(MultiPoly._trusted(("s",), {(c,): v for c, v in rest.items()}))
 
 
 def product_structure_check(triple: SurfaceTriple, n: int, n_prime: int) -> ProductCheck:
@@ -301,22 +305,20 @@ def product_structure_check(triple: SurfaceTriple, n: int, n_prime: int) -> Prod
                 f"weight-{n + n_prime} generator: term u^{a}*w^{b}*s^{c} vs generator {g12}"
             )
         rest[c - c12] = coeff
-    r = MultiPoly._trusted(("s",), {(c,): v for c, v in rest.items()})
-    val = r.valuation("s")
-    span = r.degree() - val
+    val = min(rest)
+    span = max(rest) - val
     if val % d or span % d:
         raise StructuralError(
-            f"residual factor {format_poly(r)} is not of the form (s^d)^kappa*(s^d-1)^lam"
+            f"residual factor {_format_residual(rest)} is not of the form (s^d)^kappa*(s^d-1)^lam"
         )
     kappa, lam = val // d, span // d
     # s^val * (s^d - 1)^lam: the cached power shifted by val
-    shifted = {(e + val,): v for (e,), v in _rhs_power(ring.P, lam).terms.items()}
-    rebuilt = MultiPoly._trusted(("s",), shifted)
-    if r != rebuilt:
+    rebuilt = {e + val: v for (e,), v in _rhs_power(ring.P, lam).terms.items()}
+    if rest != rebuilt:
         raise StructuralError(
-            f"residual factor {format_poly(r)} does not factor as s^{val}*(s^{d}-1)^{lam}"
+            f"residual factor {_format_residual(rest)} does not factor as s^{val}*(s^{d}-1)^{lam}"
         )
-    measured = {p: v for p, v in ((Fraction(0), kappa), (Fraction(1), lam)) if v}
+    measured = {p: v for p, v in ((0, kappa), (1, lam)) if v}
     predicted = product_defect(triple.pair, n, n_prime)
     return ProductCheck(measured, predicted, measured == predicted)
 

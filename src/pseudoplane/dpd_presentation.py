@@ -96,29 +96,45 @@ def graded_piece(pair: DpdPair, n: int) -> FractionalIdealA1:
     )
 
 
-# Pieces are immutable, so product_defect may share them between calls.  A
-# pair's pieces are reused within one product sweep over |n|, |n'| <= W,
-# which needs the 4*W + 1 weights of n + n'; 128 covers W <= 31.
-_cached_piece = lru_cache(maxsize=128)(graded_piece)
+@lru_cache(maxsize=64)
+def _support(pair: DpdPair) -> tuple[Scalar, ...]:
+    """Sorted union of the supports of D+ and D-, integral points as int.
+
+    Every graded piece is supported inside this set.  An int point hashes and
+    compares equal to its Fraction, and hashing it costs no modular inverse.
+    """
+    points = sorted(pair.d_plus.coefficients.keys() | pair.d_minus.coefficients.keys())
+    return tuple(int(p) if p.denominator == 1 else p for p in points)
 
 
-def product_defect(pair: DpdPair, n: int, n_prime: int) -> dict[Fraction, int]:
+# A pair's rows are reused within one product sweep over |n|, |n'| <= W,
+# which needs the 4*W + 1 weights of n + n'; 128 rows cover W <= 31.
+@lru_cache(maxsize=128)
+def _piece_row(pair: DpdPair, n: int) -> tuple[int, ...]:
+    """Exponents of the weight-n piece as int, aligned with ``_support(pair)``."""
+    exponents = graded_piece(pair, n)._exponents
+    return tuple(exponents.get(p, 0) for p in _support(pair))
+
+
+def product_defect(pair: DpdPair, n: int, n_prime: int) -> dict[Scalar, int]:
     """Pointwise exponent defect piece(n) + piece(n') - piece(n+n').
 
     These are the multiplicative structure constants of the graded algebra:
     the product of the weight-n and weight-n' generators is the weight-(n+n')
     generator times t^defect(0) * (t-1)^defect(1) * ...  Values are always
     >= 0 (floor superadditivity plus D+ + D- <= 0); zeros are pruned.
+
+    Computed on the cached int rows of the three pieces, zipped onto the
+    pair's sorted support: keys come in increasing order and are int where
+    the point is integral (equal, with equal hash, to the Fraction point).
     """
-    e1 = _cached_piece(pair, n)._exponents
-    e2 = _cached_piece(pair, n_prime)._exponents
-    e12 = _cached_piece(pair, n + n_prime)._exponents
-    out: dict[Fraction, int] = {}
-    for p in sorted(e1.keys() | e2.keys() | e12.keys()):
-        v = e1.get(p, 0) + e2.get(p, 0) - e12.get(p, 0)
-        if v:
-            out[p] = v
-    return out
+    rows = zip(
+        _support(pair),
+        _piece_row(pair, n),
+        _piece_row(pair, n_prime),
+        _piece_row(pair, n + n_prime),
+    )
+    return {p: a + b - c for p, a, b, c in rows if a + b != c}
 
 
 @dataclass(frozen=True)

@@ -149,6 +149,11 @@ class DpdPair:
         if bad:
             witness = ", ".join(f"({p}: {c})" for p, c in bad)
             raise ValueError(f"D+ + D- must be <= 0 everywhere; positive at {witness}")
+        # the pair keys the graded-piece memos, so hash it once
+        object.__setattr__(self, "_hash", hash((self.d_plus, self.d_minus)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def total(self) -> QDivisor:

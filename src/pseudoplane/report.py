@@ -19,6 +19,8 @@ byte-identical output.  Schema (``format_version`` 1) for ``verify_triple``:
 verdict is "consistent", "excluded" (with excluded_reason set) or
 "inconsistent" (with failed_checks non-empty).  Exit codes: 0 for consistent
 or excluded-as-predicted, 1 for inconsistent, 2 for invalid input.
+``product_structure.all_match`` is false when a measured and a predicted
+defect differ or when an exact division in the product check fails.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from fractions import Fraction
 from typing import Any
 
 from .cyclic_quotient import (
+    StructuralError,
     SurfaceTriple,
     component_permutation,
     find_valid_lnd_degrees,
@@ -142,11 +145,16 @@ def verify_triple(
     check("action_subgroup", subgroup_match)
 
     if max_weight > 0:
-        all_match: bool | None = all(
-            product_structure_check(triple, n, n_prime).match
-            for n in range(-max_weight, max_weight + 1)
-            for n_prime in range(-max_weight, max_weight + 1)
-        )
+        try:
+            all_match: bool | None = all(
+                product_structure_check(triple, n, n_prime).match
+                for n in range(-max_weight, max_weight + 1)
+                for n_prime in range(-max_weight, max_weight + 1)
+            )
+        except StructuralError:
+            # a failed exact division means a wrong piece convention: the
+            # product structure does not match, and the sweep carries on
+            all_match = False
         check("product_structure", bool(all_match))
     else:
         all_match = None

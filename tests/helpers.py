@@ -7,7 +7,16 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from pseudoplane import MultiPoly, QDivisor, poly_divmod
+from pseudoplane import (
+    DpdPair,
+    MultiPoly,
+    QDivisor,
+    graded_piece,
+    normal_form,
+    normalized_ring,
+    poly_divmod,
+    weight_piece_generator,
+)
 
 F = Fraction
 
@@ -144,6 +153,39 @@ def oracle_hilbert_basis(d: int, weights: tuple[int, int, int]) -> tuple[tuple[i
     return tuple(sorted(basis))
 
 
+def oracle_product_defect(pair, n: int, n_prime: int) -> dict[Fraction, int]:
+    """Fraction-keyed defect piece(n) + piece(n') - piece(n+n') over the
+    sorted union of the three pieces' supports, as product_defect once was."""
+    e1 = graded_piece(pair, n).exponents
+    e2 = graded_piece(pair, n_prime).exponents
+    e12 = graded_piece(pair, n + n_prime).exponents
+    out: dict[Fraction, int] = {}
+    for p in sorted(e1.keys() | e2.keys() | e12.keys()):
+        v = e1.get(p, 0) + e2.get(p, 0) - e12.get(p, 0)
+        if v:
+            out[p] = v
+    return out
+
+
+def oracle_measured_defect(triple, n: int, n_prime: int) -> dict[Fraction, int]:
+    """{0: kappa, 1: lam} with Fraction keys, read off the product of the
+    generators through MultiPoly valuation, degree and an uncached power, as
+    product_structure_check once did."""
+    ring = normalized_ring(triple)
+    gens = [weight_piece_generator(triple, k) for k in (n, n_prime, n + n_prime)]
+    prod = normal_form(ring, ring.monomial(*gens[0]) * ring.monomial(*gens[1])).poly
+    a12, b12, c12 = gens[2]
+    assert all(a == a12 and b == b12 and c >= c12 for a, b, c in prod.terms)
+    r = MultiPoly(("s",), {(c - c12,): v for (_, _, c), v in prod.terms.items()})
+    d = triple.d
+    val = r.valuation("s")
+    span = r.degree() - val
+    assert val % d == 0 and span % d == 0
+    s = upoly("s", {1: 1})
+    assert r == s ** val * (s ** d - 1) ** (span // d)
+    return {p: v for p, v in ((F(0), val // d), (F(1), span // d)) if v}
+
+
 def reachable_sums(generators: list[tuple[int, int, int]], bound: int) -> set[tuple[int, int, int]]:
     """All nonzero sums of generators with every coordinate <= bound (BFS)."""
     seen = {(0, 0, 0)}
@@ -190,3 +232,22 @@ def small_divisors():
 def nonpositive_divisors():
     coeffs = st.fractions(min_value=-3, max_value=0, max_denominator=4)
     return st.dictionaries(_POINTS, coeffs, max_size=3).map(QDivisor)
+
+
+@st.composite
+def dpd_pairs(draw):
+    """Valid pairs whose points lie in D+ only, in D- only, or in both, with
+    integral and non-integral points (1/2, -1/3) alike."""
+    plus: dict[Fraction, Fraction] = {}
+    minus: dict[Fraction, Fraction] = {}
+    nonpositive = st.fractions(min_value=-3, max_value=0, max_denominator=4)
+    for p in draw(st.lists(_POINTS, unique=True, max_size=4)):
+        where = draw(st.sampled_from(("plus", "minus", "both")))
+        if where == "plus":
+            plus[p] = draw(nonpositive)
+        elif where == "minus":
+            minus[p] = draw(nonpositive)
+        else:
+            plus[p] = draw(small_fractions())
+            minus[p] = draw(nonpositive) - plus[p]
+    return DpdPair(QDivisor(plus), QDivisor(minus))

@@ -239,6 +239,32 @@ def test_failed_covering_relation_is_reported_not_raised(capsys, monkeypatch):
     assert "verdict: inconsistent" in out
 
 
+def test_product_check_fault_is_reported_and_sweep_carries_on(capsys, monkeypatch):
+    from pseudoplane import cyclic_quotient
+
+    generator = cyclic_quotient.weight_piece_generator
+
+    def shifted(triple, n):
+        a, b, c = generator(triple, n)
+        return a, b, c + 1
+
+    monkeypatch.setattr(cyclic_quotient, "weight_piece_generator", shifted)
+    report = verify_triple(3, 2, 2)
+    assert report["product_structure"] == {"max_weight": 8, "all_match": False}
+    assert report["verdict"] == "inconsistent"
+    assert report["failed_checks"] == ["product_structure"]
+    code, out = run_cli(capsys, "sweep", "--d-max", "3", "--m-max", "3", "--json")
+    assert code == 1
+    result = json.loads(out)
+    assert result["aggregate"] == {
+        "consistent": 0, "excluded": 0, "inconsistent": 12, "total": 12,
+    }
+    assert all(row["failed_checks"] == ["product_structure"] for row in result["rows"])
+    code, out = run_cli(capsys, "sweep", "--d-max", "3", "--m-max", "3")
+    assert code == 1
+    assert "inconsistent: 12" in out and "failed: product_structure" in out
+
+
 def test_exit_code_is_function_of_verdict():
     from pseudoplane import verify_exit_code
 

@@ -4,6 +4,7 @@ memo caches."""
 import importlib
 import math
 import pkgutil
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -14,10 +15,14 @@ from hypothesis import strategies as st
 from helpers import (
     F,
     assert_clean,
+    dpd_pairs,
+    grid_triples,
     oracle_add,
     oracle_hilbert_basis,
     oracle_mul,
+    oracle_measured_defect,
     oracle_normal_form,
+    oracle_product_defect,
     small_fractions,
     small_multipolys,
     small_upolys,
@@ -30,6 +35,7 @@ from pseudoplane import (
     HypersurfaceRing,
     MultiPoly,
     NonPolynomial,
+    StructuralError,
     SurfaceTriple,
     derivation_apply,
     divisor_to_poly,
@@ -39,6 +45,8 @@ from pseudoplane import (
     normalized_ring,
     poly_divmod,
     poly_gcd,
+    product_defect,
+    product_structure_check,
     standard_action,
     sweep,
     verify_triple,
@@ -139,7 +147,8 @@ def test_every_memo_cache_is_bounded():
         "hypersurface_ring._pure_power_base",
         "hypersurface_ring._rhs_power",
         "hypersurface_ring._normalized_ring",
-        "dpd_presentation._cached_piece",
+        "dpd_presentation._support",
+        "dpd_presentation._piece_row",
     } <= set(caches)
     for name, cache in caches.items():
         maxsize = cache.cache_parameters()["maxsize"]
@@ -271,3 +280,95 @@ def test_cached_constants_are_shared_not_rebuilt():
     assert _rhs_power(_pure_power_base(3), 2) is _rhs_power(_pure_power_base(3), 2)
     assert _normalized_ring(2, 3) is _normalized_ring(2, 3)
     assert _normalized_ring(2, 3).P is _pure_power_base(3)
+
+
+@given(dpd_pairs(), st.integers(-12, 12), st.integers(-12, 12))
+def test_product_defect_matches_fraction_keyed_oracle(pair, n, n_prime):
+    # (n, n'), a zero factor on either side, and a zero total weight
+    for a, b in ((n, n_prime), (0, n), (n, 0), (n, -n)):
+        got = product_defect(pair, a, b)
+        want = oracle_product_defect(pair, a, b)
+        assert list(got.items()) == list(want.items())
+        for p in got:
+            assert type(p) is (int if F(p).denominator == 1 else Fraction)
+
+
+def test_product_structure_sides_match_oracles_across_grid():
+    for d, e, m in grid_triples():
+        triple = SurfaceTriple(d, e, m)
+        for n, n_prime in product(range(-4, 5), repeat=2):
+            check = product_structure_check(triple, n, n_prime)
+            assert check.measured == oracle_measured_defect(triple, n, n_prime)
+            assert check.predicted == oracle_product_defect(triple.pair, n, n_prime)
+            assert all(type(p) is int for p in (*check.measured, *check.predicted))
+
+
+def _shift_c(generator):
+    def shifted(triple, n):
+        a, b, c = generator(triple, n)
+        return a, b, c + 1
+
+    return shifted
+
+
+def _break_ab(generator):
+    def broken(triple, n):
+        a, b, c = generator(triple, n)
+        return a + 1, b, c
+
+    return broken
+
+
+def _doubled_power(power):
+    return lambda p, j: 2 * power(p, j)
+
+
+@pytest.mark.parametrize(
+    "target, fault, message",
+    [
+        (
+            "weight_piece_generator",
+            _break_ab,
+            "product of weight pieces 1, -1 is not a multiple of the weight-0 "
+            "generator: term u^2*w^0*s^6 vs generator (1, 0, 0)",
+        ),
+        (
+            "weight_piece_generator",
+            _shift_c,
+            "residual factor s^7 - s^4 is not of the form (s^d)^kappa*(s^d-1)^lam",
+        ),
+        (
+            "_rhs_power",
+            _doubled_power,
+            "residual factor s^6 - s^3 does not factor as s^3*(s^3-1)^1",
+        ),
+    ],
+)
+def test_product_check_faults_raise_structural_error(monkeypatch, target, fault, message):
+    from pseudoplane import cyclic_quotient
+
+    monkeypatch.setattr(cyclic_quotient, target, fault(getattr(cyclic_quotient, target)))
+    with pytest.raises(StructuralError, match=f"^{re.escape(message)}$"):
+        product_structure_check(SurfaceTriple(3, 2, 2), 1, -1)
+
+
+def test_hand_built_normalized_ring_is_accepted():
+    from pseudoplane.hypersurface_ring import _normalized_ring, s_weight
+
+    cached = _normalized_ring(2, 3)
+    hand_built = HypersurfaceRing(2, MultiPoly(("s",), {(3,): 1, (0,): -1}), "w")
+    assert hand_built.P is not cached.P and hand_built.P == cached.P
+    for exps in [(1, 0, 2), (0, 1, 1), (3, 0, 0)]:
+        want = derivation_apply(cached, 2, normal_form(cached, cached.monomial(*exps)))
+        got = derivation_apply(hand_built, 2, normal_form(hand_built, hand_built.monomial(*exps)))
+        assert got.poly == want.poly
+    assert s_weight(normal_form(hand_built, hand_built.monomial(0, 1, 1))) == 4
+    other = HypersurfaceRing(2, MultiPoly(("s",), {(3,): 1, (0,): -2}), "w")
+    with pytest.raises(ValueError, match="not in the normalized shape"):
+        derivation_apply(other, 2, normal_form(other, other.monomial(0, 0, 1)))
+
+
+def test_equal_pairs_hash_equal():
+    pair, twin = SurfaceTriple(5, 2, 3).pair, SurfaceTriple(5, 2, 3).pair
+    assert pair == twin and pair is not twin
+    assert hash(pair) == hash(twin) == hash((pair.d_plus, pair.d_minus))
