@@ -23,7 +23,6 @@ from .qdivisor import (
     QDivisor,
     RegimeError,
     canonical_pair,
-    denom,
     divisor_to_poly,
     floor_div,
     format_divisor,
@@ -33,7 +32,6 @@ from .qdivisor import (
     parse_divisor,
 )
 from .dpd_presentation import (
-    FractionalIdealA1,
     classify_presentation,
     graded_piece,
     product_defect,
@@ -47,7 +45,6 @@ from .hypersurface_ring import (
     build_covering_ring,
     derivation_apply,
     fiber_analysis,
-    homogeneous_weight,
     nilpotency_index,
     normal_form,
     normalize_power_relation,
@@ -70,14 +67,12 @@ from .cyclic_quotient import (
     same_subgroup,
     standard_action,
     weight_piece_generator,
-    weight_piece_is_rank_one,
 )
 from .report import classify_pair, sweep, verify_exit_code, verify_triple
 
 __all__ = [
     "CyclicAction",
     "DpdPair",
-    "FractionalIdealA1",
     "HypersurfaceRing",
     "MultiPoly",
     "NonPolynomial",
@@ -91,7 +86,6 @@ __all__ = [
     "classify_pair",
     "classify_presentation",
     "component_permutation",
-    "denom",
     "derivation_apply",
     "divisor_to_poly",
     "fiber_analysis",
@@ -103,7 +97,6 @@ __all__ = [
     "freeness_check",
     "graded_piece",
     "hilbert_basis",
-    "homogeneous_weight",
     "induced_action",
     "ml1_test",
     "mod_inverse",
@@ -131,5 +124,4 @@ __all__ = [
     "verify_exit_code",
     "verify_triple",
     "weight_piece_generator",
-    "weight_piece_is_rank_one",
 ]

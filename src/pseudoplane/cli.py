@@ -18,16 +18,15 @@ import sys
 from typing import Any
 
 from .report import (
+    EXIT_INVALID,
+    EXIT_OK,
+    FORMAT_VERSION,
     classify_pair,
     sweep,
     sweep_exit_code,
     verify_exit_code,
     verify_triple,
 )
-
-EXIT_OK = 0
-EXIT_INCONSISTENT = 1
-EXIT_INVALID = 2
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -209,7 +208,7 @@ def main(argv: list[str] | None = None) -> int:
             return sweep_exit_code(result)
     except ValueError as exc:
         if getattr(args, "json", False):
-            _emit_json({"format_version": 1, "error": str(exc)})
+            _emit_json({"format_version": FORMAT_VERSION, "error": str(exc)})
         else:
             print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

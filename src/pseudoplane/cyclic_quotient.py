@@ -19,6 +19,7 @@ from .hypersurface_ring import (
     HypersurfaceRing,
     NonPolynomial,
     RingElement,
+    StructuralError,
     _normalized_ring,
     _rhs_power,
     derivation_apply,
@@ -26,11 +27,6 @@ from .hypersurface_ring import (
     normal_form,
 )
 from .qdivisor import DpdPair
-
-
-class StructuralError(RuntimeError):
-    """An exact-division step that the construction guarantees has failed;
-    signals a wrong convention or a bug, not bad input."""
 
 
 @dataclass(frozen=True)
@@ -47,12 +43,6 @@ class CyclicAction:
         object.__setattr__(
             self, "weights", {v: w % self.modulus for v, w in self.weights.items()}
         )
-
-    def weight_of(self, exps: tuple[int, ...], variables: tuple[str, ...]) -> int:
-        return sum(e * self.weights[v] for e, v in zip(exps, variables)) % self.modulus
-
-    def serialize(self) -> dict:
-        return {"d": self.modulus, "weights": dict(self.weights)}
 
 
 def mod_inverse(e: int, d: int) -> int:
@@ -241,25 +231,6 @@ def weight_piece_generator(triple: SurfaceTriple, n: int) -> tuple[int, int, int
         b = (a - n) // m
     c = (-triple.e_prime * n) % triple.d
     return (a, b, c)
-
-
-def weight_piece_is_rank_one(triple: SurfaceTriple, n: int, exp_bound: int = 24) -> bool:
-    """Re-verify by enumeration that every invariant normal-form monomial of
-    weight n with exponents <= exp_bound is the generator times a power of s^d."""
-    action = standard_action(triple)
-    ring = normalized_ring(triple)
-    ga, gb, gc = weight_piece_generator(triple, n)
-    m, d = triple.m, triple.d
-    for a in range(exp_bound + 1):
-        for b in range(exp_bound + 1):
-            if a - m * b != n or (b and a >= m):
-                continue
-            for c in range(exp_bound + 1):
-                if action.weight_of((a, b, c), ring.variables) != 0:
-                    continue
-                if not (a == ga and b == gb and c >= gc and (c - gc) % d == 0):
-                    return False
-    return True
 
 
 def monomial_element(ring: HypersurfaceRing, exps: tuple[int, int, int]) -> RingElement:

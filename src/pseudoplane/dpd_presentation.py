@@ -1,8 +1,8 @@
 """Graded-algebra view of a divisor pair: A = A0[D+, D-] over A0 = C[t].
 
-The weight-n piece of the algebra is a principal fractional ideal of C[t],
-recorded by its exponent vector: the generator is prod (t - p)^e(p), with
-negative e(p) meaning an allowed pole.  Pieces are governed by floor-rounded
+The weight-n piece of the algebra is the rank-one C[t]-module generated by
+prod (t - p)^e(p), with negative e(p) meaning an allowed pole; it is recorded
+as a plain {point: e(p)} map.  Pieces are governed by floor-rounded
 multiples of the pair: weight n >= 0 reads floor(n*D+), weight n < 0 reads
 floor(-n*D-).
 """
@@ -13,55 +13,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from types import MappingProxyType
-from typing import Mapping
 
 from .exact_algebra import Scalar
-from .qdivisor import DpdPair, QDivisor, format_divisor, negative_locus
-
-
-class FractionalIdealA1:
-    """Principal fractional ideal of C[t], stored as {point -> exponent}."""
-
-    __slots__ = ("_exponents",)
-
-    def __init__(self, exponents: Mapping[Scalar, int] = ()):
-        items = exponents.items() if isinstance(exponents, Mapping) else exponents
-        clean: dict[Fraction, int] = {}
-        for point, e in items:
-            if not isinstance(e, int):
-                raise ValueError(f"exponent at {point} must be an integer: {e!r}")
-            if e:
-                clean[Fraction(point)] = e
-        object.__setattr__(self, "_exponents", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FractionalIdealA1 is immutable")
-
-    @property
-    def exponents(self) -> Mapping[Fraction, int]:
-        return MappingProxyType(self._exponents)
-
-    def exponent(self, point: Scalar) -> int:
-        return self._exponents.get(Fraction(point), 0)
-
-    @property
-    def support(self) -> tuple[Fraction, ...]:
-        return tuple(sorted(self._exponents))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FractionalIdealA1):
-            return NotImplemented
-        return self._exponents == other._exponents
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._exponents.items()))
-
-    def as_divisor_string(self) -> str:
-        return format_divisor(QDivisor(self._exponents))
-
-    def __repr__(self) -> str:
-        return f"FractionalIdealA1({self.as_divisor_string()!r})"
+from .qdivisor import DpdPair, QDivisor, negative_locus
 
 
 def pseudoplane_dpd_pair(d: int, e_prime: int, m: int) -> DpdPair:
@@ -84,16 +38,15 @@ def pseudoplane_dpd_pair(d: int, e_prime: int, m: int) -> DpdPair:
     return DpdPair(d_plus, d_minus)
 
 
-def graded_piece(pair: DpdPair, n: int) -> FractionalIdealA1:
-    """Exponent data of the weight-n piece: -floor(n*D+) for n >= 0,
-    -floor(-n*D-) for n < 0, the unit ideal for n = 0."""
+def graded_piece(pair: DpdPair, n: int) -> dict[Fraction, int]:
+    """Exponents {point: e} of the weight-n piece, Fraction points, zeros pruned:
+    -floor(n*D+) for n >= 0, -floor(-n*D-) for n < 0, {} for n = 0."""
     if n == 0:
-        return FractionalIdealA1()
+        return {}
     divisor = pair.d_plus if n > 0 else pair.d_minus
     mult = abs(n)
-    return FractionalIdealA1(
-        {p: -math.floor(mult * c) for p, c in divisor.coefficients.items()}
-    )
+    exponents = ((p, -math.floor(mult * c)) for p, c in divisor.coefficients.items())
+    return {p: e for p, e in exponents if e}
 
 
 @lru_cache(maxsize=64)
@@ -112,8 +65,8 @@ def _support(pair: DpdPair) -> tuple[Scalar, ...]:
 @lru_cache(maxsize=128)
 def _piece_row(pair: DpdPair, n: int) -> tuple[int, ...]:
     """Exponents of the weight-n piece as int, aligned with ``_support(pair)``."""
-    exponents = graded_piece(pair, n)._exponents
-    return tuple(exponents.get(p, 0) for p in _support(pair))
+    piece = graded_piece(pair, n)
+    return tuple(piece.get(p, 0) for p in _support(pair))
 
 
 def product_defect(pair: DpdPair, n: int, n_prime: int) -> dict[Scalar, int]:

@@ -95,10 +95,6 @@ class MultiPoly:
     # -- construction helpers ------------------------------------------------
 
     @classmethod
-    def zero(cls, variables: Iterable[str]) -> "MultiPoly":
-        return cls(variables)
-
-    @classmethod
     def constant(cls, variables: Iterable[str], value: Scalar) -> "MultiPoly":
         variables = tuple(variables)
         return cls(variables, {(0,) * len(variables): value})
@@ -130,9 +126,6 @@ class MultiPoly:
 
     def __bool__(self) -> bool:
         return bool(self._terms)
-
-    def coefficient(self, exps: Iterable[int]) -> Scalar:
-        return self._terms.get(tuple(exps), 0)
 
     def constant_coefficient(self) -> Scalar:
         return self._terms.get((0,) * len(self._variables), 0)

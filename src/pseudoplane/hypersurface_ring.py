@@ -25,12 +25,16 @@ from .exact_algebra import (
     MultiPoly,
     Scalar,
     format_poly,
-    parse_poly,
     poly_divmod,
     poly_gcd,
     squarefree_decomposition,
     substitute_power,
 )
+
+
+class StructuralError(RuntimeError):
+    """A step that the construction guarantees has failed (an exact division
+    or a filtration bound); signals a wrong convention or a bug, not bad input."""
 
 
 @dataclass(frozen=True)
@@ -55,30 +59,8 @@ class HypersurfaceRing:
     def variables(self) -> tuple[str, str, str]:
         return ("u", self.second_var, "s")
 
-    @property
-    def cstar_weights(self) -> dict[str, int]:
-        # weight(u^k * second) = k - k = 0 = weight(P(s)): the relation is homogeneous
-        return {"u": 1, self.second_var: -self.k, "s": 0}
-
-    def relation(self) -> MultiPoly:
-        """The defining polynomial u^k * second - P(s)."""
-        lead = MultiPoly.monomial(self.variables, (self.k, 1, 0))
-        return lead - self.P.with_variables(self.variables)
-
     def monomial(self, a: int, b: int, c: int, coeff: Scalar = 1) -> MultiPoly:
         return MultiPoly.monomial(self.variables, (a, b, c), coeff)
-
-    def variable(self, name: str) -> MultiPoly:
-        return MultiPoly.variable(self.variables, name)
-
-    def element(self, value: "str | MultiPoly | RingElement") -> "RingElement":
-        if isinstance(value, RingElement):
-            if value.ring != self:
-                raise ValueError("element belongs to a different ring")
-            return value
-        if isinstance(value, str):
-            value = parse_poly(value, self.variables)
-        return normal_form(self, value)
 
     def serialize(self) -> dict:
         return {"k": self.k, "P": format_poly(self.P), "second_var": self.second_var}
@@ -94,42 +76,6 @@ class RingElement:
 
     def is_zero(self) -> bool:
         return self.poly.is_zero()
-
-    def _check(self, other: "RingElement"):
-        if not isinstance(other, RingElement) or other.ring != self.ring:
-            raise ValueError("ring elements belong to different rings")
-
-    def __add__(self, other: "RingElement") -> "RingElement":
-        self._check(other)
-        return normal_form(self.ring, self.poly + other.poly)
-
-    def __sub__(self, other: "RingElement") -> "RingElement":
-        self._check(other)
-        return normal_form(self.ring, self.poly - other.poly)
-
-    def __mul__(self, other) -> "RingElement":
-        if isinstance(other, (int, Fraction)):
-            return RingElement(self.ring, self.poly * other)
-        self._check(other)
-        return normal_form(self.ring, self.poly * other.poly)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "RingElement":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = self.ring.element(MultiPoly.constant(self.ring.variables, 1))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
-    def __str__(self) -> str:
-        return format_poly(self.poly)
 
 
 @dataclass(frozen=True)
@@ -178,18 +124,6 @@ def normal_form(ring: HypersurfaceRing, p: MultiPoly) -> RingElement:
             out[key] = out.get(key, 0) + coeff * pc
     clean = {key: v for key, v in out.items() if v}
     return RingElement(ring, MultiPoly._trusted(ring.variables, clean))
-
-
-def homogeneous_weight(x: RingElement) -> int | None:
-    """Torus weight of a homogeneous element (None for 0 or inhomogeneous)."""
-    weights = x.ring.cstar_weights
-    names = x.ring.variables
-    seen: set[int] = set()
-    for exps in x.poly.terms:
-        seen.add(sum(e * weights[v] for e, v in zip(exps, names)))
-    if len(seen) != 1:
-        return None
-    return seen.pop()
 
 
 def build_covering_ring(k: int, d: int, e_prime: int, l: int, q: MultiPoly) -> HypersurfaceRing:
@@ -377,7 +311,8 @@ def s_weight(x: RingElement) -> int:
 
 def nilpotency_index(ring: HypersurfaceRing, e: int, x: RingElement) -> int | None:
     """Least N with the N-th derivation image of x zero, or None if some
-    iterate leaves the ring."""
+    iterate leaves the ring.  Exceeding the bound 1 + s_weight(x) raises
+    :class:`StructuralError`."""
     bound = 1 + s_weight(x)
     y: RingElement | NonPolynomial = x
     for n in range(1, bound + 1):
@@ -386,6 +321,6 @@ def nilpotency_index(ring: HypersurfaceRing, e: int, x: RingElement) -> int | No
             return None
         if y.is_zero():
             return n
-    raise RuntimeError(
+    raise StructuralError(
         f"nilpotency bound {bound} exceeded; the filtration certificate is violated"
     )

@@ -69,9 +69,6 @@ class QDivisor:
     def items(self) -> list[tuple[Fraction, Fraction]]:
         return sorted(self._coeffs.items())
 
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
     def __bool__(self) -> bool:
         return bool(self._coeffs)
 
@@ -105,11 +102,6 @@ class QDivisor:
             return NotImplemented
         return self + (-other)
 
-    def __mul__(self, scalar: Scalar) -> "QDivisor":
-        return QDivisor({p: Fraction(scalar) * c for p, c in self._coeffs.items()})
-
-    __rmul__ = __mul__
-
     def __str__(self) -> str:
         return format_divisor(self)
 
@@ -126,14 +118,6 @@ def fract_div(d: QDivisor) -> QDivisor:
     """Pointwise fractional part; coefficients lie in [0, 1) and
     d == floor_div(d) + fract_div(d)."""
     return d - floor_div(d)
-
-
-def denom(d: QDivisor) -> int:
-    """Least positive n such that n*d is integral (1 for the zero divisor)."""
-    n = 1
-    for c in d.coefficients.values():
-        n = n * c.denominator // math.gcd(n, c.denominator)
-    return n
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,9 @@ verdict is "consistent", "excluded" (with excluded_reason set) or
 "inconsistent" (with failed_checks non-empty).  Exit codes: 0 for consistent
 or excluded-as-predicted, 1 for inconsistent, 2 for invalid input.
 ``product_structure.all_match`` is false when a measured and a predicted
-defect differ or when an exact division in the product check fails.
+defect differ or when an exact division in the product check fails; a
+violated nilpotency bound in the derivation search leaves
+``lnd.degrees_found`` empty and fails ``lnd_degrees``.
 """
 
 from __future__ import annotations
@@ -65,6 +67,10 @@ from .qdivisor import (
 )
 
 FORMAT_VERSION = 1
+
+EXIT_OK = 0
+EXIT_INCONSISTENT = 1
+EXIT_INVALID = 2
 
 Report = dict[str, Any]
 
@@ -159,7 +165,12 @@ def verify_triple(
     else:
         all_match = None
 
-    degrees = find_valid_lnd_degrees(triple, bound=max(max_exponent, m + triple.d))
+    try:
+        degrees = find_valid_lnd_degrees(triple, bound=max(max_exponent, m + triple.d))
+    except StructuralError:
+        # a violated nilpotency bound breaks the filtration certificate: no
+        # degree is certified, and the sweep carries on
+        degrees = []
     check("lnd_degrees", bool(degrees))
 
     reasons = []
@@ -359,8 +370,8 @@ def sweep(
 
 
 def verify_exit_code(report: Report) -> int:
-    return 0 if report["verdict"] in ("consistent", "excluded") else 1
+    return EXIT_OK if report["verdict"] in ("consistent", "excluded") else EXIT_INCONSISTENT
 
 
 def sweep_exit_code(result: Report) -> int:
-    return 0 if result["aggregate"]["inconsistent"] == 0 else 1
+    return EXIT_OK if result["aggregate"]["inconsistent"] == 0 else EXIT_INCONSISTENT

@@ -14,7 +14,9 @@ from pseudoplane import (
     graded_piece,
     normal_form,
     normalized_ring,
+    parse_poly,
     poly_divmod,
+    standard_action,
     weight_piece_generator,
 )
 
@@ -23,6 +25,16 @@ F = Fraction
 
 def upoly(var: str, coeffs: dict[int, object]) -> MultiPoly:
     return MultiPoly((var,), {(e,): c for e, c in coeffs.items()})
+
+
+def element(ring, text: str):
+    """The normal form of a polynomial written in the ring's variables."""
+    return normal_form(ring, parse_poly(text, ring.variables))
+
+
+def relation(ring) -> MultiPoly:
+    """The defining polynomial u^k * second - P(s)."""
+    return ring.monomial(ring.k, 1, 0) - ring.P.with_variables(ring.variables)
 
 
 def grid_triples(d_max: int = 6, m_max: int = 5) -> list[tuple[int, int, int]]:
@@ -110,7 +122,7 @@ def oracle_mul(p: MultiPoly, q: MultiPoly) -> MultiPoly:
 def oracle_normal_form(ring, p: MultiPoly) -> MultiPoly:
     """Term-by-term rewriting u^k * second -> P(s), adding one validated
     polynomial per input term (quadratic in the number of terms)."""
-    out = MultiPoly.zero(ring.variables)
+    out = MultiPoly(ring.variables)
     for (a, b, c), coeff in p.terms.items():
         j = min(a // ring.k, b)
         term = MultiPoly.monomial(ring.variables, (a - j * ring.k, b - j, c), coeff)
@@ -128,6 +140,37 @@ def assert_clean(p: MultiPoly) -> None:
         assert type(coeff) in (int, Fraction) and coeff != 0
         assert len(exps) == len(p.variables)
         assert all(type(e) is int and e >= 0 for e in exps)
+
+
+def homogeneous_weight(x) -> int | None:
+    """Torus weight of a ring element under u -> 1, second -> -k, s -> 0
+    (None for 0 or an inhomogeneous element)."""
+    weights = {(a - x.ring.k * b) for a, b, _ in x.poly.terms}
+    return weights.pop() if len(weights) == 1 else None
+
+
+def action_weight(action, exps: tuple[int, ...], variables: tuple[str, ...]) -> int:
+    """Residue of a monomial under a diagonal cyclic action (0 = invariant)."""
+    return sum(e * action.weights[v] for e, v in zip(exps, variables)) % action.modulus
+
+
+def weight_piece_is_rank_one(triple, n: int, exp_bound: int = 24) -> bool:
+    """Re-verify by enumeration that every invariant normal-form monomial of
+    weight n with exponents <= exp_bound is the generator times a power of s^d."""
+    action = standard_action(triple)
+    variables = normalized_ring(triple).variables
+    ga, gb, gc = weight_piece_generator(triple, n)
+    m, d = triple.m, triple.d
+    for a in range(exp_bound + 1):
+        for b in range(exp_bound + 1):
+            if a - m * b != n or (b and a >= m):
+                continue
+            for c in range(exp_bound + 1):
+                if action_weight(action, (a, b, c), variables) != 0:
+                    continue
+                if not (a == ga and b == gb and c >= gc and (c - gc) % d == 0):
+                    return False
+    return True
 
 
 def monoid_points(d: int, weights: tuple[int, int, int], bound: int) -> set[tuple[int, int, int]]:
@@ -156,9 +199,9 @@ def oracle_hilbert_basis(d: int, weights: tuple[int, int, int]) -> tuple[tuple[i
 def oracle_product_defect(pair, n: int, n_prime: int) -> dict[Fraction, int]:
     """Fraction-keyed defect piece(n) + piece(n') - piece(n+n') over the
     sorted union of the three pieces' supports, as product_defect once was."""
-    e1 = graded_piece(pair, n).exponents
-    e2 = graded_piece(pair, n_prime).exponents
-    e12 = graded_piece(pair, n + n_prime).exponents
+    e1 = graded_piece(pair, n)
+    e2 = graded_piece(pair, n_prime)
+    e12 = graded_piece(pair, n + n_prime)
     out: dict[Fraction, int] = {}
     for p in sorted(e1.keys() | e2.keys() | e12.keys()):
         v = e1.get(p, 0) + e2.get(p, 0) - e12.get(p, 0)

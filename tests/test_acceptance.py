@@ -197,9 +197,9 @@ def test_criterion_8_oracle_suites():
         for n in range(-12, 13):
             before = graded_piece(pair, n)
             after = graded_piece(canonical, n)
-            points = set(before.support) | set(after.support) | set(fl.support)
+            points = set(before) | set(after) | set(fl.support)
             for p in points:
-                if after.exponent(p) != before.exponent(p) + n * int(fl.coefficient(p)):
+                if after.get(p, 0) != before.get(p, 0) + n * int(fl.coefficient(p)):
                     failures += 1
 
     assert failures == 0

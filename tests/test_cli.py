@@ -265,6 +265,29 @@ def test_product_check_fault_is_reported_and_sweep_carries_on(capsys, monkeypatc
     assert "inconsistent: 12" in out and "failed: product_structure" in out
 
 
+def test_nilpotency_bound_fault_is_reported_and_sweep_carries_on(capsys, monkeypatch):
+    from pseudoplane import hypersurface_ring
+
+    # a zero filtration weight makes the bound 1 + s_weight(x) too small for
+    # every weight piece whose first derivation image is nonzero
+    monkeypatch.setattr(hypersurface_ring, "s_weight", lambda x: 0)
+    report = verify_triple(3, 2, 2)
+    assert report["lnd"] == {"degrees_found": [], "nilpotency_certified": False}
+    assert report["verdict"] == "inconsistent"
+    assert report["failed_checks"] == ["lnd_degrees"]
+    code, out = run_cli(capsys, "sweep", "--d-max", "3", "--m-max", "3", "--json")
+    assert code == 1
+    result = json.loads(out)
+    assert result["aggregate"] == {
+        "consistent": 0, "excluded": 0, "inconsistent": 12, "total": 12,
+    }
+    assert all(row["failed_checks"] == ["lnd_degrees"] for row in result["rows"])
+    code, out = run_cli(capsys, "sweep", "--d-max", "3", "--m-max", "3")
+    assert code == 1
+    assert "inconsistent: 12" in out
+    assert out.count("failed: lnd_degrees\n") == 12
+
+
 def test_exit_code_is_function_of_verdict():
     from pseudoplane import verify_exit_code
 

@@ -2,7 +2,16 @@ import math
 
 import pytest
 
-from helpers import F, grid_triples, monoid_points, reachable_sums, upoly
+from helpers import (
+    F,
+    action_weight,
+    grid_triples,
+    homogeneous_weight,
+    monoid_points,
+    reachable_sums,
+    upoly,
+    weight_piece_is_rank_one,
+)
 
 from pseudoplane import (
     CyclicAction,
@@ -14,7 +23,6 @@ from pseudoplane import (
     find_valid_lnd_degrees,
     freeness_check,
     hilbert_basis,
-    homogeneous_weight,
     induced_action,
     mod_inverse,
     monomial_element,
@@ -24,7 +32,6 @@ from pseudoplane import (
     same_subgroup,
     standard_action,
     weight_piece_generator,
-    weight_piece_is_rank_one,
 )
 
 TRIPLES = [SurfaceTriple(d, e, m) for d, e, m in grid_triples(5, 4)]
@@ -151,7 +158,7 @@ def test_weight_piece_generator_is_invariant_normal_monomial():
             a, b, c = weight_piece_generator(t, n)
             assert a - t.m * b == n
             assert b == 0 or a < t.m
-            assert action.weight_of((a, b, c), ring.variables) == 0
+            assert action_weight(action, (a, b, c), ring.variables) == 0
             assert c == (-t.e_prime * n) % t.d
 
 
@@ -166,7 +173,7 @@ def test_ceiling_identity_links_generator_to_graded_piece():
             ceiling = (n * t.e_prime + c) // t.d
             assert ceiling == math.ceil(F(n * t.e_prime, t.d))
             if n != 0:
-                assert graded_piece(pair, n).exponent(0) == ceiling
+                assert graded_piece(pair, n).get(0, 0) == ceiling
 
 
 def test_weight_pieces_have_rank_one():
@@ -225,17 +232,10 @@ def test_component_permutation():
     assert cycles == ((0,),) and transitive
 
 
-def test_action_serialization():
+def test_action_weights_reduced_mod_d():
     action = CyclicAction(3, {"u": 7, "w": -2, "s": 2})
-    assert action.serialize() == {"d": 3, "weights": {"u": 1, "w": 1, "s": 2}}
+    assert action.weights == {"u": 1, "w": 1, "s": 2}
     assert all(0 <= w < 3 for w in action.weights.values())
-
-
-def test_fractional_ideal_divisor_string():
-    from pseudoplane import FractionalIdealA1
-
-    ideal = FractionalIdealA1({F(1): 2, F(0): -1})
-    assert ideal.as_divisor_string() == "0:-1,1:2"
 
 
 # -- derivation degrees ------------------------------------------------------------
@@ -284,5 +284,5 @@ def test_equivariance_of_valid_derivations():
                     continue
                 # image stays invariant and moves up by the degree
                 for exps in image.poly.terms:
-                    assert action.weight_of(exps, ring.variables) == 0
+                    assert action_weight(action, exps, ring.variables) == 0
                 assert homogeneous_weight(image) == homogeneous_weight(x) + degree

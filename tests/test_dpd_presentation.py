@@ -8,7 +8,6 @@ from helpers import F, grid_triples, nonpositive_divisors, small_divisors
 
 from pseudoplane import (
     DpdPair,
-    FractionalIdealA1,
     QDivisor,
     classify_presentation,
     floor_div,
@@ -44,9 +43,12 @@ def test_family_pair_rejects_non_coprime():
 
 def test_graded_piece_examples():
     pair = pseudoplane_dpd_pair(3, 2, 2)
-    assert graded_piece(pair, 1) == FractionalIdealA1({0: 1})
-    assert graded_piece(pair, -1) == FractionalIdealA1({1: 1})
-    assert graded_piece(pair, 0) == FractionalIdealA1({})
+    assert graded_piece(pair, 1) == {F(0): 1}
+    assert graded_piece(pair, -1) == {F(1): 1}
+    assert graded_piece(pair, 0) == {}
+    # floor(2*D-) = 1[0] - 1[1]: a pole at 0
+    assert graded_piece(pair, -2) == {F(0): -1, F(1): 1}
+    assert all(type(p) is F for n in range(-6, 7) for p in graded_piece(pair, n))
 
 
 def test_product_defect_examples():
@@ -91,9 +93,9 @@ def _shift_identity_holds(pair, n_range=12):
     for n in range(-n_range, n_range + 1):
         before = graded_piece(pair, n)
         after = graded_piece(canonical, n)
-        points = set(before.support) | set(after.support) | set(fl.support)
+        points = set(before) | set(after) | set(fl.support)
         for p in points:
-            if after.exponent(p) != before.exponent(p) + n * int(fl.coefficient(p)):
+            if after.get(p, 0) != before.get(p, 0) + n * int(fl.coefficient(p)):
                 return False
     return True
 

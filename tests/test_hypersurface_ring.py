@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import F, small_multipolys, upoly
+from helpers import F, element, homogeneous_weight, small_multipolys, upoly
 
 from pseudoplane import (
     HypersurfaceRing,
@@ -14,7 +14,6 @@ from pseudoplane import (
     derivation_apply,
     divisor_to_poly,
     fiber_analysis,
-    homogeneous_weight,
     nilpotency_index,
     normal_form,
     normalize_power_relation,
@@ -46,11 +45,10 @@ T_MINUS_1 = upoly("t", {1: 1, 0: -1})
 def test_ring_invariants():
     ring = w_ring(2, 3)
     assert ring.variables == ("u", "w", "s")
-    assert ring.cstar_weights == {"u": 1, "w": -2, "s": 0}
     with pytest.raises(ValueError):
         HypersurfaceRing(0, s_pow_minus_1(2))
     with pytest.raises(ValueError):
-        HypersurfaceRing(2, MultiPoly.zero(("s",)))
+        HypersurfaceRing(2, MultiPoly(("s",)))
 
 
 def test_build_covering_ring_examples():
@@ -83,7 +81,7 @@ def test_build_covering_ring_errors():
 
 def test_normal_form_examples():
     ring = w_ring(2, 3)
-    assert ring.element("u^2*w*s").poly == ring.element("s^4 - s").poly
+    assert element(ring, "u^2*w*s").poly == element(ring, "s^4 - s").poly
     stays = ring.monomial(1, 1, 1)
     assert normal_form(ring, stays).poly == stays
     assert normal_form(ring, ring.monomial(4, 2, 0)).poly == (
@@ -179,19 +177,19 @@ def test_normalize_errors():
 
 def test_derivation_examples():
     ring = w_ring(2, 3)
-    us = ring.element("u*s")
+    us = element(ring, "u*s")
     out = derivation_apply(ring, 2, us)
-    assert isinstance(out, RingElement) and out.poly == ring.element("u^3").poly
+    assert isinstance(out, RingElement) and out.poly == element(ring, "u^3").poly
 
-    ws = ring.element("w*s")
+    ws = element(ring, "w*s")
     out = derivation_apply(ring, 2, ws)
     assert isinstance(out, RingElement)
-    assert out.poly == ring.element("4*s^3 - 1").poly
+    assert out.poly == element(ring, "4*s^3 - 1").poly
 
 
 def test_derivation_non_polynomial():
     ring = w_ring(3, 2)
-    out = derivation_apply(ring, 1, ring.element("w*s"))
+    out = derivation_apply(ring, 1, element(ring, "w*s"))
     assert isinstance(out, NonPolynomial)
     assert "u^-2" in out.monomial
 
@@ -199,21 +197,21 @@ def test_derivation_non_polynomial():
 def test_derivation_rejects_non_normalized_shape():
     ring = HypersurfaceRing(6, s_pow_minus_1(3) ** 3, "v")
     with pytest.raises(ValueError, match="normalized shape"):
-        derivation_apply(ring, 2, ring.element("s"))
+        derivation_apply(ring, 2, element(ring, "s"))
 
 
 def test_nilpotency_examples():
     ring = w_ring(2, 3)
-    assert nilpotency_index(ring, 2, ring.element("u*s")) == 2
-    assert nilpotency_index(ring, 2, ring.element("1")) == 1
-    x = ring.element("u*w*s^2")
+    assert nilpotency_index(ring, 2, element(ring, "u*s")) == 2
+    assert nilpotency_index(ring, 2, element(ring, "1")) == 1
+    x = element(ring, "u*w*s^2")
     n = nilpotency_index(ring, 2, x)
     assert n is not None and n <= 1 + s_weight(x) == 1 + 5
 
 
 def test_nilpotency_fail_is_none():
     ring = w_ring(3, 2)
-    assert nilpotency_index(ring, 1, ring.element("w*s")) is None
+    assert nilpotency_index(ring, 1, element(ring, "w*s")) is None
 
 
 @given(st.integers(0, 3), st.integers(0, 2), st.integers(0, 4), st.integers(1, 4))
@@ -237,15 +235,15 @@ def test_derivation_leibniz(exps_x, exps_y, e):
     y = normal_form(ring, ring.monomial(*exps_y))
     dx = derivation_apply(ring, e, x)
     dy = derivation_apply(ring, e, y)
-    dxy = derivation_apply(ring, e, x * y)
+    dxy = derivation_apply(ring, e, normal_form(ring, x.poly * y.poly))
     if any(isinstance(v, NonPolynomial) for v in (dx, dy, dxy)):
         return
-    assert dxy == dx * y + x * dy
+    assert dxy == normal_form(ring, dx.poly * y.poly + x.poly * dy.poly)
 
 
 def test_s_weight_drops_under_derivation():
     ring = w_ring(2, 3)
-    x = ring.element("u*w^2*s^4")
+    x = element(ring, "u*w^2*s^4")
     weight = s_weight(x)
     out = derivation_apply(ring, 2, x)
     assert isinstance(out, RingElement)

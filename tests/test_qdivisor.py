@@ -15,7 +15,6 @@ from pseudoplane import (
     QDivisor,
     RegimeError,
     canonical_pair,
-    denom,
     divisor_to_poly,
     floor_div,
     format_divisor,
@@ -47,12 +46,6 @@ def test_fract_two_points():
     assert fract_div(d) == qd({0: F(2, 3), 1: F(1, 2)})
 
 
-def test_denom():
-    assert denom(qd({0: F(-2, 3)})) == 3
-    assert denom(qd({0: F(2, 3), 1: F(-1, 2)})) == 6
-    assert denom(QDivisor.zero()) == 1
-
-
 def test_pair_invariant_violation_names_point():
     with pytest.raises(ValueError, match=r"positive at .*1/2"):
         DpdPair(qd({0: F(1, 2)}), QDivisor.zero())
@@ -68,7 +61,7 @@ def test_canonical_pair_shifts_floor():
 def test_canonical_pair_zero_fixed_point():
     pair = DpdPair(QDivisor.zero(), QDivisor.zero())
     out = canonical_pair(pair)
-    assert out.d_plus.is_zero() and out.d_minus.is_zero()
+    assert out.d_plus == out.d_minus == QDivisor.zero()
 
 
 def test_canonical_pair_family_shape():
@@ -139,7 +132,8 @@ def test_floor_plus_fract(d):
     assert fl + fr == d
     assert all(0 <= c < 1 for _, c in fr.items())
     assert all(c.denominator == 1 for _, c in fl.items())
-    assert denom(fr) == denom(d)
+    # the fractional part keeps each point's denominator
+    assert all(fr.coefficient(p).denominator == c.denominator for p, c in d.items())
 
 
 @given(small_divisors(), nonpositive_divisors())
