@@ -9,7 +9,6 @@ degrees, and wall time per triple.
 """
 
 import argparse
-import math
 import sys
 import time
 from pathlib import Path
@@ -20,6 +19,7 @@ except ImportError:
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from pseudoplane import verify_triple
+from pseudoplane.report import grid_triples
 
 
 def main() -> int:
@@ -35,23 +35,19 @@ def main() -> int:
     totals = {"consistent": 0, "excluded": 0, "inconsistent": 0}
     worst = 0.0
     start = time.monotonic()
-    for d in range(1, args.d_max + 1):
-        for e in range(1, d + 1):
-            if math.gcd(e, d) != 1:
-                continue
-            for m in range(1, args.m_max + 1):
-                t0 = time.monotonic()
-                report = verify_triple(d, e, m, max_weight=args.max_weight)
-                ms = (time.monotonic() - t0) * 1000
-                worst = max(worst, ms)
-                totals[report["verdict"]] += 1
-                der = report["derived"]
-                degrees = ",".join(map(str, report["lnd"]["degrees_found"]))
-                print(
-                    f"{d:>3} {e:>3} {m:>3} | {der['e_prime']:>3} {der['k']:>4} "
-                    f"{der['m_prime']:>3} {der['l']:>5} | {report['verdict']:<12} "
-                    f"{degrees:<16} {ms:>6.1f}"
-                )
+    for d, e, m in grid_triples(args.d_max, args.m_max):
+        t0 = time.monotonic()
+        report = verify_triple(d, e, m, max_weight=args.max_weight)
+        ms = (time.monotonic() - t0) * 1000
+        worst = max(worst, ms)
+        totals[report["verdict"]] += 1
+        der = report["derived"]
+        degrees = ",".join(map(str, report["lnd"]["degrees_found"]))
+        print(
+            f"{d:>3} {e:>3} {m:>3} | {der['e_prime']:>3} {der['k']:>4} "
+            f"{der['m_prime']:>3} {der['l']:>5} | {report['verdict']:<12} "
+            f"{degrees:<16} {ms:>6.1f}"
+        )
     elapsed = time.monotonic() - start
     print("-" * len(header))
     print(

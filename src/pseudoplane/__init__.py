@@ -43,7 +43,7 @@ from .hypersurface_ring import (
     NonPolynomial,
     RingElement,
     build_covering_ring,
-    derivation_apply,
+    derivation_leaves_ring,
     fiber_analysis,
     nilpotency_index,
     normal_form,
@@ -86,7 +86,7 @@ __all__ = [
     "classify_pair",
     "classify_presentation",
     "component_permutation",
-    "derivation_apply",
+    "derivation_leaves_ring",
     "divisor_to_poly",
     "fiber_analysis",
     "find_valid_lnd_degrees",

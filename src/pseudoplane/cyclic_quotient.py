@@ -17,12 +17,11 @@ from .dpd_presentation import product_defect, pseudoplane_dpd_pair
 from .exact_algebra import MultiPoly, Scalar, format_poly
 from .hypersurface_ring import (
     HypersurfaceRing,
-    NonPolynomial,
     RingElement,
     StructuralError,
     _normalized_ring,
     _rhs_power,
-    derivation_apply,
+    derivation_leaves_ring,
     nilpotency_index,
     normal_form,
 )
@@ -336,15 +335,16 @@ def component_permutation(d: int, e: int) -> ComponentPermutation:
     return ComponentPermutation(tuple(cycles), len(cycles) == 1)
 
 
-def find_valid_lnd_degrees(
-    triple: SurfaceTriple, bound: int, certify_weight: int = 8
-) -> list[int]:
+_CERTIFY_WEIGHT = 8
+
+
+def find_valid_lnd_degrees(triple: SurfaceTriple, bound: int) -> list[int]:
     """Degrees e in [1, bound], congruent to the s-weight of the standard
     action mod d, whose derivation maps every invariant monoid generator into
     the ring (hence, by the product rule, preserves the whole invariant ring).
 
     Each returned degree is additionally certified locally nilpotent on the
-    weight-piece generators |n| <= certify_weight.  An empty result is a
+    weight-piece generators |n| <= _CERTIFY_WEIGHT (8).  An empty result is a
     finding, not an error.
     """
     if bound < triple.m + triple.d:
@@ -357,17 +357,12 @@ def find_valid_lnd_degrees(
     generators = [monomial_element(ring, g) for g in basis]
     pieces = [
         monomial_element(ring, weight_piece_generator(triple, n))
-        for n in range(-certify_weight, certify_weight + 1)
+        for n in range(-_CERTIFY_WEIGHT, _CERTIFY_WEIGHT + 1)
     ]
-    target = triple.e % triple.d
     found: list[int] = []
-    for degree in range(1, bound + 1):
-        if degree % triple.d != target:
-            continue
-        if any(
-            isinstance(derivation_apply(ring, degree, g), NonPolynomial)
-            for g in generators
-        ):
+    # the least degree >= 1 congruent to e mod d, then every d-th one
+    for degree in range((triple.e - 1) % triple.d + 1, bound + 1, triple.d):
+        if any(derivation_leaves_ring(ring, degree, g) is not None for g in generators):
             continue
         if all(nilpotency_index(ring, degree, x) is not None for x in pieces):
             found.append(degree)

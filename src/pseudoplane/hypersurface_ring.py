@@ -7,11 +7,16 @@ monomials reduce independently, so rewriting terminates and the normal form is
 unique.  The torus action scales u with weight 1 and the second variable with
 weight -k (s fixed), making the relation homogeneous of weight 0.
 
-For the normalized relation u^m * w = s^d - 1 the module also implements the
-degree-e derivation that raises weight by e: on the localization at u it is
-u^e * d/ds, with w = (s^d - 1)/u^m expanded.  Elements whose image leaves the
-ring are reported with a :class:`NonPolynomial` marker rather than an error,
-because the derivation is only required to preserve the invariant subring.
+For the normalized relation u^m * w = s^d - 1 the module also certifies the
+degree-e derivation that raises weight by e.  On the localization
+C[u^(+-1), s], which contains the ring once w = (s^d - 1)/u^m is expanded, it
+is u^e * d/ds.  An element is expanded into Laurent rows {u-exponent j ->
+s-polynomial} once; the derivation moves row j to j + e and differentiates
+it, and an expansion lies in the ring iff each row with j < 0 is divisible by
+(s^d - 1)^ceil(-j/m).  Only that membership test is run, never a conversion
+back to normal form.  An image that leaves the ring is reported with a
+:class:`NonPolynomial` marker rather than an error, because the derivation is
+only required to preserve the invariant subring.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ from .exact_algebra import (
     Scalar,
     format_poly,
     poly_divmod,
-    poly_gcd,
     squarefree_decomposition,
     substitute_power,
 )
@@ -73,9 +77,6 @@ class RingElement:
 
     ring: HypersurfaceRing
     poly: MultiPoly
-
-    def is_zero(self) -> bool:
-        return self.poly.is_zero()
 
 
 @dataclass(frozen=True)
@@ -151,16 +152,13 @@ def build_covering_ring(k: int, d: int, e_prime: int, l: int, q: MultiPoly) -> H
 
 
 def smooth_check(ring: HypersurfaceRing) -> SmoothCheck:
-    """Smooth iff k = 1 or gcd(P, P') = 1; otherwise the witness lists the
-    squarefree factors of P of multiplicity >= 2 (s-coordinates of the
-    singular points along u = 0)."""
+    """Smooth iff k = 1 or P is squarefree; otherwise the witness lists the
+    factors of P's squarefree decomposition of multiplicity >= 2
+    (s-coordinates of the singular points along u = 0)."""
     if ring.k == 1:
         return SmoothCheck(True, ())
-    g = poly_gcd(ring.P, ring.P.partial("s"))
-    if g.degree() <= 0:
-        return SmoothCheck(True, ())
     witness = tuple((f, mult) for f, mult in squarefree_decomposition(ring.P) if mult >= 2)
-    return SmoothCheck(False, witness)
+    return SmoothCheck(not witness, witness)
 
 
 def fiber_analysis(ring: HypersurfaceRing, u_value: Scalar) -> list[tuple[int, int]]:
@@ -244,57 +242,48 @@ def _to_localization(ring: HypersurfaceRing, poly: MultiPoly) -> dict[int, dict[
     return {j: row for j, row in loc.items() if row}
 
 
-def _from_localization(
+def _derive(loc: dict[int, dict[int, Scalar]], e: int) -> dict[int, dict[int, Scalar]]:
+    """u^e * d/ds on Laurent rows: row j moves to j + e and is differentiated."""
+    image: dict[int, dict[int, Scalar]] = {}
+    for j, row in loc.items():
+        drow = {c - 1: coeff * c for c, coeff in row.items() if c}
+        if drow:
+            image[j + e] = drow
+    return image
+
+
+def _first_non_polynomial(
     ring: HypersurfaceRing, loc: dict[int, dict[int, Scalar]]
-) -> RingElement | NonPolynomial:
-    """Reassemble a Laurent expansion into a normal-form element, or report
-    the first u-exponent whose s-part is not divisible by the required power
-    of s^d - 1."""
+) -> NonPolynomial | None:
+    """The membership test for a Laurent expansion: the row of each u-exponent
+    j < 0 must be divisible by (s^d - 1)^ceil(-j/m).  Reports the top term of
+    the remainder at the least failing j, or None if the expansion lies in the
+    ring."""
     m = ring.k
-    terms: dict[tuple[int, int, int], Scalar] = {}
     for j in sorted(loc):
-        row = loc[j]
-        if not row:
-            continue
-        f = MultiPoly._trusted(("s",), {(e,): c for e, c in row.items()})
         if j >= 0:
-            a, b, g = j, 0, f
-        else:
-            b = (-j + m - 1) // m
-            g, rem = poly_divmod(f, _rhs_power(ring.P, b))
-            if not rem.is_zero():
-                top = max(rem.terms)
-                coeff = rem.terms[top]
-                return NonPolynomial(f"{coeff}*u^{j}*s^{top[0]}")
-            a = j + m * b
-        for (e,), coeff in g.terms.items():
-            terms[(a, b, e)] = coeff
-    # distinct u-exponents j = a - m*b give distinct (a, b), so no key repeats
-    return RingElement(ring, MultiPoly._trusted(ring.variables, terms))
+            break
+        f = MultiPoly._trusted(("s",), {(e,): c for e, c in loc[j].items()})
+        _, rem = poly_divmod(f, _rhs_power(ring.P, (-j + m - 1) // m))
+        if not rem.is_zero():
+            top = max(rem.terms)
+            return NonPolynomial(f"{rem.terms[top]}*u^{j}*s^{top[0]}")
+    return None
 
 
-def derivation_apply(ring: HypersurfaceRing, e: int, x: RingElement) -> RingElement | NonPolynomial:
-    """Apply the degree-e derivation u^e * d/ds to x on the normalized ring.
-
-    Computed in the localization at u (where the derivation is literally
-    u^e * d/ds, with the second variable expanded); the result is polynomial
-    iff every negative u-exponent is absorbed by powers of s^d - 1, in which
-    case the reduced element is returned.
-    """
+def _check_derivation(ring: HypersurfaceRing, e: int, x: RingElement) -> None:
     if not isinstance(e, int) or e < 1:
         raise ValueError(f"derivation degree must be a positive integer: {e}")
     if x.ring != ring:
         raise ValueError("element belongs to a different ring")
     _normalized_params(ring)  # the localization helpers rely on the shape
-    loc = _to_localization(ring, x.poly)
-    image: dict[int, dict[int, Scalar]] = {}
-    for j, row in loc.items():
-        target = image.setdefault(j + e, {})
-        for c, coeff in row.items():
-            if c == 0:
-                continue
-            target[c - 1] = coeff * c
-    return _from_localization(ring, {j: row for j, row in image.items() if row})
+
+
+def derivation_leaves_ring(ring: HypersurfaceRing, e: int, x: RingElement) -> NonPolynomial | None:
+    """Whether the degree-e derivation u^e * d/ds maps x out of the normalized
+    ring: the offending localized monomial, or None if the image is in it."""
+    _check_derivation(ring, e, x)
+    return _first_non_polynomial(ring, _derive(_to_localization(ring, x.poly), e))
 
 
 def s_weight(x: RingElement) -> int:
@@ -312,14 +301,16 @@ def s_weight(x: RingElement) -> int:
 def nilpotency_index(ring: HypersurfaceRing, e: int, x: RingElement) -> int | None:
     """Least N with the N-th derivation image of x zero, or None if some
     iterate leaves the ring.  Exceeding the bound 1 + s_weight(x) raises
-    :class:`StructuralError`."""
+    :class:`StructuralError`.  x is expanded into Laurent rows once, and each
+    iterate is only tested for membership."""
+    _check_derivation(ring, e, x)
     bound = 1 + s_weight(x)
-    y: RingElement | NonPolynomial = x
+    loc = _to_localization(ring, x.poly)
     for n in range(1, bound + 1):
-        y = derivation_apply(ring, e, y)
-        if isinstance(y, NonPolynomial):
+        loc = _derive(loc, e)
+        if _first_non_polynomial(ring, loc) is not None:
             return None
-        if y.is_zero():
+        if not loc:
             return n
     raise StructuralError(
         f"nilpotency bound {bound} exceeded; the filtration certificate is violated"

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Any
+from typing import Any, Iterator
 
 from .cyclic_quotient import (
     StructuralError,
@@ -323,6 +323,16 @@ def classify_pair(
     }
 
 
+def grid_triples(d_max: int, m_max: int) -> Iterator[tuple[int, int, int]]:
+    """The triples of a sweep in its row order (d, e, m): d <= d_max, e in
+    [1, d] coprime to d, m <= m_max."""
+    for d in range(1, d_max + 1):
+        for e in range(1, d + 1):
+            if math.gcd(e, d) == 1:
+                for m in range(1, m_max + 1):
+                    yield d, e, m
+
+
 def sweep(
     d_max: int,
     m_max: int,
@@ -337,24 +347,20 @@ def sweep(
         raise ValueError("d_max and m_max must be positive integers")
     rows: list[Report] = []
     counts = {"consistent": 0, "excluded": 0, "inconsistent": 0}
-    for d in range(1, d_max + 1):
-        for e in range(1, d + 1):
-            if math.gcd(e, d) != 1:
-                continue
-            for m in range(1, m_max + 1):
-                report = verify_triple(d, e, m, max_weight=max_weight, max_exponent=max_exponent)
-                counts[report["verdict"]] += 1
-                row: Report = {
-                    "d": d,
-                    "e": e,
-                    "m": m,
-                    "verdict": report["verdict"],
-                    "failed_checks": report["failed_checks"],
-                    "excluded_reason": report["excluded_reason"],
-                }
-                if include_reports:
-                    row["report"] = report
-                rows.append(row)
+    for d, e, m in grid_triples(d_max, m_max):
+        report = verify_triple(d, e, m, max_weight=max_weight, max_exponent=max_exponent)
+        counts[report["verdict"]] += 1
+        row: Report = {
+            "d": d,
+            "e": e,
+            "m": m,
+            "verdict": report["verdict"],
+            "failed_checks": report["failed_checks"],
+            "excluded_reason": report["excluded_reason"],
+        }
+        if include_reports:
+            row["report"] = report
+        rows.append(row)
     counts["total"] = len(rows)
     return {
         "format_version": FORMAT_VERSION,

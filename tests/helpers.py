@@ -10,15 +10,21 @@ from hypothesis import strategies as st
 from pseudoplane import (
     DpdPair,
     MultiPoly,
+    NonPolynomial,
     QDivisor,
+    RingElement,
+    StructuralError,
     graded_piece,
     normal_form,
     normalized_ring,
     parse_poly,
     poly_divmod,
+    s_weight,
     standard_action,
     weight_piece_generator,
 )
+from pseudoplane import report
+from pseudoplane.hypersurface_ring import _rhs_power, _to_localization
 
 F = Fraction
 
@@ -38,13 +44,8 @@ def relation(ring) -> MultiPoly:
 
 
 def grid_triples(d_max: int = 6, m_max: int = 5) -> list[tuple[int, int, int]]:
-    return [
-        (d, e, m)
-        for d in range(1, d_max + 1)
-        for e in range(1, d + 1)
-        if math.gcd(e, d) == 1
-        for m in range(1, m_max + 1)
-    ]
+    """The sweep's triples, by default those of the acceptance grid."""
+    return list(report.grid_triples(d_max, m_max))
 
 
 # -- independent oracles ---------------------------------------------------------
@@ -131,6 +132,68 @@ def oracle_normal_form(ring, p: MultiPoly) -> MultiPoly:
             rhs = oracle_mul(rhs, ring.P.with_variables(ring.variables))
         out = oracle_add(out, oracle_mul(rhs, term))
     return out
+
+
+def _from_localization(ring, loc: dict[int, dict[int, object]]):
+    """Reassemble a Laurent expansion into a normal-form element, or report
+    the first u-exponent whose s-part is not divisible by the required power
+    of s^d - 1."""
+    m = ring.k
+    terms = {}
+    for j in sorted(loc):
+        row = loc[j]
+        if not row:
+            continue
+        f = MultiPoly._trusted(("s",), {(e,): c for e, c in row.items()})
+        if j >= 0:
+            a, b, g = j, 0, f
+        else:
+            b = (-j + m - 1) // m
+            g, rem = poly_divmod(f, _rhs_power(ring.P, b))
+            if not rem.is_zero():
+                top = max(rem.terms)
+                coeff = rem.terms[top]
+                return NonPolynomial(f"{coeff}*u^{j}*s^{top[0]}")
+            a = j + m * b
+        for (e,), coeff in g.terms.items():
+            terms[(a, b, e)] = coeff
+    # distinct u-exponents j = a - m*b give distinct (a, b), so no key repeats
+    return RingElement(ring, MultiPoly._trusted(ring.variables, terms))
+
+
+def derivation_apply(ring, e: int, x):
+    """The degree-e derivation u^e * d/ds applied to x on the normalized ring,
+    reassembled into normal form (a NonPolynomial if the image leaves the
+    ring).  The oracle of derivation_leaves_ring and nilpotency_index, which
+    never rebuild a normal form."""
+    image: dict[int, dict[int, object]] = {}
+    for j, row in _to_localization(ring, x.poly).items():
+        target = image.setdefault(j + e, {})
+        for c, coeff in row.items():
+            if c == 0:
+                continue
+            target[c - 1] = coeff * c
+    return _from_localization(ring, {j: row for j, row in image.items() if row})
+
+
+def oracle_leaves_ring(ring, e: int, x):
+    """derivation_leaves_ring through one normal-form derivation step."""
+    image = derivation_apply(ring, e, x)
+    return image if isinstance(image, NonPolynomial) else None
+
+
+def oracle_nilpotency_index(ring, e: int, x):
+    """nilpotency_index by iterating derivation_apply, each iterate
+    reassembled into normal form and expanded again."""
+    bound = 1 + s_weight(x)
+    y = x
+    for n in range(1, bound + 1):
+        y = derivation_apply(ring, e, y)
+        if isinstance(y, NonPolynomial):
+            return None
+        if y.poly.is_zero():
+            return n
+    raise StructuralError(f"nilpotency bound {bound} exceeded")
 
 
 def assert_clean(p: MultiPoly) -> None:

@@ -23,7 +23,7 @@ PUBLIC_NAMES = {
     "CyclicAction", "DpdPair", "HypersurfaceRing", "MultiPoly", "NonPolynomial",
     "QDivisor", "RegimeError", "RingElement", "StructuralError", "SurfaceTriple",
     "build_covering_ring", "canonical_pair", "classify_pair", "classify_presentation",
-    "component_permutation", "derivation_apply", "divisor_to_poly", "fiber_analysis",
+    "component_permutation", "derivation_leaves_ring", "divisor_to_poly", "fiber_analysis",
     "find_valid_lnd_degrees", "floor_div", "format_divisor", "format_poly", "fract_div",
     "freeness_check", "graded_piece", "hilbert_basis", "induced_action", "ml1_test",
     "mod_inverse", "monomial_element", "negative_locus", "nilpotency_index",

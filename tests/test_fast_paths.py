@@ -14,13 +14,17 @@ from hypothesis import strategies as st
 
 from helpers import (
     F,
+    _from_localization,
     assert_clean,
+    derivation_apply,
     dpd_pairs,
     grid_triples,
     oracle_add,
     oracle_hilbert_basis,
+    oracle_leaves_ring,
     oracle_mul,
     oracle_measured_defect,
+    oracle_nilpotency_index,
     oracle_normal_form,
     oracle_product_defect,
     relation,
@@ -38,10 +42,12 @@ from pseudoplane import (
     NonPolynomial,
     StructuralError,
     SurfaceTriple,
-    derivation_apply,
+    derivation_leaves_ring,
     divisor_to_poly,
+    find_valid_lnd_degrees,
     hilbert_basis,
     monomial_element,
+    nilpotency_index,
     normal_form,
     normalized_ring,
     poly_divmod,
@@ -100,7 +106,7 @@ def test_normal_form_matches_term_by_term_oracle(ring, p):
     assert got == oracle_normal_form(ring, p)
     assert_clean(got)
     # every multiple of the relation rewrites to zero, term by term cancelling
-    assert normal_form(ring, p * relation(ring)).is_zero()
+    assert normal_form(ring, p * relation(ring)).poly.is_zero()
 
 
 @given(
@@ -118,11 +124,7 @@ def test_derivation_images_are_clean(m, d, e, p):
 
 @given(st.integers(1, 3), st.integers(1, 4), small_multipolys(UWS, max_exp=4, max_terms=4))
 def test_localization_round_trip_is_the_normal_form(m, d, p):
-    from pseudoplane.hypersurface_ring import (
-        _from_localization,
-        _normalized_ring,
-        _to_localization,
-    )
+    from pseudoplane.hypersurface_ring import _normalized_ring, _to_localization
 
     ring = _normalized_ring(m, d)
     back = _from_localization(ring, _to_localization(ring, p))
@@ -221,7 +223,7 @@ def test_pipeline_coefficients_stay_int():
     ]
     assert not any(isinstance(x, NonPolynomial) for x in images)
     for x in images:
-        if not x.is_zero():
+        if not x.poly.is_zero():
             _assert_int_coefficients(x.poly)
     _assert_int_coefficients(divisor_to_poly(triple.pair.d_minus, triple.k)[1])
 
@@ -304,6 +306,28 @@ def test_product_structure_sides_match_oracles_across_grid():
             assert all(type(p) is int for p in (*check.measured, *check.predicted))
 
 
+def test_lnd_certificate_matches_normal_form_oracle_across_grid():
+    # every degree of the least search window, in the congruence class or
+    # not, so that both verdicts and the witnesses are compared
+    for d, e, m in grid_triples():
+        triple = SurfaceTriple(d, e, m)
+        ring = normalized_ring(triple)
+        basis = hilbert_basis(standard_action(triple))
+        generators = [monomial_element(ring, g) for g in basis]
+        pieces = [
+            monomial_element(ring, weight_piece_generator(triple, n)) for n in range(-8, 9)
+        ]
+        valid = []
+        for degree in range(1, m + d + 1):
+            leaves = [oracle_leaves_ring(ring, degree, x) for x in generators]
+            indices = [oracle_nilpotency_index(ring, degree, x) for x in pieces]
+            assert [derivation_leaves_ring(ring, degree, x) for x in generators] == leaves
+            assert [nilpotency_index(ring, degree, x) for x in pieces] == indices
+            if degree % d == e % d and all(v is None for v in leaves) and None not in indices:
+                valid.append(degree)
+        assert find_valid_lnd_degrees(triple, m + d) == valid, (d, e, m)
+
+
 def _shift_c(generator):
     def shifted(triple, n):
         a, b, c = generator(triple, n)
@@ -360,13 +384,17 @@ def test_hand_built_normalized_ring_is_accepted():
     hand_built = HypersurfaceRing(2, MultiPoly(("s",), {(3,): 1, (0,): -1}), "w")
     assert hand_built.P is not cached.P and hand_built.P == cached.P
     for exps in [(1, 0, 2), (0, 1, 1), (3, 0, 0)]:
-        want = derivation_apply(cached, 2, normal_form(cached, cached.monomial(*exps)))
-        got = derivation_apply(hand_built, 2, normal_form(hand_built, hand_built.monomial(*exps)))
-        assert got.poly == want.poly
+        want = normal_form(cached, cached.monomial(*exps))
+        got = normal_form(hand_built, hand_built.monomial(*exps))
+        for e in (1, 2):
+            for entry in (derivation_leaves_ring, nilpotency_index):
+                assert entry(hand_built, e, got) == entry(cached, e, want)
     assert s_weight(normal_form(hand_built, hand_built.monomial(0, 1, 1))) == 4
     other = HypersurfaceRing(2, MultiPoly(("s",), {(3,): 1, (0,): -2}), "w")
-    with pytest.raises(ValueError, match="not in the normalized shape"):
-        derivation_apply(other, 2, normal_form(other, other.monomial(0, 0, 1)))
+    x = normal_form(other, other.monomial(0, 0, 1))
+    for entry in (derivation_leaves_ring, nilpotency_index):
+        with pytest.raises(ValueError, match="not in the normalized shape"):
+            entry(other, 2, x)
 
 
 def test_equal_pairs_hash_equal():

@@ -2,7 +2,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import F, element, homogeneous_weight, small_multipolys, upoly
+from helpers import (
+    F,
+    derivation_apply,
+    element,
+    homogeneous_weight,
+    oracle_leaves_ring,
+    oracle_nilpotency_index,
+    small_multipolys,
+    upoly,
+)
 
 from pseudoplane import (
     HypersurfaceRing,
@@ -11,7 +20,7 @@ from pseudoplane import (
     RingElement,
     SurfaceTriple,
     build_covering_ring,
-    derivation_apply,
+    derivation_leaves_ring,
     divisor_to_poly,
     fiber_analysis,
     nilpotency_index,
@@ -107,7 +116,7 @@ def test_normal_form_multiplicative(p, q):
 def test_normal_form_preserves_weight(a, b, c):
     ring = w_ring(2, 3)
     x = normal_form(ring, ring.monomial(a, b, c))
-    if x.is_zero():
+    if x.poly.is_zero():
         return
     assert homogeneous_weight(x) == a - ring.k * b
 
@@ -180,24 +189,47 @@ def test_derivation_examples():
     us = element(ring, "u*s")
     out = derivation_apply(ring, 2, us)
     assert isinstance(out, RingElement) and out.poly == element(ring, "u^3").poly
+    assert derivation_leaves_ring(ring, 2, us) is None
 
     ws = element(ring, "w*s")
     out = derivation_apply(ring, 2, ws)
     assert isinstance(out, RingElement)
     assert out.poly == element(ring, "4*s^3 - 1").poly
+    assert derivation_leaves_ring(ring, 2, ws) is None
 
 
 def test_derivation_non_polynomial():
     ring = w_ring(3, 2)
-    out = derivation_apply(ring, 1, element(ring, "w*s"))
+    x = element(ring, "w*s")
+    out = derivation_apply(ring, 1, x)
     assert isinstance(out, NonPolynomial)
     assert "u^-2" in out.monomial
+    assert derivation_leaves_ring(ring, 1, x) == out
+
+
+DERIVATION_ENTRY_POINTS = (derivation_leaves_ring, nilpotency_index)
 
 
 def test_derivation_rejects_non_normalized_shape():
     ring = HypersurfaceRing(6, s_pow_minus_1(3) ** 3, "v")
-    with pytest.raises(ValueError, match="normalized shape"):
-        derivation_apply(ring, 2, element(ring, "s"))
+    for entry in DERIVATION_ENTRY_POINTS:
+        with pytest.raises(ValueError, match="normalized shape"):
+            entry(ring, 2, element(ring, "s"))
+
+
+@pytest.mark.parametrize("degree", [0, -1, 2.0, None])
+def test_derivation_rejects_bad_degree(degree):
+    ring = w_ring(2, 3)
+    for entry in DERIVATION_ENTRY_POINTS:
+        with pytest.raises(ValueError, match="derivation degree"):
+            entry(ring, degree, element(ring, "s"))
+
+
+def test_derivation_rejects_foreign_element():
+    ring, other = w_ring(2, 3), w_ring(3, 3)
+    for entry in DERIVATION_ENTRY_POINTS:
+        with pytest.raises(ValueError, match="different ring"):
+            entry(ring, 2, element(other, "s"))
 
 
 def test_nilpotency_examples():
@@ -214,12 +246,25 @@ def test_nilpotency_fail_is_none():
     assert nilpotency_index(ring, 1, element(ring, "w*s")) is None
 
 
+@given(
+    st.integers(1, 3),
+    st.integers(1, 4),
+    st.integers(1, 5),
+    small_multipolys(("u", "w", "s"), max_exp=4, max_terms=4),
+)
+def test_laurent_certificate_matches_normal_form_oracle(m, d, e, p):
+    ring = w_ring(m, d)
+    x = normal_form(ring, p)
+    assert derivation_leaves_ring(ring, e, x) == oracle_leaves_ring(ring, e, x)
+    assert nilpotency_index(ring, e, x) == oracle_nilpotency_index(ring, e, x)
+
+
 @given(st.integers(0, 3), st.integers(0, 2), st.integers(0, 4), st.integers(1, 4))
 def test_derivation_raises_weight_by_degree(a, b, c, e):
     ring = w_ring(2, 3)
     x = normal_form(ring, ring.monomial(a, b, c))
     out = derivation_apply(ring, e, x)
-    if isinstance(out, NonPolynomial) or out.is_zero():
+    if isinstance(out, NonPolynomial) or out.poly.is_zero():
         return
     assert homogeneous_weight(out) == homogeneous_weight(x) + e
 
