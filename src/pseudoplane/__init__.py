@@ -60,8 +60,6 @@ from .cyclic_quotient import (
     freeness_check,
     hilbert_basis,
     induced_action,
-    mod_inverse,
-    monomial_element,
     normalized_ring,
     product_structure_check,
     same_subgroup,
@@ -99,8 +97,6 @@ __all__ = [
     "hilbert_basis",
     "induced_action",
     "ml1_test",
-    "mod_inverse",
-    "monomial_element",
     "negative_locus",
     "nilpotency_index",
     "normal_form",

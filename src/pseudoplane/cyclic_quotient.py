@@ -14,13 +14,11 @@ from operator import add
 from typing import NamedTuple
 
 from .dpd_presentation import product_defect, pseudoplane_dpd_pair
-from .exact_algebra import MultiPoly, Scalar, format_poly
+from .exact_algebra import Scalar
 from .hypersurface_ring import (
     HypersurfaceRing,
-    RingElement,
     StructuralError,
     _normalized_ring,
-    _rhs_power,
     derivation_leaves_ring,
     nilpotency_index,
     normal_form,
@@ -44,25 +42,13 @@ class CyclicAction:
         )
 
 
-def mod_inverse(e: int, d: int) -> int:
-    """Inverse of e modulo d, represented in [1, d] (1 when d = 1)."""
-    if d < 1:
-        raise ValueError(f"modulus must be a positive integer: {d}")
-    if d == 1:
-        return 1
-    g = math.gcd(e, d)
-    if g != 1:
-        raise ValueError(f"e and d must be coprime: gcd({e}, {d}) = {g}")
-    return pow(e % d, -1, d)
-
-
 @dataclass(frozen=True)
 class SurfaceTriple:
     """A validated input (d, e, m) with the constants derived from it.
 
-    e' inverts e mod d, k = lcm(d, m) = m*m' = d*d', and l = -e'*d', so that
-    k*e' + d*l = 0.  ``pair`` is the divisor pair presenting the surface,
-    D+ = -(e'/d)[0] and D- = (e'/d)[0] - (1/m)[1].
+    e' inverts e mod d (1 when d = 1), k = lcm(d, m) = m*m' = d*d', and
+    l = -e'*d', so that k*e' + d*l = 0.  ``pair`` is the divisor pair
+    presenting the surface, D+ = -(e'/d)[0] and D- = (e'/d)[0] - (1/m)[1].
     """
 
     d: int
@@ -84,7 +70,7 @@ class SurfaceTriple:
             raise ValueError(
                 f"e and d must be coprime for the quotient to act freely: gcd({e}, {d}) = {math.gcd(e, d)}"
             )
-        e_prime = mod_inverse(e, d)
+        e_prime = pow(e, -1, d) if d > 1 else 1
         k = d * m // math.gcd(d, m)
         derived = {
             "e_prime": e_prime,
@@ -232,63 +218,51 @@ def weight_piece_generator(triple: SurfaceTriple, n: int) -> tuple[int, int, int
     return (a, b, c)
 
 
-def monomial_element(ring: HypersurfaceRing, exps: tuple[int, int, int]) -> RingElement:
-    return normal_form(ring, ring.monomial(*exps))
-
-
 class ProductCheck(NamedTuple):
     measured: dict[Scalar, int]
     predicted: dict[Scalar, int]
     match: bool
 
 
-def _format_residual(rest: dict[int, Scalar]) -> str:
-    """The residual factor {s-exponent: coeff} as a polynomial in s."""
-    return format_poly(MultiPoly._trusted(("s",), {(c,): v for c, v in rest.items()}))
-
-
 def product_structure_check(triple: SurfaceTriple, n: int, n_prime: int) -> ProductCheck:
     """Compare the measured product structure of invariant weight pieces with
     the divisor-pair prediction.
 
-    The product of the weight-n and weight-n' generators reduces to
+    The product of the weight-n and weight-n' generators should be
     (s^d)^kappa * (s^d - 1)^lam times the weight-(n+n') generator; with s^d
     playing the role of the coordinate t at the point 0 and s^d - 1 = u^m w at
     the point 1, the exponents {0: kappa, 1: lam} must equal the exponent
-    defect of the graded pieces.  A failed exact division here means the piece
-    convention is wrong and raises :class:`StructuralError`.
+    defect of the graded pieces.
+
+    Both exponents are read off the exponent vectors.  The product is the
+    monomial u^a w^b s^c with (a, b, c) = g(n) + g(n'); the rewrite
+    u^m w -> s^d - 1 applies lam = min(a // m, b) times, so its normal form is
+    u^(a - lam*m) w^(b - lam) s^c (s^d - 1)^lam.  That is a multiple of
+    g(n+n') = (a12, b12, c12) iff (a - lam*m, b - lam) = (a12, b12) and
+    c >= c12, and the cofactor s^(c - c12) (s^d - 1)^lam has the form
+    (s^d)^kappa (s^d - 1)^lam iff d divides c - c12, with
+    kappa = (c - c12) // d.  Either failure means the piece convention is
+    wrong and raises :class:`StructuralError`.
     """
-    d = triple.d
-    ring = _normalized_ring(triple.m, d)
-    g1 = weight_piece_generator(triple, n)
-    g2 = weight_piece_generator(triple, n_prime)
-    g12 = weight_piece_generator(triple, n + n_prime)
-    # the product of the two generator monomials: exponents add
-    g1g2 = MultiPoly._trusted(ring.variables, {tuple(map(add, g1, g2)): 1})
-    prod = normal_form(ring, g1g2)
-    a12, b12, c12 = g12
-    rest: dict[int, Scalar] = {}
-    for (a, b, c), coeff in prod.poly.terms.items():
-        if a != a12 or b != b12 or c < c12:
-            raise StructuralError(
-                f"product of weight pieces {n}, {n_prime} is not a multiple of the "
-                f"weight-{n + n_prime} generator: term u^{a}*w^{b}*s^{c} vs generator {g12}"
-            )
-        rest[c - c12] = coeff
-    val = min(rest)
-    span = max(rest) - val
-    if val % d or span % d:
+    d, m = triple.d, triple.m
+    a, b, c = map(add, weight_piece_generator(triple, n), weight_piece_generator(triple, n_prime))
+    g12 = a12, b12, c12 = weight_piece_generator(triple, n + n_prime)
+    lam = min(a // m, b)
+    a, b = a - lam * m, b - lam
+    if a != a12 or b != b12 or c < c12:
+        # with (a, b) off every term fails, so name the top one; otherwise
+        # the lowest, s^c, lies below the generator
+        shown = c + lam * d if (a, b) != (a12, b12) else c
         raise StructuralError(
-            f"residual factor {_format_residual(rest)} is not of the form (s^d)^kappa*(s^d-1)^lam"
+            f"product of weight pieces {n}, {n_prime} is not a multiple of the "
+            f"weight-{n + n_prime} generator: term u^{a}*w^{b}*s^{shown} vs generator {g12}"
         )
-    kappa, lam = val // d, span // d
-    # s^val * (s^d - 1)^lam: the cached power shifted by val
-    rebuilt = {e + val: v for (e,), v in _rhs_power(ring.P, lam).terms.items()}
-    if rest != rebuilt:
+    if (c - c12) % d:
         raise StructuralError(
-            f"residual factor {_format_residual(rest)} does not factor as s^{val}*(s^{d}-1)^{lam}"
+            f"residual factor s^{c - c12}*(s^{d}-1)^{lam} is not of the form "
+            f"(s^d)^kappa*(s^d-1)^lam"
         )
-    measured = {p: v for p, v in ((0, kappa), (1, lam)) if v}
+    measured = {p: v for p, v in ((0, (c - c12) // d), (1, lam)) if v}
     predicted = product_defect(triple.pair, n, n_prime)
     return ProductCheck(measured, predicted, measured == predicted)
 
@@ -354,9 +328,9 @@ def find_valid_lnd_degrees(triple: SurfaceTriple, bound: int) -> list[int]:
     ring = normalized_ring(triple)
     action = standard_action(triple)
     basis = hilbert_basis(action)
-    generators = [monomial_element(ring, g) for g in basis]
+    generators = [normal_form(ring, ring.monomial(*g)) for g in basis]
     pieces = [
-        monomial_element(ring, weight_piece_generator(triple, n))
+        normal_form(ring, ring.monomial(*weight_piece_generator(triple, n)))
         for n in range(-_CERTIFY_WEIGHT, _CERTIFY_WEIGHT + 1)
     ]
     found: list[int] = []

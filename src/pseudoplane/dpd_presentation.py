@@ -107,13 +107,13 @@ def classify_presentation(pair: DpdPair, lnd_degree: int | None = None) -> Actio
     if lnd_degree == 0:
         return ActionClass(
             False,
-            "excluded: degree-0 derivation presents a line times a torus (ruling over the torus)",
+            "degree-0 derivation presents a line times a torus (ruling over the torus)",
         )
     locus = negative_locus(pair)
     if not locus.torsion_compatible:
         return ActionClass(
             False,
-            f"excluded: negative locus has {locus.l} points, so Picard rank >= "
+            f"negative locus has {locus.l} points, so Picard rank >= "
             f"{locus.picard_rank_lower_bound} is not a torsion group",
         )
     return ActionClass(True, "admissible")

@@ -37,8 +37,8 @@ from .exact_algebra import (
 
 
 class StructuralError(RuntimeError):
-    """A step that the construction guarantees has failed (an exact division
-    or a filtration bound); signals a wrong convention or a bug, not bad input."""
+    """A step that the construction guarantees has failed (a piece product or a
+    filtration bound); signals a wrong convention or a bug, not bad input."""
 
 
 @dataclass(frozen=True)

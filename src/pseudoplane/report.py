@@ -20,8 +20,9 @@ verdict is "consistent", "excluded" (with excluded_reason set) or
 "inconsistent" (with failed_checks non-empty).  Exit codes: 0 for consistent
 or excluded-as-predicted, 1 for inconsistent, 2 for invalid input.
 ``product_structure.all_match`` is false when a measured and a predicted
-defect differ or when an exact division in the product check fails; a
-violated nilpotency bound in the derivation search leaves
+defect differ or when the product of two generators is not a multiple of
+the next one with an (s^d)^kappa (s^d - 1)^lam cofactor; a violated
+nilpotency bound in the derivation search leaves
 ``lnd.degrees_found`` empty and fails ``lnd_degrees``.
 """
 
@@ -158,8 +159,8 @@ def verify_triple(
                 for n_prime in range(-max_weight, max_weight + 1)
             )
         except StructuralError:
-            # a failed exact division means a wrong piece convention: the
-            # product structure does not match, and the sweep carries on
+            # a product off the generator's multiples means a wrong piece
+            # convention: the structure does not match, and the sweep carries on
             all_match = False
         check("product_structure", bool(all_match))
     else:

@@ -14,6 +14,7 @@ from pseudoplane import (
     QDivisor,
     RingElement,
     StructuralError,
+    SurfaceTriple,
     graded_piece,
     normal_form,
     normalized_ring,
@@ -357,3 +358,12 @@ def dpd_pairs(draw):
             plus[p] = draw(small_fractions())
             minus[p] = draw(nonpositive) - plus[p]
     return DpdPair(QDivisor(plus), QDivisor(minus))
+
+
+@st.composite
+def surface_triples(draw, d_max: int = 9, m_max: int = 7):
+    """SurfaceTriple(d, e, m) with d <= d_max, m <= m_max and e in [1, d]
+    coprime to d."""
+    d = draw(st.integers(1, d_max))
+    e = draw(st.sampled_from([e for e in range(1, d + 1) if math.gcd(e, d) == 1]))
+    return SurfaceTriple(d, e, draw(st.integers(1, m_max)))

@@ -29,8 +29,8 @@ from pseudoplane import (
     freeness_check,
     graded_piece,
     hilbert_basis,
-    monomial_element,
     nilpotency_index,
+    normal_form,
     normalized_ring,
     pseudoplane_dpd_pair,
     s_weight,
@@ -143,7 +143,7 @@ def test_criterion_7_lnd_certification():
         ring = normalized_ring(t)
         for degree in degrees:
             for n in range(-8, 9):
-                x = monomial_element(ring, weight_piece_generator(t, n))
+                x = normal_form(ring, ring.monomial(*weight_piece_generator(t, n)))
                 index = nilpotency_index(ring, degree, x)
                 assert index is not None, (t, degree, n)
                 assert index <= 1 + s_weight(x), (t, degree, n)

@@ -26,12 +26,11 @@ PUBLIC_NAMES = {
     "component_permutation", "derivation_leaves_ring", "divisor_to_poly", "fiber_analysis",
     "find_valid_lnd_degrees", "floor_div", "format_divisor", "format_poly", "fract_div",
     "freeness_check", "graded_piece", "hilbert_basis", "induced_action", "ml1_test",
-    "mod_inverse", "monomial_element", "negative_locus", "nilpotency_index",
-    "normal_form", "normalize_power_relation", "normalized_ring", "parse_divisor",
-    "parse_poly", "poly_divmod", "poly_gcd", "product_defect", "product_structure_check",
-    "pseudoplane_dpd_pair", "s_weight", "same_subgroup", "smooth_check",
-    "smoothness_condition", "squarefree_decomposition", "standard_action",
-    "substitute_power", "sweep", "verify_exit_code", "verify_triple",
+    "negative_locus", "nilpotency_index", "normal_form", "normalize_power_relation",
+    "normalized_ring", "parse_divisor", "parse_poly", "poly_divmod", "poly_gcd",
+    "product_defect", "product_structure_check", "pseudoplane_dpd_pair", "s_weight",
+    "same_subgroup", "smooth_check", "smoothness_condition", "squarefree_decomposition",
+    "standard_action", "substitute_power", "sweep", "verify_exit_code", "verify_triple",
     "weight_piece_generator",
 }
 
@@ -50,8 +49,6 @@ CLI_RUNS = [
 
 # defined in src/pseudoplane but reached by none of CLI_RUNS
 UNREACHED = {
-    # only a product-check fault reaches it (see the fault-injection tests)
-    "cyclic_quotient._format_residual",
     # README promises that printed polynomials parse back
     "exact_algebra.parse_poly",
     "exact_algebra._parse_term",
@@ -91,7 +88,7 @@ def _defined_functions(code, prefix):
 
 
 def test_cli_reaches_every_function_but_the_allowlist(capsys):
-    assert set(pseudoplane.__all__) == PUBLIC_NAMES and len(pseudoplane.__all__) == 53
+    assert set(pseudoplane.__all__) == PUBLIC_NAMES and len(pseudoplane.__all__) == 51
 
     defined = {}
     for module in _package_modules():

@@ -148,6 +148,21 @@ def test_classify_cli_degree_zero_excluded(capsys):
     assert "torus" in report["excluded_reason"]
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--d-plus", "0:-2/3", "--d-minus", "0:2/3,1:-1/2", "--lnd-degree", "0"],
+        ["--d-plus", "", "--d-minus", "1:-1/2,2:-1/2"],
+    ],
+    ids=["degree_zero", "picard"],
+)
+def test_classify_cli_text_names_an_action_class_exclusion_once(capsys, args):
+    code, out = run_cli(capsys, "classify", *args)
+    assert code == 0
+    assert out.count("excluded:") == 1
+    assert "verdict: excluded" in out
+
+
 def test_classify_cli_outside_regime(capsys):
     code, out = run_cli(
         capsys, "classify",

@@ -31,6 +31,7 @@ from helpers import (
     small_fractions,
     small_multipolys,
     small_upolys,
+    surface_triples,
     upoly,
 )
 
@@ -46,7 +47,6 @@ from pseudoplane import (
     divisor_to_poly,
     find_valid_lnd_degrees,
     hilbert_basis,
-    monomial_element,
     nilpotency_index,
     normal_form,
     normalized_ring,
@@ -218,7 +218,7 @@ def test_pipeline_coefficients_stay_int():
     g2 = ring.monomial(*weight_piece_generator(triple, 3))
     _assert_int_coefficients(normal_form(ring, g1 * g2).poly)
     images = [
-        derivation_apply(ring, 2, monomial_element(ring, g))
+        derivation_apply(ring, 2, normal_form(ring, ring.monomial(*g)))
         for g in hilbert_basis(standard_action(triple))
     ]
     assert not any(isinstance(x, NonPolynomial) for x in images)
@@ -306,6 +306,14 @@ def test_product_structure_sides_match_oracles_across_grid():
             assert all(type(p) is int for p in (*check.measured, *check.predicted))
 
 
+@given(surface_triples(), st.integers(-24, 24), st.integers(-24, 24))
+def test_measured_defect_from_exponents_matches_polynomial_oracle(triple, n, n_prime):
+    # the wide_weight window, past the acceptance grid's d and m
+    check = product_structure_check(triple, n, n_prime)
+    assert check.measured == oracle_measured_defect(triple, n, n_prime)
+    assert check.match
+
+
 def test_lnd_certificate_matches_normal_form_oracle_across_grid():
     # every degree of the least search window, in the congruence class or
     # not, so that both verdicts and the witnesses are compared
@@ -313,9 +321,10 @@ def test_lnd_certificate_matches_normal_form_oracle_across_grid():
         triple = SurfaceTriple(d, e, m)
         ring = normalized_ring(triple)
         basis = hilbert_basis(standard_action(triple))
-        generators = [monomial_element(ring, g) for g in basis]
+        generators = [normal_form(ring, ring.monomial(*g)) for g in basis]
         pieces = [
-            monomial_element(ring, weight_piece_generator(triple, n)) for n in range(-8, 9)
+            normal_form(ring, ring.monomial(*weight_piece_generator(triple, n)))
+            for n in range(-8, 9)
         ]
         valid = []
         for degree in range(1, m + d + 1):
@@ -344,8 +353,13 @@ def _break_ab(generator):
     return broken
 
 
-def _doubled_power(power):
-    return lambda p, j: 2 * power(p, j)
+def _raise_c_at_zero(generator):
+    # only the weight-0 generator moves, so the product falls below it
+    def raised(triple, n):
+        a, b, c = generator(triple, n)
+        return a, b, c + 2 * triple.d * (n == 0)
+
+    return raised
 
 
 @pytest.mark.parametrize(
@@ -360,12 +374,13 @@ def _doubled_power(power):
         (
             "weight_piece_generator",
             _shift_c,
-            "residual factor s^7 - s^4 is not of the form (s^d)^kappa*(s^d-1)^lam",
+            "residual factor s^4*(s^3-1)^1 is not of the form (s^d)^kappa*(s^d-1)^lam",
         ),
         (
-            "_rhs_power",
-            _doubled_power,
-            "residual factor s^6 - s^3 does not factor as s^3*(s^3-1)^1",
+            "weight_piece_generator",
+            _raise_c_at_zero,
+            "product of weight pieces 1, -1 is not a multiple of the weight-0 "
+            "generator: term u^0*w^0*s^3 vs generator (0, 0, 6)",
         ),
     ],
 )
