@@ -34,7 +34,6 @@ from .qdivisor import (
 from .dpd_presentation import (
     classify_presentation,
     graded_piece,
-    product_defect,
     pseudoplane_dpd_pair,
     smoothness_condition,
 )
@@ -42,6 +41,7 @@ from .hypersurface_ring import (
     HypersurfaceRing,
     NonPolynomial,
     RingElement,
+    StructuralError,
     build_covering_ring,
     derivation_leaves_ring,
     fiber_analysis,
@@ -53,7 +53,6 @@ from .hypersurface_ring import (
 )
 from .cyclic_quotient import (
     CyclicAction,
-    StructuralError,
     SurfaceTriple,
     component_permutation,
     find_valid_lnd_degrees,
@@ -61,7 +60,7 @@ from .cyclic_quotient import (
     hilbert_basis,
     induced_action,
     normalized_ring,
-    product_structure_check,
+    product_window,
     same_subgroup,
     standard_action,
     weight_piece_generator,
@@ -106,8 +105,7 @@ __all__ = [
     "parse_poly",
     "poly_divmod",
     "poly_gcd",
-    "product_defect",
-    "product_structure_check",
+    "product_window",
     "pseudoplane_dpd_pair",
     "s_weight",
     "same_subgroup",

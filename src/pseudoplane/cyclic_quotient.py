@@ -10,14 +10,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import product
-from operator import add
 from typing import NamedTuple
 
-from .dpd_presentation import product_defect, pseudoplane_dpd_pair
-from .exact_algebra import Scalar
+from .dpd_presentation import graded_piece, pseudoplane_dpd_pair
 from .hypersurface_ring import (
     HypersurfaceRing,
-    StructuralError,
     _normalized_ring,
     derivation_leaves_ring,
     nilpotency_index,
@@ -59,7 +56,8 @@ class SurfaceTriple:
     m_prime: int = field(init=False)
     d_prime: int = field(init=False)
     l: int = field(init=False)
-    pair: DpdPair = field(init=False)
+    # derived from (d, e, m) and unhashable, so left out of == and hash()
+    pair: DpdPair = field(init=False, compare=False)
 
     def __post_init__(self):
         d, e, m = self.d, self.e, self.m
@@ -218,21 +216,17 @@ def weight_piece_generator(triple: SurfaceTriple, n: int) -> tuple[int, int, int
     return (a, b, c)
 
 
-class ProductCheck(NamedTuple):
-    measured: dict[Scalar, int]
-    predicted: dict[Scalar, int]
-    match: bool
-
-
-def product_structure_check(triple: SurfaceTriple, n: int, n_prime: int) -> ProductCheck:
-    """Compare the measured product structure of invariant weight pieces with
-    the divisor-pair prediction.
+def product_window(triple: SurfaceTriple, max_weight: int) -> tuple[int, int] | None:
+    """The first pair (n, n') with |n|, |n'| <= max_weight, in row order (n
+    outer, n' inner, both increasing), on which the invariant ring does not
+    multiply as the divisor pair predicts; None if every pair matches.
 
     The product of the weight-n and weight-n' generators should be
     (s^d)^kappa * (s^d - 1)^lam times the weight-(n+n') generator; with s^d
     playing the role of the coordinate t at the point 0 and s^d - 1 = u^m w at
-    the point 1, the exponents {0: kappa, 1: lam} must equal the exponent
-    defect of the graded pieces.
+    the point 1, kappa and lam must equal the exponent defect
+    piece(n) + piece(n') - piece(n+n') of the graded pieces at 0 and at 1,
+    and the defect must vanish at every other point of the pair's support.
 
     Both exponents are read off the exponent vectors.  The product is the
     monomial u^a w^b s^c with (a, b, c) = g(n) + g(n'); the rewrite
@@ -242,29 +236,51 @@ def product_structure_check(triple: SurfaceTriple, n: int, n_prime: int) -> Prod
     c >= c12, and the cofactor s^(c - c12) (s^d - 1)^lam has the form
     (s^d)^kappa (s^d - 1)^lam iff d divides c - c12, with
     kappa = (c - c12) // d.  Either failure means the piece convention is
-    wrong and raises :class:`StructuralError`.
+    wrong, and the pair fails like a mismatched defect.
+
+    The window meets only the 4*max_weight + 1 weights -2W..2W of n + n', so
+    their generators and their pieces at the support points are tabulated
+    once; each pair then costs a few integer operations.
     """
-    d, m = triple.d, triple.m
-    a, b, c = map(add, weight_piece_generator(triple, n), weight_piece_generator(triple, n_prime))
-    g12 = a12, b12, c12 = weight_piece_generator(triple, n + n_prime)
-    lam = min(a // m, b)
-    a, b = a - lam * m, b - lam
-    if a != a12 or b != b12 or c < c12:
-        # with (a, b) off every term fails, so name the top one; otherwise
-        # the lowest, s^c, lies below the generator
-        shown = c + lam * d if (a, b) != (a12, b12) else c
-        raise StructuralError(
-            f"product of weight pieces {n}, {n_prime} is not a multiple of the "
-            f"weight-{n + n_prime} generator: term u^{a}*w^{b}*s^{shown} vs generator {g12}"
+    if max_weight < 0:
+        raise ValueError(f"max_weight must be >= 0, got {max_weight}")
+    d, m, w = triple.d, triple.m, max_weight
+    pair = triple.pair
+    others = sorted((pair.d_plus.coefficients.keys() | pair.d_minus.coefficients.keys()) - {0, 1})
+    # table[n + 2w] = (a, b, c, piece at 0, piece at 1, piece at the other points)
+    table = []
+    for n in range(-2 * w, 2 * w + 1):
+        piece = graded_piece(pair, n)
+        table.append(
+            (
+                *weight_piece_generator(triple, n),
+                piece.get(0, 0),
+                piece.get(1, 0),
+                tuple(piece.get(p, 0) for p in others),
+            )
         )
-    if (c - c12) % d:
-        raise StructuralError(
-            f"residual factor s^{c - c12}*(s^{d}-1)^{lam} is not of the form "
-            f"(s^d)^kappa*(s^d-1)^lam"
-        )
-    measured = {p: v for p, v in ((0, (c - c12) // d), (1, lam)) if v}
-    predicted = product_defect(triple.pair, n, n_prime)
-    return ProductCheck(measured, predicted, measured == predicted)
+    row = table[w : 3 * w + 1]  # weights -w..w of n'
+    for n, (a1, b1, c1, k1, l1, r1) in zip(range(-w, w + 1), row):
+        # weights n - w..n + w of n + n'
+        for n_prime, (a2, b2, c2, k2, l2, r2), (a12, b12, c12, k12, l12, r12) in zip(
+            range(-w, w + 1), row, table[n + w : n + 3 * w + 1]
+        ):
+            a, b, c = a1 + a2, b1 + b2, c1 + c2
+            lam = a // m  # min(a // m, b) without a call, which is a third of the loop
+            if lam > b:
+                lam = b
+            # c >= c12 needs no test: kappa must equal a defect, and defects
+            # are >= 0 for every pair (floors are superadditive, D+ + D- <= 0)
+            if (
+                a - lam * m != a12
+                or b - lam != b12
+                or (c - c12) % d
+                or (c - c12) // d != k1 + k2 - k12
+                or lam != l1 + l2 - l12
+                or (others and any(x + y != z for x, y, z in zip(r1, r2, r12)))
+            ):
+                return n, n_prime
+    return None
 
 
 def same_subgroup(a1: CyclicAction, a2: CyclicAction) -> bool:

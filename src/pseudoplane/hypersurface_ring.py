@@ -37,7 +37,7 @@ from .exact_algebra import (
 
 
 class StructuralError(RuntimeError):
-    """A step that the construction guarantees has failed (a piece product or a
+    """A step that the construction guarantees has failed (the nilpotency
     filtration bound); signals a wrong convention or a bug, not bad input."""
 
 
@@ -151,13 +151,21 @@ def build_covering_ring(k: int, d: int, e_prime: int, l: int, q: MultiPoly) -> H
     return HypersurfaceRing(k, p, "v")
 
 
+# A sweep's rings have P = (s^d - 1)^m', which depends only on (d, m'): the
+# acceptance grid needs 14 distinct decompositions for its 60 triples.
+@lru_cache(maxsize=128)
+def _squarefree(p: MultiPoly) -> tuple[tuple[MultiPoly, int], ...]:
+    """squarefree_decomposition(p) as a tuple, the one memo of it."""
+    return tuple(squarefree_decomposition(p))
+
+
 def smooth_check(ring: HypersurfaceRing) -> SmoothCheck:
     """Smooth iff k = 1 or P is squarefree; otherwise the witness lists the
     factors of P's squarefree decomposition of multiplicity >= 2
     (s-coordinates of the singular points along u = 0)."""
     if ring.k == 1:
         return SmoothCheck(True, ())
-    witness = tuple((f, mult) for f, mult in squarefree_decomposition(ring.P) if mult >= 2)
+    witness = tuple((f, mult) for f, mult in _squarefree(ring.P) if mult >= 2)
     return SmoothCheck(not witness, witness)
 
 
@@ -172,7 +180,7 @@ def fiber_analysis(ring: HypersurfaceRing, u_value: Scalar) -> list[tuple[int, i
     """
     if Fraction(u_value) != 0:
         return [(1, 1)]
-    return [(f.degree(), mult) for f, mult in squarefree_decomposition(ring.P)]
+    return [(f.degree(), mult) for f, mult in _squarefree(ring.P)]
 
 
 @lru_cache(maxsize=64)

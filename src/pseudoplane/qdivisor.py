@@ -28,9 +28,10 @@ class RegimeError(ValueError):
 
 
 class QDivisor:
-    """Finitely supported Q-divisor on the affine line."""
+    """Finitely supported Q-divisor on the affine line.  Immutable, compared
+    by value, and not hashable: no computation keys a memo on a divisor."""
 
-    __slots__ = ("_coeffs", "_hash")
+    __slots__ = ("_coeffs",)
 
     def __init__(self, coefficients: Mapping[Scalar, Scalar] | Iterable[tuple[Scalar, Scalar]] = ()):
         items = coefficients.items() if isinstance(coefficients, Mapping) else coefficients
@@ -46,7 +47,6 @@ class QDivisor:
             else:
                 clean.pop(point, None)
         object.__setattr__(self, "_coeffs", clean)
-        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("QDivisor is immutable")
@@ -76,11 +76,6 @@ class QDivisor:
         if not isinstance(other, QDivisor):
             return NotImplemented
         return self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash(frozenset(self._coeffs.items())))
-        return self._hash
 
     def __add__(self, other: "QDivisor") -> "QDivisor":
         if not isinstance(other, QDivisor):
@@ -133,11 +128,6 @@ class DpdPair:
         if bad:
             witness = ", ".join(f"({p}: {c})" for p, c in bad)
             raise ValueError(f"D+ + D- must be <= 0 everywhere; positive at {witness}")
-        # the pair keys the graded-piece memos, so hash it once
-        object.__setattr__(self, "_hash", hash((self.d_plus, self.d_minus)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @property
     def total(self) -> QDivisor:

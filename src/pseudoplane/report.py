@@ -19,11 +19,14 @@ byte-identical output.  Schema (``format_version`` 1) for ``verify_triple``:
 verdict is "consistent", "excluded" (with excluded_reason set) or
 "inconsistent" (with failed_checks non-empty).  Exit codes: 0 for consistent
 or excluded-as-predicted, 1 for inconsistent, 2 for invalid input.
-``product_structure.all_match`` is false when a measured and a predicted
-defect differ or when the product of two generators is not a multiple of
-the next one with an (s^d)^kappa (s^d - 1)^lam cofactor; a violated
-nilpotency bound in the derivation search leaves
-``lnd.degrees_found`` empty and fails ``lnd_degrees``.
+``product_structure.all_match`` is false when ``product_window`` finds a
+pair |n|, |n'| <= max_weight whose measured and predicted defects differ or
+whose generators' product is not a multiple of the weight-(n+n') generator
+with an (s^d)^kappa (s^d - 1)^lam cofactor; a violated nilpotency bound in
+the derivation search leaves ``lnd.degrees_found`` empty and fails
+``lnd_degrees``.  ``max_weight`` above ``MAX_WEIGHT_CAP`` or
+``max_exponent`` above ``MAX_EXPONENT_CAP`` is refused with ``ValueError``
+before any work starts.
 """
 
 from __future__ import annotations
@@ -33,14 +36,13 @@ from fractions import Fraction
 from typing import Any, Iterator
 
 from .cyclic_quotient import (
-    StructuralError,
     SurfaceTriple,
     component_permutation,
     find_valid_lnd_degrees,
     freeness_check,
     induced_action,
     normalized_ring,
-    product_structure_check,
+    product_window,
     same_subgroup,
     standard_action,
 )
@@ -48,6 +50,7 @@ from .dpd_presentation import classify_presentation, pseudoplane_dpd_pair, smoot
 from .exact_algebra import MultiPoly, format_poly
 from .hypersurface_ring import (
     NormalizationWitness,
+    StructuralError,
     _pure_power_base,
     _rhs_power,
     build_covering_ring,
@@ -75,6 +78,15 @@ EXIT_INVALID = 2
 
 Report = dict[str, Any]
 
+# Caps on the two inputs whose work has no other bound: the product window
+# makes (2W+1)^2 pair checks, and the LND search tests every candidate degree
+# up to max_exponent (each one when d = 1).  At each cap that part of one
+# triple takes about a second: product_window(SurfaceTriple(6, 5, 5), 512)
+# 0.6 s and find_valid_lnd_degrees(SurfaceTriple(1, 1, 5), 4096) 1.1 s
+# (Python 3.11.7, 2 cores).
+MAX_WEIGHT_CAP = 512
+MAX_EXPONENT_CAP = 4096
+
 _REASON_M1 = (
     "not ML1: m=1 admits a second independent ruling of the covering surface "
     "(the fractional part of D- has fewer than two support points)"
@@ -92,14 +104,28 @@ def _require_int(**bounds: Any) -> None:
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def verify_triple(
-    d: int, e: int, m: int, max_weight: int = 8, max_exponent: int = 10
-) -> Report:
-    """Run the full verification pipeline for one (d, e, m) triple."""
-    triple = SurfaceTriple(d, e, m)
+def _check_work_bounds(max_weight: int, max_exponent: int) -> None:
+    """Reject a product window or an LND search bound out of range, before
+    any work starts."""
     _require_int(max_weight=max_weight, max_exponent=max_exponent)
     if max_weight < 0 or max_exponent < 1:
         raise ValueError("max_weight must be >= 0 and max_exponent >= 1")
+    if max_weight > MAX_WEIGHT_CAP:
+        raise ValueError(f"max_weight must be <= {MAX_WEIGHT_CAP}, got {max_weight}")
+    if max_exponent > MAX_EXPONENT_CAP:
+        raise ValueError(f"max_exponent must be <= {MAX_EXPONENT_CAP}, got {max_exponent}")
+
+
+def verify_triple(
+    d: int, e: int, m: int, max_weight: int = 8, max_exponent: int = 10
+) -> Report:
+    """Run the full verification pipeline for one (d, e, m) triple.
+
+    The product structure is checked on |n|, |n'| <= max_weight (skipped at
+    0) and derivation degrees are searched up to max_exponent (at least
+    m + d); values above the caps raise ``ValueError``."""
+    triple = SurfaceTriple(d, e, m)
+    _check_work_bounds(max_weight, max_exponent)
     failed: list[str] = []
 
     def check(name: str, ok: bool) -> bool:
@@ -151,20 +177,9 @@ def verify_triple(
     subgroup_match = same_subgroup(induced_action(triple), action)
     check("action_subgroup", subgroup_match)
 
+    all_match: bool | None = None
     if max_weight > 0:
-        try:
-            all_match: bool | None = all(
-                product_structure_check(triple, n, n_prime).match
-                for n in range(-max_weight, max_weight + 1)
-                for n_prime in range(-max_weight, max_weight + 1)
-            )
-        except StructuralError:
-            # a product off the generator's multiples means a wrong piece
-            # convention: the structure does not match, and the sweep carries on
-            all_match = False
-        check("product_structure", bool(all_match))
-    else:
-        all_match = None
+        all_match = check("product_structure", product_window(triple, max_weight) is None)
 
     try:
         degrees = find_valid_lnd_degrees(triple, bound=max(max_exponent, m + triple.d))
@@ -346,6 +361,7 @@ def sweep(
     _require_int(d_max=d_max, m_max=m_max)
     if d_max < 1 or m_max < 1:
         raise ValueError("d_max and m_max must be positive integers")
+    _check_work_bounds(max_weight, max_exponent)
     rows: list[Report] = []
     counts = {"consistent": 0, "excluded": 0, "inconsistent": 0}
     for d, e, m in grid_triples(d_max, m_max):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add
+from typing import NamedTuple
 
 from hypothesis import strategies as st
 
@@ -24,7 +26,8 @@ from pseudoplane import (
     standard_action,
     weight_piece_generator,
 )
-from pseudoplane import report
+from pseudoplane import cyclic_quotient, report
+from pseudoplane.exact_algebra import Scalar
 from pseudoplane.hypersurface_ring import _rhs_power, _to_localization
 
 F = Fraction
@@ -258,6 +261,78 @@ def oracle_hilbert_basis(d: int, weights: tuple[int, int, int]) -> tuple[tuple[i
         if not any(y != x and all(a <= b for a, b in zip(y, x)) for y in points)
     ]
     return tuple(sorted(basis))
+
+
+def product_defect(pair, n: int, n_prime: int) -> dict[Scalar, int]:
+    """Pointwise exponent defect piece(n) + piece(n') - piece(n+n').
+
+    These are the multiplicative structure constants of the graded algebra:
+    the product of the weight-n and weight-n' generators is the weight-(n+n')
+    generator times t^defect(0) * (t-1)^defect(1) * ...  Values are always
+    >= 0 (floor superadditivity plus D+ + D- <= 0); zeros are pruned.  Keys
+    follow the pair's sorted support and are int where the point is integral
+    (equal, with equal hash, to the Fraction point).  The per-pair predicted
+    side that product_window tabulates per weight.
+    """
+    pieces = [graded_piece(pair, k) for k in (n, n_prime, n + n_prime)]
+    out: dict[Scalar, int] = {}
+    for p in sorted(pair.d_plus.coefficients.keys() | pair.d_minus.coefficients.keys()):
+        v = pieces[0].get(p, 0) + pieces[1].get(p, 0) - pieces[2].get(p, 0)
+        if v:
+            out[int(p) if p.denominator == 1 else p] = v
+    return out
+
+
+class ProductCheck(NamedTuple):
+    measured: dict[Scalar, int]
+    predicted: dict[Scalar, int]
+    match: bool
+
+
+def product_structure_check(triple, n: int, n_prime: int) -> ProductCheck:
+    """The per-pair oracle of product_window: the measured defect
+    {0: kappa, 1: lam} of one product of generators, read off the exponent
+    vectors, against product_defect.  A product that is not a multiple of the
+    weight-(n+n') generator with an (s^d)^kappa (s^d - 1)^lam cofactor raises
+    StructuralError naming the term or the cofactor.  The generators are read
+    through the cyclic_quotient module, so a monkeypatched generator reaches
+    both this and product_window."""
+    generator = cyclic_quotient.weight_piece_generator
+    d, m = triple.d, triple.m
+    a, b, c = map(add, generator(triple, n), generator(triple, n_prime))
+    g12 = a12, b12, c12 = generator(triple, n + n_prime)
+    lam = min(a // m, b)
+    a, b = a - lam * m, b - lam
+    if a != a12 or b != b12 or c < c12:
+        # with (a, b) off every term fails, so name the top one; otherwise
+        # the lowest, s^c, lies below the generator
+        shown = c + lam * d if (a, b) != (a12, b12) else c
+        raise StructuralError(
+            f"product of weight pieces {n}, {n_prime} is not a multiple of the "
+            f"weight-{n + n_prime} generator: term u^{a}*w^{b}*s^{shown} vs generator {g12}"
+        )
+    if (c - c12) % d:
+        raise StructuralError(
+            f"residual factor s^{c - c12}*(s^{d}-1)^{lam} is not of the form "
+            f"(s^d)^kappa*(s^d-1)^lam"
+        )
+    measured = {p: v for p, v in ((0, (c - c12) // d), (1, lam)) if v}
+    predicted = product_defect(triple.pair, n, n_prime)
+    return ProductCheck(measured, predicted, measured == predicted)
+
+
+def first_failing_pair(triple, max_weight: int) -> tuple[int, int] | None:
+    """product_window pair by pair: the first (n, n') in row order on which
+    product_structure_check raises or mismatches."""
+    window = range(-max_weight, max_weight + 1)
+    for n in window:
+        for n_prime in window:
+            try:
+                if not product_structure_check(triple, n, n_prime).match:
+                    return n, n_prime
+            except StructuralError:
+                return n, n_prime
+    return None
 
 
 def oracle_product_defect(pair, n: int, n_prime: int) -> dict[Fraction, int]:

@@ -2,8 +2,10 @@
 the README's library example."""
 
 import ast
+import hashlib
 import importlib
 import inspect
+import json
 import pkgutil
 import sys
 import types
@@ -14,7 +16,7 @@ import pytest
 from helpers import F
 
 import pseudoplane
-from pseudoplane import DpdPair, QDivisor, SurfaceTriple
+from pseudoplane import DpdPair, QDivisor, SurfaceTriple, sweep
 from pseudoplane.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -28,7 +30,7 @@ PUBLIC_NAMES = {
     "freeness_check", "graded_piece", "hilbert_basis", "induced_action", "ml1_test",
     "negative_locus", "nilpotency_index", "normal_form", "normalize_power_relation",
     "normalized_ring", "parse_divisor", "parse_poly", "poly_divmod", "poly_gcd",
-    "product_defect", "product_structure_check", "pseudoplane_dpd_pair", "s_weight",
+    "product_window", "pseudoplane_dpd_pair", "s_weight",
     "same_subgroup", "smooth_check", "smoothness_condition", "squarefree_decomposition",
     "standard_action", "substitute_power", "sweep", "verify_exit_code", "verify_triple",
     "weight_piece_generator",
@@ -46,6 +48,20 @@ CLI_RUNS = [
     ["classify", "--d-plus", "0:-1/2,2:-1/2", "--d-minus", "0:1/2,2:1/2,1:-1/3"],
     ["sweep", "--d-max", "3", "--m-max", "3"],
 ]
+
+# sha256 of the acceptance sweep's JSON and of [exit code, stdout, stderr]
+# of each verify and sweep run of CLI_RUNS, text and --json, as recorded
+# before the product window was tabulated per weight.  A change that moves
+# one byte of a report or of the CLI text fails here.
+GOLDEN_SWEEP = "b3664f282c609e7b07c51041ae587e28c52cf5a75f612d0b6ee1387ba204327f"
+GOLDEN_CLI = {
+    "verify -d 3 -e 2 -m 2": "37bc54c70d9d467c022d4d5aad17aae5851b7ad41eb2a6f0cd9a7a15812f3830",
+    "verify -d 3 -e 2 -m 2 --json": "2c3531bb84f5b5e2592a968d8037868a3558d5000f016b2d1c23d4c1e9433bfc",
+    "verify -d 4 -e 2 -m 3": "f0de9cf12eb4d608536cecb2e2be054081e0026d856ebf3f814ccd0c3a139e8a",
+    "verify -d 4 -e 2 -m 3 --json": "bbcd99c05fe133266c44e7d3cce1feccfebacc03f75a82999109c6eb81a7fd76",
+    "sweep --d-max 3 --m-max 3": "08b98d024c232aea549117b584f7d0977a1682b9430002144e6e019c02c6b3a3",
+    "sweep --d-max 3 --m-max 3 --json": "287c6b3c3ad8115867e19c09ee8f356524680b8f5cb85e66e776f7b91fdbf6be",
+}
 
 # defined in src/pseudoplane but reached by none of CLI_RUNS
 UNREACHED = {
@@ -88,7 +104,7 @@ def _defined_functions(code, prefix):
 
 
 def test_cli_reaches_every_function_but_the_allowlist(capsys):
-    assert set(pseudoplane.__all__) == PUBLIC_NAMES and len(pseudoplane.__all__) == 51
+    assert set(pseudoplane.__all__) == PUBLIC_NAMES and len(pseudoplane.__all__) == 50
 
     defined = {}
     for module in _package_modules():
@@ -144,3 +160,21 @@ def test_readme_library_api_example():
     for bad in [(0, 1, 1), (3, -1, 2), (3, 2, 2.0), (True, 1, 1), (4, 2, 3)]:
         with pytest.raises(ValueError):
             SurfaceTriple(*bad)
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_outputs_match_the_recorded_digests(capsys):
+    assert _sha256(json.dumps(sweep(6, 5, include_reports=True))) == GOLDEN_SWEEP
+    got = {}
+    for argv in CLI_RUNS:
+        if argv[0] not in ("verify", "sweep"):
+            continue
+        text = [a for a in argv if a != "--json"]
+        for variant in (text, text + ["--json"]):
+            code = main(variant)
+            captured = capsys.readouterr()
+            got[" ".join(variant)] = _sha256(json.dumps([code, captured.out, captured.err]))
+    assert got == GOLDEN_CLI

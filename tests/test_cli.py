@@ -321,3 +321,40 @@ def test_module_invocation_subprocess():
     report = json.loads(proc.stdout)
     assert report["verdict"] == "consistent"
     assert report["normalized"]["ring"]["P"] == "s^2 - 1"
+
+
+def test_work_bounds_over_the_caps_are_refused_before_any_work(capsys, monkeypatch):
+    from pseudoplane import report as report_module
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started for a refused input")
+
+    # sweep must refuse before it verifies its first triple
+    for name in ("product_window", "find_valid_lnd_degrees", "verify_triple"):
+        monkeypatch.setattr(report_module, name, forbidden)
+    weight_cap, exponent_cap = report_module.MAX_WEIGHT_CAP, report_module.MAX_EXPONENT_CAP
+    for bounds, message in [
+        ({"max_weight": weight_cap + 1}, f"max_weight must be <= {weight_cap}, got {weight_cap + 1}"),
+        (
+            {"max_exponent": exponent_cap + 1},
+            f"max_exponent must be <= {exponent_cap}, got {exponent_cap + 1}",
+        ),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            verify_triple(3, 2, 2, **bounds)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            sweep(6, 5, **bounds)
+        flag, value = next(iter(bounds.items()))
+        flag = "--" + flag.replace("_", "-")
+        for argv in (
+            ["verify", "-d", "3", "-e", "2", "-m", "2", flag, str(value)],
+            ["sweep", "--d-max", "6", "--m-max", "5", flag, str(value)],
+        ):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+    # the caps themselves are accepted
+    monkeypatch.setattr(report_module, "product_window", lambda triple, w: None)
+    monkeypatch.setattr(report_module, "find_valid_lnd_degrees", lambda triple, bound: [2])
+    report = verify_triple(3, 2, 2, max_weight=weight_cap, max_exponent=exponent_cap)
+    assert report["verdict"] == "consistent"
+    assert report["product_structure"] == {"max_weight": weight_cap, "all_match": True}

@@ -9,6 +9,7 @@ from helpers import (
     grid_triples,
     homogeneous_weight,
     monoid_points,
+    product_structure_check,
     reachable_sums,
     upoly,
     weight_piece_is_rank_one,
@@ -26,7 +27,7 @@ from pseudoplane import (
     induced_action,
     normal_form,
     normalized_ring,
-    product_structure_check,
+    product_window,
     pseudoplane_dpd_pair,
     same_subgroup,
     standard_action,
@@ -193,10 +194,14 @@ def test_product_structure_examples():
     assert check.measured == {} and check.match
     check = product_structure_check(t, 5, 0)
     assert check.measured == {} and check.match
+    assert product_window(t, 0) is None and product_window(t, 5) is None
+    with pytest.raises(ValueError, match="max_weight must be >= 0"):
+        product_window(t, -1)
 
 
 def test_product_structure_across_grid():
     for t in TRIPLES:
+        assert product_window(t, 6) is None
         for n in range(-6, 7):
             for n_prime in range(-6, 7):
                 assert product_structure_check(t, n, n_prime).match

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import F, grid_triples, nonpositive_divisors, small_divisors
+from helpers import F, grid_triples, nonpositive_divisors, product_defect, small_divisors
 
 from pseudoplane import (
     DpdPair,
@@ -13,7 +13,6 @@ from pseudoplane import (
     floor_div,
     graded_piece,
     ml1_test,
-    product_defect,
     pseudoplane_dpd_pair,
     smoothness_condition,
 )

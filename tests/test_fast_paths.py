@@ -18,6 +18,7 @@ from helpers import (
     assert_clean,
     derivation_apply,
     dpd_pairs,
+    first_failing_pair,
     grid_triples,
     oracle_add,
     oracle_hilbert_basis,
@@ -27,6 +28,8 @@ from helpers import (
     oracle_nilpotency_index,
     oracle_normal_form,
     oracle_product_defect,
+    product_defect,
+    product_structure_check,
     relation,
     small_fractions,
     small_multipolys,
@@ -38,9 +41,11 @@ from helpers import (
 import pseudoplane
 from pseudoplane import (
     CyclicAction,
+    DpdPair,
     HypersurfaceRing,
     MultiPoly,
     NonPolynomial,
+    QDivisor,
     StructuralError,
     SurfaceTriple,
     derivation_leaves_ring,
@@ -52,8 +57,7 @@ from pseudoplane import (
     normalized_ring,
     poly_divmod,
     poly_gcd,
-    product_defect,
-    product_structure_check,
+    product_window,
     standard_action,
     sweep,
     verify_triple,
@@ -150,8 +154,7 @@ def test_every_memo_cache_is_bounded():
         "hypersurface_ring._pure_power_base",
         "hypersurface_ring._rhs_power",
         "hypersurface_ring._normalized_ring",
-        "dpd_presentation._support",
-        "dpd_presentation._piece_row",
+        "hypersurface_ring._squarefree",
     } <= set(caches)
     for name, cache in caches.items():
         maxsize = cache.cache_parameters()["maxsize"]
@@ -299,6 +302,7 @@ def test_product_defect_matches_fraction_keyed_oracle(pair, n, n_prime):
 def test_product_structure_sides_match_oracles_across_grid():
     for d, e, m in grid_triples():
         triple = SurfaceTriple(d, e, m)
+        assert product_window(triple, 4) is None
         for n, n_prime in product(range(-4, 5), repeat=2):
             check = product_structure_check(triple, n, n_prime)
             assert check.measured == oracle_measured_defect(triple, n, n_prime)
@@ -353,6 +357,14 @@ def _break_ab(generator):
     return broken
 
 
+def _shift_b(generator):
+    def shifted(triple, n):
+        a, b, c = generator(triple, n)
+        return a, b + 1, c
+
+    return shifted
+
+
 def _raise_c_at_zero(generator):
     # only the weight-0 generator moves, so the product falls below it
     def raised(triple, n):
@@ -392,6 +404,24 @@ def test_product_check_faults_raise_structural_error(monkeypatch, target, fault,
         product_structure_check(SurfaceTriple(3, 2, 2), 1, -1)
 
 
+@given(
+    surface_triples(),
+    st.integers(0, 12),
+    st.sampled_from([None, _break_ab, _shift_b, _shift_c, _raise_c_at_zero]),
+)
+def test_product_window_fails_where_the_per_pair_oracle_first_fails(triple, max_weight, fault):
+    # None iff every pair matches; under each generator fault of the test
+    # above, and one that moves only b, the first pair in row order on which
+    # the oracle raises or mismatches
+    from pseudoplane import cyclic_quotient
+
+    with pytest.MonkeyPatch.context() as patch:
+        if fault is not None:
+            generator = cyclic_quotient.weight_piece_generator
+            patch.setattr(cyclic_quotient, "weight_piece_generator", fault(generator))
+        assert product_window(triple, max_weight) == first_failing_pair(triple, max_weight)
+
+
 def test_hand_built_normalized_ring_is_accepted():
     from pseudoplane.hypersurface_ring import _normalized_ring, s_weight
 
@@ -412,7 +442,33 @@ def test_hand_built_normalized_ring_is_accepted():
             entry(other, 2, x)
 
 
-def test_equal_pairs_hash_equal():
+def test_pairs_compare_by_value_and_triples_hash_by_input():
+    # no memo keys on a divisor, so divisors and pairs are unhashable; a
+    # triple compares and hashes by (d, e, m), from which its pair derives
     pair, twin = SurfaceTriple(5, 2, 3).pair, SurfaceTriple(5, 2, 3).pair
     assert pair == twin and pair is not twin
-    assert hash(pair) == hash(twin) == hash((pair.d_plus, pair.d_minus))
+    for value in (pair, pair.d_plus):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(value)
+    triples = {SurfaceTriple(5, 2, 3), SurfaceTriple(5, 2, 3), SurfaceTriple(5, 3, 3)}
+    assert len(triples) == 2 and SurfaceTriple(5, 2, 3) in triples
+
+
+@pytest.mark.parametrize(
+    "plus, minus, first",
+    [
+        # a third point: an integral coefficient has defect 0 there, a
+        # half-integral one defect 1 where n and n' are both odd
+        ({2: F(1)}, {2: F(-1)}, None),
+        ({2: F(1, 2)}, {2: F(-1, 2)}, (-3, -3)),
+        # a wrong coefficient at 1 or at 0: lam or kappa is mispredicted
+        ({}, {1: F(-1, 2)}, (-4, 1)),
+        ({0: F(1, 3)}, {0: F(-1, 3)}, (-4, -4)),
+    ],
+)
+def test_product_window_against_grafted_pairs(plus, minus, first):
+    # no triple builds a pair other than its family's, so graft one on
+    triple = SurfaceTriple(3, 2, 2)
+    pair = DpdPair(triple.pair.d_plus + QDivisor(plus), triple.pair.d_minus + QDivisor(minus))
+    object.__setattr__(triple, "pair", pair)
+    assert product_window(triple, 4) == first_failing_pair(triple, 4) == first
