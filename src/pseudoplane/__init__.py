@@ -39,16 +39,11 @@ from .dpd_presentation import (
 )
 from .hypersurface_ring import (
     HypersurfaceRing,
-    NonPolynomial,
     RingElement,
-    StructuralError,
     build_covering_ring,
-    derivation_leaves_ring,
     fiber_analysis,
-    nilpotency_index,
     normal_form,
     normalize_power_relation,
-    s_weight,
     smooth_check,
 )
 from .cyclic_quotient import (
@@ -59,7 +54,6 @@ from .cyclic_quotient import (
     freeness_check,
     hilbert_basis,
     induced_action,
-    normalized_ring,
     product_window,
     same_subgroup,
     standard_action,
@@ -72,18 +66,15 @@ __all__ = [
     "DpdPair",
     "HypersurfaceRing",
     "MultiPoly",
-    "NonPolynomial",
     "QDivisor",
     "RegimeError",
     "RingElement",
-    "StructuralError",
     "SurfaceTriple",
     "build_covering_ring",
     "canonical_pair",
     "classify_pair",
     "classify_presentation",
     "component_permutation",
-    "derivation_leaves_ring",
     "divisor_to_poly",
     "fiber_analysis",
     "find_valid_lnd_degrees",
@@ -97,17 +88,14 @@ __all__ = [
     "induced_action",
     "ml1_test",
     "negative_locus",
-    "nilpotency_index",
     "normal_form",
     "normalize_power_relation",
-    "normalized_ring",
     "parse_divisor",
     "parse_poly",
     "poly_divmod",
     "poly_gcd",
     "product_window",
     "pseudoplane_dpd_pair",
-    "s_weight",
     "same_subgroup",
     "smooth_check",
     "smoothness_condition",

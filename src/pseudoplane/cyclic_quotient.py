@@ -13,13 +13,7 @@ from itertools import product
 from typing import NamedTuple
 
 from .dpd_presentation import graded_piece, pseudoplane_dpd_pair
-from .hypersurface_ring import (
-    HypersurfaceRing,
-    _normalized_ring,
-    derivation_leaves_ring,
-    nilpotency_index,
-    normal_form,
-)
+from .hypersurface_ring import HypersurfaceRing
 from .qdivisor import DpdPair
 
 
@@ -80,11 +74,6 @@ class SurfaceTriple:
         }
         for name, value in derived.items():
             object.__setattr__(self, name, value)
-
-
-def normalized_ring(triple: SurfaceTriple) -> HypersurfaceRing:
-    """The normalized model u^m w - (s^d - 1) for the triple."""
-    return _normalized_ring(triple.m, triple.d)
 
 
 def induced_action(triple: SurfaceTriple) -> CyclicAction:
@@ -325,35 +314,53 @@ def component_permutation(d: int, e: int) -> ComponentPermutation:
     return ComponentPermutation(tuple(cycles), len(cycles) == 1)
 
 
-_CERTIFY_WEIGHT = 8
+def _keeps_ring(generator: tuple[int, int, int], degree: int, m: int) -> bool:
+    """Whether u^degree * d/ds maps u^a w^b s^c into the normalized ring, read
+    off the exponents (the rule of find_valid_lnd_degrees).  b = 0 always
+    passes, as then the image's u-exponent a + degree is >= 0."""
+    a, b, _ = generator
+    j = a - m * b + degree  # the u-exponent of the image
+    return j >= 0 or -(j // m) <= b - 1
 
 
 def find_valid_lnd_degrees(triple: SurfaceTriple, bound: int) -> list[int]:
-    """Degrees e in [1, bound], congruent to the s-weight of the standard
-    action mod d, whose derivation maps every invariant monoid generator into
-    the ring (hence, by the product rule, preserves the whole invariant ring).
+    """Degrees x in [1, bound], congruent to e mod d, for which D = u^x d/ds
+    is a locally nilpotent derivation of the invariant ring.  An empty
+    result is a finding, not an error.
 
-    Each returned degree is additionally certified locally nilpotent on the
-    weight-piece generators |n| <= _CERTIFY_WEIGHT (8).  An empty result is a
-    finding, not an error.
+    Membership.  The localization C[u^(+-1), s] contains the normalized ring
+    once w = (s^d - 1)/u^m, and an element u^j f(s) with j < 0 lies in the
+    ring iff (s^d - 1)^ceil(-j/m) divides f.  For b >= 1 and n = a - m*b,
+    D(u^a w^b s^c) = u^(n+x) s^(c-1) (s^d - 1)^(b-1) [c (s^d - 1) + b d s^d],
+    and the bracket equals b*d != 0 wherever s^d = 1, so (s^d - 1)^(b-1) is
+    the exact power of s^d - 1 in the image.  Hence D maps the monomial into
+    the ring iff b = 0, or n + x >= 0, or ceil(-(n + x)/m) <= b - 1
+    (``_keeps_ring``).  When this holds on every Hilbert-basis generator of
+    the standard action, the product rule carries it to every invariant.
+
+    Nilpotency lemma.  D lowers the s-degree of every element of
+    C[u^(+-1), s] (u^j s^c goes to c u^(j+x) s^(c-1)), so it is locally
+    nilpotent on every subring that it preserves.  The standard action
+    (u, w, s) -> (z u, z^-m w, z^e s) conjugates D to z^(x-e) D, so a degree
+    x = e (mod d) commutes with the action and maps invariants to
+    invariants.  Membership on the Hilbert basis therefore certifies an LND
+    of the whole invariant ring, on every weight.
+
+    Closed form.  degrees_found is every x = e (mod d) with m <= x <= bound,
+    never empty since bound >= m + d.  The basis always holds (0, 1, c) with
+    c = m*e' mod d (nothing invariant lies below it), whose n = -m forces
+    x >= m; and a + x >= m, which x >= m gives for every a >= 0, is the rule
+    ceil(-(n + x)/m) <= b - 1 rewritten, so it puts every monomial in the
+    ring.
     """
     if bound < triple.m + triple.d:
         raise ValueError(
             f"bound must be at least m + d = {triple.m + triple.d}, got {bound}"
         )
-    ring = normalized_ring(triple)
-    action = standard_action(triple)
-    basis = hilbert_basis(action)
-    generators = [normal_form(ring, ring.monomial(*g)) for g in basis]
-    pieces = [
-        normal_form(ring, ring.monomial(*weight_piece_generator(triple, n)))
-        for n in range(-_CERTIFY_WEIGHT, _CERTIFY_WEIGHT + 1)
-    ]
-    found: list[int] = []
+    basis = hilbert_basis(standard_action(triple))
     # the least degree >= 1 congruent to e mod d, then every d-th one
-    for degree in range((triple.e - 1) % triple.d + 1, bound + 1, triple.d):
-        if any(derivation_leaves_ring(ring, degree, g) is not None for g in generators):
-            continue
-        if all(nilpotency_index(ring, degree, x) is not None for x in pieces):
-            found.append(degree)
-    return found
+    return [
+        degree
+        for degree in range((triple.e - 1) % triple.d + 1, bound + 1, triple.d)
+        if all(_keeps_ring(g, degree, triple.m) for g in basis)
+    ]

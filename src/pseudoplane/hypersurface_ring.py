@@ -7,16 +7,11 @@ monomials reduce independently, so rewriting terminates and the normal form is
 unique.  The torus action scales u with weight 1 and the second variable with
 weight -k (s fixed), making the relation homogeneous of weight 0.
 
-For the normalized relation u^m * w = s^d - 1 the module also certifies the
-degree-e derivation that raises weight by e.  On the localization
-C[u^(+-1), s], which contains the ring once w = (s^d - 1)/u^m is expanded, it
-is u^e * d/ds.  An element is expanded into Laurent rows {u-exponent j ->
-s-polynomial} once; the derivation moves row j to j + e and differentiates
-it, and an expansion lies in the ring iff each row with j < 0 is divisible by
-(s^d - 1)^ceil(-j/m).  Only that membership test is run, never a conversion
-back to normal form.  An image that leaves the ring is reported with a
-:class:`NonPolynomial` marker rather than an error, because the derivation is
-only required to preserve the invariant subring.
+``_normalized_ring`` is the one shared model of the normalized relation
+u^m * w = s^d - 1.  Its derivations u^e * d/ds are certified by an integer
+rule on exponent vectors (``cyclic_quotient.find_valid_lnd_degrees``), so no
+element is expanded into the localization C[u^(+-1), s] here; that
+Laurent-row route is kept only as a test oracle.
 """
 
 from __future__ import annotations
@@ -30,15 +25,9 @@ from .exact_algebra import (
     MultiPoly,
     Scalar,
     format_poly,
-    poly_divmod,
     squarefree_decomposition,
     substitute_power,
 )
-
-
-class StructuralError(RuntimeError):
-    """A step that the construction guarantees has failed (the nilpotency
-    filtration bound); signals a wrong convention or a bug, not bad input."""
 
 
 @dataclass(frozen=True)
@@ -77,14 +66,6 @@ class RingElement:
 
     ring: HypersurfaceRing
     poly: MultiPoly
-
-
-@dataclass(frozen=True)
-class NonPolynomial:
-    """Marker for a derivation image that leaves the ring; names an offending
-    localized monomial (negative u-exponent that cannot be absorbed)."""
-
-    monomial: str
 
 
 class SmoothCheck(NamedTuple):
@@ -218,108 +199,3 @@ def normalize_power_relation(
     normalized_smooth = smooth_check(normalized).smooth
     return normalized, NormalizationWitness(power_identity, normalized_smooth)
 
-
-# -- derivation on the normalized relation --------------------------------------
-
-
-def _normalized_params(ring: HypersurfaceRing) -> tuple[int, int]:
-    """(m, d) for a ring in the normalized shape u^m w - (s^d - 1)."""
-    d = ring.P.degree()
-    # rings built by _normalized_ring share the cached P: skip the comparison
-    if d < 1 or (ring.P is not _pure_power_base(d) and ring.P != _pure_power_base(d)):
-        raise ValueError(
-            f"ring is not in the normalized shape u^m*{ring.second_var} - (s^d - 1): P = {format_poly(ring.P)}"
-        )
-    return ring.k, d
-
-
-def _to_localization(ring: HypersurfaceRing, poly: MultiPoly) -> dict[int, dict[int, Scalar]]:
-    """Expand w = (s^d - 1) * u^(-m): map {u-exponent j -> {s-exponent -> coeff}}."""
-    m = ring.k
-    loc: dict[int, dict[int, Scalar]] = {}
-    for (a, b, c), coeff in poly.terms.items():
-        j = a - m * b
-        row = loc.setdefault(j, {})
-        for (e,), c2 in _rhs_power(ring.P, b).terms.items():
-            key = e + c
-            total = row.get(key, 0) + coeff * c2
-            if total:
-                row[key] = total
-            else:
-                del row[key]
-    return {j: row for j, row in loc.items() if row}
-
-
-def _derive(loc: dict[int, dict[int, Scalar]], e: int) -> dict[int, dict[int, Scalar]]:
-    """u^e * d/ds on Laurent rows: row j moves to j + e and is differentiated."""
-    image: dict[int, dict[int, Scalar]] = {}
-    for j, row in loc.items():
-        drow = {c - 1: coeff * c for c, coeff in row.items() if c}
-        if drow:
-            image[j + e] = drow
-    return image
-
-
-def _first_non_polynomial(
-    ring: HypersurfaceRing, loc: dict[int, dict[int, Scalar]]
-) -> NonPolynomial | None:
-    """The membership test for a Laurent expansion: the row of each u-exponent
-    j < 0 must be divisible by (s^d - 1)^ceil(-j/m).  Reports the top term of
-    the remainder at the least failing j, or None if the expansion lies in the
-    ring."""
-    m = ring.k
-    for j in sorted(loc):
-        if j >= 0:
-            break
-        f = MultiPoly._trusted(("s",), {(e,): c for e, c in loc[j].items()})
-        _, rem = poly_divmod(f, _rhs_power(ring.P, (-j + m - 1) // m))
-        if not rem.is_zero():
-            top = max(rem.terms)
-            return NonPolynomial(f"{rem.terms[top]}*u^{j}*s^{top[0]}")
-    return None
-
-
-def _check_derivation(ring: HypersurfaceRing, e: int, x: RingElement) -> None:
-    if not isinstance(e, int) or e < 1:
-        raise ValueError(f"derivation degree must be a positive integer: {e}")
-    if x.ring != ring:
-        raise ValueError("element belongs to a different ring")
-    _normalized_params(ring)  # the localization helpers rely on the shape
-
-
-def derivation_leaves_ring(ring: HypersurfaceRing, e: int, x: RingElement) -> NonPolynomial | None:
-    """Whether the degree-e derivation u^e * d/ds maps x out of the normalized
-    ring: the offending localized monomial, or None if the image is in it."""
-    _check_derivation(ring, e, x)
-    return _first_non_polynomial(ring, _derive(_to_localization(ring, x.poly), e))
-
-
-def s_weight(x: RingElement) -> int:
-    """Filtration weight s -> 1, w -> d, u -> 0 (max over monomials).
-
-    The rewrite rule preserves it and the derivation strictly decreases it, so
-    1 + s_weight(x) bounds the nilpotency index of x.
-    """
-    _, d = _normalized_params(x.ring)
-    if x.poly.is_zero():
-        return 0
-    return max(b * d + c for (_, b, c) in x.poly.terms)
-
-
-def nilpotency_index(ring: HypersurfaceRing, e: int, x: RingElement) -> int | None:
-    """Least N with the N-th derivation image of x zero, or None if some
-    iterate leaves the ring.  Exceeding the bound 1 + s_weight(x) raises
-    :class:`StructuralError`.  x is expanded into Laurent rows once, and each
-    iterate is only tested for membership."""
-    _check_derivation(ring, e, x)
-    bound = 1 + s_weight(x)
-    loc = _to_localization(ring, x.poly)
-    for n in range(1, bound + 1):
-        loc = _derive(loc, e)
-        if _first_non_polynomial(ring, loc) is not None:
-            return None
-        if not loc:
-            return n
-    raise StructuralError(
-        f"nilpotency bound {bound} exceeded; the filtration certificate is violated"
-    )

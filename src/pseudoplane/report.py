@@ -22,9 +22,11 @@ or excluded-as-predicted, 1 for inconsistent, 2 for invalid input.
 ``product_structure.all_match`` is false when ``product_window`` finds a
 pair |n|, |n'| <= max_weight whose measured and predicted defects differ or
 whose generators' product is not a multiple of the weight-(n+n') generator
-with an (s^d)^kappa (s^d - 1)^lam cofactor; a violated nilpotency bound in
-the derivation search leaves ``lnd.degrees_found`` empty and fails
-``lnd_degrees``.  ``max_weight`` above ``MAX_WEIGHT_CAP`` or
+with an (s^d)^kappa (s^d - 1)^lam cofactor.  ``lnd.degrees_found`` lists
+the degrees that pass ``find_valid_lnd_degrees``' integer membership rule on
+every Hilbert-basis generator, each an LND of the whole invariant ring by the
+lemma in its docstring; if none passes, the list is empty and the report
+fails ``lnd_degrees``.  ``max_weight`` above ``MAX_WEIGHT_CAP`` or
 ``max_exponent`` above ``MAX_EXPONENT_CAP`` is refused with ``ValueError``
 before any work starts.
 """
@@ -41,7 +43,6 @@ from .cyclic_quotient import (
     find_valid_lnd_degrees,
     freeness_check,
     induced_action,
-    normalized_ring,
     product_window,
     same_subgroup,
     standard_action,
@@ -50,7 +51,7 @@ from .dpd_presentation import classify_presentation, pseudoplane_dpd_pair, smoot
 from .exact_algebra import MultiPoly, format_poly
 from .hypersurface_ring import (
     NormalizationWitness,
-    StructuralError,
+    _normalized_ring,
     _pure_power_base,
     _rhs_power,
     build_covering_ring,
@@ -80,10 +81,11 @@ Report = dict[str, Any]
 
 # Caps on the two inputs whose work has no other bound: the product window
 # makes (2W+1)^2 pair checks, and the LND search tests every candidate degree
-# up to max_exponent (each one when d = 1).  At each cap that part of one
-# triple takes about a second: product_window(SurfaceTriple(6, 5, 5), 512)
-# 0.6 s and find_valid_lnd_degrees(SurfaceTriple(1, 1, 5), 4096) 1.1 s
-# (Python 3.11.7, 2 cores).
+# up to max_exponent (each one when d = 1).  The window's cap is where it
+# takes about a second: product_window(SurfaceTriple(6, 5, 5), 512) 0.4-0.6 s.
+# A degree costs the LND search a few integer tests per Hilbert-basis
+# generator, so find_valid_lnd_degrees(SurfaceTriple(1, 1, 5), 4096) takes
+# 3 ms; its cap stays as the input bound (Python 3.11.7, 2 cores).
 MAX_WEIGHT_CAP = 512
 MAX_EXPONENT_CAP = 4096
 
@@ -160,7 +162,7 @@ def verify_triple(
     else:
         # normalize_power_relation refuses any other P; the failed check
         # above already names the fault, so carry on with the normalized model
-        normalized = normalized_ring(triple)
+        normalized = _normalized_ring(m, d)
         witness = NormalizationWitness(False, smooth_check(normalized).smooth)
     check("normalization_witnesses", witness.power_identity and witness.normalized_smooth)
 
@@ -181,12 +183,7 @@ def verify_triple(
     if max_weight > 0:
         all_match = check("product_structure", product_window(triple, max_weight) is None)
 
-    try:
-        degrees = find_valid_lnd_degrees(triple, bound=max(max_exponent, m + triple.d))
-    except StructuralError:
-        # a violated nilpotency bound breaks the filtration certificate: no
-        # degree is certified, and the sweep carries on
-        degrees = []
+    degrees = find_valid_lnd_degrees(triple, bound=max(max_exponent, m + triple.d))
     check("lnd_degrees", bool(degrees))
 
     reasons = []

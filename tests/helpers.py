@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 from typing import NamedTuple
@@ -11,24 +12,23 @@ from hypothesis import strategies as st
 
 from pseudoplane import (
     DpdPair,
+    HypersurfaceRing,
     MultiPoly,
-    NonPolynomial,
     QDivisor,
     RingElement,
-    StructuralError,
     SurfaceTriple,
+    format_poly,
     graded_piece,
+    hilbert_basis,
     normal_form,
-    normalized_ring,
     parse_poly,
     poly_divmod,
-    s_weight,
     standard_action,
     weight_piece_generator,
 )
 from pseudoplane import cyclic_quotient, report
 from pseudoplane.exact_algebra import Scalar
-from pseudoplane.hypersurface_ring import _rhs_power, _to_localization
+from pseudoplane.hypersurface_ring import _normalized_ring, _pure_power_base, _rhs_power
 
 F = Fraction
 
@@ -50,6 +50,158 @@ def relation(ring) -> MultiPoly:
 def grid_triples(d_max: int = 6, m_max: int = 5) -> list[tuple[int, int, int]]:
     """The sweep's triples, by default those of the acceptance grid."""
     return list(report.grid_triples(d_max, m_max))
+
+
+# -- the Laurent-row LND certificate --------------------------------------------
+#
+# find_valid_lnd_degrees once ran this: membership of each derivation image on
+# the localization C[u^(+-1), s], then nilpotency on the weight pieces
+# |n| <= 8.  It is kept as the oracle of the integer rule that replaced it.
+
+
+class StructuralError(RuntimeError):
+    """A step that the construction guarantees has failed (the nilpotency
+    filtration bound); signals a wrong convention or a bug, not bad input."""
+
+
+@dataclass(frozen=True)
+class NonPolynomial:
+    """Marker for a derivation image that leaves the ring; names an offending
+    localized monomial (negative u-exponent that cannot be absorbed)."""
+
+    monomial: str
+
+
+def normalized_ring(triple: SurfaceTriple) -> HypersurfaceRing:
+    """The normalized model u^m w - (s^d - 1) for the triple."""
+    return _normalized_ring(triple.m, triple.d)
+
+
+def _normalized_params(ring: HypersurfaceRing) -> tuple[int, int]:
+    """(m, d) for a ring in the normalized shape u^m w - (s^d - 1)."""
+    d = ring.P.degree()
+    # rings built by _normalized_ring share the cached P: skip the comparison
+    if d < 1 or (ring.P is not _pure_power_base(d) and ring.P != _pure_power_base(d)):
+        raise ValueError(
+            f"ring is not in the normalized shape u^m*{ring.second_var} - (s^d - 1): P = {format_poly(ring.P)}"
+        )
+    return ring.k, d
+
+
+def _to_localization(ring: HypersurfaceRing, poly: MultiPoly) -> dict[int, dict[int, Scalar]]:
+    """Expand w = (s^d - 1) * u^(-m): map {u-exponent j -> {s-exponent -> coeff}}."""
+    m = ring.k
+    loc: dict[int, dict[int, Scalar]] = {}
+    for (a, b, c), coeff in poly.terms.items():
+        j = a - m * b
+        row = loc.setdefault(j, {})
+        for (e,), c2 in _rhs_power(ring.P, b).terms.items():
+            key = e + c
+            total = row.get(key, 0) + coeff * c2
+            if total:
+                row[key] = total
+            else:
+                del row[key]
+    return {j: row for j, row in loc.items() if row}
+
+
+def _derive(loc: dict[int, dict[int, Scalar]], e: int) -> dict[int, dict[int, Scalar]]:
+    """u^e * d/ds on Laurent rows: row j moves to j + e and is differentiated."""
+    image: dict[int, dict[int, Scalar]] = {}
+    for j, row in loc.items():
+        drow = {c - 1: coeff * c for c, coeff in row.items() if c}
+        if drow:
+            image[j + e] = drow
+    return image
+
+
+def _first_non_polynomial(
+    ring: HypersurfaceRing, loc: dict[int, dict[int, Scalar]]
+) -> NonPolynomial | None:
+    """The membership test for a Laurent expansion: the row of each u-exponent
+    j < 0 must be divisible by (s^d - 1)^ceil(-j/m).  Reports the top term of
+    the remainder at the least failing j, or None if the expansion lies in the
+    ring."""
+    m = ring.k
+    for j in sorted(loc):
+        if j >= 0:
+            break
+        f = MultiPoly._trusted(("s",), {(e,): c for e, c in loc[j].items()})
+        _, rem = poly_divmod(f, _rhs_power(ring.P, (-j + m - 1) // m))
+        if not rem.is_zero():
+            top = max(rem.terms)
+            return NonPolynomial(f"{rem.terms[top]}*u^{j}*s^{top[0]}")
+    return None
+
+
+def _check_derivation(ring: HypersurfaceRing, e: int, x: RingElement) -> None:
+    if not isinstance(e, int) or e < 1:
+        raise ValueError(f"derivation degree must be a positive integer: {e}")
+    if x.ring != ring:
+        raise ValueError("element belongs to a different ring")
+    _normalized_params(ring)  # the localization helpers rely on the shape
+
+
+def derivation_leaves_ring(ring: HypersurfaceRing, e: int, x: RingElement) -> NonPolynomial | None:
+    """Whether the degree-e derivation u^e * d/ds maps x out of the normalized
+    ring: the offending localized monomial, or None if the image is in it."""
+    _check_derivation(ring, e, x)
+    return _first_non_polynomial(ring, _derive(_to_localization(ring, x.poly), e))
+
+
+def s_weight(x: RingElement) -> int:
+    """Filtration weight s -> 1, w -> d, u -> 0 (max over monomials).
+
+    The rewrite rule preserves it and the derivation strictly decreases it, so
+    1 + s_weight(x) bounds the nilpotency index of x.
+    """
+    _, d = _normalized_params(x.ring)
+    if x.poly.is_zero():
+        return 0
+    return max(b * d + c for (_, b, c) in x.poly.terms)
+
+
+def nilpotency_index(ring: HypersurfaceRing, e: int, x: RingElement) -> int | None:
+    """Least N with the N-th derivation image of x zero, or None if some
+    iterate leaves the ring.  Exceeding the bound 1 + s_weight(x) raises
+    :class:`StructuralError`.  x is expanded into Laurent rows once, and each
+    iterate is only tested for membership."""
+    _check_derivation(ring, e, x)
+    bound = 1 + s_weight(x)
+    loc = _to_localization(ring, x.poly)
+    for n in range(1, bound + 1):
+        loc = _derive(loc, e)
+        if _first_non_polynomial(ring, loc) is not None:
+            return None
+        if not loc:
+            return n
+    raise StructuralError(
+        f"nilpotency bound {bound} exceeded; the filtration certificate is violated"
+    )
+
+
+_CERTIFY_WEIGHT = 8
+
+
+def laurent_lnd_degrees(triple: SurfaceTriple, bound: int) -> list[int]:
+    """find_valid_lnd_degrees as it ran on Laurent rows: degrees congruent to
+    e mod d in [1, bound] whose derivation keeps every Hilbert-basis
+    generator in the ring and is nilpotent on the weight-piece generators
+    |n| <= _CERTIFY_WEIGHT (8)."""
+    ring = normalized_ring(triple)
+    basis = hilbert_basis(standard_action(triple))
+    generators = [normal_form(ring, ring.monomial(*g)) for g in basis]
+    pieces = [
+        normal_form(ring, ring.monomial(*weight_piece_generator(triple, n)))
+        for n in range(-_CERTIFY_WEIGHT, _CERTIFY_WEIGHT + 1)
+    ]
+    found: list[int] = []
+    for degree in range((triple.e - 1) % triple.d + 1, bound + 1, triple.d):
+        if any(derivation_leaves_ring(ring, degree, g) is not None for g in generators):
+            continue
+        if all(nilpotency_index(ring, degree, x) is not None for x in pieces):
+            found.append(degree)
+    return found
 
 
 # -- independent oracles ---------------------------------------------------------

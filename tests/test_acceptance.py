@@ -10,7 +10,16 @@ import time
 
 import pytest
 
-from helpers import F, grid_triples, monoid_points, reachable_sums, upoly
+from helpers import (
+    F,
+    grid_triples,
+    monoid_points,
+    nilpotency_index,
+    normalized_ring,
+    reachable_sums,
+    s_weight,
+    upoly,
+)
 
 from pseudoplane import (
     CyclicAction,
@@ -29,11 +38,8 @@ from pseudoplane import (
     freeness_check,
     graded_piece,
     hilbert_basis,
-    nilpotency_index,
     normal_form,
-    normalized_ring,
     pseudoplane_dpd_pair,
-    s_weight,
     squarefree_decomposition,
     standard_action,
     sweep,

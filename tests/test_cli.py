@@ -280,12 +280,12 @@ def test_product_check_fault_is_reported_and_sweep_carries_on(capsys, monkeypatc
     assert "inconsistent: 12" in out and "failed: product_structure" in out
 
 
-def test_nilpotency_bound_fault_is_reported_and_sweep_carries_on(capsys, monkeypatch):
-    from pseudoplane import hypersurface_ring
+def test_lnd_rule_fault_is_reported_and_sweep_carries_on(capsys, monkeypatch):
+    from pseudoplane import cyclic_quotient
 
-    # a zero filtration weight makes the bound 1 + s_weight(x) too small for
-    # every weight piece whose first derivation image is nonzero
-    monkeypatch.setattr(hypersurface_ring, "s_weight", lambda x: 0)
+    # a membership rule that rejects every Hilbert-basis generator leaves no
+    # degree to certify
+    monkeypatch.setattr(cyclic_quotient, "_keeps_ring", lambda generator, degree, m: False)
     report = verify_triple(3, 2, 2)
     assert report["lnd"] == {"degrees_found": [], "nilpotency_certified": False}
     assert report["verdict"] == "inconsistent"

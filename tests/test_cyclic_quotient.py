@@ -9,6 +9,7 @@ from helpers import (
     grid_triples,
     homogeneous_weight,
     monoid_points,
+    normalized_ring,
     product_structure_check,
     reachable_sums,
     upoly,
@@ -26,7 +27,6 @@ from pseudoplane import (
     hilbert_basis,
     induced_action,
     normal_form,
-    normalized_ring,
     product_window,
     pseudoplane_dpd_pair,
     same_subgroup,
@@ -260,11 +260,13 @@ def test_find_valid_lnd_degrees_examples():
 
 
 def test_least_lnd_degree_across_acceptance_grid():
-    # the least valid degree is the least x >= m with x = e (mod d)
-    for d, e, m in grid_triples():
+    # the closed form: every x = e (mod d) with m <= x <= bound, on a grid
+    # well past the acceptance one
+    for d, e, m in grid_triples(20, 10):
         t = SurfaceTriple(d, e, m)
-        least = next(x for x in range(m, m + d) if (x - e) % d == 0)
-        assert min(find_valid_lnd_degrees(t, t.m + t.d)) == least, (d, e, m)
+        bound = m + 2 * d
+        want = [x for x in range(m, bound + 1) if (x - e) % d == 0]
+        assert find_valid_lnd_degrees(t, bound) == want, (d, e, m)
 
 
 def test_find_valid_lnd_degrees_bound_precondition():

@@ -14,12 +14,19 @@ from hypothesis import strategies as st
 
 from helpers import (
     F,
+    NonPolynomial,
+    StructuralError,
     _from_localization,
+    _to_localization,
     assert_clean,
     derivation_apply,
+    derivation_leaves_ring,
     dpd_pairs,
     first_failing_pair,
     grid_triples,
+    laurent_lnd_degrees,
+    nilpotency_index,
+    normalized_ring,
     oracle_add,
     oracle_hilbert_basis,
     oracle_leaves_ring,
@@ -31,6 +38,7 @@ from helpers import (
     product_defect,
     product_structure_check,
     relation,
+    s_weight,
     small_fractions,
     small_multipolys,
     small_upolys,
@@ -44,17 +52,12 @@ from pseudoplane import (
     DpdPair,
     HypersurfaceRing,
     MultiPoly,
-    NonPolynomial,
     QDivisor,
-    StructuralError,
     SurfaceTriple,
-    derivation_leaves_ring,
     divisor_to_poly,
     find_valid_lnd_degrees,
     hilbert_basis,
-    nilpotency_index,
     normal_form,
-    normalized_ring,
     poly_divmod,
     poly_gcd,
     product_window,
@@ -128,7 +131,7 @@ def test_derivation_images_are_clean(m, d, e, p):
 
 @given(st.integers(1, 3), st.integers(1, 4), small_multipolys(UWS, max_exp=4, max_terms=4))
 def test_localization_round_trip_is_the_normal_form(m, d, p):
-    from pseudoplane.hypersurface_ring import _normalized_ring, _to_localization
+    from pseudoplane.hypersurface_ring import _normalized_ring
 
     ring = _normalized_ring(m, d)
     back = _from_localization(ring, _to_localization(ring, p))
@@ -318,7 +321,21 @@ def test_measured_defect_from_exponents_matches_polynomial_oracle(triple, n, n_p
     assert check.match
 
 
+# the benchmark's large_d pool: odd d in 21..43, e in {d - 1, d - 2}
+LARGE_D = [
+    (d, e, 3 + i % 7) for i, d in enumerate(range(21, 44, 2)) for e in (d - 1, d - 2)
+]
+
+
 def test_lnd_certificate_matches_normal_form_oracle_across_grid():
+    # the integer rule against the Laurent-row search it replaced, which also
+    # filters by nilpotency on the weight pieces |n| <= 8
+    for d, e, m in grid_triples() + LARGE_D:
+        triple = SurfaceTriple(d, e, m)
+        for bound in (m + d, m + 2 * d):
+            assert find_valid_lnd_degrees(triple, bound) == laurent_lnd_degrees(
+                triple, bound
+            ), (d, e, m, bound)
     # every degree of the least search window, in the congruence class or
     # not, so that both verdicts and the witnesses are compared
     for d, e, m in grid_triples():
@@ -339,6 +356,21 @@ def test_lnd_certificate_matches_normal_form_oracle_across_grid():
             if degree % d == e % d and all(v is None for v in leaves) and None not in indices:
                 valid.append(degree)
         assert find_valid_lnd_degrees(triple, m + d) == valid, (d, e, m)
+
+
+@given(
+    st.integers(1, 7),
+    st.integers(1, 6),
+    st.tuples(st.integers(0, 8), st.integers(0, 4), st.integers(0, 5)),
+    st.integers(1, 11),
+)
+def test_lnd_rule_matches_laurent_membership(d, m, exps, degree):
+    from pseudoplane.cyclic_quotient import _keeps_ring
+    from pseudoplane.hypersurface_ring import _normalized_ring
+
+    ring = _normalized_ring(m, d)
+    x = normal_form(ring, ring.monomial(*exps))
+    assert _keeps_ring(exps, degree, m) == (derivation_leaves_ring(ring, degree, x) is None)
 
 
 def _shift_c(generator):
@@ -423,7 +455,7 @@ def test_product_window_fails_where_the_per_pair_oracle_first_fails(triple, max_
 
 
 def test_hand_built_normalized_ring_is_accepted():
-    from pseudoplane.hypersurface_ring import _normalized_ring, s_weight
+    from pseudoplane.hypersurface_ring import _normalized_ring
 
     cached = _normalized_ring(2, 3)
     hand_built = HypersurfaceRing(2, MultiPoly(("s",), {(3,): 1, (0,): -1}), "w")

@@ -4,11 +4,15 @@ from hypothesis import strategies as st
 
 from helpers import (
     F,
+    NonPolynomial,
     derivation_apply,
+    derivation_leaves_ring,
     element,
     homogeneous_weight,
+    nilpotency_index,
     oracle_leaves_ring,
     oracle_nilpotency_index,
+    s_weight,
     small_multipolys,
     upoly,
 )
@@ -16,17 +20,13 @@ from helpers import (
 from pseudoplane import (
     HypersurfaceRing,
     MultiPoly,
-    NonPolynomial,
     RingElement,
     SurfaceTriple,
     build_covering_ring,
-    derivation_leaves_ring,
     divisor_to_poly,
     fiber_analysis,
-    nilpotency_index,
     normal_form,
     normalize_power_relation,
-    s_weight,
     smooth_check,
 )
 
