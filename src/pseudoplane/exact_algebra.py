@@ -344,6 +344,17 @@ def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
 def squarefree_decomposition(p: MultiPoly) -> list[tuple[MultiPoly, int]]:
     """Decompose p = lead * prod(factor_i ^ mult_i) with squarefree pairwise
     coprime monic factors and strictly increasing multiplicities (Yun).
+
+    Single-multiplicity exit.  Write the monic p as prod_k f_k^k.  At step i
+    Yun's loop holds c = prod_{k>=i} f_k and
+    d = sum_{k>=i} (k - i) f_k' prod_{l!=k} f_l.  Suppose d = lam*c' for a
+    scalar lam.  Modulo a nonconstant f_k every other term of either sum
+    vanishes, leaving (k - i - lam) f_k' prod_{l!=k} f_l = 0 mod f_k; f_k' and
+    each f_l are units mod f_k, as f_k is squarefree and coprime to every
+    other f_l, so k = i + lam.  Then c is the single factor of multiplicity
+    i + lam and the loop ends at once: p = B^j costs one gcd whatever j is.
+    The exit is taken only for an integer lam >= 0; otherwise the ordinary
+    step runs.
     """
     var = _require_univariate(p)
     if p.is_zero():
@@ -357,14 +368,23 @@ def squarefree_decomposition(p: MultiPoly) -> list[tuple[MultiPoly, int]]:
         return [(a, 1)]
     factors: list[tuple[MultiPoly, int]] = []
     c = poly_divmod(a, g)[0]
-    d = poly_divmod(da, g)[0] - c.partial(var)
+    dc = c.partial(var)
+    d = poly_divmod(da, g)[0] - dc
     i = 1
     while c.degree() > 0:
+        # d = lam*c' forces lam = d's leading coefficient over c''s
+        lam = 0
+        if not d.is_zero():
+            lam = _exact(Fraction(d.leading_coefficient(), dc.leading_coefficient()))
+        if isinstance(lam, int) and lam >= 0 and d == dc * lam:
+            factors.append((c, i + lam))
+            break
         f = poly_gcd(c, d)
         if f.degree() > 0:
             factors.append((f, i))
         c = poly_divmod(c, f)[0]
-        d = poly_divmod(d, f)[0] - c.partial(var)
+        dc = c.partial(var)
+        d = poly_divmod(d, f)[0] - dc
         i += 1
     return factors
 

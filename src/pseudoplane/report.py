@@ -26,9 +26,9 @@ with an (s^d)^kappa (s^d - 1)^lam cofactor.  ``lnd.degrees_found`` lists
 the degrees that pass ``find_valid_lnd_degrees``' integer membership rule on
 every Hilbert-basis generator, each an LND of the whole invariant ring by the
 lemma in its docstring; if none passes, the list is empty and the report
-fails ``lnd_degrees``.  ``max_weight`` above ``MAX_WEIGHT_CAP`` or
-``max_exponent`` above ``MAX_EXPONENT_CAP`` is refused with ``ValueError``
-before any work starts.
+fails ``lnd_degrees``.  A ``d``, ``m``, ``max_weight`` or ``max_exponent``
+above its ``MAX_*_CAP`` (for ``sweep``, ``d_max`` and ``m_max``) is refused
+with ``ValueError`` before any work starts.
 """
 
 from __future__ import annotations
@@ -79,15 +79,12 @@ EXIT_INVALID = 2
 
 Report = dict[str, Any]
 
-# Caps on the two inputs whose work has no other bound: the product window
-# makes (2W+1)^2 pair checks, and the LND search tests every candidate degree
-# up to max_exponent (each one when d = 1).  The window's cap is where it
-# takes about a second: product_window(SurfaceTriple(6, 5, 5), 512) 0.4-0.6 s.
-# A degree costs the LND search a few integer tests per Hilbert-basis
-# generator, so find_valid_lnd_degrees(SurfaceTriple(1, 1, 5), 4096) takes
-# 3 ms; its cap stays as the input bound (Python 3.11.7, 2 cores).
+# Caps on the inputs whose work has no other bound; README ("Notes on
+# conventions") gives the timing behind each.
 MAX_WEIGHT_CAP = 512
 MAX_EXPONENT_CAP = 4096
+MAX_D_CAP = 800
+MAX_M_CAP = 750_000
 
 _REASON_M1 = (
     "not ML1: m=1 admits a second independent ruling of the covering surface "
@@ -106,16 +103,20 @@ def _require_int(**bounds: Any) -> None:
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _check_cap(name: str, value: int, cap: int) -> None:
+    """Reject a value above its cap, before any work starts."""
+    if value > cap:
+        raise ValueError(f"{name} must be <= {cap}, got {value}")
+
+
 def _check_work_bounds(max_weight: int, max_exponent: int) -> None:
     """Reject a product window or an LND search bound out of range, before
     any work starts."""
     _require_int(max_weight=max_weight, max_exponent=max_exponent)
     if max_weight < 0 or max_exponent < 1:
         raise ValueError("max_weight must be >= 0 and max_exponent >= 1")
-    if max_weight > MAX_WEIGHT_CAP:
-        raise ValueError(f"max_weight must be <= {MAX_WEIGHT_CAP}, got {max_weight}")
-    if max_exponent > MAX_EXPONENT_CAP:
-        raise ValueError(f"max_exponent must be <= {MAX_EXPONENT_CAP}, got {max_exponent}")
+    _check_cap("max_weight", max_weight, MAX_WEIGHT_CAP)
+    _check_cap("max_exponent", max_exponent, MAX_EXPONENT_CAP)
 
 
 def verify_triple(
@@ -125,8 +126,10 @@ def verify_triple(
 
     The product structure is checked on |n|, |n'| <= max_weight (skipped at
     0) and derivation degrees are searched up to max_exponent (at least
-    m + d); values above the caps raise ``ValueError``."""
+    m + d); d, m and these bounds above their caps raise ``ValueError``."""
     triple = SurfaceTriple(d, e, m)
+    _check_cap("d", d, MAX_D_CAP)
+    _check_cap("m", m, MAX_M_CAP)
     _check_work_bounds(max_weight, max_exponent)
     failed: list[str] = []
 
@@ -358,6 +361,8 @@ def sweep(
     _require_int(d_max=d_max, m_max=m_max)
     if d_max < 1 or m_max < 1:
         raise ValueError("d_max and m_max must be positive integers")
+    _check_cap("d_max", d_max, MAX_D_CAP)
+    _check_cap("m_max", m_max, MAX_M_CAP)
     _check_work_bounds(max_weight, max_exponent)
     rows: list[Report] = []
     counts = {"consistent": 0, "excluded": 0, "inconsistent": 0}

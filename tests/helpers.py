@@ -11,6 +11,7 @@ from typing import NamedTuple
 from hypothesis import strategies as st
 
 from pseudoplane import (
+    CyclicAction,
     DpdPair,
     HypersurfaceRing,
     MultiPoly,
@@ -23,6 +24,7 @@ from pseudoplane import (
     normal_form,
     parse_poly,
     poly_divmod,
+    poly_gcd,
     standard_action,
     weight_piece_generator,
 )
@@ -413,6 +415,55 @@ def oracle_hilbert_basis(d: int, weights: tuple[int, int, int]) -> tuple[tuple[i
         if not any(y != x and all(a <= b for a, b in zip(y, x)) for y in points)
     ]
     return tuple(sorted(basis))
+
+
+def filter_hilbert_basis(action: CyclicAction) -> list[tuple[int, ...]]:
+    """The sum-sorted minimality filter that the prefix-minimum sweep of
+    hilbert_basis replaced: the least invariant point over each (a, b) of
+    [0, d]^2, plus (0, 0, step), scanned by total degree against the basis
+    found so far (a reducible point lies above a basis element of smaller
+    total degree)."""
+    d = action.modulus
+    w0, w1, w2 = action.weights.values()
+    g = math.gcd(w2, d)
+    step = d // g
+    inv = pow(w2 // g, -1, step) if step > 1 else 0
+    points = [(0, 0, step)]
+    for a in range(d + 1):
+        for b in range(d + 1):
+            r = (a * w0 + b * w1) % d
+            if (a or b) and r % g == 0:
+                points.append((a, b, (-(r // g) * inv) % step))
+    basis: list[tuple[int, ...]] = []
+    for x in sorted(points, key=sum):
+        if not any(all(a <= b for a, b in zip(y, x)) for y in basis):
+            basis.append(x)
+    return sorted(basis)
+
+
+def oracle_squarefree_decomposition(p: MultiPoly) -> list[tuple[MultiPoly, int]]:
+    """Yun's loop without the single-multiplicity exit of
+    squarefree_decomposition: one gcd per multiplicity up to the largest."""
+    var = p.variables[0]
+    a = p.monic()
+    if a.degree() == 0:
+        return []
+    da = a.partial(var)
+    g = poly_gcd(a, da)
+    if g.degree() == 0:
+        return [(a, 1)]
+    factors: list[tuple[MultiPoly, int]] = []
+    c = poly_divmod(a, g)[0]
+    d = poly_divmod(da, g)[0] - c.partial(var)
+    i = 1
+    while c.degree() > 0:
+        f = poly_gcd(c, d)
+        if f.degree() > 0:
+            factors.append((f, i))
+        c = poly_divmod(c, f)[0]
+        d = poly_divmod(d, f)[0] - c.partial(var)
+        i += 1
+    return factors
 
 
 def product_defect(pair, n: int, n_prime: int) -> dict[Scalar, int]:

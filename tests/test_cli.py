@@ -329,10 +329,13 @@ def test_work_bounds_over_the_caps_are_refused_before_any_work(capsys, monkeypat
     def forbidden(*args, **kwargs):
         raise AssertionError("work started for a refused input")
 
-    # sweep must refuse before it verifies its first triple
-    for name in ("product_window", "find_valid_lnd_degrees", "verify_triple"):
+    # verify must refuse before its first check, and sweep before it
+    # verifies its first triple
+    first_check = report_module.ml1_test
+    for name in ("ml1_test", "product_window", "find_valid_lnd_degrees", "verify_triple"):
         monkeypatch.setattr(report_module, name, forbidden)
     weight_cap, exponent_cap = report_module.MAX_WEIGHT_CAP, report_module.MAX_EXPONENT_CAP
+    d_cap, m_cap = report_module.MAX_D_CAP, report_module.MAX_M_CAP
     for bounds, message in [
         ({"max_weight": weight_cap + 1}, f"max_weight must be <= {weight_cap}, got {weight_cap + 1}"),
         (
@@ -352,9 +355,39 @@ def test_work_bounds_over_the_caps_are_refused_before_any_work(capsys, monkeypat
         ):
             assert main(argv) == 2
             assert capsys.readouterr().err == f"error: {message}\n"
+    # d and m: verify names the value, sweep its grid bound
+    for (d, e, m), (d_max, m_max), name, cap in [
+        ((d_cap + 1, 1, 2), (d_cap + 1, 5), "d", d_cap),
+        ((3, 2, m_cap + 1), (6, m_cap + 1), "m", m_cap),
+    ]:
+        message = f"{name} must be <= {cap}, got {cap + 1}"
+        grid_message = f"{name}_max must be <= {cap}, got {cap + 1}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            verify_triple(d, e, m)
+        with pytest.raises(ValueError, match=f"^{grid_message}$"):
+            sweep(d_max, m_max)
+        assert main(["verify", "-d", str(d), "-e", str(e), "-m", str(m)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert main(["sweep", "--d-max", str(d_max), "--m-max", str(m_max)]) == 2
+        assert capsys.readouterr().err == f"error: {grid_message}\n"
     # the caps themselves are accepted
+    monkeypatch.setattr(report_module, "ml1_test", first_check)
     monkeypatch.setattr(report_module, "product_window", lambda triple, w: None)
     monkeypatch.setattr(report_module, "find_valid_lnd_degrees", lambda triple, bound: [2])
     report = verify_triple(3, 2, 2, max_weight=weight_cap, max_exponent=exponent_cap)
     assert report["verdict"] == "consistent"
     assert report["product_structure"] == {"max_weight": weight_cap, "all_match": True}
+
+    class Started(Exception):
+        pass
+
+    def started(*args, **kwargs):
+        raise Started
+
+    # at d and m caps verify reaches its first check and sweep its first triple
+    monkeypatch.setattr(report_module, "ml1_test", started)
+    monkeypatch.setattr(report_module, "verify_triple", started)
+    with pytest.raises(Started):
+        verify_triple(d_cap, 1, m_cap)
+    with pytest.raises(Started):
+        sweep(d_cap, m_cap)

@@ -9,7 +9,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from helpers import (
@@ -22,6 +22,7 @@ from helpers import (
     derivation_apply,
     derivation_leaves_ring,
     dpd_pairs,
+    filter_hilbert_basis,
     first_failing_pair,
     grid_triples,
     laurent_lnd_degrees,
@@ -35,6 +36,7 @@ from helpers import (
     oracle_nilpotency_index,
     oracle_normal_form,
     oracle_product_defect,
+    oracle_squarefree_decomposition,
     product_defect,
     product_structure_check,
     relation,
@@ -61,6 +63,7 @@ from pseudoplane import (
     poly_divmod,
     poly_gcd,
     product_window,
+    squarefree_decomposition,
     standard_action,
     sweep,
     verify_triple,
@@ -208,6 +211,63 @@ def test_hilbert_basis_matches_the_quadratic_filter_for_non_invertible_last_weig
             assert hilbert_basis(action) == list(oracle_hilbert_basis(d, wts))
 
 
+@given(st.integers(1, 25), st.tuples(*[st.integers(-30, 30)] * 3))
+def test_hilbert_basis_matches_the_sum_sorted_filter(d, wts):
+    action = CyclicAction(d, dict(zip(UWS, wts)))
+    assert hilbert_basis(action) == filter_hilbert_basis(action)
+
+
+@st.composite
+def multiplicities(draw, size: int = 4):
+    """All equal (one multiplicity, the exit's case) or pairwise distinct."""
+    if draw(st.booleans()):
+        return [draw(st.integers(1, 5))] * size
+    return draw(st.lists(st.integers(1, 5), min_size=size, max_size=size, unique=True))
+
+
+@given(
+    st.lists(small_upolys(max_deg=2), min_size=1, max_size=4),
+    multiplicities(),
+    small_fractions().filter(bool),
+)
+def test_squarefree_decomposition_matches_yun_without_the_exit(factors, mults, lead):
+    # the factors are drawn independently, so they may share roots, and the
+    # rational leading coefficient keeps the product non-monic
+    p = upoly("s", {0: lead})
+    for f, k in zip(factors, mults):
+        p = p * f ** k
+    assume(not p.is_zero())
+    assert squarefree_decomposition(p) == oracle_squarefree_decomposition(p)
+
+
+@given(st.integers(1, 50), st.integers(1, 50))
+def test_squarefree_decomposition_of_pure_powers_matches_yun_without_the_exit(d, j):
+    p = upoly("s", {d: 1, 0: -1}) ** j
+    assert squarefree_decomposition(p) == oracle_squarefree_decomposition(p) == [
+        (upoly("s", {d: 1, 0: -1}), j)
+    ]
+
+
+def test_squarefree_decomposition_of_a_power_makes_gcd_calls_independent_of_j(monkeypatch):
+    from pseudoplane import exact_algebra
+
+    calls = []
+
+    def counting_gcd(p, q):
+        calls.append(1)
+        return poly_gcd(p, q)
+
+    monkeypatch.setattr(exact_algebra, "poly_gcd", counting_gcd)
+    base = upoly("s", {43: 1, 0: -1})
+    counts = []
+    for j in (2, 7, 43):
+        calls.clear()
+        assert squarefree_decomposition(base ** j) == [(base, j)]
+        counts.append(len(calls))
+    assert counts[-1] <= 2
+    assert len(set(counts)) == 1
+
+
 def _assert_int_coefficients(p):
     assert p.terms and all(type(c) is int for c in p.terms.values()), p
 
@@ -325,6 +385,14 @@ def test_measured_defect_from_exponents_matches_polynomial_oracle(triple, n, n_p
 LARGE_D = [
     (d, e, 3 + i % 7) for i, d in enumerate(range(21, 44, 2)) for e in (d - 1, d - 2)
 ]
+
+
+def test_hilbert_basis_matches_the_sum_sorted_filter_at_large_d():
+    # the benchmark's large_d pool, and standard actions at d = 101 and 201
+    big = [(d, e, m) for d in (101, 201) for e in (d - 1, d - 2, 2) for m in (2, 3)]
+    for d, e, m in LARGE_D + big:
+        action = standard_action(SurfaceTriple(d, e, m))
+        assert hilbert_basis(action) == filter_hilbert_basis(action), (d, e, m)
 
 
 def test_lnd_certificate_matches_normal_form_oracle_across_grid():
