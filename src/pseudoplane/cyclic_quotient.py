@@ -105,7 +105,8 @@ def freeness_check(action: CyclicAction, ring: HypersurfaceRing) -> FreenessResu
     every coordinate allowed to be nonzero has b*weight = 0 mod d and the
     surface has a point with exactly that pattern; the latter reduces to
     whether P vanishes at 0 and whether P has a nonzero root, both decided
-    from the term data.
+    from the term data.  Only the multiples of each admitted pattern's
+    period are visited, and the loci are listed by power, then pattern.
     """
     d = action.modulus
     variables = ring.variables
@@ -132,21 +133,21 @@ def freeness_check(action: CyclicAction, ring: HypersurfaceRing) -> FreenessResu
             return True if s_nz else not vanishes_at_zero
         return has_nonzero_root if s_nz else vanishes_at_zero
 
-    loci: list[dict] = []
-    for b in range(1, d):
-        for pattern in product((False, True), repeat=3):
-            if any(nz and (b * w) % d != 0 for nz, w in zip(pattern, wts)):
-                continue
-            if admits(*pattern):
-                loci.append(
-                    {
-                        "power": b,
-                        "pattern": {
-                            v: ("nonzero" if nz else "zero")
-                            for v, nz in zip(variables, pattern)
-                        },
-                    }
-                )
+    hits = []
+    for index, pattern in enumerate(product((False, True), repeat=3)):
+        if not admits(*pattern):
+            continue
+        # b*w = 0 mod d for the weight w of every nonzero coordinate iff
+        # d / gcd(d, those weights) divides b
+        step = d // math.gcd(d, *(w for nz, w in zip(pattern, wts) if nz))
+        hits.extend((b, index, pattern) for b in range(step, d, step))
+    loci = [
+        {
+            "power": b,
+            "pattern": {v: ("nonzero" if nz else "zero") for v, nz in zip(variables, pattern)},
+        }
+        for b, _, pattern in sorted(hits)
+    ]
     return FreenessResult(not loci, loci)
 
 
@@ -213,10 +214,16 @@ def weight_piece_generator(triple: SurfaceTriple, n: int) -> tuple[int, int, int
     """Exponents (a, b, c) of the monomial u^a w^b s^c generating the weight-n
     invariant piece of the normalized ring.
 
-    (a, b) is pinned by a - m*b = n together with the normal-form constraint
-    (a < m or b = 0); c is the least non-negative solution of the invariance
-    congruence, c = (-e'*n) mod d.  The full piece is this generator times the
-    polynomials in s^d (rank one).
+    Rank one.  The rewrite u^m w -> s^d - 1 keeps both the torus weight
+    a - m*b and the residue under the standard action (1, -m, e), so the
+    invariant weight-n piece is spanned by the normal-form monomials
+    u^a w^b s^c with a - m*b = n, a < m or b = 0, and n + e*c = 0 mod d.
+    For n >= 0, b >= 1 would give a = n + m*b >= m, so (a, b) = (n, 0).  For
+    n < 0, b = 0 would give a = n < 0, so a < m and a = n + m*b (I3) forces
+    a = n mod m and b = (a - n)/m.  As e is a unit mod d, the congruence
+    has the solutions c = (-e'*n) mod d + d*j, j >= 0.  So the monomials of
+    the piece are exactly g(n) * (s^d)^j: the piece is g(n) * C[s^d], free
+    of rank one over C[s^d].
     """
     m = triple.m
     if n >= 0:

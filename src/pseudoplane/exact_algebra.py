@@ -4,7 +4,9 @@ Coefficients are exact integers or rationals: an integral coefficient is
 stored as an `int`, and division (`poly_divmod`, `monic`) promotes to
 `fractions.Fraction` only when the quotient is not integral, so integer
 arithmetic skips `Fraction`'s gcd normalisation and every computation stays
-exact.  A `Fraction` equal to an integer may remain after mixed arithmetic;
+exact.  Integer inputs stay in `int` through `poly_divmod` (each exact step
+uses `//`) and `poly_gcd` (a primitive remainder sequence) up to the final
+`monic`.  A `Fraction` equal to an integer may remain after mixed arithmetic;
 it compares and hashes equal to that integer.  A polynomial is a sparse map
 from exponent vectors to nonzero coefficients:
 
@@ -26,6 +28,7 @@ bit-exactly.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from operator import add
@@ -235,6 +238,10 @@ class MultiPoly:
     def __pow__(self, exponent: int) -> "MultiPoly":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError(f"polynomial exponent must be a non-negative integer: {exponent}")
+        if exponent == 1:
+            return self
+        if len(self._terms) == 2:
+            return self._binomial_power(exponent)
         result = MultiPoly._trusted(self._variables, {(0,) * len(self._variables): 1})
         base = self
         n = exponent
@@ -245,6 +252,24 @@ class MultiPoly:
             if n:
                 base = base * base
         return result
+
+    def _binomial_power(self, n: int) -> "MultiPoly":
+        """(x + y)^n = sum C(n, i) x^(n-i) y^i for a two-term polynomial.
+
+        C(n, i + 1) = C(n, i) (n - i) / (i + 1) is exact in the integers.  The
+        exponent vectors n*ex + i*(ey - ex) differ for distinct i, as ex != ey,
+        and no coefficient vanishes, so the term map is clean as built.
+        """
+        (ex, cx), (ey, cy) = self._terms.items()
+        step = tuple(b - a for a, b in zip(ex, ey))
+        key = tuple(a * n for a in ex)
+        binom = 1
+        out: dict[Exponents, Scalar] = {}
+        for i in range(n + 1):
+            out[key] = binom * cx ** (n - i) * cy ** i
+            key = tuple(map(add, key, step))
+            binom = binom * (n - i) // (i + 1)
+        return MultiPoly._trusted(self._variables, out)
 
     def partial(self, var: str) -> "MultiPoly":
         """Formal partial derivative with respect to `var`."""
@@ -261,6 +286,8 @@ class MultiPoly:
     def with_variables(self, variables: Iterable[str]) -> "MultiPoly":
         """Re-embed into a larger (or reordered) variable list."""
         variables = tuple(variables)
+        if len(set(variables)) != len(variables):
+            raise ValueError(f"duplicate variable names: {variables}")
         positions = []
         for v in self._variables:
             if v not in variables:
@@ -272,7 +299,8 @@ class MultiPoly:
             for pos, e in zip(positions, exps):
                 new[pos] = e
             out[tuple(new)] = coeff
-        return MultiPoly(variables, out)
+        # distinct positions keep distinct keys, and the coefficients are clean
+        return MultiPoly._trusted(variables, out)
 
     def monic(self) -> "MultiPoly":
         """Divide a univariate polynomial by its leading coefficient (zero stays zero)."""
@@ -306,23 +334,31 @@ def _require_univariate(p: MultiPoly, q: MultiPoly | None = None) -> str:
 
 
 def poly_divmod(p: MultiPoly, q: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
-    """Exact univariate division with remainder over the rationals."""
+    """Exact univariate division with remainder over the rationals.  A step
+    whose top coefficient is an `int` multiple of an `int` leading
+    coefficient of q stays in `int`."""
     _require_univariate(p, q)
     if q.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     qdeg = q.degree()
     qlead = q.leading_coefficient()
-    rem = dict(p.terms)
+    int_lead = type(qlead) is int
+    rem = dict(p._terms)
     quo: dict[Exponents, Scalar] = {}
     while rem:
         top = max(rem)
         deg = top[0]
         if deg < qdeg:
             break
-        factor = _exact(Fraction(rem[top], qlead))
+        if int_lead and type(rem[top]) is int:
+            factor, inexact = divmod(rem[top], qlead)
+            if inexact:
+                factor = Fraction(rem[top], qlead)
+        else:
+            factor = _exact(Fraction(rem[top], qlead))
         shift = deg - qdeg
         quo[(shift,)] = factor
-        for exps, coeff in q.terms.items():
+        for exps, coeff in q._terms.items():
             key = (exps[0] + shift,)
             total = rem.get(key, 0) - factor * coeff
             if total:
@@ -332,12 +368,37 @@ def poly_divmod(p: MultiPoly, q: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
     return MultiPoly._trusted(p.variables, quo), MultiPoly._trusted(p.variables, rem)
 
 
+def _is_integral(p: MultiPoly) -> bool:
+    return all(type(c) is int for c in p._terms.values())
+
+
+def _primitive(p: MultiPoly) -> MultiPoly:
+    """An integer polynomial divided by the gcd of its coefficients."""
+    content = math.gcd(*p._terms.values())
+    if content <= 1:
+        return p
+    return MultiPoly._trusted(p._variables, {e: c // content for e, c in p._terms.items()})
+
+
 def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    """Monic gcd of univariate polynomials via the Euclidean algorithm."""
+    """Monic gcd of univariate polynomials.
+
+    For `int` coefficients, a primitive pseudo-remainder sequence (W. S.
+    Brown, JACM 1971): a times lead(b)^(deg a - deg b + 1) divides by b with
+    every step exact in the integers, and each remainder is divided by its
+    content.  Each remainder is a nonzero rational multiple of Euclid's, so
+    the last nonzero one made monic is the gcd, and no coefficient leaves
+    `int` before that.  Other coefficients run Euclid over the rationals.
+    """
     _require_univariate(p, q)
     a, b = p, q
-    while not b.is_zero():
-        a, b = b, poly_divmod(a, b)[1]
+    if _is_integral(a) and _is_integral(b):
+        while not b.is_zero():
+            scale = b.leading_coefficient() ** max(a.degree() - b.degree() + 1, 0)
+            a, b = b, _primitive(poly_divmod(a * scale, b)[1])
+    else:
+        while not b.is_zero():
+            a, b = b, poly_divmod(a, b)[1]
     return a.monic()
 
 
@@ -394,7 +455,8 @@ def substitute_power(p: MultiPoly, exponent: int, new_var: str) -> MultiPoly:
     _require_univariate(p)
     if exponent < 1:
         raise ValueError(f"substitution exponent must be positive: {exponent}")
-    return MultiPoly((new_var,), {(e[0] * exponent,): c for e, c in p.terms.items()})
+    # e -> e*exponent is injective, so the term map stays clean
+    return MultiPoly._trusted((new_var,), {(e * exponent,): c for (e,), c in p._terms.items()})
 
 
 # -- text format ---------------------------------------------------------------

@@ -27,8 +27,9 @@ the degrees that pass ``find_valid_lnd_degrees``' integer membership rule on
 every Hilbert-basis generator, each an LND of the whole invariant ring by the
 lemma in its docstring; if none passes, the list is empty and the report
 fails ``lnd_degrees``.  A ``d``, ``m``, ``max_weight`` or ``max_exponent``
-above its ``MAX_*_CAP`` (for ``sweep``, ``d_max`` and ``m_max``) is refused
-with ``ValueError`` before any work starts.
+above its ``MAX_*_CAP`` (for ``sweep``, ``d_max`` and ``m_max``), and a
+sweep grid of more than ``MAX_GRID_TRIPLES`` triples, are refused with
+``ValueError`` before any work starts.
 """
 
 from __future__ import annotations
@@ -85,6 +86,7 @@ MAX_WEIGHT_CAP = 512
 MAX_EXPONENT_CAP = 4096
 MAX_D_CAP = 800
 MAX_M_CAP = 750_000
+MAX_GRID_TRIPLES = 10_000
 
 _REASON_M1 = (
     "not ML1: m=1 admits a second independent ruling of the covering surface "
@@ -349,6 +351,17 @@ def grid_triples(d_max: int, m_max: int) -> Iterator[tuple[int, int, int]]:
                     yield d, e, m
 
 
+def _grid_size(d_max: int, m_max: int) -> int:
+    """The number of triples of ``grid_triples``: m_max times the sum of
+    Euler's phi(d) over d <= d_max, by a totient sieve."""
+    phi = list(range(d_max + 1))
+    for p in range(2, d_max + 1):
+        if phi[p] == p:  # p is prime
+            for n in range(p, d_max + 1, p):
+                phi[n] -= phi[n] // p
+    return m_max * sum(phi[1:])
+
+
 def sweep(
     d_max: int,
     m_max: int,
@@ -363,6 +376,7 @@ def sweep(
         raise ValueError("d_max and m_max must be positive integers")
     _check_cap("d_max", d_max, MAX_D_CAP)
     _check_cap("m_max", m_max, MAX_M_CAP)
+    _check_cap("grid triples", _grid_size(d_max, m_max), MAX_GRID_TRIPLES)
     _check_work_bounds(max_weight, max_exponent)
     rows: list[Report] = []
     counts = {"consistent": 0, "excluded": 0, "inconsistent": 0}

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from operator import add
 from typing import NamedTuple
 
@@ -24,7 +25,6 @@ from pseudoplane import (
     normal_form,
     parse_poly,
     poly_divmod,
-    poly_gcd,
     standard_action,
     weight_piece_generator,
 )
@@ -441,15 +441,78 @@ def filter_hilbert_basis(action: CyclicAction) -> list[tuple[int, ...]]:
     return sorted(basis)
 
 
+def oracle_pow(p: MultiPoly, n: int) -> MultiPoly:
+    """p^n by repeated squaring, as MultiPoly.__pow__ computed every power
+    before two-term bases took the binomial theorem."""
+    result = MultiPoly.constant(p.variables, 1)
+    base = p
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
+
+
+def oracle_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
+    """Monic gcd by Euclid's algorithm over the rationals, as poly_gcd ran
+    on every input before integer inputs took a primitive remainder
+    sequence."""
+    a, b = p, q
+    while not b.is_zero():
+        a, b = b, poly_divmod(a, b)[1]
+    return a.monic()
+
+
+def oracle_freeness_check(action: CyclicAction, ring: HypersurfaceRing):
+    """freeness_check as it tested every power b in 1..d-1 against every
+    coordinate pattern; the same semi-invariance check and point test."""
+    d = action.modulus
+    variables = ring.variables
+    wts = [action.weights[v] for v in variables]
+    residues = {(ring.k * wts[0] + wts[1]) % d}
+    residues.update((exp * wts[2]) % d for (exp,) in ring.P.terms)
+    if len(residues) > 1:
+        raise ValueError(f"relation is not semi-invariant under the action: residues {sorted(residues)}")
+    vanishes_at_zero = ring.P.constant_coefficient() == 0
+    has_nonzero_root = ring.P.degree() > ring.P.valuation("s")
+
+    def admits(u_nz: bool, v_nz: bool, s_nz: bool) -> bool:
+        if not u_nz:
+            return has_nonzero_root if s_nz else vanishes_at_zero
+        if v_nz:
+            return True if s_nz else not vanishes_at_zero
+        return has_nonzero_root if s_nz else vanishes_at_zero
+
+    loci: list[dict] = []
+    for b in range(1, d):
+        for pattern in product((False, True), repeat=3):
+            if any(nz and (b * w) % d != 0 for nz, w in zip(pattern, wts)):
+                continue
+            if admits(*pattern):
+                loci.append(
+                    {
+                        "power": b,
+                        "pattern": {
+                            v: ("nonzero" if nz else "zero")
+                            for v, nz in zip(variables, pattern)
+                        },
+                    }
+                )
+    return not loci, loci
+
+
 def oracle_squarefree_decomposition(p: MultiPoly) -> list[tuple[MultiPoly, int]]:
     """Yun's loop without the single-multiplicity exit of
-    squarefree_decomposition: one gcd per multiplicity up to the largest."""
+    squarefree_decomposition: one gcd per multiplicity up to the largest,
+    each by Euclid over the rationals."""
     var = p.variables[0]
     a = p.monic()
     if a.degree() == 0:
         return []
     da = a.partial(var)
-    g = poly_gcd(a, da)
+    g = oracle_gcd(a, da)
     if g.degree() == 0:
         return [(a, 1)]
     factors: list[tuple[MultiPoly, int]] = []
@@ -457,7 +520,7 @@ def oracle_squarefree_decomposition(p: MultiPoly) -> list[tuple[MultiPoly, int]]
     d = poly_divmod(da, g)[0] - c.partial(var)
     i = 1
     while c.degree() > 0:
-        f = poly_gcd(c, d)
+        f = oracle_gcd(c, d)
         if f.degree() > 0:
             factors.append((f, i))
         c = poly_divmod(c, f)[0]

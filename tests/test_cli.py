@@ -370,6 +370,16 @@ def test_work_bounds_over_the_caps_are_refused_before_any_work(capsys, monkeypat
         assert capsys.readouterr().err == f"error: {message}\n"
         assert main(["sweep", "--d-max", str(d_max), "--m-max", str(m_max)]) == 2
         assert capsys.readouterr().err == f"error: {grid_message}\n"
+    # the number of grid triples, counted as grid_triples yields them
+    grid_cap = report_module.MAX_GRID_TRIPLES
+    for d_max, m_max in [(1, grid_cap + 1), (6, grid_cap // 12 + 1), (d_cap, 1)]:
+        count = sum(1 for _ in report_module.grid_triples(d_max, m_max))
+        assert count > grid_cap
+        message = f"grid triples must be <= {grid_cap}, got {count}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            sweep(d_max, m_max)
+        assert main(["sweep", "--d-max", str(d_max), "--m-max", str(m_max)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
     # the caps themselves are accepted
     monkeypatch.setattr(report_module, "ml1_test", first_check)
     monkeypatch.setattr(report_module, "product_window", lambda triple, w: None)
@@ -384,10 +394,16 @@ def test_work_bounds_over_the_caps_are_refused_before_any_work(capsys, monkeypat
     def started(*args, **kwargs):
         raise Started
 
-    # at d and m caps verify reaches its first check and sweep its first triple
+    # at d and m caps verify reaches its first check, and at the grid cap
+    # sweep reaches its first triple, in the library and the CLI
     monkeypatch.setattr(report_module, "ml1_test", started)
-    monkeypatch.setattr(report_module, "verify_triple", started)
     with pytest.raises(Started):
         verify_triple(d_cap, 1, m_cap)
     with pytest.raises(Started):
-        sweep(d_cap, m_cap)
+        main(["verify", "-d", str(d_cap), "-e", "1", "-m", str(m_cap)])
+    monkeypatch.setattr(report_module, "verify_triple", started)
+    assert sum(1 for _ in report_module.grid_triples(1, grid_cap)) == grid_cap
+    with pytest.raises(Started):
+        sweep(1, grid_cap)
+    with pytest.raises(Started):
+        main(["sweep", "--d-max", "1", "--m-max", str(grid_cap)])

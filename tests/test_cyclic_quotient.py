@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import (
     F,
@@ -12,6 +14,7 @@ from helpers import (
     normalized_ring,
     product_structure_check,
     reachable_sums,
+    surface_triples,
     upoly,
     weight_piece_is_rank_one,
 )
@@ -180,6 +183,18 @@ def test_weight_pieces_have_rank_one():
     for t in TRIPLES[:20]:
         for n in (-5, -2, -1, 0, 1, 2, 5):
             assert weight_piece_is_rank_one(t, n, exp_bound=12)
+
+
+@given(surface_triples(), st.data())
+def test_weight_pieces_have_rank_one_for_any_weight(t, data):
+    # the rank-one argument in weight_piece_generator's docstring, on a box
+    # that holds the generator and at least two further powers of s^d
+    k = max(t.d, t.m)
+    n = data.draw(st.integers(-3 * k, 3 * k))
+    a, b, c = weight_piece_generator(t, n)
+    bound = max(a, b) + 2 * t.d + c
+    assert action_weight(standard_action(t), (a, b, c), ("u", "w", "s")) == 0
+    assert weight_piece_is_rank_one(t, n, exp_bound=bound)
 
 
 # -- product structure -------------------------------------------------------------

@@ -29,12 +29,15 @@ from helpers import (
     nilpotency_index,
     normalized_ring,
     oracle_add,
+    oracle_freeness_check,
+    oracle_gcd,
     oracle_hilbert_basis,
     oracle_leaves_ring,
     oracle_mul,
     oracle_measured_defect,
     oracle_nilpotency_index,
     oracle_normal_form,
+    oracle_pow,
     oracle_product_defect,
     oracle_squarefree_decomposition,
     product_defect,
@@ -58,7 +61,9 @@ from pseudoplane import (
     SurfaceTriple,
     divisor_to_poly,
     find_valid_lnd_degrees,
+    freeness_check,
     hilbert_basis,
+    induced_action,
     normal_form,
     poly_divmod,
     poly_gcd,
@@ -240,12 +245,14 @@ def test_squarefree_decomposition_matches_yun_without_the_exit(factors, mults, l
     assert squarefree_decomposition(p) == oracle_squarefree_decomposition(p)
 
 
-@given(st.integers(1, 50), st.integers(1, 50))
+@given(st.integers(1, 60), st.integers(1, 60))
 def test_squarefree_decomposition_of_pure_powers_matches_yun_without_the_exit(d, j):
-    p = upoly("s", {d: 1, 0: -1}) ** j
-    assert squarefree_decomposition(p) == oracle_squarefree_decomposition(p) == [
-        (upoly("s", {d: 1, 0: -1}), j)
-    ]
+    # the oracle side is built by repeated squaring and decomposed with
+    # Euclid over the rationals
+    base = upoly("s", {d: 1, 0: -1})
+    assert squarefree_decomposition(base ** j) == oracle_squarefree_decomposition(
+        oracle_pow(base, j)
+    ) == [(base, j)]
 
 
 def test_squarefree_decomposition_of_a_power_makes_gcd_calls_independent_of_j(monkeypatch):
@@ -572,3 +579,118 @@ def test_product_window_against_grafted_pairs(plus, minus, first):
     pair = DpdPair(triple.pair.d_plus + QDivisor(plus), triple.pair.d_minus + QDivisor(minus))
     object.__setattr__(triple, "pair", pair)
     assert product_window(triple, 4) == first_failing_pair(triple, 4) == first
+
+
+# -- binomial powers, the integer gcd and the freeness periods ------------------
+
+_nonzero_scalars = st.one_of(
+    st.integers(-7, 7).filter(bool), small_fractions().filter(bool)
+)
+
+
+@st.composite
+def two_term_polys(draw, variables):
+    exps = st.tuples(*[st.integers(0, 4)] * len(variables))
+    ex, ey = draw(st.lists(exps, min_size=2, max_size=2, unique=True))
+    return MultiPoly(variables, {ex: draw(_nonzero_scalars), ey: draw(_nonzero_scalars)})
+
+
+@given(st.sampled_from([("s",), UVS]).flatmap(two_term_polys), st.integers(0, 60))
+def test_binomial_power_matches_repeated_squaring(p, n):
+    got = p ** n
+    assert got == oracle_pow(p, n)
+    assert_clean(got)
+    if all(type(c) is int for c in p.terms.values()):
+        assert all(type(c) is int for c in got.terms.values())
+    assert p ** 1 is p
+
+
+@st.composite
+def integer_gcd_inputs(draw):
+    """Integer polynomials with a drawn common factor, each times a drawn
+    content: zero, constants, negative leads and non-primitive inputs."""
+    common, f, g = (draw(_int_upolys) for _ in range(3))
+    p, q = (common * x * draw(st.integers(-6, 6)) for x in (f, g))
+    return draw(st.sampled_from([(p, q), (q, p), (p, common), (f, g)]))
+
+
+@given(integer_gcd_inputs())
+def test_integer_gcd_matches_rational_euclid(pq):
+    p, q = pq
+    got = poly_gcd(p, q)
+    assert got == oracle_gcd(p, q)
+    assert_clean(got)
+
+
+@given(_int_upolys, st.integers(-12, 12))
+def test_primitive_part_divides_out_the_content(p, c):
+    from pseudoplane.exact_algebra import _primitive
+
+    got = _primitive(p * c)
+    if c == 0 or p.is_zero():
+        assert got.is_zero()
+        return
+    assert math.gcd(*got.terms.values()) == 1
+    assert got * math.gcd(*(p * c).terms.values()) == p * c
+
+
+@given(_int_upolys, _int_upolys)
+def test_exact_integer_division_stays_int(p, q):
+    assume(not q.is_zero())
+    quo, rem = poly_divmod(p * q, q)
+    assert quo == p and rem.is_zero()
+    assert all(type(c) is int for c in quo.terms.values())
+    quo, rem = poly_divmod(p, q)
+    assert quo * q + rem == p and rem.degree() < q.degree()
+
+
+@given(
+    st.lists(_int_upolys.filter(lambda f: f.degree() > 0), min_size=1, max_size=4),
+    multiplicities(),
+    st.integers(-6, 6).filter(bool),
+)
+def test_squarefree_decomposition_of_integer_products_matches_rational_yun(factors, mults, lead):
+    p = upoly("s", {0: lead})
+    for f, k in zip(factors, mults):
+        p = p * f ** k
+    assert squarefree_decomposition(p) == oracle_squarefree_decomposition(p)
+
+
+@st.composite
+def freeness_inputs(draw):
+    """A random action on a hypersurface ring: semi-invariant when the second
+    weight is solved from the first term of P, arbitrary otherwise."""
+    d = draw(st.integers(1, 40))
+    k = draw(st.integers(1, 5))
+    wu, ws = draw(st.integers(-50, 50)), draw(st.integers(-50, 50))
+    e0 = draw(st.integers(0, 4))
+    period = d // math.gcd(d, ws)
+    exps = [e0 + period * j for j in draw(st.sets(st.integers(0, 3), max_size=3))]
+    P = upoly("s", {e: draw(st.integers(-3, 3).filter(bool)) for e in [e0, *exps]})
+    if draw(st.booleans()):
+        wv = e0 * ws - k * wu
+    else:
+        wv = draw(st.integers(-50, 50))
+    second = draw(st.sampled_from(["v", "w"]))
+    action = CyclicAction(d, {"u": wu, second: wv, "s": ws})
+    return action, HypersurfaceRing(k, P, second)
+
+
+@given(freeness_inputs())
+def test_freeness_check_matches_the_loop_over_every_power(inputs):
+    action, ring = inputs
+    try:
+        want = oracle_freeness_check(action, ring)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            freeness_check(action, ring)
+        return
+    assert tuple(freeness_check(action, ring)) == want
+
+
+def test_freeness_check_matches_the_loop_over_every_power_across_grid():
+    for d, e, m in grid_triples() + LARGE_D:
+        triple = SurfaceTriple(d, e, m)
+        ring = normalized_ring(triple)
+        for action in (standard_action(triple), induced_action(triple)):
+            assert tuple(freeness_check(action, ring)) == oracle_freeness_check(action, ring)
