@@ -8,6 +8,7 @@ gcd/squarefree data of the defining polynomial, never with numeric roots.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import product
 from typing import NamedTuple
@@ -235,6 +236,47 @@ def weight_piece_generator(triple: SurfaceTriple, n: int) -> tuple[int, int, int
     return (a, b, c)
 
 
+def _first_failing_weight(triple: SurfaceTriple, max_weight: int) -> int | None:
+    """The first weight n in -2W..2W (W = max_weight), increasing, whose
+    generator g(n) = (a, b, c) and piece exponents p0, p1 at the points 0
+    and 1 break one of (I1) c = d*p0 - e'*n, (I2) b = p1, (I3) a = n + m*b,
+    the normal form (N) a >= 0, b >= 0, (a < m or b = 0), or whose piece
+    has a point other than 0 and 1; None if every weight passes.
+
+    Lemma: if every weight in -2W..2W passes, every pair of product_window's
+    window passes.  Take |n|, |n'| <= W, N = n + n' and B = b(n) + b(n').
+    The product g(n) + g(n') = (a, b, c) has b = B and, by (I3),
+    a = N + m*B, so a // m = floor(N/m) + B.  By (I3) and (N), b(N) is 0
+    for N >= 0 (b >= 1 would give a = N + m*b >= m) and -floor(N/m) for
+    N < 0 (b = 0 would give a = N < 0, and 0 <= N + m*b < m); so in either
+    case lam = min(a // m, B) = B - b(N), which (I2) makes the defect
+    p1(n) + p1(n') - p1(N) at 1.  (I3) then makes the rewritten product
+    (a - lam*m, b - lam) exactly (a(N), b(N)).  (I1) gives
+    c - c(N) = d*(p0(n) + p0(n') - p0(N)) - e'*(n + n' - N) = d*defect_0,
+    so d divides c - c(N) and kappa is the defect at 0.  No piece has
+    another point, so no other defect needs a check.
+    """
+    d, m, e_prime = triple.d, triple.m, triple.e_prime
+    pair = triple.pair
+    for n in range(-2 * max_weight, 2 * max_weight + 1):
+        a, b, c = weight_piece_generator(triple, n)
+        piece = graded_piece(pair, n)
+        p0 = piece.get(0, 0)
+        if (
+            c != d * p0 - e_prime * n
+            or b != piece.get(1, 0)
+            or a != n + m * b
+            or a < 0
+            or b < 0
+            or (a >= m and b)
+            # zeros are pruned, so a piece with no third point has one entry
+            # for each nonzero exponent at 0 and at 1 (there, b by (I2))
+            or len(piece) != bool(p0) + bool(b)
+        ):
+            return n
+    return None
+
+
 def product_window(triple: SurfaceTriple, max_weight: int) -> tuple[int, int] | None:
     """The first pair (n, n') with |n|, |n'| <= max_weight, in row order (n
     outer, n' inner, both increasing), on which the invariant ring does not
@@ -257,12 +299,17 @@ def product_window(triple: SurfaceTriple, max_weight: int) -> tuple[int, int] | 
     kappa = (c - c12) // d.  Either failure means the piece convention is
     wrong, and the pair fails like a mismatched defect.
 
-    The window meets only the 4*max_weight + 1 weights -2W..2W of n + n', so
-    their generators and their pieces at the support points are tabulated
-    once; each pair then costs a few integer operations.
+    The window meets only the 4*max_weight + 1 weights -2W..2W of n + n',
+    and ``_first_failing_weight`` checks each of them first; when every
+    weight passes, so does every pair, by the lemma in its docstring.  Only
+    when one fails are the generators and their pieces at the support points
+    tabulated, and the pairs walked in row order, at a few integer operations
+    each, to name the first failing pair.
     """
     if max_weight < 0:
         raise ValueError(f"max_weight must be >= 0, got {max_weight}")
+    if _first_failing_weight(triple, max_weight) is None:
+        return None
     d, m, w = triple.d, triple.m, max_weight
     pair = triple.pair
     others = sorted((pair.d_plus.coefficients.keys() | pair.d_minus.coefficients.keys()) - {0, 1})
@@ -382,15 +429,21 @@ def find_valid_lnd_degrees(triple: SurfaceTriple, bound: int) -> list[int]:
     x >= m; and a + x >= m, which x >= m gives for every a >= 0, is the rule
     ceil(-(n + x)/m) <= b - 1 rewritten, so it puts every monomial in the
     ring.
+
+    Search.  The rule is monotone in the degree: j = a - m*b + x grows with
+    x, and ceil(-j/m) falls as j grows, so a degree that keeps a generator
+    in the ring keeps it there at every larger degree.  The passing degrees
+    therefore form a tail of the progression x = e (mod d), and a bisection
+    with the rule on the whole basis as its predicate finds where the tail
+    starts, in O(log(bound/d)) tests instead of one per degree.
     """
     if bound < triple.m + triple.d:
         raise ValueError(
             f"bound must be at least m + d = {triple.m + triple.d}, got {bound}"
         )
     basis = hilbert_basis(standard_action(triple))
+    m = triple.m
     # the least degree >= 1 congruent to e mod d, then every d-th one
-    return [
-        degree
-        for degree in range((triple.e - 1) % triple.d + 1, bound + 1, triple.d)
-        if all(_keeps_ring(g, degree, triple.m) for g in basis)
-    ]
+    degrees = range((triple.e - 1) % triple.d + 1, bound + 1, triple.d)
+    first = bisect_left(degrees, True, key=lambda x: all(_keeps_ring(g, x, m) for g in basis))
+    return list(degrees[first:])

@@ -38,12 +38,16 @@ def pseudoplane_dpd_pair(d: int, e_prime: int, m: int) -> DpdPair:
 
 def graded_piece(pair: DpdPair, n: int) -> dict[Fraction, int]:
     """Exponents {point: e} of the weight-n piece, Fraction points, zeros pruned:
-    -floor(n*D+) for n >= 0, -floor(-n*D-) for n < 0, {} for n = 0."""
+    -floor(n*D+) for n >= 0, -floor(-n*D-) for n < 0, {} for n = 0.  The
+    floor of mult*c is the integer floor division of mult*c.numerator by
+    c.denominator (which is positive), so no Fraction is built."""
     if n == 0:
         return {}
     divisor = pair.d_plus if n > 0 else pair.d_minus
     mult = abs(n)
-    exponents = ((p, -math.floor(mult * c)) for p, c in divisor.coefficients.items())
+    exponents = (
+        (p, -(mult * c.numerator // c.denominator)) for p, c in divisor.coefficients.items()
+    )
     return {p: e for p, e in exponents if e}
 
 

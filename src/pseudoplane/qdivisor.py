@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
@@ -37,15 +38,23 @@ class QDivisor:
         items = coefficients.items() if isinstance(coefficients, Mapping) else coefficients
         clean: dict[Fraction, Fraction] = {}
         for point, coeff in items:
-            point = Fraction(point)
-            coeff = Fraction(coeff)
+            # a Fraction is immutable, so one is stored as it is
+            if type(point) is not Fraction:
+                point = Fraction(point)
+            if type(coeff) is not Fraction:
+                coeff = Fraction(coeff)
             if not coeff:
                 continue
-            total = clean.get(point, Fraction(0)) + coeff
+            # one hash of the point when it is new: setdefault inserts it
+            size = len(clean)
+            total = clean.setdefault(point, coeff)
+            if len(clean) > size:
+                continue
+            total += coeff
             if total:
                 clean[point] = total
             else:
-                clean.pop(point, None)
+                del clean[point]
         object.__setattr__(self, "_coeffs", clean)
 
     def __setattr__(self, name, value):
@@ -80,14 +89,8 @@ class QDivisor:
     def __add__(self, other: "QDivisor") -> "QDivisor":
         if not isinstance(other, QDivisor):
             return NotImplemented
-        out = dict(self._coeffs)
-        for p, c in other._coeffs.items():
-            total = out.get(p, Fraction(0)) + c
-            if total:
-                out[p] = total
-            else:
-                del out[p]
-        return QDivisor(out)
+        # the constructor sums repeated points and drops the ones that cancel
+        return QDivisor(chain(self._coeffs.items(), other._coeffs.items()))
 
     def __neg__(self) -> "QDivisor":
         return QDivisor({p: -c for p, c in self._coeffs.items()})

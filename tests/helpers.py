@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from operator import add
-from typing import NamedTuple
+from typing import Mapping, NamedTuple
 
 from hypothesis import strategies as st
 
@@ -204,6 +204,19 @@ def laurent_lnd_degrees(triple: SurfaceTriple, bound: int) -> list[int]:
         if all(nilpotency_index(ring, degree, x) is not None for x in pieces):
             found.append(degree)
     return found
+
+
+def oracle_lnd_degrees(triple: SurfaceTriple, bound: int) -> list[int]:
+    """find_valid_lnd_degrees degree by degree: the integer rule on every
+    Hilbert-basis generator at each x = e (mod d) in [1, bound], as the
+    search ran before it bisected.  The rule is read through the
+    cyclic_quotient module, so a monkeypatched rule reaches both."""
+    basis = hilbert_basis(standard_action(triple))
+    return [
+        degree
+        for degree in range((triple.e - 1) % triple.d + 1, bound + 1, triple.d)
+        if all(cyclic_quotient._keeps_ring(g, degree, triple.m) for g in basis)
+    ]
 
 
 # -- independent oracles ---------------------------------------------------------
@@ -599,6 +612,49 @@ def first_failing_pair(triple, max_weight: int) -> tuple[int, int] | None:
             except StructuralError:
                 return n, n_prime
     return None
+
+
+def oracle_graded_piece(pair, n: int) -> dict[Fraction, int]:
+    """graded_piece with the floor taken of the Fraction mult * c, as it was
+    before the floor became integer division."""
+    if n == 0:
+        return {}
+    divisor = pair.d_plus if n > 0 else pair.d_minus
+    mult = abs(n)
+    exponents = ((p, -math.floor(mult * c)) for p, c in divisor.coefficients.items())
+    return {p: e for p, e in exponents if e}
+
+
+def oracle_qdivisor_coefficients(coefficients) -> dict[Fraction, Fraction]:
+    """The map QDivisor's constructor stored before it kept Fraction inputs
+    as they are: every point and coefficient re-wrapped, and a Fraction(0)
+    default built per entry."""
+    items = coefficients.items() if isinstance(coefficients, Mapping) else coefficients
+    clean: dict[Fraction, Fraction] = {}
+    for point, coeff in items:
+        point = Fraction(point)
+        coeff = Fraction(coeff)
+        if not coeff:
+            continue
+        total = clean.get(point, Fraction(0)) + coeff
+        if total:
+            clean[point] = total
+        else:
+            clean.pop(point, None)
+    return clean
+
+
+def oracle_qdivisor_sum(x, y) -> dict[Fraction, Fraction]:
+    """The map of x + y as QDivisor.__add__ built it point by point before it
+    handed both term lists to the constructor."""
+    out = dict(x.coefficients)
+    for p, c in y.coefficients.items():
+        total = out.get(p, Fraction(0)) + c
+        if total:
+            out[p] = total
+        else:
+            del out[p]
+    return oracle_qdivisor_coefficients(out)
 
 
 def oracle_product_defect(pair, n: int, n_prime: int) -> dict[Fraction, int]:

@@ -27,6 +27,7 @@ from pseudoplane import (
     component_permutation,
     find_valid_lnd_degrees,
     freeness_check,
+    graded_piece,
     hilbert_basis,
     induced_action,
     normal_form,
@@ -179,6 +180,20 @@ def test_ceiling_identity_links_generator_to_graded_piece():
                 assert graded_piece(pair, n).get(0, 0) == ceiling
 
 
+@given(surface_triples())
+def test_generator_and_graded_piece_satisfy_the_weight_identities(t):
+    # (I1)-(I3) and the normal form (N), on |n| <= 3*max(d, m)
+    k = max(t.d, t.m)
+    for n in range(-3 * k, 3 * k + 1):
+        a, b, c = weight_piece_generator(t, n)
+        piece = graded_piece(t.pair, n)
+        assert c == t.d * piece.get(0, 0) - t.e_prime * n  # (I1)
+        assert b == piece.get(1, 0)  # (I2)
+        assert a == n + t.m * b  # (I3)
+        assert a >= 0 and b >= 0 and (a < t.m or b == 0)  # (N)
+        assert piece.keys() <= {0, 1}
+
+
 def test_weight_pieces_have_rank_one():
     for t in TRIPLES[:20]:
         for n in (-5, -2, -1, 0, 1, 2, 5):
@@ -220,6 +235,28 @@ def test_product_structure_across_grid():
         for n in range(-6, 7):
             for n_prime in range(-6, 7):
                 assert product_structure_check(t, n, n_prime).match
+
+
+def test_acceptance_grid_passes_on_weights_alone(monkeypatch):
+    # every weight passes on every acceptance-grid triple, so product_window
+    # reads each of the 4W + 1 generators once and never tabulates the window
+    # for the pair loop
+    from pseudoplane import cyclic_quotient
+
+    calls = []
+    generator = cyclic_quotient.weight_piece_generator
+
+    def counted(triple, n):
+        calls.append(n)
+        return generator(triple, n)
+
+    monkeypatch.setattr(cyclic_quotient, "weight_piece_generator", counted)
+    for d, e, m in grid_triples():
+        t = SurfaceTriple(d, e, m)
+        assert cyclic_quotient._first_failing_weight(t, 8) is None
+        calls.clear()
+        assert product_window(t, 8) is None
+        assert calls == list(range(-16, 17))
 
 
 # -- symmetry bookkeeping ----------------------------------------------------------

@@ -31,14 +31,18 @@ from helpers import (
     oracle_add,
     oracle_freeness_check,
     oracle_gcd,
+    oracle_graded_piece,
     oracle_hilbert_basis,
     oracle_leaves_ring,
+    oracle_lnd_degrees,
     oracle_mul,
     oracle_measured_defect,
     oracle_nilpotency_index,
     oracle_normal_form,
     oracle_pow,
     oracle_product_defect,
+    oracle_qdivisor_coefficients,
+    oracle_qdivisor_sum,
     oracle_squarefree_decomposition,
     product_defect,
     product_structure_check,
@@ -62,6 +66,7 @@ from pseudoplane import (
     divisor_to_poly,
     find_valid_lnd_degrees,
     freeness_check,
+    graded_piece,
     hilbert_basis,
     induced_action,
     normal_form,
@@ -448,6 +453,12 @@ def test_lnd_rule_matches_laurent_membership(d, m, exps, degree):
     assert _keeps_ring(exps, degree, m) == (derivation_leaves_ring(ring, degree, x) is None)
 
 
+@given(surface_triples(d_max=12, m_max=60), st.data())
+def test_bisected_lnd_search_matches_the_loop_over_every_degree(triple, data):
+    bound = data.draw(st.integers(triple.m + triple.d, 200))
+    assert find_valid_lnd_degrees(triple, bound) == oracle_lnd_degrees(triple, bound)
+
+
 def _shift_c(generator):
     def shifted(triple, n):
         a, b, c = generator(triple, n)
@@ -579,6 +590,114 @@ def test_product_window_against_grafted_pairs(plus, minus, first):
     pair = DpdPair(triple.pair.d_plus + QDivisor(plus), triple.pair.d_minus + QDivisor(minus))
     object.__setattr__(triple, "pair", pair)
     assert product_window(triple, 4) == first_failing_pair(triple, 4) == first
+
+
+def _follow_the_pair(generator):
+    # b read off the pair's piece at 1 and a by (I3), so that (I1)-(I3) hold
+    # and only the normal form can fail
+    def following(triple, n):
+        _, _, c = generator(triple, n)
+        b = graded_piece(triple.pair, n).get(1, 0)
+        return n + triple.m * b, b, c
+
+    return following
+
+
+@pytest.mark.parametrize(
+    "plus, minus, weight",
+    [
+        # D-(1) = -1: b(-8) = 8 puts a = 8 >= m beside b > 0
+        ({}, {1: F(-1, 2)}, -8),
+        # D-(1) = -1/4: b(-8) = 2 gives a = -4 < 0
+        ({}, {1: F(1, 4)}, -8),
+        # D+(1) = 1/2: b(2) = -1 < 0 with a = 0
+        ({1: F(1, 2)}, {}, 2),
+    ],
+)
+def test_product_window_when_only_the_normal_form_fails(monkeypatch, plus, minus, weight):
+    from pseudoplane import cyclic_quotient
+
+    triple = SurfaceTriple(3, 2, 2)
+    pair = DpdPair(triple.pair.d_plus + QDivisor(plus), triple.pair.d_minus + QDivisor(minus))
+    object.__setattr__(triple, "pair", pair)
+    generator = cyclic_quotient.weight_piece_generator
+    monkeypatch.setattr(cyclic_quotient, "weight_piece_generator", _follow_the_pair(generator))
+    assert cyclic_quotient._first_failing_weight(triple, 4) == weight
+    assert product_window(triple, 4) == first_failing_pair(triple, 4) is not None
+
+
+@given(
+    surface_triples(),
+    st.integers(0, 12),
+    st.sampled_from([None, _break_ab, _shift_b, _shift_c, _raise_c_at_zero]),
+)
+def test_passing_weights_imply_every_pair_passes(triple, max_weight, fault):
+    # the lemma in _first_failing_weight's docstring: when every weight of
+    # -2W..2W passes, the per-pair oracle finds no failing pair; each
+    # generator fault breaks an identity already at weight 0
+    from pseudoplane import cyclic_quotient
+
+    with pytest.MonkeyPatch.context() as patch:
+        if fault is not None:
+            generator = cyclic_quotient.weight_piece_generator
+            patch.setattr(cyclic_quotient, "weight_piece_generator", fault(generator))
+        passes = cyclic_quotient._first_failing_weight(triple, max_weight) is None
+        assert passes == (fault is None)
+        if passes:
+            assert first_failing_pair(triple, max_weight) is None
+
+
+_big_fractions = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6)
+_wide_points = st.sampled_from([F(0), F(1), F(-1), F(1, 2), F(7, 3)])
+
+
+@st.composite
+def wide_pairs(draw):
+    """Pairs with coefficients up to 10^6 in size and denominator, of either
+    sign, at one to three points."""
+    points = draw(st.lists(_wide_points, unique=True, min_size=1, max_size=3))
+    plus = {p: draw(_big_fractions) for p in points}
+    slack = {p: draw(_big_fractions.map(abs)) for p in points}
+    return DpdPair(QDivisor(plus), QDivisor({p: -plus[p] - slack[p] for p in points}))
+
+
+@given(
+    wide_pairs(),
+    st.one_of(st.integers(-(10**6), 10**6), st.integers(-12, 12)),
+)
+def test_graded_piece_integer_floor_matches_fraction_floor(pair, n):
+    # negative coefficients, ones whose multiple floors to 0 (pruned) and
+    # large ones, on weights up to 10^6
+    got = graded_piece(pair, n)
+    assert list(got.items()) == list(oracle_graded_piece(pair, n).items())
+    assert all(type(p) is Fraction and type(e) is int for p, e in got.items())
+
+
+_divisor_scalars = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+)
+
+
+@given(
+    st.lists(st.tuples(_divisor_scalars, _divisor_scalars), max_size=8),
+    st.lists(st.tuples(_divisor_scalars, _divisor_scalars), max_size=4),
+)
+def test_qdivisor_construction_matches_the_rewrapping_constructor(entries, more):
+    # int, Fraction and mixed points and coefficients; a point repeated,
+    # also as int and Fraction, and entries that cancel to zero
+    cancelling = entries + [(p, -c) for p, c in entries]
+    for source in (entries, cancelling, dict(entries)):
+        want = oracle_qdivisor_coefficients(source)
+        pairs = source.items() if isinstance(source, dict) else source
+        for given_as in (source, iter(pairs)):
+            got = QDivisor(given_as).coefficients
+            assert list(got.items()) == list(want.items())
+            assert all(type(p) is Fraction and type(c) is Fraction for p, c in got.items())
+    assert not QDivisor(cancelling)
+    x, y = QDivisor(entries), QDivisor(more)
+    for got, want in ((x + y, oracle_qdivisor_sum(x, y)), (x - x, {})):
+        assert list(got.coefficients.items()) == list(want.items())
 
 
 # -- binomial powers, the integer gcd and the freeness periods ------------------
