@@ -39,10 +39,8 @@ from .dpd_presentation import (
 )
 from .hypersurface_ring import (
     HypersurfaceRing,
-    RingElement,
     build_covering_ring,
     fiber_analysis,
-    normal_form,
     normalize_power_relation,
     smooth_check,
 )
@@ -68,7 +66,6 @@ __all__ = [
     "MultiPoly",
     "QDivisor",
     "RegimeError",
-    "RingElement",
     "SurfaceTriple",
     "build_covering_ring",
     "canonical_pair",
@@ -88,7 +85,6 @@ __all__ = [
     "induced_action",
     "ml1_test",
     "negative_locus",
-    "normal_form",
     "normalize_power_relation",
     "parse_divisor",
     "parse_poly",

@@ -43,8 +43,7 @@ class MultiPoly:
     """Sparse polynomial with exact rational coefficients.
 
     Immutable after construction; arithmetic returns new objects.  Operands of
-    binary operations must share the same variable list (callers align lists
-    with :meth:`with_variables` first).
+    binary operations must share the same variable list.
     """
 
     __slots__ = ("_variables", "_terms", "_hash")
@@ -109,10 +108,6 @@ class MultiPoly:
             raise ValueError(f"unknown variable {name!r} for list {variables}")
         exps = tuple(1 if v == name else 0 for v in variables)
         return cls(variables, {exps: 1})
-
-    @classmethod
-    def monomial(cls, variables: Iterable[str], exps: Iterable[int], coeff: Scalar = 1) -> "MultiPoly":
-        return cls(tuple(variables), {tuple(exps): coeff})
 
     # -- basic queries -------------------------------------------------------
 
@@ -282,25 +277,6 @@ class MultiPoly:
             # lowering one exponent is injective on the terms it keeps
             out[exps[:idx] + (e - 1,) + exps[idx + 1:]] = coeff * e
         return MultiPoly._trusted(self._variables, out)
-
-    def with_variables(self, variables: Iterable[str]) -> "MultiPoly":
-        """Re-embed into a larger (or reordered) variable list."""
-        variables = tuple(variables)
-        if len(set(variables)) != len(variables):
-            raise ValueError(f"duplicate variable names: {variables}")
-        positions = []
-        for v in self._variables:
-            if v not in variables:
-                raise ValueError(f"cannot drop variable {v!r} (new list {variables})")
-            positions.append(variables.index(v))
-        out: dict[Exponents, Scalar] = {}
-        for exps, coeff in self._terms.items():
-            new = [0] * len(variables)
-            for pos, e in zip(positions, exps):
-                new[pos] = e
-            out[tuple(new)] = coeff
-        # distinct positions keep distinct keys, and the coefficients are clean
-        return MultiPoly._trusted(variables, out)
 
     def monic(self) -> "MultiPoly":
         """Divide a univariate polynomial by its leading coefficient (zero stays zero)."""

@@ -1,17 +1,16 @@
-"""Hypersurface coordinate rings C[u, y, s]/(u^k * y - P(s)) with rewriting.
+"""Hypersurface coordinate rings C[u, y, s]/(u^k * y - P(s)).
 
-The defining relation is used as a left-to-right rewrite rule: one factor of
-the second variable and k factors of u are replaced by P(s) per step.  Each
-step strictly decreases the exponent of the second variable and distinct
-monomials reduce independently, so rewriting terminates and the normal form is
-unique.  The torus action scales u with weight 1 and the second variable with
-weight -k (s fixed), making the relation homogeneous of weight 0.
+A ring is held as its presentation (k, P, the second variable's name); no
+element of it is ever built.  This module answers what the presentation
+decides on its own: smoothness (``smooth_check``), the fibers of the
+u-projection (``fiber_analysis``) and the normalization of the pure-power
+covering relation u^k v = (s^d - 1)^m' to u^m w = s^d - 1
+(``normalize_power_relation``).  Each question is settled on the univariate
+P(s) through its squarefree decomposition, or by the shape of P alone.
 
 ``_normalized_ring`` is the one shared model of the normalized relation
 u^m * w = s^d - 1.  Its derivations u^e * d/ds are certified by an integer
-rule on exponent vectors (``cyclic_quotient.find_valid_lnd_degrees``), so no
-element is expanded into the localization C[u^(+-1), s] here; that
-Laurent-row route is kept only as a test oracle.
+rule on exponent vectors (``cyclic_quotient.find_valid_lnd_degrees``).
 """
 
 from __future__ import annotations
@@ -52,20 +51,8 @@ class HypersurfaceRing:
     def variables(self) -> tuple[str, str, str]:
         return ("u", self.second_var, "s")
 
-    def monomial(self, a: int, b: int, c: int, coeff: Scalar = 1) -> MultiPoly:
-        return MultiPoly.monomial(self.variables, (a, b, c), coeff)
-
     def serialize(self) -> dict:
         return {"k": self.k, "P": format_poly(self.P), "second_var": self.second_var}
-
-
-@dataclass(frozen=True)
-class RingElement:
-    """An element of a hypersurface ring, stored in normal form: no monomial
-    has u-exponent >= k together with a positive second-variable exponent."""
-
-    ring: HypersurfaceRing
-    poly: MultiPoly
 
 
 class SmoothCheck(NamedTuple):
@@ -82,30 +69,6 @@ class NormalizationWitness(NamedTuple):
 def _rhs_power(p: MultiPoly, j: int) -> MultiPoly:
     """P(s)^j as a univariate polynomial in s; the one memo of such powers."""
     return p ** j
-
-
-def normal_form(ring: HypersurfaceRing, p: MultiPoly) -> RingElement:
-    """Exhaustively rewrite u^k * second -> P(s).
-
-    min(a // k, b) steps apply to a monomial u^a * second^b * s^c, after which
-    either a < k or b = 0; the replacement only involves s, so one pass per
-    monomial reaches the unique normal form.
-    """
-    if p.variables != ring.variables:
-        raise ValueError(f"polynomial variables {p.variables} do not match ring {ring.variables}")
-    k = ring.k
-    out: dict[tuple[int, int, int], Scalar] = {}
-    for (a, b, c), coeff in p.terms.items():
-        j = min(a // k, b)
-        if j == 0:
-            out[a, b, c] = out.get((a, b, c), 0) + coeff
-            continue
-        a, b = a - j * k, b - j
-        for (e,), pc in _rhs_power(ring.P, j).terms.items():
-            key = (a, b, c + e)
-            out[key] = out.get(key, 0) + coeff * pc
-    clean = {key: v for key, v in out.items() if v}
-    return RingElement(ring, MultiPoly._trusted(ring.variables, clean))
 
 
 def build_covering_ring(k: int, d: int, e_prime: int, l: int, q: MultiPoly) -> HypersurfaceRing:
@@ -128,7 +91,7 @@ def build_covering_ring(k: int, d: int, e_prime: int, l: int, q: MultiPoly) -> H
         raise ValueError(f"negative s-exponent k*e' + d*l = {exponent}")
     p = substitute_power(q, d, "s")
     if exponent:
-        p = p * MultiPoly.monomial(("s",), (exponent,))
+        p = p * MultiPoly(("s",), {(exponent,): 1})
     return HypersurfaceRing(k, p, "v")
 
 
@@ -181,21 +144,21 @@ def normalize_power_relation(
 ) -> tuple[HypersurfaceRing, NormalizationWitness]:
     """Normalize the covering ring u^k v = (s^d - 1)^m' (k = m*m') to u^m w = s^d - 1.
 
-    The integral element w = (s^d - 1)/u^m satisfies w^m' = v, which is
-    certified as the polynomial identity (s^d - 1)^m' = u^(m*m') * v modulo
-    the relation; the normalized ring is additionally checked smooth.  Only
-    the pure-power shape is normalized: any other P is refused.
+    Only the pure-power shape is normalized: a k that is not a multiple of m,
+    and any P other than (s^d - 1)^m', is refused.  The power identity is
+    then derived from those two refusals, not computed.  With k = m*m' and
+    P = (s^d - 1)^m', the element w = (s^d - 1)/u^m of the fraction field
+    satisfies w^m' = (s^d - 1)^m'/u^(m*m') = P/u^k = v, the last step by the
+    relation u^k v = P; equivalently, one rewrite of u^k*v by the relation
+    gives P = (s^d - 1)^m'.  So w is integral over the ring and
+    ``power_identity`` holds on every ring that gets past the refusals.  The
+    normalized ring is additionally checked smooth.
     """
     if m < 1 or d < 1:
         raise ValueError("all parameters must be positive integers")
     if ring.k % m:
         raise ValueError(f"k must equal m*m' for an integer m': k = {ring.k}, m = {m}")
-    expected = _rhs_power(_pure_power_base(d), ring.k // m)
-    if ring.P != expected:
+    if ring.P != _rhs_power(_pure_power_base(d), ring.k // m):
         raise ValueError("general Q normalization unsupported: P must be (s^d - 1)^m_prime")
     normalized = _normalized_ring(m, d)
-    reduced = normal_form(ring, ring.monomial(ring.k, 1, 0))
-    power_identity = reduced.poly == expected.with_variables(ring.variables)
-    normalized_smooth = smooth_check(normalized).smooth
-    return normalized, NormalizationWitness(power_identity, normalized_smooth)
-
+    return normalized, NormalizationWitness(True, smooth_check(normalized).smooth)

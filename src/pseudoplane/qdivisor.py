@@ -14,7 +14,7 @@ divisor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from types import MappingProxyType
@@ -114,16 +114,19 @@ def floor_div(d: QDivisor) -> QDivisor:
 
 def fract_div(d: QDivisor) -> QDivisor:
     """Pointwise fractional part; coefficients lie in [0, 1) and
-    d == floor_div(d) + fract_div(d)."""
-    return d - floor_div(d)
+    d == floor_div(d) + fract_div(d).  One construction: the constructor
+    drops the points whose coefficient is integral."""
+    return QDivisor({p: c - math.floor(c) for p, c in d.coefficients.items()})
 
 
 @dataclass(frozen=True)
 class DpdPair:
-    """Divisor pair (D+, D-) with D+ + D- <= 0 at every point."""
+    """Divisor pair (D+, D-) with D+ + D- <= 0 at every point; ``total`` is
+    D+ + D-, built once when the pair is."""
 
     d_plus: QDivisor
     d_minus: QDivisor
+    total: QDivisor = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         total = self.d_plus + self.d_minus
@@ -131,10 +134,7 @@ class DpdPair:
         if bad:
             witness = ", ".join(f"({p}: {c})" for p, c in bad)
             raise ValueError(f"D+ + D- must be <= 0 everywhere; positive at {witness}")
-
-    @property
-    def total(self) -> QDivisor:
-        return self.d_plus + self.d_minus
+        object.__setattr__(self, "total", total)
 
 
 def canonical_pair(pair: DpdPair) -> DpdPair:

@@ -19,6 +19,9 @@ byte-identical output.  Schema (``format_version`` 1) for ``verify_triple``:
 verdict is "consistent", "excluded" (with excluded_reason set) or
 "inconsistent" (with failed_checks non-empty).  Exit codes: 0 for consistent
 or excluded-as-predicted, 1 for inconsistent, 2 for invalid input.
+``normalized.witnesses.power_identity`` certifies w^m' = v for
+w = (s^d - 1)/u^m, derived from the pure-power relation that
+``covering_relation`` checks; it is false only when that check failed.
 ``product_structure.all_match`` is false when ``product_window`` finds a
 pair |n|, |n'| <= max_weight whose measured and predicted defects differ or
 whose generators' product is not a multiple of the weight-(n+n') generator

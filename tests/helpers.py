@@ -17,12 +17,11 @@ from pseudoplane import (
     HypersurfaceRing,
     MultiPoly,
     QDivisor,
-    RingElement,
     SurfaceTriple,
+    floor_div,
     format_poly,
     graded_piece,
     hilbert_basis,
-    normal_form,
     parse_poly,
     poly_divmod,
     standard_action,
@@ -39,6 +38,80 @@ def upoly(var: str, coeffs: dict[int, object]) -> MultiPoly:
     return MultiPoly((var,), {(e,): c for e, c in coeffs.items()})
 
 
+# -- the rewriting layer --------------------------------------------------------
+#
+# hypersurface_ring once rewrote elements of C[u, y, s]/(u^k * y - P(s)) to
+# normal form, and normalize_power_relation computed its power identity with
+# it.  The identity is now derived from the relation, and the rewriting is
+# kept as its oracle, as the ground truth of the Laurent LND route and of the
+# weight pieces' monomials.
+
+
+@dataclass(frozen=True)
+class RingElement:
+    """An element of a hypersurface ring, stored in normal form: no monomial
+    has u-exponent >= k together with a positive second-variable exponent."""
+
+    ring: HypersurfaceRing
+    poly: MultiPoly
+
+
+def monomial(ring, a: int, b: int, c: int, coeff: Scalar = 1) -> MultiPoly:
+    """coeff * u^a * second^b * s^c in the ring's variables."""
+    return MultiPoly(ring.variables, {(a, b, c): coeff})
+
+
+def with_variables(p: MultiPoly, variables) -> MultiPoly:
+    """Re-embed p into a larger (or reordered) variable list."""
+    variables = tuple(variables)
+    if len(set(variables)) != len(variables):
+        raise ValueError(f"duplicate variable names: {variables}")
+    positions = []
+    for v in p.variables:
+        if v not in variables:
+            raise ValueError(f"cannot drop variable {v!r} (new list {variables})")
+        positions.append(variables.index(v))
+    out: dict[tuple[int, ...], Scalar] = {}
+    for exps, coeff in p.terms.items():
+        new = [0] * len(variables)
+        for pos, e in zip(positions, exps):
+            new[pos] = e
+        out[tuple(new)] = coeff
+    return MultiPoly(variables, out)
+
+
+def normal_form(ring: HypersurfaceRing, p: MultiPoly) -> RingElement:
+    """Exhaustively rewrite u^k * second -> P(s).
+
+    min(a // k, b) steps apply to a monomial u^a * second^b * s^c, after which
+    either a < k or b = 0; the replacement only involves s, so one pass per
+    monomial reaches the unique normal form.
+    """
+    if p.variables != ring.variables:
+        raise ValueError(f"polynomial variables {p.variables} do not match ring {ring.variables}")
+    k = ring.k
+    out: dict[tuple[int, int, int], Scalar] = {}
+    for (a, b, c), coeff in p.terms.items():
+        j = min(a // k, b)
+        if j == 0:
+            out[a, b, c] = out.get((a, b, c), 0) + coeff
+            continue
+        a, b = a - j * k, b - j
+        for (e,), pc in _rhs_power(ring.P, j).terms.items():
+            key = (a, b, c + e)
+            out[key] = out.get(key, 0) + coeff * pc
+    clean = {key: v for key, v in out.items() if v}
+    return RingElement(ring, MultiPoly._trusted(ring.variables, clean))
+
+
+def oracle_power_identity(ring: HypersurfaceRing, m: int, d: int) -> bool:
+    """normalize_power_relation's power identity as it was computed: the
+    normal form of u^k * second equals (s^d - 1)^(k // m)."""
+    reduced = normal_form(ring, monomial(ring, ring.k, 1, 0))
+    expected = _rhs_power(_pure_power_base(d), ring.k // m)
+    return reduced.poly == with_variables(expected, ring.variables)
+
+
 def element(ring, text: str):
     """The normal form of a polynomial written in the ring's variables."""
     return normal_form(ring, parse_poly(text, ring.variables))
@@ -46,7 +119,7 @@ def element(ring, text: str):
 
 def relation(ring) -> MultiPoly:
     """The defining polynomial u^k * second - P(s)."""
-    return ring.monomial(ring.k, 1, 0) - ring.P.with_variables(ring.variables)
+    return monomial(ring, ring.k, 1, 0) - with_variables(ring.P, ring.variables)
 
 
 def grid_triples(d_max: int = 6, m_max: int = 5) -> list[tuple[int, int, int]]:
@@ -192,9 +265,9 @@ def laurent_lnd_degrees(triple: SurfaceTriple, bound: int) -> list[int]:
     |n| <= _CERTIFY_WEIGHT (8)."""
     ring = normalized_ring(triple)
     basis = hilbert_basis(standard_action(triple))
-    generators = [normal_form(ring, ring.monomial(*g)) for g in basis]
+    generators = [normal_form(ring, monomial(ring, *g)) for g in basis]
     pieces = [
-        normal_form(ring, ring.monomial(*weight_piece_generator(triple, n)))
+        normal_form(ring, monomial(ring, *weight_piece_generator(triple, n)))
         for n in range(-_CERTIFY_WEIGHT, _CERTIFY_WEIGHT + 1)
     ]
     found: list[int] = []
@@ -297,10 +370,10 @@ def oracle_normal_form(ring, p: MultiPoly) -> MultiPoly:
     out = MultiPoly(ring.variables)
     for (a, b, c), coeff in p.terms.items():
         j = min(a // ring.k, b)
-        term = MultiPoly.monomial(ring.variables, (a - j * ring.k, b - j, c), coeff)
+        term = monomial(ring, a - j * ring.k, b - j, c, coeff)
         rhs = MultiPoly.constant(ring.variables, 1)
         for _ in range(j):
-            rhs = oracle_mul(rhs, ring.P.with_variables(ring.variables))
+            rhs = oracle_mul(rhs, with_variables(ring.P, ring.variables))
         out = oracle_add(out, oracle_mul(rhs, term))
     return out
 
@@ -644,6 +717,12 @@ def oracle_qdivisor_coefficients(coefficients) -> dict[Fraction, Fraction]:
     return clean
 
 
+def oracle_fract_div(d):
+    """The fractional part as fract_div built it before it took one
+    construction: d minus its floor, a floor, a negation and a sum."""
+    return d - floor_div(d)
+
+
 def oracle_qdivisor_sum(x, y) -> dict[Fraction, Fraction]:
     """The map of x + y as QDivisor.__add__ built it point by point before it
     handed both term lists to the constructor."""
@@ -677,7 +756,7 @@ def oracle_measured_defect(triple, n: int, n_prime: int) -> dict[Fraction, int]:
     product_structure_check once did."""
     ring = normalized_ring(triple)
     gens = [weight_piece_generator(triple, k) for k in (n, n_prime, n + n_prime)]
-    prod = normal_form(ring, ring.monomial(*gens[0]) * ring.monomial(*gens[1])).poly
+    prod = normal_form(ring, monomial(ring, *gens[0]) * monomial(ring, *gens[1])).poly
     a12, b12, c12 = gens[2]
     assert all(a == a12 and b == b12 and c >= c12 for a, b, c in prod.terms)
     r = MultiPoly(("s",), {(c - c12,): v for (_, _, c), v in prod.terms.items()})

@@ -14,7 +14,9 @@ from helpers import (
     F,
     grid_triples,
     monoid_points,
+    monomial,
     nilpotency_index,
+    normal_form,
     normalized_ring,
     reachable_sums,
     s_weight,
@@ -38,7 +40,6 @@ from pseudoplane import (
     freeness_check,
     graded_piece,
     hilbert_basis,
-    normal_form,
     pseudoplane_dpd_pair,
     squarefree_decomposition,
     standard_action,
@@ -149,7 +150,7 @@ def test_criterion_7_lnd_certification():
         ring = normalized_ring(t)
         for degree in degrees:
             for n in range(-8, 9):
-                x = normal_form(ring, ring.monomial(*weight_piece_generator(t, n)))
+                x = normal_form(ring, monomial(ring, *weight_piece_generator(t, n)))
                 index = nilpotency_index(ring, degree, x)
                 assert index is not None, (t, degree, n)
                 assert index <= 1 + s_weight(x), (t, degree, n)

@@ -249,9 +249,43 @@ def test_failed_covering_relation_is_reported_not_raised(capsys, monkeypatch):
     report = verify_triple(3, 2, 2)
     assert report["verdict"] == "inconsistent"
     assert {"covering_relation", "normalization_witnesses"} <= set(report["failed_checks"])
+    assert report["normalized"]["witnesses"] == {"power_identity": False, "normalized_smooth": True}
     code, out = run_cli(capsys, "verify", "-d", "3", "-e", "2", "-m", "2")
     assert code == 1
     assert "verdict: inconsistent" in out
+
+
+def test_singular_normalized_model_is_reported_and_sweep_carries_on(capsys, monkeypatch):
+    from pseudoplane import hypersurface_ring
+    from pseudoplane.hypersurface_ring import SmoothCheck
+
+    smooth_check = hypersurface_ring.smooth_check
+
+    # the binding normalize_power_relation calls; report has its own
+    def singular_normalized(ring):
+        if ring.second_var == "w":
+            return SmoothCheck(False, ((ring.P, 2),))
+        return smooth_check(ring)
+
+    monkeypatch.setattr(hypersurface_ring, "smooth_check", singular_normalized)
+    report = verify_triple(3, 2, 2)
+    assert report["normalized"]["witnesses"] == {"power_identity": True, "normalized_smooth": False}
+    assert report["verdict"] == "inconsistent"
+    assert report["failed_checks"] == ["normalization_witnesses"]
+    code, out = run_cli(capsys, "verify", "-d", "3", "-e", "2", "-m", "2")
+    assert code == 1
+    assert "verdict: inconsistent" in out
+    code, out = run_cli(capsys, "sweep", "--d-max", "3", "--m-max", "3", "--json")
+    assert code == 1
+    result = json.loads(out)
+    assert result["aggregate"] == {
+        "consistent": 0, "excluded": 0, "inconsistent": 12, "total": 12,
+    }
+    assert all(row["failed_checks"] == ["normalization_witnesses"] for row in result["rows"])
+    code, out = run_cli(capsys, "sweep", "--d-max", "3", "--m-max", "3")
+    assert code == 1
+    assert "inconsistent: 12" in out
+    assert out.count("failed: normalization_witnesses\n") == 12
 
 
 def test_product_check_fault_is_reported_and_sweep_carries_on(capsys, monkeypatch):

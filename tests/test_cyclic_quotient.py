@@ -6,11 +6,14 @@ from hypothesis import strategies as st
 
 from helpers import (
     F,
+    RingElement,
     action_weight,
     derivation_apply,
     grid_triples,
     homogeneous_weight,
     monoid_points,
+    monomial,
+    normal_form,
     normalized_ring,
     product_structure_check,
     reachable_sums,
@@ -22,7 +25,6 @@ from helpers import (
 from pseudoplane import (
     CyclicAction,
     HypersurfaceRing,
-    RingElement,
     SurfaceTriple,
     component_permutation,
     find_valid_lnd_degrees,
@@ -30,7 +32,6 @@ from pseudoplane import (
     graded_piece,
     hilbert_basis,
     induced_action,
-    normal_form,
     product_window,
     pseudoplane_dpd_pair,
     same_subgroup,
@@ -335,7 +336,7 @@ def test_equivariance_of_valid_derivations():
         assert degrees
         for degree in degrees[:2]:
             for g in hilbert_basis(action):
-                x = normal_form(ring, ring.monomial(*g))
+                x = normal_form(ring, monomial(ring, *g))
                 image = derivation_apply(ring, degree, x)
                 assert isinstance(image, RingElement)
                 if image.poly.is_zero():

@@ -26,9 +26,12 @@ from helpers import (
     first_failing_pair,
     grid_triples,
     laurent_lnd_degrees,
+    monomial,
     nilpotency_index,
+    normal_form,
     normalized_ring,
     oracle_add,
+    oracle_fract_div,
     oracle_freeness_check,
     oracle_gcd,
     oracle_graded_piece,
@@ -40,6 +43,7 @@ from helpers import (
     oracle_nilpotency_index,
     oracle_normal_form,
     oracle_pow,
+    oracle_power_identity,
     oracle_product_defect,
     oracle_qdivisor_coefficients,
     oracle_qdivisor_sum,
@@ -65,11 +69,12 @@ from pseudoplane import (
     SurfaceTriple,
     divisor_to_poly,
     find_valid_lnd_degrees,
+    fract_div,
     freeness_check,
     graded_piece,
     hilbert_basis,
     induced_action,
-    normal_form,
+    normalize_power_relation,
     poly_divmod,
     poly_gcd,
     product_window,
@@ -292,11 +297,11 @@ def test_pipeline_coefficients_stay_int():
             _assert_int_coefficients(_rhs_power(_pure_power_base(d), j))
     triple = SurfaceTriple(3, 2, 2)
     ring = normalized_ring(triple)
-    g1 = ring.monomial(*weight_piece_generator(triple, -5))
-    g2 = ring.monomial(*weight_piece_generator(triple, 3))
+    g1 = monomial(ring, *weight_piece_generator(triple, -5))
+    g2 = monomial(ring, *weight_piece_generator(triple, 3))
     _assert_int_coefficients(normal_form(ring, g1 * g2).poly)
     images = [
-        derivation_apply(ring, 2, normal_form(ring, ring.monomial(*g)))
+        derivation_apply(ring, 2, normal_form(ring, monomial(ring, *g)))
         for g in hilbert_basis(standard_action(triple))
     ]
     assert not any(isinstance(x, NonPolynomial) for x in images)
@@ -422,9 +427,9 @@ def test_lnd_certificate_matches_normal_form_oracle_across_grid():
         triple = SurfaceTriple(d, e, m)
         ring = normalized_ring(triple)
         basis = hilbert_basis(standard_action(triple))
-        generators = [normal_form(ring, ring.monomial(*g)) for g in basis]
+        generators = [normal_form(ring, monomial(ring, *g)) for g in basis]
         pieces = [
-            normal_form(ring, ring.monomial(*weight_piece_generator(triple, n)))
+            normal_form(ring, monomial(ring, *weight_piece_generator(triple, n)))
             for n in range(-8, 9)
         ]
         valid = []
@@ -449,7 +454,7 @@ def test_lnd_rule_matches_laurent_membership(d, m, exps, degree):
     from pseudoplane.hypersurface_ring import _normalized_ring
 
     ring = _normalized_ring(m, d)
-    x = normal_form(ring, ring.monomial(*exps))
+    x = normal_form(ring, monomial(ring, *exps))
     assert _keeps_ring(exps, degree, m) == (derivation_leaves_ring(ring, degree, x) is None)
 
 
@@ -547,14 +552,14 @@ def test_hand_built_normalized_ring_is_accepted():
     hand_built = HypersurfaceRing(2, MultiPoly(("s",), {(3,): 1, (0,): -1}), "w")
     assert hand_built.P is not cached.P and hand_built.P == cached.P
     for exps in [(1, 0, 2), (0, 1, 1), (3, 0, 0)]:
-        want = normal_form(cached, cached.monomial(*exps))
-        got = normal_form(hand_built, hand_built.monomial(*exps))
+        want = normal_form(cached, monomial(cached, *exps))
+        got = normal_form(hand_built, monomial(hand_built, *exps))
         for e in (1, 2):
             for entry in (derivation_leaves_ring, nilpotency_index):
                 assert entry(hand_built, e, got) == entry(cached, e, want)
-    assert s_weight(normal_form(hand_built, hand_built.monomial(0, 1, 1))) == 4
+    assert s_weight(normal_form(hand_built, monomial(hand_built, 0, 1, 1))) == 4
     other = HypersurfaceRing(2, MultiPoly(("s",), {(3,): 1, (0,): -2}), "w")
-    x = normal_form(other, other.monomial(0, 0, 1))
+    x = normal_form(other, monomial(other, 0, 0, 1))
     for entry in (derivation_leaves_ring, nilpotency_index):
         with pytest.raises(ValueError, match="not in the normalized shape"):
             entry(other, 2, x)
@@ -813,3 +818,100 @@ def test_freeness_check_matches_the_loop_over_every_power_across_grid():
         ring = normalized_ring(triple)
         for action in (standard_action(triple), induced_action(triple)):
             assert tuple(freeness_check(action, ring)) == oracle_freeness_check(action, ring)
+
+
+# -- the derived power identity and the once-built divisors ----------------------
+
+
+def test_power_identity_matches_normal_form_oracle_on_every_covering_ring(monkeypatch):
+    from pseudoplane import report as report_module
+
+    normalize = report_module.normalize_power_relation
+    seen = []
+
+    def recorded(ring, m, d):
+        normalized, witness = normalize(ring, m, d)
+        seen.append((ring, m, d, witness.power_identity))
+        return normalized, witness
+
+    monkeypatch.setattr(report_module, "normalize_power_relation", recorded)
+    assert sweep(20, 10, max_weight=0)["aggregate"]["inconsistent"] == 0
+    assert len(seen) == 1280  # every triple of d <= 20, m <= 10
+    for ring, m, d, power_identity in seen:
+        assert power_identity is True
+        assert oracle_power_identity(ring, m, d) is True
+
+
+def _pure_power(d: int, j: int) -> MultiPoly:
+    return upoly("s", {d: 1, 0: -1}) ** j
+
+
+@given(st.integers(1, 30), st.integers(1, 12), st.integers(1, 12))
+def test_power_identity_matches_normal_form_oracle_on_pure_power_rings(d, m, m_prime):
+    ring = HypersurfaceRing(m * m_prime, _pure_power(d, m_prime), "v")
+    normalized, witness = normalize_power_relation(ring, m, d)
+    assert witness.power_identity is True
+    assert oracle_power_identity(ring, m, d) is True
+    assert normalized == HypersurfaceRing(m, _pure_power(d, 1), "w")
+
+
+@given(
+    st.integers(1, 30),
+    st.integers(1, 12),
+    st.integers(1, 12),
+    st.sampled_from(["scaled", "times_s", "wrong_power"]),
+    st.data(),
+)
+def test_refused_rings_fail_the_normal_form_oracle(d, m, m_prime, fault, data):
+    # the refusal and the computed identity accept the same rings
+    if fault == "scaled":
+        scale = data.draw(st.integers(-5, 5).filter(lambda c: c not in (0, 1)))
+        p = _pure_power(d, m_prime) * scale
+    elif fault == "times_s":
+        p = _pure_power(d, m_prime) * upoly("s", {1: 1})
+    else:
+        j = data.draw(st.integers(0, m_prime + 3).filter(lambda j: j != m_prime))
+        p = _pure_power(d, j)
+    ring = HypersurfaceRing(m * m_prime, p, "v")
+    with pytest.raises(ValueError, match="general Q normalization unsupported"):
+        normalize_power_relation(ring, m, d)
+    assert oracle_power_identity(ring, m, d) is False
+
+
+_fract_coefficients = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-6, max_value=6, max_denominator=7),
+)
+
+
+@given(st.dictionaries(_divisor_scalars, _fract_coefficients, max_size=6))
+def test_fract_div_in_one_construction_matches_d_minus_floor(entries):
+    # integral (floor only, dropped), zero, negative and mixed coefficients
+    d = QDivisor(entries)
+    got = fract_div(d)
+    assert list(got.coefficients.items()) == list(oracle_fract_div(d).coefficients.items())
+    assert all(0 < c < 1 for c in got.coefficients.values())
+
+
+@given(dpd_pairs())
+def test_pair_total_is_built_once_and_equals_the_sum(pair):
+    assert pair.total == pair.d_plus + pair.d_minus
+    assert pair.total is pair.total
+    assert pair == DpdPair(pair.d_plus, pair.d_minus)
+    assert "total" not in repr(pair)
+
+
+@pytest.mark.parametrize("d, e, m", [(3, 2, 2), (5, 2, 3), (1, 1, 1)])
+def test_verify_triple_builds_five_divisors(monkeypatch, d, e, m):
+    # the family pair's D+ and D-, their sum once in DpdPair, and one
+    # fractional part each of D+ and D- for ml1_test
+    built = []
+    init = QDivisor.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(QDivisor, "__init__", counted)
+    verify_triple(d, e, m)
+    assert len(built) == 5
