@@ -50,7 +50,6 @@ from .cyclic_quotient import (
     component_permutation,
     find_valid_lnd_degrees,
     freeness_check,
-    hilbert_basis,
     induced_action,
     product_window,
     same_subgroup,
@@ -81,7 +80,6 @@ __all__ = [
     "fract_div",
     "freeness_check",
     "graded_piece",
-    "hilbert_basis",
     "induced_action",
     "ml1_test",
     "negative_locus",

@@ -152,65 +152,6 @@ def freeness_check(action: CyclicAction, ring: HypersurfaceRing) -> FreenessResu
     return FreenessResult(not loci, loci)
 
 
-def hilbert_basis(action: CyclicAction) -> list[tuple[int, ...]]:
-    """Minimal generating set of the monoid of invariant exponent vectors,
-    sorted.  Exponent vectors follow the order of ``action.weights``.
-
-    The box [0, d]^3 holds every generator: d*e_i is invariant for each axis,
-    so any vector with a coordinate exceeding d is reducible.  For each
-    (a, b) in [0, d]^2 let c(a, b) be the least c making (a, b, c) invariant,
-    or infinity when there is none.  That c solves
-    c*w2 = -(a*w0 + b*w1) mod d, which has a solution iff g = gcd(w2, d)
-    divides the right-hand side, and it is < step = d/g.  Only (a, b, c(a, b))
-    can be a generator over (a, b) != (0, 0): a larger solution c' lies above
-    it by the nonzero invariant vector (0, 0, c' - c).  Over (0, 0) the one
-    candidate is (0, 0, step), always a generator, since nothing invariant and
-    nonzero has a, b = 0 and c < step.
-
-    Prefix minimum.  An invariant vector below (a, b, c(a, b)) is either
-    (0, 0, c') with c' >= step > c(a, b), which is not below it, or lies above
-    (a', b', c(a', b')) for some nonzero (a', b') <= (a, b); the difference of
-    two invariant vectors is invariant.  So (a, b, c(a, b)) is a generator iff
-    c(a, b) < min(M(a - 1, b), M(a, b - 1)), where M(a, b) is the least
-    c(a', b') over nonzero (a', b') <= (a, b).  One row-by-row sweep of the
-    (d + 1)^2 grid keeps M for the previous row and finds every generator in
-    at most O(d^2) integer steps and O(d) memory, in sorted order; no
-    candidate is compared with the basis found so far.  M only falls along
-    a row or a column, so the sweep leaves out every cell to the lower right
-    of a zero of M.  The standard action, weights (1, -m, e), has
-    c(m mod d, 1) = 0, so it takes at most (m mod d + 1)(d + 1) steps.
-    """
-    if len(action.weights) != 3:
-        raise ValueError(f"expected a three-variable action, got {tuple(action.weights)}")
-    d = action.modulus
-    w0, w1, w2 = action.weights.values()
-    g = math.gcd(w2, d)
-    step = d // g
-    inv = pow(w2 // g, -1, step) if step > 1 else 0
-    basis: list[tuple[int, ...]] = [(0, 0, step)]
-    # least[b] holds M(a - 1, b) until the sweep of row a overwrites it with
-    # M(a, b); step stands for infinity, as every c(a, b) is < step.  From
-    # row a on, columns b >= width have M = 0 and hold no generator.
-    least = [step] * (d + 1)
-    width = d + 1
-    for a in range(d + 1):
-        left = step  # M(a, b - 1)
-        r = a * w0 % d
-        for b in range(width):
-            below = min(least[b], left)
-            if r % g == 0 and (a or b):
-                c = (-(r // g) * inv) % step
-                if c < below:
-                    basis.append((a, b, c))
-                    below = c
-            if below == 0:
-                width = b
-                break
-            least[b] = left = below
-            r = (r + w1) % d
-    return basis
-
-
 def weight_piece_generator(triple: SurfaceTriple, n: int) -> tuple[int, int, int]:
     """Exponents (a, b, c) of the monomial u^a w^b s^c generating the weight-n
     invariant piece of the normalized ring.
@@ -423,27 +364,28 @@ def find_valid_lnd_degrees(triple: SurfaceTriple, bound: int) -> list[int]:
     invariants.  Membership on the Hilbert basis therefore certifies an LND
     of the whole invariant ring, on every weight.
 
-    Closed form.  degrees_found is every x = e (mod d) with m <= x <= bound,
-    never empty since bound >= m + d.  The basis always holds (0, 1, c) with
-    c = m*e' mod d (nothing invariant lies below it), whose n = -m forces
-    x >= m; and a + x >= m, which x >= m gives for every a >= 0, is the rule
-    ceil(-(n + x)/m) <= b - 1 rewritten, so it puts every monomial in the
-    ring.
-
-    Search.  The rule is monotone in the degree: j = a - m*b + x grows with
-    x, and ceil(-j/m) falls as j grows, so a degree that keeps a generator
-    in the ring keeps it there at every larger degree.  The passing degrees
-    therefore form a tail of the progression x = e (mod d), and a bisection
-    with the rule on the whole basis as its predicate finds where the tail
-    starts, in O(log(bound/d)) tests instead of one per degree.
+    One generator binds.  For b >= 1, ceil(-(n + x)/m) <= b - 1 reads
+    n + x >= -m*(b - 1), that is a + x >= m, and n + x >= 0 implies it; for
+    b = 0 the rule always holds.  Every generator has a >= 0.  The vector
+    (0, 1, c0) with c0 = m*e' mod d is invariant under the standard action
+    (1, -m, e), as e*c0 = m (mod d), and nothing invariant and nonzero lies
+    below it: (0, 0, c) with 0 < c <= c0 < d is not invariant since e is a
+    unit mod d, and (0, 1, c) is invariant only at c = c0.  So (0, 1, c0) is
+    a generator with the least a, 0, over those with b >= 1, and a degree
+    passes on the whole basis iff it passes on (0, 1, c0), that is iff
+    x >= m.  That test is monotone in x, so the passing degrees form a tail
+    of the progression x = e (mod d), never empty since bound >= m + d, and
+    a bisection with the rule on (0, 1, c0) as its predicate finds where the
+    tail starts, in O(log(bound/d)) tests.  No basis is built; the rule
+    still runs, so a fault in it shows as a missing degree.
     """
     if bound < triple.m + triple.d:
         raise ValueError(
             f"bound must be at least m + d = {triple.m + triple.d}, got {bound}"
         )
-    basis = hilbert_basis(standard_action(triple))
     m = triple.m
+    binding = (0, 1, m * triple.e_prime % triple.d)
     # the least degree >= 1 congruent to e mod d, then every d-th one
     degrees = range((triple.e - 1) % triple.d + 1, bound + 1, triple.d)
-    first = bisect_left(degrees, True, key=lambda x: all(_keeps_ring(g, x, m) for g in basis))
+    first = bisect_left(degrees, True, key=lambda x: _keeps_ring(binding, x, m))
     return list(degrees[first:])

@@ -21,15 +21,18 @@ verdict is "consistent", "excluded" (with excluded_reason set) or
 or excluded-as-predicted, 1 for inconsistent, 2 for invalid input.
 ``normalized.witnesses.power_identity`` certifies w^m' = v for
 w = (s^d - 1)/u^m, derived from the pure-power relation that
-``covering_relation`` checks; it is false only when that check failed.
+``covering_relation`` checks; it is false only when that check failed, so
+``normalization_witnesses`` fails on ``normalized.witnesses.normalized_smooth``
+alone.
 ``product_structure.all_match`` is false when ``product_window`` finds a
 pair |n|, |n'| <= max_weight whose measured and predicted defects differ or
 whose generators' product is not a multiple of the weight-(n+n') generator
 with an (s^d)^kappa (s^d - 1)^lam cofactor.  ``lnd.degrees_found`` lists
 the degrees that pass ``find_valid_lnd_degrees``' integer membership rule on
-every Hilbert-basis generator, each an LND of the whole invariant ring by the
-lemma in its docstring; if none passes, the list is empty and the report
-fails ``lnd_degrees``.  A ``d``, ``m``, ``max_weight`` or ``max_exponent``
+the generator (0, 1, m*e' mod d), which binds it on the whole invariant
+monoid, each an LND of the whole invariant ring by the lemmas in its
+docstring; if none passes, the list is empty and the report fails
+``lnd_degrees``.  A ``d``, ``m``, ``max_weight`` or ``max_exponent``
 above its ``MAX_*_CAP`` (for ``sweep``, ``d_max`` and ``m_max``), and a
 sweep grid of more than ``MAX_GRID_TRIPLES`` triples, are refused with
 ``ValueError`` before any work starts.
@@ -172,7 +175,9 @@ def verify_triple(
         # above already names the fault, so carry on with the normalized model
         normalized = _normalized_ring(m, d)
         witness = NormalizationWitness(False, smooth_check(normalized).smooth)
-    check("normalization_witnesses", witness.power_identity and witness.normalized_smooth)
+    # power_identity is false only when covering_relation failed, so the
+    # witness check reads normalized_smooth alone
+    check("normalization_witnesses", witness.normalized_smooth)
 
     action = standard_action(triple)
     freeness = freeness_check(action, normalized)

@@ -21,7 +21,6 @@ from pseudoplane import (
     floor_div,
     format_poly,
     graded_piece,
-    hilbert_basis,
     parse_poly,
     poly_divmod,
     standard_action,
@@ -489,6 +488,68 @@ def monoid_points(d: int, weights: tuple[int, int, int], bound: int) -> set[tupl
         if (a, b, c) != (0, 0, 0)
         and (a * weights[0] + b * weights[1] + c * weights[2]) % d == 0
     }
+
+
+def hilbert_basis(action: CyclicAction) -> list[tuple[int, ...]]:
+    """Minimal generating set of the monoid of invariant exponent vectors,
+    sorted.  Exponent vectors follow the order of ``action.weights``.  The
+    LND search reads one generator of this basis, (0, 1, m*e' mod d) (see
+    ``find_valid_lnd_degrees``), so the whole basis is built only here, as
+    the oracle of that lemma and of the search it replaced.
+
+    The box [0, d]^3 holds every generator: d*e_i is invariant for each axis,
+    so any vector with a coordinate exceeding d is reducible.  For each
+    (a, b) in [0, d]^2 let c(a, b) be the least c making (a, b, c) invariant,
+    or infinity when there is none.  That c solves
+    c*w2 = -(a*w0 + b*w1) mod d, which has a solution iff g = gcd(w2, d)
+    divides the right-hand side, and it is < step = d/g.  Only (a, b, c(a, b))
+    can be a generator over (a, b) != (0, 0): a larger solution c' lies above
+    it by the nonzero invariant vector (0, 0, c' - c).  Over (0, 0) the one
+    candidate is (0, 0, step), always a generator, since nothing invariant and
+    nonzero has a, b = 0 and c < step.
+
+    Prefix minimum.  An invariant vector below (a, b, c(a, b)) is either
+    (0, 0, c') with c' >= step > c(a, b), which is not below it, or lies above
+    (a', b', c(a', b')) for some nonzero (a', b') <= (a, b); the difference of
+    two invariant vectors is invariant.  So (a, b, c(a, b)) is a generator iff
+    c(a, b) < min(M(a - 1, b), M(a, b - 1)), where M(a, b) is the least
+    c(a', b') over nonzero (a', b') <= (a, b).  One row-by-row sweep of the
+    (d + 1)^2 grid keeps M for the previous row and finds every generator in
+    at most O(d^2) integer steps and O(d) memory, in sorted order; no
+    candidate is compared with the basis found so far.  M only falls along
+    a row or a column, so the sweep leaves out every cell to the lower right
+    of a zero of M.  The standard action, weights (1, -m, e), has
+    c(m mod d, 1) = 0, so it takes at most (m mod d + 1)(d + 1) steps.
+    """
+    if len(action.weights) != 3:
+        raise ValueError(f"expected a three-variable action, got {tuple(action.weights)}")
+    d = action.modulus
+    w0, w1, w2 = action.weights.values()
+    g = math.gcd(w2, d)
+    step = d // g
+    inv = pow(w2 // g, -1, step) if step > 1 else 0
+    basis: list[tuple[int, ...]] = [(0, 0, step)]
+    # least[b] holds M(a - 1, b) until the sweep of row a overwrites it with
+    # M(a, b); step stands for infinity, as every c(a, b) is < step.  From
+    # row a on, columns b >= width have M = 0 and hold no generator.
+    least = [step] * (d + 1)
+    width = d + 1
+    for a in range(d + 1):
+        left = step  # M(a, b - 1)
+        r = a * w0 % d
+        for b in range(width):
+            below = min(least[b], left)
+            if r % g == 0 and (a or b):
+                c = (-(r // g) * inv) % step
+                if c < below:
+                    basis.append((a, b, c))
+                    below = c
+            if below == 0:
+                width = b
+                break
+            least[b] = left = below
+            r = (r + w1) % d
+    return basis
 
 
 def oracle_hilbert_basis(d: int, weights: tuple[int, int, int]) -> tuple[tuple[int, ...], ...]:

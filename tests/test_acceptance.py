@@ -13,6 +13,7 @@ import pytest
 from helpers import (
     F,
     grid_triples,
+    hilbert_basis,
     monoid_points,
     monomial,
     nilpotency_index,
@@ -39,7 +40,6 @@ from pseudoplane import (
     floor_div,
     freeness_check,
     graded_piece,
-    hilbert_basis,
     pseudoplane_dpd_pair,
     squarefree_decomposition,
     standard_action,

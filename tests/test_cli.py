@@ -248,7 +248,7 @@ def test_failed_covering_relation_is_reported_not_raised(capsys, monkeypatch):
     monkeypatch.setattr(report_module, "build_covering_ring", doubled)
     report = verify_triple(3, 2, 2)
     assert report["verdict"] == "inconsistent"
-    assert {"covering_relation", "normalization_witnesses"} <= set(report["failed_checks"])
+    assert report["failed_checks"] == ["covering_relation"]
     assert report["normalized"]["witnesses"] == {"power_identity": False, "normalized_smooth": True}
     code, out = run_cli(capsys, "verify", "-d", "3", "-e", "2", "-m", "2")
     assert code == 1
@@ -317,8 +317,8 @@ def test_product_check_fault_is_reported_and_sweep_carries_on(capsys, monkeypatc
 def test_lnd_rule_fault_is_reported_and_sweep_carries_on(capsys, monkeypatch):
     from pseudoplane import cyclic_quotient
 
-    # a membership rule that rejects every Hilbert-basis generator leaves no
-    # degree to certify
+    # a membership rule that rejects the one generator it is run on,
+    # (0, 1, m*e' mod d), leaves no degree to certify
     monkeypatch.setattr(cyclic_quotient, "_keeps_ring", lambda generator, degree, m: False)
     report = verify_triple(3, 2, 2)
     assert report["lnd"] == {"degrees_found": [], "nilpotency_certified": False}

@@ -10,6 +10,7 @@ from helpers import (
     action_weight,
     derivation_apply,
     grid_triples,
+    hilbert_basis,
     homogeneous_weight,
     monoid_points,
     monomial,
@@ -30,7 +31,6 @@ from pseudoplane import (
     find_valid_lnd_degrees,
     freeness_check,
     graded_piece,
-    hilbert_basis,
     induced_action,
     product_window,
     pseudoplane_dpd_pair,
@@ -320,6 +320,24 @@ def test_least_lnd_degree_across_acceptance_grid():
         bound = m + 2 * d
         want = [x for x in range(m, bound + 1) if (x - e) % d == 0]
         assert find_valid_lnd_degrees(t, bound) == want, (d, e, m)
+
+
+def test_one_generator_binds_the_lnd_rule():
+    # the lemma of find_valid_lnd_degrees: for b >= 1 the rule reads
+    # a + x >= m, and (0, 1, m*e' mod d) is a generator with the least a, 0,
+    # over those with b >= 1
+    from pseudoplane.cyclic_quotient import _keeps_ring
+
+    for m in range(1, 25):
+        for a in range(10):
+            for b in range(1, 6):
+                for x in range(1, 30):
+                    assert _keeps_ring((a, b, 0), x, m) == (a + x >= m), (a, b, x, m)
+    for d, e, m in grid_triples(29, 24):
+        t = SurfaceTriple(d, e, m)
+        basis = hilbert_basis(standard_action(t))
+        assert (0, 1, m * t.e_prime % d) in basis, (d, e, m)
+        assert min(a for a, b, _ in basis if b >= 1) == 0, (d, e, m)
 
 
 def test_find_valid_lnd_degrees_bound_precondition():

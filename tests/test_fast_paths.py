@@ -25,6 +25,7 @@ from helpers import (
     filter_hilbert_basis,
     first_failing_pair,
     grid_triples,
+    hilbert_basis,
     laurent_lnd_degrees,
     monomial,
     nilpotency_index,
@@ -72,7 +73,6 @@ from pseudoplane import (
     fract_div,
     freeness_check,
     graded_piece,
-    hilbert_basis,
     induced_action,
     normalize_power_relation,
     poly_divmod,
@@ -462,6 +462,39 @@ def test_lnd_rule_matches_laurent_membership(d, m, exps, degree):
 def test_bisected_lnd_search_matches_the_loop_over_every_degree(triple, data):
     bound = data.draw(st.integers(triple.m + triple.d, 200))
     assert find_valid_lnd_degrees(triple, bound) == oracle_lnd_degrees(triple, bound)
+
+
+@pytest.mark.parametrize("d", [101, 201, 800])
+def test_lnd_search_matches_the_full_basis_loop_at_large_d(d):
+    # e = 1 gives the largest basis, (d + 1)(d + 2)/2 generators at m = d - 1
+    for e in (1, d - 1):
+        for m in (2, d - 1):
+            triple = SurfaceTriple(d, e, m)
+            bound = m + 2 * d
+            assert find_valid_lnd_degrees(triple, bound) == oracle_lnd_degrees(
+                triple, bound
+            ), (d, e, m)
+
+
+def test_lnd_search_runs_the_rule_on_one_generator(monkeypatch):
+    from pseudoplane import cyclic_quotient
+
+    rule = cyclic_quotient._keeps_ring
+    generators = []
+
+    def counted(generator, degree, m):
+        generators.append(generator)
+        return rule(generator, degree, m)
+
+    monkeypatch.setattr(cyclic_quotient, "_keeps_ring", counted)
+    for d, e, m in [(800, 1, 799), (1, 1, 750000)]:
+        generators.clear()
+        report = verify_triple(d, e, m, max_weight=0, max_exponent=4096)
+        assert report["verdict"] != "inconsistent"
+        # the candidate degrees that the search bisects
+        degrees = range((e - 1) % d + 1, max(4096, m + d) + 1, d)
+        assert set(generators) == {(0, 1, m * report["derived"]["e_prime"] % d)}
+        assert len(generators) <= len(degrees).bit_length() + 1, (d, e, m)
 
 
 def _shift_c(generator):
