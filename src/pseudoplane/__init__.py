@@ -9,21 +9,13 @@ action, fiber structure, and locally nilpotent derivations are all checked in
 exact rational arithmetic.
 """
 
-from .exact_algebra import (
-    MultiPoly,
-    format_poly,
-    parse_poly,
-    poly_divmod,
-    poly_gcd,
-    squarefree_decomposition,
-    substitute_power,
-)
+from .exact_algebra import MultiPoly, format_poly, parse_poly
 from .qdivisor import (
     DpdPair,
     QDivisor,
     RegimeError,
     canonical_pair,
-    divisor_to_poly,
+    divisor_roots,
     floor_div,
     format_divisor,
     fract_div,
@@ -39,7 +31,6 @@ from .dpd_presentation import (
 )
 from .hypersurface_ring import (
     HypersurfaceRing,
-    build_covering_ring,
     fiber_analysis,
     normalize_power_relation,
     smooth_check,
@@ -66,12 +57,11 @@ __all__ = [
     "QDivisor",
     "RegimeError",
     "SurfaceTriple",
-    "build_covering_ring",
     "canonical_pair",
     "classify_pair",
     "classify_presentation",
     "component_permutation",
-    "divisor_to_poly",
+    "divisor_roots",
     "fiber_analysis",
     "find_valid_lnd_degrees",
     "floor_div",
@@ -86,16 +76,12 @@ __all__ = [
     "normalize_power_relation",
     "parse_divisor",
     "parse_poly",
-    "poly_divmod",
-    "poly_gcd",
     "product_window",
     "pseudoplane_dpd_pair",
     "same_subgroup",
     "smooth_check",
     "smoothness_condition",
-    "squarefree_decomposition",
     "standard_action",
-    "substitute_power",
     "sweep",
     "verify_exit_code",
     "verify_triple",

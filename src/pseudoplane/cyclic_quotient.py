@@ -2,7 +2,7 @@
 
 Roots of unity are represented by residue indices only: fixed-locus and
 component-permutation questions are answered with modular arithmetic plus the
-gcd/squarefree data of the defining polynomial, never with numeric roots.
+root points of the factored relation, never with numeric roots.
 """
 
 from __future__ import annotations
@@ -101,13 +101,15 @@ def freeness_check(action: CyclicAction, ring: HypersurfaceRing) -> FreenessResu
     """Decide freeness of the action on the hypersurface.
 
     Requires the relation to be semi-invariant (all monomials of
-    u^k*second - P(s) share one residue).  For each nontrivial group power b
-    and each zero/nonzero coordinate pattern, the pattern is a fixed locus iff
-    every coordinate allowed to be nonzero has b*weight = 0 mod d and the
-    surface has a point with exactly that pattern; the latter reduces to
-    whether P vanishes at 0 and whether P has a nonzero root, both decided
-    from the term data.  Only the multiples of each admitted pattern's
-    period are visited, and the loci are listed by power, then pattern.
+    u^k*second - P(s) share one residue, read off P's terms).  For each
+    nontrivial group power b and each zero/nonzero coordinate pattern, the
+    pattern is a fixed locus iff every coordinate allowed to be nonzero has
+    b*weight = 0 mod d and the surface has a point with exactly that
+    pattern.  As P(0) = prod (-p)^j != 0, a point with u and second both
+    nonzero always exists, and any other point needs P(s) = 0 at some
+    s != 0, that is a root of the factored relation.  Only the multiples of
+    each admitted pattern's period are visited, and the loci are listed by
+    power, then pattern.
     """
     d = action.modulus
     variables = ring.variables
@@ -116,23 +118,19 @@ def freeness_check(action: CyclicAction, ring: HypersurfaceRing) -> FreenessResu
     except KeyError as exc:
         raise ValueError(f"action is missing a weight for variable {exc}") from None
     residues = {(ring.k * wts[0] + wts[1]) % d}
-    for (exp,), _ in ring.P.terms.items():
+    for (exp,) in ring.P.terms:
         residues.add((exp * wts[2]) % d)
     if len(residues) > 1:
         raise ValueError(
             f"relation is not semi-invariant under the action: residues {sorted(residues)}"
         )
-    vanishes_at_zero = ring.P.constant_coefficient() == 0
-    # nonzero roots exist iff P is not a constant times a power of s
-    has_nonzero_root = ring.P.degree() > ring.P.valuation("s")
+    has_nonzero_root = bool(ring.roots)
 
     def admits(u_nz: bool, v_nz: bool, s_nz: bool) -> bool:
-        if not u_nz:
-            # second coordinate is free on u = 0; membership needs P(S) = 0
-            return has_nonzero_root if s_nz else vanishes_at_zero
-        if v_nz:
-            return True if s_nz else not vanishes_at_zero
-        return has_nonzero_root if s_nz else vanishes_at_zero
+        if u_nz and v_nz:
+            return True  # u^k * second = P(s) is solvable at every s
+        # u = 0 or second = 0 needs P(s) = 0, and P(0) != 0
+        return s_nz and has_nonzero_root
 
     hits = []
     for index, pattern in enumerate(product((False, True), repeat=3)):

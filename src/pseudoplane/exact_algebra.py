@@ -1,12 +1,9 @@
 """Exact arithmetic substrate: rationals and sparse multivariate polynomials.
 
 Coefficients are exact integers or rationals: an integral coefficient is
-stored as an `int`, and division (`poly_divmod`, `monic`) promotes to
-`fractions.Fraction` only when the quotient is not integral, so integer
+stored as an `int`, and a rational one as a `fractions.Fraction`, so integer
 arithmetic skips `Fraction`'s gcd normalisation and every computation stays
-exact.  Integer inputs stay in `int` through `poly_divmod` (each exact step
-uses `//`) and `poly_gcd` (a primitive remainder sequence) up to the final
-`monic`.  A `Fraction` equal to an integer may remain after mixed arithmetic;
+exact.  A `Fraction` equal to an integer may remain after mixed arithmetic;
 it compares and hashes equal to that integer.  A polynomial is a sparse map
 from exponent vectors to nonzero coefficients:
 
@@ -14,9 +11,11 @@ from exponent vectors to nonzero coefficients:
     MultiPoly(("s",), {(3,): 1, (0,): -1})       # s^3 - 1
 
 Zero coefficients are never stored, so equality of term maps is equality of
-polynomials.  Complex numbers never appear anywhere in this package: every
-question about roots is answered through gcd/squarefree structure over the
-rationals.
+polynomials.  Complex numbers never appear anywhere in this package: the
+rings hold their relations factored over rational points, and every question
+about roots is answered from those points and their exponents.  There is no
+polynomial division here: the gcd and Yun's squarefree decomposition are
+kept in the tests, as the oracle of that reading.
 
 Text format (used by the CLI and in JSON reports): a signed sum of terms
 ``coeff*var^exp*...`` with ``^1`` and unit coefficients elided and rationals
@@ -28,7 +27,6 @@ bit-exactly.
 
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
 from operator import add
@@ -124,38 +122,6 @@ class MultiPoly:
 
     def __bool__(self) -> bool:
         return bool(self._terms)
-
-    def constant_coefficient(self) -> Scalar:
-        return self._terms.get((0,) * len(self._variables), 0)
-
-    def degree(self, var: str | None = None) -> int:
-        """Total degree, or the degree in one variable; -1 for the zero polynomial."""
-        if not self._terms:
-            return -1
-        if var is None:
-            return max(sum(exps) for exps in self._terms)
-        idx = self._var_index(var)
-        return max(exps[idx] for exps in self._terms)
-
-    def valuation(self, var: str) -> int:
-        """Smallest exponent of `var` appearing in any term (error on zero)."""
-        if not self._terms:
-            raise ValueError("zero polynomial has no valuation")
-        idx = self._var_index(var)
-        return min(exps[idx] for exps in self._terms)
-
-    def leading_coefficient(self) -> Scalar:
-        """Coefficient of the highest-degree term of a univariate polynomial."""
-        _require_univariate(self)
-        if not self._terms:
-            return 0
-        return self._terms[max(self._terms)]
-
-    def _var_index(self, var: str) -> int:
-        try:
-            return self._variables.index(var)
-        except ValueError:
-            raise ValueError(f"unknown variable {var!r} for list {self._variables}") from None
 
     # -- structural equality / hashing ---------------------------------------
 
@@ -266,25 +232,6 @@ class MultiPoly:
             binom = binom * (n - i) // (i + 1)
         return MultiPoly._trusted(self._variables, out)
 
-    def partial(self, var: str) -> "MultiPoly":
-        """Formal partial derivative with respect to `var`."""
-        idx = self._var_index(var)
-        out: dict[Exponents, Scalar] = {}
-        for exps, coeff in self._terms.items():
-            e = exps[idx]
-            if e == 0:
-                continue
-            # lowering one exponent is injective on the terms it keeps
-            out[exps[:idx] + (e - 1,) + exps[idx + 1:]] = coeff * e
-        return MultiPoly._trusted(self._variables, out)
-
-    def monic(self) -> "MultiPoly":
-        """Divide a univariate polynomial by its leading coefficient (zero stays zero)."""
-        _require_univariate(self)
-        if not self._terms:
-            return self
-        return self * Fraction(1, self.leading_coefficient())
-
     def __str__(self) -> str:
         return format_poly(self)
 
@@ -296,143 +243,6 @@ def _exact(c) -> Scalar:
     """`c` as an exact coefficient: an `int` when integral, else a `Fraction`."""
     c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
-
-
-def _require_univariate(p: MultiPoly, q: MultiPoly | None = None) -> str:
-    if len(p.variables) != 1:
-        raise ValueError(f"expected a univariate polynomial, got variables {p.variables}")
-    if q is not None:
-        if q.variables != p.variables:
-            raise ValueError(
-                f"mismatched variable lists: {p.variables} vs {q.variables}"
-            )
-    return p.variables[0]
-
-
-def poly_divmod(p: MultiPoly, q: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
-    """Exact univariate division with remainder over the rationals.  A step
-    whose top coefficient is an `int` multiple of an `int` leading
-    coefficient of q stays in `int`."""
-    _require_univariate(p, q)
-    if q.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    qdeg = q.degree()
-    qlead = q.leading_coefficient()
-    int_lead = type(qlead) is int
-    rem = dict(p._terms)
-    quo: dict[Exponents, Scalar] = {}
-    while rem:
-        top = max(rem)
-        deg = top[0]
-        if deg < qdeg:
-            break
-        if int_lead and type(rem[top]) is int:
-            factor, inexact = divmod(rem[top], qlead)
-            if inexact:
-                factor = Fraction(rem[top], qlead)
-        else:
-            factor = _exact(Fraction(rem[top], qlead))
-        shift = deg - qdeg
-        quo[(shift,)] = factor
-        for exps, coeff in q._terms.items():
-            key = (exps[0] + shift,)
-            total = rem.get(key, 0) - factor * coeff
-            if total:
-                rem[key] = total
-            else:
-                del rem[key]
-    return MultiPoly._trusted(p.variables, quo), MultiPoly._trusted(p.variables, rem)
-
-
-def _is_integral(p: MultiPoly) -> bool:
-    return all(type(c) is int for c in p._terms.values())
-
-
-def _primitive(p: MultiPoly) -> MultiPoly:
-    """An integer polynomial divided by the gcd of its coefficients."""
-    content = math.gcd(*p._terms.values())
-    if content <= 1:
-        return p
-    return MultiPoly._trusted(p._variables, {e: c // content for e, c in p._terms.items()})
-
-
-def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    """Monic gcd of univariate polynomials.
-
-    For `int` coefficients, a primitive pseudo-remainder sequence (W. S.
-    Brown, JACM 1971): a times lead(b)^(deg a - deg b + 1) divides by b with
-    every step exact in the integers, and each remainder is divided by its
-    content.  Each remainder is a nonzero rational multiple of Euclid's, so
-    the last nonzero one made monic is the gcd, and no coefficient leaves
-    `int` before that.  Other coefficients run Euclid over the rationals.
-    """
-    _require_univariate(p, q)
-    a, b = p, q
-    if _is_integral(a) and _is_integral(b):
-        while not b.is_zero():
-            scale = b.leading_coefficient() ** max(a.degree() - b.degree() + 1, 0)
-            a, b = b, _primitive(poly_divmod(a * scale, b)[1])
-    else:
-        while not b.is_zero():
-            a, b = b, poly_divmod(a, b)[1]
-    return a.monic()
-
-
-def squarefree_decomposition(p: MultiPoly) -> list[tuple[MultiPoly, int]]:
-    """Decompose p = lead * prod(factor_i ^ mult_i) with squarefree pairwise
-    coprime monic factors and strictly increasing multiplicities (Yun).
-
-    Single-multiplicity exit.  Write the monic p as prod_k f_k^k.  At step i
-    Yun's loop holds c = prod_{k>=i} f_k and
-    d = sum_{k>=i} (k - i) f_k' prod_{l!=k} f_l.  Suppose d = lam*c' for a
-    scalar lam.  Modulo a nonconstant f_k every other term of either sum
-    vanishes, leaving (k - i - lam) f_k' prod_{l!=k} f_l = 0 mod f_k; f_k' and
-    each f_l are units mod f_k, as f_k is squarefree and coprime to every
-    other f_l, so k = i + lam.  Then c is the single factor of multiplicity
-    i + lam and the loop ends at once: p = B^j costs one gcd whatever j is.
-    The exit is taken only for an integer lam >= 0; otherwise the ordinary
-    step runs.
-    """
-    var = _require_univariate(p)
-    if p.is_zero():
-        raise ValueError("squarefree decomposition of the zero polynomial")
-    a = p.monic()
-    if a.degree() == 0:
-        return []
-    da = a.partial(var)
-    g = poly_gcd(a, da)
-    if g.degree() == 0:
-        return [(a, 1)]
-    factors: list[tuple[MultiPoly, int]] = []
-    c = poly_divmod(a, g)[0]
-    dc = c.partial(var)
-    d = poly_divmod(da, g)[0] - dc
-    i = 1
-    while c.degree() > 0:
-        # d = lam*c' forces lam = d's leading coefficient over c''s
-        lam = 0
-        if not d.is_zero():
-            lam = _exact(Fraction(d.leading_coefficient(), dc.leading_coefficient()))
-        if isinstance(lam, int) and lam >= 0 and d == dc * lam:
-            factors.append((c, i + lam))
-            break
-        f = poly_gcd(c, d)
-        if f.degree() > 0:
-            factors.append((f, i))
-        c = poly_divmod(c, f)[0]
-        dc = c.partial(var)
-        d = poly_divmod(d, f)[0] - dc
-        i += 1
-    return factors
-
-
-def substitute_power(p: MultiPoly, exponent: int, new_var: str) -> MultiPoly:
-    """For univariate p(t), return p(x^exponent) as a univariate polynomial in x."""
-    _require_univariate(p)
-    if exponent < 1:
-        raise ValueError(f"substitution exponent must be positive: {exponent}")
-    # e -> e*exponent is injective, so the term map stays clean
-    return MultiPoly._trusted((new_var,), {(e * exponent,): c for (e,), c in p._terms.items()})
 
 
 # -- text format ---------------------------------------------------------------

@@ -20,7 +20,7 @@ from itertools import chain
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
-from .exact_algebra import MultiPoly, Scalar
+from .exact_algebra import Scalar
 
 
 class RegimeError(ValueError):
@@ -175,18 +175,19 @@ def negative_locus(pair: DpdPair) -> NegativeLocus:
     return NegativeLocus(l, l - 1, l <= 1)
 
 
-def divisor_to_poly(d_minus: QDivisor, k: int) -> tuple[int, MultiPoly]:
-    """Encode -k*D- as the divisor of t^l * Q(t) with Q monic and Q(0) != 0.
+def divisor_roots(d_minus: QDivisor, k: int) -> tuple[int, tuple[tuple[Fraction, int], ...]]:
+    """Read -k*D- as the divisor of t^l * Q(t) with Q = prod (t - p)^j monic
+    and Q(0) != 0.
 
-    Returns (l, Q) where l = -k*D-(0) and Q = prod over support points p != 0
-    of (t - p)^(-k*D-(p)).  Requires k*D- integral and -k*D-(p) >= 0 for every
-    p != 0.
+    Returns (l, roots) where l = -k*D-(0) and roots lists the pairs
+    (p, -k*D-(p)) over the support points p != 0, in increasing order of p;
+    no polynomial is built.  Requires k*D- integral and -k*D-(p) >= 0 for
+    every p != 0.
     """
     if k < 1:
         raise ValueError(f"k must be a positive integer: {k}")
     l = 0
-    q = MultiPoly.constant(("t",), 1)
-    t = MultiPoly.variable(("t",), "t")
+    roots = []
     for p, c in d_minus.items():
         value = -k * c
         if value.denominator != 1:
@@ -199,8 +200,9 @@ def divisor_to_poly(d_minus: QDivisor, k: int) -> tuple[int, MultiPoly]:
             continue
         if e < 0:
             raise ValueError(f"Q would be non-polynomial: exponent {e} at point {p}")
-        q = q * (t - MultiPoly.constant(("t",), p)) ** e
-    return l, q
+        # e != 0, as D- stores no zero coefficient
+        roots.append((p, e))
+    return l, tuple(roots)
 
 
 # -- text format ---------------------------------------------------------------

@@ -55,13 +55,10 @@ from .cyclic_quotient import (
     standard_action,
 )
 from .dpd_presentation import classify_presentation, pseudoplane_dpd_pair, smoothness_condition
-from .exact_algebra import MultiPoly, format_poly
+from .exact_algebra import format_poly
 from .hypersurface_ring import (
+    HypersurfaceRing,
     NormalizationWitness,
-    _normalized_ring,
-    _pure_power_base,
-    _rhs_power,
-    build_covering_ring,
     fiber_analysis,
     normalize_power_relation,
     smooth_check,
@@ -70,7 +67,7 @@ from .qdivisor import (
     DpdPair,
     RegimeError,
     canonical_pair,
-    divisor_to_poly,
+    divisor_roots,
     format_divisor,
     fract_div,
     ml1_test,
@@ -156,14 +153,15 @@ def verify_triple(
     locus = negative_locus(pair)
     check("picard_torsion", locus.torsion_compatible and locus.l <= 1)
 
-    l_from_divisor, q = divisor_to_poly(pair.d_minus, triple.k)
-    t = MultiPoly.variable(("t",), "t")
-    expected_q = (t - MultiPoly.constant(("t",), 1)) ** triple.m_prime
-    check("divisor_polynomial", l_from_divisor == triple.l and q == expected_q)
+    # -k*D- is the divisor of t^l (t - 1)^m', so Q = (t - 1)^m'; with
+    # k*e' + d*l = 0 (exponent_identity) the covering relation is
+    # u^k v = Q(s^d) = (s^d - 1)^m'
+    pure_power = ((1, triple.m_prime),)
+    l_from_divisor, roots = divisor_roots(pair.d_minus, triple.k)
+    check("divisor_polynomial", l_from_divisor == triple.l and roots == pure_power)
 
-    covering = build_covering_ring(triple.k, d, triple.e_prime, triple.l, q)
-    expected_p = _rhs_power(_pure_power_base(d), triple.m_prime)
-    covering_ok = check("covering_relation", covering.P == expected_p)
+    covering = HypersurfaceRing(triple.k, d, roots, "v")
+    covering_ok = check("covering_relation", covering.roots == pure_power)
 
     covering_smooth = smooth_check(covering)
     check("pre_normalization_smoothness", covering_smooth.smooth == (triple.m_prime == 1))
@@ -173,7 +171,7 @@ def verify_triple(
     else:
         # normalize_power_relation refuses any other P; the failed check
         # above already names the fault, so carry on with the normalized model
-        normalized = _normalized_ring(m, d)
+        normalized = HypersurfaceRing(m, d, ((1, 1),), "w")
         witness = NormalizationWitness(False, smooth_check(normalized).smooth)
     # power_identity is false only when covering_relation failed, so the
     # witness check reads normalized_smooth alone

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from operator import add
 from typing import Mapping, NamedTuple
@@ -22,19 +23,230 @@ from pseudoplane import (
     format_poly,
     graded_piece,
     parse_poly,
-    poly_divmod,
     standard_action,
     weight_piece_generator,
 )
 from pseudoplane import cyclic_quotient, report
-from pseudoplane.exact_algebra import Scalar
-from pseudoplane.hypersurface_ring import _normalized_ring, _pure_power_base, _rhs_power
+from pseudoplane.exact_algebra import Scalar, _exact
 
 F = Fraction
 
 
 def upoly(var: str, coeffs: dict[int, object]) -> MultiPoly:
     return MultiPoly((var,), {(e,): c for e, c in coeffs.items()})
+
+
+# -- the gcd and Yun layer -----------------------------------------------------
+#
+# exact_algebra once decomposed every ring's P(s) = Q(s^d) with Yun's
+# squarefree decomposition through a primitive remainder sequence.  The rings
+# now hold their relation factored, and smoothness and fibers are read off
+# the root exponents; this layer is kept as the oracle of that reading, with
+# the MultiPoly queries (degree, valuation, leading coefficient, ...) that
+# only the oracles use.
+
+
+def _require_univariate(p: MultiPoly, q: MultiPoly | None = None) -> str:
+    if len(p.variables) != 1:
+        raise ValueError(f"expected a univariate polynomial, got variables {p.variables}")
+    if q is not None:
+        if q.variables != p.variables:
+            raise ValueError(
+                f"mismatched variable lists: {p.variables} vs {q.variables}"
+            )
+    return p.variables[0]
+
+
+def _var_index(p: MultiPoly, var: str) -> int:
+    try:
+        return p.variables.index(var)
+    except ValueError:
+        raise ValueError(f"unknown variable {var!r} for list {p.variables}") from None
+
+
+def constant_coefficient(p: MultiPoly) -> Scalar:
+    return p.terms.get((0,) * len(p.variables), 0)
+
+
+def degree(p: MultiPoly, var: str | None = None) -> int:
+    """Total degree, or the degree in one variable; -1 for the zero polynomial."""
+    if not p.terms:
+        return -1
+    if var is None:
+        return max(sum(exps) for exps in p.terms)
+    idx = _var_index(p, var)
+    return max(exps[idx] for exps in p.terms)
+
+
+def valuation(p: MultiPoly, var: str) -> int:
+    """Smallest exponent of `var` appearing in any term (error on zero)."""
+    if not p.terms:
+        raise ValueError("zero polynomial has no valuation")
+    idx = _var_index(p, var)
+    return min(exps[idx] for exps in p.terms)
+
+
+def leading_coefficient(p: MultiPoly) -> Scalar:
+    """Coefficient of the highest-degree term of a univariate polynomial."""
+    _require_univariate(p)
+    if not p.terms:
+        return 0
+    return p.terms[max(p.terms)]
+
+
+def partial(p: MultiPoly, var: str) -> MultiPoly:
+    """Formal partial derivative with respect to `var`."""
+    idx = _var_index(p, var)
+    out: dict[tuple[int, ...], Scalar] = {}
+    for exps, coeff in p.terms.items():
+        e = exps[idx]
+        if e == 0:
+            continue
+        # lowering one exponent is injective on the terms it keeps
+        out[exps[:idx] + (e - 1,) + exps[idx + 1:]] = coeff * e
+    return MultiPoly._trusted(p.variables, out)
+
+
+def monic(p: MultiPoly) -> MultiPoly:
+    """Divide a univariate polynomial by its leading coefficient (zero stays zero)."""
+    _require_univariate(p)
+    if not p.terms:
+        return p
+    return p * Fraction(1, leading_coefficient(p))
+
+
+def poly_divmod(p: MultiPoly, q: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
+    """Exact univariate division with remainder over the rationals.  A step
+    whose top coefficient is an `int` multiple of an `int` leading
+    coefficient of q stays in `int`."""
+    _require_univariate(p, q)
+    if q.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    qdeg = degree(q)
+    qlead = leading_coefficient(q)
+    int_lead = type(qlead) is int
+    rem = dict(p.terms)
+    quo: dict[tuple[int, ...], Scalar] = {}
+    while rem:
+        top = max(rem)
+        deg = top[0]
+        if deg < qdeg:
+            break
+        if int_lead and type(rem[top]) is int:
+            factor, inexact = divmod(rem[top], qlead)
+            if inexact:
+                factor = Fraction(rem[top], qlead)
+        else:
+            factor = _exact(Fraction(rem[top], qlead))
+        shift = deg - qdeg
+        quo[(shift,)] = factor
+        for exps, coeff in q.terms.items():
+            key = (exps[0] + shift,)
+            total = rem.get(key, 0) - factor * coeff
+            if total:
+                rem[key] = total
+            else:
+                del rem[key]
+    return MultiPoly._trusted(p.variables, quo), MultiPoly._trusted(p.variables, rem)
+
+
+def _is_integral(p: MultiPoly) -> bool:
+    return all(type(c) is int for c in p.terms.values())
+
+
+def _primitive(p: MultiPoly) -> MultiPoly:
+    """An integer polynomial divided by the gcd of its coefficients."""
+    content = math.gcd(*p.terms.values())
+    if content <= 1:
+        return p
+    return MultiPoly._trusted(p.variables, {e: c // content for e, c in p.terms.items()})
+
+
+def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
+    """Monic gcd of univariate polynomials.
+
+    For `int` coefficients, a primitive pseudo-remainder sequence (W. S.
+    Brown, JACM 1971): a times lead(b)^(deg a - deg b + 1) divides by b with
+    every step exact in the integers, and each remainder is divided by its
+    content.  Each remainder is a nonzero rational multiple of Euclid's, so
+    the last nonzero one made monic is the gcd, and no coefficient leaves
+    `int` before that.  Other coefficients run Euclid over the rationals.
+    """
+    _require_univariate(p, q)
+    a, b = p, q
+    if _is_integral(a) and _is_integral(b):
+        while not b.is_zero():
+            scale = leading_coefficient(b) ** max(degree(a) - degree(b) + 1, 0)
+            a, b = b, _primitive(poly_divmod(a * scale, b)[1])
+    else:
+        while not b.is_zero():
+            a, b = b, poly_divmod(a, b)[1]
+    return monic(a)
+
+
+def squarefree_decomposition(p: MultiPoly) -> list[tuple[MultiPoly, int]]:
+    """Decompose p = lead * prod(factor_i ^ mult_i) with squarefree pairwise
+    coprime monic factors and strictly increasing multiplicities (Yun).
+
+    Single-multiplicity exit.  Write the monic p as prod_k f_k^k.  At step i
+    Yun's loop holds c = prod_{k>=i} f_k and
+    d = sum_{k>=i} (k - i) f_k' prod_{l!=k} f_l.  Suppose d = lam*c' for a
+    scalar lam.  Modulo a nonconstant f_k every other term of either sum
+    vanishes, leaving (k - i - lam) f_k' prod_{l!=k} f_l = 0 mod f_k; f_k' and
+    each f_l are units mod f_k, as f_k is squarefree and coprime to every
+    other f_l, so k = i + lam.  Then c is the single factor of multiplicity
+    i + lam and the loop ends at once: p = B^j costs one gcd whatever j is.
+    The exit is taken only for an integer lam >= 0; otherwise the ordinary
+    step runs.
+    """
+    var = _require_univariate(p)
+    if p.is_zero():
+        raise ValueError("squarefree decomposition of the zero polynomial")
+    a = monic(p)
+    if degree(a) == 0:
+        return []
+    da = partial(a, var)
+    g = poly_gcd(a, da)
+    if degree(g) == 0:
+        return [(a, 1)]
+    factors: list[tuple[MultiPoly, int]] = []
+    c = poly_divmod(a, g)[0]
+    dc = partial(c, var)
+    d = poly_divmod(da, g)[0] - dc
+    i = 1
+    while degree(c) > 0:
+        # d = lam*c' forces lam = d's leading coefficient over c''s
+        lam = 0
+        if not d.is_zero():
+            lam = _exact(Fraction(leading_coefficient(d), leading_coefficient(dc)))
+        if isinstance(lam, int) and lam >= 0 and d == dc * lam:
+            factors.append((c, i + lam))
+            break
+        f = poly_gcd(c, d)
+        if degree(f) > 0:
+            factors.append((f, i))
+        c = poly_divmod(c, f)[0]
+        dc = partial(c, var)
+        d = poly_divmod(d, f)[0] - dc
+        i += 1
+    return factors
+
+
+def substitute_power(p: MultiPoly, exponent: int, new_var: str) -> MultiPoly:
+    """For univariate p(t), return p(x^exponent) as a univariate polynomial in x."""
+    _require_univariate(p)
+    if exponent < 1:
+        raise ValueError(f"substitution exponent must be positive: {exponent}")
+    # e -> e*exponent is injective, so the term map stays clean
+    return MultiPoly._trusted((new_var,), {(e * exponent,): c for (e,), c in p.terms.items()})
+
+
+def yun_reading(ring: HypersurfaceRing) -> tuple[tuple[tuple[MultiPoly, int], ...], list[tuple[int, int]]]:
+    """smooth_check's witness and fiber_analysis over u = 0 as they were
+    read off Yun's decomposition of the expanded P: the factors of
+    multiplicity >= 2, and (degree, multiplicity) of every factor."""
+    yun = squarefree_decomposition(ring.P)
+    return tuple((f, j) for f, j in yun if j >= 2), [(degree(f), j) for f, j in yun]
 
 
 # -- the rewriting layer --------------------------------------------------------
@@ -79,6 +291,12 @@ def with_variables(p: MultiPoly, variables) -> MultiPoly:
     return MultiPoly(variables, out)
 
 
+@lru_cache(maxsize=512)
+def rhs_power(ring: HypersurfaceRing, j: int) -> MultiPoly:
+    """P(s)^j of the ring's relation, expanded once per (ring, j)."""
+    return ring.P ** j
+
+
 def normal_form(ring: HypersurfaceRing, p: MultiPoly) -> RingElement:
     """Exhaustively rewrite u^k * second -> P(s).
 
@@ -96,7 +314,7 @@ def normal_form(ring: HypersurfaceRing, p: MultiPoly) -> RingElement:
             out[a, b, c] = out.get((a, b, c), 0) + coeff
             continue
         a, b = a - j * k, b - j
-        for (e,), pc in _rhs_power(ring.P, j).terms.items():
+        for (e,), pc in rhs_power(ring, j).terms.items():
             key = (a, b, c + e)
             out[key] = out.get(key, 0) + coeff * pc
     clean = {key: v for key, v in out.items() if v}
@@ -107,7 +325,7 @@ def oracle_power_identity(ring: HypersurfaceRing, m: int, d: int) -> bool:
     """normalize_power_relation's power identity as it was computed: the
     normal form of u^k * second equals (s^d - 1)^(k // m)."""
     reduced = normal_form(ring, monomial(ring, ring.k, 1, 0))
-    expected = _rhs_power(_pure_power_base(d), ring.k // m)
+    expected = upoly("s", {d: 1, 0: -1}) ** (ring.k // m)
     return reduced.poly == with_variables(expected, ring.variables)
 
 
@@ -148,18 +366,16 @@ class NonPolynomial:
 
 def normalized_ring(triple: SurfaceTriple) -> HypersurfaceRing:
     """The normalized model u^m w - (s^d - 1) for the triple."""
-    return _normalized_ring(triple.m, triple.d)
+    return HypersurfaceRing(triple.m, triple.d, ((1, 1),), "w")
 
 
 def _normalized_params(ring: HypersurfaceRing) -> tuple[int, int]:
     """(m, d) for a ring in the normalized shape u^m w - (s^d - 1)."""
-    d = ring.P.degree()
-    # rings built by _normalized_ring share the cached P: skip the comparison
-    if d < 1 or (ring.P is not _pure_power_base(d) and ring.P != _pure_power_base(d)):
+    if ring.roots != ((1, 1),):
         raise ValueError(
             f"ring is not in the normalized shape u^m*{ring.second_var} - (s^d - 1): P = {format_poly(ring.P)}"
         )
-    return ring.k, d
+    return ring.k, ring.d
 
 
 def _to_localization(ring: HypersurfaceRing, poly: MultiPoly) -> dict[int, dict[int, Scalar]]:
@@ -169,7 +385,7 @@ def _to_localization(ring: HypersurfaceRing, poly: MultiPoly) -> dict[int, dict[
     for (a, b, c), coeff in poly.terms.items():
         j = a - m * b
         row = loc.setdefault(j, {})
-        for (e,), c2 in _rhs_power(ring.P, b).terms.items():
+        for (e,), c2 in rhs_power(ring, b).terms.items():
             key = e + c
             total = row.get(key, 0) + coeff * c2
             if total:
@@ -201,7 +417,7 @@ def _first_non_polynomial(
         if j >= 0:
             break
         f = MultiPoly._trusted(("s",), {(e,): c for e, c in loc[j].items()})
-        _, rem = poly_divmod(f, _rhs_power(ring.P, (-j + m - 1) // m))
+        _, rem = poly_divmod(f, rhs_power(ring, (-j + m - 1) // m))
         if not rem.is_zero():
             top = max(rem.terms)
             return NonPolynomial(f"{rem.terms[top]}*u^{j}*s^{top[0]}")
@@ -307,11 +523,11 @@ def rational_roots(p: MultiPoly) -> dict[Fraction, int]:
     if p.is_zero():
         raise ValueError("zero polynomial")
     result: dict[Fraction, int] = {}
-    v = p.valuation(var)
+    v = valuation(p, var)
     if v > 0:
         result[F(0)] = v
         p = poly_divmod(p, upoly(var, {v: 1}))[0]
-    if p.degree() < 1:
+    if degree(p) < 1:
         return result
     scale = math.lcm(*(c.denominator for c in p.terms.values()))
     ints = {e[0]: int(c * scale) for e, c in p.terms.items()}
@@ -392,7 +608,7 @@ def _from_localization(ring, loc: dict[int, dict[int, object]]):
             a, b, g = j, 0, f
         else:
             b = (-j + m - 1) // m
-            g, rem = poly_divmod(f, _rhs_power(ring.P, b))
+            g, rem = poly_divmod(f, rhs_power(ring, b))
             if not rem.is_zero():
                 top = max(rem.terms)
                 coeff = rem.terms[top]
@@ -609,7 +825,7 @@ def oracle_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     a, b = p, q
     while not b.is_zero():
         a, b = b, poly_divmod(a, b)[1]
-    return a.monic()
+    return monic(a)
 
 
 def oracle_freeness_check(action: CyclicAction, ring: HypersurfaceRing):
@@ -622,8 +838,8 @@ def oracle_freeness_check(action: CyclicAction, ring: HypersurfaceRing):
     residues.update((exp * wts[2]) % d for (exp,) in ring.P.terms)
     if len(residues) > 1:
         raise ValueError(f"relation is not semi-invariant under the action: residues {sorted(residues)}")
-    vanishes_at_zero = ring.P.constant_coefficient() == 0
-    has_nonzero_root = ring.P.degree() > ring.P.valuation("s")
+    vanishes_at_zero = constant_coefficient(ring.P) == 0
+    has_nonzero_root = degree(ring.P) > valuation(ring.P, "s")
 
     def admits(u_nz: bool, v_nz: bool, s_nz: bool) -> bool:
         if not u_nz:
@@ -655,23 +871,23 @@ def oracle_squarefree_decomposition(p: MultiPoly) -> list[tuple[MultiPoly, int]]
     squarefree_decomposition: one gcd per multiplicity up to the largest,
     each by Euclid over the rationals."""
     var = p.variables[0]
-    a = p.monic()
-    if a.degree() == 0:
+    a = monic(p)
+    if degree(a) == 0:
         return []
-    da = a.partial(var)
+    da = partial(a, var)
     g = oracle_gcd(a, da)
-    if g.degree() == 0:
+    if degree(g) == 0:
         return [(a, 1)]
     factors: list[tuple[MultiPoly, int]] = []
     c = poly_divmod(a, g)[0]
-    d = poly_divmod(da, g)[0] - c.partial(var)
+    d = poly_divmod(da, g)[0] - partial(c, var)
     i = 1
-    while c.degree() > 0:
+    while degree(c) > 0:
         f = oracle_gcd(c, d)
-        if f.degree() > 0:
+        if degree(f) > 0:
             factors.append((f, i))
         c = poly_divmod(c, f)[0]
-        d = poly_divmod(d, f)[0] - c.partial(var)
+        d = poly_divmod(d, f)[0] - partial(c, var)
         i += 1
     return factors
 
@@ -822,8 +1038,8 @@ def oracle_measured_defect(triple, n: int, n_prime: int) -> dict[Fraction, int]:
     assert all(a == a12 and b == b12 and c >= c12 for a, b, c in prod.terms)
     r = MultiPoly(("s",), {(c - c12,): v for (_, _, c), v in prod.terms.items()})
     d = triple.d
-    val = r.valuation("s")
-    span = r.degree() - val
+    val = valuation(r, "s")
+    span = degree(r) - val
     assert val % d == 0 and span % d == 0
     s = upoly("s", {1: 1})
     assert r == s ** val * (s ** d - 1) ** (span // d)
@@ -895,6 +1111,18 @@ def dpd_pairs(draw):
             plus[p] = draw(small_fractions())
             minus[p] = draw(nonpositive) - plus[p]
     return DpdPair(QDivisor(plus), QDivisor(minus))
+
+
+_ROOT_POINTS = [F(-1), F(1, 2), F(1), F(2), F(3)]
+
+
+def factored_roots(min_size: int = 0, max_size: int = 3, max_exp: int = 4):
+    """The roots of a factored relation: (point, exponent) pairs over
+    distinct points of {-1, 1/2, 1, 2, 3}, in increasing order of point."""
+    points = st.lists(st.sampled_from(_ROOT_POINTS), unique=True, min_size=min_size, max_size=max_size)
+    return points.flatmap(
+        lambda ps: st.tuples(*[st.tuples(st.just(p), st.integers(1, max_exp)) for p in sorted(ps)])
+    )
 
 
 @st.composite

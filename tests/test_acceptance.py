@@ -14,6 +14,7 @@ from helpers import (
     F,
     grid_triples,
     hilbert_basis,
+    leading_coefficient,
     monoid_points,
     monomial,
     nilpotency_index,
@@ -21,6 +22,7 @@ from helpers import (
     normalized_ring,
     reachable_sums,
     s_weight,
+    squarefree_decomposition,
     upoly,
 )
 
@@ -31,17 +33,16 @@ from pseudoplane import (
     MultiPoly,
     QDivisor,
     SurfaceTriple,
-    build_covering_ring,
     canonical_pair,
     classify_pair,
     component_permutation,
+    divisor_roots,
     fiber_analysis,
     find_valid_lnd_degrees,
     floor_div,
     freeness_check,
     graded_piece,
     pseudoplane_dpd_pair,
-    squarefree_decomposition,
     standard_action,
     sweep,
     weight_piece_generator,
@@ -103,11 +104,10 @@ def test_criterion_3_isomorphism_certification(swept):
 
 
 def test_criterion_4_freeness_law():
-    s = MultiPoly.variable(("s",), "s")
     for d in range(1, D_MAX + 1):
         for e in range(1, 7):
             for m in range(1, M_MAX + 1):
-                ring = HypersurfaceRing(m, s ** d - MultiPoly.constant(("s",), 1), "w")
+                ring = HypersurfaceRing(m, d, ((1, 1),), "w")
                 action = CyclicAction(d, {"u": 1, "w": -m, "s": e})
                 result = freeness_check(action, ring)
                 assert result.free == (math.gcd(e, d) == 1), (d, e, m)
@@ -121,10 +121,9 @@ def test_criterion_4_freeness_law():
 
 
 def test_criterion_5_smoothness():
-    t_var = MultiPoly.variable(("t",), "t")
     for t in TRIPLES:
-        q = (t_var - MultiPoly.constant(("t",), 1)) ** t.m_prime
-        covering = build_covering_ring(t.k, t.d, t.e_prime, t.l, q)
+        _, roots = divisor_roots(t.pair.d_minus, t.k)
+        covering = HypersurfaceRing(t.k, t.d, roots, "v")
         from pseudoplane import smooth_check
 
         assert smooth_check(covering).smooth == (t.m_prime == 1), t
@@ -188,7 +187,7 @@ def test_criterion_8_oracle_suites():
                     corpus.append(p)
     corpus.append(upoly("s", {7: 2, 5: -3, 2: 1, 0: 5}))
     for p in corpus:
-        rebuilt = MultiPoly.constant(("s",), p.leading_coefficient())
+        rebuilt = MultiPoly.constant(("s",), leading_coefficient(p))
         for factor, mult in squarefree_decomposition(p):
             rebuilt = rebuilt * factor ** mult
         if rebuilt != p:

@@ -24,15 +24,15 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 PUBLIC_NAMES = {
     "CyclicAction", "DpdPair", "HypersurfaceRing", "MultiPoly", "QDivisor",
     "RegimeError", "SurfaceTriple",
-    "build_covering_ring", "canonical_pair", "classify_pair", "classify_presentation",
-    "component_permutation", "divisor_to_poly", "fiber_analysis",
+    "canonical_pair", "classify_pair", "classify_presentation",
+    "component_permutation", "divisor_roots", "fiber_analysis",
     "find_valid_lnd_degrees", "floor_div", "format_divisor", "format_poly", "fract_div",
     "freeness_check", "graded_piece", "induced_action", "ml1_test",
     "negative_locus", "normalize_power_relation",
-    "parse_divisor", "parse_poly", "poly_divmod", "poly_gcd",
+    "parse_divisor", "parse_poly",
     "product_window", "pseudoplane_dpd_pair",
-    "same_subgroup", "smooth_check", "smoothness_condition", "squarefree_decomposition",
-    "standard_action", "substitute_power", "sweep", "verify_exit_code", "verify_triple",
+    "same_subgroup", "smooth_check", "smoothness_condition",
+    "standard_action", "sweep", "verify_exit_code", "verify_triple",
     "weight_piece_generator",
 }
 
@@ -73,6 +73,20 @@ UNREACHED = {
     "exact_algebra.MultiPoly.__str__",
     "exact_algebra.MultiPoly.__repr__",
     "exact_algebra.MultiPoly.__rsub__",
+    # MultiPoly is the exported polynomial type: its constructors and ring
+    # operations are its interface, and README's parse_poly(format_poly(p))
+    # == p needs ==, though the pipeline builds and compares none by them
+    "exact_algebra.MultiPoly.__init__",
+    "exact_algebra.MultiPoly.constant",
+    "exact_algebra.MultiPoly.variable",
+    "exact_algebra.MultiPoly._coerce",
+    "exact_algebra.MultiPoly.__add__",
+    "exact_algebra.MultiPoly.__sub__",
+    "exact_algebra.MultiPoly.__neg__",
+    "exact_algebra.MultiPoly.__mul__",
+    "exact_algebra.MultiPoly.__pow__",
+    "exact_algebra.MultiPoly.__eq__",
+    "exact_algebra.MultiPoly.__hash__",
     "qdivisor.QDivisor.__setattr__",
     "qdivisor.QDivisor.__bool__",
     "qdivisor.QDivisor.__str__",
@@ -104,7 +118,7 @@ def _defined_functions(code, prefix):
 
 
 def test_cli_reaches_every_function_but_the_allowlist(capsys):
-    assert set(pseudoplane.__all__) == PUBLIC_NAMES and len(pseudoplane.__all__) == 41
+    assert set(pseudoplane.__all__) == PUBLIC_NAMES and len(pseudoplane.__all__) == 36
 
     defined = {}
     for module in _package_modules():

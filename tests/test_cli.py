@@ -239,13 +239,14 @@ def test_verify_max_weight_zero_skips_product_section(capsys):
 def test_failed_covering_relation_is_reported_not_raised(capsys, monkeypatch):
     from pseudoplane import HypersurfaceRing, report as report_module
 
-    build = report_module.build_covering_ring
+    # the covering ring's root moves from 1 to 2; the normalized model is
+    # built as it was
+    def moved(k, d, roots, second_var):
+        if second_var == "v":
+            roots = tuple((2 if p == 1 else p, j) for p, j in roots)
+        return HypersurfaceRing(k, d, roots, second_var)
 
-    def doubled(*args):
-        ring = build(*args)
-        return HypersurfaceRing(ring.k, 2 * ring.P, ring.second_var)
-
-    monkeypatch.setattr(report_module, "build_covering_ring", doubled)
+    monkeypatch.setattr(report_module, "HypersurfaceRing", moved)
     report = verify_triple(3, 2, 2)
     assert report["verdict"] == "inconsistent"
     assert report["failed_checks"] == ["covering_relation"]

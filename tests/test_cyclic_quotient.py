@@ -19,7 +19,6 @@ from helpers import (
     product_structure_check,
     reachable_sums,
     surface_triples,
-    upoly,
     weight_piece_is_rank_one,
 )
 
@@ -78,7 +77,7 @@ def test_surface_triple_derived_constants():
 
 
 def xyz_ring(m, d):
-    return HypersurfaceRing(m, upoly("s", {d: 1, 0: -1}), "w")
+    return HypersurfaceRing(m, d, ((1, 1),), "w")
 
 
 def test_freeness_free_case():

@@ -19,14 +19,17 @@ from helpers import (
     _from_localization,
     _to_localization,
     assert_clean,
+    degree,
     derivation_apply,
     derivation_leaves_ring,
     dpd_pairs,
+    factored_roots,
     filter_hilbert_basis,
     first_failing_pair,
     grid_triples,
     hilbert_basis,
     laurent_lnd_degrees,
+    monic,
     monomial,
     nilpotency_index,
     normal_form,
@@ -49,6 +52,9 @@ from helpers import (
     oracle_qdivisor_coefficients,
     oracle_qdivisor_sum,
     oracle_squarefree_decomposition,
+    partial,
+    poly_divmod,
+    poly_gcd,
     product_defect,
     product_structure_check,
     relation,
@@ -56,8 +62,10 @@ from helpers import (
     small_fractions,
     small_multipolys,
     small_upolys,
+    squarefree_decomposition,
     surface_triples,
     upoly,
+    yun_reading,
 )
 
 import pseudoplane
@@ -68,17 +76,16 @@ from pseudoplane import (
     MultiPoly,
     QDivisor,
     SurfaceTriple,
-    divisor_to_poly,
+    divisor_roots,
     find_valid_lnd_degrees,
+    fiber_analysis,
     fract_div,
     freeness_check,
     graded_piece,
     induced_action,
     normalize_power_relation,
-    poly_divmod,
-    poly_gcd,
     product_window,
-    squarefree_decomposition,
+    smooth_check,
     standard_action,
     sweep,
     verify_triple,
@@ -97,7 +104,7 @@ def test_add_and_mul_match_validated_oracles(p, q):
         assert got == want
         assert_clean(got)
     assert -p == oracle_mul(p, MultiPoly.constant(UVS, -1))
-    for got in (-p, p - q, p.partial("u"), p.partial("s"), p ** 2):
+    for got in (-p, p - q, partial(p, "u"), partial(p, "s"), p ** 2):
         assert_clean(got)
 
 
@@ -115,13 +122,14 @@ def test_divmod_results_are_clean(p, q):
         return
     for part in poly_divmod(p, q):
         assert_clean(part)
-    assert_clean(p.monic())
+    assert_clean(monic(p))
 
 
 _rings = st.builds(
-    lambda k, P: HypersurfaceRing(k, P, "v"),
+    lambda k, d, roots: HypersurfaceRing(k, d, roots, "v"),
     st.integers(1, 3),
-    small_upolys(max_deg=3).filter(lambda P: not P.is_zero()),
+    st.integers(1, 3),
+    factored_roots(max_exp=2),
 )
 
 
@@ -141,7 +149,7 @@ def test_normal_form_matches_term_by_term_oracle(ring, p):
     small_multipolys(UWS, max_exp=4, max_terms=4),
 )
 def test_derivation_images_are_clean(m, d, e, p):
-    ring = HypersurfaceRing(m, MultiPoly(("s",), {(d,): 1, (0,): -1}), "w")
+    ring = HypersurfaceRing(m, d, ((1, 1),), "w")
     image = derivation_apply(ring, e, normal_form(ring, p))
     if not isinstance(image, NonPolynomial):
         assert_clean(image.poly)
@@ -149,9 +157,7 @@ def test_derivation_images_are_clean(m, d, e, p):
 
 @given(st.integers(1, 3), st.integers(1, 4), small_multipolys(UWS, max_exp=4, max_terms=4))
 def test_localization_round_trip_is_the_normal_form(m, d, p):
-    from pseudoplane.hypersurface_ring import _normalized_ring
-
-    ring = _normalized_ring(m, d)
+    ring = HypersurfaceRing(m, d, ((1, 1),), "w")
     back = _from_localization(ring, _to_localization(ring, p))
     assert back.poly == normal_form(ring, p).poly
 
@@ -170,16 +176,9 @@ def _memo_caches():
 
 
 def test_every_memo_cache_is_bounded():
-    caches = _memo_caches()
-    assert {
-        "hypersurface_ring._pure_power_base",
-        "hypersurface_ring._rhs_power",
-        "hypersurface_ring._normalized_ring",
-        "hypersurface_ring._squarefree",
-    } <= set(caches)
-    for name, cache in caches.items():
-        maxsize = cache.cache_parameters()["maxsize"]
-        assert isinstance(maxsize, int) and maxsize > 0, name
+    # the ring facts are read off the factored relation, so no module keeps
+    # a memo, and _memo_caches finds no unbounded dict cache either
+    assert _memo_caches() == {}
 
 
 def test_hilbert_basis_returns_a_fresh_list():
@@ -266,7 +265,7 @@ def test_squarefree_decomposition_of_pure_powers_matches_yun_without_the_exit(d,
 
 
 def test_squarefree_decomposition_of_a_power_makes_gcd_calls_independent_of_j(monkeypatch):
-    from pseudoplane import exact_algebra
+    import helpers
 
     calls = []
 
@@ -274,7 +273,7 @@ def test_squarefree_decomposition_of_a_power_makes_gcd_calls_independent_of_j(mo
         calls.append(1)
         return poly_gcd(p, q)
 
-    monkeypatch.setattr(exact_algebra, "poly_gcd", counting_gcd)
+    monkeypatch.setattr(helpers, "poly_gcd", counting_gcd)
     base = upoly("s", {43: 1, 0: -1})
     counts = []
     for j in (2, 7, 43):
@@ -290,11 +289,9 @@ def _assert_int_coefficients(p):
 
 
 def test_pipeline_coefficients_stay_int():
-    from pseudoplane.hypersurface_ring import _pure_power_base, _rhs_power
-
     for d in range(1, 7):
         for j in range(7):
-            _assert_int_coefficients(_rhs_power(_pure_power_base(d), j))
+            _assert_int_coefficients(HypersurfaceRing(1, d, ((1, j),) if j else ()).P)
     triple = SurfaceTriple(3, 2, 2)
     ring = normalized_ring(triple)
     g1 = monomial(ring, *weight_piece_generator(triple, -5))
@@ -308,7 +305,9 @@ def test_pipeline_coefficients_stay_int():
     for x in images:
         if not x.poly.is_zero():
             _assert_int_coefficients(x.poly)
-    _assert_int_coefficients(divisor_to_poly(triple.pair.d_minus, triple.k)[1])
+    # the points of -k*D- are Fractions; the ring stores the integral ones as int
+    roots = divisor_roots(triple.pair.d_minus, triple.k)[1]
+    _assert_int_coefficients(HypersurfaceRing(triple.k, triple.d, roots).P)
 
 
 def test_division_promotes_to_fraction_not_float():
@@ -317,7 +316,7 @@ def test_division_promotes_to_fraction_not_float():
     assert quo.terms == {(2,): Fraction(2, 3)}
     assert type(quo.terms[(2,)]) is Fraction
     assert rem == 1 and type(rem.terms[(0,)]) is int
-    half = (2 * s + 1).monic()
+    half = monic(2 * s + 1)
     assert half == s + Fraction(1, 2)
     assert_clean(half)
 
@@ -331,7 +330,7 @@ _int_upolys = st.dictionaries(st.integers(0, 5), st.integers(-5, 5), max_size=4)
 def test_integer_inputs_never_give_floats(p, q):
     for ring_op in (p + q, p * q, p ** 3):
         assert all(type(c) is int for c in ring_op.terms.values())
-    results = [p.monic(), poly_gcd(p, q)]
+    results = [monic(p), poly_gcd(p, q)]
     if q:
         results.extend(poly_divmod(p, q))
     for got in results:
@@ -355,17 +354,6 @@ def test_non_int_bounds_rejected(bad):
         sweep(bad, 1)
     with pytest.raises(ValueError, match="m_max must be an integer"):
         sweep(1, bad)
-
-
-def test_cached_constants_are_shared_not_rebuilt():
-    from pseudoplane.hypersurface_ring import _normalized_ring, _pure_power_base, _rhs_power
-
-    assert _pure_power_base(4) is _pure_power_base(4)
-    assert _pure_power_base(4) == MultiPoly(("s",), {(4,): F(1), (0,): F(-1)})
-    assert _rhs_power(_pure_power_base(3), 2) == _pure_power_base(3) * _pure_power_base(3)
-    assert _rhs_power(_pure_power_base(3), 2) is _rhs_power(_pure_power_base(3), 2)
-    assert _normalized_ring(2, 3) is _normalized_ring(2, 3)
-    assert _normalized_ring(2, 3).P is _pure_power_base(3)
 
 
 @given(dpd_pairs(), st.integers(-12, 12), st.integers(-12, 12))
@@ -451,9 +439,8 @@ def test_lnd_certificate_matches_normal_form_oracle_across_grid():
 )
 def test_lnd_rule_matches_laurent_membership(d, m, exps, degree):
     from pseudoplane.cyclic_quotient import _keeps_ring
-    from pseudoplane.hypersurface_ring import _normalized_ring
 
-    ring = _normalized_ring(m, d)
+    ring = HypersurfaceRing(m, d, ((1, 1),), "w")
     x = normal_form(ring, monomial(ring, *exps))
     assert _keeps_ring(exps, degree, m) == (derivation_leaves_ring(ring, degree, x) is None)
 
@@ -579,19 +566,19 @@ def test_product_window_fails_where_the_per_pair_oracle_first_fails(triple, max_
 
 
 def test_hand_built_normalized_ring_is_accepted():
-    from pseudoplane.hypersurface_ring import _normalized_ring
-
-    cached = _normalized_ring(2, 3)
-    hand_built = HypersurfaceRing(2, MultiPoly(("s",), {(3,): 1, (0,): -1}), "w")
-    assert hand_built.P is not cached.P and hand_built.P == cached.P
+    # the normalized model the pipeline builds, and one written by hand with
+    # its point as a Fraction
+    built, _ = normalize_power_relation(HypersurfaceRing(6, 3, ((1, 3),), "v"), 2, 3)
+    hand_built = HypersurfaceRing(2, 3, ((F(1), 1),), "w")
+    assert hand_built is not built and hand_built == built and hand_built.P == built.P
     for exps in [(1, 0, 2), (0, 1, 1), (3, 0, 0)]:
-        want = normal_form(cached, monomial(cached, *exps))
+        want = normal_form(built, monomial(built, *exps))
         got = normal_form(hand_built, monomial(hand_built, *exps))
         for e in (1, 2):
             for entry in (derivation_leaves_ring, nilpotency_index):
-                assert entry(hand_built, e, got) == entry(cached, e, want)
+                assert entry(hand_built, e, got) == entry(built, e, want)
     assert s_weight(normal_form(hand_built, monomial(hand_built, 0, 1, 1))) == 4
-    other = HypersurfaceRing(2, MultiPoly(("s",), {(3,): 1, (0,): -2}), "w")
+    other = HypersurfaceRing(2, 3, ((2, 1),), "w")
     x = normal_form(other, monomial(other, 0, 0, 1))
     for entry in (derivation_leaves_ring, nilpotency_index):
         with pytest.raises(ValueError, match="not in the normalized shape"):
@@ -781,7 +768,7 @@ def test_integer_gcd_matches_rational_euclid(pq):
 
 @given(_int_upolys, st.integers(-12, 12))
 def test_primitive_part_divides_out_the_content(p, c):
-    from pseudoplane.exact_algebra import _primitive
+    from helpers import _primitive
 
     got = _primitive(p * c)
     if c == 0 or p.is_zero():
@@ -798,11 +785,11 @@ def test_exact_integer_division_stays_int(p, q):
     assert quo == p and rem.is_zero()
     assert all(type(c) is int for c in quo.terms.values())
     quo, rem = poly_divmod(p, q)
-    assert quo * q + rem == p and rem.degree() < q.degree()
+    assert quo * q + rem == p and degree(rem) < degree(q)
 
 
 @given(
-    st.lists(_int_upolys.filter(lambda f: f.degree() > 0), min_size=1, max_size=4),
+    st.lists(_int_upolys.filter(lambda f: degree(f) > 0), min_size=1, max_size=4),
     multiplicities(),
     st.integers(-6, 6).filter(bool),
 )
@@ -815,22 +802,23 @@ def test_squarefree_decomposition_of_integer_products_matches_rational_yun(facto
 
 @st.composite
 def freeness_inputs(draw):
-    """A random action on a hypersurface ring: semi-invariant when the second
-    weight is solved from the first term of P, arbitrary otherwise."""
-    d = draw(st.integers(1, 40))
+    """A random action on a factored hypersurface ring: semi-invariant when
+    the ring's d is a multiple of the s-weight's period and the second
+    weight is solved from P's constant term, arbitrary otherwise."""
+    modulus = draw(st.integers(1, 40))
     k = draw(st.integers(1, 5))
     wu, ws = draw(st.integers(-50, 50)), draw(st.integers(-50, 50))
-    e0 = draw(st.integers(0, 4))
-    period = d // math.gcd(d, ws)
-    exps = [e0 + period * j for j in draw(st.sets(st.integers(0, 3), max_size=3))]
-    P = upoly("s", {e: draw(st.integers(-3, 3).filter(bool)) for e in [e0, *exps]})
+    roots = draw(factored_roots(max_exp=3))
     if draw(st.booleans()):
-        wv = e0 * ws - k * wu
+        # P's exponents are multiples of d, and P(0) != 0 is one of its terms
+        d = modulus // math.gcd(modulus, ws) * draw(st.integers(1, 3))
+        wv = -k * wu
     else:
+        d = draw(st.integers(1, 12))
         wv = draw(st.integers(-50, 50))
     second = draw(st.sampled_from(["v", "w"]))
-    action = CyclicAction(d, {"u": wu, second: wv, "s": ws})
-    return action, HypersurfaceRing(k, P, second)
+    action = CyclicAction(modulus, {"u": wu, second: wv, "s": ws})
+    return action, HypersurfaceRing(k, d, roots, second)
 
 
 @given(freeness_inputs())
@@ -873,39 +861,39 @@ def test_power_identity_matches_normal_form_oracle_on_every_covering_ring(monkey
     for ring, m, d, power_identity in seen:
         assert power_identity is True
         assert oracle_power_identity(ring, m, d) is True
-
-
-def _pure_power(d: int, j: int) -> MultiPoly:
-    return upoly("s", {d: 1, 0: -1}) ** j
+        assert (smooth_check(ring).witness, fiber_analysis(ring, 0)) == yun_reading(ring)
 
 
 @given(st.integers(1, 30), st.integers(1, 12), st.integers(1, 12))
 def test_power_identity_matches_normal_form_oracle_on_pure_power_rings(d, m, m_prime):
-    ring = HypersurfaceRing(m * m_prime, _pure_power(d, m_prime), "v")
+    ring = HypersurfaceRing(m * m_prime, d, ((1, m_prime),), "v")
     normalized, witness = normalize_power_relation(ring, m, d)
     assert witness.power_identity is True
     assert oracle_power_identity(ring, m, d) is True
-    assert normalized == HypersurfaceRing(m, _pure_power(d, 1), "w")
+    assert normalized == HypersurfaceRing(m, d, ((1, 1),), "w")
+
+
+_other_points = st.sampled_from([F(-1), F(1, 2), F(2), F(3)])
 
 
 @given(
     st.integers(1, 30),
     st.integers(1, 12),
     st.integers(1, 12),
-    st.sampled_from(["scaled", "times_s", "wrong_power"]),
+    st.sampled_from(["moved_root", "extra_root", "wrong_power"]),
     st.data(),
 )
 def test_refused_rings_fail_the_normal_form_oracle(d, m, m_prime, fault, data):
     # the refusal and the computed identity accept the same rings
-    if fault == "scaled":
-        scale = data.draw(st.integers(-5, 5).filter(lambda c: c not in (0, 1)))
-        p = _pure_power(d, m_prime) * scale
-    elif fault == "times_s":
-        p = _pure_power(d, m_prime) * upoly("s", {1: 1})
+    if fault == "moved_root":
+        roots = ((data.draw(_other_points), m_prime),)
+    elif fault == "extra_root":
+        extra = (data.draw(_other_points), data.draw(st.integers(1, 4)))
+        roots = tuple(sorted([(1, m_prime), extra]))
     else:
         j = data.draw(st.integers(0, m_prime + 3).filter(lambda j: j != m_prime))
-        p = _pure_power(d, j)
-    ring = HypersurfaceRing(m * m_prime, p, "v")
+        roots = ((1, j),) if j else ()
+    ring = HypersurfaceRing(m * m_prime, d, roots, "v")
     with pytest.raises(ValueError, match="general Q normalization unsupported"):
         normalize_power_relation(ring, m, d)
     assert oracle_power_identity(ring, m, d) is False

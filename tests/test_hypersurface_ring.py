@@ -9,6 +9,7 @@ from helpers import (
     derivation_apply,
     derivation_leaves_ring,
     element,
+    factored_roots,
     homogeneous_weight,
     monomial,
     nilpotency_index,
@@ -19,14 +20,13 @@ from helpers import (
     small_multipolys,
     upoly,
     with_variables,
+    yun_reading,
 )
 
 from pseudoplane import (
     HypersurfaceRing,
-    MultiPoly,
     SurfaceTriple,
-    build_covering_ring,
-    divisor_to_poly,
+    divisor_roots,
     fiber_analysis,
     normalize_power_relation,
     smooth_check,
@@ -39,15 +39,12 @@ def s_pow_minus_1(d):
 
 def w_ring(m, d):
     """Normalized model u^m w - (s^d - 1)."""
-    return HypersurfaceRing(m, s_pow_minus_1(d), "w")
+    return HypersurfaceRing(m, d, ((1, 1),), "w")
 
 
 def v_ring(k, d, m_prime):
     """Covering model u^k v - (s^d - 1)^m'."""
-    return HypersurfaceRing(k, s_pow_minus_1(d) ** m_prime, "v")
-
-
-T_MINUS_1 = upoly("t", {1: 1, 0: -1})
+    return HypersurfaceRing(k, d, ((1, m_prime),), "v")
 
 
 # -- construction ---------------------------------------------------------------
@@ -56,35 +53,47 @@ T_MINUS_1 = upoly("t", {1: 1, 0: -1})
 def test_ring_invariants():
     ring = w_ring(2, 3)
     assert ring.variables == ("u", "w", "s")
-    with pytest.raises(ValueError):
-        HypersurfaceRing(0, s_pow_minus_1(2))
-    with pytest.raises(ValueError):
-        HypersurfaceRing(2, MultiPoly(("s",)))
+    assert ring.P == s_pow_minus_1(3)
+    with pytest.raises(ValueError, match="k must be"):
+        HypersurfaceRing(0, 2, ((1, 1),))
+    # the relation stays factored over nonzero, distinct, increasing points
+    # with positive exponents, at d >= 1
+    for d, roots, message in [
+        (2, ((0, 1),), "nonzero"),
+        (2, ((-1, 1), (0, 2)), "nonzero"),
+        (2, ((1, 1), (1, 2)), "distinct and increasing"),
+        (2, ((2, 1), (1, 1)), "distinct and increasing"),
+        (2, ((1, 0),), "exponents"),
+        (2, ((1, 1), (2, -1)), "exponents"),
+        (0, ((1, 1),), "d must be"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            HypersurfaceRing(2, d, roots)
 
 
-def test_build_covering_ring_examples():
-    ring = build_covering_ring(6, 3, 2, -4, T_MINUS_1 ** 3)
-    assert ring.P == s_pow_minus_1(3) ** 3
-    assert ring.second_var == "v"
-    ring = build_covering_ring(2, 2, 1, -1, T_MINUS_1)
-    assert ring.P == s_pow_minus_1(2)
-    # degenerate d=1 case: k*e' + d*l = 1 - 1 = 0, so P(s) = Q(s) = s - 1
-    ring = build_covering_ring(1, 1, 1, -1, T_MINUS_1)
-    assert ring.P == upoly("s", {1: 1, 0: -1})
+def test_ring_expands_its_factored_relation():
+    ring = HypersurfaceRing(2, 2, ((-1, 2), (F(1, 2), 1)), "v")
+    assert ring.P == (upoly("s", {2: 1, 0: 1}) ** 2) * upoly("s", {2: 1, 0: F(-1, 2)})
+    assert HypersurfaceRing(1, 3, ()).P == upoly("s", {0: 1})
+    # integral points are stored as int, so P keeps int coefficients
+    ring = HypersurfaceRing(6, 3, ((F(1), 3),))
+    assert ring.roots == ((1, 3),) and type(ring.roots[0][0]) is int
+    assert all(type(c) is int for c in ring.P.terms.values())
 
 
-def test_build_covering_ring_positive_exponent_accepted():
-    ring = build_covering_ring(1, 1, 1, 0, T_MINUS_1)
-    assert ring.P == upoly("s", {2: 1, 1: -1})
-
-
-def test_build_covering_ring_errors():
-    with pytest.raises(ValueError, match="negative s-exponent"):
-        build_covering_ring(1, 1, 1, -2, T_MINUS_1)
-    with pytest.raises(ValueError, match="monic"):
-        build_covering_ring(2, 1, 1, 0, upoly("t", {1: 2}))
-    with pytest.raises(ValueError, match="Q\\(0\\)"):
-        build_covering_ring(2, 1, 1, 0, upoly("t", {2: 1, 1: 1}))
+def test_covering_ring_from_divisor_roots():
+    # the covering ring the pipeline builds: u^k v = Q(s^d), Q read off -k*D-
+    for (d, e, m), p in [
+        ((3, 2, 2), s_pow_minus_1(3) ** 3),
+        ((2, 1, 2), s_pow_minus_1(2)),
+        # degenerate d=1 case: k*e' + d*l = 1 - 1 = 0, so P(s) = Q(s) = s - 1
+        ((1, 1, 1), upoly("s", {1: 1, 0: -1})),
+    ]:
+        triple = SurfaceTriple(d, e, m)
+        _, roots = divisor_roots(triple.pair.d_minus, triple.k)
+        ring = HypersurfaceRing(triple.k, d, roots, "v")
+        assert ring.P == p
+        assert ring.second_var == "v"
 
 
 # -- rewriting ------------------------------------------------------------------
@@ -128,10 +137,16 @@ def test_normal_form_preserves_weight(a, b, c):
 
 def test_smooth_check_examples():
     assert smooth_check(w_ring(2, 3)).smooth
-    singular = smooth_check(HypersurfaceRing(6, s_pow_minus_1(3) ** 3, "v"))
+    singular = smooth_check(v_ring(6, 3, 3))
     assert not singular.smooth
     assert singular.witness == ((s_pow_minus_1(3), 3),)
-    assert smooth_check(HypersurfaceRing(1, upoly("s", {2: 1}), "v")).smooth
+    # k = 1 follows the same rule: u*v = s - 1 is smooth, and u*v = (s - 1)^2
+    # is singular at u = v = 0, s = 1
+    assert smooth_check(v_ring(1, 1, 1)).smooth
+    assert smooth_check(v_ring(1, 1, 2)).witness == ((upoly("s", {1: 1, 0: -1}), 2),)
+    # one factor per multiplicity, of the points that share it
+    mixed = smooth_check(HypersurfaceRing(2, 2, ((-1, 2), (F(1, 2), 1), (3, 2)), "v"))
+    assert mixed.witness == ((upoly("s", {2: 1, 0: 1}) * upoly("s", {2: 1, 0: -3}), 2),)
 
 
 def test_fiber_analysis_examples():
@@ -139,8 +154,19 @@ def test_fiber_analysis_examples():
     assert fiber_analysis(ring, 1) == [(1, 1)]
     assert fiber_analysis(ring, F(-7, 2)) == [(1, 1)]
     assert fiber_analysis(ring, 0) == [(3, 1)]
-    cubed = HypersurfaceRing(6, s_pow_minus_1(3) ** 3, "v")
-    assert fiber_analysis(cubed, 0) == [(3, 3)]
+    assert fiber_analysis(v_ring(6, 3, 3), 0) == [(3, 3)]
+    mixed = HypersurfaceRing(2, 2, ((-1, 2), (F(1, 2), 1), (3, 2)), "v")
+    assert fiber_analysis(mixed, 0) == [(2, 1), (4, 2)]
+
+
+@given(st.integers(1, 4), st.integers(1, 12), factored_roots(min_size=1, max_size=3, max_exp=4))
+def test_factored_reading_matches_yun(k, d, roots):
+    # the lemma of the module docstring against Yun's decomposition of the
+    # expanded P: the same factors, in the same order of multiplicity
+    ring = HypersurfaceRing(k, d, roots, "v")
+    check = smooth_check(ring)
+    assert (check.witness, fiber_analysis(ring, 0)) == yun_reading(ring)
+    assert check.smooth == (not check.witness)
 
 
 # -- normalization ----------------------------------------------------------------
@@ -163,8 +189,8 @@ def test_normalize_examples():
 def test_normalize_accepts_matching_ring():
     # the covering ring the pipeline builds for (d, e, m) = (3, 2, 2)
     triple = SurfaceTriple(3, 2, 2)
-    _, q = divisor_to_poly(triple.pair.d_minus, triple.k)
-    ring = build_covering_ring(triple.k, 3, triple.e_prime, triple.l, q)
+    _, roots = divisor_roots(triple.pair.d_minus, triple.k)
+    ring = HypersurfaceRing(triple.k, 3, roots, "v")
     normalized, witness = normalize_power_relation(ring, 2, 3)
     assert normalized == w_ring(2, 3) and witness.power_identity
 
@@ -213,7 +239,7 @@ DERIVATION_ENTRY_POINTS = (derivation_leaves_ring, nilpotency_index)
 
 
 def test_derivation_rejects_non_normalized_shape():
-    ring = HypersurfaceRing(6, s_pow_minus_1(3) ** 3, "v")
+    ring = v_ring(6, 3, 3)
     for entry in DERIVATION_ENTRY_POINTS:
         with pytest.raises(ValueError, match="normalized shape"):
             entry(ring, 2, element(ring, "s"))

@@ -15,7 +15,7 @@ from pseudoplane import (
     QDivisor,
     RegimeError,
     canonical_pair,
-    divisor_to_poly,
+    divisor_roots,
     floor_div,
     format_divisor,
     fract_div,
@@ -97,20 +97,20 @@ def test_negative_locus():
 
 
 def test_divisor_to_poly_examples():
-    t_minus_1 = upoly("t", {1: 1, 0: -1})
-    l, q = divisor_to_poly(qd({0: F(2, 3), 1: F(-1, 2)}), 6)
-    assert l == -4 and q == t_minus_1 ** 3
-    l, q = divisor_to_poly(qd({1: -1}), 1)
-    assert l == 0 and q == t_minus_1
-    l, q = divisor_to_poly(qd({0: F(1, 2), 1: F(-1, 2)}), 2)
-    assert l == -1 and q == t_minus_1
+    # Q = (t - 1)^j is read as its one root 1 of order j
+    l, roots = divisor_roots(qd({0: F(2, 3), 1: F(-1, 2)}), 6)
+    assert l == -4 and roots == ((1, 3),)
+    l, roots = divisor_roots(qd({1: -1}), 1)
+    assert l == 0 and roots == ((1, 1),)
+    l, roots = divisor_roots(qd({0: F(1, 2), 1: F(-1, 2)}), 2)
+    assert l == -1 and roots == ((1, 1),)
 
 
 def test_divisor_to_poly_errors():
     with pytest.raises(ValueError, match="not a multiple of denom"):
-        divisor_to_poly(qd({0: F(2, 3)}), 2)
+        divisor_roots(qd({0: F(2, 3)}), 2)
     with pytest.raises(ValueError, match="non-polynomial"):
-        divisor_to_poly(qd({1: F(1, 2)}), 2)
+        divisor_roots(qd({1: F(1, 2)}), 2)
 
 
 def test_divisor_text_roundtrip_and_order():
@@ -164,8 +164,13 @@ def test_divisor_to_poly_roundtrip(k, l, exponents):
     d_minus = QDivisor({0: F(-l, k)}) + QDivisor(
         {p: F(-e, k) for p, e in exponents.items()}
     )
-    l_out, q = divisor_to_poly(d_minus, k)
+    l_out, roots = divisor_roots(d_minus, k)
     assert l_out == l
+    # Q = prod (t - p)^j, the polynomial the roots stand for
+    q = upoly("t", {0: 1})
+    for p, j in roots:
+        q = q * upoly("t", {1: 1, 0: -p}) ** j
+    assert list(roots) == sorted(rational_roots(q).items())
     # reconstruct the divisor from the root orders of t^l * Q
     rebuilt = QDivisor({0: F(-l_out, k)})
     for root, mult in rational_roots(q).items():
