@@ -32,7 +32,6 @@ from .dpd_presentation import (
 from .hypersurface_ring import (
     HypersurfaceRing,
     fiber_analysis,
-    normalize_power_relation,
     smooth_check,
 )
 from .cyclic_quotient import (
@@ -73,7 +72,6 @@ __all__ = [
     "induced_action",
     "ml1_test",
     "negative_locus",
-    "normalize_power_relation",
     "parse_divisor",
     "parse_poly",
     "product_window",

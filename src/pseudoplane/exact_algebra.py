@@ -44,7 +44,7 @@ class MultiPoly:
     binary operations must share the same variable list.
     """
 
-    __slots__ = ("_variables", "_terms", "_hash")
+    __slots__ = ("_variables", "_terms")
 
     def __init__(self, variables: Iterable[str], terms: Mapping[Exponents, Scalar] | Iterable[tuple[Exponents, Scalar]] = ()):
         variables = tuple(variables)
@@ -71,7 +71,6 @@ class MultiPoly:
                 clean.pop(exps, None)
         object.__setattr__(self, "_variables", variables)
         object.__setattr__(self, "_terms", clean)
-        object.__setattr__(self, "_hash", None)
 
     @classmethod
     def _trusted(cls, variables: tuple[str, ...], clean_terms: dict[Exponents, Scalar]) -> "MultiPoly":
@@ -86,7 +85,6 @@ class MultiPoly:
         self = object.__new__(cls)
         object.__setattr__(self, "_variables", variables)
         object.__setattr__(self, "_terms", clean_terms)
-        object.__setattr__(self, "_hash", None)
         return self
 
     def __setattr__(self, name, value):
@@ -133,10 +131,7 @@ class MultiPoly:
         return self._variables == other._variables and self._terms == other._terms
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            h = hash((self._variables, frozenset(self._terms.items())))
-            object.__setattr__(self, "_hash", h)
-        return self._hash
+        return hash((self._variables, frozenset(self._terms.items())))
 
     # -- arithmetic ----------------------------------------------------------
 

@@ -4,11 +4,9 @@ A ring is held as its presentation (k, d, roots, the second variable's
 name), which stands for u^k * y = P(s) = prod over (p, j) in roots of
 (s^d - p)^j, with the points p nonzero, distinct and increasing and every
 exponent j >= 1.  No element of it is ever built.  This module answers what
-the presentation decides on its own: smoothness (``smooth_check``), the
-fibers of the u-projection (``fiber_analysis``) and the normalization of the
-pure-power covering relation u^k v = (s^d - 1)^m' to u^m w = s^d - 1
-(``normalize_power_relation``).  Each question is settled on the integers of
-the factored relation, by one lemma.
+the presentation decides on its own: smoothness (``smooth_check``) and the
+fibers of the u-projection (``fiber_analysis``).  Each question is settled
+on the integers of the factored relation, by one lemma.
 
 Lemma.  For p != 0, s^d - p is squarefree, because its derivative d*s^(d-1)
 vanishes only at s = 0, which is not a root of it.  Distinct points give
@@ -26,8 +24,9 @@ Listed in increasing multiplicity, these are the factors of Yun's squarefree
 decomposition of P, which the tests keep as the oracle of this reading.
 
 The normalized model of a triple is HypersurfaceRing(m, d, ((1, 1),), "w"),
-the relation u^m * w = s^d - 1.  Its derivations u^e * d/ds are certified by
-an integer rule on exponent vectors (``cyclic_quotient.find_valid_lnd_degrees``).
+the relation u^m * w = s^d - 1, built by ``report.verify_triple``.  Its
+derivations u^e * d/ds are certified by an integer rule on exponent vectors
+(``cyclic_quotient.find_valid_lnd_degrees``).
 """
 
 from __future__ import annotations
@@ -96,11 +95,6 @@ class SmoothCheck(NamedTuple):
     witness: tuple[tuple[MultiPoly, int], ...]
 
 
-class NormalizationWitness(NamedTuple):
-    power_identity: bool
-    normalized_smooth: bool
-
-
 def _points_by_exponent(ring: HypersurfaceRing) -> list[tuple[int, list[Scalar]]]:
     """The ring's root points grouped by exponent, in increasing exponent."""
     groups: dict[int, list[Scalar]] = {}
@@ -136,29 +130,3 @@ def fiber_analysis(ring: HypersurfaceRing, u_value: Scalar) -> list[tuple[int, i
     if Fraction(u_value) != 0:
         return [(1, 1)]
     return [(ring.d * len(points), j) for j, points in _points_by_exponent(ring)]
-
-
-def normalize_power_relation(
-    ring: HypersurfaceRing, m: int, d: int
-) -> tuple[HypersurfaceRing, NormalizationWitness]:
-    """Normalize the covering ring u^k v = (s^d - 1)^m' (k = m*m') to u^m w = s^d - 1.
-
-    Only the pure-power shape is normalized: a k that is not a multiple of m,
-    and any relation other than (s^d - 1)^m' (roots ((1, m'),) at this d),
-    is refused.  The power identity is then derived from those two
-    refusals, not computed.  With k = m*m' and P = (s^d - 1)^m', the element
-    w = (s^d - 1)/u^m of the fraction field satisfies
-    w^m' = (s^d - 1)^m'/u^(m*m') = P/u^k = v, the last step by the relation
-    u^k v = P; equivalently, one rewrite of u^k*v by the relation gives
-    P = (s^d - 1)^m'.  So w is integral over the ring and ``power_identity``
-    holds on every ring that gets past the refusals.  The normalized ring is
-    additionally checked smooth.
-    """
-    if m < 1 or d < 1:
-        raise ValueError("all parameters must be positive integers")
-    if ring.k % m:
-        raise ValueError(f"k must equal m*m' for an integer m': k = {ring.k}, m = {m}")
-    if ring.d != d or ring.roots != ((1, ring.k // m),):
-        raise ValueError("general Q normalization unsupported: P must be (s^d - 1)^m_prime")
-    normalized = HypersurfaceRing(m, d, ((1, 1),), "w")
-    return normalized, NormalizationWitness(True, smooth_check(normalized).smooth)

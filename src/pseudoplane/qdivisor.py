@@ -5,10 +5,10 @@ coefficient}; support is exactly the set of stored keys (no zero coefficients).
 ``DpdPair`` is a pair (D+, D-) with D+ + D- <= 0 pointwise, the data that
 presents a hyperbolically graded surface algebra over C[t].
 
-Text format: comma-separated ``point:coefficient`` entries with rationals as
-``p/q``, e.g. ``0:-2/3,1:-1/2``.  The parser accepts entries in any order; the
-printer emits points in increasing order.  The empty string is the zero
-divisor.
+Text format: comma-separated ``point:coefficient`` entries, each rational
+written ``[+-]p`` or ``[+-]p/q`` in decimal digits, e.g. ``0:-2/3,1:-1/2``.
+The parser accepts entries in any order; the printer emits points in
+increasing order.  The empty string is the zero divisor.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from itertools import chain
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
-from .exact_algebra import Scalar
+from .exact_algebra import _NUMBER_RE, Scalar
 
 
 class RegimeError(ValueError):
@@ -208,6 +208,15 @@ def divisor_roots(d_minus: QDivisor, k: int) -> tuple[int, tuple[tuple[Fraction,
 # -- text format ---------------------------------------------------------------
 
 
+def _parse_rational(text: str) -> Fraction:
+    """``[+-]p`` or ``[+-]p/q``; decimals, exponents and underscores, which
+    ``Fraction`` would accept, are refused before it reads them."""
+    text = text.strip()
+    if not _NUMBER_RE.match(text[1:] if text.startswith(("+", "-")) else text):
+        raise ValueError(f"expected [+-]p or [+-]p/q, got {text!r}")
+    return Fraction(text)
+
+
 def parse_divisor(text: str) -> QDivisor:
     """Parse ``point:coefficient`` entries (any order); '' is the zero divisor."""
     s = text.strip()
@@ -222,8 +231,8 @@ def parse_divisor(text: str) -> QDivisor:
             raise ValueError(f"expected 'point:coefficient', got {chunk!r}")
         point_text, coeff_text = chunk.split(":")
         try:
-            point = Fraction(point_text.strip())
-            coeff = Fraction(coeff_text.strip())
+            point = _parse_rational(point_text)
+            coeff = _parse_rational(coeff_text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad rational in divisor entry {chunk!r}: {exc}") from None
         if point in entries:

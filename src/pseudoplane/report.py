@@ -19,11 +19,9 @@ byte-identical output.  Schema (``format_version`` 1) for ``verify_triple``:
 verdict is "consistent", "excluded" (with excluded_reason set) or
 "inconsistent" (with failed_checks non-empty).  Exit codes: 0 for consistent
 or excluded-as-predicted, 1 for inconsistent, 2 for invalid input.
-``normalized.witnesses.power_identity`` certifies w^m' = v for
-w = (s^d - 1)/u^m, derived from the pure-power relation that
-``covering_relation`` checks; it is false only when that check failed, so
-``normalization_witnesses`` fails on ``normalized.witnesses.normalized_smooth``
-alone.
+``normalized.witnesses.power_identity`` (w^m' = v for w = (s^d - 1)/u^m)
+equals the result of ``covering_relation``, so ``normalization_witnesses``
+fails on ``normalized.witnesses.normalized_smooth`` alone.
 ``product_structure.all_match`` is false when ``product_window`` finds a
 pair |n|, |n'| <= max_weight whose measured and predicted defects differ or
 whose generators' product is not a multiple of the weight-(n+n') generator
@@ -56,13 +54,7 @@ from .cyclic_quotient import (
 )
 from .dpd_presentation import classify_presentation, pseudoplane_dpd_pair, smoothness_condition
 from .exact_algebra import format_poly
-from .hypersurface_ring import (
-    HypersurfaceRing,
-    NormalizationWitness,
-    fiber_analysis,
-    normalize_power_relation,
-    smooth_check,
-)
+from .hypersurface_ring import HypersurfaceRing, fiber_analysis, smooth_check
 from .qdivisor import (
     DpdPair,
     RegimeError,
@@ -151,7 +143,7 @@ def verify_triple(
     check("ml1_prediction", ml1 == (d >= 2 and m >= 2))
 
     locus = negative_locus(pair)
-    check("picard_torsion", locus.torsion_compatible and locus.l <= 1)
+    check("picard_torsion", locus.torsion_compatible)
 
     # -k*D- is the divisor of t^l (t - 1)^m', so Q = (t - 1)^m'; with
     # k*e' + d*l = 0 (exponent_identity) the covering relation is
@@ -166,16 +158,13 @@ def verify_triple(
     covering_smooth = smooth_check(covering)
     check("pre_normalization_smoothness", covering_smooth.smooth == (triple.m_prime == 1))
 
-    if covering_ok:
-        normalized, witness = normalize_power_relation(covering, m, d)
-    else:
-        # normalize_power_relation refuses any other P; the failed check
-        # above already names the fault, so carry on with the normalized model
-        normalized = HypersurfaceRing(m, d, ((1, 1),), "w")
-        witness = NormalizationWitness(False, smooth_check(normalized).smooth)
-    # power_identity is false only when covering_relation failed, so the
-    # witness check reads normalized_smooth alone
-    check("normalization_witnesses", witness.normalized_smooth)
+    # the normalized model adjoins w = (s^d - 1)/u^m; with k = m*m',
+    # w^m' = (s^d - 1)^m'/u^k = P/u^k = v exactly when P = (s^d - 1)^m',
+    # which is what covering_relation checks, so power_identity is its
+    # result and the witness check reads normalized_smooth alone
+    normalized = HypersurfaceRing(m, d, ((1, 1),), "w")
+    normalized_smooth = smooth_check(normalized).smooth
+    check("normalization_witnesses", normalized_smooth)
 
     action = standard_action(triple)
     freeness = freeness_check(action, normalized)
@@ -244,8 +233,8 @@ def verify_triple(
         "normalized": {
             "ring": normalized.serialize(),
             "witnesses": {
-                "power_identity": witness.power_identity,
-                "normalized_smooth": witness.normalized_smooth,
+                "power_identity": covering_ok,
+                "normalized_smooth": normalized_smooth,
             },
             "degenerate_fiber": [[count, mult] for count, mult in fiber],
         },

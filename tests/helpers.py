@@ -252,7 +252,7 @@ def yun_reading(ring: HypersurfaceRing) -> tuple[tuple[tuple[MultiPoly, int], ..
 # -- the rewriting layer --------------------------------------------------------
 #
 # hypersurface_ring once rewrote elements of C[u, y, s]/(u^k * y - P(s)) to
-# normal form, and normalize_power_relation computed its power identity with
+# normal form, and the pipeline computed its power identity w^m' = v with
 # it.  The identity is now derived from the relation, and the rewriting is
 # kept as its oracle, as the ground truth of the Laurent LND route and of the
 # weight pieces' monomials.
@@ -322,11 +322,26 @@ def normal_form(ring: HypersurfaceRing, p: MultiPoly) -> RingElement:
 
 
 def oracle_power_identity(ring: HypersurfaceRing, m: int, d: int) -> bool:
-    """normalize_power_relation's power identity as it was computed: the
-    normal form of u^k * second equals (s^d - 1)^(k // m)."""
+    """The power identity as it was computed: the normal form of u^k * second
+    equals (s^d - 1)^(k // m)."""
     reduced = normal_form(ring, monomial(ring, ring.k, 1, 0))
     expected = upoly("s", {d: 1, 0: -1}) ** (ring.k // m)
     return reduced.poly == with_variables(expected, ring.variables)
+
+
+def record_rings(patch) -> list[HypersurfaceRing]:
+    """Every ring report.verify_triple builds from now on, in order: per
+    triple the covering ring (second variable v), then the normalized model
+    (w).  `patch` is a pytest MonkeyPatch."""
+    built = []
+
+    def recorded(*args):
+        ring = HypersurfaceRing(*args)
+        built.append(ring)
+        return ring
+
+    patch.setattr(report, "HypersurfaceRing", recorded)
+    return built
 
 
 def element(ring, text: str):

@@ -1,5 +1,5 @@
-"""The public surface: the exported names, the functions the CLI reaches, and
-the README's library example."""
+"""The public surface: the exported names, the functions the CLI reaches, the
+README's library example, and the input checks of the library functions."""
 
 import ast
 import hashlib
@@ -7,6 +7,7 @@ import importlib
 import inspect
 import json
 import pkgutil
+import re
 import sys
 import types
 from pathlib import Path
@@ -16,7 +17,23 @@ import pytest
 from helpers import F
 
 import pseudoplane
-from pseudoplane import DpdPair, QDivisor, SurfaceTriple, sweep
+from pseudoplane import (
+    CyclicAction,
+    DpdPair,
+    HypersurfaceRing,
+    MultiPoly,
+    QDivisor,
+    SurfaceTriple,
+    component_permutation,
+    divisor_roots,
+    freeness_check,
+    parse_divisor,
+    parse_poly,
+    pseudoplane_dpd_pair,
+    same_subgroup,
+    smoothness_condition,
+    sweep,
+)
 from pseudoplane.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -28,7 +45,7 @@ PUBLIC_NAMES = {
     "component_permutation", "divisor_roots", "fiber_analysis",
     "find_valid_lnd_degrees", "floor_div", "format_divisor", "format_poly", "fract_div",
     "freeness_check", "graded_piece", "induced_action", "ml1_test",
-    "negative_locus", "normalize_power_relation",
+    "negative_locus",
     "parse_divisor", "parse_poly",
     "product_window", "pseudoplane_dpd_pair",
     "same_subgroup", "smooth_check", "smoothness_condition",
@@ -118,7 +135,7 @@ def _defined_functions(code, prefix):
 
 
 def test_cli_reaches_every_function_but_the_allowlist(capsys):
-    assert set(pseudoplane.__all__) == PUBLIC_NAMES and len(pseudoplane.__all__) == 36
+    assert set(pseudoplane.__all__) == PUBLIC_NAMES and len(pseudoplane.__all__) == 35
 
     defined = {}
     for module in _package_modules():
@@ -192,3 +209,93 @@ def test_outputs_match_the_recorded_digests(capsys):
             captured = capsys.readouterr()
             got[" ".join(variant)] = _sha256(json.dumps([code, captured.out, captured.err]))
     assert got == GOLDEN_CLI
+
+
+# each library input check that a valid pipeline run never reaches: the
+# call, the error it raises and its whole message
+INPUT_CHECKS = {
+    "CyclicAction-modulus-0": (
+        lambda: CyclicAction(0, {"u": 1}),
+        ValueError, "modulus must be a positive integer: 0",
+    ),
+    "freeness_check-missing-weight": (
+        lambda: freeness_check(
+            CyclicAction(3, {"u": 1, "s": 2}), HypersurfaceRing(2, 3, ((1, 1),), "w")
+        ),
+        ValueError, "action is missing a weight for variable 'w'",
+    ),
+    "same_subgroup-variable-sets": (
+        lambda: same_subgroup(CyclicAction(3, {"u": 1}), CyclicAction(3, {"s": 1})),
+        ValueError, "actions are defined on different variable sets",
+    ),
+    "component_permutation-d-0": (
+        lambda: component_permutation(0, 1),
+        ValueError, "d must be a positive integer: 0",
+    ),
+    "pseudoplane_dpd_pair-d-0": (
+        lambda: pseudoplane_dpd_pair(0, 1, 2),
+        ValueError, "d and m must be positive: d=0, m=2",
+    ),
+    "pseudoplane_dpd_pair-m-0": (
+        lambda: pseudoplane_dpd_pair(3, 2, 0),
+        ValueError, "d and m must be positive: d=3, m=0",
+    ),
+    "smoothness_condition-m-0": (
+        lambda: smoothness_condition(0, 1),
+        ValueError, "m must be positive: 0",
+    ),
+    "HypersurfaceRing-second-variable-u": (
+        lambda: HypersurfaceRing(2, 3, ((1, 1),), "u"),
+        ValueError, "second variable may not shadow u or s: 'u'",
+    ),
+    "divisor_roots-k-0": (
+        lambda: divisor_roots(QDivisor({1: F(-1, 2)}), 0),
+        ValueError, "k must be a positive integer: 0",
+    ),
+    "parse_divisor-empty-entry": (
+        lambda: parse_divisor("0:1,,1:2"),
+        ValueError, "empty entry in divisor text '0:1,,1:2'",
+    ),
+    "sweep-d_max-0": (
+        lambda: sweep(0, 1),
+        ValueError, "d_max and m_max must be positive integers",
+    ),
+    "MultiPoly-duplicate-variables": (
+        lambda: MultiPoly(("s", "s")),
+        ValueError, "duplicate variable names: ('s', 's')",
+    ),
+    "MultiPoly-exponent-length": (
+        lambda: MultiPoly(("u", "s"), {(1,): 1}),
+        ValueError, "exponent vector (1,) does not match variable list ('u', 's')",
+    ),
+    "MultiPoly.variable-unknown-name": (
+        lambda: MultiPoly.variable(("s",), "t"),
+        ValueError, "unknown variable 't' for list ('s',)",
+    ),
+    "MultiPoly-negative-power": (
+        lambda: MultiPoly.variable(("s",), "s") ** -1,
+        ValueError, "polynomial exponent must be a non-negative integer: -1",
+    ),
+    "parse_poly-empty-factor": (
+        lambda: parse_poly("2**s", ("s",)),
+        ValueError, "empty factor in term '2**s'",
+    ),
+    "parse_poly-unparseable-text": (
+        lambda: parse_poly("s +- 1", ("s",)),
+        ValueError, "cannot parse polynomial text 's +- 1'",
+    ),
+    "MultiPoly-setattr": (
+        lambda: setattr(MultiPoly(("s",)), "terms", {}),
+        AttributeError, "MultiPoly is immutable",
+    ),
+    "QDivisor-setattr": (
+        lambda: setattr(QDivisor({0: 1}), "coefficients", {}),
+        AttributeError, "QDivisor is immutable",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, error, message", INPUT_CHECKS.values(), ids=INPUT_CHECKS)
+def test_input_checks_refuse_with_their_message(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

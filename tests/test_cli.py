@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -187,6 +188,18 @@ def test_classify_cli_unparseable(capsys):
     assert code == 2
 
 
+def test_classify_cli_refuses_exponent_notation_at_once(capsys):
+    # Fraction would read 1e10000000 as 10**10000000; the divisor grammar,
+    # [+-]p or [+-]p/q, refuses it before any work starts
+    start = time.perf_counter()
+    code, out = run_cli(
+        capsys, "classify", "--d-plus", "0:1e10000000", "--d-minus", "", "--json"
+    )
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert "bad rational in divisor entry '0:1e10000000'" in json.loads(out)["error"]
+
+
 def test_sweep_cli_small(capsys):
     code, out = run_cli(capsys, "sweep", "--d-max", "1", "--m-max", "1", "--json")
     assert code == 0
@@ -257,18 +270,17 @@ def test_failed_covering_relation_is_reported_not_raised(capsys, monkeypatch):
 
 
 def test_singular_normalized_model_is_reported_and_sweep_carries_on(capsys, monkeypatch):
-    from pseudoplane import hypersurface_ring
+    from pseudoplane import report as report_module
     from pseudoplane.hypersurface_ring import SmoothCheck
 
-    smooth_check = hypersurface_ring.smooth_check
+    smooth_check = report_module.smooth_check
 
-    # the binding normalize_power_relation calls; report has its own
     def singular_normalized(ring):
         if ring.second_var == "w":
             return SmoothCheck(False, ((ring.P, 2),))
         return smooth_check(ring)
 
-    monkeypatch.setattr(hypersurface_ring, "smooth_check", singular_normalized)
+    monkeypatch.setattr(report_module, "smooth_check", singular_normalized)
     report = verify_triple(3, 2, 2)
     assert report["normalized"]["witnesses"] == {"power_identity": True, "normalized_smooth": False}
     assert report["verdict"] == "inconsistent"

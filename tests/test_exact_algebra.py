@@ -43,6 +43,8 @@ def test_cancellation_to_zero():
     b = MultiPoly(UVS, {(2, 1, 0): 1}) * MultiPoly.variable(UVS, "s")
     assert (a - b).is_zero()
     assert dict((a - b).terms) == {}
+    # a key repeated in the input cancels at construction
+    assert dict(MultiPoly(S, [((1,), 1), ((0,), 2), ((1,), -1)]).terms) == {(0,): 2}
 
 
 def test_mismatched_variable_lists_rejected():

@@ -57,6 +57,7 @@ from helpers import (
     poly_gcd,
     product_defect,
     product_structure_check,
+    record_rings,
     relation,
     s_weight,
     small_fractions,
@@ -83,7 +84,6 @@ from pseudoplane import (
     freeness_check,
     graded_piece,
     induced_action,
-    normalize_power_relation,
     product_window,
     smooth_check,
     standard_action,
@@ -565,10 +565,12 @@ def test_product_window_fails_where_the_per_pair_oracle_first_fails(triple, max_
         assert product_window(triple, max_weight) == first_failing_pair(triple, max_weight)
 
 
-def test_hand_built_normalized_ring_is_accepted():
+def test_hand_built_normalized_ring_is_accepted(monkeypatch):
     # the normalized model the pipeline builds, and one written by hand with
     # its point as a Fraction
-    built, _ = normalize_power_relation(HypersurfaceRing(6, 3, ((1, 3),), "v"), 2, 3)
+    rings = record_rings(monkeypatch)
+    verify_triple(3, 2, 2)
+    _, built = rings
     hand_built = HypersurfaceRing(2, 3, ((F(1), 1),), "w")
     assert hand_built is not built and hand_built == built and hand_built.P == built.P
     for exps in [(1, 0, 2), (0, 1, 1), (3, 0, 0)]:
@@ -845,46 +847,43 @@ def test_freeness_check_matches_the_loop_over_every_power_across_grid():
 
 
 def test_power_identity_matches_normal_form_oracle_on_every_covering_ring(monkeypatch):
-    from pseudoplane import report as report_module
-
-    normalize = report_module.normalize_power_relation
-    seen = []
-
-    def recorded(ring, m, d):
-        normalized, witness = normalize(ring, m, d)
-        seen.append((ring, m, d, witness.power_identity))
-        return normalized, witness
-
-    monkeypatch.setattr(report_module, "normalize_power_relation", recorded)
-    assert sweep(20, 10, max_weight=0)["aggregate"]["inconsistent"] == 0
-    assert len(seen) == 1280  # every triple of d <= 20, m <= 10
-    for ring, m, d, power_identity in seen:
-        assert power_identity is True
+    rings = record_rings(monkeypatch)
+    result = sweep(20, 10, max_weight=0, include_reports=True)
+    assert result["aggregate"]["inconsistent"] == 0
+    assert len(result["rows"]) == 1280  # every triple of d <= 20, m <= 10
+    assert len(rings) == 2 * 1280
+    for row, ring, normalized in zip(result["rows"], rings[::2], rings[1::2]):
+        m, d = row["m"], row["d"]
+        assert ring.second_var == "v"
+        assert normalized == HypersurfaceRing(m, d, ((1, 1),), "w")
+        assert row["report"]["normalized"]["witnesses"]["power_identity"] is True
         assert oracle_power_identity(ring, m, d) is True
         assert (smooth_check(ring).witness, fiber_analysis(ring, 0)) == yun_reading(ring)
 
 
 @given(st.integers(1, 30), st.integers(1, 12), st.integers(1, 12))
 def test_power_identity_matches_normal_form_oracle_on_pure_power_rings(d, m, m_prime):
+    # the relation covering_relation accepts, u^(m m') v = (s^d - 1)^m',
+    # satisfies the computed identity at every (d, m, m')
     ring = HypersurfaceRing(m * m_prime, d, ((1, m_prime),), "v")
-    normalized, witness = normalize_power_relation(ring, m, d)
-    assert witness.power_identity is True
     assert oracle_power_identity(ring, m, d) is True
-    assert normalized == HypersurfaceRing(m, d, ((1, 1),), "w")
 
 
 _other_points = st.sampled_from([F(-1), F(1, 2), F(2), F(3)])
 
 
 @given(
-    st.integers(1, 30),
-    st.integers(1, 12),
-    st.integers(1, 12),
+    surface_triples(d_max=30, m_max=12),
     st.sampled_from(["moved_root", "extra_root", "wrong_power"]),
     st.data(),
 )
-def test_refused_rings_fail_the_normal_form_oracle(d, m, m_prime, fault, data):
-    # the refusal and the computed identity accept the same rings
+def test_refused_rings_fail_the_normal_form_oracle(triple, fault, data):
+    # verify_triple's power_identity and the computed identity reject the
+    # same covering relations: divisor_roots is made to read Q off -k*D-
+    # with a moved root, an extra root or a wrong power
+    from pseudoplane import report as report_module
+
+    m_prime = triple.m_prime
     if fault == "moved_root":
         roots = ((data.draw(_other_points), m_prime),)
     elif fault == "extra_root":
@@ -893,10 +892,15 @@ def test_refused_rings_fail_the_normal_form_oracle(d, m, m_prime, fault, data):
     else:
         j = data.draw(st.integers(0, m_prime + 3).filter(lambda j: j != m_prime))
         roots = ((1, j),) if j else ()
-    ring = HypersurfaceRing(m * m_prime, d, roots, "v")
-    with pytest.raises(ValueError, match="general Q normalization unsupported"):
-        normalize_power_relation(ring, m, d)
-    assert oracle_power_identity(ring, m, d) is False
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(report_module, "divisor_roots", lambda d_minus, k: (triple.l, roots))
+        rings = record_rings(patch)
+        got = verify_triple(triple.d, triple.e, triple.m, max_weight=0)
+    covering = rings[0]
+    assert covering == HypersurfaceRing(triple.k, triple.d, roots, "v")
+    assert "covering_relation" in got["failed_checks"]
+    assert got["normalized"]["witnesses"]["power_identity"] is False
+    assert oracle_power_identity(covering, triple.m, triple.d) is False
 
 
 _fract_coefficients = st.one_of(

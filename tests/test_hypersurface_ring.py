@@ -16,6 +16,7 @@ from helpers import (
     normal_form,
     oracle_leaves_ring,
     oracle_nilpotency_index,
+    record_rings,
     s_weight,
     small_multipolys,
     upoly,
@@ -28,8 +29,8 @@ from pseudoplane import (
     SurfaceTriple,
     divisor_roots,
     fiber_analysis,
-    normalize_power_relation,
     smooth_check,
+    verify_triple,
 )
 
 
@@ -172,41 +173,29 @@ def test_factored_reading_matches_yun(k, d, roots):
 # -- normalization ----------------------------------------------------------------
 
 
-def test_normalize_examples():
-    normalized, witness = normalize_power_relation(v_ring(6, 3, 3), 2, 3)
-    assert normalized == w_ring(2, 3)
-    assert witness.power_identity and witness.normalized_smooth
+def test_normalize_examples(monkeypatch):
+    # the covering ring and the normalized model verify_triple builds, with
+    # both witnesses true
+    rings = record_rings(monkeypatch)
+    for (d, e, m), covering in [
+        ((3, 2, 2), v_ring(6, 3, 3)),
+        ((2, 1, 2), v_ring(2, 2, 1)),
+        ((2, 1, 3), v_ring(6, 2, 2)),
+    ]:
+        witnesses = verify_triple(d, e, m)["normalized"]["witnesses"]
+        assert rings[-2:] == [covering, w_ring(m, d)]
+        assert witnesses == {"power_identity": True, "normalized_smooth": True}
 
-    normalized, witness = normalize_power_relation(v_ring(2, 2, 1), 2, 2)
-    assert normalized == w_ring(2, 2)
-    assert witness.power_identity and witness.normalized_smooth
 
-    normalized, witness = normalize_power_relation(v_ring(6, 2, 2), 3, 2)
-    assert normalized == w_ring(3, 2)
-    assert witness.power_identity and witness.normalized_smooth
-
-
-def test_normalize_accepts_matching_ring():
-    # the covering ring the pipeline builds for (d, e, m) = (3, 2, 2)
+def test_normalize_accepts_matching_ring(monkeypatch):
+    # the covering ring the pipeline builds for (d, e, m) = (3, 2, 2) is the
+    # one divisor_roots reads off -k*D-, and it passes covering_relation
     triple = SurfaceTriple(3, 2, 2)
     _, roots = divisor_roots(triple.pair.d_minus, triple.k)
-    ring = HypersurfaceRing(triple.k, 3, roots, "v")
-    normalized, witness = normalize_power_relation(ring, 2, 3)
-    assert normalized == w_ring(2, 3) and witness.power_identity
-
-
-def test_normalize_errors():
-    ring = v_ring(6, 3, 3)
-    with pytest.raises(ValueError, match="k must equal"):
-        normalize_power_relation(ring, 4, 3)
-    for m, d in ((0, 3), (2, 0)):
-        with pytest.raises(ValueError, match="positive integers"):
-            normalize_power_relation(ring, m, d)
-    with pytest.raises(ValueError, match="general Q normalization unsupported"):
-        normalize_power_relation(v_ring(6, 2, 3), 2, 3)
-    # right polynomial, wrong m: m' = 2 would need (s^3 - 1)^2
-    with pytest.raises(ValueError, match="general Q normalization unsupported"):
-        normalize_power_relation(ring, 3, 3)
+    rings = record_rings(monkeypatch)
+    report = verify_triple(3, 2, 2)
+    assert rings == [HypersurfaceRing(triple.k, 3, roots, "v"), w_ring(2, 3)]
+    assert report["failed_checks"] == [] and report["normalized"]["witnesses"]["power_identity"]
 
 
 # -- derivation -------------------------------------------------------------------

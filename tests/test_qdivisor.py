@@ -126,6 +126,19 @@ def test_divisor_text_roundtrip_and_order():
         parse_divisor("nonsense")
 
 
+@pytest.mark.parametrize("text", ["0:0.5", "0:1_000", "0:1e3", "1e3:1"])
+def test_parse_divisor_refuses_other_number_forms(text):
+    # Fraction reads these; the divisor grammar is [+-]p or [+-]p/q
+    with pytest.raises(ValueError, match="^bad rational in divisor entry"):
+        parse_divisor(text)
+    assert parse_divisor(" +1 : -2/4 ") == qd({1: F(-1, 2)})
+
+
+@given(small_divisors())
+def test_printed_divisors_parse_back(d):
+    assert parse_divisor(format_divisor(d)) == d
+
+
 @given(small_divisors())
 def test_floor_plus_fract(d):
     fl, fr = floor_div(d), fract_div(d)
