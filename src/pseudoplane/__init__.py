@@ -25,7 +25,6 @@ from .qdivisor import (
 )
 from .dpd_presentation import (
     classify_presentation,
-    graded_piece,
     pseudoplane_dpd_pair,
     smoothness_condition,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "format_poly",
     "fract_div",
     "freeness_check",
-    "graded_piece",
     "induced_action",
     "ml1_test",
     "negative_locus",

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import NamedTuple
 
-from .dpd_presentation import graded_piece, pseudoplane_dpd_pair
+from .dpd_presentation import _piece_exponents, _piece_sides, pseudoplane_dpd_pair
 from .hypersurface_ring import HypersurfaceRing
 from .qdivisor import DpdPair
 
@@ -101,8 +101,8 @@ def freeness_check(action: CyclicAction, ring: HypersurfaceRing) -> FreenessResu
     """Decide freeness of the action on the hypersurface.
 
     Requires the relation to be semi-invariant (all monomials of
-    u^k*second - P(s) share one residue, read off P's terms).  For each
-    nontrivial group power b and each zero/nonzero coordinate pattern, the
+    u^k*second - P(s) share one residue, that of P's constant term, 0).
+    For each nontrivial group power b and each zero/nonzero coordinate pattern, the
     pattern is a fixed locus iff every coordinate allowed to be nonzero has
     b*weight = 0 mod d and the surface has a point with exactly that
     pattern.  As P(0) = prod (-p)^j != 0, a point with u and second both
@@ -117,9 +117,13 @@ def freeness_check(action: CyclicAction, ring: HypersurfaceRing) -> FreenessResu
         wts = [action.weights[v] for v in variables]
     except KeyError as exc:
         raise ValueError(f"action is missing a weight for variable {exc}") from None
-    residues = {(ring.k * wts[0] + wts[1]) % d}
-    for (exp,) in ring.P.terms:
-        residues.add((exp * wts[2]) % d)
+    # P(s) = Q(s^d) with Q(0) != 0, so P's exponents are multiples of ring.d
+    # and 0 is one of them.  When s^d is invariant, as under the pipeline's
+    # actions (modulus ring.d), every term of P has residue 0; otherwise the
+    # residues depend on which coefficients of Q cancel, so P is expanded.
+    residues = {(ring.k * wts[0] + wts[1]) % d, 0}
+    if ring.d * wts[2] % d:
+        residues.update((exp * wts[2]) % d for (exp,) in ring.P.terms)
     if len(residues) > 1:
         raise ValueError(
             f"relation is not semi-invariant under the action: residues {sorted(residues)}"
@@ -180,7 +184,11 @@ def _first_failing_weight(triple: SurfaceTriple, max_weight: int) -> int | None:
     generator g(n) = (a, b, c) and piece exponents p0, p1 at the points 0
     and 1 break one of (I1) c = d*p0 - e'*n, (I2) b = p1, (I3) a = n + m*b,
     the normal form (N) a >= 0, b >= 0, (a < m or b = 0), or whose piece
-    has a point other than 0 and 1; None if every weight passes.
+    has a nonzero exponent at a point other than 0 and 1; None if every
+    weight passes.
+
+    The pair is read once per call as integers (``_piece_sides``), and each
+    weight's exponents are integer floor divisions (``_piece_exponents``).
 
     Lemma: if every weight in -2W..2W passes, every pair of product_window's
     window passes.  Take |n|, |n'| <= W, N = n + n' and B = b(n) + b(n').
@@ -196,21 +204,18 @@ def _first_failing_weight(triple: SurfaceTriple, max_weight: int) -> int | None:
     another point, so no other defect needs a check.
     """
     d, m, e_prime = triple.d, triple.m, triple.e_prime
-    pair = triple.pair
+    sides = _piece_sides(triple.pair)
     for n in range(-2 * max_weight, 2 * max_weight + 1):
         a, b, c = weight_piece_generator(triple, n)
-        piece = graded_piece(pair, n)
-        p0 = piece.get(0, 0)
+        p0, p1, *others = _piece_exponents(sides, n)
         if (
             c != d * p0 - e_prime * n
-            or b != piece.get(1, 0)
+            or b != p1
             or a != n + m * b
             or a < 0
             or b < 0
             or (a >= m and b)
-            # zeros are pruned, so a piece with no third point has one entry
-            # for each nonzero exponent at 0 and at 1 (there, b by (I2))
-            or len(piece) != bool(p0) + bool(b)
+            or any(others)
         ):
             return n
     return None
@@ -250,20 +255,12 @@ def product_window(triple: SurfaceTriple, max_weight: int) -> tuple[int, int] | 
     if _first_failing_weight(triple, max_weight) is None:
         return None
     d, m, w = triple.d, triple.m, max_weight
-    pair = triple.pair
-    others = sorted((pair.d_plus.coefficients.keys() | pair.d_minus.coefficients.keys()) - {0, 1})
+    sides = _piece_sides(triple.pair)
     # table[n + 2w] = (a, b, c, piece at 0, piece at 1, piece at the other points)
     table = []
     for n in range(-2 * w, 2 * w + 1):
-        piece = graded_piece(pair, n)
-        table.append(
-            (
-                *weight_piece_generator(triple, n),
-                piece.get(0, 0),
-                piece.get(1, 0),
-                tuple(piece.get(p, 0) for p in others),
-            )
-        )
+        k, l, *r = _piece_exponents(sides, n)
+        table.append((*weight_piece_generator(triple, n), k, l, r))
     row = table[w : 3 * w + 1]  # weights -w..w of n'
     for n, (a1, b1, c1, k1, l1, r1) in zip(range(-w, w + 1), row):
         # weights n - w..n + w of n + n'
@@ -282,7 +279,7 @@ def product_window(triple: SurfaceTriple, max_weight: int) -> tuple[int, int] | 
                 or (c - c12) % d
                 or (c - c12) // d != k1 + k2 - k12
                 or lam != l1 + l2 - l12
-                or (others and any(x + y != z for x, y, z in zip(r1, r2, r12)))
+                or (r1 and any(x + y != z for x, y, z in zip(r1, r2, r12)))
             ):
                 return n, n_prime
     return None

@@ -1,10 +1,12 @@
 """Graded-algebra view of a divisor pair: A = A0[D+, D-] over A0 = C[t].
 
 The weight-n piece of the algebra is the rank-one C[t]-module generated by
-prod (t - p)^e(p), with negative e(p) meaning an allowed pole; it is recorded
-as a plain {point: e(p)} map.  Pieces are governed by floor-rounded
-multiples of the pair: weight n >= 0 reads floor(n*D+), weight n < 0 reads
-floor(-n*D-).
+prod (t - p)^e(p), with negative e(p) meaning an allowed pole.  Pieces are
+governed by floor-rounded multiples of the pair: weight n >= 0 reads
+e = -floor(n*D+), weight n < 0 reads e = -floor(-n*D-).  The exponents are
+integer floor divisions (``_piece_exponents``) of the numerators and
+denominators read once off the pair (``_piece_sides``), so no Fraction is
+built, hashed or compared per weight.
 """
 
 from __future__ import annotations
@@ -36,19 +38,30 @@ def pseudoplane_dpd_pair(d: int, e_prime: int, m: int) -> DpdPair:
     return DpdPair(d_plus, d_minus)
 
 
-def graded_piece(pair: DpdPair, n: int) -> dict[Fraction, int]:
-    """Exponents {point: e} of the weight-n piece, Fraction points, zeros pruned:
-    -floor(n*D+) for n >= 0, -floor(-n*D-) for n < 0, {} for n = 0.  The
-    floor of mult*c is the integer floor division of mult*c.numerator by
-    c.denominator (which is positive), so no Fraction is built."""
-    if n == 0:
-        return {}
-    divisor = pair.d_plus if n > 0 else pair.d_minus
-    mult = abs(n)
-    exponents = (
-        (p, -(mult * c.numerator // c.denominator)) for p, c in divisor.coefficients.items()
+_ZERO = Fraction(0)
+# (numerator, denominator) of one divisor's coefficients at the support points
+_Side = tuple[tuple[int, int], ...]
+
+
+def _piece_sides(pair: DpdPair) -> tuple[_Side, _Side]:
+    """The pair as integers: for D- and then D+, the (numerator, denominator)
+    of the coefficient at 0, at 1, then at the other points of the union
+    support in increasing order; (0, 1) where the divisor has no point."""
+    plus, minus = pair.d_plus.coefficients, pair.d_minus.coefficients
+    points = (0, 1, *sorted((plus.keys() | minus.keys()) - {0, 1}))
+    return tuple(
+        tuple((c.numerator, c.denominator) for c in (coeffs.get(p, _ZERO) for p in points))
+        for coeffs in (minus, plus)
     )
-    return {p: e for p, e in exponents if e}
+
+
+def _piece_exponents(sides: tuple[_Side, _Side], n: int) -> list[int]:
+    """Exponents of the weight-n piece at the points of ``_piece_sides``:
+    -floor(n*D+) for n >= 0 and -floor(-n*D-) for n < 0 (all 0 at n = 0).
+    The floor of |n|*c is the integer floor division of |n|*numerator by the
+    denominator, which is positive."""
+    mult = -n if n < 0 else n
+    return [-(mult * num // den) for num, den in sides[n > 0]]
 
 
 @dataclass(frozen=True)

@@ -28,10 +28,11 @@ bit-exactly.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from fractions import Fraction
 from operator import add
 from types import MappingProxyType
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Union
 
 Exponents = tuple[int, ...]
 Scalar = Union[int, Fraction]

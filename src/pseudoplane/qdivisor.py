@@ -14,11 +14,12 @@ increasing order.  The empty string is the zero divisor.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .exact_algebra import _NUMBER_RE, Scalar
 
@@ -155,11 +156,12 @@ def ml1_test(pair: DpdPair) -> bool:
     point (the configuration carrying a positive-degree derivation); outside
     that regime a :class:`RegimeError` is raised.
     """
-    if len(fract_div(pair.d_plus).support) > 1:
+    # fract_div keeps exactly the points with a non-integral coefficient
+    if sum(c.denominator != 1 for c in pair.d_plus.coefficients.values()) > 1:
         raise RegimeError(
             "outside classified regime: fractional part of D+ is supported on more than one point"
         )
-    return len(fract_div(pair.d_minus).support) >= 2
+    return sum(c.denominator != 1 for c in pair.d_minus.coefficients.values()) >= 2
 
 
 class NegativeLocus(NamedTuple):

@@ -18,10 +18,11 @@ from pseudoplane import (
     HypersurfaceRing,
     MultiPoly,
     QDivisor,
+    RegimeError,
     SurfaceTriple,
     floor_div,
+    fract_div,
     format_poly,
-    graded_piece,
     parse_poly,
     standard_action,
     weight_piece_generator,
@@ -907,6 +908,22 @@ def oracle_squarefree_decomposition(p: MultiPoly) -> list[tuple[MultiPoly, int]]
     return factors
 
 
+def graded_piece(pair, n: int) -> dict[Fraction, int]:
+    """Exponents {point: e} of the weight-n piece, Fraction points, zeros pruned:
+    -floor(n*D+) for n >= 0, -floor(-n*D-) for n < 0, {} for n = 0.  The
+    floor of mult*c is the integer floor division of mult*c.numerator by
+    c.denominator (which is positive), so no Fraction is built.  The oracle
+    of the integer rows that product_window reads off the pair."""
+    if n == 0:
+        return {}
+    divisor = pair.d_plus if n > 0 else pair.d_minus
+    mult = abs(n)
+    exponents = (
+        (p, -(mult * c.numerator // c.denominator)) for p, c in divisor.coefficients.items()
+    )
+    return {p: e for p, e in exponents if e}
+
+
 def product_defect(pair, n: int, n_prime: int) -> dict[Scalar, int]:
     """Pointwise exponent defect piece(n) + piece(n') - piece(n+n').
 
@@ -979,6 +996,31 @@ def first_failing_pair(triple, max_weight: int) -> tuple[int, int] | None:
     return None
 
 
+def oracle_first_failing_weight(triple, max_weight: int) -> int | None:
+    """_first_failing_weight through a graded_piece dict per weight, as it was
+    before it read the pair once as integers: the third-point test counts the
+    pruned piece's entries.  The generator is read through the
+    cyclic_quotient module, so a monkeypatched generator reaches it."""
+    d, m, e_prime = triple.d, triple.m, triple.e_prime
+    for n in range(-2 * max_weight, 2 * max_weight + 1):
+        a, b, c = cyclic_quotient.weight_piece_generator(triple, n)
+        piece = graded_piece(triple.pair, n)
+        p0 = piece.get(0, 0)
+        if (
+            c != d * p0 - e_prime * n
+            or b != piece.get(1, 0)
+            or a != n + m * b
+            or a < 0
+            or b < 0
+            or (a >= m and b)
+            # zeros are pruned, so a piece with no third point has one entry
+            # for each nonzero exponent at 0 and at 1 (there, b by (I2))
+            or len(piece) != bool(p0) + bool(b)
+        ):
+            return n
+    return None
+
+
 def oracle_graded_piece(pair, n: int) -> dict[Fraction, int]:
     """graded_piece with the floor taken of the Fraction mult * c, as it was
     before the floor became integer division."""
@@ -1013,6 +1055,16 @@ def oracle_fract_div(d):
     """The fractional part as fract_div built it before it took one
     construction: d minus its floor, a floor, a negation and a sum."""
     return d - floor_div(d)
+
+
+def oracle_ml1_test(pair) -> bool:
+    """ml1_test as it built the fractional parts of D+ and of D- and read
+    the size of their supports."""
+    if len(fract_div(pair.d_plus).support) > 1:
+        raise RegimeError(
+            "outside classified regime: fractional part of D+ is supported on more than one point"
+        )
+    return len(fract_div(pair.d_minus).support) >= 2
 
 
 def oracle_qdivisor_sum(x, y) -> dict[Fraction, Fraction]:

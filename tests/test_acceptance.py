@@ -12,6 +12,7 @@ import pytest
 
 from helpers import (
     F,
+    graded_piece,
     grid_triples,
     hilbert_basis,
     leading_coefficient,
@@ -41,7 +42,6 @@ from pseudoplane import (
     find_valid_lnd_degrees,
     floor_div,
     freeness_check,
-    graded_piece,
     pseudoplane_dpd_pair,
     standard_action,
     sweep,

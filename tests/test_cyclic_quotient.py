@@ -9,6 +9,7 @@ from helpers import (
     RingElement,
     action_weight,
     derivation_apply,
+    graded_piece,
     grid_triples,
     hilbert_basis,
     homogeneous_weight,
@@ -29,7 +30,6 @@ from pseudoplane import (
     component_permutation,
     find_valid_lnd_degrees,
     freeness_check,
-    graded_piece,
     induced_action,
     product_window,
     pseudoplane_dpd_pair,
@@ -167,8 +167,6 @@ def test_weight_piece_generator_is_invariant_normal_monomial():
 
 
 def test_ceiling_identity_links_generator_to_graded_piece():
-    from pseudoplane import graded_piece
-
     for t in TRIPLES:
         pair = pseudoplane_dpd_pair(t.d, t.e_prime, t.m)
         for n in range(-8, 9):

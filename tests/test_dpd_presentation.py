@@ -4,14 +4,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import F, grid_triples, nonpositive_divisors, product_defect, small_divisors
+from helpers import (
+    F,
+    graded_piece,
+    grid_triples,
+    nonpositive_divisors,
+    product_defect,
+    small_divisors,
+)
 
 from pseudoplane import (
     DpdPair,
     QDivisor,
     classify_presentation,
     floor_div,
-    graded_piece,
     ml1_test,
     pseudoplane_dpd_pair,
     smoothness_condition,

@@ -26,6 +26,7 @@ from helpers import (
     factored_roots,
     filter_hilbert_basis,
     first_failing_pair,
+    graded_piece,
     grid_triples,
     hilbert_basis,
     laurent_lnd_degrees,
@@ -35,6 +36,7 @@ from helpers import (
     normal_form,
     normalized_ring,
     oracle_add,
+    oracle_first_failing_weight,
     oracle_fract_div,
     oracle_freeness_check,
     oracle_gcd,
@@ -44,6 +46,7 @@ from helpers import (
     oracle_lnd_degrees,
     oracle_mul,
     oracle_measured_defect,
+    oracle_ml1_test,
     oracle_nilpotency_index,
     oracle_normal_form,
     oracle_pow,
@@ -60,6 +63,7 @@ from helpers import (
     record_rings,
     relation,
     s_weight,
+    small_divisors,
     small_fractions,
     small_multipolys,
     small_upolys,
@@ -76,14 +80,15 @@ from pseudoplane import (
     HypersurfaceRing,
     MultiPoly,
     QDivisor,
+    RegimeError,
     SurfaceTriple,
     divisor_roots,
     find_valid_lnd_degrees,
     fiber_analysis,
     fract_div,
     freeness_check,
-    graded_piece,
     induced_action,
+    ml1_test,
     product_window,
     smooth_check,
     standard_action,
@@ -661,14 +666,17 @@ def test_product_window_when_only_the_normal_form_fails(monkeypatch, plus, minus
 def test_passing_weights_imply_every_pair_passes(triple, max_weight, fault):
     # the lemma in _first_failing_weight's docstring: when every weight of
     # -2W..2W passes, the per-pair oracle finds no failing pair; each
-    # generator fault breaks an identity already at weight 0
+    # generator fault breaks an identity already at weight 0.  The weight
+    # found is the one the graded_piece route finds.
     from pseudoplane import cyclic_quotient
 
     with pytest.MonkeyPatch.context() as patch:
         if fault is not None:
             generator = cyclic_quotient.weight_piece_generator
             patch.setattr(cyclic_quotient, "weight_piece_generator", fault(generator))
-        passes = cyclic_quotient._first_failing_weight(triple, max_weight) is None
+        first = cyclic_quotient._first_failing_weight(triple, max_weight)
+        assert first == oracle_first_failing_weight(triple, max_weight)
+        passes = first is None
         assert passes == (fault is None)
         if passes:
             assert first_failing_pair(triple, max_weight) is None
@@ -694,10 +702,69 @@ def wide_pairs(draw):
 )
 def test_graded_piece_integer_floor_matches_fraction_floor(pair, n):
     # negative coefficients, ones whose multiple floors to 0 (pruned) and
-    # large ones, on weights up to 10^6
+    # large ones, on weights up to 10^6; both the graded_piece oracle and the
+    # integer rows the product window reads, at 0, at 1 and then at the
+    # other points in increasing order, 0 where a piece has no entry
+    from pseudoplane.dpd_presentation import _piece_exponents, _piece_sides
+
+    want = oracle_graded_piece(pair, n)
     got = graded_piece(pair, n)
-    assert list(got.items()) == list(oracle_graded_piece(pair, n).items())
+    assert list(got.items()) == list(want.items())
     assert all(type(p) is Fraction and type(e) is int for p, e in got.items())
+    support = pair.d_plus.coefficients.keys() | pair.d_minus.coefficients.keys()
+    points = [F(0), F(1), *sorted(support - {0, 1})]
+    row = _piece_exponents(_piece_sides(pair), n)
+    assert row == [want.get(p, 0) for p in points]
+    assert all(type(e) is int for e in row)
+
+
+_graft_coefficients = st.one_of(
+    st.integers(-2, 2).map(F),
+    # |n*c| < 1 on the window: the multiple floors to 0, or to -1 below 0
+    st.integers(-9, 9).map(lambda k: F(k, 10**7)),
+    st.fractions(min_value=-2, max_value=2, max_denominator=10**6),
+    _big_fractions,
+)
+
+
+@st.composite
+def grafted_triples(draw):
+    """A triple whose family pair has coefficients added at one to three
+    of 0, 1 and other points, up to 10^6 in size and denominator."""
+    triple = draw(surface_triples())
+    points = draw(st.lists(_wide_points, unique=True, min_size=1, max_size=3))
+    plus = {p: draw(_graft_coefficients) for p in points}
+    minus = {p: -plus[p] - abs(draw(_graft_coefficients)) for p in points}
+    pair = DpdPair(triple.pair.d_plus + QDivisor(plus), triple.pair.d_minus + QDivisor(minus))
+    object.__setattr__(triple, "pair", pair)
+    return triple
+
+
+@given(grafted_triples(), st.integers(0, 12))
+def test_first_failing_weight_matches_the_graded_piece_route_on_grafted_pairs(triple, max_weight):
+    from pseudoplane import cyclic_quotient
+
+    got = cyclic_quotient._first_failing_weight(triple, max_weight)
+    assert got == oracle_first_failing_weight(triple, max_weight)
+    assert product_window(triple, max_weight) == first_failing_pair(triple, max_weight)
+
+
+@st.composite
+def small_divisor_pairs(draw):
+    """(x, y - x) for small divisors x and y <= 0, a valid pair."""
+    plus, slack = draw(small_divisors()), draw(small_divisors())
+    return DpdPair(plus, QDivisor({p: -abs(c) for p, c in slack.coefficients.items()}) - plus)
+
+
+@given(st.one_of(small_divisor_pairs(), wide_pairs()))
+def test_ml1_test_counts_match_the_fractional_parts(pair):
+    try:
+        want = oracle_ml1_test(pair)
+    except RegimeError as exc:
+        with pytest.raises(RegimeError, match=f"^{re.escape(str(exc))}$"):
+            ml1_test(pair)
+        return
+    assert ml1_test(pair) is want
 
 
 _divisor_scalars = st.one_of(
@@ -927,9 +994,9 @@ def test_pair_total_is_built_once_and_equals_the_sum(pair):
 
 
 @pytest.mark.parametrize("d, e, m", [(3, 2, 2), (5, 2, 3), (1, 1, 1)])
-def test_verify_triple_builds_five_divisors(monkeypatch, d, e, m):
-    # the family pair's D+ and D-, their sum once in DpdPair, and one
-    # fractional part each of D+ and D- for ml1_test
+def test_verify_triple_builds_three_divisors(monkeypatch, d, e, m):
+    # the family pair's D+ and D- and their sum once in DpdPair; ml1_test
+    # counts the fractional points without building the fractional parts
     built = []
     init = QDivisor.__init__
 
@@ -939,4 +1006,4 @@ def test_verify_triple_builds_five_divisors(monkeypatch, d, e, m):
 
     monkeypatch.setattr(QDivisor, "__init__", counted)
     verify_triple(d, e, m)
-    assert len(built) == 5
+    assert len(built) == 3
