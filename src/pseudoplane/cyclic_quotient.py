@@ -14,6 +14,7 @@ from itertools import product
 from typing import NamedTuple
 
 from .dpd_presentation import _piece_exponents, _piece_sides, pseudoplane_dpd_pair
+from .exact_algebra import _is_positive_int
 from .hypersurface_ring import HypersurfaceRing
 from .qdivisor import DpdPair
 
@@ -27,7 +28,7 @@ class CyclicAction:
     weights: dict[str, int]
 
     def __post_init__(self):
-        if self.modulus < 1:
+        if not _is_positive_int(self.modulus):
             raise ValueError(f"modulus must be a positive integer: {self.modulus}")
         object.__setattr__(
             self, "weights", {v: w % self.modulus for v, w in self.weights.items()}
@@ -57,7 +58,7 @@ class SurfaceTriple:
     def __post_init__(self):
         d, e, m = self.d, self.e, self.m
         for name, value in (("d", d), ("e", e), ("m", m)):
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            if not _is_positive_int(value):
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
         if math.gcd(e, d) != 1:
             raise ValueError(
@@ -179,7 +180,7 @@ def weight_piece_generator(triple: SurfaceTriple, n: int) -> tuple[int, int, int
     return (a, b, c)
 
 
-def _first_failing_weight(triple: SurfaceTriple, max_weight: int) -> int | None:
+def product_window(triple: SurfaceTriple, max_weight: int) -> int | None:
     """The first weight n in -2W..2W (W = max_weight), increasing, whose
     generator g(n) = (a, b, c) and piece exponents p0, p1 at the points 0
     and 1 break one of (I1) c = d*p0 - e'*n, (I2) b = p1, (I3) a = n + m*b,
@@ -189,20 +190,33 @@ def _first_failing_weight(triple: SurfaceTriple, max_weight: int) -> int | None:
 
     The pair is read once per call as integers (``_piece_sides``), and each
     weight's exponents are integer floor divisions (``_piece_exponents``).
+    The check certifies each piece's generator, which implies the product
+    structure on the window of pairs |n|, |n'| <= W.  The product of the
+    weight-n and weight-n' generators should be (s^d)^kappa * (s^d - 1)^lam
+    times the weight-(n+n') generator; with s^d playing the role of the
+    coordinate t at the point 0 and s^d - 1 = u^m w at the point 1, kappa
+    and lam must equal the exponent defect piece(n) + piece(n') - piece(n+n')
+    of the graded pieces at 0 and at 1, and the defect must vanish at every
+    other point of the pair's support.  The converse fails: shifting every
+    c(n) by d*n breaks (I1) at each n != 0, yet leaves every product as the
+    pair predicts.
 
-    Lemma: if every weight in -2W..2W passes, every pair of product_window's
-    window passes.  Take |n|, |n'| <= W, N = n + n' and B = b(n) + b(n').
-    The product g(n) + g(n') = (a, b, c) has b = B and, by (I3),
-    a = N + m*B, so a // m = floor(N/m) + B.  By (I3) and (N), b(N) is 0
-    for N >= 0 (b >= 1 would give a = N + m*b >= m) and -floor(N/m) for
-    N < 0 (b = 0 would give a = N < 0, and 0 <= N + m*b < m); so in either
-    case lam = min(a // m, B) = B - b(N), which (I2) makes the defect
-    p1(n) + p1(n') - p1(N) at 1.  (I3) then makes the rewritten product
-    (a - lam*m, b - lam) exactly (a(N), b(N)).  (I1) gives
+    Lemma: if every weight in -2W..2W passes, every pair of the window
+    multiplies as the pair predicts.  Take |n|, |n'| <= W, N = n + n' and
+    B = b(n) + b(n').  The product g(n) + g(n') = (a, b, c) has b = B and,
+    by (I3), a = N + m*B, so a // m = floor(N/m) + B.  By (I3) and (N),
+    b(N) is 0 for N >= 0 (b >= 1 would give a = N + m*b >= m) and
+    -floor(N/m) for N < 0 (b = 0 would give a = N < 0, and
+    0 <= N + m*b < m); so in either case the rewrite u^m w -> s^d - 1
+    applies lam = min(a // m, B) = B - b(N) times, which (I2) makes the
+    defect p1(n) + p1(n') - p1(N) at 1.  (I3) then makes the rewritten
+    product (a - lam*m, b - lam) exactly (a(N), b(N)).  (I1) gives
     c - c(N) = d*(p0(n) + p0(n') - p0(N)) - e'*(n + n' - N) = d*defect_0,
     so d divides c - c(N) and kappa is the defect at 0.  No piece has
     another point, so no other defect needs a check.
     """
+    if max_weight < 0:
+        raise ValueError(f"max_weight must be >= 0, got {max_weight}")
     d, m, e_prime = triple.d, triple.m, triple.e_prime
     sides = _piece_sides(triple.pair)
     for n in range(-2 * max_weight, 2 * max_weight + 1):
@@ -218,70 +232,6 @@ def _first_failing_weight(triple: SurfaceTriple, max_weight: int) -> int | None:
             or any(others)
         ):
             return n
-    return None
-
-
-def product_window(triple: SurfaceTriple, max_weight: int) -> tuple[int, int] | None:
-    """The first pair (n, n') with |n|, |n'| <= max_weight, in row order (n
-    outer, n' inner, both increasing), on which the invariant ring does not
-    multiply as the divisor pair predicts; None if every pair matches.
-
-    The product of the weight-n and weight-n' generators should be
-    (s^d)^kappa * (s^d - 1)^lam times the weight-(n+n') generator; with s^d
-    playing the role of the coordinate t at the point 0 and s^d - 1 = u^m w at
-    the point 1, kappa and lam must equal the exponent defect
-    piece(n) + piece(n') - piece(n+n') of the graded pieces at 0 and at 1,
-    and the defect must vanish at every other point of the pair's support.
-
-    Both exponents are read off the exponent vectors.  The product is the
-    monomial u^a w^b s^c with (a, b, c) = g(n) + g(n'); the rewrite
-    u^m w -> s^d - 1 applies lam = min(a // m, b) times, so its normal form is
-    u^(a - lam*m) w^(b - lam) s^c (s^d - 1)^lam.  That is a multiple of
-    g(n+n') = (a12, b12, c12) iff (a - lam*m, b - lam) = (a12, b12) and
-    c >= c12, and the cofactor s^(c - c12) (s^d - 1)^lam has the form
-    (s^d)^kappa (s^d - 1)^lam iff d divides c - c12, with
-    kappa = (c - c12) // d.  Either failure means the piece convention is
-    wrong, and the pair fails like a mismatched defect.
-
-    The window meets only the 4*max_weight + 1 weights -2W..2W of n + n',
-    and ``_first_failing_weight`` checks each of them first; when every
-    weight passes, so does every pair, by the lemma in its docstring.  Only
-    when one fails are the generators and their pieces at the support points
-    tabulated, and the pairs walked in row order, at a few integer operations
-    each, to name the first failing pair.
-    """
-    if max_weight < 0:
-        raise ValueError(f"max_weight must be >= 0, got {max_weight}")
-    if _first_failing_weight(triple, max_weight) is None:
-        return None
-    d, m, w = triple.d, triple.m, max_weight
-    sides = _piece_sides(triple.pair)
-    # table[n + 2w] = (a, b, c, piece at 0, piece at 1, piece at the other points)
-    table = []
-    for n in range(-2 * w, 2 * w + 1):
-        k, l, *r = _piece_exponents(sides, n)
-        table.append((*weight_piece_generator(triple, n), k, l, r))
-    row = table[w : 3 * w + 1]  # weights -w..w of n'
-    for n, (a1, b1, c1, k1, l1, r1) in zip(range(-w, w + 1), row):
-        # weights n - w..n + w of n + n'
-        for n_prime, (a2, b2, c2, k2, l2, r2), (a12, b12, c12, k12, l12, r12) in zip(
-            range(-w, w + 1), row, table[n + w : n + 3 * w + 1]
-        ):
-            a, b, c = a1 + a2, b1 + b2, c1 + c2
-            lam = a // m  # min(a // m, b) without a call, which is a third of the loop
-            if lam > b:
-                lam = b
-            # c >= c12 needs no test: kappa must equal a defect, and defects
-            # are >= 0 for every pair (floors are superadditive, D+ + D- <= 0)
-            if (
-                a - lam * m != a12
-                or b - lam != b12
-                or (c - c12) % d
-                or (c - c12) // d != k1 + k2 - k12
-                or lam != l1 + l2 - l12
-                or (r1 and any(x + y != z for x, y, z in zip(r1, r2, r12)))
-            ):
-                return n, n_prime
     return None
 
 

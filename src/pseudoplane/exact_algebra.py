@@ -235,6 +235,11 @@ class MultiPoly:
         return f"MultiPoly({self._variables!r}, {format_poly(self)!r})"
 
 
+def _is_positive_int(value) -> bool:
+    """Whether `value` is an `int` >= 1; `bool` is refused though it is an `int`."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 def _exact(c) -> Scalar:
     """`c` as an exact coefficient: an `int` when integral, else a `Fraction`."""
     c = Fraction(c)

@@ -37,7 +37,7 @@ from functools import reduce
 from operator import mul
 from typing import NamedTuple
 
-from .exact_algebra import MultiPoly, Scalar, _exact, format_poly
+from .exact_algebra import MultiPoly, Scalar, _exact, _is_positive_int, format_poly
 
 _S = ("s",)
 
@@ -58,9 +58,9 @@ class HypersurfaceRing:
     second_var: str = "v"
 
     def __post_init__(self):
-        if self.k < 1:
+        if not _is_positive_int(self.k):
             raise ValueError(f"k must be a positive integer: {self.k}")
-        if self.d < 1:
+        if not _is_positive_int(self.d):
             raise ValueError(f"d must be a positive integer: {self.d}")
         roots = tuple((_exact(p), j) for p, j in self.roots)
         points = [p for p, _ in roots]
@@ -68,7 +68,7 @@ class HypersurfaceRing:
             raise ValueError(f"root points must be nonzero: {points}")
         if any(a >= b for a, b in zip(points, points[1:])):
             raise ValueError(f"root points must be distinct and increasing: {points}")
-        if any(j < 1 for _, j in roots):
+        if not all(_is_positive_int(j) for _, j in roots):
             raise ValueError(f"root exponents must be positive integers: {roots}")
         if self.second_var in ("u", "s"):
             raise ValueError(f"second variable may not shadow u or s: {self.second_var!r}")

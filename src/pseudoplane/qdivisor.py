@@ -21,7 +21,7 @@ from itertools import chain
 from types import MappingProxyType
 from typing import Iterable, NamedTuple
 
-from .exact_algebra import _NUMBER_RE, Scalar
+from .exact_algebra import _NUMBER_RE, Scalar, _is_positive_int
 
 
 class RegimeError(ValueError):
@@ -186,7 +186,7 @@ def divisor_roots(d_minus: QDivisor, k: int) -> tuple[int, tuple[tuple[Fraction,
     no polynomial is built.  Requires k*D- integral and -k*D-(p) >= 0 for
     every p != 0.
     """
-    if k < 1:
+    if not _is_positive_int(k):
         raise ValueError(f"k must be a positive integer: {k}")
     l = 0
     roots = []

@@ -23,17 +23,19 @@ or excluded-as-predicted, 1 for inconsistent, 2 for invalid input.
 equals the result of ``covering_relation``, so ``normalization_witnesses``
 fails on ``normalized.witnesses.normalized_smooth`` alone.
 ``product_structure.all_match`` is false when ``product_window`` finds a
-pair |n|, |n'| <= max_weight whose measured and predicted defects differ or
-whose generators' product is not a multiple of the weight-(n+n') generator
-with an (s^d)^kappa (s^d - 1)^lam cofactor.  ``lnd.degrees_found`` lists
-the degrees that pass ``find_valid_lnd_degrees``' integer membership rule on
-the generator (0, 1, m*e' mod d), which binds it on the whole invariant
-monoid, each an LND of the whole invariant ring by the lemmas in its
-docstring; if none passes, the list is empty and the report fails
-``lnd_degrees``.  A ``d``, ``m``, ``max_weight`` or ``max_exponent``
-above its ``MAX_*_CAP`` (for ``sweep``, ``d_max`` and ``m_max``), and a
-sweep grid of more than ``MAX_GRID_TRIPLES`` triples, are refused with
-``ValueError`` before any work starts.
+weight n in -2*max_weight..2*max_weight whose generator or graded piece
+breaks one of its identities.  The check certifies each piece's generator,
+which implies the product structure: if every weight passes, every pair of
+generators of weights |n|, |n'| <= max_weight multiplies as the divisor pair
+predicts, with an (s^d)^kappa (s^d - 1)^lam cofactor.
+``lnd.degrees_found`` lists the degrees that pass ``find_valid_lnd_degrees``'
+integer membership rule on the generator (0, 1, m*e' mod d), which binds it
+on the whole invariant monoid, each an LND of the whole invariant ring by
+the lemmas in its docstring; if none passes, the list is empty and the
+report fails ``lnd_degrees``.  A ``d``, ``m``, ``max_weight`` or
+``max_exponent`` above its ``MAX_*_CAP`` (for ``sweep``, ``d_max`` and
+``m_max``), and a sweep grid of more than ``MAX_GRID_TRIPLES`` triples, are
+refused with ``ValueError`` before any work starts.
 """
 
 from __future__ import annotations

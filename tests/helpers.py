@@ -913,7 +913,7 @@ def graded_piece(pair, n: int) -> dict[Fraction, int]:
     -floor(n*D+) for n >= 0, -floor(-n*D-) for n < 0, {} for n = 0.  The
     floor of mult*c is the integer floor division of mult*c.numerator by
     c.denominator (which is positive), so no Fraction is built.  The oracle
-    of the integer rows that product_window reads off the pair."""
+    of the integer exponents that product_window reads per weight."""
     if n == 0:
         return {}
     divisor = pair.d_plus if n > 0 else pair.d_minus
@@ -932,8 +932,8 @@ def product_defect(pair, n: int, n_prime: int) -> dict[Scalar, int]:
     generator times t^defect(0) * (t-1)^defect(1) * ...  Values are always
     >= 0 (floor superadditivity plus D+ + D- <= 0); zeros are pruned.  Keys
     follow the pair's sorted support and are int where the point is integral
-    (equal, with equal hash, to the Fraction point).  The per-pair predicted
-    side that product_window tabulates per weight.
+    (equal, with equal hash, to the Fraction point).  The predicted side of
+    product_structure_check, one pair of product_window's window at a time.
     """
     pieces = [graded_piece(pair, k) for k in (n, n_prime, n + n_prime)]
     out: dict[Scalar, int] = {}
@@ -951,7 +951,7 @@ class ProductCheck(NamedTuple):
 
 
 def product_structure_check(triple, n: int, n_prime: int) -> ProductCheck:
-    """The per-pair oracle of product_window: the measured defect
+    """The per-pair oracle of product_window's lemma: the measured defect
     {0: kappa, 1: lam} of one product of generators, read off the exponent
     vectors, against product_defect.  A product that is not a multiple of the
     weight-(n+n') generator with an (s^d)^kappa (s^d - 1)^lam cofactor raises
@@ -983,8 +983,10 @@ def product_structure_check(triple, n: int, n_prime: int) -> ProductCheck:
 
 
 def first_failing_pair(triple, max_weight: int) -> tuple[int, int] | None:
-    """product_window pair by pair: the first (n, n') in row order on which
-    product_structure_check raises or mismatches."""
+    """product_window's window pair by pair: the first (n, n') with
+    |n|, |n'| <= max_weight, in row order, on which product_structure_check
+    raises or mismatches.  None whenever product_window passes, by the lemma
+    in its docstring."""
     window = range(-max_weight, max_weight + 1)
     for n in window:
         for n_prime in window:
@@ -997,7 +999,7 @@ def first_failing_pair(triple, max_weight: int) -> tuple[int, int] | None:
 
 
 def oracle_first_failing_weight(triple, max_weight: int) -> int | None:
-    """_first_failing_weight through a graded_piece dict per weight, as it was
+    """product_window through a graded_piece dict per weight, as it was
     before it read the pair once as integers: the third-point test counts the
     pruned piece's entries.  The generator is read through the
     cyclic_quotient module, so a monkeypatched generator reaches it."""

@@ -218,6 +218,14 @@ INPUT_CHECKS = {
         lambda: CyclicAction(0, {"u": 1}),
         ValueError, "modulus must be a positive integer: 0",
     ),
+    "CyclicAction-modulus-float": (
+        lambda: CyclicAction(2.5, {"u": 1}),
+        ValueError, "modulus must be a positive integer: 2.5",
+    ),
+    "CyclicAction-modulus-bool": (
+        lambda: CyclicAction(True, {"u": 1}),
+        ValueError, "modulus must be a positive integer: True",
+    ),
     "freeness_check-missing-weight": (
         lambda: freeness_check(
             CyclicAction(3, {"u": 1, "s": 2}), HypersurfaceRing(2, 3, ((1, 1),), "w")
@@ -244,6 +252,26 @@ INPUT_CHECKS = {
         lambda: smoothness_condition(0, 1),
         ValueError, "m must be positive: 0",
     ),
+    "HypersurfaceRing-k-float": (
+        lambda: HypersurfaceRing(1.5, 2, ((1, 1),)),
+        ValueError, "k must be a positive integer: 1.5",
+    ),
+    "HypersurfaceRing-k-bool": (
+        lambda: HypersurfaceRing(True, 2, ((1, 1),)),
+        ValueError, "k must be a positive integer: True",
+    ),
+    "HypersurfaceRing-d-bool": (
+        lambda: HypersurfaceRing(2, True, ((1, 1),)),
+        ValueError, "d must be a positive integer: True",
+    ),
+    "HypersurfaceRing-root-exponent-bool": (
+        lambda: HypersurfaceRing(2, 3, ((1, True),)),
+        ValueError, "root exponents must be positive integers: ((1, True),)",
+    ),
+    "HypersurfaceRing-root-exponent-float": (
+        lambda: HypersurfaceRing(2, 3, ((1, 1.5),)),
+        ValueError, "root exponents must be positive integers: ((1, 1.5),)",
+    ),
     "HypersurfaceRing-second-variable-u": (
         lambda: HypersurfaceRing(2, 3, ((1, 1),), "u"),
         ValueError, "second variable may not shadow u or s: 'u'",
@@ -251,6 +279,14 @@ INPUT_CHECKS = {
     "divisor_roots-k-0": (
         lambda: divisor_roots(QDivisor({1: F(-1, 2)}), 0),
         ValueError, "k must be a positive integer: 0",
+    ),
+    "divisor_roots-k-float": (
+        lambda: divisor_roots(QDivisor({1: F(-1, 2)}), 6.0),
+        ValueError, "k must be a positive integer: 6.0",
+    ),
+    "divisor_roots-k-bool": (
+        lambda: divisor_roots(QDivisor({1: F(-1, 2)}), True),
+        ValueError, "k must be a positive integer: True",
     ),
     "parse_divisor-empty-entry": (
         lambda: parse_divisor("0:1,,1:2"),

@@ -301,14 +301,24 @@ def test_singular_normalized_model_is_reported_and_sweep_carries_on(capsys, monk
     assert out.count("failed: normalization_witnesses\n") == 12
 
 
-def test_product_check_fault_is_reported_and_sweep_carries_on(capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "shift",
+    [
+        lambda triple, n: 1,
+        # every product of generators still matches its pair under this
+        # shift; (I1) breaks at every weight n != 0
+        lambda triple, n: triple.d * n,
+    ],
+    ids=["c+1", "c+d*n"],
+)
+def test_product_check_fault_is_reported_and_sweep_carries_on(capsys, monkeypatch, shift):
     from pseudoplane import cyclic_quotient
 
     generator = cyclic_quotient.weight_piece_generator
 
     def shifted(triple, n):
         a, b, c = generator(triple, n)
-        return a, b, c + 1
+        return a, b, c + shift(triple, n)
 
     monkeypatch.setattr(cyclic_quotient, "weight_piece_generator", shifted)
     report = verify_triple(3, 2, 2)

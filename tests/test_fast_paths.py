@@ -513,6 +513,16 @@ def _shift_b(generator):
     return shifted
 
 
+def _shift_c_by_dn(generator):
+    # every product of generators keeps its cofactor, as the shifts of n,
+    # n' and n + n' cancel, but (I1) breaks at every weight n != 0
+    def shifted(triple, n):
+        a, b, c = generator(triple, n)
+        return a, b, c + triple.d * n
+
+    return shifted
+
+
 def _raise_c_at_zero(generator):
     # only the weight-0 generator moves, so the product falls below it
     def raised(triple, n):
@@ -550,24 +560,6 @@ def test_product_check_faults_raise_structural_error(monkeypatch, target, fault,
     monkeypatch.setattr(cyclic_quotient, target, fault(getattr(cyclic_quotient, target)))
     with pytest.raises(StructuralError, match=f"^{re.escape(message)}$"):
         product_structure_check(SurfaceTriple(3, 2, 2), 1, -1)
-
-
-@given(
-    surface_triples(),
-    st.integers(0, 12),
-    st.sampled_from([None, _break_ab, _shift_b, _shift_c, _raise_c_at_zero]),
-)
-def test_product_window_fails_where_the_per_pair_oracle_first_fails(triple, max_weight, fault):
-    # None iff every pair matches; under each generator fault of the test
-    # above, and one that moves only b, the first pair in row order on which
-    # the oracle raises or mismatches
-    from pseudoplane import cyclic_quotient
-
-    with pytest.MonkeyPatch.context() as patch:
-        if fault is not None:
-            generator = cyclic_quotient.weight_piece_generator
-            patch.setattr(cyclic_quotient, "weight_piece_generator", fault(generator))
-        assert product_window(triple, max_weight) == first_failing_pair(triple, max_weight)
 
 
 def test_hand_built_normalized_ring_is_accepted(monkeypatch):
@@ -621,7 +613,9 @@ def test_product_window_against_grafted_pairs(plus, minus, first):
     triple = SurfaceTriple(3, 2, 2)
     pair = DpdPair(triple.pair.d_plus + QDivisor(plus), triple.pair.d_minus + QDivisor(minus))
     object.__setattr__(triple, "pair", pair)
-    assert product_window(triple, 4) == first_failing_pair(triple, 4) == first
+    assert first_failing_pair(triple, 4) == first
+    # each graft breaks a weight identity already at the first weight, -2W
+    assert product_window(triple, 4) == -8
 
 
 def _follow_the_pair(generator):
@@ -654,31 +648,32 @@ def test_product_window_when_only_the_normal_form_fails(monkeypatch, plus, minus
     object.__setattr__(triple, "pair", pair)
     generator = cyclic_quotient.weight_piece_generator
     monkeypatch.setattr(cyclic_quotient, "weight_piece_generator", _follow_the_pair(generator))
-    assert cyclic_quotient._first_failing_weight(triple, 4) == weight
-    assert product_window(triple, 4) == first_failing_pair(triple, 4) is not None
+    assert product_window(triple, 4) == weight
+    assert first_failing_pair(triple, 4) is not None
 
 
 @given(
     surface_triples(),
     st.integers(0, 12),
-    st.sampled_from([None, _break_ab, _shift_b, _shift_c, _raise_c_at_zero]),
+    st.sampled_from([None, _break_ab, _shift_b, _shift_c, _raise_c_at_zero, _shift_c_by_dn]),
 )
 def test_passing_weights_imply_every_pair_passes(triple, max_weight, fault):
-    # the lemma in _first_failing_weight's docstring: when every weight of
-    # -2W..2W passes, the per-pair oracle finds no failing pair; each
-    # generator fault breaks an identity already at weight 0.  The weight
-    # found is the one the graded_piece route finds.
+    # the lemma in product_window's docstring: when every weight of -2W..2W
+    # passes, the per-pair oracle finds no failing pair.  Each generator
+    # fault but c + d*n breaks an identity already at weight 0; c + d*n
+    # breaks one at every other weight, though no pair fails under it.  The
+    # weight found is the one the graded_piece route finds.
     from pseudoplane import cyclic_quotient
 
     with pytest.MonkeyPatch.context() as patch:
         if fault is not None:
             generator = cyclic_quotient.weight_piece_generator
             patch.setattr(cyclic_quotient, "weight_piece_generator", fault(generator))
-        first = cyclic_quotient._first_failing_weight(triple, max_weight)
+        first = product_window(triple, max_weight)
         assert first == oracle_first_failing_weight(triple, max_weight)
         passes = first is None
-        assert passes == (fault is None)
-        if passes:
+        assert passes == (fault is None or (fault is _shift_c_by_dn and max_weight == 0))
+        if passes or fault is _shift_c_by_dn:
             assert first_failing_pair(triple, max_weight) is None
 
 
@@ -742,11 +737,10 @@ def grafted_triples(draw):
 
 @given(grafted_triples(), st.integers(0, 12))
 def test_first_failing_weight_matches_the_graded_piece_route_on_grafted_pairs(triple, max_weight):
-    from pseudoplane import cyclic_quotient
-
-    got = cyclic_quotient._first_failing_weight(triple, max_weight)
+    got = product_window(triple, max_weight)
     assert got == oracle_first_failing_weight(triple, max_weight)
-    assert product_window(triple, max_weight) == first_failing_pair(triple, max_weight)
+    if got is None:
+        assert first_failing_pair(triple, max_weight) is None
 
 
 @st.composite
