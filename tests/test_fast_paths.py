@@ -562,6 +562,27 @@ def test_product_check_faults_raise_structural_error(monkeypatch, target, fault,
         product_structure_check(SurfaceTriple(3, 2, 2), 1, -1)
 
 
+@given(
+    surface_triples(),
+    st.integers(0, 12),
+    st.sampled_from([None, _break_ab, _shift_b, _shift_c, _raise_c_at_zero]),
+)
+def test_product_window_fails_where_the_per_pair_oracle_first_fails(triple, max_weight, fault):
+    # under no fault, under each generator fault of the test above, and one
+    # that moves only b, product_window fails iff the per-pair oracle finds a
+    # pair that raises or mismatches.  The fault c + d*n, which fails only
+    # the weights, is left to test_passing_weights_imply_every_pair_passes.
+    from pseudoplane import cyclic_quotient
+
+    with pytest.MonkeyPatch.context() as patch:
+        if fault is not None:
+            generator = cyclic_quotient.weight_piece_generator
+            patch.setattr(cyclic_quotient, "weight_piece_generator", fault(generator))
+        window = product_window(triple, max_weight)
+        pair = first_failing_pair(triple, max_weight)
+        assert (window is None) == (pair is None) == (fault is None)
+
+
 def test_hand_built_normalized_ring_is_accepted(monkeypatch):
     # the normalized model the pipeline builds, and one written by hand with
     # its point as a Fraction
