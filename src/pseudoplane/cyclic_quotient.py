@@ -14,8 +14,8 @@ from itertools import product
 from typing import NamedTuple
 
 from .dpd_presentation import _piece_exponents, _piece_sides, pseudoplane_dpd_pair
-from .exact_algebra import _is_positive_int
-from .hypersurface_ring import HypersurfaceRing
+from .exact_algebra import _is_int, _is_positive_int
+from .hypersurface_ring import HypersurfaceRing, _relation_terms
 from .qdivisor import DpdPair
 
 
@@ -121,10 +121,11 @@ def freeness_check(action: CyclicAction, ring: HypersurfaceRing) -> FreenessResu
     # P(s) = Q(s^d) with Q(0) != 0, so P's exponents are multiples of ring.d
     # and 0 is one of them.  When s^d is invariant, as under the pipeline's
     # actions (modulus ring.d), every term of P has residue 0; otherwise the
-    # residues depend on which coefficients of Q cancel, so P is expanded.
+    # residues depend on which coefficients of Q cancel, so the exponents
+    # are read off the integer expansion of the relation.
     residues = {(ring.k * wts[0] + wts[1]) % d, 0}
     if ring.d * wts[2] % d:
-        residues.update((exp * wts[2]) % d for (exp,) in ring.P.terms)
+        residues.update((exp * wts[2]) % d for exp, _ in _relation_terms(ring.d, ring.roots))
     if len(residues) > 1:
         raise ValueError(
             f"relation is not semi-invariant under the action: residues {sorted(residues)}"
@@ -251,6 +252,19 @@ def same_subgroup(a1: CyclicAction, a2: CyclicAction) -> bool:
     return False
 
 
+def _same_subgroup_as_induced(triple: SurfaceTriple, action: CyclicAction) -> bool:
+    """same_subgroup(induced_action(triple), action) for an action of modulus
+    d on u, w, s, by its one candidate unit.  The induced s weight is 1, so
+    a unit c carrying the induced weights to the action's must be the
+    action's s weight; for the standard action (1, -m, e) that is c = e,
+    which carries (e', -m*e', 1) to it as e*e' = 1 (mod d)."""
+    d = triple.d
+    c = action.weights["s"]
+    return math.gcd(c, d) == 1 and all(
+        (c * w) % d == action.weights[v] for v, w in induced_action(triple).weights.items()
+    )
+
+
 class ComponentPermutation(NamedTuple):
     cycles: tuple[tuple[int, ...], ...]
     transitive: bool
@@ -258,23 +272,18 @@ class ComponentPermutation(NamedTuple):
 
 def component_permutation(d: int, e: int) -> ComponentPermutation:
     """Action of the symmetry generator on the d components of the degenerate
-    fiber, indexed by residues j mod d (component j maps to j + e)."""
-    if d < 1:
+    fiber, indexed by residues j mod d (component j maps to j + e).
+
+    With g = gcd(d, e), the orbit of j is j + (multiples of g) mod d, of
+    length d // g, so each residue below g starts its own cycle, and the
+    cycles are listed by their least residue, each from it."""
+    if not _is_positive_int(d):
         raise ValueError(f"d must be a positive integer: {d}")
-    seen: set[int] = set()
-    cycles: list[tuple[int, ...]] = []
-    for start in range(d):
-        if start in seen:
-            continue
-        cycle = [start]
-        seen.add(start)
-        j = (start + e) % d
-        while j != start:
-            cycle.append(j)
-            seen.add(j)
-            j = (j + e) % d
-        cycles.append(tuple(cycle))
-    return ComponentPermutation(tuple(cycles), len(cycles) == 1)
+    if not _is_int(e):
+        raise ValueError(f"e must be an integer: {e}")
+    g = math.gcd(d, e)
+    cycles = tuple(tuple((start + i * e) % d for i in range(d // g)) for start in range(g))
+    return ComponentPermutation(cycles, g == 1)
 
 
 def _keeps_ring(generator: tuple[int, int, int], degree: int, m: int) -> bool:

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .exact_algebra import _is_int, _is_positive_int
 from .qdivisor import DpdPair, QDivisor, negative_locus
 
 
@@ -25,8 +26,10 @@ def pseudoplane_dpd_pair(d: int, e_prime: int, m: int) -> DpdPair:
     e' is normalized to its representative in [1, d] (so the printed pair is
     deterministic); gcd(e', d) must be 1.
     """
-    if d < 1 or m < 1:
+    if not (_is_positive_int(d) and _is_positive_int(m)):
         raise ValueError(f"d and m must be positive: d={d}, m={m}")
+    if not _is_int(e_prime):
+        raise ValueError(f"e' must be an integer: {e_prime}")
     if math.gcd(e_prime, d) != 1:
         raise ValueError(f"e' and d must be coprime: gcd({e_prime}, {d}) != 1")
     r = e_prime % d
@@ -96,8 +99,10 @@ def classify_presentation(pair: DpdPair, lnd_degree: int | None = None) -> Actio
 def smoothness_condition(m: int, a: int) -> bool:
     """Whether boundary coefficient a/m (gcd(a, m) = 1) can occur for a smooth
     surface: only a = -1 does."""
-    if m < 1:
+    if not _is_positive_int(m):
         raise ValueError(f"m must be positive: {m}")
+    if not _is_int(a):
+        raise ValueError(f"a must be an integer: {a}")
     if math.gcd(a, m) != 1:
         raise ValueError(f"a and m must be coprime: gcd({a}, {m}) != 1")
     return a == -1

@@ -22,7 +22,8 @@ Text format (used by the CLI and in JSON reports): a signed sum of terms
 written ``p/q``, e.g. ``s^3 - 1`` or ``-2/3*u^2*v + s``.  Terms are printed in
 decreasing lexicographic order of the exponent vector (in the declared
 variable order), and ``parse_poly(format_poly(p), p.variables) == p`` holds
-bit-exactly.
+bit-exactly.  The sign and coefficient rules are one term printer,
+``_format_terms``, which ``HypersurfaceRing.serialize`` shares.
 """
 
 from __future__ import annotations
@@ -197,8 +198,6 @@ class MultiPoly:
             raise ValueError(f"polynomial exponent must be a non-negative integer: {exponent}")
         if exponent == 1:
             return self
-        if len(self._terms) == 2:
-            return self._binomial_power(exponent)
         result = MultiPoly._trusted(self._variables, {(0,) * len(self._variables): 1})
         base = self
         n = exponent
@@ -210,24 +209,6 @@ class MultiPoly:
                 base = base * base
         return result
 
-    def _binomial_power(self, n: int) -> "MultiPoly":
-        """(x + y)^n = sum C(n, i) x^(n-i) y^i for a two-term polynomial.
-
-        C(n, i + 1) = C(n, i) (n - i) / (i + 1) is exact in the integers.  The
-        exponent vectors n*ex + i*(ey - ex) differ for distinct i, as ex != ey,
-        and no coefficient vanishes, so the term map is clean as built.
-        """
-        (ex, cx), (ey, cy) = self._terms.items()
-        step = tuple(b - a for a, b in zip(ex, ey))
-        key = tuple(a * n for a in ex)
-        binom = 1
-        out: dict[Exponents, Scalar] = {}
-        for i in range(n + 1):
-            out[key] = binom * cx ** (n - i) * cy ** i
-            key = tuple(map(add, key, step))
-            binom = binom * (n - i) // (i + 1)
-        return MultiPoly._trusted(self._variables, out)
-
     def __str__(self) -> str:
         return format_poly(self)
 
@@ -235,9 +216,14 @@ class MultiPoly:
         return f"MultiPoly({self._variables!r}, {format_poly(self)!r})"
 
 
+def _is_int(value) -> bool:
+    """Whether `value` is an `int`; `bool` is refused though it is an `int`."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _is_positive_int(value) -> bool:
-    """Whether `value` is an `int` >= 1; `bool` is refused though it is an `int`."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+    """Whether `value` is an `int` >= 1, not a `bool`."""
+    return _is_int(value) and value >= 1
 
 
 def _exact(c) -> Scalar:
@@ -291,26 +277,30 @@ def parse_poly(text: str, variables: Iterable[str]) -> MultiPoly:
     return MultiPoly(variables, acc)
 
 
+def _format_terms(terms: Iterable[tuple[str, Scalar]]) -> str:
+    """The text of a sum of (monomial text, nonzero coefficient) terms, in the
+    given order: unit coefficients are elided, a negative coefficient becomes
+    a minus sign, and no terms print as ``0``."""
+    parts: list[str] = []
+    for mono, coeff in terms:
+        if parts:
+            parts.append(" - " if coeff < 0 else " + ")
+        elif coeff < 0:
+            parts.append("-")
+        mag = abs(coeff)
+        if not mono:
+            parts.append(str(mag))
+        elif mag == 1:
+            parts.append(mono)
+        else:
+            parts.append(f"{mag}*{mono}")
+    return "".join(parts) or "0"
+
+
 def format_poly(p: MultiPoly) -> str:
     """Canonical text form: terms in decreasing lexicographic exponent order."""
-    if p.is_zero():
-        return "0"
-    parts: list[tuple[bool, str]] = []
-    for exps in sorted(p.terms, reverse=True):
-        coeff = p.terms[exps]
-        mono = "*".join(
-            v if e == 1 else f"{v}^{e}" for v, e in zip(p.variables, exps) if e
-        )
-        mag = abs(coeff)
-        if mono and mag == 1:
-            body = mono
-        elif mono:
-            body = f"{mag}*{mono}"
-        else:
-            body = str(mag)
-        parts.append((coeff < 0, body))
-    neg, body = parts[0]
-    out = ("-" if neg else "") + body
-    for neg, body in parts[1:]:
-        out += (" - " if neg else " + ") + body
-    return out
+    terms = p.terms
+    return _format_terms(
+        ("*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(p.variables, exps) if e), terms[exps])
+        for exps in sorted(terms, reverse=True)
+    )

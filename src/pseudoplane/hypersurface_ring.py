@@ -3,8 +3,11 @@
 A ring is held as its presentation (k, d, roots, the second variable's
 name), which stands for u^k * y = P(s) = prod over (p, j) in roots of
 (s^d - p)^j, with the points p nonzero, distinct and increasing and every
-exponent j >= 1.  No element of it is ever built.  This module answers what
-the presentation decides on its own: smoothness (``smooth_check``) and the
+exponent j >= 1.  No element of it is ever built, and neither is P as a
+polynomial: the ring prints its relation (``serialize``) from the
+coefficients that ``_relation_terms`` expands on the points and exponents,
+with the term printer of ``format_poly``.  This module answers what the
+presentation decides on its own: smoothness (``smooth_check``) and the
 fibers of the u-projection (``fiber_analysis``).  Each question is settled
 on the integers of the factored relation, by one lemma.
 
@@ -33,18 +36,39 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from operator import mul
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
-from .exact_algebra import MultiPoly, Scalar, _exact, _is_positive_int, format_poly
+from .exact_algebra import MultiPoly, Scalar, _exact, _format_terms, _is_positive_int
 
 _S = ("s",)
 
 
-def _root_factor(d: int, p: Scalar) -> MultiPoly:
-    """s^d - p, for an exact nonzero p."""
-    return MultiPoly._trusted(_S, {(d,): 1, (0,): -p})
+def _relation_terms(d: int, roots: Iterable[tuple[Scalar, int]]) -> list[tuple[int, Scalar]]:
+    """The nonzero (exponent, coefficient) terms of prod (s^d - p)^j over the
+    (point p, exponent j) pairs of ``roots``, in decreasing exponent.
+
+    Each factor (t - p)^j is written by C(j, i + 1) = C(j, i) (j - i)/(i + 1),
+    exact in the integers, times the powers of -p.  The factors' coefficient
+    lists in t are convolved, the coefficients that cancel (as in
+    (t + 1)(t - 1) = t^2 - 1) are dropped, and t becomes s^d.
+    """
+    coeffs: list[Scalar] = [1]  # of the product in t, leading first
+    for p, j in roots:
+        row: list[Scalar] = []
+        binom, power = 1, 1
+        for i in range(j + 1):
+            row.append(binom * power)
+            binom = binom * (j - i) // (i + 1)
+            power *= -p
+        if len(coeffs) > 1:
+            product = [0] * (len(coeffs) + j)
+            for a, x in enumerate(coeffs):
+                for b, y in enumerate(row):
+                    product[a + b] += x * y
+            row = product
+        coeffs = row
+    top = len(coeffs) - 1
+    return [(d * (top - i), c) for i, c in enumerate(coeffs) if c]
 
 
 @dataclass(frozen=True)
@@ -78,16 +102,14 @@ class HypersurfaceRing:
     def variables(self) -> tuple[str, str, str]:
         return ("u", self.second_var, "s")
 
-    @property
-    def P(self) -> MultiPoly:
-        """The right-hand side prod (s^d - p)^j, expanded in s."""
-        powers = [_root_factor(self.d, p)._binomial_power(j) for p, j in self.roots]
-        if not powers:
-            return MultiPoly._trusted(_S, {(0,): 1})
-        return reduce(mul, powers)
-
     def serialize(self) -> dict:
-        return {"k": self.k, "P": format_poly(self.P), "second_var": self.second_var}
+        """The ring as JSON: the right-hand side is printed as ``format_poly``
+        prints it expanded in s, straight from ``_relation_terms``."""
+        relation = _format_terms(
+            (f"s^{e}" if e > 1 else "s" if e else "", c)
+            for e, c in _relation_terms(self.d, self.roots)
+        )
+        return {"k": self.k, "P": relation, "second_var": self.second_var}
 
 
 class SmoothCheck(NamedTuple):
@@ -110,7 +132,12 @@ def smooth_check(ring: HypersurfaceRing) -> SmoothCheck:
     decomposition of multiplicity >= 2 (s-coordinates of the singular
     points along u = 0)."""
     witness = tuple(
-        (reduce(mul, (_root_factor(ring.d, p) for p in points)), j)
+        (
+            MultiPoly._trusted(
+                _S, {(e,): c for e, c in _relation_terms(ring.d, [(p, 1) for p in points])}
+            ),
+            j,
+        )
         for j, points in _points_by_exponent(ring)
         if j >= 2
     )

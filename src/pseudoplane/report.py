@@ -46,16 +46,15 @@ from typing import Any, Iterator
 
 from .cyclic_quotient import (
     SurfaceTriple,
+    _same_subgroup_as_induced,
     component_permutation,
     find_valid_lnd_degrees,
     freeness_check,
-    induced_action,
     product_window,
-    same_subgroup,
     standard_action,
 )
 from .dpd_presentation import classify_presentation, pseudoplane_dpd_pair, smoothness_condition
-from .exact_algebra import format_poly
+from .exact_algebra import _is_int, format_poly
 from .hypersurface_ring import HypersurfaceRing, fiber_analysis, smooth_check
 from .qdivisor import (
     DpdPair,
@@ -98,7 +97,7 @@ _REASON_D1 = (
 def _require_int(**bounds: Any) -> None:
     """Reject bool and non-int bounds the way ``SurfaceTriple`` rejects them."""
     for name, value in bounds.items():
-        if isinstance(value, bool) or not isinstance(value, int):
+        if not _is_int(value):
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
@@ -178,7 +177,7 @@ def verify_triple(
     cycles, transitive = component_permutation(d, e)
     check("component_transitivity", transitive)
 
-    subgroup_match = same_subgroup(induced_action(triple), action)
+    subgroup_match = _same_subgroup_as_induced(triple, action)
     check("action_subgroup", subgroup_match)
 
     all_match: bool | None = None

@@ -242,11 +242,71 @@ def substitute_power(p: MultiPoly, exponent: int, new_var: str) -> MultiPoly:
     return MultiPoly._trusted((new_var,), {(e * exponent,): c for (e,), c in p.terms.items()})
 
 
+# -- the relation as a polynomial -------------------------------------------------
+#
+# HypersurfaceRing once expanded its relation into a MultiPoly, P, which the
+# ring printed and smooth_check and freeness_check read.  The ring now
+# prints the relation from the integers of its roots; the expansion is kept
+# as the oracle of that printer and of the readings below.
+
+
+def root_factor(d: int, p: Scalar) -> MultiPoly:
+    """s^d - p, for an exact nonzero p."""
+    return MultiPoly._trusted(("s",), {(d,): 1, (0,): -p})
+
+
+def binomial_power(p: MultiPoly, n: int) -> MultiPoly:
+    """(x + y)^n = sum C(n, i) x^(n-i) y^i for a two-term polynomial.
+
+    C(n, i + 1) = C(n, i) (n - i) / (i + 1) is exact in the integers.  The
+    exponent vectors n*ex + i*(ey - ex) differ for distinct i, as ex != ey,
+    and no coefficient vanishes, so the term map is clean as built.
+    """
+    (ex, cx), (ey, cy) = p.terms.items()
+    step = tuple(b - a for a, b in zip(ex, ey))
+    key = tuple(a * n for a in ex)
+    binom = 1
+    out: dict[tuple[int, ...], Scalar] = {}
+    for i in range(n + 1):
+        out[key] = binom * cx ** (n - i) * cy ** i
+        key = tuple(map(add, key, step))
+        binom = binom * (n - i) // (i + 1)
+    return MultiPoly._trusted(p.variables, out)
+
+
+def oracle_relation(ring: HypersurfaceRing) -> MultiPoly:
+    """The right-hand side prod (s^d - p)^j of the ring, expanded in s as a
+    product of binomial powers."""
+    product = MultiPoly._trusted(("s",), {(0,): 1})
+    for p, j in ring.roots:
+        product = product * binomial_power(root_factor(ring.d, p), j)
+    return product
+
+
+def oracle_component_permutation(d: int, e: int) -> tuple[tuple[int, ...], ...]:
+    """The cycles of j -> j + e on the residues mod d, as component_permutation
+    walked them: from each residue not yet seen, in increasing order."""
+    seen: set[int] = set()
+    cycles: list[tuple[int, ...]] = []
+    for start in range(d):
+        if start in seen:
+            continue
+        cycle = [start]
+        seen.add(start)
+        j = (start + e) % d
+        while j != start:
+            cycle.append(j)
+            seen.add(j)
+            j = (j + e) % d
+        cycles.append(tuple(cycle))
+    return tuple(cycles)
+
+
 def yun_reading(ring: HypersurfaceRing) -> tuple[tuple[tuple[MultiPoly, int], ...], list[tuple[int, int]]]:
     """smooth_check's witness and fiber_analysis over u = 0 as they were
     read off Yun's decomposition of the expanded P: the factors of
     multiplicity >= 2, and (degree, multiplicity) of every factor."""
-    yun = squarefree_decomposition(ring.P)
+    yun = squarefree_decomposition(oracle_relation(ring))
     return tuple((f, j) for f, j in yun if j >= 2), [(degree(f), j) for f, j in yun]
 
 
@@ -295,7 +355,7 @@ def with_variables(p: MultiPoly, variables) -> MultiPoly:
 @lru_cache(maxsize=512)
 def rhs_power(ring: HypersurfaceRing, j: int) -> MultiPoly:
     """P(s)^j of the ring's relation, expanded once per (ring, j)."""
-    return ring.P ** j
+    return oracle_relation(ring) ** j
 
 
 def normal_form(ring: HypersurfaceRing, p: MultiPoly) -> RingElement:
@@ -352,7 +412,7 @@ def element(ring, text: str):
 
 def relation(ring) -> MultiPoly:
     """The defining polynomial u^k * second - P(s)."""
-    return monomial(ring, ring.k, 1, 0) - with_variables(ring.P, ring.variables)
+    return monomial(ring, ring.k, 1, 0) - with_variables(oracle_relation(ring), ring.variables)
 
 
 def grid_triples(d_max: int = 6, m_max: int = 5) -> list[tuple[int, int, int]]:
@@ -389,7 +449,7 @@ def _normalized_params(ring: HypersurfaceRing) -> tuple[int, int]:
     """(m, d) for a ring in the normalized shape u^m w - (s^d - 1)."""
     if ring.roots != ((1, 1),):
         raise ValueError(
-            f"ring is not in the normalized shape u^m*{ring.second_var} - (s^d - 1): P = {format_poly(ring.P)}"
+            f"ring is not in the normalized shape u^m*{ring.second_var} - (s^d - 1): P = {format_poly(oracle_relation(ring))}"
         )
     return ring.k, ring.d
 
@@ -604,7 +664,7 @@ def oracle_normal_form(ring, p: MultiPoly) -> MultiPoly:
         term = monomial(ring, a - j * ring.k, b - j, c, coeff)
         rhs = MultiPoly.constant(ring.variables, 1)
         for _ in range(j):
-            rhs = oracle_mul(rhs, with_variables(ring.P, ring.variables))
+            rhs = oracle_mul(rhs, with_variables(oracle_relation(ring), ring.variables))
         out = oracle_add(out, oracle_mul(rhs, term))
     return out
 
@@ -820,20 +880,6 @@ def filter_hilbert_basis(action: CyclicAction) -> list[tuple[int, ...]]:
     return sorted(basis)
 
 
-def oracle_pow(p: MultiPoly, n: int) -> MultiPoly:
-    """p^n by repeated squaring, as MultiPoly.__pow__ computed every power
-    before two-term bases took the binomial theorem."""
-    result = MultiPoly.constant(p.variables, 1)
-    base = p
-    while n:
-        if n & 1:
-            result = result * base
-        n >>= 1
-        if n:
-            base = base * base
-    return result
-
-
 def oracle_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     """Monic gcd by Euclid's algorithm over the rationals, as poly_gcd ran
     on every input before integer inputs took a primitive remainder
@@ -850,12 +896,13 @@ def oracle_freeness_check(action: CyclicAction, ring: HypersurfaceRing):
     d = action.modulus
     variables = ring.variables
     wts = [action.weights[v] for v in variables]
+    relation = oracle_relation(ring)
     residues = {(ring.k * wts[0] + wts[1]) % d}
-    residues.update((exp * wts[2]) % d for (exp,) in ring.P.terms)
+    residues.update((exp * wts[2]) % d for (exp,) in relation.terms)
     if len(residues) > 1:
         raise ValueError(f"relation is not semi-invariant under the action: residues {sorted(residues)}")
-    vanishes_at_zero = constant_coefficient(ring.P) == 0
-    has_nonzero_root = degree(ring.P) > valuation(ring.P, "s")
+    vanishes_at_zero = constant_coefficient(relation) == 0
+    has_nonzero_root = degree(relation) > valuation(relation, "s")
 
     def admits(u_nz: bool, v_nz: bool, s_nz: bool) -> bool:
         if not u_nz:

@@ -79,6 +79,11 @@ GOLDEN_CLI = {
     "sweep --d-max 3 --m-max 3": "08b98d024c232aea549117b584f7d0977a1682b9430002144e6e019c02c6b3a3",
     "sweep --d-max 3 --m-max 3 --json": "287c6b3c3ad8115867e19c09ee8f356524680b8f5cb85e66e776f7b91fdbf6be",
 }
+# sha256 of json.dumps(sweep(20, 10, include_reports=True)), recorded at
+# commit 7e60e01.  Its 1280 triples reach d = 20, where the covering
+# relation (s^d - 1)^m' prints up to 21 terms; the acceptance sweep stops
+# at d = 6 and 7 terms.
+GOLDEN_D_HEAVY_SWEEP = "348cb6d8a815879d3e3c3fe980c0223b9bf4f1b490c04953c98429dcf69d64ab"
 
 # defined in src/pseudoplane but reached by none of CLI_RUNS
 UNREACHED = {
@@ -96,6 +101,7 @@ UNREACHED = {
     "exact_algebra.MultiPoly.__init__",
     "exact_algebra.MultiPoly.constant",
     "exact_algebra.MultiPoly.variable",
+    "exact_algebra.MultiPoly.is_zero",
     "exact_algebra.MultiPoly._coerce",
     "exact_algebra.MultiPoly.__add__",
     "exact_algebra.MultiPoly.__sub__",
@@ -104,6 +110,9 @@ UNREACHED = {
     "exact_algebra.MultiPoly.__pow__",
     "exact_algebra.MultiPoly.__eq__",
     "exact_algebra.MultiPoly.__hash__",
+    # the API function, and the oracle of the one-unit witness that
+    # verify_triple checks in its place
+    "cyclic_quotient.same_subgroup",
     "qdivisor.QDivisor.__setattr__",
     "qdivisor.QDivisor.__bool__",
     "qdivisor.QDivisor.__str__",
@@ -211,6 +220,10 @@ def test_outputs_match_the_recorded_digests(capsys):
     assert got == GOLDEN_CLI
 
 
+def test_d_heavy_sweep_matches_its_recorded_digest():
+    assert _sha256(json.dumps(sweep(20, 10, include_reports=True))) == GOLDEN_D_HEAVY_SWEEP
+
+
 # each library input check that a valid pipeline run never reaches: the
 # call, the error it raises and its whole message
 INPUT_CHECKS = {
@@ -240,17 +253,57 @@ INPUT_CHECKS = {
         lambda: component_permutation(0, 1),
         ValueError, "d must be a positive integer: 0",
     ),
+    "component_permutation-d-bool": (
+        lambda: component_permutation(True, 1),
+        ValueError, "d must be a positive integer: True",
+    ),
+    "component_permutation-d-float": (
+        lambda: component_permutation(3.0, 1),
+        ValueError, "d must be a positive integer: 3.0",
+    ),
+    "component_permutation-e-bool": (
+        lambda: component_permutation(3, True),
+        ValueError, "e must be an integer: True",
+    ),
+    "component_permutation-e-float": (
+        lambda: component_permutation(3, 1.0),
+        ValueError, "e must be an integer: 1.0",
+    ),
     "pseudoplane_dpd_pair-d-0": (
         lambda: pseudoplane_dpd_pair(0, 1, 2),
         ValueError, "d and m must be positive: d=0, m=2",
+    ),
+    "pseudoplane_dpd_pair-d-float": (
+        lambda: pseudoplane_dpd_pair(3.0, 2, 2),
+        ValueError, "d and m must be positive: d=3.0, m=2",
     ),
     "pseudoplane_dpd_pair-m-0": (
         lambda: pseudoplane_dpd_pair(3, 2, 0),
         ValueError, "d and m must be positive: d=3, m=0",
     ),
+    "pseudoplane_dpd_pair-m-bool": (
+        lambda: pseudoplane_dpd_pair(3, 2, True),
+        ValueError, "d and m must be positive: d=3, m=True",
+    ),
+    "pseudoplane_dpd_pair-e_prime-float": (
+        lambda: pseudoplane_dpd_pair(3, 2.0, 2),
+        ValueError, "e' must be an integer: 2.0",
+    ),
     "smoothness_condition-m-0": (
         lambda: smoothness_condition(0, 1),
         ValueError, "m must be positive: 0",
+    ),
+    "smoothness_condition-m-bool": (
+        lambda: smoothness_condition(True, -1),
+        ValueError, "m must be positive: True",
+    ),
+    "smoothness_condition-a-float": (
+        lambda: smoothness_condition(2, -1.0),
+        ValueError, "a must be an integer: -1.0",
+    ),
+    "smoothness_condition-a-bool": (
+        lambda: smoothness_condition(2, True),
+        ValueError, "a must be an integer: True",
     ),
     "HypersurfaceRing-k-float": (
         lambda: HypersurfaceRing(1.5, 2, ((1, 1),)),

@@ -5,6 +5,8 @@ import time
 
 import pytest
 
+from helpers import oracle_relation
+
 from pseudoplane import classify_pair, sweep, verify_triple
 from pseudoplane.cli import main
 
@@ -277,7 +279,7 @@ def test_singular_normalized_model_is_reported_and_sweep_carries_on(capsys, monk
 
     def singular_normalized(ring):
         if ring.second_var == "w":
-            return SmoothCheck(False, ((ring.P, 2),))
+            return SmoothCheck(False, ((oracle_relation(ring), 2),))
         return smooth_check(ring)
 
     monkeypatch.setattr(report_module, "smooth_check", singular_normalized)

@@ -17,6 +17,7 @@ from helpers import (
     monomial,
     normal_form,
     normalized_ring,
+    oracle_component_permutation,
     product_structure_check,
     reachable_sums,
     surface_triples,
@@ -37,6 +38,7 @@ from pseudoplane import (
     standard_action,
     weight_piece_generator,
 )
+from pseudoplane.cyclic_quotient import _same_subgroup_as_induced
 
 TRIPLES = [SurfaceTriple(d, e, m) for d, e, m in grid_triples(5, 4)]
 
@@ -275,6 +277,22 @@ def test_actions_generate_same_group_across_grid():
         assert same_subgroup(induced_action(t), standard_action(t))
 
 
+def test_induced_subgroup_witness_matches_the_search():
+    # the pipeline's one-unit witness against same_subgroup's search over
+    # every unit, on the standard action, on it with one weight moved, and on
+    # the trivial action, where the candidate 0 is a unit only at d = 1
+    for d, e, m in grid_triples(20, 10):
+        triple = SurfaceTriple(d, e, m)
+        induced, standard = induced_action(triple), standard_action(triple)
+        assert _same_subgroup_as_induced(triple, standard)
+        actions = [CyclicAction(d, dict.fromkeys(standard.weights, 0))]
+        for var, weight in standard.weights.items():
+            for shift in (1, -2, e):
+                actions.append(CyclicAction(d, {**standard.weights, var: weight + shift}))
+        for action in actions:
+            assert _same_subgroup_as_induced(triple, action) == same_subgroup(induced, action)
+
+
 def test_component_permutation():
     cycles, transitive = component_permutation(3, 2)
     assert cycles == ((0, 2, 1),) and transitive
@@ -282,6 +300,13 @@ def test_component_permutation():
     assert cycles == ((0, 2), (1, 3)) and not transitive
     cycles, transitive = component_permutation(1, 1)
     assert cycles == ((0,),) and transitive
+
+
+@given(st.integers(1, 60), st.integers(-90, 90))
+def test_component_permutation_matches_the_walk(d, e):
+    cycles, transitive = component_permutation(d, e)
+    assert cycles == oracle_component_permutation(d, e)
+    assert transitive == (len(cycles) == 1)
 
 
 def test_action_weights_reduced_mod_d():

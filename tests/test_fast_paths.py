@@ -19,6 +19,7 @@ from helpers import (
     _from_localization,
     _to_localization,
     assert_clean,
+    binomial_power,
     degree,
     derivation_apply,
     derivation_leaves_ring,
@@ -49,7 +50,6 @@ from helpers import (
     oracle_ml1_test,
     oracle_nilpotency_index,
     oracle_normal_form,
-    oracle_pow,
     oracle_power_identity,
     oracle_product_defect,
     oracle_qdivisor_coefficients,
@@ -96,6 +96,7 @@ from pseudoplane import (
     verify_triple,
     weight_piece_generator,
 )
+from pseudoplane.hypersurface_ring import _relation_terms
 
 UVS = ("u", "v", "s")
 UWS = ("u", "w", "s")
@@ -261,11 +262,11 @@ def test_squarefree_decomposition_matches_yun_without_the_exit(factors, mults, l
 
 @given(st.integers(1, 60), st.integers(1, 60))
 def test_squarefree_decomposition_of_pure_powers_matches_yun_without_the_exit(d, j):
-    # the oracle side is built by repeated squaring and decomposed with
+    # the oracle side is built by the binomial theorem and decomposed with
     # Euclid over the rationals
     base = upoly("s", {d: 1, 0: -1})
     assert squarefree_decomposition(base ** j) == oracle_squarefree_decomposition(
-        oracle_pow(base, j)
+        binomial_power(base, j)
     ) == [(base, j)]
 
 
@@ -293,10 +294,15 @@ def _assert_int_coefficients(p):
     assert p.terms and all(type(c) is int for c in p.terms.values()), p
 
 
+def _assert_int_relation(ring):
+    terms = _relation_terms(ring.d, ring.roots)
+    assert terms and all(type(c) is int for _, c in terms), terms
+
+
 def test_pipeline_coefficients_stay_int():
     for d in range(1, 7):
         for j in range(7):
-            _assert_int_coefficients(HypersurfaceRing(1, d, ((1, j),) if j else ()).P)
+            _assert_int_relation(HypersurfaceRing(1, d, ((1, j),) if j else ()))
     triple = SurfaceTriple(3, 2, 2)
     ring = normalized_ring(triple)
     g1 = monomial(ring, *weight_piece_generator(triple, -5))
@@ -312,7 +318,7 @@ def test_pipeline_coefficients_stay_int():
             _assert_int_coefficients(x.poly)
     # the points of -k*D- are Fractions; the ring stores the integral ones as int
     roots = divisor_roots(triple.pair.d_minus, triple.k)[1]
-    _assert_int_coefficients(HypersurfaceRing(triple.k, triple.d, roots).P)
+    _assert_int_relation(HypersurfaceRing(triple.k, triple.d, roots))
 
 
 def test_division_promotes_to_fraction_not_float():
@@ -590,7 +596,8 @@ def test_hand_built_normalized_ring_is_accepted(monkeypatch):
     verify_triple(3, 2, 2)
     _, built = rings
     hand_built = HypersurfaceRing(2, 3, ((F(1), 1),), "w")
-    assert hand_built is not built and hand_built == built and hand_built.P == built.P
+    assert hand_built is not built and hand_built == built
+    assert hand_built.serialize() == built.serialize()
     for exps in [(1, 0, 2), (0, 1, 1), (3, 0, 0)]:
         want = normal_form(built, monomial(built, *exps))
         got = normal_form(hand_built, monomial(hand_built, *exps))
@@ -826,7 +833,7 @@ def two_term_polys(draw, variables):
 @given(st.sampled_from([("s",), UVS]).flatmap(two_term_polys), st.integers(0, 60))
 def test_binomial_power_matches_repeated_squaring(p, n):
     got = p ** n
-    assert got == oracle_pow(p, n)
+    assert got == binomial_power(p, n)
     assert_clean(got)
     if all(type(c) is int for c in p.terms.values()):
         assert all(type(c) is int for c in got.terms.values())

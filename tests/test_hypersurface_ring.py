@@ -16,6 +16,7 @@ from helpers import (
     normal_form,
     oracle_leaves_ring,
     oracle_nilpotency_index,
+    oracle_relation,
     record_rings,
     s_weight,
     small_multipolys,
@@ -29,9 +30,12 @@ from pseudoplane import (
     SurfaceTriple,
     divisor_roots,
     fiber_analysis,
+    format_poly,
+    parse_poly,
     smooth_check,
     verify_triple,
 )
+from pseudoplane.hypersurface_ring import _relation_terms
 
 
 def s_pow_minus_1(d):
@@ -54,7 +58,7 @@ def v_ring(k, d, m_prime):
 def test_ring_invariants():
     ring = w_ring(2, 3)
     assert ring.variables == ("u", "w", "s")
-    assert ring.P == s_pow_minus_1(3)
+    assert ring.serialize() == {"k": 2, "P": "s^3 - 1", "second_var": "w"}
     with pytest.raises(ValueError, match="k must be"):
         HypersurfaceRing(0, 2, ((1, 1),))
     # the relation stays factored over nonzero, distinct, increasing points
@@ -72,14 +76,32 @@ def test_ring_invariants():
             HypersurfaceRing(2, d, roots)
 
 
+def printed_relation(ring):
+    return ring.serialize()["P"]
+
+
 def test_ring_expands_its_factored_relation():
     ring = HypersurfaceRing(2, 2, ((-1, 2), (F(1, 2), 1)), "v")
-    assert ring.P == (upoly("s", {2: 1, 0: 1}) ** 2) * upoly("s", {2: 1, 0: F(-1, 2)})
-    assert HypersurfaceRing(1, 3, ()).P == upoly("s", {0: 1})
-    # integral points are stored as int, so P keeps int coefficients
+    expanded = (upoly("s", {2: 1, 0: 1}) ** 2) * upoly("s", {2: 1, 0: F(-1, 2)})
+    assert printed_relation(ring) == format_poly(expanded)
+    # the empty product, and (s + 1)(s - 1), whose middle term cancels
+    assert printed_relation(HypersurfaceRing(1, 3, ())) == "1"
+    assert printed_relation(HypersurfaceRing(1, 1, ((-1, 1), (1, 1)))) == "s^2 - 1"
+    assert printed_relation(HypersurfaceRing(1, 3, ((-1, 1), (1, 1)))) == "s^6 - 1"
+    # integral points are stored as int, so the expansion keeps int coefficients
     ring = HypersurfaceRing(6, 3, ((F(1), 3),))
     assert ring.roots == ((1, 3),) and type(ring.roots[0][0]) is int
-    assert all(type(c) is int for c in ring.P.terms.values())
+    assert all(type(c) is int for _, c in _relation_terms(ring.d, ring.roots))
+
+
+@given(st.integers(1, 3), st.integers(1, 5), factored_roots())
+def test_printed_relation_is_the_expanded_product(k, d, roots):
+    # the printer reads the roots' integers; the oracle multiplies binomial
+    # powers as polynomials, and the printed text parses back to it
+    ring = HypersurfaceRing(k, d, roots)
+    text = printed_relation(ring)
+    assert text == format_poly(oracle_relation(ring))
+    assert parse_poly(text, ("s",)) == oracle_relation(ring)
 
 
 def test_covering_ring_from_divisor_roots():
@@ -93,7 +115,7 @@ def test_covering_ring_from_divisor_roots():
         triple = SurfaceTriple(d, e, m)
         _, roots = divisor_roots(triple.pair.d_minus, triple.k)
         ring = HypersurfaceRing(triple.k, d, roots, "v")
-        assert ring.P == p
+        assert printed_relation(ring) == format_poly(p)
         assert ring.second_var == "v"
 
 
