@@ -9,54 +9,50 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from itertools import product
 from typing import NamedTuple
 
 from .dpd_presentation import _piece_exponents, _piece_sides, pseudoplane_dpd_pair
-from .exact_algebra import _is_int, _is_positive_int
+from .exact_algebra import _Frozen, _is_int, _is_positive_int
 from .hypersurface_ring import HypersurfaceRing, _relation_terms
 from .qdivisor import DpdPair
 
 
-@dataclass(frozen=True)
-class CyclicAction:
+class CyclicAction(_Frozen):
     """Diagonal action of the cyclic group of order `modulus`: the chosen
-    generator scales each variable by the primitive root raised to its weight."""
+    generator scales each variable by the primitive root raised to its
+    weight, stored reduced mod `modulus`.  Compared by (modulus, weights);
+    not hashable, as `weights` is a dict."""
 
-    modulus: int
-    weights: dict[str, int]
+    __slots__ = ("modulus", "weights")
 
-    def __post_init__(self):
-        if not _is_positive_int(self.modulus):
-            raise ValueError(f"modulus must be a positive integer: {self.modulus}")
-        object.__setattr__(
-            self, "weights", {v: w % self.modulus for v, w in self.weights.items()}
-        )
+    def __init__(self, modulus: int, weights: dict[str, int]):
+        if not _is_positive_int(modulus):
+            raise ValueError(f"modulus must be a positive integer: {modulus}")
+        for v, w in weights.items():
+            if not _is_int(w):
+                raise ValueError(f"weight of {v} must be an integer: {w!r}")
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "weights", {v: w % modulus for v, w in weights.items()})
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.modulus, self.weights) == (other.modulus, other.weights)
 
 
-@dataclass(frozen=True)
-class SurfaceTriple:
+class SurfaceTriple(_Frozen):
     """A validated input (d, e, m) with the constants derived from it.
 
     e' inverts e mod d (1 when d = 1), k = lcm(d, m) = m*m' = d*d', and
     l = -e'*d', so that k*e' + d*l = 0.  ``pair`` is the divisor pair
     presenting the surface, D+ = -(e'/d)[0] and D- = (e'/d)[0] - (1/m)[1].
+    A triple compares and hashes by (d, e, m), from which the rest derives.
     """
 
-    d: int
-    e: int
-    m: int
-    e_prime: int = field(init=False)
-    k: int = field(init=False)
-    m_prime: int = field(init=False)
-    d_prime: int = field(init=False)
-    l: int = field(init=False)
-    # derived from (d, e, m) and unhashable, so left out of == and hash()
-    pair: DpdPair = field(init=False, compare=False)
+    __slots__ = ("d", "e", "m", "e_prime", "k", "m_prime", "d_prime", "l", "pair")
 
-    def __post_init__(self):
-        d, e, m = self.d, self.e, self.m
+    def __init__(self, d: int, e: int, m: int):
         for name, value in (("d", d), ("e", e), ("m", m)):
             if not _is_positive_int(value):
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
@@ -66,7 +62,10 @@ class SurfaceTriple:
             )
         e_prime = pow(e, -1, d) if d > 1 else 1
         k = d * m // math.gcd(d, m)
-        derived = {
+        fields = {
+            "d": d,
+            "e": e,
+            "m": m,
             "e_prime": e_prime,
             "k": k,
             "m_prime": k // m,
@@ -74,8 +73,16 @@ class SurfaceTriple:
             "l": -e_prime * (k // d),
             "pair": pseudoplane_dpd_pair(d, e_prime, m),
         }
-        for name, value in derived.items():
+        for name, value in fields.items():
             object.__setattr__(self, name, value)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.d, self.e, self.m) == (other.d, other.e, other.m)
+
+    def __hash__(self) -> int:
+        return hash((self.d, self.e, self.m))
 
 
 def induced_action(triple: SurfaceTriple) -> CyclicAction:

@@ -12,8 +12,8 @@ built, hashed or compared per weight.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exact_algebra import _is_int, _is_positive_int
 from .qdivisor import DpdPair, QDivisor, negative_locus
@@ -67,8 +67,7 @@ def _piece_exponents(sides: tuple[_Side, _Side], n: int) -> list[int]:
     return [-(mult * num // den) for num, den in sides[n > 0]]
 
 
-@dataclass(frozen=True)
-class ActionClass:
+class ActionClass(NamedTuple):
     admissible: bool
     reason: str
 

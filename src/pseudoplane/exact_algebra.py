@@ -39,7 +39,26 @@ Exponents = tuple[int, ...]
 Scalar = Union[int, Fraction]
 
 
-class MultiPoly:
+class _Frozen:
+    """Base of the package's value classes: ``__init__`` fills the subclass's
+    ``__slots__`` through ``object.__setattr__``, and then the instance
+    refuses assignment and deletion.  The repr lists the slots as keyword
+    arguments."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in type(self).__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class MultiPoly(_Frozen):
     """Sparse polynomial with exact rational coefficients.
 
     Immutable after construction; arithmetic returns new objects.  Operands of
@@ -88,9 +107,6 @@ class MultiPoly:
         object.__setattr__(self, "_variables", variables)
         object.__setattr__(self, "_terms", clean_terms)
         return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MultiPoly is immutable")
 
     # -- construction helpers ------------------------------------------------
 

@@ -34,11 +34,10 @@ derivations u^e * d/ds are certified by an integer rule on exponent vectors
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .exact_algebra import MultiPoly, Scalar, _exact, _format_terms, _is_positive_int
+from .exact_algebra import MultiPoly, Scalar, _Frozen, _exact, _format_terms, _is_positive_int
 
 _S = ("s",)
 
@@ -71,22 +70,19 @@ def _relation_terms(d: int, roots: Iterable[tuple[Scalar, int]]) -> list[tuple[i
     return [(d * (top - i), c) for i, c in enumerate(coeffs) if c]
 
 
-@dataclass(frozen=True)
-class HypersurfaceRing:
+class HypersurfaceRing(_Frozen):
     """Presentation of C[u, second, s] / (u^k * second - prod (s^d - p)^j),
-    the product over the (point p, exponent j) pairs of ``roots``."""
+    the product over the (point p, exponent j) pairs of ``roots``.  Compared
+    and hashed by (k, d, roots, second_var)."""
 
-    k: int
-    d: int
-    roots: tuple[tuple[Scalar, int], ...]
-    second_var: str = "v"
+    __slots__ = ("k", "d", "roots", "second_var")
 
-    def __post_init__(self):
-        if not _is_positive_int(self.k):
-            raise ValueError(f"k must be a positive integer: {self.k}")
-        if not _is_positive_int(self.d):
-            raise ValueError(f"d must be a positive integer: {self.d}")
-        roots = tuple((_exact(p), j) for p, j in self.roots)
+    def __init__(self, k: int, d: int, roots: Iterable[tuple[Scalar, int]], second_var: str = "v"):
+        if not _is_positive_int(k):
+            raise ValueError(f"k must be a positive integer: {k}")
+        if not _is_positive_int(d):
+            raise ValueError(f"d must be a positive integer: {d}")
+        roots = tuple((_exact(p), j) for p, j in roots)
         points = [p for p, _ in roots]
         if 0 in points:
             raise ValueError(f"root points must be nonzero: {points}")
@@ -94,9 +90,22 @@ class HypersurfaceRing:
             raise ValueError(f"root points must be distinct and increasing: {points}")
         if not all(_is_positive_int(j) for _, j in roots):
             raise ValueError(f"root exponents must be positive integers: {roots}")
-        if self.second_var in ("u", "s"):
-            raise ValueError(f"second variable may not shadow u or s: {self.second_var!r}")
+        if second_var in ("u", "s"):
+            raise ValueError(f"second variable may not shadow u or s: {second_var!r}")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "d", d)
         object.__setattr__(self, "roots", roots)
+        object.__setattr__(self, "second_var", second_var)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.k, self.d, self.roots, self.second_var) == (
+            other.k, other.d, other.roots, other.second_var
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.k, self.d, self.roots, self.second_var))
 
     @property
     def variables(self) -> tuple[str, str, str]:

@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from types import MappingProxyType
 from typing import Iterable, NamedTuple
 
-from .exact_algebra import _NUMBER_RE, Scalar, _is_positive_int
+from .exact_algebra import _NUMBER_RE, Scalar, _Frozen, _is_positive_int
 
 
 class RegimeError(ValueError):
@@ -29,7 +28,7 @@ class RegimeError(ValueError):
     configuration it classifies."""
 
 
-class QDivisor:
+class QDivisor(_Frozen):
     """Finitely supported Q-divisor on the affine line.  Immutable, compared
     by value, and not hashable: no computation keys a memo on a divisor."""
 
@@ -57,9 +56,6 @@ class QDivisor:
             else:
                 del clean[point]
         object.__setattr__(self, "_coeffs", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QDivisor is immutable")
 
     @classmethod
     def zero(cls) -> "QDivisor":
@@ -120,22 +116,30 @@ def fract_div(d: QDivisor) -> QDivisor:
     return QDivisor({p: c - math.floor(c) for p, c in d.coefficients.items()})
 
 
-@dataclass(frozen=True)
-class DpdPair:
+class DpdPair(_Frozen):
     """Divisor pair (D+, D-) with D+ + D- <= 0 at every point; ``total`` is
-    D+ + D-, built once when the pair is."""
+    D+ + D-, built once when the pair is.  Compared by (D+, D-) and, like
+    its divisors, not hashable."""
 
-    d_plus: QDivisor
-    d_minus: QDivisor
-    total: QDivisor = field(init=False, compare=False, repr=False)
+    __slots__ = ("d_plus", "d_minus", "total")
 
-    def __post_init__(self):
-        total = self.d_plus + self.d_minus
+    def __init__(self, d_plus: QDivisor, d_minus: QDivisor):
+        total = d_plus + d_minus
         bad = [(p, c) for p, c in total.items() if c > 0]
         if bad:
             witness = ", ".join(f"({p}: {c})" for p, c in bad)
             raise ValueError(f"D+ + D- must be <= 0 everywhere; positive at {witness}")
+        object.__setattr__(self, "d_plus", d_plus)
+        object.__setattr__(self, "d_minus", d_minus)
         object.__setattr__(self, "total", total)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.d_plus, self.d_minus) == (other.d_plus, other.d_minus)
+
+    def __repr__(self) -> str:
+        return f"DpdPair(d_plus={self.d_plus!r}, d_minus={self.d_minus!r})"
 
 
 def canonical_pair(pair: DpdPair) -> DpdPair:

@@ -6,8 +6,10 @@ import hashlib
 import importlib
 import inspect
 import json
+import os
 import pkgutil
 import re
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -90,7 +92,6 @@ UNREACHED = {
     # README promises that printed polynomials parse back
     "exact_algebra.parse_poly",
     "exact_algebra._parse_term",
-    "exact_algebra.MultiPoly.__setattr__",
     "exact_algebra.MultiPoly.__bool__",
     "exact_algebra.MultiPoly.__str__",
     "exact_algebra.MultiPoly.__repr__",
@@ -113,10 +114,21 @@ UNREACHED = {
     # the API function, and the oracle of the one-unit witness that
     # verify_triple checks in its place
     "cyclic_quotient.same_subgroup",
-    "qdivisor.QDivisor.__setattr__",
     "qdivisor.QDivisor.__bool__",
     "qdivisor.QDivisor.__str__",
     "qdivisor.QDivisor.__repr__",
+    # value-class interface: the immutable value classes refuse assignment
+    # and deletion, print their fields, and compare (and hash, where their
+    # fields allow it) by value, which no CLI run needs
+    "exact_algebra._Frozen.__setattr__",
+    "exact_algebra._Frozen.__delattr__",
+    "exact_algebra._Frozen.__repr__",
+    "qdivisor.DpdPair.__repr__",
+    "hypersurface_ring.HypersurfaceRing.__eq__",
+    "hypersurface_ring.HypersurfaceRing.__hash__",
+    "cyclic_quotient.CyclicAction.__eq__",
+    "cyclic_quotient.SurfaceTriple.__eq__",
+    "cyclic_quotient.SurfaceTriple.__hash__",
 }
 
 
@@ -238,6 +250,18 @@ INPUT_CHECKS = {
     "CyclicAction-modulus-bool": (
         lambda: CyclicAction(True, {"u": 1}),
         ValueError, "modulus must be a positive integer: True",
+    ),
+    "CyclicAction-weight-float": (
+        lambda: CyclicAction(3, {"u": 1.5, "w": 1, "s": 2}),
+        ValueError, "weight of u must be an integer: 1.5",
+    ),
+    "CyclicAction-weight-bool": (
+        lambda: CyclicAction(3, {"u": 1, "w": True, "s": 2}),
+        ValueError, "weight of w must be an integer: True",
+    ),
+    "same_subgroup-weight-float": (
+        lambda: same_subgroup(CyclicAction(3, {"u": 0.5}), CyclicAction(3, {"u": 1})),
+        ValueError, "weight of u must be an integer: 0.5",
     ),
     "freeness_check-missing-weight": (
         lambda: freeness_check(
@@ -388,3 +412,75 @@ INPUT_CHECKS = {
 def test_input_checks_refuse_with_their_message(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
+
+
+# the value classes, each made positionally, made again with keywords (an
+# equal value), and made different in each field; the last column is
+# whether it hashes
+VALUE_CLASSES = {
+    "SurfaceTriple": (
+        lambda: SurfaceTriple(3, 2, 2),
+        lambda: SurfaceTriple(d=3, e=2, m=2),
+        lambda: [SurfaceTriple(5, 2, 2), SurfaceTriple(3, 1, 2), SurfaceTriple(3, 2, 3)],
+        True,
+    ),
+    "HypersurfaceRing": (
+        lambda: HypersurfaceRing(2, 3, ((1, 1),)),
+        lambda: HypersurfaceRing(k=2, d=3, roots=[(F(1), 1)], second_var="v"),
+        lambda: [
+            HypersurfaceRing(3, 3, ((1, 1),)),
+            HypersurfaceRing(2, 4, ((1, 1),)),
+            HypersurfaceRing(2, 3, ((1, 2),)),
+            HypersurfaceRing(2, 3, ((1, 1),), "w"),
+        ],
+        True,
+    ),
+    "CyclicAction": (
+        lambda: CyclicAction(3, {"u": 1, "s": 2}),
+        lambda: CyclicAction(modulus=3, weights={"u": 4, "s": -1}),
+        lambda: [CyclicAction(4, {"u": 1, "s": 2}), CyclicAction(3, {"u": 2, "s": 2})],
+        False,
+    ),
+    "DpdPair": (
+        lambda: DpdPair(QDivisor({0: F(-2, 3)}), QDivisor({0: F(2, 3), 1: F(-1, 2)})),
+        lambda: DpdPair(d_plus=QDivisor({0: F(-2, 3)}), d_minus=QDivisor({0: F(2, 3), 1: F(-1, 2)})),
+        lambda: [
+            DpdPair(QDivisor({0: F(-2, 3), 2: F(-1)}), QDivisor({0: F(2, 3), 1: F(-1, 2)})),
+            DpdPair(QDivisor({0: F(-2, 3)}), QDivisor({0: F(2, 3), 1: F(-1, 3)})),
+        ],
+        False,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", VALUE_CLASSES)
+def test_value_classes_are_immutable_and_compare_by_value(name):
+    make, make_by_keyword, make_others, hashable = VALUE_CLASSES[name]
+    value, twin = make(), make_by_keyword()
+    assert value == twin and value is not twin and repr(value) == repr(twin)
+    for other in make_others():
+        assert value != other and repr(value) != repr(other)
+    immutable = f"^{name} is immutable$"
+    for attr in (type(value).__slots__[0], "anything"):
+        with pytest.raises(AttributeError, match=immutable):
+            setattr(value, attr, None)
+        with pytest.raises(AttributeError, match=immutable):
+            delattr(value, attr)
+    assert value == twin
+    if hashable:
+        assert hash(value) == hash(twin)
+    else:
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(value)
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # a fresh interpreter, as the test process has both loaded already;
+    # -S keeps site's start-up files out, so only the package's imports count
+    src = Path(pseudoplane.__file__).resolve().parents[1]
+    probe = "import sys, pseudoplane.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "[]\n"
