@@ -13,6 +13,7 @@ input.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from typing import Any
@@ -214,6 +215,12 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INVALID
     raise AssertionError("unreachable")
 
+
+# The imports leave a few hundred young objects behind.  Whether the
+# collection that traverses them (about 0.1 ms) falls inside the first
+# command depends on how many objects the imports and the caller happened
+# to allocate; collecting them here puts it at a fixed point of start-up.
+gc.collect(0)
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -484,3 +484,15 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
         [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert done.stdout == "[]\n"
+
+
+def test_importing_the_cli_ends_with_an_empty_young_generation():
+    # the CLI's import collects its young objects last, so the first
+    # collection after start-up does not depend on how many the imports left
+    src = Path(pseudoplane.__file__).resolve().parents[1]
+    probe = "import gc, pseudoplane.cli; print(gc.get_count()[0])"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert int(done.stdout) < 50
