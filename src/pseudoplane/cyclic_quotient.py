@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from itertools import product
+from itertools import compress, product
 from typing import NamedTuple
 
-from .dpd_presentation import _piece_exponents, _piece_sides, pseudoplane_dpd_pair
+from .dpd_presentation import _piece_sides, pseudoplane_dpd_pair
 from .exact_algebra import _Frozen, _is_int, _is_positive_int
 from .hypersurface_ring import HypersurfaceRing, _relation_terms
 from .qdivisor import DpdPair
@@ -138,20 +138,16 @@ def freeness_check(action: CyclicAction, ring: HypersurfaceRing) -> FreenessResu
             f"relation is not semi-invariant under the action: residues {sorted(residues)}"
         )
     has_nonzero_root = bool(ring.roots)
-
-    def admits(u_nz: bool, v_nz: bool, s_nz: bool) -> bool:
-        if u_nz and v_nz:
-            return True  # u^k * second = P(s) is solvable at every s
-        # u = 0 or second = 0 needs P(s) = 0, and P(0) != 0
-        return s_nz and has_nonzero_root
-
     hits = []
     for index, pattern in enumerate(product((False, True), repeat=3)):
-        if not admits(*pattern):
+        u_nz, v_nz, s_nz = pattern
+        # u^k * second = P(s) is solvable at every s; u = 0 or second = 0
+        # needs P(s) = 0, and P(0) != 0
+        if not (u_nz and v_nz or s_nz and has_nonzero_root):
             continue
         # b*w = 0 mod d for the weight w of every nonzero coordinate iff
         # d / gcd(d, those weights) divides b
-        step = d // math.gcd(d, *(w for nz, w in zip(pattern, wts) if nz))
+        step = d // math.gcd(d, *compress(wts, pattern))
         hits.extend((b, index, pattern) for b in range(step, d, step))
     loci = [
         {
@@ -196,8 +192,9 @@ def product_window(triple: SurfaceTriple, max_weight: int) -> int | None:
     has a nonzero exponent at a point other than 0 and 1; None if every
     weight passes.
 
-    The pair is read once per call as integers (``_piece_sides``), and each
-    weight's exponents are integer floor divisions (``_piece_exponents``).
+    The pair is read once per call as integer rows (``_piece_sides``): those
+    of -D- serve n < 0 and those of D+ serve n >= 0, and each weight's
+    exponents are integer floor divisions of n times a row's numerator.
     The check certifies each piece's generator, which implies the product
     structure on the window of pairs |n|, |n'| <= W.  The product of the
     weight-n and weight-n' generators should be (s^d)^kappa * (s^d - 1)^lam
@@ -226,20 +223,24 @@ def product_window(triple: SurfaceTriple, max_weight: int) -> int | None:
     if max_weight < 0:
         raise ValueError(f"max_weight must be >= 0, got {max_weight}")
     d, m, e_prime = triple.d, triple.m, triple.e_prime
-    sides = _piece_sides(triple.pair)
-    for n in range(-2 * max_weight, 2 * max_weight + 1):
-        a, b, c = weight_piece_generator(triple, n)
-        p0, p1, *others = _piece_exponents(sides, n)
-        if (
-            c != d * p0 - e_prime * n
-            or b != p1
-            or a != n + m * b
-            or a < 0
-            or b < 0
-            or (a >= m and b)
-            or any(others)
-        ):
-            return n
+    weights = range(-2 * max_weight, 2 * max_weight + 1)
+    # the rows of -D- serve the weights below 0, those of D+ the rest
+    halves = (weights[: 2 * max_weight], weights[2 * max_weight :])
+    for ((n0, d0), (n1, d1), others), half in zip(_piece_sides(triple.pair), halves):
+        for n in half:
+            a, b, c = weight_piece_generator(triple, n)
+            p0 = -(n * n0 // d0)
+            p1 = -(n * n1 // d1)
+            if (
+                c != d * p0 - e_prime * n
+                or b != p1
+                or a != n + m * b
+                or a < 0
+                or b < 0
+                or (a >= m and b)
+                or (others and any(n * num // den for num, den in others))
+            ):
+                return n
     return None
 
 

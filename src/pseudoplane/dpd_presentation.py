@@ -4,9 +4,9 @@ The weight-n piece of the algebra is the rank-one C[t]-module generated by
 prod (t - p)^e(p), with negative e(p) meaning an allowed pole.  Pieces are
 governed by floor-rounded multiples of the pair: weight n >= 0 reads
 e = -floor(n*D+), weight n < 0 reads e = -floor(-n*D-).  The exponents are
-integer floor divisions (``_piece_exponents``) of the numerators and
-denominators read once off the pair (``_piece_sides``), so no Fraction is
-built, hashed or compared per weight.
+integer floor divisions of the numerators and denominators read once off
+the pair (``_piece_sides``), so no Fraction is built, hashed or compared
+per weight.
 """
 
 from __future__ import annotations
@@ -17,6 +17,11 @@ from typing import NamedTuple
 
 from .exact_algebra import _is_int, _is_positive_int
 from .qdivisor import DpdPair, QDivisor, negative_locus
+
+
+# the family's two points, shared by its divisors (a Fraction is immutable),
+# so that summing the pair finds the point 0 by identity
+_ORIGIN, _ONE = Fraction(0), Fraction(1)
 
 
 def pseudoplane_dpd_pair(d: int, e_prime: int, m: int) -> DpdPair:
@@ -36,35 +41,35 @@ def pseudoplane_dpd_pair(d: int, e_prime: int, m: int) -> DpdPair:
     if r == 0:
         r = d
     ratio = Fraction(r, d)
-    d_plus = QDivisor({0: -ratio})
-    d_minus = QDivisor({0: ratio, 1: Fraction(-1, m)})
+    d_plus = QDivisor({_ORIGIN: -ratio})
+    d_minus = QDivisor({_ORIGIN: ratio, _ONE: Fraction(-1, m)})
     return DpdPair(d_plus, d_minus)
 
 
-_ZERO = Fraction(0)
-# (numerator, denominator) of one divisor's coefficients at the support points
-_Side = tuple[tuple[int, int], ...]
+# (numerator, denominator) at 0, at 1, and at the other support points
+_Side = tuple[tuple[int, int], tuple[int, int], tuple[tuple[int, int], ...]]
 
 
 def _piece_sides(pair: DpdPair) -> tuple[_Side, _Side]:
-    """The pair as integers: for D- and then D+, the (numerator, denominator)
-    of the coefficient at 0, at 1, then at the other points of the union
-    support in increasing order; (0, 1) where the divisor has no point."""
-    plus, minus = pair.d_plus.coefficients, pair.d_minus.coefficients
-    points = (0, 1, *sorted((plus.keys() | minus.keys()) - {0, 1}))
-    return tuple(
-        tuple((c.numerator, c.denominator) for c in (coeffs.get(p, _ZERO) for p in points))
-        for coeffs in (minus, plus)
-    )
+    """The pair as integers, read once off the divisors' maps: for -D- and
+    then D+, the (numerator, denominator) of the coefficient at 0 and at 1
+    ((0, 1) where the divisor has no point), then at its other points.
 
-
-def _piece_exponents(sides: tuple[_Side, _Side], n: int) -> list[int]:
-    """Exponents of the weight-n piece at the points of ``_piece_sides``:
-    -floor(n*D+) for n >= 0 and -floor(-n*D-) for n < 0 (all 0 at n = 0).
-    The floor of |n|*c is the integer floor division of |n|*numerator by the
-    denominator, which is positive."""
-    mult = -n if n < 0 else n
-    return [-(mult * num // den) for num, den in sides[n > 0]]
+    The weight-n piece's exponent at a point is -floor(n*c) for the
+    coefficient c there of -D- when n < 0 (that is -floor(-n*D-)) and of D+
+    when n >= 0: the integer floor division -(n*numerator // denominator),
+    as every denominator is positive."""
+    sides = []
+    for coeffs, sign in ((pair.d_minus._coeffs, -1), (pair.d_plus._coeffs, 1)):
+        at0, at1 = coeffs.get(0), coeffs.get(1)
+        row0, row1 = ((0, 1) if c is None else (sign * c.numerator, c.denominator) for c in (at0, at1))
+        others = ()
+        if len(coeffs) > (at0 is not None) + (at1 is not None):
+            others = tuple(
+                (sign * c.numerator, c.denominator) for p, c in coeffs.items() if p != 0 and p != 1
+            )
+        sides.append((row0, row1, others))
+    return tuple(sides)
 
 
 class ActionClass(NamedTuple):

@@ -243,8 +243,13 @@ def _is_positive_int(value) -> bool:
 
 
 def _exact(c) -> Scalar:
-    """`c` as an exact coefficient: an `int` when integral, else a `Fraction`."""
-    c = Fraction(c)
+    """`c` as an exact coefficient: an `int` when integral, else a `Fraction`.
+    An `int` is kept and a `Fraction` read as it is; anything else (a `bool`
+    among them) is read through `Fraction`."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
 
 

@@ -37,7 +37,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .exact_algebra import MultiPoly, Scalar, _Frozen, _exact, _format_terms, _is_positive_int
+from .exact_algebra import MultiPoly, Scalar, _Frozen, _exact, _format_terms, _is_int, _is_positive_int
 
 _S = ("s",)
 
@@ -82,7 +82,12 @@ class HypersurfaceRing(_Frozen):
             raise ValueError(f"k must be a positive integer: {k}")
         if not _is_positive_int(d):
             raise ValueError(f"d must be a positive integer: {d}")
-        roots = tuple((_exact(p), j) for p, j in roots)
+        exact = []
+        for p, j in roots:
+            if not (_is_int(p) or type(p) is Fraction):
+                raise ValueError(f"root points must be ints or Fractions: {p!r}")
+            exact.append((_exact(p), j))
+        roots = tuple(exact)
         points = [p for p, _ in roots]
         if 0 in points:
             raise ValueError(f"root points must be nonzero: {points}")
@@ -163,6 +168,8 @@ def fiber_analysis(ring: HypersurfaceRing, u_value: Scalar) -> list[tuple[int, i
     increasing j (component count = degree of the squarefree factor; roots
     are never extracted).
     """
-    if Fraction(u_value) != 0:
+    if not (_is_int(u_value) or type(u_value) is Fraction):
+        raise ValueError(f"u_value must be an int or a Fraction: {u_value!r}")
+    if u_value:
         return [(1, 1)]
     return [(ring.d * len(points), j) for j, points in _points_by_exponent(ring)]

@@ -17,6 +17,7 @@ import math
 from collections.abc import Mapping
 from fractions import Fraction
 from itertools import chain
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, NamedTuple
 
@@ -35,7 +36,13 @@ class QDivisor(_Frozen):
     __slots__ = ("_coeffs",)
 
     def __init__(self, coefficients: Mapping[Scalar, Scalar] | Iterable[tuple[Scalar, Scalar]] = ()):
-        items = coefficients.items() if isinstance(coefficients, Mapping) else coefficients
+        # a dict, and the chain of entries that __add__ hands over, skip the
+        # Mapping check, whose first use fills the ABC caches
+        kind = type(coefficients)
+        if kind is dict or (kind is not chain and isinstance(coefficients, Mapping)):
+            items = coefficients.items()
+        else:
+            items = coefficients
         clean: dict[Fraction, Fraction] = {}
         for point, coeff in items:
             # a Fraction is immutable, so one is stored as it is
@@ -73,7 +80,8 @@ class QDivisor(_Frozen):
         return self._coeffs.get(Fraction(point), Fraction(0))
 
     def items(self) -> list[tuple[Fraction, Fraction]]:
-        return sorted(self._coeffs.items())
+        # the points are distinct, so they alone order the entries
+        return sorted(self._coeffs.items(), key=itemgetter(0))
 
     def __bool__(self) -> bool:
         return bool(self._coeffs)
@@ -125,7 +133,9 @@ class DpdPair(_Frozen):
 
     def __init__(self, d_plus: QDivisor, d_minus: QDivisor):
         total = d_plus + d_minus
-        bad = [(p, c) for p, c in total.items() if c > 0]
+        # the sign of a Fraction is its numerator's, read without comparing
+        # a Fraction with an int
+        bad = [(p, c) for p, c in total.items() if c.numerator > 0]
         if bad:
             witness = ", ".join(f"({p}: {c})" for p, c in bad)
             raise ValueError(f"D+ + D- must be <= 0 everywhere; positive at {witness}")
@@ -177,7 +187,7 @@ class NegativeLocus(NamedTuple):
 def negative_locus(pair: DpdPair) -> NegativeLocus:
     """Count points where D+ + D- < 0; the Picard rank of the presented
     surface is at least l - 1, so torsion Picard forces l <= 1."""
-    l = sum(1 for _, c in pair.total.items() if c < 0)
+    l = sum(1 for c in pair.total._coeffs.values() if c.numerator < 0)
     return NegativeLocus(l, l - 1, l <= 1)
 
 
@@ -195,12 +205,12 @@ def divisor_roots(d_minus: QDivisor, k: int) -> tuple[int, tuple[tuple[Fraction,
     l = 0
     roots = []
     for p, c in d_minus.items():
-        value = -k * c
-        if value.denominator != 1:
+        # -k*c = e exactly when the denominator divides -k*numerator
+        e, rest = divmod(-k * c.numerator, c.denominator)
+        if rest:
             raise ValueError(
                 f"k is not a multiple of denom(D-): k={k} leaves coefficient {c} at {p} non-integral"
             )
-        e = int(value)
         if p == 0:
             l = e
             continue

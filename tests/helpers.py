@@ -1045,26 +1045,35 @@ def first_failing_pair(triple, max_weight: int) -> tuple[int, int] | None:
     return None
 
 
+def piece_exponents(pair, n: int) -> list[int]:
+    """Exponents of the weight-n piece at 0, at 1, then at the pair's other
+    support points in increasing order, 0 where the piece has no entry:
+    -floor(n*D+) for n >= 0 and -floor(-n*D-) for n < 0, the floor taken of
+    the Fraction (``oracle_graded_piece``).  The oracle of the rows that
+    product_window reads inline; src once held it as ``_piece_exponents``,
+    an integer floor division of the rows of ``_piece_sides``."""
+    support = pair.d_plus.coefficients.keys() | pair.d_minus.coefficients.keys()
+    piece = oracle_graded_piece(pair, n)
+    return [piece.get(p, 0) for p in (F(0), F(1), *sorted(support - {0, 1}))]
+
+
 def oracle_first_failing_weight(triple, max_weight: int) -> int | None:
-    """product_window through a graded_piece dict per weight, as it was
-    before it read the pair once as integers: the third-point test counts the
-    pruned piece's entries.  The generator is read through the
-    cyclic_quotient module, so a monkeypatched generator reaches it."""
+    """product_window with each weight's exponents read by
+    ``piece_exponents``, the Fraction floor, in place of its inline integer
+    reading of the pair.  The generator is read through the cyclic_quotient
+    module, so a monkeypatched generator reaches it."""
     d, m, e_prime = triple.d, triple.m, triple.e_prime
     for n in range(-2 * max_weight, 2 * max_weight + 1):
         a, b, c = cyclic_quotient.weight_piece_generator(triple, n)
-        piece = graded_piece(triple.pair, n)
-        p0 = piece.get(0, 0)
+        p0, p1, *others = piece_exponents(triple.pair, n)
         if (
             c != d * p0 - e_prime * n
-            or b != piece.get(1, 0)
+            or b != p1
             or a != n + m * b
             or a < 0
             or b < 0
             or (a >= m and b)
-            # zeros are pruned, so a piece with no third point has one entry
-            # for each nonzero exponent at 0 and at 1 (there, b by (I2))
-            or len(piece) != bool(p0) + bool(b)
+            or any(others)
         ):
             return n
     return None

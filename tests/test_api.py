@@ -28,6 +28,7 @@ from pseudoplane import (
     SurfaceTriple,
     component_permutation,
     divisor_roots,
+    fiber_analysis,
     freeness_check,
     parse_divisor,
     parse_poly,
@@ -348,6 +349,30 @@ INPUT_CHECKS = {
     "HypersurfaceRing-root-exponent-float": (
         lambda: HypersurfaceRing(2, 3, ((1, 1.5),)),
         ValueError, "root exponents must be positive integers: ((1, 1.5),)",
+    ),
+    "HypersurfaceRing-root-point-string": (
+        lambda: HypersurfaceRing(2, 3, (("2", 1),), "w"),
+        ValueError, "root points must be ints or Fractions: '2'",
+    ),
+    "HypersurfaceRing-root-point-bool": (
+        lambda: HypersurfaceRing(2, 3, ((True, 1),), "w"),
+        ValueError, "root points must be ints or Fractions: True",
+    ),
+    "HypersurfaceRing-root-point-float": (
+        lambda: HypersurfaceRing(2, 3, ((0.5, 1),), "w"),
+        ValueError, "root points must be ints or Fractions: 0.5",
+    ),
+    "fiber_analysis-u-string": (
+        lambda: fiber_analysis(HypersurfaceRing(2, 3, ((1, 1),), "w"), "0"),
+        ValueError, "u_value must be an int or a Fraction: '0'",
+    ),
+    "fiber_analysis-u-bool": (
+        lambda: fiber_analysis(HypersurfaceRing(2, 3, ((1, 1),), "w"), True),
+        ValueError, "u_value must be an int or a Fraction: True",
+    ),
+    "fiber_analysis-u-float": (
+        lambda: fiber_analysis(HypersurfaceRing(2, 3, ((1, 1),), "w"), 0.0),
+        ValueError, "u_value must be an int or a Fraction: 0.0",
     ),
     "HypersurfaceRing-second-variable-u": (
         lambda: HypersurfaceRing(2, 3, ((1, 1),), "u"),

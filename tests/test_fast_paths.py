@@ -3,10 +3,14 @@ memo caches."""
 
 import importlib
 import math
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given
@@ -646,6 +650,16 @@ def test_product_window_against_grafted_pairs(plus, minus, first):
     assert product_window(triple, 4) == -8
 
 
+def test_product_window_reads_a_point_of_d_plus_alone():
+    # D+ gains -[2] and D- has no point 2, so D+ has as many points as
+    # D-, and only the weights n >= 0 see the point: its exponent there is
+    # n, which first breaks the support at weight 1
+    triple = SurfaceTriple(3, 2, 2)
+    pair = DpdPair(triple.pair.d_plus + QDivisor({2: F(-1)}), triple.pair.d_minus)
+    object.__setattr__(triple, "pair", pair)
+    assert product_window(triple, 4) == 1 == oracle_first_failing_weight(triple, 4)
+
+
 def _follow_the_pair(generator):
     # b read off the pair's piece at 1 and a by (I3), so that (I1)-(I3) hold
     # and only the normal form can fail
@@ -690,7 +704,7 @@ def test_passing_weights_imply_every_pair_passes(triple, max_weight, fault):
     # passes, the per-pair oracle finds no failing pair.  Each generator
     # fault but c + d*n breaks an identity already at weight 0; c + d*n
     # breaks one at every other weight, though no pair fails under it.  The
-    # weight found is the one the graded_piece route finds.
+    # weight found is the one the Fraction-floor window finds.
     from pseudoplane import cyclic_quotient
 
     with pytest.MonkeyPatch.context() as patch:
@@ -725,20 +739,11 @@ def wide_pairs(draw):
 )
 def test_graded_piece_integer_floor_matches_fraction_floor(pair, n):
     # negative coefficients, ones whose multiple floors to 0 (pruned) and
-    # large ones, on weights up to 10^6; both the graded_piece oracle and the
-    # integer rows the product window reads, at 0, at 1 and then at the
-    # other points in increasing order, 0 where a piece has no entry
-    from pseudoplane.dpd_presentation import _piece_exponents, _piece_sides
-
+    # large ones, on weights up to 10^6
     want = oracle_graded_piece(pair, n)
     got = graded_piece(pair, n)
     assert list(got.items()) == list(want.items())
     assert all(type(p) is Fraction and type(e) is int for p, e in got.items())
-    support = pair.d_plus.coefficients.keys() | pair.d_minus.coefficients.keys()
-    points = [F(0), F(1), *sorted(support - {0, 1})]
-    row = _piece_exponents(_piece_sides(pair), n)
-    assert row == [want.get(p, 0) for p in points]
-    assert all(type(e) is int for e in row)
 
 
 _graft_coefficients = st.one_of(
@@ -753,9 +758,14 @@ _graft_coefficients = st.one_of(
 @st.composite
 def grafted_triples(draw):
     """A triple whose family pair has coefficients added at one to three
-    of 0, 1 and other points, up to 10^6 in size and denominator."""
+    points, one of them at least other than 0 and 1, up to 10^6 in size and
+    denominator."""
     triple = draw(surface_triples())
-    points = draw(st.lists(_wide_points, unique=True, min_size=1, max_size=3))
+    points = draw(
+        st.lists(_wide_points, unique=True, min_size=1, max_size=3).filter(
+            lambda points: any(p not in (0, 1) for p in points)
+        )
+    )
     plus = {p: draw(_graft_coefficients) for p in points}
     minus = {p: -plus[p] - abs(draw(_graft_coefficients)) for p in points}
     pair = DpdPair(triple.pair.d_plus + QDivisor(plus), triple.pair.d_minus + QDivisor(minus))
@@ -763,12 +773,30 @@ def grafted_triples(draw):
     return triple
 
 
-@given(grafted_triples(), st.integers(0, 12))
-def test_first_failing_weight_matches_the_graded_piece_route_on_grafted_pairs(triple, max_weight):
-    got = product_window(triple, max_weight)
-    assert got == oracle_first_failing_weight(triple, max_weight)
-    if got is None:
-        assert first_failing_pair(triple, max_weight) is None
+@given(
+    grafted_triples(),
+    st.integers(0, 12),
+    st.sampled_from(
+        [None, _break_ab, _shift_b, _shift_c, _raise_c_at_zero, _shift_c_by_dn, _follow_the_pair]
+    ),
+)
+def test_product_window_matches_the_fraction_floor_window_on_grafted_pairs(
+    triple, max_weight, fault
+):
+    # the window's inline integer reading of -D- and D+ against the window
+    # that reads each weight's exponents by the Fraction floor, on pairs
+    # with a point other than 0 and 1, under no fault and each generator
+    # fault
+    from pseudoplane import cyclic_quotient
+
+    with pytest.MonkeyPatch.context() as patch:
+        if fault is not None:
+            generator = cyclic_quotient.weight_piece_generator
+            patch.setattr(cyclic_quotient, "weight_piece_generator", fault(generator))
+        got = product_window(triple, max_weight)
+        assert got == oracle_first_failing_weight(triple, max_weight)
+        if got is None:
+            assert first_failing_pair(triple, max_weight) is None
 
 
 @st.composite
@@ -1029,3 +1057,32 @@ def test_verify_triple_builds_three_divisors(monkeypatch, d, e, m):
     monkeypatch.setattr(QDivisor, "__init__", counted)
     verify_triple(d, e, m)
     assert len(built) == 3
+
+
+def test_verify_triple_reads_the_pair_on_integers():
+    # the first triple of a fresh interpreter, as a CLI run makes it: the
+    # calls into fractions.py, which build the pair's three divisors and
+    # print them, and the ABC instance checks, the two left being the
+    # comparisons that sort D-'s two points.  -S keeps site's start-up
+    # files out of the process.
+    src = Path(pseudoplane.__file__).resolve().parents[1]
+    probe = """if True:
+        import sys
+        from pseudoplane.report import verify_triple
+        counts = {"fractions": 0, "abc": 0}
+        def profile(frame, event, arg):
+            if event == "call":
+                if frame.f_code.co_filename.endswith("fractions.py"):
+                    counts["fractions"] += 1
+                elif frame.f_code.co_name == "__instancecheck__":
+                    counts["abc"] += 1
+        sys.setprofile(profile)
+        verify_triple(5, 2, 4)
+        sys.setprofile(None)
+        print(counts["fractions"], counts["abc"])
+    """
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.split() == ["65", "2"]
