@@ -220,6 +220,8 @@ def product_window(triple: SurfaceTriple, max_weight: int) -> int | None:
     so d divides c - c(N) and kappa is the defect at 0.  No piece has
     another point, so no other defect needs a check.
     """
+    if not _is_int(max_weight):
+        raise ValueError(f"max_weight must be an integer, got {max_weight!r}")
     if max_weight < 0:
         raise ValueError(f"max_weight must be >= 0, got {max_weight}")
     d, m, e_prime = triple.d, triple.m, triple.e_prime
@@ -341,6 +343,8 @@ def find_valid_lnd_degrees(triple: SurfaceTriple, bound: int) -> list[int]:
     tail starts, in O(log(bound/d)) tests.  No basis is built; the rule
     still runs, so a fault in it shows as a missing degree.
     """
+    if not _is_int(bound):
+        raise ValueError(f"bound must be an integer, got {bound!r}")
     if bound < triple.m + triple.d:
         raise ValueError(
             f"bound must be at least m + d = {triple.m + triple.d}, got {bound}"

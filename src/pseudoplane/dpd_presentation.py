@@ -5,23 +5,18 @@ prod (t - p)^e(p), with negative e(p) meaning an allowed pole.  Pieces are
 governed by floor-rounded multiples of the pair: weight n >= 0 reads
 e = -floor(n*D+), weight n < 0 reads e = -floor(-n*D-).  The exponents are
 integer floor divisions of the numerators and denominators read once off
-the pair (``_piece_sides``), so no Fraction is built, hashed or compared
-per weight.
+the pair (``_piece_sides``, through ``qdivisor._integer_rows``), so no
+Fraction is built, hashed or compared per weight.  The family pair itself is
+built from integer rows (``qdivisor._from_rows``), without a Fraction.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import NamedTuple
 
 from .exact_algebra import _is_int, _is_positive_int
-from .qdivisor import DpdPair, QDivisor, negative_locus
-
-
-# the family's two points, shared by its divisors (a Fraction is immutable),
-# so that summing the pair finds the point 0 by identity
-_ORIGIN, _ONE = Fraction(0), Fraction(1)
+from .qdivisor import DpdPair, _from_rows, _integer_rows, negative_locus
 
 
 def pseudoplane_dpd_pair(d: int, e_prime: int, m: int) -> DpdPair:
@@ -40,10 +35,8 @@ def pseudoplane_dpd_pair(d: int, e_prime: int, m: int) -> DpdPair:
     r = e_prime % d
     if r == 0:
         r = d
-    ratio = Fraction(r, d)
-    d_plus = QDivisor({_ORIGIN: -ratio})
-    d_minus = QDivisor({_ORIGIN: ratio, _ONE: Fraction(-1, m)})
-    return DpdPair(d_plus, d_minus)
+    # r/d and -1/m are reduced, as gcd(r, d) = gcd(e', d) = 1
+    return DpdPair(_from_rows((0, -r, d)), _from_rows((0, r, d), (1, -1, m)))
 
 
 # (numerator, denominator) at 0, at 1, and at the other support points
@@ -51,25 +44,15 @@ _Side = tuple[tuple[int, int], tuple[int, int], tuple[tuple[int, int], ...]]
 
 
 def _piece_sides(pair: DpdPair) -> tuple[_Side, _Side]:
-    """The pair as integers, read once off the divisors' maps: for -D- and
-    then D+, the (numerator, denominator) of the coefficient at 0 and at 1
-    ((0, 1) where the divisor has no point), then at its other points.
+    """The pair as integers, read once: for -D- and then D+, the
+    (numerator, denominator) of the coefficient at 0 and at 1 ((0, 1) where
+    the divisor has no point), then at its other points.
 
     The weight-n piece's exponent at a point is -floor(n*c) for the
     coefficient c there of -D- when n < 0 (that is -floor(-n*D-)) and of D+
     when n >= 0: the integer floor division -(n*numerator // denominator),
     as every denominator is positive."""
-    sides = []
-    for coeffs, sign in ((pair.d_minus._coeffs, -1), (pair.d_plus._coeffs, 1)):
-        at0, at1 = coeffs.get(0), coeffs.get(1)
-        row0, row1 = ((0, 1) if c is None else (sign * c.numerator, c.denominator) for c in (at0, at1))
-        others = ()
-        if len(coeffs) > (at0 is not None) + (at1 is not None):
-            others = tuple(
-                (sign * c.numerator, c.denominator) for p, c in coeffs.items() if p != 0 and p != 1
-            )
-        sides.append((row0, row1, others))
-    return tuple(sides)
+    return _integer_rows(pair.d_minus, -1), _integer_rows(pair.d_plus, 1)
 
 
 class ActionClass(NamedTuple):

@@ -5,6 +5,19 @@ coefficient}; support is exactly the set of stored keys (no zero coefficients).
 ``DpdPair`` is a pair (D+, D-) with D+ + D- <= 0 pointwise, the data that
 presents a hyperbolically graded surface algebra over C[t].
 
+Storage.  A divisor keeps its entries in increasing point order, each point
+an ``int`` when it is integral and a ``Fraction`` only when it is not (the
+``_exact`` convention of ``exact_algebra``), and each coefficient as its
+reduced integer pair (numerator, denominator), the denominator positive.
+Every operation here reads and writes those integers, so the family pair of
+a triple is built, summed, checked and printed without any ``Fraction``.
+The constructor takes only ``int`` (not ``bool``) and ``Fraction`` points
+and coefficients and refuses anything else with ``ValueError``.  The public
+accessors ``coefficients``, ``support``, ``coefficient`` and ``items`` build
+``Fraction``s from the stored integers on each call.  No other module reads
+the storage: ``_from_rows`` builds a divisor from integer rows and
+``_integer_rows`` reads one as rows.
+
 Text format: comma-separated ``point:coefficient`` entries, each rational
 written ``[+-]p`` or ``[+-]p/q`` in decimal digits, e.g. ``0:-2/3,1:-1/2``.
 The parser accepts entries in any order; the printer emits points in
@@ -16,17 +29,66 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from fractions import Fraction
-from itertools import chain
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, NamedTuple
 
-from .exact_algebra import _NUMBER_RE, Scalar, _Frozen, _is_positive_int
+from .exact_algebra import _NUMBER_RE, Scalar, _Frozen, _is_int, _is_positive_int
 
 
 class RegimeError(ValueError):
     """Raised when a decision procedure is asked about data outside the
     configuration it classifies."""
+
+
+# (numerator, denominator) of a coefficient: reduced, the denominator positive
+_Ratio = tuple[int, int]
+
+
+class _Rows(dict):
+    """The storage of a divisor, {point: (numerator, denominator)}, in
+    increasing point order; the constructor stores one as it is."""
+
+    __slots__ = ()
+
+
+def _rational(value, what: str) -> _Ratio:
+    """The reduced (numerator, denominator) of an int, not a bool, or of a
+    Fraction; anything else is refused."""
+    if not (_is_int(value) or type(value) is Fraction):
+        raise ValueError(f"divisor {what} must be ints or Fractions: {value!r}")
+    return value.numerator, value.denominator
+
+
+def _point(value) -> Scalar:
+    """A point as stored: an int when it is integral, else the Fraction."""
+    num, den = _rational(value, "points")
+    return num if den == 1 else value
+
+
+def _format_ratio(num: int, den: int) -> str:
+    """num/den as ``str(Fraction(num, den))`` prints it."""
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+def _sum_into(rows: dict, point: Scalar, num: int, den: int) -> None:
+    """Add num/den at point, dropping the point when its sum is 0."""
+    have = rows.get(point)
+    if have is None:
+        rows[point] = (num, den)
+        return
+    a, c = have
+    num, den = (a + num, c) if c == den else (a * den + num * c, c * den)
+    if num:
+        g = math.gcd(num, den)
+        rows[point] = (num // g, den // g)
+    else:
+        del rows[point]
+
+
+def _sorted_rows(rows: dict) -> _Rows:
+    # the points are distinct, so they alone order the entries
+    return _Rows(sorted(rows.items(), key=itemgetter(0)))
 
 
 class QDivisor(_Frozen):
@@ -36,33 +98,19 @@ class QDivisor(_Frozen):
     __slots__ = ("_coeffs",)
 
     def __init__(self, coefficients: Mapping[Scalar, Scalar] | Iterable[tuple[Scalar, Scalar]] = ()):
-        # a dict, and the chain of entries that __add__ hands over, skip the
-        # Mapping check, whose first use fills the ABC caches
-        kind = type(coefficients)
-        if kind is dict or (kind is not chain and isinstance(coefficients, Mapping)):
-            items = coefficients.items()
-        else:
-            items = coefficients
-        clean: dict[Fraction, Fraction] = {}
-        for point, coeff in items:
-            # a Fraction is immutable, so one is stored as it is
-            if type(point) is not Fraction:
-                point = Fraction(point)
-            if type(coeff) is not Fraction:
-                coeff = Fraction(coeff)
-            if not coeff:
-                continue
-            # one hash of the point when it is new: setdefault inserts it
-            size = len(clean)
-            total = clean.setdefault(point, coeff)
-            if len(clean) > size:
-                continue
-            total += coeff
-            if total:
-                clean[point] = total
-            else:
-                del clean[point]
-        object.__setattr__(self, "_coeffs", clean)
+        if type(coefficients) is _Rows:
+            object.__setattr__(self, "_coeffs", coefficients)
+            return
+        # a dict skips the Mapping check, whose first use fills the ABC caches
+        if type(coefficients) is dict or isinstance(coefficients, Mapping):
+            coefficients = coefficients.items()
+        rows: dict[Scalar, _Ratio] = {}
+        for point, coeff in coefficients:
+            point = _point(point)
+            num, den = _rational(coeff, "coefficients")
+            if num:
+                _sum_into(rows, point, num, den)
+        object.__setattr__(self, "_coeffs", _sorted_rows(rows))
 
     @classmethod
     def zero(cls) -> "QDivisor":
@@ -70,18 +118,17 @@ class QDivisor(_Frozen):
 
     @property
     def coefficients(self) -> Mapping[Fraction, Fraction]:
-        return MappingProxyType(self._coeffs)
+        return MappingProxyType(dict(self.items()))
 
     @property
     def support(self) -> tuple[Fraction, ...]:
-        return tuple(sorted(self._coeffs))
+        return tuple(map(Fraction, self._coeffs))
 
     def coefficient(self, point: Scalar) -> Fraction:
-        return self._coeffs.get(Fraction(point), Fraction(0))
+        return Fraction(*self._coeffs.get(_point(point), (0, 1)))
 
     def items(self) -> list[tuple[Fraction, Fraction]]:
-        # the points are distinct, so they alone order the entries
-        return sorted(self._coeffs.items(), key=itemgetter(0))
+        return [(Fraction(p), Fraction(num, den)) for p, (num, den) in self._coeffs.items()]
 
     def __bool__(self) -> bool:
         return bool(self._coeffs)
@@ -94,11 +141,13 @@ class QDivisor(_Frozen):
     def __add__(self, other: "QDivisor") -> "QDivisor":
         if not isinstance(other, QDivisor):
             return NotImplemented
-        # the constructor sums repeated points and drops the ones that cancel
-        return QDivisor(chain(self._coeffs.items(), other._coeffs.items()))
+        rows = dict(self._coeffs)
+        for p, (num, den) in other._coeffs.items():
+            _sum_into(rows, p, num, den)
+        return QDivisor(_sorted_rows(rows))
 
     def __neg__(self) -> "QDivisor":
-        return QDivisor({p: -c for p, c in self._coeffs.items()})
+        return QDivisor(_Rows((p, (-num, den)) for p, (num, den) in self._coeffs.items()))
 
     def __sub__(self, other: "QDivisor") -> "QDivisor":
         if not isinstance(other, QDivisor):
@@ -112,16 +161,36 @@ class QDivisor(_Frozen):
         return f"QDivisor({format_divisor(self)!r})"
 
 
+def _from_rows(*rows: tuple[int, int, int]) -> QDivisor:
+    """The divisor with coefficient numerator/denominator at each point of
+    its (point, numerator, denominator) rows, which must come with distinct
+    int points in increasing order and reduced nonzero coefficients over
+    positive denominators; nothing checks them."""
+    return QDivisor(_Rows((p, (num, den)) for p, num, den in rows))
+
+
+def _integer_rows(d: QDivisor, sign: int) -> tuple[_Ratio, _Ratio, tuple[_Ratio, ...]]:
+    """sign*d as integer rows: the (numerator, denominator) of its
+    coefficient at 0 and at 1, (0, 1) where it has no point, and then those
+    at its other points in increasing order (read only when it has some)."""
+    coeffs = d._coeffs
+    (n0, d0), (n1, d1) = coeffs.get(0, (0, 1)), coeffs.get(1, (0, 1))
+    others = ()
+    if len(coeffs) > (0 in coeffs) + (1 in coeffs):
+        others = tuple((sign * num, den) for p, (num, den) in coeffs.items() if p != 0 and p != 1)
+    return (sign * n0, d0), (sign * n1, d1), others
+
+
 def floor_div(d: QDivisor) -> QDivisor:
     """Pointwise floor."""
-    return QDivisor({p: math.floor(c) for p, c in d.coefficients.items()})
+    return QDivisor(_Rows((p, (num // den, 1)) for p, (num, den) in d._coeffs.items() if num // den))
 
 
 def fract_div(d: QDivisor) -> QDivisor:
     """Pointwise fractional part; coefficients lie in [0, 1) and
-    d == floor_div(d) + fract_div(d).  One construction: the constructor
-    drops the points whose coefficient is integral."""
-    return QDivisor({p: c - math.floor(c) for p, c in d.coefficients.items()})
+    d == floor_div(d) + fract_div(d).  A reduced num/den keeps den in its
+    fractional part (num % den)/den, which is 0 exactly when den is 1."""
+    return QDivisor(_Rows((p, (num % den, den)) for p, (num, den) in d._coeffs.items() if den != 1))
 
 
 class DpdPair(_Frozen):
@@ -133,11 +202,9 @@ class DpdPair(_Frozen):
 
     def __init__(self, d_plus: QDivisor, d_minus: QDivisor):
         total = d_plus + d_minus
-        # the sign of a Fraction is its numerator's, read without comparing
-        # a Fraction with an int
-        bad = [(p, c) for p, c in total.items() if c.numerator > 0]
+        bad = [(p, num, den) for p, (num, den) in total._coeffs.items() if num > 0]
         if bad:
-            witness = ", ".join(f"({p}: {c})" for p, c in bad)
+            witness = ", ".join(f"({p}: {_format_ratio(num, den)})" for p, num, den in bad)
             raise ValueError(f"D+ + D- must be <= 0 everywhere; positive at {witness}")
         object.__setattr__(self, "d_plus", d_plus)
         object.__setattr__(self, "d_minus", d_minus)
@@ -170,12 +237,12 @@ def ml1_test(pair: DpdPair) -> bool:
     point (the configuration carrying a positive-degree derivation); outside
     that regime a :class:`RegimeError` is raised.
     """
-    # fract_div keeps exactly the points with a non-integral coefficient
-    if sum(c.denominator != 1 for c in pair.d_plus.coefficients.values()) > 1:
+    # fract_div keeps exactly the points whose denominator is not 1
+    if sum(den != 1 for _, den in pair.d_plus._coeffs.values()) > 1:
         raise RegimeError(
             "outside classified regime: fractional part of D+ is supported on more than one point"
         )
-    return sum(c.denominator != 1 for c in pair.d_minus.coefficients.values()) >= 2
+    return sum(den != 1 for _, den in pair.d_minus._coeffs.values()) >= 2
 
 
 class NegativeLocus(NamedTuple):
@@ -187,29 +254,30 @@ class NegativeLocus(NamedTuple):
 def negative_locus(pair: DpdPair) -> NegativeLocus:
     """Count points where D+ + D- < 0; the Picard rank of the presented
     surface is at least l - 1, so torsion Picard forces l <= 1."""
-    l = sum(1 for c in pair.total._coeffs.values() if c.numerator < 0)
+    l = sum(1 for num, _ in pair.total._coeffs.values() if num < 0)
     return NegativeLocus(l, l - 1, l <= 1)
 
 
-def divisor_roots(d_minus: QDivisor, k: int) -> tuple[int, tuple[tuple[Fraction, int], ...]]:
+def divisor_roots(d_minus: QDivisor, k: int) -> tuple[int, tuple[tuple[Scalar, int], ...]]:
     """Read -k*D- as the divisor of t^l * Q(t) with Q = prod (t - p)^j monic
     and Q(0) != 0.
 
     Returns (l, roots) where l = -k*D-(0) and roots lists the pairs
-    (p, -k*D-(p)) over the support points p != 0, in increasing order of p;
-    no polynomial is built.  Requires k*D- integral and -k*D-(p) >= 0 for
-    every p != 0.
+    (p, -k*D-(p)) over the support points p != 0, in increasing order of p,
+    each p an int when integral; no polynomial is built.  Requires k*D-
+    integral and -k*D-(p) >= 0 for every p != 0.
     """
     if not _is_positive_int(k):
         raise ValueError(f"k must be a positive integer: {k}")
     l = 0
     roots = []
-    for p, c in d_minus.items():
-        # -k*c = e exactly when the denominator divides -k*numerator
-        e, rest = divmod(-k * c.numerator, c.denominator)
+    for p, (num, den) in d_minus._coeffs.items():
+        # -k*num/den = e exactly when den divides -k*num
+        e, rest = divmod(-k * num, den)
         if rest:
             raise ValueError(
-                f"k is not a multiple of denom(D-): k={k} leaves coefficient {c} at {p} non-integral"
+                f"k is not a multiple of denom(D-): k={k} leaves coefficient "
+                f"{_format_ratio(num, den)} at {p} non-integral"
             )
         if p == 0:
             l = e
@@ -259,4 +327,4 @@ def parse_divisor(text: str) -> QDivisor:
 
 def format_divisor(d: QDivisor) -> str:
     """Points in increasing order; the zero divisor prints as ''."""
-    return ",".join(f"{p}:{c}" for p, c in d.items())
+    return ",".join(f"{p}:{_format_ratio(num, den)}" for p, (num, den) in d._coeffs.items())

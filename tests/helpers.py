@@ -1138,6 +1138,78 @@ def oracle_qdivisor_sum(x, y) -> dict[Fraction, Fraction]:
     return oracle_qdivisor_coefficients(out)
 
 
+# The divisor operations on {point: coefficient} maps of Fractions, as
+# qdivisor ran them before a divisor stored its coefficients as reduced
+# integer pairs: the oracle of every operation on that storage.
+
+
+def oracle_divisor_sum(x: dict, y: dict) -> dict[Fraction, Fraction]:
+    return oracle_qdivisor_coefficients([*x.items(), *y.items()])
+
+
+def oracle_divisor_neg(x: dict) -> dict[Fraction, Fraction]:
+    return {p: -c for p, c in x.items()}
+
+
+def oracle_divisor_floor(x: dict) -> dict[Fraction, Fraction]:
+    return {p: Fraction(math.floor(c)) for p, c in x.items() if math.floor(c)}
+
+
+def oracle_divisor_fract(x: dict) -> dict[Fraction, Fraction]:
+    parts = ((p, c - math.floor(c)) for p, c in x.items())
+    return {p: f for p, f in parts if f}
+
+
+def oracle_pair_total(plus: dict, minus: dict) -> dict[Fraction, Fraction]:
+    """D+ + D-, or DpdPair's ValueError naming the points where it is > 0."""
+    total = oracle_divisor_sum(plus, minus)
+    bad = [(p, c) for p, c in sorted(total.items()) if c > 0]
+    if bad:
+        witness = ", ".join(f"({p}: {c})" for p, c in bad)
+        raise ValueError(f"D+ + D- must be <= 0 everywhere; positive at {witness}")
+    return total
+
+
+def oracle_canonical_pair(plus: dict, minus: dict) -> tuple[dict, dict]:
+    fl = oracle_divisor_floor(plus)
+    return oracle_divisor_sum(plus, oracle_divisor_neg(fl)), oracle_divisor_sum(minus, fl)
+
+
+def oracle_fraction_ml1_test(plus: dict, minus: dict) -> bool:
+    if len(oracle_divisor_fract(plus)) > 1:
+        raise RegimeError(
+            "outside classified regime: fractional part of D+ is supported on more than one point"
+        )
+    return len(oracle_divisor_fract(minus)) >= 2
+
+
+def oracle_negative_locus(total: dict) -> tuple[int, int, bool]:
+    l = sum(1 for c in total.values() if c < 0)
+    return l, l - 1, l <= 1
+
+
+def oracle_divisor_roots(minus: dict, k: int) -> tuple[int, tuple[tuple[Fraction, int], ...]]:
+    l = 0
+    roots = []
+    for p, c in sorted(minus.items()):
+        e = -k * c
+        if e.denominator != 1:
+            raise ValueError(
+                f"k is not a multiple of denom(D-): k={k} leaves coefficient {c} at {p} non-integral"
+            )
+        if p == 0:
+            l = int(e)
+            continue
+        if e < 0:
+            raise ValueError(f"Q would be non-polynomial: exponent {e} at point {p}")
+        roots.append((p, int(e)))
+    return l, tuple(roots)
+
+
+def oracle_format_divisor(x: dict) -> str:
+    return ",".join(f"{p}:{c}" for p, c in sorted(x.items()))
+
+
 def oracle_product_defect(pair, n: int, n_prime: int) -> dict[Fraction, int]:
     """Fraction-keyed defect piece(n) + piece(n') - piece(n+n') over the
     sorted union of the three pieces' supports, as product_defect once was."""

@@ -29,9 +29,11 @@ from pseudoplane import (
     component_permutation,
     divisor_roots,
     fiber_analysis,
+    find_valid_lnd_degrees,
     freeness_check,
     parse_divisor,
     parse_poly,
+    product_window,
     pseudoplane_dpd_pair,
     same_subgroup,
     smoothness_condition,
@@ -118,6 +120,11 @@ UNREACHED = {
     "qdivisor.QDivisor.__bool__",
     "qdivisor.QDivisor.__str__",
     "qdivisor.QDivisor.__repr__",
+    # the Fraction-valued views of a divisor's integer storage: every
+    # operation of the package reads the integers, and these are the
+    # interface that users and the tests' Fraction oracles read
+    "qdivisor.QDivisor.coefficients",
+    "qdivisor.QDivisor.items",
     # value-class interface: the immutable value classes refuse assignment
     # and deletion, print their fields, and compare (and hash, where their
     # fields allow it) by value, which no CLI run needs
@@ -239,6 +246,10 @@ def test_d_heavy_sweep_matches_its_recorded_digest():
 
 # each library input check that a valid pipeline run never reaches: the
 # call, the error it raises and its whole message
+class _Int(int):
+    """An int subclass other than bool, which the integer checks accept."""
+
+
 INPUT_CHECKS = {
     "CyclicAction-modulus-0": (
         lambda: CyclicAction(0, {"u": 1}),
@@ -389,6 +400,43 @@ INPUT_CHECKS = {
     "divisor_roots-k-bool": (
         lambda: divisor_roots(QDivisor({1: F(-1, 2)}), True),
         ValueError, "k must be a positive integer: True",
+    ),
+    "QDivisor-coefficient-float": (
+        lambda: QDivisor({0: 0.1}),
+        ValueError, "divisor coefficients must be ints or Fractions: 0.1",
+    ),
+    "QDivisor-point-float": (
+        lambda: QDivisor({0.5: F(-1, 2)}),
+        ValueError, "divisor points must be ints or Fractions: 0.5",
+    ),
+    "QDivisor-point-string": (
+        lambda: QDivisor({"1/2": 1}),
+        ValueError, "divisor points must be ints or Fractions: '1/2'",
+    ),
+    "QDivisor-point-bool": (
+        lambda: QDivisor({True: 1}),
+        ValueError, "divisor points must be ints or Fractions: True",
+    ),
+    "product_window-max_weight-bool": (
+        lambda: product_window(SurfaceTriple(3, 2, 2), True),
+        ValueError, "max_weight must be an integer, got True",
+    ),
+    "product_window-max_weight-float": (
+        lambda: product_window(SurfaceTriple(3, 2, 2), 2.5),
+        ValueError, "max_weight must be an integer, got 2.5",
+    ),
+    "find_valid_lnd_degrees-bound-float": (
+        lambda: find_valid_lnd_degrees(SurfaceTriple(3, 2, 2), 10.0),
+        ValueError, "bound must be an integer, got 10.0",
+    ),
+    "find_valid_lnd_degrees-bound-bool": (
+        lambda: find_valid_lnd_degrees(SurfaceTriple(3, 2, 2), True),
+        ValueError, "bound must be an integer, got True",
+    ),
+    # an int subclass passes the type check and is refused by value alone
+    "SurfaceTriple-e-int-subclass": (
+        lambda: SurfaceTriple(4, _Int(2), 3),
+        ValueError, "e and d must be coprime for the quotient to act freely: gcd(2, 4) = 2",
     ),
     "parse_divisor-empty-entry": (
         lambda: parse_divisor("0:1,,1:2"),

@@ -38,10 +38,18 @@ from helpers import (
     monic,
     monomial,
     nilpotency_index,
+    nonpositive_divisors,
     normal_form,
     normalized_ring,
     oracle_add,
+    oracle_canonical_pair,
+    oracle_divisor_neg,
+    oracle_divisor_roots,
+    oracle_divisor_floor,
+    oracle_divisor_fract,
+    oracle_divisor_sum,
     oracle_first_failing_weight,
+    oracle_format_divisor,
     oracle_fract_div,
     oracle_freeness_check,
     oracle_gcd,
@@ -51,9 +59,12 @@ from helpers import (
     oracle_lnd_degrees,
     oracle_mul,
     oracle_measured_defect,
+    oracle_fraction_ml1_test,
     oracle_ml1_test,
+    oracle_negative_locus,
     oracle_nilpotency_index,
     oracle_normal_form,
+    oracle_pair_total,
     oracle_power_identity,
     oracle_product_defect,
     oracle_qdivisor_coefficients,
@@ -86,13 +97,17 @@ from pseudoplane import (
     QDivisor,
     RegimeError,
     SurfaceTriple,
+    canonical_pair,
     divisor_roots,
     find_valid_lnd_degrees,
     fiber_analysis,
+    floor_div,
+    format_divisor,
     fract_div,
     freeness_check,
     induced_action,
     ml1_test,
+    negative_locus,
     product_window,
     smooth_check,
     standard_action,
@@ -829,19 +844,91 @@ _divisor_scalars = st.one_of(
 )
 def test_qdivisor_construction_matches_the_rewrapping_constructor(entries, more):
     # int, Fraction and mixed points and coefficients; a point repeated,
-    # also as int and Fraction, and entries that cancel to zero
+    # also as int and Fraction, and entries that cancel to zero.  A divisor
+    # keeps its entries in increasing point order.
     cancelling = entries + [(p, -c) for p, c in entries]
     for source in (entries, cancelling, dict(entries)):
         want = oracle_qdivisor_coefficients(source)
         pairs = source.items() if isinstance(source, dict) else source
         for given_as in (source, iter(pairs)):
             got = QDivisor(given_as).coefficients
-            assert list(got.items()) == list(want.items())
+            assert list(got.items()) == sorted(want.items())
             assert all(type(p) is Fraction and type(c) is Fraction for p, c in got.items())
     assert not QDivisor(cancelling)
     x, y = QDivisor(entries), QDivisor(more)
     for got, want in ((x + y, oracle_qdivisor_sum(x, y)), (x - x, {})):
-        assert list(got.coefficients.items()) == list(want.items())
+        assert list(got.coefficients.items()) == sorted(want.items())
+
+
+def _outcome(call, *args):
+    """(result, None), or (None, (type, message)) of the ValueError raised."""
+    try:
+        return call(*args), None
+    except ValueError as exc:
+        return None, (type(exc), str(exc))
+
+
+def _assert_fraction_map(d, want):
+    """d holds want's entries, in increasing point order, and its public
+    accessors give Fractions."""
+    assert d.items() == sorted(want.items())
+    assert dict(d.coefficients) == want and d.support == tuple(sorted(want))
+    views = [*d.support, *d.coefficients.values(), *(v for item in d.items() for v in item)]
+    views += [d.coefficient(p) for p in (*d.support, 0, F(7, 5))]
+    assert all(type(v) is Fraction for v in views)
+
+
+_entry_divisors = st.lists(st.tuples(_divisor_scalars, _divisor_scalars), max_size=6).map(QDivisor)
+
+
+@given(
+    st.one_of(small_divisors(), _entry_divisors),
+    st.one_of(small_divisors(), nonpositive_divisors(), _entry_divisors),
+    nonpositive_divisors(),
+    st.integers(1, 12),
+)
+def test_qdivisor_operations_match_the_fraction_oracle(x, y, slack, k):
+    # the integer storage against the Fraction-valued operations it
+    # replaced, on int and Fraction points, integral and fractional
+    # coefficients, and pairs inside and outside ml1_test's regime
+    X, Y, S = (dict(d.coefficients) for d in (x, y, slack))
+    for got, want in (
+        (x, X),
+        (x + y, oracle_divisor_sum(X, Y)),
+        (x - y, oracle_divisor_sum(X, oracle_divisor_neg(Y))),
+        (-x, oracle_divisor_neg(X)),
+        (floor_div(x), oracle_divisor_floor(X)),
+        (fract_div(x), oracle_divisor_fract(X)),
+    ):
+        _assert_fraction_map(got, want)
+    assert (x == y) is (X == Y) and x == QDivisor(X)
+    assert format_divisor(x) == oracle_format_divisor(X)
+    for d, want in ((x, X), (y, Y)):
+        got = _outcome(divisor_roots, d, k)
+        assert got == _outcome(oracle_divisor_roots, want, k)
+        # an integral root point comes as an int
+        roots = got[0][1] if got[0] else ()
+        assert all(type(p) is int for p, _ in roots if p.denominator == 1)
+    # D+ + D- > 0 somewhere, or not
+    got, error = _outcome(DpdPair, x, y)
+    want, want_error = _outcome(oracle_pair_total, X, Y)
+    assert error == want_error
+    if got is not None:
+        _assert_fraction_map(got.total, want)
+    # a valid pair (x, slack - x)
+    minus = oracle_divisor_sum(S, oracle_divisor_neg(X))
+    pair = DpdPair(x, QDivisor(minus))
+    canonical = canonical_pair(pair)
+    for got, want in zip((canonical.d_plus, canonical.d_minus), oracle_canonical_pair(X, minus)):
+        _assert_fraction_map(got, want)
+    assert negative_locus(pair) == oracle_negative_locus(oracle_divisor_sum(X, minus))
+    try:
+        want = oracle_fraction_ml1_test(X, minus)
+    except RegimeError as exc:
+        with pytest.raises(RegimeError, match=f"^{re.escape(str(exc))}$"):
+            ml1_test(pair)
+    else:
+        assert ml1_test(pair) is want
 
 
 # -- binomial powers, the integer gcd and the freeness periods ------------------
@@ -1060,11 +1147,10 @@ def test_verify_triple_builds_three_divisors(monkeypatch, d, e, m):
 
 
 def test_verify_triple_reads_the_pair_on_integers():
-    # the first triple of a fresh interpreter, as a CLI run makes it: the
-    # calls into fractions.py, which build the pair's three divisors and
-    # print them, and the ABC instance checks, the two left being the
-    # comparisons that sort D-'s two points.  -S keeps site's start-up
-    # files out of the process.
+    # the first triple of a fresh interpreter, as a CLI run makes it: no
+    # call into fractions.py and no ABC instance check, as the pair's three
+    # divisors are built, summed, checked and printed on their integer
+    # storage.  -S keeps site's start-up files out of the process.
     src = Path(pseudoplane.__file__).resolve().parents[1]
     probe = """if True:
         import sys
@@ -1085,4 +1171,4 @@ def test_verify_triple_reads_the_pair_on_integers():
     done = subprocess.run(
         [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    assert done.stdout.split() == ["65", "2"]
+    assert done.stdout.split() == ["0", "0"]
