@@ -12,10 +12,10 @@ from bisect import bisect_left
 from itertools import compress, product
 from typing import NamedTuple
 
-from .dpd_presentation import _piece_sides, pseudoplane_dpd_pair
+from .dpd_presentation import pseudoplane_dpd_pair
 from .exact_algebra import _Frozen, _is_int, _is_positive_int
 from .hypersurface_ring import HypersurfaceRing, _relation_terms
-from .qdivisor import DpdPair
+from .qdivisor import DpdPair, _integer_rows
 
 
 class CyclicAction(_Frozen):
@@ -192,9 +192,10 @@ def product_window(triple: SurfaceTriple, max_weight: int) -> int | None:
     has a nonzero exponent at a point other than 0 and 1; None if every
     weight passes.
 
-    The pair is read once per call as integer rows (``_piece_sides``): those
+    The pair is read once per call as integer rows (``_integer_rows``): those
     of -D- serve n < 0 and those of D+ serve n >= 0, and each weight's
-    exponents are integer floor divisions of n times a row's numerator.
+    exponent at a point is -floor(n*c), the integer floor division
+    -(n*numerator // denominator) of the row's coefficient c there.
     The check certifies each piece's generator, which implies the product
     structure on the window of pairs |n|, |n'| <= W.  The product of the
     weight-n and weight-n' generators should be (s^d)^kappa * (s^d - 1)^lam
@@ -228,7 +229,8 @@ def product_window(triple: SurfaceTriple, max_weight: int) -> int | None:
     weights = range(-2 * max_weight, 2 * max_weight + 1)
     # the rows of -D- serve the weights below 0, those of D+ the rest
     halves = (weights[: 2 * max_weight], weights[2 * max_weight :])
-    for ((n0, d0), (n1, d1), others), half in zip(_piece_sides(triple.pair), halves):
+    sides = (_integer_rows(triple.pair.d_minus, -1), _integer_rows(triple.pair.d_plus, 1))
+    for ((n0, d0), (n1, d1), others), half in zip(sides, halves):
         for n in half:
             a, b, c = weight_piece_generator(triple, n)
             p0 = -(n * n0 // d0)

@@ -5,9 +5,10 @@ prod (t - p)^e(p), with negative e(p) meaning an allowed pole.  Pieces are
 governed by floor-rounded multiples of the pair: weight n >= 0 reads
 e = -floor(n*D+), weight n < 0 reads e = -floor(-n*D-).  The exponents are
 integer floor divisions of the numerators and denominators read once off
-the pair (``_piece_sides``, through ``qdivisor._integer_rows``), so no
-Fraction is built, hashed or compared per weight.  The family pair itself is
-built from integer rows (``qdivisor._from_rows``), without a Fraction.
+the pair (``qdivisor._integer_rows``, in ``cyclic_quotient.product_window``),
+so no Fraction is built, hashed or compared per weight.  The family pair
+itself is built from integer rows (``qdivisor._from_rows``), without a
+Fraction.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 from typing import NamedTuple
 
 from .exact_algebra import _is_int, _is_positive_int
-from .qdivisor import DpdPair, _from_rows, _integer_rows, negative_locus
+from .qdivisor import DpdPair, _from_rows, negative_locus
 
 
 def pseudoplane_dpd_pair(d: int, e_prime: int, m: int) -> DpdPair:
@@ -37,22 +38,6 @@ def pseudoplane_dpd_pair(d: int, e_prime: int, m: int) -> DpdPair:
         r = d
     # r/d and -1/m are reduced, as gcd(r, d) = gcd(e', d) = 1
     return DpdPair(_from_rows((0, -r, d)), _from_rows((0, r, d), (1, -1, m)))
-
-
-# (numerator, denominator) at 0, at 1, and at the other support points
-_Side = tuple[tuple[int, int], tuple[int, int], tuple[tuple[int, int], ...]]
-
-
-def _piece_sides(pair: DpdPair) -> tuple[_Side, _Side]:
-    """The pair as integers, read once: for -D- and then D+, the
-    (numerator, denominator) of the coefficient at 0 and at 1 ((0, 1) where
-    the divisor has no point), then at its other points.
-
-    The weight-n piece's exponent at a point is -floor(n*c) for the
-    coefficient c there of -D- when n < 0 (that is -floor(-n*D-)) and of D+
-    when n >= 0: the integer floor division -(n*numerator // denominator),
-    as every denominator is positive."""
-    return _integer_rows(pair.d_minus, -1), _integer_rows(pair.d_plus, 1)
 
 
 class ActionClass(NamedTuple):

@@ -233,9 +233,8 @@ class MultiPoly(_Frozen):
 
 
 def _is_int(value) -> bool:
-    """Whether `value` is an `int`; `bool` is refused though it is an `int`,
-    and an `int` subclass other than `bool` is accepted."""
-    return type(value) is int or (isinstance(value, int) and not isinstance(value, bool))
+    """Whether `value` is an `int`; `bool` is refused though it is an `int`."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_positive_int(value) -> bool:

@@ -45,13 +45,6 @@ class RegimeError(ValueError):
 _Ratio = tuple[int, int]
 
 
-class _Rows(dict):
-    """The storage of a divisor, {point: (numerator, denominator)}, in
-    increasing point order; the constructor stores one as it is."""
-
-    __slots__ = ()
-
-
 def _rational(value, what: str) -> _Ratio:
     """The reduced (numerator, denominator) of an int, not a bool, or of a
     Fraction; anything else is refused."""
@@ -86,9 +79,9 @@ def _sum_into(rows: dict, point: Scalar, num: int, den: int) -> None:
         del rows[point]
 
 
-def _sorted_rows(rows: dict) -> _Rows:
+def _sorted_rows(rows: dict) -> dict[Scalar, _Ratio]:
     # the points are distinct, so they alone order the entries
-    return _Rows(sorted(rows.items(), key=itemgetter(0)))
+    return dict(sorted(rows.items(), key=itemgetter(0)))
 
 
 class QDivisor(_Frozen):
@@ -98,9 +91,6 @@ class QDivisor(_Frozen):
     __slots__ = ("_coeffs",)
 
     def __init__(self, coefficients: Mapping[Scalar, Scalar] | Iterable[tuple[Scalar, Scalar]] = ()):
-        if type(coefficients) is _Rows:
-            object.__setattr__(self, "_coeffs", coefficients)
-            return
         # a dict skips the Mapping check, whose first use fills the ABC caches
         if type(coefficients) is dict or isinstance(coefficients, Mapping):
             coefficients = coefficients.items()
@@ -111,6 +101,19 @@ class QDivisor(_Frozen):
             if num:
                 _sum_into(rows, point, num, den)
         object.__setattr__(self, "_coeffs", _sorted_rows(rows))
+
+    @classmethod
+    def _trusted(cls, rows: dict[Scalar, _Ratio]) -> "QDivisor":
+        """Wrap already clean storage without re-validating it.
+
+        For results of the operations here only: `rows` maps distinct points,
+        in increasing order and each an `int` when integral, to reduced
+        nonzero (numerator, denominator) pairs over positive denominators.
+        The dict is taken over, not copied.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "_coeffs", rows)
+        return self
 
     @classmethod
     def zero(cls) -> "QDivisor":
@@ -144,10 +147,10 @@ class QDivisor(_Frozen):
         rows = dict(self._coeffs)
         for p, (num, den) in other._coeffs.items():
             _sum_into(rows, p, num, den)
-        return QDivisor(_sorted_rows(rows))
+        return QDivisor._trusted(_sorted_rows(rows))
 
     def __neg__(self) -> "QDivisor":
-        return QDivisor(_Rows((p, (-num, den)) for p, (num, den) in self._coeffs.items()))
+        return QDivisor._trusted({p: (-num, den) for p, (num, den) in self._coeffs.items()})
 
     def __sub__(self, other: "QDivisor") -> "QDivisor":
         if not isinstance(other, QDivisor):
@@ -166,7 +169,7 @@ def _from_rows(*rows: tuple[int, int, int]) -> QDivisor:
     its (point, numerator, denominator) rows, which must come with distinct
     int points in increasing order and reduced nonzero coefficients over
     positive denominators; nothing checks them."""
-    return QDivisor(_Rows((p, (num, den)) for p, num, den in rows))
+    return QDivisor._trusted({p: (num, den) for p, num, den in rows})
 
 
 def _integer_rows(d: QDivisor, sign: int) -> tuple[_Ratio, _Ratio, tuple[_Ratio, ...]]:
@@ -183,14 +186,14 @@ def _integer_rows(d: QDivisor, sign: int) -> tuple[_Ratio, _Ratio, tuple[_Ratio,
 
 def floor_div(d: QDivisor) -> QDivisor:
     """Pointwise floor."""
-    return QDivisor(_Rows((p, (num // den, 1)) for p, (num, den) in d._coeffs.items() if num // den))
+    return QDivisor._trusted({p: (num // den, 1) for p, (num, den) in d._coeffs.items() if num // den})
 
 
 def fract_div(d: QDivisor) -> QDivisor:
     """Pointwise fractional part; coefficients lie in [0, 1) and
     d == floor_div(d) + fract_div(d).  A reduced num/den keeps den in its
     fractional part (num % den)/den, which is 0 exactly when den is 1."""
-    return QDivisor(_Rows((p, (num % den, den)) for p, (num, den) in d._coeffs.items() if den != 1))
+    return QDivisor._trusted({p: (num % den, den) for p, (num, den) in d._coeffs.items() if den != 1})
 
 
 class DpdPair(_Frozen):

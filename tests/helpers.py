@@ -1051,7 +1051,7 @@ def piece_exponents(pair, n: int) -> list[int]:
     -floor(n*D+) for n >= 0 and -floor(-n*D-) for n < 0, the floor taken of
     the Fraction (``oracle_graded_piece``).  The oracle of the rows that
     product_window reads inline; src once held it as ``_piece_exponents``,
-    an integer floor division of the rows of ``_piece_sides``."""
+    an integer floor division of the pair's integer rows."""
     support = pair.d_plus.coefficients.keys() | pair.d_minus.coefficients.keys()
     piece = oracle_graded_piece(pair, n)
     return [piece.get(p, 0) for p in (F(0), F(1), *sorted(support - {0, 1}))]

@@ -1133,15 +1133,21 @@ def test_pair_total_is_built_once_and_equals_the_sum(pair):
 @pytest.mark.parametrize("d, e, m", [(3, 2, 2), (5, 2, 3), (1, 1, 1)])
 def test_verify_triple_builds_three_divisors(monkeypatch, d, e, m):
     # the family pair's D+ and D- and their sum once in DpdPair; ml1_test
-    # counts the fractional points without building the fractional parts
+    # counts the fractional points without building the fractional parts.
+    # A divisor is built by the constructor or, from clean storage, _trusted
     built = []
-    init = QDivisor.__init__
+    init, trusted = QDivisor.__init__, QDivisor._trusted
 
     def counted(self, *args, **kwargs):
         built.append(1)
         init(self, *args, **kwargs)
 
+    def counted_trusted(cls, rows):
+        built.append(1)
+        return trusted(rows)
+
     monkeypatch.setattr(QDivisor, "__init__", counted)
+    monkeypatch.setattr(QDivisor, "_trusted", classmethod(counted_trusted))
     verify_triple(d, e, m)
     assert len(built) == 3
 
