@@ -184,13 +184,26 @@ def weight_piece_generator(triple: SurfaceTriple, n: int) -> tuple[int, int, int
     return (a, b, c)
 
 
+# The caps on the window and on the LND search bound, so that no call starts
+# work that grows without bound; README ("Notes on conventions") gives the
+# timing behind each.
+MAX_WEIGHT_CAP = 512
+MAX_EXPONENT_CAP = 4096
+
+
+def _check_cap(name: str, value: int, cap: int) -> None:
+    """Reject a value above its cap, before any work starts."""
+    if value > cap:
+        raise ValueError(f"{name} must be <= {cap}, got {value}")
+
+
 def product_window(triple: SurfaceTriple, max_weight: int) -> int | None:
     """The first weight n in -2W..2W (W = max_weight), increasing, whose
     generator g(n) = (a, b, c) and piece exponents p0, p1 at the points 0
     and 1 break one of (I1) c = d*p0 - e'*n, (I2) b = p1, (I3) a = n + m*b,
     the normal form (N) a >= 0, b >= 0, (a < m or b = 0), or whose piece
     has a nonzero exponent at a point other than 0 and 1; None if every
-    weight passes.
+    weight passes.  A max_weight above ``MAX_WEIGHT_CAP`` is refused.
 
     The pair is read once per call as integer rows (``_integer_rows``): those
     of -D- serve n < 0 and those of D+ serve n >= 0, and each weight's
@@ -225,6 +238,7 @@ def product_window(triple: SurfaceTriple, max_weight: int) -> int | None:
         raise ValueError(f"max_weight must be an integer, got {max_weight!r}")
     if max_weight < 0:
         raise ValueError(f"max_weight must be >= 0, got {max_weight}")
+    _check_cap("max_weight", max_weight, MAX_WEIGHT_CAP)
     d, m, e_prime = triple.d, triple.m, triple.e_prime
     weights = range(-2 * max_weight, 2 * max_weight + 1)
     # the rows of -D- serve the weights below 0, those of D+ the rest
@@ -310,7 +324,9 @@ def _keeps_ring(generator: tuple[int, int, int], degree: int, m: int) -> bool:
 def find_valid_lnd_degrees(triple: SurfaceTriple, bound: int) -> list[int]:
     """Degrees x in [1, bound], congruent to e mod d, for which D = u^x d/ds
     is a locally nilpotent derivation of the invariant ring.  An empty
-    result is a finding, not an error.
+    result is a finding, not an error.  A bound above
+    max(``MAX_EXPONENT_CAP``, m + d), the largest that ``verify_triple``
+    passes, is refused.
 
     Membership.  The localization C[u^(+-1), s] contains the normalized ring
     once w = (s^d - 1)/u^m, and an element u^j f(s) with j < 0 lies in the
@@ -351,6 +367,7 @@ def find_valid_lnd_degrees(triple: SurfaceTriple, bound: int) -> list[int]:
         raise ValueError(
             f"bound must be at least m + d = {triple.m + triple.d}, got {bound}"
         )
+    _check_cap("bound", bound, max(MAX_EXPONENT_CAP, triple.m + triple.d))
     m = triple.m
     binding = (0, 1, m * triple.e_prime % triple.d)
     # the least degree >= 1 congruent to e mod d, then every d-th one

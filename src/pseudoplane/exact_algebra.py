@@ -1,21 +1,20 @@
-"""Exact arithmetic substrate: rationals and sparse multivariate polynomials.
+"""Exact coefficients and the sparse polynomial type the package prints.
 
-Coefficients are exact integers or rationals: an integral coefficient is
-stored as an `int`, and a rational one as a `fractions.Fraction`, so integer
-arithmetic skips `Fraction`'s gcd normalisation and every computation stays
-exact.  A `Fraction` equal to an integer may remain after mixed arithmetic;
-it compares and hashes equal to that integer.  A polynomial is a sparse map
-from exponent vectors to nonzero coefficients:
+Coefficients are exact: an `int` or a `fractions.Fraction`, which compare
+and hash equal where their values are.  A polynomial is a sparse map from
+exponent vectors to nonzero coefficients:
 
     MultiPoly(("u", "v", "s"), {(2, 1, 0): 1})   # u^2*v
     MultiPoly(("s",), {(3,): 1, (0,): -1})       # s^3 - 1
 
 Zero coefficients are never stored, so equality of term maps is equality of
 polynomials.  Complex numbers never appear anywhere in this package: the
-rings hold their relations factored over rational points, and every question
-about roots is answered from those points and their exponents.  There is no
-polynomial division here: the gcd and Yun's squarefree decomposition are
-kept in the tests, as the oracle of that reading.
+rings hold their relations factored over rational points, every question
+about roots is answered from those points and their exponents, and the
+relations are printed from integers.  So ``MultiPoly`` has no arithmetic:
+it is built, compared, printed and parsed.  Polynomial sums, products and
+powers, division, the gcd and Yun's squarefree decomposition are kept in
+the tests, as the oracles of those readings.
 
 Text format (used by the CLI and in JSON reports): a signed sum of terms
 ``coeff*var^exp*...`` with ``^1`` and unit coefficients elided and rationals
@@ -31,7 +30,6 @@ from __future__ import annotations
 import re
 from collections.abc import Mapping
 from fractions import Fraction
-from operator import add
 from types import MappingProxyType
 from typing import Iterable, Union
 
@@ -61,8 +59,11 @@ class _Frozen:
 class MultiPoly(_Frozen):
     """Sparse polynomial with exact rational coefficients.
 
-    Immutable after construction; arithmetic returns new objects.  Operands of
-    binary operations must share the same variable list.
+    Immutable, compared and hashed by its variables and terms.  It has no
+    arithmetic: the package builds polynomials only to print and parse
+    them.  The constructor takes `int` (not `bool`) and `Fraction`
+    coefficients and `int` (not `bool`) exponents, and refuses anything
+    else with ``ValueError``.
     """
 
     __slots__ = ("_variables", "_terms")
@@ -79,8 +80,10 @@ class MultiPoly(_Frozen):
                 raise ValueError(
                     f"exponent vector {exps} does not match variable list {variables}"
                 )
-            if any(not isinstance(e, int) or e < 0 for e in exps):
+            if any(not _is_int(e) or e < 0 for e in exps):
                 raise ValueError(f"exponents must be non-negative integers: {exps}")
+            if not (_is_int(coeff) or type(coeff) is Fraction):
+                raise ValueError(f"coefficients must be ints or Fractions: {coeff!r}")
             coeff = _exact(coeff)
             if not coeff:
                 continue
@@ -97,31 +100,16 @@ class MultiPoly(_Frozen):
     def _trusted(cls, variables: tuple[str, ...], clean_terms: dict[Exponents, Scalar]) -> "MultiPoly":
         """Wrap an already clean term map without re-validating it.
 
-        For arithmetic results only: `variables` is a tuple of distinct
-        names, every key an exponent tuple of non-negative ints of the right
-        length, and every value a nonzero `int` or `Fraction` (never a `bool`
-        or a `float`).  The dict is taken over, not copied, so the caller
-        must not keep mutating it.
+        For term maps built clean, such as `smooth_check`'s witness:
+        `variables` is a tuple of distinct names, every key an exponent tuple
+        of non-negative ints of the right length, and every value a nonzero
+        `int` or `Fraction` (never a `bool` or a `float`).  The dict is taken
+        over, not copied, so the caller must not keep mutating it.
         """
         self = object.__new__(cls)
         object.__setattr__(self, "_variables", variables)
         object.__setattr__(self, "_terms", clean_terms)
         return self
-
-    # -- construction helpers ------------------------------------------------
-
-    @classmethod
-    def constant(cls, variables: Iterable[str], value: Scalar) -> "MultiPoly":
-        variables = tuple(variables)
-        return cls(variables, {(0,) * len(variables): value})
-
-    @classmethod
-    def variable(cls, variables: Iterable[str], name: str) -> "MultiPoly":
-        variables = tuple(variables)
-        if name not in variables:
-            raise ValueError(f"unknown variable {name!r} for list {variables}")
-        exps = tuple(1 if v == name else 0 for v in variables)
-        return cls(variables, {exps: 1})
 
     # -- basic queries -------------------------------------------------------
 
@@ -133,97 +121,18 @@ class MultiPoly(_Frozen):
     def terms(self) -> Mapping[Exponents, Scalar]:
         return MappingProxyType(self._terms)
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 
     # -- structural equality / hashing ---------------------------------------
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.constant(self._variables, other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
         return self._variables == other._variables and self._terms == other._terms
 
     def __hash__(self) -> int:
         return hash((self._variables, frozenset(self._terms.items())))
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def _coerce(self, other) -> "MultiPoly":
-        if isinstance(other, MultiPoly):
-            if other._variables != self._variables:
-                raise ValueError(
-                    f"mismatched variable lists: {self._variables} vs {other._variables}"
-                )
-            return other
-        if isinstance(other, (int, Fraction)):
-            return MultiPoly.constant(self._variables, other)
-        return NotImplemented
-
-    def __add__(self, other) -> "MultiPoly":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = dict(self._terms)
-        for exps, coeff in other._terms.items():
-            total = out.get(exps, 0) + coeff
-            if total:
-                out[exps] = total
-            else:
-                del out[exps]
-        return MultiPoly._trusted(self._variables, out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "MultiPoly":
-        return MultiPoly._trusted(self._variables, {e: -c for e, c in self._terms.items()})
-
-    def __sub__(self, other) -> "MultiPoly":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "MultiPoly":
-        return (-self) + other
-
-    def __mul__(self, other) -> "MultiPoly":
-        if isinstance(other, (int, Fraction)):
-            c = _exact(other)
-            if not c:
-                return MultiPoly._trusted(self._variables, {})
-            return MultiPoly._trusted(self._variables, {e: c * v for e, v in self._terms.items()})
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out: dict[Exponents, Scalar] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                key = tuple(map(add, e1, e2))
-                out[key] = out.get(key, 0) + c1 * c2
-        return MultiPoly._trusted(self._variables, {e: c for e, c in out.items() if c})
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "MultiPoly":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError(f"polynomial exponent must be a non-negative integer: {exponent}")
-        if exponent == 1:
-            return self
-        result = MultiPoly._trusted(self._variables, {(0,) * len(self._variables): 1})
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
 
     def __str__(self) -> str:
         return format_poly(self)
@@ -242,14 +151,11 @@ def _is_positive_int(value) -> bool:
     return _is_int(value) and value >= 1
 
 
-def _exact(c) -> Scalar:
-    """`c` as an exact coefficient: an `int` when integral, else a `Fraction`.
-    An `int` is kept and a `Fraction` read as it is; anything else (a `bool`
-    among them) is read through `Fraction`."""
+def _exact(c: Scalar) -> Scalar:
+    """An `int` (not a `bool`) or `Fraction` `c` as stored: an `int` when
+    integral, else the `Fraction`.  Callers check the type first."""
     if type(c) is int:
         return c
-    if type(c) is not Fraction:
-        c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
 
 

@@ -45,7 +45,10 @@ from fractions import Fraction
 from typing import Any, Iterator
 
 from .cyclic_quotient import (
+    MAX_EXPONENT_CAP,
+    MAX_WEIGHT_CAP,
     SurfaceTriple,
+    _check_cap,
     _same_subgroup_as_induced,
     component_permutation,
     find_valid_lnd_degrees,
@@ -77,9 +80,9 @@ EXIT_INVALID = 2
 Report = dict[str, Any]
 
 # Caps on the inputs whose work has no other bound; README ("Notes on
-# conventions") gives the timing behind each.
-MAX_WEIGHT_CAP = 512
-MAX_EXPONENT_CAP = 4096
+# conventions") gives the timing behind each.  The caps on max_weight and
+# max_exponent are cyclic_quotient's, which product_window and
+# find_valid_lnd_degrees enforce.
 MAX_D_CAP = 800
 MAX_M_CAP = 750_000
 MAX_GRID_TRIPLES = 10_000
@@ -99,12 +102,6 @@ def _require_int(**bounds: Any) -> None:
     for name, value in bounds.items():
         if not _is_int(value):
             raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
-def _check_cap(name: str, value: int, cap: int) -> None:
-    """Reject a value above its cap, before any work starts."""
-    if value > cap:
-        raise ValueError(f"{name} must be <= {cap}, got {value}")
 
 
 def _check_work_bounds(max_weight: int, max_exponent: int) -> None:

@@ -37,6 +37,56 @@ def upoly(var: str, coeffs: dict[int, object]) -> MultiPoly:
     return MultiPoly((var,), {(e,): c for e, c in coeffs.items()})
 
 
+# -- polynomial arithmetic -------------------------------------------------------
+#
+# MultiPoly has no arithmetic: the package prints polynomials from integers
+# and never adds or multiplies one.  The oracles do, through these functions.
+# Each result goes through the validating constructor, which merges repeated
+# exponent vectors and drops the terms that cancel.
+
+
+def _shared_variables(p: MultiPoly, q: MultiPoly) -> tuple[str, ...]:
+    if p.variables != q.variables:
+        raise ValueError(f"mismatched variable lists: {p.variables} vs {q.variables}")
+    return p.variables
+
+
+def poly_add(p: MultiPoly, q: MultiPoly) -> MultiPoly:
+    return MultiPoly(_shared_variables(p, q), [*p.terms.items(), *q.terms.items()])
+
+
+def poly_scale(p: MultiPoly, c: Scalar) -> MultiPoly:
+    """c * p for an exact scalar c."""
+    return MultiPoly(p.variables, {exps: c * coeff for exps, coeff in p.terms.items()})
+
+
+def poly_sub(p: MultiPoly, q: MultiPoly) -> MultiPoly:
+    return poly_add(p, poly_scale(q, -1))
+
+
+def poly_mul(p: MultiPoly, q: MultiPoly) -> MultiPoly:
+    return MultiPoly(
+        _shared_variables(p, q),
+        [
+            (tuple(map(add, e1, e2)), c1 * c2)
+            for e1, c1 in p.terms.items()
+            for e2, c2 in q.terms.items()
+        ],
+    )
+
+
+def poly_pow(p: MultiPoly, n: int) -> MultiPoly:
+    """p^n for an int n >= 0, by repeated squaring."""
+    result = MultiPoly(p.variables, {(0,) * len(p.variables): 1})
+    while n:
+        if n & 1:
+            result = poly_mul(result, p)
+        n >>= 1
+        if n:
+            p = poly_mul(p, p)
+    return result
+
+
 # -- the gcd and Yun layer -----------------------------------------------------
 #
 # exact_algebra once decomposed every ring's P(s) = Q(s^d) with Yun's
@@ -113,7 +163,7 @@ def monic(p: MultiPoly) -> MultiPoly:
     _require_univariate(p)
     if not p.terms:
         return p
-    return p * Fraction(1, leading_coefficient(p))
+    return poly_scale(p, Fraction(1, leading_coefficient(p)))
 
 
 def poly_divmod(p: MultiPoly, q: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
@@ -121,7 +171,7 @@ def poly_divmod(p: MultiPoly, q: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
     whose top coefficient is an `int` multiple of an `int` leading
     coefficient of q stays in `int`."""
     _require_univariate(p, q)
-    if q.is_zero():
+    if not q:
         raise ZeroDivisionError("polynomial division by zero")
     qdeg = degree(q)
     qlead = leading_coefficient(q)
@@ -176,11 +226,11 @@ def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     _require_univariate(p, q)
     a, b = p, q
     if _is_integral(a) and _is_integral(b):
-        while not b.is_zero():
+        while b:
             scale = leading_coefficient(b) ** max(degree(a) - degree(b) + 1, 0)
-            a, b = b, _primitive(poly_divmod(a * scale, b)[1])
+            a, b = b, _primitive(poly_divmod(poly_scale(a, scale), b)[1])
     else:
-        while not b.is_zero():
+        while b:
             a, b = b, poly_divmod(a, b)[1]
     return monic(a)
 
@@ -201,7 +251,7 @@ def squarefree_decomposition(p: MultiPoly) -> list[tuple[MultiPoly, int]]:
     step runs.
     """
     var = _require_univariate(p)
-    if p.is_zero():
+    if not p:
         raise ValueError("squarefree decomposition of the zero polynomial")
     a = monic(p)
     if degree(a) == 0:
@@ -213,14 +263,14 @@ def squarefree_decomposition(p: MultiPoly) -> list[tuple[MultiPoly, int]]:
     factors: list[tuple[MultiPoly, int]] = []
     c = poly_divmod(a, g)[0]
     dc = partial(c, var)
-    d = poly_divmod(da, g)[0] - dc
+    d = poly_sub(poly_divmod(da, g)[0], dc)
     i = 1
     while degree(c) > 0:
         # d = lam*c' forces lam = d's leading coefficient over c''s
         lam = 0
-        if not d.is_zero():
+        if d:
             lam = _exact(Fraction(leading_coefficient(d), leading_coefficient(dc)))
-        if isinstance(lam, int) and lam >= 0 and d == dc * lam:
+        if isinstance(lam, int) and lam >= 0 and d == poly_scale(dc, lam):
             factors.append((c, i + lam))
             break
         f = poly_gcd(c, d)
@@ -228,7 +278,7 @@ def squarefree_decomposition(p: MultiPoly) -> list[tuple[MultiPoly, int]]:
             factors.append((f, i))
         c = poly_divmod(c, f)[0]
         dc = partial(c, var)
-        d = poly_divmod(d, f)[0] - dc
+        d = poly_sub(poly_divmod(d, f)[0], dc)
         i += 1
     return factors
 
@@ -279,7 +329,7 @@ def oracle_relation(ring: HypersurfaceRing) -> MultiPoly:
     product of binomial powers."""
     product = MultiPoly._trusted(("s",), {(0,): 1})
     for p, j in ring.roots:
-        product = product * binomial_power(root_factor(ring.d, p), j)
+        product = poly_mul(product, binomial_power(root_factor(ring.d, p), j))
     return product
 
 
@@ -355,7 +405,7 @@ def with_variables(p: MultiPoly, variables) -> MultiPoly:
 @lru_cache(maxsize=512)
 def rhs_power(ring: HypersurfaceRing, j: int) -> MultiPoly:
     """P(s)^j of the ring's relation, expanded once per (ring, j)."""
-    return oracle_relation(ring) ** j
+    return poly_pow(oracle_relation(ring), j)
 
 
 def normal_form(ring: HypersurfaceRing, p: MultiPoly) -> RingElement:
@@ -386,7 +436,7 @@ def oracle_power_identity(ring: HypersurfaceRing, m: int, d: int) -> bool:
     """The power identity as it was computed: the normal form of u^k * second
     equals (s^d - 1)^(k // m)."""
     reduced = normal_form(ring, monomial(ring, ring.k, 1, 0))
-    expected = upoly("s", {d: 1, 0: -1}) ** (ring.k // m)
+    expected = poly_pow(upoly("s", {d: 1, 0: -1}), ring.k // m)
     return reduced.poly == with_variables(expected, ring.variables)
 
 
@@ -412,7 +462,7 @@ def element(ring, text: str):
 
 def relation(ring) -> MultiPoly:
     """The defining polynomial u^k * second - P(s)."""
-    return monomial(ring, ring.k, 1, 0) - with_variables(oracle_relation(ring), ring.variables)
+    return poly_sub(monomial(ring, ring.k, 1, 0), with_variables(oracle_relation(ring), ring.variables))
 
 
 def grid_triples(d_max: int = 6, m_max: int = 5) -> list[tuple[int, int, int]]:
@@ -494,7 +544,7 @@ def _first_non_polynomial(
             break
         f = MultiPoly._trusted(("s",), {(e,): c for e, c in loc[j].items()})
         _, rem = poly_divmod(f, rhs_power(ring, (-j + m - 1) // m))
-        if not rem.is_zero():
+        if rem:
             top = max(rem.terms)
             return NonPolynomial(f"{rem.terms[top]}*u^{j}*s^{top[0]}")
     return None
@@ -522,7 +572,7 @@ def s_weight(x: RingElement) -> int:
     1 + s_weight(x) bounds the nilpotency index of x.
     """
     _, d = _normalized_params(x.ring)
-    if x.poly.is_zero():
+    if not x.poly:
         return 0
     return max(b * d + c for (_, b, c) in x.poly.terms)
 
@@ -596,7 +646,7 @@ def rational_roots(p: MultiPoly) -> dict[Fraction, int]:
     """Rational roots with multiplicities, by the rational-root theorem and
     repeated exact division (independent of any divisor arithmetic)."""
     var = p.variables[0]
-    if p.is_zero():
+    if not p:
         raise ValueError("zero polynomial")
     result: dict[Fraction, int] = {}
     v = valuation(p, var)
@@ -620,39 +670,13 @@ def rational_roots(p: MultiPoly) -> dict[Fraction, int]:
         mult = 0
         while True:
             quo, rem = poly_divmod(p, factor)
-            if not rem.is_zero():
+            if rem:
                 break
             p = quo
             mult += 1
         if mult:
             result[r] = mult
     return result
-
-
-def oracle_add(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    """Sum through the validating constructor, as MultiPoly.__add__ once did."""
-    out = dict(p.terms)
-    for exps, coeff in q.terms.items():
-        total = out.get(exps, Fraction(0)) + coeff
-        if total:
-            out[exps] = total
-        else:
-            out.pop(exps, None)
-    return MultiPoly(p.variables, out)
-
-
-def oracle_mul(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    """Product through the validating constructor, as MultiPoly.__mul__ once did."""
-    out: dict[tuple[int, ...], Fraction] = {}
-    for e1, c1 in p.terms.items():
-        for e2, c2 in q.terms.items():
-            key = tuple(a + b for a, b in zip(e1, e2))
-            total = out.get(key, Fraction(0)) + c1 * c2
-            if total:
-                out[key] = total
-            else:
-                del out[key]
-    return MultiPoly(p.variables, out)
 
 
 def oracle_normal_form(ring, p: MultiPoly) -> MultiPoly:
@@ -662,10 +686,10 @@ def oracle_normal_form(ring, p: MultiPoly) -> MultiPoly:
     for (a, b, c), coeff in p.terms.items():
         j = min(a // ring.k, b)
         term = monomial(ring, a - j * ring.k, b - j, c, coeff)
-        rhs = MultiPoly.constant(ring.variables, 1)
+        rhs = monomial(ring, 0, 0, 0)
         for _ in range(j):
-            rhs = oracle_mul(rhs, with_variables(oracle_relation(ring), ring.variables))
-        out = oracle_add(out, oracle_mul(rhs, term))
+            rhs = poly_mul(rhs, with_variables(oracle_relation(ring), ring.variables))
+        out = poly_add(out, poly_mul(rhs, term))
     return out
 
 
@@ -685,7 +709,7 @@ def _from_localization(ring, loc: dict[int, dict[int, object]]):
         else:
             b = (-j + m - 1) // m
             g, rem = poly_divmod(f, rhs_power(ring, b))
-            if not rem.is_zero():
+            if rem:
                 top = max(rem.terms)
                 coeff = rem.terms[top]
                 return NonPolynomial(f"{coeff}*u^{j}*s^{top[0]}")
@@ -726,7 +750,7 @@ def oracle_nilpotency_index(ring, e: int, x):
         y = derivation_apply(ring, e, y)
         if isinstance(y, NonPolynomial):
             return None
-        if y.poly.is_zero():
+        if not y.poly:
             return n
     raise StructuralError(f"nilpotency bound {bound} exceeded")
 
@@ -885,7 +909,7 @@ def oracle_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     on every input before integer inputs took a primitive remainder
     sequence."""
     a, b = p, q
-    while not b.is_zero():
+    while b:
         a, b = b, poly_divmod(a, b)[1]
     return monic(a)
 
@@ -943,14 +967,14 @@ def oracle_squarefree_decomposition(p: MultiPoly) -> list[tuple[MultiPoly, int]]
         return [(a, 1)]
     factors: list[tuple[MultiPoly, int]] = []
     c = poly_divmod(a, g)[0]
-    d = poly_divmod(da, g)[0] - partial(c, var)
+    d = poly_sub(poly_divmod(da, g)[0], partial(c, var))
     i = 1
     while degree(c) > 0:
         f = oracle_gcd(c, d)
         if degree(f) > 0:
             factors.append((f, i))
         c = poly_divmod(c, f)[0]
-        d = poly_divmod(d, f)[0] - partial(c, var)
+        d = poly_sub(poly_divmod(d, f)[0], partial(c, var))
         i += 1
     return factors
 
@@ -1230,7 +1254,7 @@ def oracle_measured_defect(triple, n: int, n_prime: int) -> dict[Fraction, int]:
     product_structure_check once did."""
     ring = normalized_ring(triple)
     gens = [weight_piece_generator(triple, k) for k in (n, n_prime, n + n_prime)]
-    prod = normal_form(ring, monomial(ring, *gens[0]) * monomial(ring, *gens[1])).poly
+    prod = normal_form(ring, poly_mul(monomial(ring, *gens[0]), monomial(ring, *gens[1]))).poly
     a12, b12, c12 = gens[2]
     assert all(a == a12 and b == b12 and c >= c12 for a, b, c in prod.terms)
     r = MultiPoly(("s",), {(c - c12,): v for (_, _, c), v in prod.terms.items()})
@@ -1238,8 +1262,7 @@ def oracle_measured_defect(triple, n: int, n_prime: int) -> dict[Fraction, int]:
     val = valuation(r, "s")
     span = degree(r) - val
     assert val % d == 0 and span % d == 0
-    s = upoly("s", {1: 1})
-    assert r == s ** val * (s ** d - 1) ** (span // d)
+    assert r == poly_mul(upoly("s", {val: 1}), poly_pow(upoly("s", {d: 1, 0: -1}), span // d))
     return {p: v for p, v in ((F(0), val // d), (F(1), span // d)) if v}
 
 

@@ -21,6 +21,9 @@ from helpers import (
     nilpotency_index,
     normal_form,
     normalized_ring,
+    poly_mul,
+    poly_pow,
+    poly_scale,
     reachable_sums,
     s_weight,
     squarefree_decomposition,
@@ -31,7 +34,6 @@ from pseudoplane import (
     CyclicAction,
     DpdPair,
     HypersurfaceRing,
-    MultiPoly,
     QDivisor,
     SurfaceTriple,
     canonical_pair,
@@ -79,13 +81,12 @@ def test_criterion_1_grid_consistency(swept):
 
 
 def test_criterion_2_exponent_identity(swept):
-    s = MultiPoly.variable(("s",), "s")
     for row in swept["rows"]:
         report = row["report"]
         der = report["derived"]
         assert der["k"] * der["e_prime"] + row["d"] * der["l"] == 0
         assert report["exponent_check"] is True
-        expected = (s ** row["d"] - MultiPoly.constant(("s",), 1)) ** der["m_prime"]
+        expected = poly_pow(upoly("s", {row["d"]: 1, 0: -1}), der["m_prime"])
         from pseudoplane import parse_poly
 
         assert parse_poly(report["pre_normalization"]["ring"]["P"], ("s",)) == expected
@@ -176,20 +177,20 @@ def test_criterion_8_oracle_suites():
                 failures += 1
 
     # squarefree decomposition vs reconstruction on a deterministic corpus
-    s = MultiPoly.variable(("s",), "s")
-    one = MultiPoly.constant(("s",), 1)
     corpus = []
     for a in range(3):
         for b in range(3):
             for c in range(2):
-                p = (s - one) ** a * (s + one) ** b * (s ** 2 - 2 * one) ** c * F(3, 2)
-                if not p.is_zero():
-                    corpus.append(p)
+                p = poly_mul(
+                    poly_mul(poly_pow(upoly("s", {1: 1, 0: -1}), a), poly_pow(upoly("s", {1: 1, 0: 1}), b)),
+                    poly_pow(upoly("s", {2: 1, 0: -2}), c),
+                )
+                corpus.append(poly_scale(p, F(3, 2)))
     corpus.append(upoly("s", {7: 2, 5: -3, 2: 1, 0: 5}))
     for p in corpus:
-        rebuilt = MultiPoly.constant(("s",), leading_coefficient(p))
+        rebuilt = upoly("s", {0: leading_coefficient(p)})
         for factor, mult in squarefree_decomposition(p):
-            rebuilt = rebuilt * factor ** mult
+            rebuilt = poly_mul(rebuilt, poly_pow(factor, mult))
         if rebuilt != p:
             failures += 1
 

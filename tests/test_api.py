@@ -98,20 +98,10 @@ UNREACHED = {
     "exact_algebra.MultiPoly.__bool__",
     "exact_algebra.MultiPoly.__str__",
     "exact_algebra.MultiPoly.__repr__",
-    "exact_algebra.MultiPoly.__rsub__",
-    # MultiPoly is the exported polynomial type: its constructors and ring
-    # operations are its interface, and README's parse_poly(format_poly(p))
-    # == p needs ==, though the pipeline builds and compares none by them
+    # MultiPoly is the exported polynomial type: its constructor, == and hash
+    # are its interface, and README's parse_poly(format_poly(p)) == p needs
+    # ==, though the pipeline builds none by the constructor and compares none
     "exact_algebra.MultiPoly.__init__",
-    "exact_algebra.MultiPoly.constant",
-    "exact_algebra.MultiPoly.variable",
-    "exact_algebra.MultiPoly.is_zero",
-    "exact_algebra.MultiPoly._coerce",
-    "exact_algebra.MultiPoly.__add__",
-    "exact_algebra.MultiPoly.__sub__",
-    "exact_algebra.MultiPoly.__neg__",
-    "exact_algebra.MultiPoly.__mul__",
-    "exact_algebra.MultiPoly.__pow__",
     "exact_algebra.MultiPoly.__eq__",
     "exact_algebra.MultiPoly.__hash__",
     # the API function, and the oracle of the one-unit witness that
@@ -433,6 +423,14 @@ INPUT_CHECKS = {
         lambda: find_valid_lnd_degrees(SurfaceTriple(3, 2, 2), True),
         ValueError, "bound must be an integer, got True",
     ),
+    "product_window-max_weight-over-cap": (
+        lambda: product_window(SurfaceTriple(3, 2, 2), 513),
+        ValueError, "max_weight must be <= 512, got 513",
+    ),
+    "find_valid_lnd_degrees-bound-over-cap": (
+        lambda: find_valid_lnd_degrees(SurfaceTriple(3, 2, 2), 4097),
+        ValueError, "bound must be <= 4096, got 4097",
+    ),
     # an int subclass passes the type check and is refused by value alone
     "SurfaceTriple-e-int-subclass": (
         lambda: SurfaceTriple(4, _Int(2), 3),
@@ -454,13 +452,21 @@ INPUT_CHECKS = {
         lambda: MultiPoly(("u", "s"), {(1,): 1}),
         ValueError, "exponent vector (1,) does not match variable list ('u', 's')",
     ),
-    "MultiPoly.variable-unknown-name": (
-        lambda: MultiPoly.variable(("s",), "t"),
-        ValueError, "unknown variable 't' for list ('s',)",
+    "MultiPoly-coefficient-float": (
+        lambda: MultiPoly(("s",), {(1,): 0.1}),
+        ValueError, "coefficients must be ints or Fractions: 0.1",
     ),
-    "MultiPoly-negative-power": (
-        lambda: MultiPoly.variable(("s",), "s") ** -1,
-        ValueError, "polynomial exponent must be a non-negative integer: -1",
+    "MultiPoly-coefficient-string": (
+        lambda: MultiPoly(("s",), {(1,): "1/2"}),
+        ValueError, "coefficients must be ints or Fractions: '1/2'",
+    ),
+    "MultiPoly-coefficient-bool": (
+        lambda: MultiPoly(("s",), {(1,): True}),
+        ValueError, "coefficients must be ints or Fractions: True",
+    ),
+    "MultiPoly-exponent-bool": (
+        lambda: MultiPoly(("s",), {(True,): 1}),
+        ValueError, "exponents must be non-negative integers: (True,)",
     ),
     "parse_poly-empty-factor": (
         lambda: parse_poly("2**s", ("s",)),

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 from helpers import (
     F,
     nonpositive_divisors,
+    poly_mul,
+    poly_pow,
     rational_roots,
     small_divisors,
     upoly,
@@ -182,7 +184,7 @@ def test_divisor_to_poly_roundtrip(k, l, exponents):
     # Q = prod (t - p)^j, the polynomial the roots stand for
     q = upoly("t", {0: 1})
     for p, j in roots:
-        q = q * upoly("t", {1: 1, 0: -p}) ** j
+        q = poly_mul(q, poly_pow(upoly("t", {1: 1, 0: -p}), j))
     assert list(roots) == sorted(rational_roots(q).items())
     # reconstruct the divisor from the root orders of t^l * Q
     rebuilt = QDivisor({0: F(-l_out, k)})
