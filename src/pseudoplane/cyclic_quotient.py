@@ -12,10 +12,10 @@ from bisect import bisect_left
 from itertools import compress, product
 from typing import NamedTuple
 
-from .dpd_presentation import pseudoplane_dpd_pair
+from .dpd_presentation import _family_pair
 from .exact_algebra import _Frozen, _is_int, _is_positive_int
 from .hypersurface_ring import HypersurfaceRing, _relation_terms
-from .qdivisor import DpdPair, _integer_rows
+from .qdivisor import _integer_rows
 
 
 class CyclicAction(_Frozen):
@@ -34,6 +34,17 @@ class CyclicAction(_Frozen):
                 raise ValueError(f"weight of {v} must be an integer: {w!r}")
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "weights", {v: w % modulus for v, w in weights.items()})
+
+    @classmethod
+    def _trusted(cls, modulus: int, weights: dict[str, int]) -> "CyclicAction":
+        """The action with already checked fields, built without the checks:
+        `modulus` an int >= 1 and every weight an int, as
+        ``standard_action`` and ``induced_action`` read them off a
+        ``SurfaceTriple``.  The weights are still reduced mod `modulus`."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "weights", {v: w % modulus for v, w in weights.items()})
+        return self
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
@@ -71,7 +82,7 @@ class SurfaceTriple(_Frozen):
             "m_prime": k // m,
             "d_prime": k // d,
             "l": -e_prime * (k // d),
-            "pair": pseudoplane_dpd_pair(d, e_prime, m),
+            "pair": _family_pair(d, e_prime, m),
         }
         for name, value in fields.items():
             object.__setattr__(self, name, value)
@@ -88,7 +99,7 @@ class SurfaceTriple(_Frozen):
 def induced_action(triple: SurfaceTriple) -> CyclicAction:
     """Weights (e', -m*e', 1) on (u, w, s): the action inherited from the
     covering construction through w = (s^d - 1)/u^m."""
-    return CyclicAction(
+    return CyclicAction._trusted(
         triple.d,
         {"u": triple.e_prime, "w": -triple.m * triple.e_prime, "s": 1},
     )
@@ -97,7 +108,7 @@ def induced_action(triple: SurfaceTriple) -> CyclicAction:
 def standard_action(triple: SurfaceTriple) -> CyclicAction:
     """Weights (1, -m, e) on (u, w, s): the generator-change of the induced
     action that exhibits the classified form."""
-    return CyclicAction(triple.d, {"u": 1, "w": -triple.m, "s": triple.e})
+    return CyclicAction._trusted(triple.d, {"u": 1, "w": -triple.m, "s": triple.e})
 
 
 class FreenessResult(NamedTuple):
@@ -283,11 +294,13 @@ def _same_subgroup_as_induced(triple: SurfaceTriple, action: CyclicAction) -> bo
     d on u, w, s, by its one candidate unit.  The induced s weight is 1, so
     a unit c carrying the induced weights to the action's must be the
     action's s weight; for the standard action (1, -m, e) that is c = e,
-    which carries (e', -m*e', 1) to it as e*e' = 1 (mod d)."""
-    d = triple.d
-    c = action.weights["s"]
+    which carries (e', -m*e', 1) to it as e*e' = 1 (mod d).  The induced
+    weights are read as integers, with no action built."""
+    d, e_prime = triple.d, triple.e_prime
+    weights = action.weights
+    c = weights["s"]
     return math.gcd(c, d) == 1 and all(
-        (c * w) % d == action.weights[v] for v, w in induced_action(triple).weights.items()
+        (c * w) % d == weights[v] for v, w in (("u", e_prime), ("w", -triple.m * e_prime), ("s", 1))
     )
 
 

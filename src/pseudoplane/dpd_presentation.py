@@ -33,6 +33,13 @@ def pseudoplane_dpd_pair(d: int, e_prime: int, m: int) -> DpdPair:
         raise ValueError(f"e' must be an integer: {e_prime}")
     if math.gcd(e_prime, d) != 1:
         raise ValueError(f"e' and d must be coprime: gcd({e_prime}, {d}) != 1")
+    return _family_pair(d, e_prime, m)
+
+
+def _family_pair(d: int, e_prime: int, m: int) -> DpdPair:
+    """``pseudoplane_dpd_pair`` without its checks, for inputs already
+    checked, as ``SurfaceTriple``'s are: d, m ints >= 1 and e' an int coprime
+    to d."""
     r = e_prime % d
     if r == 0:
         r = d

@@ -102,6 +102,25 @@ class HypersurfaceRing(_Frozen):
         object.__setattr__(self, "roots", roots)
         object.__setattr__(self, "second_var", second_var)
 
+    @classmethod
+    def _trusted(
+        cls, k: int, d: int, roots: tuple[tuple[Scalar, int], ...], second_var: str
+    ) -> "HypersurfaceRing":
+        """Wrap an already clean presentation without re-validating it.
+
+        For presentations built clean, such as ``report.verify_triple``'s two
+        rings: `k` and `d` are positive ints, `roots` is a tuple of (point,
+        exponent) pairs with the points nonzero, increasing and each an `int`
+        when integral, as ``divisor_roots`` returns them, and every exponent
+        an int >= 1; `second_var` is neither "u" nor "s".
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "roots", roots)
+        object.__setattr__(self, "second_var", second_var)
+        return self
+
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
             return NotImplemented

@@ -150,7 +150,7 @@ def verify_triple(
     l_from_divisor, roots = divisor_roots(pair.d_minus, triple.k)
     check("divisor_polynomial", l_from_divisor == triple.l and roots == pure_power)
 
-    covering = HypersurfaceRing(triple.k, d, roots, "v")
+    covering = HypersurfaceRing._trusted(triple.k, d, roots, "v")
     covering_ok = check("covering_relation", covering.roots == pure_power)
 
     covering_smooth = smooth_check(covering)
@@ -160,7 +160,7 @@ def verify_triple(
     # w^m' = (s^d - 1)^m'/u^k = P/u^k = v exactly when P = (s^d - 1)^m',
     # which is what covering_relation checks, so power_identity is its
     # result and the witness check reads normalized_smooth alone
-    normalized = HypersurfaceRing(m, d, ((1, 1),), "w")
+    normalized = HypersurfaceRing._trusted(m, d, ((1, 1),), "w")
     normalized_smooth = smooth_check(normalized).smooth
     check("normalization_witnesses", normalized_smooth)
 

@@ -443,7 +443,10 @@ def oracle_power_identity(ring: HypersurfaceRing, m: int, d: int) -> bool:
 def record_rings(patch) -> list[HypersurfaceRing]:
     """Every ring report.verify_triple builds from now on, in order: per
     triple the covering ring (second variable v), then the normalized model
-    (w).  `patch` is a pytest MonkeyPatch."""
+    (w).  `patch` is a pytest MonkeyPatch.  The pipeline builds its rings
+    through HypersurfaceRing._trusted, unchecked; here the validating
+    constructor builds each in its place, so a recording run also checks
+    that every presentation the pipeline trusts passes full validation."""
     built = []
 
     def recorded(*args):
@@ -451,7 +454,7 @@ def record_rings(patch) -> list[HypersurfaceRing]:
         built.append(ring)
         return ring
 
-    patch.setattr(report, "HypersurfaceRing", recorded)
+    patch.setattr(HypersurfaceRing, "_trusted", staticmethod(recorded))
     return built
 
 

@@ -104,8 +104,17 @@ UNREACHED = {
     "exact_algebra.MultiPoly.__init__",
     "exact_algebra.MultiPoly.__eq__",
     "exact_algebra.MultiPoly.__hash__",
-    # the API function, and the oracle of the one-unit witness that
-    # verify_triple checks in its place
+    # HypersurfaceRing and CyclicAction are exported value classes: their
+    # validating constructors are their interface, while the pipeline builds
+    # its rings and actions from checked values through _trusted; _exact is
+    # the normalization of a scalar that only the validating constructors of
+    # HypersurfaceRing and MultiPoly run
+    "hypersurface_ring.HypersurfaceRing.__init__",
+    "cyclic_quotient.CyclicAction.__init__",
+    "exact_algebra._exact",
+    # the API functions, and the oracles of the one-unit witness that
+    # verify_triple checks in their place on the induced weights as integers
+    "cyclic_quotient.induced_action",
     "cyclic_quotient.same_subgroup",
     "qdivisor.QDivisor.__bool__",
     "qdivisor.QDivisor.__str__",

@@ -252,16 +252,18 @@ def test_verify_max_weight_zero_skips_product_section(capsys):
 
 
 def test_failed_covering_relation_is_reported_not_raised(capsys, monkeypatch):
-    from pseudoplane import HypersurfaceRing, report as report_module
+    from pseudoplane import HypersurfaceRing
 
     # the covering ring's root moves from 1 to 2; the normalized model is
     # built as it was
+    trusted = HypersurfaceRing._trusted
+
     def moved(k, d, roots, second_var):
         if second_var == "v":
             roots = tuple((2 if p == 1 else p, j) for p, j in roots)
-        return HypersurfaceRing(k, d, roots, second_var)
+        return trusted(k, d, roots, second_var)
 
-    monkeypatch.setattr(report_module, "HypersurfaceRing", moved)
+    monkeypatch.setattr(HypersurfaceRing, "_trusted", staticmethod(moved))
     report = verify_triple(3, 2, 2)
     assert report["verdict"] == "inconsistent"
     assert report["failed_checks"] == ["covering_relation"]

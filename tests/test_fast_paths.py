@@ -1160,3 +1160,57 @@ def test_verify_triple_reads_the_pair_on_integers():
         [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert done.stdout.split() == ["0", "0"]
+
+
+def test_verify_triple_validates_its_inputs_once():
+    # SurfaceTriple checks d, e, m, and _check_work_bounds the two bounds;
+    # divisor_roots, fiber_analysis, component_permutation, product_window
+    # and find_valid_lnd_degrees check their own arguments.  The family
+    # pair, both rings and the standard action are built from these values
+    # without a check (30 and 15 calls when each constructor checked again)
+    from pseudoplane.exact_algebra import _is_int, _is_positive_int
+
+    names = {_is_int.__code__: "_is_int", _is_positive_int.__code__: "_is_positive_int"}
+    counts = dict.fromkeys(names.values(), 0)
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in names:
+            counts[names[frame.f_code]] += 1
+
+    sys.setprofile(profile)
+    try:
+        verify_triple(5, 2, 4)
+    finally:
+        sys.setprofile(None)
+    assert counts == {"_is_int": 11, "_is_positive_int": 5}
+
+
+def test_trusted_rings_and_actions_match_the_validating_constructors(monkeypatch):
+    # every ring verify_triple wraps unchecked over grid_triples(20, 10),
+    # and both actions of each triple, against the validating constructor
+    # given the same values
+    wrapped = []
+    trusted = HypersurfaceRing._trusted
+
+    def recorded(*args):
+        ring = trusted(*args)
+        wrapped.append((args, ring))
+        return ring
+
+    monkeypatch.setattr(HypersurfaceRing, "_trusted", staticmethod(recorded))
+    triples = grid_triples(20, 10)
+    for d, e, m in triples:
+        verify_triple(d, e, m, max_weight=0)
+    assert len(wrapped) == 2 * len(triples) == 2 * 1280
+    for args, ring in wrapped:
+        checked = HypersurfaceRing(*args)
+        assert ring == checked and hash(ring) == hash(checked) and repr(ring) == repr(checked)
+    for d, e, m in triples:
+        triple = SurfaceTriple(d, e, m)
+        e_prime = triple.e_prime
+        for action, weights in [
+            (standard_action(triple), {"u": 1, "w": -m, "s": e}),
+            (induced_action(triple), {"u": e_prime, "w": -m * e_prime, "s": 1}),
+        ]:
+            checked = CyclicAction(d, weights)
+            assert action == checked and repr(action) == repr(checked)
