@@ -9,7 +9,6 @@ action, fiber structure, and locally nilpotent derivations are all checked in
 exact rational arithmetic.
 """
 
-from .exact_algebra import MultiPoly, format_poly, parse_poly
 from .qdivisor import (
     DpdPair,
     QDivisor,
@@ -51,7 +50,6 @@ __all__ = [
     "CyclicAction",
     "DpdPair",
     "HypersurfaceRing",
-    "MultiPoly",
     "QDivisor",
     "RegimeError",
     "SurfaceTriple",
@@ -64,14 +62,12 @@ __all__ = [
     "find_valid_lnd_degrees",
     "floor_div",
     "format_divisor",
-    "format_poly",
     "fract_div",
     "freeness_check",
     "induced_action",
     "ml1_test",
     "negative_locus",
     "parse_divisor",
-    "parse_poly",
     "product_window",
     "pseudoplane_dpd_pair",
     "same_subgroup",

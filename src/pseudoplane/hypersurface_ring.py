@@ -4,12 +4,13 @@ A ring is held as its presentation (k, d, roots, the second variable's
 name), which stands for u^k * y = P(s) = prod over (p, j) in roots of
 (s^d - p)^j, with the points p nonzero, distinct and increasing and every
 exponent j >= 1.  No element of it is ever built, and neither is P as a
-polynomial: the ring prints its relation (``serialize``) from the
-coefficients that ``_relation_terms`` expands on the points and exponents,
-with the term printer of ``format_poly``.  This module answers what the
-presentation decides on its own: smoothness (``smooth_check``) and the
-fibers of the u-projection (``fiber_analysis``).  Each question is settled
-on the integers of the factored relation, by one lemma.
+polynomial: ``_format_relation`` prints the relation (``serialize``) and
+the factors of ``smooth_check``'s witness (``report``) from the
+coefficients that ``_relation_terms`` expands on the points and exponents.
+This module answers what the presentation decides on its own: smoothness
+(``smooth_check``) and the fibers of the u-projection (``fiber_analysis``).
+Each question is settled on the integers of the factored relation, by one
+lemma.
 
 Lemma.  For p != 0, s^d - p is squarefree, because its derivative d*s^(d-1)
 vanishes only at s = 0, which is not a root of it.  Distinct points give
@@ -37,9 +38,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .exact_algebra import MultiPoly, Scalar, _Frozen, _exact, _format_terms, _is_int, _is_positive_int
-
-_S = ("s",)
+from .exact_algebra import Scalar, _Frozen, _exact, _is_int, _is_positive_int
 
 
 def _relation_terms(d: int, roots: Iterable[tuple[Scalar, int]]) -> list[tuple[int, Scalar]]:
@@ -68,6 +67,26 @@ def _relation_terms(d: int, roots: Iterable[tuple[Scalar, int]]) -> list[tuple[i
         coeffs = row
     top = len(coeffs) - 1
     return [(d * (top - i), c) for i, c in enumerate(coeffs) if c]
+
+
+def _format_relation(d: int, roots: Iterable[tuple[Scalar, int]]) -> str:
+    """The text of prod (s^d - p)^j over the (point p, exponent j) pairs of
+    ``roots``, expanded in s: terms in decreasing exponent, a negative
+    coefficient as a minus sign, unit coefficients and ``^1`` elided, and
+    rationals written ``p/q``, e.g. ``s^6 - 3/2*s^3 + 1/2``."""
+    parts: list[str] = []
+    for e, c in _relation_terms(d, roots):
+        if c < 0:
+            parts.append(" - " if parts else "-")
+            c = -c
+        elif parts:
+            parts.append(" + ")
+        if e:
+            mono = f"s^{e}" if e > 1 else "s"
+            parts.append(mono if c == 1 else f"{c}*{mono}")
+        else:
+            parts.append(str(c))
+    return "".join(parts)
 
 
 class HypersurfaceRing(_Frozen):
@@ -136,18 +155,14 @@ class HypersurfaceRing(_Frozen):
         return ("u", self.second_var, "s")
 
     def serialize(self) -> dict:
-        """The ring as JSON: the right-hand side is printed as ``format_poly``
-        prints it expanded in s, straight from ``_relation_terms``."""
-        relation = _format_terms(
-            (f"s^{e}" if e > 1 else "s" if e else "", c)
-            for e, c in _relation_terms(self.d, self.roots)
-        )
-        return {"k": self.k, "P": relation, "second_var": self.second_var}
+        """The ring as JSON: the right-hand side P is printed expanded in s by
+        ``_format_relation``."""
+        return {"k": self.k, "P": _format_relation(self.d, self.roots), "second_var": self.second_var}
 
 
 class SmoothCheck(NamedTuple):
     smooth: bool
-    witness: tuple[tuple[MultiPoly, int], ...]
+    witness: tuple[tuple[tuple[Scalar, ...], int], ...]
 
 
 def _points_by_exponent(ring: HypersurfaceRing) -> list[tuple[int, list[Scalar]]]:
@@ -160,20 +175,13 @@ def _points_by_exponent(ring: HypersurfaceRing) -> list[tuple[int, list[Scalar]]
 
 def smooth_check(ring: HypersurfaceRing) -> SmoothCheck:
     """Smooth iff every root exponent is 1.  Otherwise the witness lists, for
-    each exponent j >= 2 in increasing order, prod (s^d - p) over the points
-    of exponent j: by the module's lemma, the factors of P's squarefree
-    decomposition of multiplicity >= 2 (s-coordinates of the singular
-    points along u = 0)."""
-    witness = tuple(
-        (
-            MultiPoly._trusted(
-                _S, {(e,): c for e, c in _relation_terms(ring.d, [(p, 1) for p in points])}
-            ),
-            j,
-        )
-        for j, points in _points_by_exponent(ring)
-        if j >= 2
-    )
+    each exponent j >= 2 in increasing order, (points, j) with the
+    increasing root points of exponent j: by the module's lemma,
+    prod (s^d - p) over those points is the factor of P's squarefree
+    decomposition of multiplicity j (s-coordinates of the singular points
+    along u = 0).  ``_format_relation`` prints it from
+    ``[(p, 1) for p in points]``."""
+    witness = tuple((tuple(points), j) for j, points in _points_by_exponent(ring) if j >= 2)
     return SmoothCheck(not witness, witness)
 
 

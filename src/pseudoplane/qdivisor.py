@@ -27,13 +27,14 @@ increasing order.  The empty string is the zero divisor.
 from __future__ import annotations
 
 import math
+import re
 from collections.abc import Mapping
 from fractions import Fraction
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, NamedTuple
 
-from .exact_algebra import _NUMBER_RE, Scalar, _Frozen, _is_int, _is_positive_int
+from .exact_algebra import Scalar, _Frozen, _is_int, _is_positive_int
 
 
 class RegimeError(ValueError):
@@ -293,6 +294,8 @@ def divisor_roots(d_minus: QDivisor, k: int) -> tuple[int, tuple[tuple[Scalar, i
 
 
 # -- text format ---------------------------------------------------------------
+
+_NUMBER_RE = re.compile(r"\d+(?:/\d+)?\Z")
 
 
 def _parse_rational(text: str) -> Fraction:

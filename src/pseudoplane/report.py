@@ -57,8 +57,8 @@ from .cyclic_quotient import (
     standard_action,
 )
 from .dpd_presentation import classify_presentation, pseudoplane_dpd_pair, smoothness_condition
-from .exact_algebra import _is_int, format_poly
-from .hypersurface_ring import HypersurfaceRing, fiber_analysis, smooth_check
+from .exact_algebra import _is_int
+from .hypersurface_ring import HypersurfaceRing, _format_relation, fiber_analysis, smooth_check
 from .qdivisor import (
     DpdPair,
     RegimeError,
@@ -225,7 +225,8 @@ def verify_triple(
             "ring": covering.serialize(),
             "smooth": covering_smooth.smooth,
             "singular_witness": [
-                [format_poly(f), mult] for f, mult in covering_smooth.witness
+                [_format_relation(covering.d, [(p, 1) for p in points]), mult]
+                for points, mult in covering_smooth.witness
             ],
         },
         "normalized": {

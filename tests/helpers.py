@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import math
+import re
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from operator import add
-from typing import Mapping, NamedTuple
+from types import MappingProxyType
+from typing import NamedTuple
 
 from hypothesis import strategies as st
 
@@ -16,21 +19,183 @@ from pseudoplane import (
     CyclicAction,
     DpdPair,
     HypersurfaceRing,
-    MultiPoly,
     QDivisor,
     RegimeError,
     SurfaceTriple,
     floor_div,
     fract_div,
-    format_poly,
-    parse_poly,
     standard_action,
     weight_piece_generator,
 )
 from pseudoplane import cyclic_quotient, report
-from pseudoplane.exact_algebra import Scalar, _exact
+from pseudoplane.exact_algebra import Scalar, _exact, _Frozen, _is_int
+from pseudoplane.qdivisor import _NUMBER_RE
 
 F = Fraction
+
+Exponents = tuple[int, ...]
+
+
+# -- the polynomial type and its text format --------------------------------------
+#
+# The package builds no polynomial: it prints its relations and witnesses
+# from the integers of their roots (hypersurface_ring._format_relation).
+# MultiPoly, its printer and its parser are the oracles of that text: a
+# printed relation parses back to the expanded product, and format_poly
+# keeps its own term rules, so it stays independent of the printer it checks.
+
+
+class MultiPoly(_Frozen):
+    """Sparse polynomial with exact rational coefficients: a map from
+    exponent vectors to nonzero coefficients, so equality of term maps is
+    equality of polynomials.
+
+    Immutable, compared and hashed by its variables and terms.  The
+    constructor takes `int` (not `bool`) and `Fraction` coefficients and
+    `int` (not `bool`) exponents, and refuses anything else with
+    ``ValueError``.
+    """
+
+    __slots__ = ("_variables", "_terms")
+
+    def __init__(self, variables: Iterable[str], terms: Mapping[Exponents, Scalar] | Iterable[tuple[Exponents, Scalar]] = ()):
+        variables = tuple(variables)
+        if len(set(variables)) != len(variables):
+            raise ValueError(f"duplicate variable names: {variables}")
+        clean: dict[Exponents, Scalar] = {}
+        items = terms.items() if isinstance(terms, Mapping) else terms
+        for exps, coeff in items:
+            exps = tuple(exps)
+            if len(exps) != len(variables):
+                raise ValueError(
+                    f"exponent vector {exps} does not match variable list {variables}"
+                )
+            if any(not _is_int(e) or e < 0 for e in exps):
+                raise ValueError(f"exponents must be non-negative integers: {exps}")
+            if not (_is_int(coeff) or type(coeff) is Fraction):
+                raise ValueError(f"coefficients must be ints or Fractions: {coeff!r}")
+            coeff = _exact(coeff)
+            if not coeff:
+                continue
+            acc = clean.get(exps)
+            total = coeff if acc is None else acc + coeff
+            if total:
+                clean[exps] = total
+            else:
+                clean.pop(exps, None)
+        object.__setattr__(self, "_variables", variables)
+        object.__setattr__(self, "_terms", clean)
+
+    @classmethod
+    def _trusted(cls, variables: tuple[str, ...], clean_terms: dict[Exponents, Scalar]) -> "MultiPoly":
+        """Wrap an already clean term map without re-validating it: distinct
+        variable names, exponent tuples of non-negative ints of the right
+        length, nonzero `int` or `Fraction` values.  The dict is taken over,
+        not copied."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "_variables", variables)
+        object.__setattr__(self, "_terms", clean_terms)
+        return self
+
+    @property
+    def variables(self) -> tuple[str, ...]:
+        return self._variables
+
+    @property
+    def terms(self) -> Mapping[Exponents, Scalar]:
+        return MappingProxyType(self._terms)
+
+    def __bool__(self) -> bool:
+        return bool(self._terms)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MultiPoly):
+            return NotImplemented
+        return self._variables == other._variables and self._terms == other._terms
+
+    def __hash__(self) -> int:
+        return hash((self._variables, frozenset(self._terms.items())))
+
+    def __str__(self) -> str:
+        return format_poly(self)
+
+    def __repr__(self) -> str:
+        return f"MultiPoly({self._variables!r}, {format_poly(self)!r})"
+
+
+_VAR_FACTOR_RE = re.compile(r"([A-Za-z_]\w*)(?:\^(\d+))?\Z")
+
+
+def _parse_term(chunk: str, variables: tuple[str, ...]) -> tuple[Fraction, Exponents]:
+    coeff = Fraction(1)
+    exps = [0] * len(variables)
+    for factor in chunk.split("*"):
+        factor = factor.strip()
+        if not factor:
+            raise ValueError(f"empty factor in term {chunk!r}")
+        if _NUMBER_RE.match(factor):
+            coeff *= Fraction(factor)
+            continue
+        m = _VAR_FACTOR_RE.match(factor)
+        if not m:
+            raise ValueError(f"cannot parse factor {factor!r}")
+        name, power = m.group(1), int(m.group(2) or "1")
+        if name not in variables:
+            raise ValueError(f"unknown variable {name!r} (expected one of {variables})")
+        exps[variables.index(name)] += power
+    return coeff, tuple(exps)
+
+
+def parse_poly(text: str, variables: Iterable[str]) -> MultiPoly:
+    """Parse the polynomial text format; inverse of :func:`format_poly`."""
+    variables = tuple(variables)
+    s = text.strip()
+    if not s:
+        raise ValueError("empty polynomial text")
+    if s[0] not in "+-":
+        s = "+" + s
+    pieces = re.findall(r"([+-])\s*([^+\-]+)", s)
+    joined = "".join(sign + chunk for sign, chunk in pieces)
+    if joined.replace(" ", "") != s.replace(" ", ""):
+        raise ValueError(f"cannot parse polynomial text {text!r}")
+    acc: list[tuple[Exponents, Fraction]] = []
+    for sign, chunk in pieces:
+        coeff, exps = _parse_term(chunk.strip(), variables)
+        acc.append((exps, -coeff if sign == "-" else coeff))
+    return MultiPoly(variables, acc)
+
+
+def _format_terms(terms: Iterable[tuple[str, Scalar]]) -> str:
+    """The text of a sum of (monomial text, nonzero coefficient) terms, in the
+    given order: unit coefficients are elided, a negative coefficient becomes
+    a minus sign, and no terms print as ``0``."""
+    parts: list[str] = []
+    for mono, coeff in terms:
+        if parts:
+            parts.append(" - " if coeff < 0 else " + ")
+        elif coeff < 0:
+            parts.append("-")
+        mag = abs(coeff)
+        if not mono:
+            parts.append(str(mag))
+        elif mag == 1:
+            parts.append(mono)
+        else:
+            parts.append(f"{mag}*{mono}")
+    return "".join(parts) or "0"
+
+
+def format_poly(p: MultiPoly) -> str:
+    """Canonical text form: a signed sum of terms ``coeff*var^exp*...`` in
+    decreasing lexicographic order of the exponent vector (in the declared
+    variable order), with ``^1`` and unit coefficients elided and rationals
+    written ``p/q``, e.g. ``-2/3*u^2*v + s``; ``parse_poly(format_poly(p),
+    p.variables) == p`` holds bit-exactly."""
+    terms = p.terms
+    return _format_terms(
+        ("*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(p.variables, exps) if e), terms[exps])
+        for exps in sorted(terms, reverse=True)
+    )
 
 
 def upoly(var: str, coeffs: dict[int, object]) -> MultiPoly:
@@ -352,10 +517,23 @@ def oracle_component_permutation(d: int, e: int) -> tuple[tuple[int, ...], ...]:
     return tuple(cycles)
 
 
+def witness_factors(d: int, witness) -> tuple[tuple[MultiPoly, int], ...]:
+    """smooth_check's witness ((points, j), ...) as the polynomials it stands
+    for: (prod (s^d - p) over the points, j)."""
+    factors = []
+    for points, j in witness:
+        f = MultiPoly._trusted(("s",), {(0,): 1})
+        for p in points:
+            f = poly_mul(f, root_factor(d, p))
+        factors.append((f, j))
+    return tuple(factors)
+
+
 def yun_reading(ring: HypersurfaceRing) -> tuple[tuple[tuple[MultiPoly, int], ...], list[tuple[int, int]]]:
-    """smooth_check's witness and fiber_analysis over u = 0 as they were
-    read off Yun's decomposition of the expanded P: the factors of
-    multiplicity >= 2, and (degree, multiplicity) of every factor."""
+    """smooth_check's witness (as ``witness_factors``) and fiber_analysis
+    over u = 0 as they were read off Yun's decomposition of the expanded P:
+    the factors of multiplicity >= 2, and (degree, multiplicity) of every
+    factor."""
     yun = squarefree_decomposition(oracle_relation(ring))
     return tuple((f, j) for f, j in yun if j >= 2), [(degree(f), j) for f, j in yun]
 

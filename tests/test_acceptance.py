@@ -21,6 +21,7 @@ from helpers import (
     nilpotency_index,
     normal_form,
     normalized_ring,
+    parse_poly,
     poly_mul,
     poly_pow,
     poly_scale,
@@ -87,8 +88,6 @@ def test_criterion_2_exponent_identity(swept):
         assert der["k"] * der["e_prime"] + row["d"] * der["l"] == 0
         assert report["exponent_check"] is True
         expected = poly_pow(upoly("s", {row["d"]: 1, 0: -1}), der["m_prime"])
-        from pseudoplane import parse_poly
-
         assert parse_poly(report["pre_normalization"]["ring"]["P"], ("s",)) == expected
     _passed(2, "exponent identity k*e' + d*l = 0 and P = (s^d - 1)^m' on the grid")
 

@@ -16,14 +16,13 @@ from pathlib import Path
 
 import pytest
 
-from helpers import F
+from helpers import F, MultiPoly, parse_poly
 
 import pseudoplane
 from pseudoplane import (
     CyclicAction,
     DpdPair,
     HypersurfaceRing,
-    MultiPoly,
     QDivisor,
     SurfaceTriple,
     component_permutation,
@@ -32,7 +31,6 @@ from pseudoplane import (
     find_valid_lnd_degrees,
     freeness_check,
     parse_divisor,
-    parse_poly,
     product_window,
     pseudoplane_dpd_pair,
     same_subgroup,
@@ -44,14 +42,14 @@ from pseudoplane.cli import main
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 PUBLIC_NAMES = {
-    "CyclicAction", "DpdPair", "HypersurfaceRing", "MultiPoly", "QDivisor",
+    "CyclicAction", "DpdPair", "HypersurfaceRing", "QDivisor",
     "RegimeError", "SurfaceTriple",
     "canonical_pair", "classify_pair", "classify_presentation",
     "component_permutation", "divisor_roots", "fiber_analysis",
-    "find_valid_lnd_degrees", "floor_div", "format_divisor", "format_poly", "fract_div",
+    "find_valid_lnd_degrees", "floor_div", "format_divisor", "fract_div",
     "freeness_check", "induced_action", "ml1_test",
     "negative_locus",
-    "parse_divisor", "parse_poly",
+    "parse_divisor",
     "product_window", "pseudoplane_dpd_pair",
     "same_subgroup", "smooth_check", "smoothness_condition",
     "standard_action", "sweep", "verify_exit_code", "verify_triple",
@@ -92,23 +90,11 @@ GOLDEN_D_HEAVY_SWEEP = "348cb6d8a815879d3e3c3fe980c0223b9bf4f1b490c04953c98429dc
 
 # defined in src/pseudoplane but reached by none of CLI_RUNS
 UNREACHED = {
-    # README promises that printed polynomials parse back
-    "exact_algebra.parse_poly",
-    "exact_algebra._parse_term",
-    "exact_algebra.MultiPoly.__bool__",
-    "exact_algebra.MultiPoly.__str__",
-    "exact_algebra.MultiPoly.__repr__",
-    # MultiPoly is the exported polynomial type: its constructor, == and hash
-    # are its interface, and README's parse_poly(format_poly(p)) == p needs
-    # ==, though the pipeline builds none by the constructor and compares none
-    "exact_algebra.MultiPoly.__init__",
-    "exact_algebra.MultiPoly.__eq__",
-    "exact_algebra.MultiPoly.__hash__",
     # HypersurfaceRing and CyclicAction are exported value classes: their
     # validating constructors are their interface, while the pipeline builds
     # its rings and actions from checked values through _trusted; _exact is
-    # the normalization of a scalar that only the validating constructors of
-    # HypersurfaceRing and MultiPoly run
+    # the normalization of a scalar that only the validating constructor of
+    # HypersurfaceRing runs
     "hypersurface_ring.HypersurfaceRing.__init__",
     "cyclic_quotient.CyclicAction.__init__",
     "exact_algebra._exact",
@@ -163,7 +149,7 @@ def _defined_functions(code, prefix):
 
 
 def test_cli_reaches_every_function_but_the_allowlist(capsys):
-    assert set(pseudoplane.__all__) == PUBLIC_NAMES and len(pseudoplane.__all__) == 34
+    assert set(pseudoplane.__all__) == PUBLIC_NAMES and len(pseudoplane.__all__) == 31
 
     defined = {}
     for module in _package_modules():
@@ -453,6 +439,8 @@ INPUT_CHECKS = {
         lambda: sweep(0, 1),
         ValueError, "d_max and m_max must be positive integers",
     ),
+    # the tests' polynomial type, which left the package as an oracle, keeps
+    # the input checks it had there
     "MultiPoly-duplicate-variables": (
         lambda: MultiPoly(("s", "s")),
         ValueError, "duplicate variable names: ('s', 's')",
@@ -584,3 +572,51 @@ def test_importing_the_cli_ends_with_an_empty_young_generation():
         [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert int(done.stdout) < 50
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names that a module imports and never names again; `__future__`
+    imports and the names listed in the module's `__all__` (the package's
+    re-exports) count as used."""
+    tree = ast.parse(path.read_text())
+    imported = {}
+    exported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported.update(ast.literal_eval(node.value))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | exported
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    modules = [Path(module.__file__) for module in _package_modules()]
+    modules.append(Path(pseudoplane.__file__))
+    unused = {path.name: _unused_imports(path) for path in modules}
+    assert unused == {path.name: [] for path in modules}
+
+
+def test_the_benchmark_tracer_finds_every_layer_it_names():
+    # perfbench/tracer.py looks each layer up as sys.modules["pseudoplane.<layer>"]
+    # after the CLI's import, so a renamed module would fail every traced run
+    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    (layers,) = [
+        ast.literal_eval(node.value)
+        for node in ast.parse(tracer.read_text()).body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["LAYERS"]
+    ]
+    assert layers
+    src = Path(pseudoplane.__file__).resolve().parents[1]
+    probe = f"import sys, pseudoplane.cli; print([l for l in {list(layers)!r} if 'pseudoplane.' + l not in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "[]\n"

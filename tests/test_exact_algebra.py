@@ -1,15 +1,19 @@
 """MultiPoly and its text format, and the polynomial arithmetic and the
-gcd / Yun layer that helpers.py keeps as the oracles: the arithmetic for
-every oracle that adds or multiplies polynomials, the gcd and Yun for the
-rings' factored reading."""
+gcd / Yun layer, all of which helpers.py keeps as the oracles: the type and
+its printer and parser for the printed relations, the arithmetic for every
+oracle that adds or multiplies polynomials, the gcd and Yun for the rings'
+factored reading."""
 
 import pytest
 from hypothesis import given
 
 from helpers import (
     F,
+    MultiPoly,
     degree,
+    format_poly,
     leading_coefficient,
+    parse_poly,
     partial,
     poly_add,
     poly_divmod,
@@ -23,8 +27,6 @@ from helpers import (
     substitute_power,
     upoly,
 )
-
-from pseudoplane import MultiPoly, format_poly, parse_poly
 
 S = ("s",)
 UVS = ("u", "v", "s")

@@ -10,6 +10,7 @@ from helpers import (
     derivation_leaves_ring,
     element,
     factored_roots,
+    format_poly,
     homogeneous_weight,
     monomial,
     nilpotency_index,
@@ -17,6 +18,7 @@ from helpers import (
     oracle_leaves_ring,
     oracle_nilpotency_index,
     oracle_relation,
+    parse_poly,
     poly_add,
     poly_mul,
     poly_pow,
@@ -25,6 +27,7 @@ from helpers import (
     small_multipolys,
     upoly,
     with_variables,
+    witness_factors,
     yun_reading,
 )
 
@@ -33,12 +36,11 @@ from pseudoplane import (
     SurfaceTriple,
     divisor_roots,
     fiber_analysis,
-    format_poly,
-    parse_poly,
     smooth_check,
+    sweep,
     verify_triple,
 )
-from pseudoplane.hypersurface_ring import _relation_terms
+from pseudoplane.hypersurface_ring import _format_relation, _relation_terms
 
 
 def s_pow_minus_1(d):
@@ -165,14 +167,20 @@ def test_smooth_check_examples():
     assert smooth_check(w_ring(2, 3)).smooth
     singular = smooth_check(v_ring(6, 3, 3))
     assert not singular.smooth
-    assert singular.witness == ((s_pow_minus_1(3), 3),)
+    assert singular.witness == (((1,), 3),)
+    assert witness_factors(3, singular.witness) == ((s_pow_minus_1(3), 3),)
     # k = 1 follows the same rule: u*v = s - 1 is smooth, and u*v = (s - 1)^2
     # is singular at u = v = 0, s = 1
     assert smooth_check(v_ring(1, 1, 1)).smooth
-    assert smooth_check(v_ring(1, 1, 2)).witness == ((upoly("s", {1: 1, 0: -1}), 2),)
+    witness = smooth_check(v_ring(1, 1, 2)).witness
+    assert witness == (((1,), 2),)
+    assert witness_factors(1, witness) == ((upoly("s", {1: 1, 0: -1}), 2),)
     # one factor per multiplicity, of the points that share it
     mixed = smooth_check(HypersurfaceRing(2, 2, ((-1, 2), (F(1, 2), 1), (3, 2)), "v"))
-    assert mixed.witness == ((poly_mul(upoly("s", {2: 1, 0: 1}), upoly("s", {2: 1, 0: -3})), 2),)
+    assert mixed.witness == (((-1, 3), 2),)
+    assert witness_factors(2, mixed.witness) == (
+        (poly_mul(upoly("s", {2: 1, 0: 1}), upoly("s", {2: 1, 0: -3})), 2),
+    )
 
 
 def test_fiber_analysis_examples():
@@ -191,8 +199,47 @@ def test_factored_reading_matches_yun(k, d, roots):
     # expanded P: the same factors, in the same order of multiplicity
     ring = HypersurfaceRing(k, d, roots, "v")
     check = smooth_check(ring)
-    assert (check.witness, fiber_analysis(ring, 0)) == yun_reading(ring)
+    assert (witness_factors(d, check.witness), fiber_analysis(ring, 0)) == yun_reading(ring)
     assert check.smooth == (not check.witness)
+
+
+# -- printed relations and witnesses parse back -----------------------------------
+
+S = ("s",)
+# d-heavy triples, whose relations print (s^d - 1)^m' with d up to 43
+D_HEAVY = [(43, 1, 7), (25, 2, 5), (20, 3, 10)]
+
+
+def test_reported_relations_and_witnesses_parse_back_to_the_oracles(monkeypatch):
+    # every relation and singular witness a report prints parses back, with
+    # the tests' parser, to the expanded relation of the ring the pipeline
+    # built, or to the Yun factor of the same multiplicity
+    rings = record_rings(monkeypatch)
+    reports = [row["report"] for row in sweep(6, 5, include_reports=True)["rows"]]
+    reports += [verify_triple(d, e, m) for d, e, m in D_HEAVY]
+    assert len(rings) == 2 * len(reports) == 2 * (60 + len(D_HEAVY))
+    singular = 0
+    for report, covering, normalized in zip(reports, rings[::2], rings[1::2]):
+        pre = report["pre_normalization"]
+        assert parse_poly(pre["ring"]["P"], S) == oracle_relation(covering)
+        assert parse_poly(report["normalized"]["ring"]["P"], S) == oracle_relation(normalized)
+        witness = tuple((parse_poly(text, S), j) for text, j in pre["singular_witness"])
+        assert witness == yun_reading(covering)[0]
+        singular += bool(witness)
+    assert singular > len(D_HEAVY)
+
+
+@given(st.integers(1, 6), factored_roots(min_size=1, max_size=3, max_exp=4))
+def test_printed_witness_is_the_yun_factor(d, roots):
+    # points -1, 1/2, 1, 2, 3 at several exponents: the printer's +, - and
+    # p/q paths, each text equal to the oracle printer's and parsing back
+    ring = HypersurfaceRing(1, d, roots, "v")
+    printed = [
+        (_format_relation(d, [(p, 1) for p in points]), j) for points, j in smooth_check(ring).witness
+    ]
+    factors = yun_reading(ring)[0]
+    assert [(format_poly(f), j) for f, j in factors] == printed
+    assert tuple((parse_poly(text, S), j) for text, j in printed) == factors
 
 
 # -- normalization ----------------------------------------------------------------
