@@ -1,0 +1,245 @@
+#!/usr/bin/env python3
+"""Run the hand-written mutants of the package against the tier-1 suite.
+
+Usage:
+    python scripts/mutants.py
+
+Each mutant is one exact edit of one source file.  For each, the repository
+is copied to a temporary directory, the edit is applied there, and the
+tier-1 suite runs once with ``-x`` in one subprocess; mutants run one at a
+time.  A fragment that does not match its file exactly once is refused, so
+the list cannot decay unnoticed.  The kill table, with the first test that
+failed for each mutant, is written to MUTANTS.json at the repository root.
+
+A mutant marked equivalent cannot change any result, for the reason its
+claim gives; every other mutant must be killed.  The exit code is 1 when a
+mutant that is not marked equivalent survives, or one marked equivalent is
+killed, since either means the list or the suite needs attention.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import platform
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
+# the tier-1 guard of this list fails on every mutated copy by design, as
+# the copy's fragment no longer matches, so the mutant runs leave it out
+GUARD = "tests/test_scripts.py::test_every_mutant_fragment_matches_once"
+
+CQ = "src/pseudoplane/cyclic_quotient.py"
+HR = "src/pseudoplane/hypersurface_ring.py"
+QD = "src/pseudoplane/qdivisor.py"
+
+# (file, exact fragment, replacement, claim the mutant breaks, equivalent)
+MUTANTS: list[tuple[str, str, str, str, bool]] = [
+    # product_window's weight conditions, each dropped, and the two rows swapped
+    (CQ, "c != d * p0 - e_prime * n", "False", "product_window checks (I1) c = d*p0 - e'*n", False),
+    (CQ, "or b != p1\n", "or False\n", "product_window checks (I2) b = p1", False),
+    (CQ, "or a != n + m * b\n", "or False\n", "product_window checks (I3) a = n + m*b", False),
+    (CQ, "or a < 0\n", "or False\n", "product_window checks (N) a >= 0", False),
+    (CQ, "or b < 0\n", "or False\n", "product_window checks (N) b >= 0", False),
+    (CQ, "or (a >= m and b)\n", "or False\n", "product_window checks (N) a < m or b = 0", False),
+    (
+        CQ,
+        "or (others and any(n * num // den for num, den in others))",
+        "or False",
+        "product_window checks that no piece has a point other than 0 and 1",
+        False,
+    ),
+    (
+        CQ,
+        "p0 = -(n * n0 // d0)\n            p1 = -(n * n1 // d1)",
+        "p0 = -(n * n1 // d1)\n            p1 = -(n * n0 // d0)",
+        "product_window reads the row of the point 0 as p0 and of 1 as p1",
+        False,
+    ),
+    (
+        CQ,
+        "halves = (weights[: 2 * max_weight], weights[2 * max_weight :])",
+        "halves = (weights[: 2 * max_weight + 1], weights[2 * max_weight + 1 :])",
+        "equivalent: at n = 0 both sides read p0 = p1 = 0, so reading n = 0 on the -D- side changes nothing",
+        True,
+    ),
+    # the ring facts and the printer
+    (HR, "_points_by_exponent(ring) if j >= 2)", "_points_by_exponent(ring) if j >= 3)",
+     "smooth_check's witness lists every exponent j >= 2", False),
+    (HR, "power *= -p", "power *= p", "_relation_terms expands (t - p)^j with the powers of -p", False),
+    (
+        HR,
+        "@functools.lru_cache(maxsize=_RELATION_MEMO_SIZE)",
+        "@functools.lru_cache(maxsize=None)",
+        "the relation memo is bounded by _RELATION_MEMO_SIZE",
+        False,
+    ),
+    # freeness_check
+    (
+        CQ,
+        "    if ring.d * wts[2] % d:\n",
+        "    if False:\n",
+        "freeness_check reads P's exponent residues when s^d is not invariant, not {x, 0} always",
+        False,
+    ),
+    (
+        CQ,
+        " and (not has_nonzero_root or math.gcd(d, wts[2]) == 1):",
+        ":",
+        "freeness_check's short-circuit needs the {s} pattern free when P has a nonzero root",
+        False,
+    ),
+    (
+        CQ,
+        "    # P(s) = Q(s^d) with Q(0) != 0,",
+        "    if math.gcd(d, wts[0], wts[1]) == 1 and (not ring.roots or math.gcd(d, wts[2]) == 1):\n"
+        "        return FreenessResult(True, [])\n"
+        "    # P(s) = Q(s^d) with Q(0) != 0,",
+        "freeness_check refuses a relation that is not semi-invariant before it short-circuits",
+        False,
+    ),
+    (
+        CQ,
+        "if math.gcd(d, wts[0], wts[1]) == 1 and",
+        "if math.gcd(d, wts[0]) == 1 and",
+        "equivalent: gcd(d, w_u) = 1 implies gcd(d, w_u, w_second) = 1, so the short-circuit "
+        "fires less often and the enumeration decides the rest",
+        True,
+    ),
+    # the divisor pair and ML1
+    (QD, "divmod(-k * num, den)", "divmod(k * num, den)", "divisor_roots reads -k*D-, not k*D-", False),
+    (
+        QD,
+        "for _, den in pair.d_minus._coeffs.values()) >= 2",
+        "for _, den in pair.d_minus._coeffs.values()) >= 1",
+        "ml1_test needs the fractional part of D- on two points",
+        False,
+    ),
+    (
+        QD,
+        "total._coeffs.items() if num > 0]",
+        "total._coeffs.items() if num >= 0]",
+        "equivalent: a QDivisor stores no zero coefficient, so num >= 0 and num > 0 select alike",
+        True,
+    ),
+    (
+        QD,
+        "for p, (num, den) in d._coeffs.items() if den != 1})",
+        "for p, (num, den) in d._coeffs.items()})",
+        "fract_div keeps no point where the coefficient is integral, so ml1_test counts only "
+        "fractional points",
+        False,
+    ),
+    # the LND search
+    (
+        CQ,
+        "binding = (0, 1, m * triple.e_prime % triple.d)",
+        "binding = (0, 1, 0)",
+        "find_valid_lnd_degrees runs the rule on the invariant generator (0, 1, m*e' mod d)",
+        False,
+    ),
+    (
+        CQ,
+        "binding = (0, 1, m * triple.e_prime % triple.d)",
+        "binding = (1, 1, m * triple.e_prime % triple.d)",
+        "find_valid_lnd_degrees binds on the generator (0, 1, m*e' mod d), whose u exponent is 0",
+        False,
+    ),
+    (
+        CQ,
+        "return j >= 0 or",
+        "return j > 0 or",
+        "equivalent: j = a + degree with a >= 0 and degree >= 1, so j = 0 never occurs",
+        True,
+    ),
+]
+
+
+def fragment_problems() -> list[str]:
+    """A message for each mutant whose fragment does not match its file
+    exactly once, or whose replacement equals the fragment."""
+    problems = []
+    for index, (path, fragment, replacement, _, _) in enumerate(MUTANTS):
+        count = (ROOT / path).read_text().count(fragment)
+        if count != 1:
+            problems.append(f"mutant {index}: {fragment!r} matches {path} {count} times")
+        if fragment == replacement:
+            problems.append(f"mutant {index}: the replacement equals the fragment")
+    return problems
+
+
+_FAILED_RE = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.MULTILINE)
+
+
+def run_mutant(index: int) -> dict:
+    """Apply mutant `index` to a fresh copy of the repository and run the
+    tier-1 suite there once, stopping at the first failure."""
+    path, fragment, replacement, claim, equivalent = MUTANTS[index]
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        copy = Path(tmp) / "repo"
+        shutil.copytree(
+            ROOT,
+            copy,
+            ignore=shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache"),
+        )
+        target = copy / path
+        target.write_text(target.read_text().replace(fragment, replacement, 1))
+        env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+        start = time.perf_counter()
+        proc = subprocess.run([*TIER1, "--deselect", GUARD], cwd=copy, env=env, capture_output=True, text=True)
+        seconds = time.perf_counter() - start
+    failure = _FAILED_RE.search(proc.stdout)
+    return {
+        "file": path,
+        "fragment": fragment,
+        "replacement": replacement,
+        "claim": claim,
+        "equivalent": equivalent,
+        "killed": proc.returncode != 0,
+        "first_failure": failure.group(1) if failure else None,
+        "seconds": round(seconds, 1),
+    }
+
+
+def main() -> int:
+    problems = fragment_problems()
+    if problems:
+        print("\n".join(problems), file=sys.stderr)
+        return 2
+
+    start = time.perf_counter()
+    results = []
+    for i in range(len(MUTANTS)):
+        result = run_mutant(i)
+        results.append(result)
+        status = "killed" if result["killed"] else "survived"
+        mark = " (equivalent)" if result["equivalent"] else ""
+        print(f"[{i:2}] {status}{mark} in {result['seconds']} s by {result['first_failure']}: {result['claim']}")
+    elapsed = time.perf_counter() - start
+
+    unexpected = [r for r in results if r["killed"] == r["equivalent"]]
+    table = {
+        "python": platform.python_version(),
+        "cores": os.cpu_count(),
+        "run_seconds": round(elapsed, 1),
+        "command": " ".join(["PYTHONPATH=src", "python", *TIER1[1:], "--deselect", GUARD]),
+        "killed": sum(r["killed"] for r in results),
+        "survived": sum(not r["killed"] for r in results),
+        "unexpected": len(unexpected),
+        "mutants": results,
+    }
+    (ROOT / "MUTANTS.json").write_text(json.dumps(table, indent=2) + "\n")
+    print(f"{table['killed']} killed, {table['survived']} survived, {len(unexpected)} unexpected, {elapsed:.0f} s")
+    return 1 if unexpected else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

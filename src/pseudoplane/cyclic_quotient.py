@@ -126,9 +126,17 @@ def freeness_check(action: CyclicAction, ring: HypersurfaceRing) -> FreenessResu
     b*weight = 0 mod d and the surface has a point with exactly that
     pattern.  As P(0) = prod (-p)^j != 0, a point with u and second both
     nonzero always exists, and any other point needs P(s) = 0 at some
-    s != 0, that is a root of the factored relation.  Only the multiples of
-    each admitted pattern's period are visited, and the loci are listed by
-    power, then pattern.
+    s != 0, that is a root of the factored relation.  A pattern admits a
+    power b < d iff its gcd(d, weights) exceeds 1, and then exactly the
+    multiples of d / gcd; the loci are listed by power, then pattern.
+
+    Lemma (two least patterns).  Every admitted pattern contains {u, second}
+    or, when P has a nonzero root, {s}.  Adding coordinates can only shrink
+    the gcd, so an admitted pattern's gcd divides that of {u, second} or of
+    {s}, both admitted themselves.  So the action is free iff
+    gcd(d, w_u, w_second) = 1 and, when P has a nonzero root,
+    gcd(d, w_s) = 1; only an action that is not free enumerates the patterns
+    to list its loci.
     """
     d = action.modulus
     variables = ring.variables
@@ -149,6 +157,8 @@ def freeness_check(action: CyclicAction, ring: HypersurfaceRing) -> FreenessResu
             f"relation is not semi-invariant under the action: residues {sorted(residues)}"
         )
     has_nonzero_root = bool(ring.roots)
+    if math.gcd(d, wts[0], wts[1]) == 1 and (not has_nonzero_root or math.gcd(d, wts[2]) == 1):
+        return FreenessResult(True, [])
     hits = []
     for index, pattern in enumerate(product((False, True), repeat=3)):
         u_nz, v_nz, s_nz = pattern

@@ -7,6 +7,10 @@ exponent j >= 1.  No element of it is ever built, and neither is P as a
 polynomial: ``_format_relation`` prints the relation (``serialize``) and
 the factors of ``smooth_check``'s witness (``report``) from the
 coefficients that ``_relation_terms`` expands on the points and exponents.
+It prints each text once per process: a bounded memo keyed by
+``(d, roots)`` keeps the last ``_RELATION_MEMO_SIZE`` texts.  A sweep in
+row order keeps few of them live, as every relation of a triple is
+(s^d - 1)^j with j = 1 or j = m' = lcm(d, m)/m, a divisor of d.
 This module answers what the presentation decides on its own: smoothness
 (``smooth_check``) and the fibers of the u-projection (``fiber_analysis``).
 Each question is settled on the integers of the factored relation, by one
@@ -35,6 +39,7 @@ derivations u^e * d/ds are certified by an integer rule on exponent vectors
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
@@ -69,11 +74,21 @@ def _relation_terms(d: int, roots: Iterable[tuple[Scalar, int]]) -> list[tuple[i
     return [(d * (top - i), c) for i, c in enumerate(coeffs) if c]
 
 
-def _format_relation(d: int, roots: Iterable[tuple[Scalar, int]]) -> str:
+# The relations of a triple are (s^d - 1)^j with j = 1 or j = m', and m'
+# divides d, so a sweep in row order keeps at most tau(d) texts live, and
+# tau(d) <= tau(720) = 30 for d <= MAX_D_CAP = 800.  64 entries cover that
+# with room; the largest text, (s^800 - 1)^800, is about 148 KB.
+_RELATION_MEMO_SIZE = 64
+
+
+@functools.lru_cache(maxsize=_RELATION_MEMO_SIZE)
+def _format_relation(d: int, roots: tuple[tuple[Scalar, int], ...]) -> str:
     """The text of prod (s^d - p)^j over the (point p, exponent j) pairs of
     ``roots``, expanded in s: terms in decreasing exponent, a negative
     coefficient as a minus sign, unit coefficients and ``^1`` elided, and
-    rationals written ``p/q``, e.g. ``s^6 - 3/2*s^3 + 1/2``."""
+    rationals written ``p/q``, e.g. ``s^6 - 3/2*s^3 + 1/2``.  Memoized on
+    (d, roots), so ``roots`` is a tuple, and an int point and an equal
+    Fraction share one text, which is the same either way."""
     parts: list[str] = []
     for e, c in _relation_terms(d, roots):
         if c < 0:
@@ -180,7 +195,7 @@ def smooth_check(ring: HypersurfaceRing) -> SmoothCheck:
     prod (s^d - p) over those points is the factor of P's squarefree
     decomposition of multiplicity j (s-coordinates of the singular points
     along u = 0).  ``_format_relation`` prints it from
-    ``[(p, 1) for p in points]``."""
+    ``tuple((p, 1) for p in points)``."""
     witness = tuple((tuple(points), j) for j, points in _points_by_exponent(ring) if j >= 2)
     return SmoothCheck(not witness, witness)
 

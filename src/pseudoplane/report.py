@@ -225,7 +225,7 @@ def verify_triple(
             "ring": covering.serialize(),
             "smooth": covering_smooth.smooth,
             "singular_witness": [
-                [_format_relation(covering.d, [(p, 1) for p in points]), mult]
+                [_format_relation(covering.d, tuple((p, 1) for p in points)), mult]
                 for points, mult in covering_smooth.witness
             ],
         },

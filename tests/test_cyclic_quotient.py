@@ -18,6 +18,7 @@ from helpers import (
     normal_form,
     normalized_ring,
     oracle_component_permutation,
+    oracle_freeness_check,
     product_structure_check,
     reachable_sums,
     surface_triples,
@@ -108,6 +109,29 @@ def test_freeness_requires_semi_invariant_relation():
     action = CyclicAction(3, {"u": 1, "w": 0, "s": 1})
     with pytest.raises(ValueError, match="semi-invariant"):
         freeness_check(action, xyz_ring(2, 3))
+
+
+def _freeness_and_oracle(action, ring):
+    result = freeness_check(action, ring)
+    assert tuple(result) == oracle_freeness_check(action, ring)
+    return result
+
+
+def test_freeness_pattern_u_second_binds_though_s_weight_is_a_unit():
+    # gcd(4, 2, -2) = 2 fixes u, w != 0, s = 0 under the power 2
+    result = _freeness_and_oracle(CyclicAction(4, {"u": 2, "w": -2, "s": 1}), xyz_ring(1, 4))
+    assert not result.free
+    assert {"power": 2, "pattern": {"u": "nonzero", "w": "nonzero", "s": "zero"}} in result.fixed_loci
+
+
+def test_freeness_pattern_s_needs_a_nonzero_root():
+    # gcd(4, 2) = 2 at s, but P = 1 has no root, so no point has u or w zero
+    action = CyclicAction(4, {"u": 1, "w": -1, "s": 2})
+    assert _freeness_and_oracle(action, HypersurfaceRing(1, 2, (), "w")).free
+    # the same action on u w = s^2 - 1 fixes the points u = w = 0, s = +-1
+    result = _freeness_and_oracle(action, xyz_ring(1, 2))
+    assert not result.free
+    assert {"power": 2, "pattern": {"u": "zero", "w": "zero", "s": "nonzero"}} in result.fixed_loci
 
 
 # -- invariant monoid -------------------------------------------------------------

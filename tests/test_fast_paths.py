@@ -118,7 +118,7 @@ from pseudoplane import (
     verify_triple,
     weight_piece_generator,
 )
-from pseudoplane.hypersurface_ring import _relation_terms
+from pseudoplane.hypersurface_ring import _RELATION_MEMO_SIZE, _relation_terms
 
 UVS = ("u", "v", "s")
 UWS = ("u", "w", "s")
@@ -172,11 +172,13 @@ def test_localization_round_trip_is_the_normal_form(m, d, p):
 
 
 def _memo_caches():
+    """{module.name: memo} of every memo the package defines, each named
+    by the module that defines it, not by the modules that import it."""
     found = {}
     for info in pkgutil.iter_modules(pseudoplane.__path__):
         module = importlib.import_module(f"pseudoplane.{info.name}")
         for name, obj in vars(module).items():
-            if hasattr(obj, "cache_parameters"):
+            if hasattr(obj, "cache_parameters") and obj.__module__ == module.__name__:
                 found[f"{info.name}.{name}"] = obj
             assert not (isinstance(obj, dict) and "cache" in name), (
                 f"{info.name}.{name} is an unbounded dict cache"
@@ -185,9 +187,16 @@ def _memo_caches():
 
 
 def test_every_memo_cache_is_bounded():
-    # the ring facts are read off the factored relation, so no module keeps
-    # a memo, and _memo_caches finds no unbounded dict cache either
-    assert _memo_caches() == {}
+    # the ring facts are read off the factored relation; the one memo is the
+    # relation printer's, with a fixed finite size, and _memo_caches finds no
+    # unbounded dict cache either
+    caches = _memo_caches()
+    assert set(caches) == {"hypersurface_ring._format_relation"}
+    assert caches["hypersurface_ring._format_relation"].cache_parameters() == {
+        "maxsize": _RELATION_MEMO_SIZE,
+        "typed": False,
+    }
+    assert _RELATION_MEMO_SIZE == 64
 
 
 def test_hilbert_basis_returns_a_fresh_list():

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -235,11 +237,77 @@ def test_printed_witness_is_the_yun_factor(d, roots):
     # p/q paths, each text equal to the oracle printer's and parsing back
     ring = HypersurfaceRing(1, d, roots, "v")
     printed = [
-        (_format_relation(d, [(p, 1) for p in points]), j) for points, j in smooth_check(ring).witness
+        (_format_relation(d, tuple((p, 1) for p in points)), j) for points, j in smooth_check(ring).witness
     ]
     factors = yun_reading(ring)[0]
     assert [(format_poly(f), j) for f, j in factors] == printed
     assert tuple((parse_poly(text, S), j) for text, j in printed) == factors
+
+
+# -- the relation memo ------------------------------------------------------------
+
+
+def _printed_keys(report, covering, normalized):
+    """(text, (d, roots)) for each relation and witness text of a report,
+    with the key the pipeline printed it from."""
+    pre = report["pre_normalization"]
+    keys = [
+        (pre["ring"]["P"], (covering.d, covering.roots)),
+        (report["normalized"]["ring"]["P"], (normalized.d, normalized.roots)),
+    ]
+    witness = smooth_check(covering).witness
+    assert [j for _, j in pre["singular_witness"]] == [j for _, j in witness]
+    keys += [
+        (text, (covering.d, tuple((p, 1) for p in points)))
+        for (text, _), (points, _) in zip(pre["singular_witness"], witness)
+    ]
+    return keys
+
+
+def test_memoized_texts_equal_the_printer(monkeypatch):
+    # every text a report takes from the memo is what the unmemoized
+    # printer writes on the same key, on the acceptance sweep, the d-heavy
+    # sweep and the d-heavy triples
+    rings = record_rings(monkeypatch)
+    reports = [row["report"] for row in sweep(6, 5, include_reports=True)["rows"]]
+    reports += [row["report"] for row in sweep(20, 10, include_reports=True)["rows"]]
+    reports += [verify_triple(d, e, m) for d, e, m in D_HEAVY]
+    assert len(rings) == 2 * len(reports)
+    for report, covering, normalized in zip(reports, rings[::2], rings[1::2]):
+        for text, (d, roots) in _printed_keys(report, covering, normalized):
+            assert text == _format_relation.__wrapped__(d, roots)
+
+
+def test_an_int_point_and_an_equal_fraction_share_one_text():
+    for first, second in [(2, F(2)), (F(-1), -1)]:
+        _format_relation.cache_clear()
+        texts = [_format_relation(3, ((p, 2), (5, 1))) for p in (first, second)]
+        assert _format_relation.cache_info().hits == 1
+        assert texts == [_format_relation.__wrapped__(3, ((p, 2), (5, 1))) for p in (first, second)]
+
+
+def test_a_report_shares_no_mutable_object_with_the_next():
+    want = json.dumps(verify_triple(4, 3, 2))
+    first = verify_triple(4, 3, 2)
+    first["normalized"]["ring"]["P"] = "s"
+    first["normalized"]["ring"]["k"] = 0
+    first["pre_normalization"]["ring"]["P"] = "s"
+    first["pre_normalization"]["singular_witness"].clear()
+    assert json.dumps(verify_triple(4, 3, 2)) == want
+
+
+def test_a_row_order_sweep_prints_each_key_once(monkeypatch):
+    # m' divides d, so row order keeps few keys live and the memo never
+    # evicts one that a later triple prints again
+    rings = record_rings(monkeypatch)
+    _format_relation.cache_clear()
+    reports = [row["report"] for row in sweep(20, 10, include_reports=True)["rows"]]
+    keys = {
+        key
+        for report, covering, normalized in zip(reports, rings[::2], rings[1::2])
+        for _, key in _printed_keys(report, covering, normalized)
+    }
+    assert _format_relation.cache_info().misses == len(keys) == 66
 
 
 # -- normalization ----------------------------------------------------------------
