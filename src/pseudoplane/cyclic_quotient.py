@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from functools import partial
 from itertools import compress, product
 from typing import NamedTuple
 
@@ -73,19 +74,15 @@ class SurfaceTriple(_Frozen):
             )
         e_prime = pow(e, -1, d) if d > 1 else 1
         k = d * m // math.gcd(d, m)
-        fields = {
-            "d": d,
-            "e": e,
-            "m": m,
-            "e_prime": e_prime,
-            "k": k,
-            "m_prime": k // m,
-            "d_prime": k // d,
-            "l": -e_prime * (k // d),
-            "pair": _family_pair(d, e_prime, m),
-        }
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "e_prime", e_prime)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "m_prime", k // m)
+        object.__setattr__(self, "d_prime", k // d)
+        object.__setattr__(self, "l", -e_prime * (k // d))
+        object.__setattr__(self, "pair", _family_pair(d, e_prime, m))
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
@@ -141,7 +138,7 @@ def freeness_check(action: CyclicAction, ring: HypersurfaceRing) -> FreenessResu
     d = action.modulus
     variables = ring.variables
     try:
-        wts = [action.weights[v] for v in variables]
+        wts = list(map(action.weights.__getitem__, variables))
     except KeyError as exc:
         raise ValueError(f"action is missing a weight for variable {exc}") from None
     # P(s) = Q(s^d) with Q(0) != 0, so P's exponents are multiples of ring.d
@@ -268,11 +265,10 @@ def product_window(triple: SurfaceTriple, max_weight: int) -> int | None:
     for ((n0, d0), (n1, d1), others), half in zip(sides, halves):
         for n in half:
             a, b, c = weight_piece_generator(triple, n)
-            p0 = -(n * n0 // d0)
-            p1 = -(n * n1 // d1)
+            # (I1) and (I2) read p0 = -(n * n0 // d0) and p1 = -(n * n1 // d1) inline
             if (
-                c != d * p0 - e_prime * n
-                or b != p1
+                c != -d * (n * n0 // d0) - e_prime * n
+                or b != -(n * n1 // d1)
                 or a != n + m * b
                 or a < 0
                 or b < 0
@@ -309,8 +305,8 @@ def _same_subgroup_as_induced(triple: SurfaceTriple, action: CyclicAction) -> bo
     d, e_prime = triple.d, triple.e_prime
     weights = action.weights
     c = weights["s"]
-    return math.gcd(c, d) == 1 and all(
-        (c * w) % d == weights[v] for v, w in (("u", e_prime), ("w", -triple.m * e_prime), ("s", 1))
+    return math.gcd(c, d) == 1 and (c * e_prime % d, -c * triple.m * e_prime % d, c % d) == (
+        weights["u"], weights["w"], weights["s"]
     )
 
 
@@ -331,8 +327,11 @@ def component_permutation(d: int, e: int) -> ComponentPermutation:
     if not _is_int(e):
         raise ValueError(f"e must be an integer: {e}")
     g = math.gcd(d, e)
-    cycles = tuple(tuple((start + i * e) % d for i in range(d // g)) for start in range(g))
-    return ComponentPermutation(cycles, g == 1)
+    step, length = e % d + d, d // g  # step = e (mod d) and > 0; d.__rmod__(x) = x % d
+    cycles = []
+    for start in range(g):
+        cycles.append(tuple(map(d.__rmod__, range(start, start + length * step, step))))
+    return ComponentPermutation(tuple(cycles), g == 1)
 
 
 def _keeps_ring(generator: tuple[int, int, int], degree: int, m: int) -> bool:
@@ -395,5 +394,5 @@ def find_valid_lnd_degrees(triple: SurfaceTriple, bound: int) -> list[int]:
     binding = (0, 1, m * triple.e_prime % triple.d)
     # the least degree >= 1 congruent to e mod d, then every d-th one
     degrees = range((triple.e - 1) % triple.d + 1, bound + 1, triple.d)
-    first = bisect_left(degrees, True, key=lambda x: _keeps_ring(binding, x, m))
+    first = bisect_left(degrees, True, key=partial(_keeps_ring, binding, m=m))
     return list(degrees[first:])

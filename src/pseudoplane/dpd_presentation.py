@@ -7,7 +7,7 @@ e = -floor(n*D+), weight n < 0 reads e = -floor(-n*D-).  The exponents are
 integer floor divisions of the numerators and denominators read once off
 the pair (``qdivisor._integer_rows``, in ``cyclic_quotient.product_window``),
 so no Fraction is built, hashed or compared per weight.  The family pair
-itself is built from integer rows (``qdivisor._from_rows``), without a
+itself is built from integer rows (``QDivisor._trusted``), without a
 Fraction.
 """
 
@@ -17,7 +17,7 @@ import math
 from typing import NamedTuple
 
 from .exact_algebra import _is_int, _is_positive_int
-from .qdivisor import DpdPair, _from_rows, negative_locus
+from .qdivisor import DpdPair, QDivisor, negative_locus
 
 
 def pseudoplane_dpd_pair(d: int, e_prime: int, m: int) -> DpdPair:
@@ -44,7 +44,7 @@ def _family_pair(d: int, e_prime: int, m: int) -> DpdPair:
     if r == 0:
         r = d
     # r/d and -1/m are reduced, as gcd(r, d) = gcd(e', d) = 1
-    return DpdPair(_from_rows((0, -r, d)), _from_rows((0, r, d), (1, -1, m)))
+    return DpdPair(QDivisor._trusted({0: (-r, d)}), QDivisor._trusted({0: (r, d), 1: (-1, m)}))
 
 
 class ActionClass(NamedTuple):
@@ -57,9 +57,11 @@ def classify_presentation(pair: DpdPair, lnd_degree: int | None = None) -> Actio
     for a surface with an essentially unique ruling over the affine line.
 
     lnd_degree, when known, is the degree of a homogeneous locally nilpotent
-    derivation.  This performs no ring computation: each exclusion is a
-    recorded fact about the presentation.
+    derivation: an int (not a bool) or None, and anything else raises
+    ValueError.  No ring computation runs: each exclusion is a recorded fact.
     """
+    if lnd_degree is not None and not _is_int(lnd_degree):
+        raise ValueError(f"lnd_degree must be an integer or None, got {lnd_degree!r}")
     if lnd_degree == 0:
         return ActionClass(
             False,

@@ -194,10 +194,12 @@ def smooth_check(ring: HypersurfaceRing) -> SmoothCheck:
     increasing root points of exponent j: by the module's lemma,
     prod (s^d - p) over those points is the factor of P's squarefree
     decomposition of multiplicity j (s-coordinates of the singular points
-    along u = 0).  ``_format_relation`` prints it from
-    ``tuple((p, 1) for p in points)``."""
-    witness = tuple((tuple(points), j) for j, points in _points_by_exponent(ring) if j >= 2)
-    return SmoothCheck(not witness, witness)
+    along u = 0).  ``_format_relation`` prints it from the pairs (p, 1)."""
+    witness = []
+    for j, points in _points_by_exponent(ring):
+        if j >= 2:
+            witness.append((tuple(points), j))
+    return SmoothCheck(not witness, tuple(witness))
 
 
 def fiber_analysis(ring: HypersurfaceRing, u_value: Scalar) -> list[tuple[int, int]]:

@@ -15,7 +15,7 @@ The constructor takes only ``int`` (not ``bool``) and ``Fraction`` points
 and coefficients and refuses anything else with ``ValueError``.  The public
 accessors ``coefficients``, ``support``, ``coefficient`` and ``items`` build
 ``Fraction``s from the stored integers on each call.  No other module reads
-the storage: ``_from_rows`` builds a divisor from integer rows and
+the storage: ``QDivisor._trusted`` wraps integer rows as a divisor and
 ``_integer_rows`` reads one as rows.
 
 Text format: comma-separated ``point:coefficient`` entries, each rational
@@ -60,27 +60,17 @@ def _point(value) -> Scalar:
     return num if den == 1 else value
 
 
-def _format_ratio(num: int, den: int) -> str:
-    """num/den as ``str(Fraction(num, den))`` prints it."""
-    return str(num) if den == 1 else f"{num}/{den}"
-
-
-def _sum_into(rows: dict, point: Scalar, num: int, den: int) -> None:
-    """Add num/den at point, dropping the point when its sum is 0."""
-    have = rows.get(point)
-    if have is None:
-        rows[point] = (num, den)
-        return
-    a, c = have
-    num, den = (a + num, c) if c == den else (a * den + num * c, c * den)
-    if num:
-        g = math.gcd(num, den)
-        rows[point] = (num // g, den // g)
-    else:
-        del rows[point]
-
-
-def _sorted_rows(rows: dict) -> dict[Scalar, _Ratio]:
+def _summed(rows: dict, entries: Iterable[tuple[Scalar, _Ratio]]) -> dict[Scalar, _Ratio]:
+    """`rows` with each (point, (num, den)) of `entries` added, a point
+    dropped where its sum is 0, sorted by point."""
+    for point, (num, den) in entries:
+        a, c = rows.get(point, (0, den))
+        num, den = (a + num, c) if c == den else (a * den + num * c, c * den)
+        if num:
+            g = math.gcd(num, den)
+            rows[point] = (num // g, den // g)
+        else:
+            rows.pop(point, None)
     # the points are distinct, so they alone order the entries
     return dict(sorted(rows.items(), key=itemgetter(0)))
 
@@ -95,13 +85,8 @@ class QDivisor(_Frozen):
         # a dict skips the Mapping check, whose first use fills the ABC caches
         if type(coefficients) is dict or isinstance(coefficients, Mapping):
             coefficients = coefficients.items()
-        rows: dict[Scalar, _Ratio] = {}
-        for point, coeff in coefficients:
-            point = _point(point)
-            num, den = _rational(coeff, "coefficients")
-            if num:
-                _sum_into(rows, point, num, den)
-        object.__setattr__(self, "_coeffs", _sorted_rows(rows))
+        entries = [(_point(point), _rational(coeff, "coefficients")) for point, coeff in coefficients]
+        object.__setattr__(self, "_coeffs", _summed({}, entries))
 
     @classmethod
     def _trusted(cls, rows: dict[Scalar, _Ratio]) -> "QDivisor":
@@ -145,10 +130,7 @@ class QDivisor(_Frozen):
     def __add__(self, other: "QDivisor") -> "QDivisor":
         if not isinstance(other, QDivisor):
             return NotImplemented
-        rows = dict(self._coeffs)
-        for p, (num, den) in other._coeffs.items():
-            _sum_into(rows, p, num, den)
-        return QDivisor._trusted(_sorted_rows(rows))
+        return QDivisor._trusted(_summed(dict(self._coeffs), other._coeffs.items()))
 
     def __neg__(self) -> "QDivisor":
         return QDivisor._trusted({p: (-num, den) for p, (num, den) in self._coeffs.items()})
@@ -163,14 +145,6 @@ class QDivisor(_Frozen):
 
     def __repr__(self) -> str:
         return f"QDivisor({format_divisor(self)!r})"
-
-
-def _from_rows(*rows: tuple[int, int, int]) -> QDivisor:
-    """The divisor with coefficient numerator/denominator at each point of
-    its (point, numerator, denominator) rows, which must come with distinct
-    int points in increasing order and reduced nonzero coefficients over
-    positive denominators; nothing checks them."""
-    return QDivisor._trusted({p: (num, den) for p, num, den in rows})
 
 
 def _integer_rows(d: QDivisor, sign: int) -> tuple[_Ratio, _Ratio, tuple[_Ratio, ...]]:
@@ -206,10 +180,12 @@ class DpdPair(_Frozen):
 
     def __init__(self, d_plus: QDivisor, d_minus: QDivisor):
         total = d_plus + d_minus
-        bad = [(p, num, den) for p, (num, den) in total._coeffs.items() if num > 0]
-        if bad:
-            witness = ", ".join(f"({p}: {_format_ratio(num, den)})" for p, num, den in bad)
-            raise ValueError(f"D+ + D- must be <= 0 everywhere; positive at {witness}")
+        for num, _ in total._coeffs.values():
+            if num > 0:
+                witness = ", ".join(
+                    f"({p}: {Fraction(num, den)})" for p, (num, den) in total._coeffs.items() if num > 0
+                )
+                raise ValueError(f"D+ + D- must be <= 0 everywhere; positive at {witness}")
         object.__setattr__(self, "d_plus", d_plus)
         object.__setattr__(self, "d_minus", d_minus)
         object.__setattr__(self, "total", total)
@@ -242,11 +218,16 @@ def ml1_test(pair: DpdPair) -> bool:
     that regime a :class:`RegimeError` is raised.
     """
     # fract_div keeps exactly the points whose denominator is not 1
-    if sum(den != 1 for _, den in pair.d_plus._coeffs.values()) > 1:
+    plus = minus = 0
+    for _, den in pair.d_plus._coeffs.values():
+        plus += den != 1
+    if plus > 1:
         raise RegimeError(
             "outside classified regime: fractional part of D+ is supported on more than one point"
         )
-    return sum(den != 1 for _, den in pair.d_minus._coeffs.values()) >= 2
+    for _, den in pair.d_minus._coeffs.values():
+        minus += den != 1
+    return minus >= 2
 
 
 class NegativeLocus(NamedTuple):
@@ -258,7 +239,7 @@ class NegativeLocus(NamedTuple):
 def negative_locus(pair: DpdPair) -> NegativeLocus:
     """Count points where D+ + D- < 0; the Picard rank of the presented
     surface is at least l - 1, so torsion Picard forces l <= 1."""
-    l = sum(1 for num, _ in pair.total._coeffs.values() if num < 0)
+    l = len(pair.total._coeffs)  # D+ + D- is <= 0 and stores no 0, so each point is < 0
     return NegativeLocus(l, l - 1, l <= 1)
 
 
@@ -281,7 +262,7 @@ def divisor_roots(d_minus: QDivisor, k: int) -> tuple[int, tuple[tuple[Scalar, i
         if rest:
             raise ValueError(
                 f"k is not a multiple of denom(D-): k={k} leaves coefficient "
-                f"{_format_ratio(num, den)} at {p} non-integral"
+                f"{Fraction(num, den)} at {p} non-integral"
             )
         if p == 0:
             l = e
@@ -333,4 +314,7 @@ def parse_divisor(text: str) -> QDivisor:
 
 def format_divisor(d: QDivisor) -> str:
     """Points in increasing order; the zero divisor prints as ''."""
-    return ",".join(f"{p}:{_format_ratio(num, den)}" for p, (num, den) in d._coeffs.items())
+    entries = []
+    for p, (num, den) in d._coeffs.items():
+        entries.append(f"{p}:{num}" if den == 1 else f"{p}:{num}/{den}")
+    return ",".join(entries)

@@ -128,33 +128,35 @@ def verify_triple(
     _check_work_bounds(max_weight, max_exponent)
     failed: list[str] = []
 
-    def check(name: str, ok: bool) -> bool:
-        if not ok:
-            failed.append(name)
-        return ok
-
     exponent_check = triple.k * triple.e_prime + triple.d * triple.l == 0
-    check("exponent_identity", exponent_check)
+    if not exponent_check:
+        failed.append("exponent_identity")
 
     pair = triple.pair
     ml1 = ml1_test(pair)
-    check("ml1_prediction", ml1 == (d >= 2 and m >= 2))
+    if ml1 != (d >= 2 and m >= 2):
+        failed.append("ml1_prediction")
 
     locus = negative_locus(pair)
-    check("picard_torsion", locus.torsion_compatible)
+    if not locus.torsion_compatible:
+        failed.append("picard_torsion")
 
     # -k*D- is the divisor of t^l (t - 1)^m', so Q = (t - 1)^m'; with
     # k*e' + d*l = 0 (exponent_identity) the covering relation is
     # u^k v = Q(s^d) = (s^d - 1)^m'
     pure_power = ((1, triple.m_prime),)
     l_from_divisor, roots = divisor_roots(pair.d_minus, triple.k)
-    check("divisor_polynomial", l_from_divisor == triple.l and roots == pure_power)
+    if l_from_divisor != triple.l or roots != pure_power:
+        failed.append("divisor_polynomial")
 
     covering = HypersurfaceRing._trusted(triple.k, d, roots, "v")
-    covering_ok = check("covering_relation", covering.roots == pure_power)
+    covering_ok = covering.roots == pure_power
+    if not covering_ok:
+        failed.append("covering_relation")
 
     covering_smooth = smooth_check(covering)
-    check("pre_normalization_smoothness", covering_smooth.smooth == (triple.m_prime == 1))
+    if covering_smooth.smooth != (triple.m_prime == 1):
+        failed.append("pre_normalization_smoothness")
 
     # the normalized model adjoins w = (s^d - 1)/u^m; with k = m*m',
     # w^m' = (s^d - 1)^m'/u^k = P/u^k = v exactly when P = (s^d - 1)^m',
@@ -162,42 +164,53 @@ def verify_triple(
     # result and the witness check reads normalized_smooth alone
     normalized = HypersurfaceRing._trusted(m, d, ((1, 1),), "w")
     normalized_smooth = smooth_check(normalized).smooth
-    check("normalization_witnesses", normalized_smooth)
+    if not normalized_smooth:
+        failed.append("normalization_witnesses")
 
     action = standard_action(triple)
     freeness = freeness_check(action, normalized)
-    check("freeness", freeness.free)
+    if not freeness.free:
+        failed.append("freeness")
 
     fiber = fiber_analysis(normalized, 0)
-    check("degenerate_fiber", fiber == [(d, 1)])
+    if fiber != [(d, 1)]:
+        failed.append("degenerate_fiber")
 
     cycles, transitive = component_permutation(d, e)
-    check("component_transitivity", transitive)
+    if not transitive:
+        failed.append("component_transitivity")
 
     subgroup_match = _same_subgroup_as_induced(triple, action)
-    check("action_subgroup", subgroup_match)
+    if not subgroup_match:
+        failed.append("action_subgroup")
 
     all_match: bool | None = None
     if max_weight > 0:
-        all_match = check("product_structure", product_window(triple, max_weight) is None)
+        all_match = product_window(triple, max_weight) is None
+        if not all_match:
+            failed.append("product_structure")
 
     degrees = find_valid_lnd_degrees(triple, bound=max(max_exponent, m + triple.d))
-    check("lnd_degrees", bool(degrees))
+    if not degrees:
+        failed.append("lnd_degrees")
 
-    reasons = []
-    if m == 1:
-        reasons.append(_REASON_M1)
-    if d == 1:
-        reasons.append(_REASON_D1)
+    singular_witness = []  # each factor printed as prod (s^d - p) over its points
+    for points, mult in covering_smooth.witness:
+        singular_witness.append([_format_relation(d, tuple(zip(points, [1] * len(points)))), mult])
+
+    excluded_reason = None
     if failed:
         verdict = "inconsistent"
-        excluded_reason = None
     elif not ml1:
         verdict = "excluded"
+        reasons = []
+        if m == 1:
+            reasons.append(_REASON_M1)
+        if d == 1:
+            reasons.append(_REASON_D1)
         excluded_reason = "; ".join(reasons)
     else:
         verdict = "consistent"
-        excluded_reason = None
 
     return {
         "format_version": FORMAT_VERSION,
@@ -224,10 +237,7 @@ def verify_triple(
         "pre_normalization": {
             "ring": covering.serialize(),
             "smooth": covering_smooth.smooth,
-            "singular_witness": [
-                [_format_relation(covering.d, tuple((p, 1) for p in points)), mult]
-                for points, mult in covering_smooth.witness
-            ],
+            "singular_witness": singular_witness,
         },
         "normalized": {
             "ring": normalized.serialize(),
@@ -235,10 +245,10 @@ def verify_triple(
                 "power_identity": covering_ok,
                 "normalized_smooth": normalized_smooth,
             },
-            "degenerate_fiber": [[count, mult] for count, mult in fiber],
+            "degenerate_fiber": list(map(list, fiber)),
         },
         "freeness": freeness.free,
-        "component_cycles": [list(c) for c in cycles],
+        "component_cycles": list(map(list, cycles)),
         "transitive": transitive,
         "action_subgroup_match": subgroup_match,
         "product_structure": {"max_weight": max_weight, "all_match": all_match},

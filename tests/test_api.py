@@ -25,6 +25,8 @@ from pseudoplane import (
     HypersurfaceRing,
     QDivisor,
     SurfaceTriple,
+    classify_pair,
+    classify_presentation,
     component_permutation,
     divisor_roots,
     fiber_analysis,
@@ -325,6 +327,24 @@ INPUT_CHECKS = {
     "smoothness_condition-a-bool": (
         lambda: smoothness_condition(2, True),
         ValueError, "a must be an integer: True",
+    ),
+    # lnd_degree is None or an int: False and 0.0 once read as degree 0,
+    # "0" and 2.5 as admissible
+    "classify_presentation-lnd_degree-bool": (
+        lambda: classify_presentation(pseudoplane_dpd_pair(3, 2, 2), False),
+        ValueError, "lnd_degree must be an integer or None, got False",
+    ),
+    "classify_presentation-lnd_degree-float-zero": (
+        lambda: classify_presentation(pseudoplane_dpd_pair(3, 2, 2), 0.0),
+        ValueError, "lnd_degree must be an integer or None, got 0.0",
+    ),
+    "classify_pair-lnd_degree-string": (
+        lambda: classify_pair("0:-2/3", "0:2/3,1:-1/2", "0"),
+        ValueError, "lnd_degree must be an integer or None, got '0'",
+    ),
+    "classify_pair-lnd_degree-float": (
+        lambda: classify_pair("0:-2/3", "0:2/3,1:-1/2", 2.5),
+        ValueError, "lnd_degree must be an integer or None, got 2.5",
     ),
     "HypersurfaceRing-k-float": (
         lambda: HypersurfaceRing(1.5, 2, ((1, 1),)),

@@ -1195,6 +1195,31 @@ def test_verify_triple_validates_its_inputs_once():
     assert counts == {"_is_int": 11, "_is_positive_int": 5}
 
 
+def test_verify_triple_runs_in_few_python_frames():
+    # every Python-level call of one triple, the relation memo warm: the 33
+    # generator reads of the window -16..16 and 67 calls around them.  The
+    # checks append their names without a closure, and no generator
+    # expression runs on the path (158 calls while they did); a new frame
+    # fails here, and the message lists the calls of each function
+    verify_triple(5, 2, 4)
+    counts = {}
+
+    def profile(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            name = f"{Path(code.co_filename).stem}.{code.co_qualname}"
+            counts[name] = counts.get(name, 0) + 1
+
+    sys.setprofile(profile)
+    try:
+        verify_triple(5, 2, 4)
+    finally:
+        sys.setprofile(None)
+    listed = "\n".join(f"{n:3} {name}" for name, n in sorted(counts.items(), key=lambda kv: -kv[1]))
+    assert counts["cyclic_quotient.weight_piece_generator"] == 33, listed
+    assert sum(counts.values()) == 100, listed
+
+
 def test_trusted_rings_and_actions_match_the_validating_constructors(monkeypatch):
     # every ring verify_triple wraps unchecked over grid_triples(20, 10),
     # and both actions of each triple, against the validating constructor
