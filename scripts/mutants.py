@@ -168,13 +168,30 @@ MUTANTS: list[tuple[str, str, str, str, bool]] = [
         "equivalent: j = a + degree with a >= 0 and degree >= 1, so j = 0 never occurs",
         True,
     ),
-    # the verdict
+    # the verdict: each check's failed.append dropped
     (
         RP,
         'failed.append("lnd_degrees")',
         "pass",
         "verify_triple lists lnd_degrees in failed_checks when no degree passes",
         False,
+    ),
+    *(
+        (RP, f'failed.append("{check}")', "pass", f"verify_triple lists {check} in failed_checks when it fails", False)
+        for check in (
+            "exponent_identity",
+            "ml1_prediction",
+            "picard_torsion",
+            "divisor_polynomial",
+            "covering_relation",
+            "pre_normalization_smoothness",
+            "normalization_witnesses",
+            "freeness",
+            "degenerate_fiber",
+            "component_transitivity",
+            "action_subgroup",
+            "product_structure",
+        )
     ),
 ]
 

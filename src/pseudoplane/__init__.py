@@ -38,9 +38,7 @@ from .cyclic_quotient import (
     component_permutation,
     find_valid_lnd_degrees,
     freeness_check,
-    induced_action,
     product_window,
-    same_subgroup,
     standard_action,
     weight_piece_generator,
 )
@@ -64,13 +62,11 @@ __all__ = [
     "format_divisor",
     "fract_div",
     "freeness_check",
-    "induced_action",
     "ml1_test",
     "negative_locus",
     "parse_divisor",
     "product_window",
     "pseudoplane_dpd_pair",
-    "same_subgroup",
     "smooth_check",
     "smoothness_condition",
     "standard_action",

@@ -40,8 +40,8 @@ class CyclicAction(_Frozen):
     def _trusted(cls, modulus: int, weights: dict[str, int]) -> "CyclicAction":
         """The action with already checked fields, built without the checks:
         `modulus` an int >= 1 and every weight an int, as
-        ``standard_action`` and ``induced_action`` read them off a
-        ``SurfaceTriple``.  The weights are still reduced mod `modulus`."""
+        ``standard_action`` reads them off a ``SurfaceTriple``.  The weights
+        are still reduced mod `modulus`."""
         self = object.__new__(cls)
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "weights", {v: w % modulus for v, w in weights.items()})
@@ -91,15 +91,6 @@ class SurfaceTriple(_Frozen):
 
     def __hash__(self) -> int:
         return hash((self.d, self.e, self.m))
-
-
-def induced_action(triple: SurfaceTriple) -> CyclicAction:
-    """Weights (e', -m*e', 1) on (u, w, s): the action inherited from the
-    covering construction through w = (s^d - 1)/u^m."""
-    return CyclicAction._trusted(
-        triple.d,
-        {"u": triple.e_prime, "w": -triple.m * triple.e_prime, "s": 1},
-    )
 
 
 def standard_action(triple: SurfaceTriple) -> CyclicAction:
@@ -279,29 +270,14 @@ def product_window(triple: SurfaceTriple, max_weight: int) -> int | None:
     return None
 
 
-def same_subgroup(a1: CyclicAction, a2: CyclicAction) -> bool:
-    """Whether the two diagonal actions generate the same symmetry group:
-    some unit c mod d carries the weights of a1 to the weights of a2."""
-    if a1.modulus != a2.modulus:
-        raise ValueError(f"modulus mismatch: {a1.modulus} vs {a2.modulus}")
-    if set(a1.weights) != set(a2.weights):
-        raise ValueError("actions are defined on different variable sets")
-    d = a1.modulus
-    for c in range(1, d + 1):
-        if math.gcd(c, d) != 1:
-            continue
-        if all((c * w) % d == a2.weights[v] for v, w in a1.weights.items()):
-            return True
-    return False
-
-
 def _same_subgroup_as_induced(triple: SurfaceTriple, action: CyclicAction) -> bool:
-    """same_subgroup(induced_action(triple), action) for an action of modulus
-    d on u, w, s, by its one candidate unit.  The induced s weight is 1, so
-    a unit c carrying the induced weights to the action's must be the
-    action's s weight; for the standard action (1, -m, e) that is c = e,
-    which carries (e', -m*e', 1) to it as e*e' = 1 (mod d).  The induced
-    weights are read as integers, with no action built."""
+    """Whether the action, of modulus d on u, w, s, generates the same
+    symmetry group as the induced action, of weights (e', -m*e', 1): whether
+    some unit c mod d carries the induced weights to the action's.  The
+    induced s weight is 1, so the one candidate is c = the action's s
+    weight; for the standard action (1, -m, e) that is c = e, which carries
+    (e', -m*e', 1) to it as e*e' = 1 (mod d).  The induced weights are read
+    as integers, with no action built."""
     d, e_prime = triple.d, triple.e_prime
     weights = action.weights
     c = weights["s"]

@@ -22,8 +22,6 @@ from pseudoplane import (
     QDivisor,
     RegimeError,
     SurfaceTriple,
-    floor_div,
-    fract_div,
     standard_action,
     weight_piece_generator,
 )
@@ -255,9 +253,9 @@ def poly_pow(p: MultiPoly, n: int) -> MultiPoly:
 # -- the gcd and Yun layer -----------------------------------------------------
 #
 # exact_algebra once decomposed every ring's P(s) = Q(s^d) with Yun's
-# squarefree decomposition through a primitive remainder sequence.  The rings
-# now hold their relation factored, and smoothness and fibers are read off
-# the root exponents; this layer is kept as the oracle of that reading, with
+# squarefree decomposition.  The rings now hold their relation factored, and
+# smoothness and fibers are read off the root exponents; Yun's loop with
+# Euclid's gcd over the rationals is kept as the oracle of that reading, with
 # the MultiPoly queries (degree, valuation, leading coefficient, ...) that
 # only the oracles use.
 
@@ -332,15 +330,12 @@ def monic(p: MultiPoly) -> MultiPoly:
 
 
 def poly_divmod(p: MultiPoly, q: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
-    """Exact univariate division with remainder over the rationals.  A step
-    whose top coefficient is an `int` multiple of an `int` leading
-    coefficient of q stays in `int`."""
+    """Exact univariate division with remainder over the rationals."""
     _require_univariate(p, q)
     if not q:
         raise ZeroDivisionError("polynomial division by zero")
     qdeg = degree(q)
     qlead = leading_coefficient(q)
-    int_lead = type(qlead) is int
     rem = dict(p.terms)
     quo: dict[tuple[int, ...], Scalar] = {}
     while rem:
@@ -348,12 +343,7 @@ def poly_divmod(p: MultiPoly, q: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
         deg = top[0]
         if deg < qdeg:
             break
-        if int_lead and type(rem[top]) is int:
-            factor, inexact = divmod(rem[top], qlead)
-            if inexact:
-                factor = Fraction(rem[top], qlead)
-        else:
-            factor = _exact(Fraction(rem[top], qlead))
+        factor = _exact(Fraction(rem[top], qlead))
         shift = deg - qdeg
         quo[(shift,)] = factor
         for exps, coeff in q.terms.items():
@@ -366,55 +356,20 @@ def poly_divmod(p: MultiPoly, q: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
     return MultiPoly._trusted(p.variables, quo), MultiPoly._trusted(p.variables, rem)
 
 
-def _is_integral(p: MultiPoly) -> bool:
-    return all(type(c) is int for c in p.terms.values())
-
-
-def _primitive(p: MultiPoly) -> MultiPoly:
-    """An integer polynomial divided by the gcd of its coefficients."""
-    content = math.gcd(*p.terms.values())
-    if content <= 1:
-        return p
-    return MultiPoly._trusted(p.variables, {e: c // content for e, c in p.terms.items()})
-
-
 def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    """Monic gcd of univariate polynomials.
-
-    For `int` coefficients, a primitive pseudo-remainder sequence (W. S.
-    Brown, JACM 1971): a times lead(b)^(deg a - deg b + 1) divides by b with
-    every step exact in the integers, and each remainder is divided by its
-    content.  Each remainder is a nonzero rational multiple of Euclid's, so
-    the last nonzero one made monic is the gcd, and no coefficient leaves
-    `int` before that.  Other coefficients run Euclid over the rationals.
-    """
+    """Monic gcd of univariate polynomials, by Euclid's algorithm over the
+    rationals."""
     _require_univariate(p, q)
     a, b = p, q
-    if _is_integral(a) and _is_integral(b):
-        while b:
-            scale = leading_coefficient(b) ** max(degree(a) - degree(b) + 1, 0)
-            a, b = b, _primitive(poly_divmod(poly_scale(a, scale), b)[1])
-    else:
-        while b:
-            a, b = b, poly_divmod(a, b)[1]
+    while b:
+        a, b = b, poly_divmod(a, b)[1]
     return monic(a)
 
 
 def squarefree_decomposition(p: MultiPoly) -> list[tuple[MultiPoly, int]]:
     """Decompose p = lead * prod(factor_i ^ mult_i) with squarefree pairwise
-    coprime monic factors and strictly increasing multiplicities (Yun).
-
-    Single-multiplicity exit.  Write the monic p as prod_k f_k^k.  At step i
-    Yun's loop holds c = prod_{k>=i} f_k and
-    d = sum_{k>=i} (k - i) f_k' prod_{l!=k} f_l.  Suppose d = lam*c' for a
-    scalar lam.  Modulo a nonconstant f_k every other term of either sum
-    vanishes, leaving (k - i - lam) f_k' prod_{l!=k} f_l = 0 mod f_k; f_k' and
-    each f_l are units mod f_k, as f_k is squarefree and coprime to every
-    other f_l, so k = i + lam.  Then c is the single factor of multiplicity
-    i + lam and the loop ends at once: p = B^j costs one gcd whatever j is.
-    The exit is taken only for an integer lam >= 0; otherwise the ordinary
-    step runs.
-    """
+    coprime monic factors and strictly increasing multiplicities, by Yun's
+    loop: one gcd per multiplicity up to the largest."""
     var = _require_univariate(p)
     if not p:
         raise ValueError("squarefree decomposition of the zero polynomial")
@@ -427,34 +382,16 @@ def squarefree_decomposition(p: MultiPoly) -> list[tuple[MultiPoly, int]]:
         return [(a, 1)]
     factors: list[tuple[MultiPoly, int]] = []
     c = poly_divmod(a, g)[0]
-    dc = partial(c, var)
-    d = poly_sub(poly_divmod(da, g)[0], dc)
+    d = poly_sub(poly_divmod(da, g)[0], partial(c, var))
     i = 1
     while degree(c) > 0:
-        # d = lam*c' forces lam = d's leading coefficient over c''s
-        lam = 0
-        if d:
-            lam = _exact(Fraction(leading_coefficient(d), leading_coefficient(dc)))
-        if isinstance(lam, int) and lam >= 0 and d == poly_scale(dc, lam):
-            factors.append((c, i + lam))
-            break
         f = poly_gcd(c, d)
         if degree(f) > 0:
             factors.append((f, i))
         c = poly_divmod(c, f)[0]
-        dc = partial(c, var)
-        d = poly_sub(poly_divmod(d, f)[0], dc)
+        d = poly_sub(poly_divmod(d, f)[0], partial(c, var))
         i += 1
     return factors
-
-
-def substitute_power(p: MultiPoly, exponent: int, new_var: str) -> MultiPoly:
-    """For univariate p(t), return p(x^exponent) as a univariate polynomial in x."""
-    _require_univariate(p)
-    if exponent < 1:
-        raise ValueError(f"substitution exponent must be positive: {exponent}")
-    # e -> e*exponent is injective, so the term map stays clean
-    return MultiPoly._trusted((new_var,), {(e * exponent,): c for (e,), c in p.terms.items()})
 
 
 # -- the relation as a polynomial -------------------------------------------------
@@ -470,31 +407,12 @@ def root_factor(d: int, p: Scalar) -> MultiPoly:
     return MultiPoly._trusted(("s",), {(d,): 1, (0,): -p})
 
 
-def binomial_power(p: MultiPoly, n: int) -> MultiPoly:
-    """(x + y)^n = sum C(n, i) x^(n-i) y^i for a two-term polynomial.
-
-    C(n, i + 1) = C(n, i) (n - i) / (i + 1) is exact in the integers.  The
-    exponent vectors n*ex + i*(ey - ex) differ for distinct i, as ex != ey,
-    and no coefficient vanishes, so the term map is clean as built.
-    """
-    (ex, cx), (ey, cy) = p.terms.items()
-    step = tuple(b - a for a, b in zip(ex, ey))
-    key = tuple(a * n for a in ex)
-    binom = 1
-    out: dict[tuple[int, ...], Scalar] = {}
-    for i in range(n + 1):
-        out[key] = binom * cx ** (n - i) * cy ** i
-        key = tuple(map(add, key, step))
-        binom = binom * (n - i) // (i + 1)
-    return MultiPoly._trusted(p.variables, out)
-
-
 def oracle_relation(ring: HypersurfaceRing) -> MultiPoly:
-    """The right-hand side prod (s^d - p)^j of the ring, expanded in s as a
-    product of binomial powers."""
+    """The right-hand side prod (s^d - p)^j of the ring, expanded in s by
+    repeated squaring."""
     product = MultiPoly._trusted(("s",), {(0,): 1})
     for p, j in ring.roots:
-        product = poly_mul(product, binomial_power(root_factor(ring.d, p), j))
+        product = poly_mul(product, poly_pow(root_factor(ring.d, p), j))
     return product
 
 
@@ -641,11 +559,6 @@ def element(ring, text: str):
     return normal_form(ring, parse_poly(text, ring.variables))
 
 
-def relation(ring) -> MultiPoly:
-    """The defining polynomial u^k * second - P(s)."""
-    return poly_sub(monomial(ring, ring.k, 1, 0), with_variables(oracle_relation(ring), ring.variables))
-
-
 def grid_triples(d_max: int = 6, m_max: int = 5) -> list[tuple[int, int, int]]:
     """The sweep's triples, by default those of the acceptance grid."""
     return list(report.grid_triples(d_max, m_max))
@@ -654,8 +567,9 @@ def grid_triples(d_max: int = 6, m_max: int = 5) -> list[tuple[int, int, int]]:
 # -- the Laurent-row LND certificate --------------------------------------------
 #
 # find_valid_lnd_degrees once ran this: membership of each derivation image on
-# the localization C[u^(+-1), s], then nilpotency on the weight pieces
-# |n| <= 8.  It is kept as the oracle of the integer rule that replaced it.
+# the localization C[u^(+-1), s], then nilpotency on the weight pieces.  The
+# membership test is kept as the oracle of the integer rule that replaced it
+# (_keeps_ring), and the nilpotency index for acceptance criterion 7.
 
 
 class StructuralError(RuntimeError):
@@ -777,30 +691,6 @@ def nilpotency_index(ring: HypersurfaceRing, e: int, x: RingElement) -> int | No
     )
 
 
-_CERTIFY_WEIGHT = 8
-
-
-def laurent_lnd_degrees(triple: SurfaceTriple, bound: int) -> list[int]:
-    """find_valid_lnd_degrees as it ran on Laurent rows: degrees congruent to
-    e mod d in [1, bound] whose derivation keeps every Hilbert-basis
-    generator in the ring and is nilpotent on the weight-piece generators
-    |n| <= _CERTIFY_WEIGHT (8)."""
-    ring = normalized_ring(triple)
-    basis = hilbert_basis(standard_action(triple))
-    generators = [normal_form(ring, monomial(ring, *g)) for g in basis]
-    pieces = [
-        normal_form(ring, monomial(ring, *weight_piece_generator(triple, n)))
-        for n in range(-_CERTIFY_WEIGHT, _CERTIFY_WEIGHT + 1)
-    ]
-    found: list[int] = []
-    for degree in range((triple.e - 1) % triple.d + 1, bound + 1, triple.d):
-        if any(derivation_leaves_ring(ring, degree, g) is not None for g in generators):
-            continue
-        if all(nilpotency_index(ring, degree, x) is not None for x in pieces):
-            found.append(degree)
-    return found
-
-
 def oracle_lnd_degrees(triple: SurfaceTriple, bound: int) -> list[int]:
     """find_valid_lnd_degrees degree by degree: the integer rule on every
     Hilbert-basis generator at each x = e (mod d) in [1, bound], as the
@@ -815,125 +705,6 @@ def oracle_lnd_degrees(triple: SurfaceTriple, bound: int) -> list[int]:
 
 
 # -- independent oracles ---------------------------------------------------------
-
-
-def divisors_of(n: int) -> list[int]:
-    n = abs(n)
-    out = [k for k in range(1, n + 1) if n % k == 0]
-    return out
-
-
-def rational_roots(p: MultiPoly) -> dict[Fraction, int]:
-    """Rational roots with multiplicities, by the rational-root theorem and
-    repeated exact division (independent of any divisor arithmetic)."""
-    var = p.variables[0]
-    if not p:
-        raise ValueError("zero polynomial")
-    result: dict[Fraction, int] = {}
-    v = valuation(p, var)
-    if v > 0:
-        result[F(0)] = v
-        p = poly_divmod(p, upoly(var, {v: 1}))[0]
-    if degree(p) < 1:
-        return result
-    scale = math.lcm(*(c.denominator for c in p.terms.values()))
-    ints = {e[0]: int(c * scale) for e, c in p.terms.items()}
-    a0 = ints[0]
-    an = ints[max(ints)]
-    candidates = {
-        F(sign * a, b)
-        for a in divisors_of(a0)
-        for b in divisors_of(an)
-        for sign in (1, -1)
-    }
-    for r in sorted(candidates):
-        factor = upoly(var, {1: 1, 0: -r})
-        mult = 0
-        while True:
-            quo, rem = poly_divmod(p, factor)
-            if rem:
-                break
-            p = quo
-            mult += 1
-        if mult:
-            result[r] = mult
-    return result
-
-
-def oracle_normal_form(ring, p: MultiPoly) -> MultiPoly:
-    """Term-by-term rewriting u^k * second -> P(s), adding one validated
-    polynomial per input term (quadratic in the number of terms)."""
-    out = MultiPoly(ring.variables)
-    for (a, b, c), coeff in p.terms.items():
-        j = min(a // ring.k, b)
-        term = monomial(ring, a - j * ring.k, b - j, c, coeff)
-        rhs = monomial(ring, 0, 0, 0)
-        for _ in range(j):
-            rhs = poly_mul(rhs, with_variables(oracle_relation(ring), ring.variables))
-        out = poly_add(out, poly_mul(rhs, term))
-    return out
-
-
-def _from_localization(ring, loc: dict[int, dict[int, object]]):
-    """Reassemble a Laurent expansion into a normal-form element, or report
-    the first u-exponent whose s-part is not divisible by the required power
-    of s^d - 1."""
-    m = ring.k
-    terms = {}
-    for j in sorted(loc):
-        row = loc[j]
-        if not row:
-            continue
-        f = MultiPoly._trusted(("s",), {(e,): c for e, c in row.items()})
-        if j >= 0:
-            a, b, g = j, 0, f
-        else:
-            b = (-j + m - 1) // m
-            g, rem = poly_divmod(f, rhs_power(ring, b))
-            if rem:
-                top = max(rem.terms)
-                coeff = rem.terms[top]
-                return NonPolynomial(f"{coeff}*u^{j}*s^{top[0]}")
-            a = j + m * b
-        for (e,), coeff in g.terms.items():
-            terms[(a, b, e)] = coeff
-    # distinct u-exponents j = a - m*b give distinct (a, b), so no key repeats
-    return RingElement(ring, MultiPoly._trusted(ring.variables, terms))
-
-
-def derivation_apply(ring, e: int, x):
-    """The degree-e derivation u^e * d/ds applied to x on the normalized ring,
-    reassembled into normal form (a NonPolynomial if the image leaves the
-    ring).  The oracle of derivation_leaves_ring and nilpotency_index, which
-    never rebuild a normal form."""
-    image: dict[int, dict[int, object]] = {}
-    for j, row in _to_localization(ring, x.poly).items():
-        target = image.setdefault(j + e, {})
-        for c, coeff in row.items():
-            if c == 0:
-                continue
-            target[c - 1] = coeff * c
-    return _from_localization(ring, {j: row for j, row in image.items() if row})
-
-
-def oracle_leaves_ring(ring, e: int, x):
-    """derivation_leaves_ring through one normal-form derivation step."""
-    image = derivation_apply(ring, e, x)
-    return image if isinstance(image, NonPolynomial) else None
-
-
-def oracle_nilpotency_index(ring, e: int, x):
-    """nilpotency_index by iterating derivation_apply, each iterate
-    reassembled into normal form and expanded again."""
-    bound = 1 + s_weight(x)
-    y = x
-    for n in range(1, bound + 1):
-        y = derivation_apply(ring, e, y)
-        if isinstance(y, NonPolynomial):
-            return None
-        if not y.poly:
-            return n
-    raise StructuralError(f"nilpotency bound {bound} exceeded")
 
 
 def assert_clean(p: MultiPoly) -> None:
@@ -1061,40 +832,6 @@ def oracle_hilbert_basis(d: int, weights: tuple[int, int, int]) -> tuple[tuple[i
     return tuple(sorted(basis))
 
 
-def filter_hilbert_basis(action: CyclicAction) -> list[tuple[int, ...]]:
-    """The sum-sorted minimality filter that the prefix-minimum sweep of
-    hilbert_basis replaced: the least invariant point over each (a, b) of
-    [0, d]^2, plus (0, 0, step), scanned by total degree against the basis
-    found so far (a reducible point lies above a basis element of smaller
-    total degree)."""
-    d = action.modulus
-    w0, w1, w2 = action.weights.values()
-    g = math.gcd(w2, d)
-    step = d // g
-    inv = pow(w2 // g, -1, step) if step > 1 else 0
-    points = [(0, 0, step)]
-    for a in range(d + 1):
-        for b in range(d + 1):
-            r = (a * w0 + b * w1) % d
-            if (a or b) and r % g == 0:
-                points.append((a, b, (-(r // g) * inv) % step))
-    basis: list[tuple[int, ...]] = []
-    for x in sorted(points, key=sum):
-        if not any(all(a <= b for a, b in zip(y, x)) for y in basis):
-            basis.append(x)
-    return sorted(basis)
-
-
-def oracle_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    """Monic gcd by Euclid's algorithm over the rationals, as poly_gcd ran
-    on every input before integer inputs took a primitive remainder
-    sequence."""
-    a, b = p, q
-    while b:
-        a, b = b, poly_divmod(a, b)[1]
-    return monic(a)
-
-
 def oracle_freeness_check(action: CyclicAction, ring: HypersurfaceRing):
     """freeness_check as it tested every power b in 1..d-1 against every
     coordinate pattern; the same semi-invariance check and point test."""
@@ -1134,65 +871,59 @@ def oracle_freeness_check(action: CyclicAction, ring: HypersurfaceRing):
     return not loci, loci
 
 
-def oracle_squarefree_decomposition(p: MultiPoly) -> list[tuple[MultiPoly, int]]:
-    """Yun's loop without the single-multiplicity exit of
-    squarefree_decomposition: one gcd per multiplicity up to the largest,
-    each by Euclid over the rationals."""
-    var = p.variables[0]
-    a = monic(p)
-    if degree(a) == 0:
-        return []
-    da = partial(a, var)
-    g = oracle_gcd(a, da)
-    if degree(g) == 0:
-        return [(a, 1)]
-    factors: list[tuple[MultiPoly, int]] = []
-    c = poly_divmod(a, g)[0]
-    d = poly_sub(poly_divmod(da, g)[0], partial(c, var))
-    i = 1
-    while degree(c) > 0:
-        f = oracle_gcd(c, d)
-        if degree(f) > 0:
-            factors.append((f, i))
-        c = poly_divmod(c, f)[0]
-        d = poly_sub(poly_divmod(d, f)[0], partial(c, var))
-        i += 1
-    return factors
+def induced_action(triple: SurfaceTriple) -> CyclicAction:
+    """Weights (e', -m*e', 1) on (u, w, s): the action inherited from the
+    covering construction through w = (s^d - 1)/u^m."""
+    return CyclicAction(triple.d, {"u": triple.e_prime, "w": -triple.m * triple.e_prime, "s": 1})
+
+
+def same_subgroup(a1: CyclicAction, a2: CyclicAction) -> bool:
+    """Whether the two diagonal actions generate the same symmetry group:
+    some unit c mod d carries the weights of a1 to the weights of a2.  With
+    induced_action, the oracle of cyclic_quotient._same_subgroup_as_induced,
+    which tries only the one candidate unit."""
+    if a1.modulus != a2.modulus:
+        raise ValueError(f"modulus mismatch: {a1.modulus} vs {a2.modulus}")
+    if set(a1.weights) != set(a2.weights):
+        raise ValueError("actions are defined on different variable sets")
+    d = a1.modulus
+    for c in range(1, d + 1):
+        if math.gcd(c, d) != 1:
+            continue
+        if all((c * w) % d == a2.weights[v] for v, w in a1.weights.items()):
+            return True
+    return False
 
 
 def graded_piece(pair, n: int) -> dict[Fraction, int]:
     """Exponents {point: e} of the weight-n piece, Fraction points, zeros pruned:
-    -floor(n*D+) for n >= 0, -floor(-n*D-) for n < 0, {} for n = 0.  The
-    floor of mult*c is the integer floor division of mult*c.numerator by
-    c.denominator (which is positive), so no Fraction is built.  The oracle
-    of the integer exponents that product_window reads per weight."""
+    -floor(n*D+) for n >= 0, -floor(-n*D-) for n < 0, {} for n = 0, the
+    floor taken of the Fraction.  The oracle of the integer exponents that
+    product_window reads per weight."""
     if n == 0:
         return {}
     divisor = pair.d_plus if n > 0 else pair.d_minus
     mult = abs(n)
-    exponents = (
-        (p, -(mult * c.numerator // c.denominator)) for p, c in divisor.coefficients.items()
-    )
+    exponents = ((p, -math.floor(mult * c)) for p, c in divisor.coefficients.items())
     return {p: e for p, e in exponents if e}
 
 
-def product_defect(pair, n: int, n_prime: int) -> dict[Scalar, int]:
-    """Pointwise exponent defect piece(n) + piece(n') - piece(n+n').
+def product_defect(pair, n: int, n_prime: int) -> dict[Fraction, int]:
+    """Pointwise exponent defect piece(n) + piece(n') - piece(n+n') over the
+    sorted union of the three pieces' supports, zeros pruned.
 
     These are the multiplicative structure constants of the graded algebra:
     the product of the weight-n and weight-n' generators is the weight-(n+n')
     generator times t^defect(0) * (t-1)^defect(1) * ...  Values are always
-    >= 0 (floor superadditivity plus D+ + D- <= 0); zeros are pruned.  Keys
-    follow the pair's sorted support and are int where the point is integral
-    (equal, with equal hash, to the Fraction point).  The predicted side of
+    >= 0 (floor superadditivity plus D+ + D- <= 0).  The predicted side of
     product_structure_check, one pair of product_window's window at a time.
     """
-    pieces = [graded_piece(pair, k) for k in (n, n_prime, n + n_prime)]
-    out: dict[Scalar, int] = {}
-    for p in sorted(pair.d_plus.coefficients.keys() | pair.d_minus.coefficients.keys()):
-        v = pieces[0].get(p, 0) + pieces[1].get(p, 0) - pieces[2].get(p, 0)
+    e1, e2, e12 = (graded_piece(pair, k) for k in (n, n_prime, n + n_prime))
+    out: dict[Fraction, int] = {}
+    for p in sorted(e1.keys() | e2.keys() | e12.keys()):
+        v = e1.get(p, 0) + e2.get(p, 0) - e12.get(p, 0)
         if v:
-            out[int(p) if p.denominator == 1 else p] = v
+            out[p] = v
     return out
 
 
@@ -1254,11 +985,11 @@ def piece_exponents(pair, n: int) -> list[int]:
     """Exponents of the weight-n piece at 0, at 1, then at the pair's other
     support points in increasing order, 0 where the piece has no entry:
     -floor(n*D+) for n >= 0 and -floor(-n*D-) for n < 0, the floor taken of
-    the Fraction (``oracle_graded_piece``).  The oracle of the rows that
+    the Fraction (``graded_piece``).  The oracle of the rows that
     product_window reads inline; src once held it as ``_piece_exponents``,
     an integer floor division of the pair's integer rows."""
     support = pair.d_plus.coefficients.keys() | pair.d_minus.coefficients.keys()
-    piece = oracle_graded_piece(pair, n)
+    piece = graded_piece(pair, n)
     return [piece.get(p, 0) for p in (F(0), F(1), *sorted(support - {0, 1}))]
 
 
@@ -1284,15 +1015,9 @@ def oracle_first_failing_weight(triple, max_weight: int) -> int | None:
     return None
 
 
-def oracle_graded_piece(pair, n: int) -> dict[Fraction, int]:
-    """graded_piece with the floor taken of the Fraction mult * c, as it was
-    before the floor became integer division."""
-    if n == 0:
-        return {}
-    divisor = pair.d_plus if n > 0 else pair.d_minus
-    mult = abs(n)
-    exponents = ((p, -math.floor(mult * c)) for p, c in divisor.coefficients.items())
-    return {p: e for p, e in exponents if e}
+# The divisor operations on {point: coefficient} maps of Fractions, as
+# qdivisor ran them before a divisor stored its coefficients as reduced
+# integer pairs: the oracle of every operation on that storage.
 
 
 def oracle_qdivisor_coefficients(coefficients) -> dict[Fraction, Fraction]:
@@ -1312,40 +1037,6 @@ def oracle_qdivisor_coefficients(coefficients) -> dict[Fraction, Fraction]:
         else:
             clean.pop(point, None)
     return clean
-
-
-def oracle_fract_div(d):
-    """The fractional part as fract_div built it before it took one
-    construction: d minus its floor, a floor, a negation and a sum."""
-    return d - floor_div(d)
-
-
-def oracle_ml1_test(pair) -> bool:
-    """ml1_test as it built the fractional parts of D+ and of D- and read
-    the size of their supports."""
-    if len(fract_div(pair.d_plus).support) > 1:
-        raise RegimeError(
-            "outside classified regime: fractional part of D+ is supported on more than one point"
-        )
-    return len(fract_div(pair.d_minus).support) >= 2
-
-
-def oracle_qdivisor_sum(x, y) -> dict[Fraction, Fraction]:
-    """The map of x + y as QDivisor.__add__ built it point by point before it
-    handed both term lists to the constructor."""
-    out = dict(x.coefficients)
-    for p, c in y.coefficients.items():
-        total = out.get(p, Fraction(0)) + c
-        if total:
-            out[p] = total
-        else:
-            del out[p]
-    return oracle_qdivisor_coefficients(out)
-
-
-# The divisor operations on {point: coefficient} maps of Fractions, as
-# qdivisor ran them before a divisor stored its coefficients as reduced
-# integer pairs: the oracle of every operation on that storage.
 
 
 def oracle_divisor_sum(x: dict, y: dict) -> dict[Fraction, Fraction]:
@@ -1413,38 +1104,6 @@ def oracle_divisor_roots(minus: dict, k: int) -> tuple[int, tuple[tuple[Fraction
 
 def oracle_format_divisor(x: dict) -> str:
     return ",".join(f"{p}:{c}" for p, c in sorted(x.items()))
-
-
-def oracle_product_defect(pair, n: int, n_prime: int) -> dict[Fraction, int]:
-    """Fraction-keyed defect piece(n) + piece(n') - piece(n+n') over the
-    sorted union of the three pieces' supports, as product_defect once was."""
-    e1 = graded_piece(pair, n)
-    e2 = graded_piece(pair, n_prime)
-    e12 = graded_piece(pair, n + n_prime)
-    out: dict[Fraction, int] = {}
-    for p in sorted(e1.keys() | e2.keys() | e12.keys()):
-        v = e1.get(p, 0) + e2.get(p, 0) - e12.get(p, 0)
-        if v:
-            out[p] = v
-    return out
-
-
-def oracle_measured_defect(triple, n: int, n_prime: int) -> dict[Fraction, int]:
-    """{0: kappa, 1: lam} with Fraction keys, read off the product of the
-    generators through MultiPoly valuation, degree and an uncached power, as
-    product_structure_check once did."""
-    ring = normalized_ring(triple)
-    gens = [weight_piece_generator(triple, k) for k in (n, n_prime, n + n_prime)]
-    prod = normal_form(ring, poly_mul(monomial(ring, *gens[0]), monomial(ring, *gens[1]))).poly
-    a12, b12, c12 = gens[2]
-    assert all(a == a12 and b == b12 and c >= c12 for a, b, c in prod.terms)
-    r = MultiPoly(("s",), {(c - c12,): v for (_, _, c), v in prod.terms.items()})
-    d = triple.d
-    val = valuation(r, "s")
-    span = degree(r) - val
-    assert val % d == 0 and span % d == 0
-    assert r == poly_mul(upoly("s", {val: 1}), poly_pow(upoly("s", {d: 1, 0: -1}), span // d))
-    return {p: v for p, v in ((F(0), val // d), (F(1), span // d)) if v}
 
 
 def reachable_sums(generators: list[tuple[int, int, int]], bound: int) -> set[tuple[int, int, int]]:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import F, MultiPoly, parse_poly
+from helpers import F, MultiPoly, parse_poly, same_subgroup
 
 import pseudoplane
 from pseudoplane import (
@@ -35,7 +35,6 @@ from pseudoplane import (
     parse_divisor,
     product_window,
     pseudoplane_dpd_pair,
-    same_subgroup,
     smoothness_condition,
     sweep,
 )
@@ -49,11 +48,11 @@ PUBLIC_NAMES = {
     "canonical_pair", "classify_pair", "classify_presentation",
     "component_permutation", "divisor_roots", "fiber_analysis",
     "find_valid_lnd_degrees", "floor_div", "format_divisor", "fract_div",
-    "freeness_check", "induced_action", "ml1_test",
+    "freeness_check", "ml1_test",
     "negative_locus",
     "parse_divisor",
     "product_window", "pseudoplane_dpd_pair",
-    "same_subgroup", "smooth_check", "smoothness_condition",
+    "smooth_check", "smoothness_condition",
     "standard_action", "sweep", "verify_exit_code", "verify_triple",
     "weight_piece_generator",
 }
@@ -100,10 +99,7 @@ UNREACHED = {
     "hypersurface_ring.HypersurfaceRing.__init__",
     "cyclic_quotient.CyclicAction.__init__",
     "exact_algebra._exact",
-    # the API functions, and the oracles of the one-unit witness that
-    # verify_triple checks in their place on the induced weights as integers
-    "cyclic_quotient.induced_action",
-    "cyclic_quotient.same_subgroup",
+    # a divisor's truth value and its text forms
     "qdivisor.QDivisor.__bool__",
     "qdivisor.QDivisor.__str__",
     "qdivisor.QDivisor.__repr__",
@@ -151,7 +147,7 @@ def _defined_functions(code, prefix):
 
 
 def test_cli_reaches_every_function_but_the_allowlist(capsys):
-    assert set(pseudoplane.__all__) == PUBLIC_NAMES and len(pseudoplane.__all__) == 31
+    assert set(pseudoplane.__all__) == PUBLIC_NAMES and len(pseudoplane.__all__) == 29
 
     defined = {}
     for module in _package_modules():
@@ -178,6 +174,49 @@ def test_cli_reaches_every_function_but_the_allowlist(capsys):
     reached = {(c.co_filename, c.co_firstlineno, c.co_name) for c in seen}
     unreached = {name for key, name in defined.items() if key not in reached}
     assert unreached == UNREACHED
+
+
+HELPERS = Path(__file__).resolve().parent / "helpers.py"
+
+
+def _free_names(node: ast.AST) -> set[str]:
+    """The names that a definition reads and does not bind itself, so that
+    a local variable does not stand for the helper of the same name."""
+    read, bound = set(), set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            (read if isinstance(n.ctx, ast.Load) else bound).add(n.id)
+        elif isinstance(n, ast.arg):
+            bound.add(n.arg)
+    return read - bound
+
+
+def test_every_helper_is_reached_from_a_test():
+    # every top-level function and class of tests/helpers.py is named by a
+    # test module (imported from helpers, or read as helpers.<name>), or by
+    # a helper that is itself so named; a helper that only a deleted test
+    # read fails here
+    tree = ast.parse(HELPERS.read_text())
+    names_in = {
+        node.name: _free_names(node)
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    named = set()
+    for path in HELPERS.parent.glob("test_*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "helpers":
+                named.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "helpers":
+                named.add(node.attr)
+    reached = set()
+    frontier = list(named & names_in.keys())
+    while frontier:
+        name = frontier.pop()
+        if name not in reached:
+            reached.add(name)
+            frontier.extend(names_in[name] & names_in.keys())
+    assert sorted(names_in.keys() - reached) == []
 
 
 def _readme_api_block() -> str:
@@ -258,19 +297,11 @@ INPUT_CHECKS = {
         lambda: CyclicAction(3, {"u": 1, "w": True, "s": 2}),
         ValueError, "weight of w must be an integer: True",
     ),
-    "same_subgroup-weight-float": (
-        lambda: same_subgroup(CyclicAction(3, {"u": 0.5}), CyclicAction(3, {"u": 1})),
-        ValueError, "weight of u must be an integer: 0.5",
-    ),
     "freeness_check-missing-weight": (
         lambda: freeness_check(
             CyclicAction(3, {"u": 1, "s": 2}), HypersurfaceRing(2, 3, ((1, 1),), "w")
         ),
         ValueError, "action is missing a weight for variable 'w'",
-    ),
-    "same_subgroup-variable-sets": (
-        lambda: same_subgroup(CyclicAction(3, {"u": 1}), CyclicAction(3, {"s": 1})),
-        ValueError, "actions are defined on different variable sets",
     ),
     "component_permutation-d-0": (
         lambda: component_permutation(0, 1),
@@ -459,8 +490,16 @@ INPUT_CHECKS = {
         lambda: sweep(0, 1),
         ValueError, "d_max and m_max must be positive integers",
     ),
-    # the tests' polynomial type, which left the package as an oracle, keeps
-    # the input checks it had there
+    # same_subgroup and the tests' polynomial type, which left the package
+    # as oracles, keep the input checks they had there
+    "same_subgroup-weight-float": (
+        lambda: same_subgroup(CyclicAction(3, {"u": 0.5}), CyclicAction(3, {"u": 1})),
+        ValueError, "weight of u must be an integer: 0.5",
+    ),
+    "same_subgroup-variable-sets": (
+        lambda: same_subgroup(CyclicAction(3, {"u": 1}), CyclicAction(3, {"s": 1})),
+        ValueError, "actions are defined on different variable sets",
+    ),
     "MultiPoly-duplicate-variables": (
         lambda: MultiPoly(("s", "s")),
         ValueError, "duplicate variable names: ('s', 's')",

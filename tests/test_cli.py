@@ -364,6 +364,91 @@ def test_lnd_rule_fault_is_reported_and_sweep_carries_on(capsys, monkeypatch):
     assert out.count("failed: lnd_degrees\n") == 12
 
 
+def _l_off_by_one(surface_triple):
+    def shifted(d, e, m):
+        triple = surface_triple(d, e, m)
+        object.__setattr__(triple, "l", triple.l + 1)
+        return triple
+
+    return shifted
+
+
+def _ml1_flipped(ml1_test):
+    return lambda pair: not ml1_test(pair)
+
+
+def _torsion_refused(negative_locus):
+    return lambda pair: negative_locus(pair)._replace(torsion_compatible=False)
+
+
+def _l_read_off_by_one(divisor_roots):
+    def shifted(d_minus, k):
+        l, roots = divisor_roots(d_minus, k)
+        return l + 1, roots
+
+    return shifted
+
+
+def _covering_smoothness_flipped(smooth_check):
+    def flipped(ring):
+        check = smooth_check(ring)
+        return check._replace(smooth=not check.smooth) if ring.second_var == "v" else check
+
+    return flipped
+
+
+def _not_free(freeness_check):
+    return lambda action, ring: freeness_check(action, ring)._replace(free=False)
+
+
+def _double_fiber(fiber_analysis):
+    return lambda ring, u_value: [(ring.d, 2)]
+
+
+def _not_transitive(component_permutation):
+    return lambda d, e: component_permutation(d, e)._replace(transitive=False)
+
+
+def _other_subgroup(same_subgroup_as_induced):
+    return lambda triple, action: False
+
+
+# one row per named check that no other test fails: the name that report
+# looks up at call time, a fault that returns a wrong value in place of
+# what it returned, and every check that the wrong value fails.  The
+# triple's l is read by divisor_polynomial as well as by exponent_identity,
+# so that row names both.
+CHECK_FAULTS = {
+    "exponent_identity": ("SurfaceTriple", _l_off_by_one, ["exponent_identity", "divisor_polynomial"]),
+    "ml1_prediction": ("ml1_test", _ml1_flipped, ["ml1_prediction"]),
+    "picard_torsion": ("negative_locus", _torsion_refused, ["picard_torsion"]),
+    "divisor_polynomial": ("divisor_roots", _l_read_off_by_one, ["divisor_polynomial"]),
+    "pre_normalization_smoothness": (
+        "smooth_check", _covering_smoothness_flipped, ["pre_normalization_smoothness"],
+    ),
+    "freeness": ("freeness_check", _not_free, ["freeness"]),
+    "degenerate_fiber": ("fiber_analysis", _double_fiber, ["degenerate_fiber"]),
+    "component_transitivity": ("component_permutation", _not_transitive, ["component_transitivity"]),
+    "action_subgroup": ("_same_subgroup_as_induced", _other_subgroup, ["action_subgroup"]),
+}
+
+
+@pytest.mark.parametrize("seam, fault, failed", CHECK_FAULTS.values(), ids=CHECK_FAULTS)
+def test_each_named_check_fails_on_a_wrong_value(capsys, monkeypatch, seam, fault, failed):
+    from pseudoplane import report as report_module
+
+    monkeypatch.setattr(report_module, seam, fault(getattr(report_module, seam)))
+    report = verify_triple(3, 2, 2)
+    assert report["verdict"] == "inconsistent"
+    assert report["failed_checks"] == failed
+    result = sweep(3, 3)
+    assert result["aggregate"] == {"consistent": 0, "excluded": 0, "inconsistent": 12, "total": 12}
+    assert [row["failed_checks"] for row in result["rows"]] == [failed] * 12
+    code, out = run_cli(capsys, "verify", "-d", "3", "-e", "2", "-m", "2")
+    assert code == 1
+    assert "verdict: inconsistent" in out
+
+
 def test_exit_code_is_function_of_verdict():
     from pseudoplane import verify_exit_code
 

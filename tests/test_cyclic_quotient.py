@@ -6,21 +6,18 @@ from hypothesis import strategies as st
 
 from helpers import (
     F,
-    RingElement,
     action_weight,
-    derivation_apply,
     graded_piece,
     grid_triples,
     hilbert_basis,
-    homogeneous_weight,
+    induced_action,
     monoid_points,
-    monomial,
-    normal_form,
     normalized_ring,
     oracle_component_permutation,
     oracle_freeness_check,
     product_structure_check,
     reachable_sums,
+    same_subgroup,
     surface_triples,
     weight_piece_is_rank_one,
 )
@@ -32,10 +29,8 @@ from pseudoplane import (
     component_permutation,
     find_valid_lnd_degrees,
     freeness_check,
-    induced_action,
     product_window,
     pseudoplane_dpd_pair,
-    same_subgroup,
     standard_action,
     weight_piece_generator,
 )
@@ -296,11 +291,6 @@ def test_same_subgroup_examples():
         same_subgroup(a1, b1)
 
 
-def test_actions_generate_same_group_across_grid():
-    for t in TRIPLES:
-        assert same_subgroup(induced_action(t), standard_action(t))
-
-
 def test_induced_subgroup_witness_matches_the_search():
     # the pipeline's one-unit witness against same_subgroup's search over
     # every unit, on the standard action, on it with one weight moved, and on
@@ -390,20 +380,3 @@ def test_find_valid_lnd_degrees_bound_precondition():
         find_valid_lnd_degrees(t, 4)
 
 
-def test_equivariance_of_valid_derivations():
-    for t in TRIPLES[:16]:
-        ring = normalized_ring(t)
-        action = standard_action(t)
-        degrees = find_valid_lnd_degrees(t, t.m + 2 * t.d)
-        assert degrees
-        for degree in degrees[:2]:
-            for g in hilbert_basis(action):
-                x = normal_form(ring, monomial(ring, *g))
-                image = derivation_apply(ring, degree, x)
-                assert isinstance(image, RingElement)
-                if not image.poly:
-                    continue
-                # image stays invariant and moves up by the degree
-                for exps in image.poly.terms:
-                    assert action_weight(action, exps, ring.variables) == 0
-                assert homogeneous_weight(image) == homogeneous_weight(x) + degree

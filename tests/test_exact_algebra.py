@@ -1,8 +1,8 @@
-"""MultiPoly and its text format, and the polynomial arithmetic and the
-gcd / Yun layer, all of which helpers.py keeps as the oracles: the type and
-its printer and parser for the printed relations, the arithmetic for every
-oracle that adds or multiplies polynomials, the gcd and Yun for the rings'
-factored reading."""
+"""The tests' polynomial type, as far as the oracles built on it need it:
+MultiPoly and its printer and parser, which read the package's printed
+relations back; the arithmetic of every oracle that adds or multiplies
+polynomials; and the division, gcd and Yun decomposition that read a
+ring's smoothness and fibers."""
 
 import pytest
 from hypothesis import given
@@ -24,7 +24,6 @@ from helpers import (
     small_multipolys,
     small_upolys,
     squarefree_decomposition,
-    substitute_power,
     upoly,
 )
 
@@ -95,11 +94,6 @@ def test_squarefree_zero_rejected():
 
 def test_squarefree_constant_is_empty():
     assert squarefree_decomposition(s_poly({0: 5})) == []
-
-
-def test_substitute_power():
-    q = poly_pow(upoly("t", {1: 1, 0: -1}), 3)
-    assert substitute_power(q, 3, "s") == s_poly({9: 1, 6: -3, 3: 3, 0: -1})
 
 
 def test_format_examples():

@@ -1,15 +1,10 @@
 import pytest
 from hypothesis import given
-from hypothesis import strategies as st
 
 from helpers import (
     F,
     nonpositive_divisors,
-    poly_mul,
-    poly_pow,
-    rational_roots,
     small_divisors,
-    upoly,
 )
 
 from pseudoplane import (
@@ -166,28 +161,3 @@ def test_canonical_pair_properties(d_plus, slack):
     assert ml1_test(out) == before
 
 
-@given(
-    st.integers(1, 6),
-    st.integers(-6, 6),
-    st.dictionaries(
-        st.sampled_from([F(1), F(2), F(-1), F(1, 2), F(3)]),
-        st.integers(0, 3),
-        max_size=3,
-    ),
-)
-def test_divisor_to_poly_roundtrip(k, l, exponents):
-    d_minus = QDivisor({0: F(-l, k)}) + QDivisor(
-        {p: F(-e, k) for p, e in exponents.items()}
-    )
-    l_out, roots = divisor_roots(d_minus, k)
-    assert l_out == l
-    # Q = prod (t - p)^j, the polynomial the roots stand for
-    q = upoly("t", {0: 1})
-    for p, j in roots:
-        q = poly_mul(q, poly_pow(upoly("t", {1: 1, 0: -p}), j))
-    assert list(roots) == sorted(rational_roots(q).items())
-    # reconstruct the divisor from the root orders of t^l * Q
-    rebuilt = QDivisor({0: F(-l_out, k)})
-    for root, mult in rational_roots(q).items():
-        rebuilt += QDivisor({root: F(-mult, k)})
-    assert rebuilt == d_minus
