@@ -5,14 +5,18 @@ Usage:
     python scripts/mutants.py
 
 Each mutant is one exact edit of one source file.  For each, the repository
-is copied to a temporary directory, the edit is applied there, and the
-tier-1 suite runs once with ``-x`` in one subprocess; mutants run one at a
-time.  Every run passes the same ``--hypothesis-seed``, so the property
-tests draw the same examples and a rerun kills each mutant with the same
-first test.  A fragment that does not match its file exactly once is
-refused, so the list cannot decay unnoticed.  The kill table, with the
-first test that failed for each mutant and the seed, is written to
-MUTANTS.json at the repository root.
+is copied to a temporary directory and the edit is applied there; mutants
+run one at a time.  A mutant that MUTANTS.json records as killed runs first
+against the one test that killed it there, and counts as killed when that
+test fails.  Otherwise, and for a new mutant, the tier-1 suite runs once
+with ``-x`` in one subprocess, so a mutant counts as surviving only after
+a full run.  Every run passes the same ``--hypothesis-seed``, so the
+property tests draw the same examples and a rerun kills each mutant with
+the same first test.  A fragment that does not match its file exactly once
+is refused, so the list cannot decay unnoticed.  The kill table, with the
+test that killed each mutant, the run that found it (``"last killer"`` or
+``"full"``) and the seed, is written to MUTANTS.json at the repository
+root.
 
 A mutant marked equivalent cannot change any result, for the reason its
 claim gives; every other mutant must be killed.  The exit code is 1 when a
@@ -45,6 +49,7 @@ TIER1 = [
 GUARD = "tests/test_scripts.py::test_every_mutant_fragment_matches_once"
 
 CQ = "src/pseudoplane/cyclic_quotient.py"
+EA = "src/pseudoplane/exact_algebra.py"
 HR = "src/pseudoplane/hypersurface_ring.py"
 QD = "src/pseudoplane/qdivisor.py"
 RP = "src/pseudoplane/report.py"
@@ -168,6 +173,68 @@ MUTANTS: list[tuple[str, str, str, str, bool]] = [
         "equivalent: j = a + degree with a >= 0 and degree >= 1, so j = 0 never occurs",
         True,
     ),
+    # the value classes' shared base and the exact-scalar check
+    (CQ, '_key = ("d", "e", "m")', '_key = ("d", "e")', "a triple compares and hashes by all of (d, e, m)", False),
+    (
+        EA,
+        "        if type(other) is not type(self):\n            return NotImplemented\n",
+        "",
+        "a value class compares equal only to a value of its own class",
+        False,
+    ),
+    (
+        EA,
+        "zip(cls._setters, values)",
+        "zip(reversed(cls._setters), values)",
+        "_trusted fills the slots in their order",
+        False,
+    ),
+    (
+        EA,
+        "if not (type(value) is Fraction or _is_int(value)):",
+        "if not (type(value) is Fraction or isinstance(value, int)):",
+        "_exact refuses a bool",
+        False,
+    ),
+    # classify_pair and the divisor text
+    (RP, "    if not action.admissible:\n", "    if False:\n",
+     "classify_pair excludes a presentation that the decision table rules out", False),
+    (RP, "    elif ml1 is None:\n", "    elif False:\n",
+     "classify_pair reports a pair outside the classified regime as outside-regime", False),
+    (RP, "    elif not ml1:\n        verdict = \"excluded\"\n        excluded_reason = (",
+     "    elif False:\n        verdict = \"excluded\"\n        excluded_reason = (",
+     "classify_pair excludes a pair whose D- fails the ML1 test", False),
+    (
+        QD,
+        "return DpdPair(pair.d_plus - fl, pair.d_minus + fl)",
+        "return DpdPair(pair.d_plus + fl, pair.d_minus - fl)",
+        "canonical_pair moves floor(D+) from D+ to D-",
+        False,
+    ),
+    (
+        RP,
+        '"up_to_equivalence": not exact}',
+        '"up_to_equivalence": exact}',
+        "_recover_family_parameters flags a pair that is not the family pair itself",
+        False,
+    ),
+    (
+        RP,
+        "ratio = 1 - fractional.coefficient(0)",
+        "ratio = fractional.coefficient(0)",
+        "_recover_family_parameters reads e'/d as 1 - {D+}(0)",
+        False,
+    ),
+    (QD, 'if not _NUMBER_RE.match(text[1:] if text.startswith(("+", "-")) else text):',
+     "if False:", "_parse_rational refuses decimals, exponents and underscores", False),
+    (CQ, "    if value > cap:\n", "    if value >= cap:\n", "_check_cap accepts a value equal to its cap", False),
+    (
+        RP,
+        "return m_max * sum(phi[1:])",
+        "return m_max * sum(phi[2:])",
+        "_grid_size counts the triples of d = 1",
+        False,
+    ),
     # the verdict: each check's failed.append dropped
     (
         RP,
@@ -212,10 +279,11 @@ def fragment_problems() -> list[str]:
 _FAILED_RE = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.MULTILINE)
 
 
-def run_mutant(index: int) -> dict:
+def _run(index: int, tests: list[str]) -> subprocess.CompletedProcess:
     """Apply mutant `index` to a fresh copy of the repository and run the
-    tier-1 suite there once, stopping at the first failure."""
-    path, fragment, replacement, claim, equivalent = MUTANTS[index]
+    tier-1 suite there once, stopping at the first failure, or only
+    `tests` when it names some."""
+    path, fragment, replacement, _, _ = MUTANTS[index]
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         copy = Path(tmp) / "repo"
         shutil.copytree(
@@ -226,9 +294,23 @@ def run_mutant(index: int) -> dict:
         target = copy / path
         target.write_text(target.read_text().replace(fragment, replacement, 1))
         env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
-        start = time.perf_counter()
-        proc = subprocess.run([*TIER1, "--deselect", GUARD], cwd=copy, env=env, capture_output=True, text=True)
-        seconds = time.perf_counter() - start
+        return subprocess.run([*TIER1, "--deselect", GUARD, *tests], cwd=copy, env=env, capture_output=True, text=True)
+
+
+def run_mutant(index: int, last_killer: str | None) -> dict:
+    """Run mutant `index` against `last_killer`, the test that killed it
+    in the last table, and against the full suite unless that test fails."""
+    path, fragment, replacement, claim, equivalent = MUTANTS[index]
+    start = time.perf_counter()
+    proc, run = None, "full"
+    if last_killer:
+        proc = _run(index, [last_killer])
+        # 1 is a failed test; 4 and 5 mean the test is no longer collected
+        if proc.returncode == 1:
+            run = "last killer"
+    if run == "full":
+        proc = _run(index, [])
+    seconds = time.perf_counter() - start
     failure = _FAILED_RE.search(proc.stdout)
     return {
         "file": path,
@@ -238,7 +320,21 @@ def run_mutant(index: int) -> dict:
         "equivalent": equivalent,
         "killed": proc.returncode != 0,
         "first_failure": failure.group(1) if failure else None,
+        "run": run,
         "seconds": round(seconds, 1),
+    }
+
+
+def _last_killers() -> dict[tuple[str, str, str], str]:
+    """{(file, fragment, replacement): first failing test} of the mutants
+    that the last MUTANTS.json records as killed."""
+    table = ROOT / "MUTANTS.json"
+    if not table.exists():
+        return {}
+    return {
+        (m["file"], m["fragment"], m["replacement"]): m["first_failure"]
+        for m in json.loads(table.read_text())["mutants"]
+        if m["killed"] and m["first_failure"]
     }
 
 
@@ -248,14 +344,18 @@ def main() -> int:
         print("\n".join(problems), file=sys.stderr)
         return 2
 
+    killers = _last_killers()
     start = time.perf_counter()
     results = []
-    for i in range(len(MUTANTS)):
-        result = run_mutant(i)
+    for i, (path, fragment, replacement, _, _) in enumerate(MUTANTS):
+        result = run_mutant(i, killers.get((path, fragment, replacement)))
         results.append(result)
         status = "killed" if result["killed"] else "survived"
         mark = " (equivalent)" if result["equivalent"] else ""
-        print(f"[{i:2}] {status}{mark} in {result['seconds']} s by {result['first_failure']}: {result['claim']}")
+        print(
+            f"[{i:2}] {status}{mark} in {result['seconds']} s ({result['run']} run) "
+            f"by {result['first_failure']}: {result['claim']}"
+        )
     elapsed = time.perf_counter() - start
 
     unexpected = [r for r in results if r["killed"] == r["equivalent"]]

@@ -16,7 +16,6 @@ import argparse
 import gc
 import json
 import sys
-from typing import Any
 
 from .report import (
     EXIT_INVALID,
@@ -68,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit_json(payload: Any) -> None:
+def _emit_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
 

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections import namedtuple
 from functools import partial
 from itertools import compress, product
-from typing import NamedTuple
 
 from .dpd_presentation import _family_pair
 from .exact_algebra import _Frozen, _is_int, _is_positive_int
@@ -26,31 +26,15 @@ class CyclicAction(_Frozen):
     not hashable, as `weights` is a dict."""
 
     __slots__ = ("modulus", "weights")
+    __hash__ = None
 
-    def __init__(self, modulus: int, weights: dict[str, int]):
+    def __new__(cls, modulus: int, weights: dict[str, int]):
         if not _is_positive_int(modulus):
             raise ValueError(f"modulus must be a positive integer: {modulus}")
         for v, w in weights.items():
             if not _is_int(w):
                 raise ValueError(f"weight of {v} must be an integer: {w!r}")
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "weights", {v: w % modulus for v, w in weights.items()})
-
-    @classmethod
-    def _trusted(cls, modulus: int, weights: dict[str, int]) -> "CyclicAction":
-        """The action with already checked fields, built without the checks:
-        `modulus` an int >= 1 and every weight an int, as
-        ``standard_action`` reads them off a ``SurfaceTriple``.  The weights
-        are still reduced mod `modulus`."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "weights", {v: w % modulus for v, w in weights.items()})
-        return self
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.modulus, self.weights) == (other.modulus, other.weights)
+        return super()._trusted(modulus, {v: w % modulus for v, w in weights.items()})
 
 
 class SurfaceTriple(_Frozen):
@@ -63,6 +47,7 @@ class SurfaceTriple(_Frozen):
     """
 
     __slots__ = ("d", "e", "m", "e_prime", "k", "m_prime", "d_prime", "l", "pair")
+    _key = ("d", "e", "m")
 
     def __init__(self, d: int, e: int, m: int):
         for name, value in (("d", d), ("e", e), ("m", m)):
@@ -84,24 +69,18 @@ class SurfaceTriple(_Frozen):
         object.__setattr__(self, "l", -e_prime * (k // d))
         object.__setattr__(self, "pair", _family_pair(d, e_prime, m))
 
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.d, self.e, self.m) == (other.d, other.e, other.m)
-
-    def __hash__(self) -> int:
-        return hash((self.d, self.e, self.m))
-
 
 def standard_action(triple: SurfaceTriple) -> CyclicAction:
     """Weights (1, -m, e) on (u, w, s): the generator-change of the induced
-    action that exhibits the classified form."""
-    return CyclicAction._trusted(triple.d, {"u": 1, "w": -triple.m, "s": triple.e})
+    action that exhibits the classified form.  The triple's d is an int
+    >= 1 and its m and e ints, so the action is built unchecked, with the
+    weights written already reduced mod d, as ``CyclicAction`` stores
+    them."""
+    d = triple.d
+    return CyclicAction._trusted(d, {"u": 1 % d, "w": -triple.m % d, "s": triple.e % d})
 
 
-class FreenessResult(NamedTuple):
-    free: bool
-    fixed_loci: list[dict]
+FreenessResult = namedtuple("FreenessResult", "free fixed_loci")
 
 
 def freeness_check(action: CyclicAction, ring: HypersurfaceRing) -> FreenessResult:
@@ -286,9 +265,7 @@ def _same_subgroup_as_induced(triple: SurfaceTriple, action: CyclicAction) -> bo
     )
 
 
-class ComponentPermutation(NamedTuple):
-    cycles: tuple[tuple[int, ...], ...]
-    transitive: bool
+ComponentPermutation = namedtuple("ComponentPermutation", "cycles transitive")
 
 
 def component_permutation(d: int, e: int) -> ComponentPermutation:

@@ -14,7 +14,7 @@ Fraction.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 from .exact_algebra import _is_int, _is_positive_int
 from .qdivisor import DpdPair, QDivisor, negative_locus
@@ -39,17 +39,18 @@ def pseudoplane_dpd_pair(d: int, e_prime: int, m: int) -> DpdPair:
 def _family_pair(d: int, e_prime: int, m: int) -> DpdPair:
     """``pseudoplane_dpd_pair`` without its checks, for inputs already
     checked, as ``SurfaceTriple``'s are: d, m ints >= 1 and e' an int coprime
-    to d."""
+    to d.  The divisors are made unchecked from their storage rows, which
+    must be as ``QDivisor`` keeps them: points increasing, each an int when
+    integral, to reduced nonzero (numerator, denominator) pairs over
+    positive denominators."""
     r = e_prime % d
     if r == 0:
         r = d
-    # r/d and -1/m are reduced, as gcd(r, d) = gcd(e', d) = 1
+    # r/d and -1/m are reduced and nonzero, as gcd(r, d) = gcd(e', d) = 1
     return DpdPair(QDivisor._trusted({0: (-r, d)}), QDivisor._trusted({0: (r, d), 1: (-1, m)}))
 
 
-class ActionClass(NamedTuple):
-    admissible: bool
-    reason: str
+ActionClass = namedtuple("ActionClass", "admissible reason")
 
 
 def classify_presentation(pair: DpdPair, lnd_degree: int | None = None) -> ActionClass:

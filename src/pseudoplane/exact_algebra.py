@@ -14,24 +14,53 @@ its arithmetic, as the oracles of those readings.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
+from operator import attrgetter
 
-Scalar = Union[int, Fraction]
+Scalar = int | Fraction
 
 
 class _Frozen:
-    """Base of the package's value classes: ``__init__`` fills the subclass's
-    ``__slots__`` through ``object.__setattr__``, and then the instance
-    refuses assignment and deletion.  The repr lists the slots as keyword
-    arguments."""
+    """Base of the package's value classes.
+
+    A subclass names its fields in ``__slots__``.  ``_trusted(*values)``
+    fills them in that order without a check, for values that are already
+    clean; a subclass that checks its arguments does so in a ``__new__``
+    that ends in ``super()._trusted(...)``.  An instance then refuses
+    assignment and deletion, and its repr lists the slots as keyword
+    arguments.  Instances of one class compare, and hash, by the slots that
+    ``_key`` names, all of them unless the subclass names fewer; a subclass
+    whose fields are unhashable sets ``__hash__ = None``.
+    """
 
     __slots__ = ()
+    _key: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        # each slot's descriptor setter, which bypasses __setattr__ below,
+        # and the getter of the compared fields, both made once per class
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+        cls._compared = attrgetter(*(cls._key or cls.__slots__))
+
+    @classmethod
+    def _trusted(cls, *values):
+        self = object.__new__(cls)
+        for setter, value in zip(cls._setters, values):
+            setter(self, value)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._compared(self) == self._compared(other)
+
+    def __hash__(self) -> int:
+        return hash(self._compared(self))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in type(self).__slots__)
@@ -48,9 +77,12 @@ def _is_positive_int(value) -> bool:
     return _is_int(value) and value >= 1
 
 
-def _exact(c: Scalar) -> Scalar:
-    """An `int` (not a `bool`) or `Fraction` `c` as stored: an `int` when
-    integral, else the `Fraction`.  Callers check the type first."""
-    if type(c) is int:
-        return c
-    return c.numerator if c.denominator == 1 else c
+def _exact(value, what: str) -> Scalar:
+    """`value` as stored: an `int` when integral, else the `Fraction`.
+    Anything but an `int` (not a `bool`) or a `Fraction` is refused with
+    ``ValueError``, naming the values as `what`."""
+    if type(value) is int:
+        return value
+    if not (type(value) is Fraction or _is_int(value)):
+        raise ValueError(f"{what} must be ints or Fractions: {value!r}")
+    return value.numerator if value.denominator == 1 else value

@@ -40,10 +40,10 @@ derivations u^e * d/ds are certified by an integer rule on exponent vectors
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
-from typing import Iterable, NamedTuple
+from collections import namedtuple
+from collections.abc import Iterable
 
-from .exact_algebra import Scalar, _Frozen, _exact, _is_int, _is_positive_int
+from .exact_algebra import Scalar, _Frozen, _exact, _is_positive_int
 
 
 def _relation_terms(d: int, roots: Iterable[tuple[Scalar, int]]) -> list[tuple[int, Scalar]]:
@@ -111,17 +111,12 @@ class HypersurfaceRing(_Frozen):
 
     __slots__ = ("k", "d", "roots", "second_var")
 
-    def __init__(self, k: int, d: int, roots: Iterable[tuple[Scalar, int]], second_var: str = "v"):
+    def __new__(cls, k: int, d: int, roots: Iterable[tuple[Scalar, int]], second_var: str = "v"):
         if not _is_positive_int(k):
             raise ValueError(f"k must be a positive integer: {k}")
         if not _is_positive_int(d):
             raise ValueError(f"d must be a positive integer: {d}")
-        exact = []
-        for p, j in roots:
-            if not (_is_int(p) or type(p) is Fraction):
-                raise ValueError(f"root points must be ints or Fractions: {p!r}")
-            exact.append((_exact(p), j))
-        roots = tuple(exact)
+        roots = tuple((_exact(p, "root points"), j) for p, j in roots)
         points = [p for p, _ in roots]
         if 0 in points:
             raise ValueError(f"root points must be nonzero: {points}")
@@ -131,39 +126,7 @@ class HypersurfaceRing(_Frozen):
             raise ValueError(f"root exponents must be positive integers: {roots}")
         if second_var in ("u", "s"):
             raise ValueError(f"second variable may not shadow u or s: {second_var!r}")
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "roots", roots)
-        object.__setattr__(self, "second_var", second_var)
-
-    @classmethod
-    def _trusted(
-        cls, k: int, d: int, roots: tuple[tuple[Scalar, int], ...], second_var: str
-    ) -> "HypersurfaceRing":
-        """Wrap an already clean presentation without re-validating it.
-
-        For presentations built clean, such as ``report.verify_triple``'s two
-        rings: `k` and `d` are positive ints, `roots` is a tuple of (point,
-        exponent) pairs with the points nonzero, increasing and each an `int`
-        when integral, as ``divisor_roots`` returns them, and every exponent
-        an int >= 1; `second_var` is neither "u" nor "s".
-        """
-        self = object.__new__(cls)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "roots", roots)
-        object.__setattr__(self, "second_var", second_var)
-        return self
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.k, self.d, self.roots, self.second_var) == (
-            other.k, other.d, other.roots, other.second_var
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.k, self.d, self.roots, self.second_var))
+        return super()._trusted(k, d, roots, second_var)
 
     @property
     def variables(self) -> tuple[str, str, str]:
@@ -175,9 +138,8 @@ class HypersurfaceRing(_Frozen):
         return {"k": self.k, "P": _format_relation(self.d, self.roots), "second_var": self.second_var}
 
 
-class SmoothCheck(NamedTuple):
-    smooth: bool
-    witness: tuple[tuple[tuple[Scalar, ...], int], ...]
+# witness: ((points, j), ...), the root points of each exponent j >= 2
+SmoothCheck = namedtuple("SmoothCheck", "smooth witness")
 
 
 def _points_by_exponent(ring: HypersurfaceRing) -> list[tuple[int, list[Scalar]]]:
@@ -202,18 +164,13 @@ def smooth_check(ring: HypersurfaceRing) -> SmoothCheck:
     return SmoothCheck(not witness, tuple(witness))
 
 
-def fiber_analysis(ring: HypersurfaceRing, u_value: Scalar) -> list[tuple[int, int]]:
-    """Components of the fiber over u = u_value of the u-projection, as
-    (component count, multiplicity) pairs.
-
-    Away from u = 0 the fiber is a single reduced line.  Over u = 0 it is
-    {P(s) = 0} in the (second, s)-plane: by the module's lemma,
-    d*#{p : j_p = j} lines of multiplicity j for each root exponent j, in
-    increasing j (component count = degree of the squarefree factor; roots
-    are never extracted).
+def fiber_analysis(ring: HypersurfaceRing) -> list[tuple[int, int]]:
+    """Components of the fiber over u = 0 of the u-projection, as
+    (component count, multiplicity) pairs: {P(s) = 0} in the
+    (second, s)-plane, which by the module's lemma is d*#{p : j_p = j}
+    lines of multiplicity j for each root exponent j, in increasing j
+    (component count = degree of the squarefree factor; roots are never
+    extracted).  Away from u = 0 every fiber is a single reduced line,
+    [(1, 1)].
     """
-    if not (_is_int(u_value) or type(u_value) is Fraction):
-        raise ValueError(f"u_value must be an int or a Fraction: {u_value!r}")
-    if u_value:
-        return [(1, 1)]
     return [(ring.d * len(points), j) for j, points in _points_by_exponent(ring)]

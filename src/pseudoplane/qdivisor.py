@@ -15,8 +15,11 @@ The constructor takes only ``int`` (not ``bool``) and ``Fraction`` points
 and coefficients and refuses anything else with ``ValueError``.  The public
 accessors ``coefficients``, ``support``, ``coefficient`` and ``items`` build
 ``Fraction``s from the stored integers on each call.  No other module reads
-the storage: ``QDivisor._trusted`` wraps integer rows as a divisor and
-``_integer_rows`` reads one as rows.
+the storage: ``_integer_rows`` reads a divisor as rows, and rows already in
+that form, as the operations here and ``dpd_presentation._family_pair``
+make them, become a divisor through ``QDivisor._trusted`` (the value
+classes' unchecked constructor, ``exact_algebra._Frozen``), which takes the
+dict over without a copy.
 
 Text format: comma-separated ``point:coefficient`` entries, each rational
 written ``[+-]p`` or ``[+-]p/q`` in decimal digits, e.g. ``0:-2/3,1:-1/2``.
@@ -28,13 +31,13 @@ from __future__ import annotations
 
 import math
 import re
-from collections.abc import Mapping
+from collections import namedtuple
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Iterable, NamedTuple
 
-from .exact_algebra import Scalar, _Frozen, _is_int, _is_positive_int
+from .exact_algebra import Scalar, _exact, _Frozen, _is_positive_int
 
 
 class RegimeError(ValueError):
@@ -46,18 +49,9 @@ class RegimeError(ValueError):
 _Ratio = tuple[int, int]
 
 
-def _rational(value, what: str) -> _Ratio:
-    """The reduced (numerator, denominator) of an int, not a bool, or of a
-    Fraction; anything else is refused."""
-    if not (_is_int(value) or type(value) is Fraction):
-        raise ValueError(f"divisor {what} must be ints or Fractions: {value!r}")
-    return value.numerator, value.denominator
-
-
 def _point(value) -> Scalar:
     """A point as stored: an int when it is integral, else the Fraction."""
-    num, den = _rational(value, "points")
-    return num if den == 1 else value
+    return _exact(value, "divisor points")
 
 
 def _summed(rows: dict, entries: Iterable[tuple[Scalar, _Ratio]]) -> dict[Scalar, _Ratio]:
@@ -80,26 +74,17 @@ class QDivisor(_Frozen):
     by value, and not hashable: no computation keys a memo on a divisor."""
 
     __slots__ = ("_coeffs",)
+    __hash__ = None
 
-    def __init__(self, coefficients: Mapping[Scalar, Scalar] | Iterable[tuple[Scalar, Scalar]] = ()):
+    def __new__(cls, coefficients: Mapping[Scalar, Scalar] | Iterable[tuple[Scalar, Scalar]] = ()):
         # a dict skips the Mapping check, whose first use fills the ABC caches
         if type(coefficients) is dict or isinstance(coefficients, Mapping):
             coefficients = coefficients.items()
-        entries = [(_point(point), _rational(coeff, "coefficients")) for point, coeff in coefficients]
-        object.__setattr__(self, "_coeffs", _summed({}, entries))
-
-    @classmethod
-    def _trusted(cls, rows: dict[Scalar, _Ratio]) -> "QDivisor":
-        """Wrap already clean storage without re-validating it.
-
-        For results of the operations here only: `rows` maps distinct points,
-        in increasing order and each an `int` when integral, to reduced
-        nonzero (numerator, denominator) pairs over positive denominators.
-        The dict is taken over, not copied.
-        """
-        self = object.__new__(cls)
-        object.__setattr__(self, "_coeffs", rows)
-        return self
+        entries = []
+        for point, coeff in coefficients:
+            point, coeff = _point(point), _exact(coeff, "divisor coefficients")
+            entries.append((point, (coeff.numerator, coeff.denominator)))
+        return super()._trusted(_summed({}, entries))
 
     @classmethod
     def zero(cls) -> "QDivisor":
@@ -121,11 +106,6 @@ class QDivisor(_Frozen):
 
     def __bool__(self) -> bool:
         return bool(self._coeffs)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QDivisor):
-            return NotImplemented
-        return self._coeffs == other._coeffs
 
     def __add__(self, other: "QDivisor") -> "QDivisor":
         if not isinstance(other, QDivisor):
@@ -177,6 +157,8 @@ class DpdPair(_Frozen):
     its divisors, not hashable."""
 
     __slots__ = ("d_plus", "d_minus", "total")
+    _key = ("d_plus", "d_minus")
+    __hash__ = None
 
     def __init__(self, d_plus: QDivisor, d_minus: QDivisor):
         total = d_plus + d_minus
@@ -189,11 +171,6 @@ class DpdPair(_Frozen):
         object.__setattr__(self, "d_plus", d_plus)
         object.__setattr__(self, "d_minus", d_minus)
         object.__setattr__(self, "total", total)
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.d_plus, self.d_minus) == (other.d_plus, other.d_minus)
 
     def __repr__(self) -> str:
         return f"DpdPair(d_plus={self.d_plus!r}, d_minus={self.d_minus!r})"
@@ -230,10 +207,7 @@ def ml1_test(pair: DpdPair) -> bool:
     return minus >= 2
 
 
-class NegativeLocus(NamedTuple):
-    l: int
-    picard_rank_lower_bound: int
-    torsion_compatible: bool
+NegativeLocus = namedtuple("NegativeLocus", "l picard_rank_lower_bound torsion_compatible")
 
 
 def negative_locus(pair: DpdPair) -> NegativeLocus:
@@ -249,8 +223,11 @@ def divisor_roots(d_minus: QDivisor, k: int) -> tuple[int, tuple[tuple[Scalar, i
 
     Returns (l, roots) where l = -k*D-(0) and roots lists the pairs
     (p, -k*D-(p)) over the support points p != 0, in increasing order of p,
-    each p an int when integral; no polynomial is built.  Requires k*D-
-    integral and -k*D-(p) >= 0 for every p != 0.
+    each p an int when integral and each exponent an int >= 1; no
+    polynomial is built.  Requires k*D- integral and -k*D-(p) >= 0 for
+    every p != 0.  So roots is clean as ``HypersurfaceRing`` stores it, and
+    ``report.verify_triple`` builds its covering ring from it unchecked
+    (``HypersurfaceRing._trusted``).
     """
     if not _is_positive_int(k):
         raise ValueError(f"k must be a positive integer: {k}")

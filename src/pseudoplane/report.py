@@ -41,8 +41,8 @@ refused with ``ValueError`` before any work starts.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from fractions import Fraction
-from typing import Any, Iterator
 
 from .cyclic_quotient import (
     MAX_EXPONENT_CAP,
@@ -77,8 +77,6 @@ EXIT_OK = 0
 EXIT_INCONSISTENT = 1
 EXIT_INVALID = 2
 
-Report = dict[str, Any]
-
 # Caps on the inputs whose work has no other bound; README ("Notes on
 # conventions") gives the timing behind each.  The caps on max_weight and
 # max_exponent are cyclic_quotient's, which product_window and
@@ -97,7 +95,7 @@ _REASON_D1 = (
 )
 
 
-def _require_int(**bounds: Any) -> None:
+def _require_int(**bounds: int) -> None:
     """Reject bool and non-int bounds the way ``SurfaceTriple`` rejects them."""
     for name, value in bounds.items():
         if not _is_int(value):
@@ -116,7 +114,7 @@ def _check_work_bounds(max_weight: int, max_exponent: int) -> None:
 
 def verify_triple(
     d: int, e: int, m: int, max_weight: int = 8, max_exponent: int = 10
-) -> Report:
+) -> dict:
     """Run the full verification pipeline for one (d, e, m) triple.
 
     The product structure is checked on |n|, |n'| <= max_weight (skipped at
@@ -149,6 +147,9 @@ def verify_triple(
     if l_from_divisor != triple.l or roots != pure_power:
         failed.append("divisor_polynomial")
 
+    # both rings are built unchecked from checked values: k, m and d are
+    # ints >= 1, divisor_roots returns clean roots, and neither v nor w
+    # shadows u or s
     covering = HypersurfaceRing._trusted(triple.k, d, roots, "v")
     covering_ok = covering.roots == pure_power
     if not covering_ok:
@@ -172,7 +173,7 @@ def verify_triple(
     if not freeness.free:
         failed.append("freeness")
 
-    fiber = fiber_analysis(normalized, 0)
+    fiber = fiber_analysis(normalized)
     if fiber != [(d, 1)]:
         failed.append("degenerate_fiber")
 
@@ -259,7 +260,7 @@ def verify_triple(
     }
 
 
-def _recover_family_parameters(pair: DpdPair) -> Report | None:
+def _recover_family_parameters(pair: DpdPair) -> dict | None:
     """Recognize pairs of the family shape (-(e'/d)[0], (e'/d)[0] - (1/m)[1])
     up to the integral shift equivalence; ``up_to_equivalence`` is False when
     the pair is the family pair itself."""
@@ -281,7 +282,7 @@ def _recover_family_parameters(pair: DpdPair) -> Report | None:
 
 def classify_pair(
     d_plus_text: str, d_minus_text: str, lnd_degree: int | None = None
-) -> Report:
+) -> dict:
     """Classify a raw divisor pair: action class, uniqueness of the ruling,
     Picard compatibility, canonical form, and recovered family parameters."""
     d_plus = parse_divisor(d_plus_text)
@@ -372,7 +373,7 @@ def sweep(
     max_weight: int = 8,
     max_exponent: int = 10,
     include_reports: bool = False,
-) -> Report:
+) -> dict:
     """Verify every admissible triple with d <= d_max, e in [1, d] coprime to
     d, m <= m_max; rows are ordered by (d, e, m)."""
     _require_int(d_max=d_max, m_max=m_max)
@@ -382,12 +383,12 @@ def sweep(
     _check_cap("m_max", m_max, MAX_M_CAP)
     _check_cap("grid triples", _grid_size(d_max, m_max), MAX_GRID_TRIPLES)
     _check_work_bounds(max_weight, max_exponent)
-    rows: list[Report] = []
+    rows: list[dict] = []
     counts = {"consistent": 0, "excluded": 0, "inconsistent": 0}
     for d, e, m in grid_triples(d_max, m_max):
         report = verify_triple(d, e, m, max_weight=max_weight, max_exponent=max_exponent)
         counts[report["verdict"]] += 1
-        row: Report = {
+        row: dict = {
             "d": d,
             "e": e,
             "m": m,
@@ -412,9 +413,9 @@ def sweep(
     }
 
 
-def verify_exit_code(report: Report) -> int:
+def verify_exit_code(report: dict) -> int:
     return EXIT_OK if report["verdict"] in ("consistent", "excluded") else EXIT_INCONSISTENT
 
 
-def sweep_exit_code(result: Report) -> int:
+def sweep_exit_code(result: dict) -> int:
     return EXIT_OK if result["aggregate"]["inconsistent"] == 0 else EXIT_INCONSISTENT

@@ -48,15 +48,17 @@ class MultiPoly(_Frozen):
     exponent vectors to nonzero coefficients, so equality of term maps is
     equality of polynomials.
 
-    Immutable, compared and hashed by its variables and terms.  The
-    constructor takes `int` (not `bool`) and `Fraction` coefficients and
-    `int` (not `bool`) exponents, and refuses anything else with
-    ``ValueError``.
+    Immutable, compared by its variables and terms, and not hashable, as no
+    oracle keys a memo on a polynomial.  The constructor takes `int` (not
+    `bool`) and `Fraction` coefficients and `int` (not `bool`) exponents,
+    and refuses anything else with ``ValueError``; ``_trusted`` takes a
+    clean term map over, uncopied, for the arithmetic's results.
     """
 
     __slots__ = ("_variables", "_terms")
+    __hash__ = None
 
-    def __init__(self, variables: Iterable[str], terms: Mapping[Exponents, Scalar] | Iterable[tuple[Exponents, Scalar]] = ()):
+    def __new__(cls, variables: Iterable[str], terms: Mapping[Exponents, Scalar] | Iterable[tuple[Exponents, Scalar]] = ()):
         variables = tuple(variables)
         if len(set(variables)) != len(variables):
             raise ValueError(f"duplicate variable names: {variables}")
@@ -70,9 +72,7 @@ class MultiPoly(_Frozen):
                 )
             if any(not _is_int(e) or e < 0 for e in exps):
                 raise ValueError(f"exponents must be non-negative integers: {exps}")
-            if not (_is_int(coeff) or type(coeff) is Fraction):
-                raise ValueError(f"coefficients must be ints or Fractions: {coeff!r}")
-            coeff = _exact(coeff)
+            coeff = _exact(coeff, "coefficients")
             if not coeff:
                 continue
             acc = clean.get(exps)
@@ -81,19 +81,7 @@ class MultiPoly(_Frozen):
                 clean[exps] = total
             else:
                 clean.pop(exps, None)
-        object.__setattr__(self, "_variables", variables)
-        object.__setattr__(self, "_terms", clean)
-
-    @classmethod
-    def _trusted(cls, variables: tuple[str, ...], clean_terms: dict[Exponents, Scalar]) -> "MultiPoly":
-        """Wrap an already clean term map without re-validating it: distinct
-        variable names, exponent tuples of non-negative ints of the right
-        length, nonzero `int` or `Fraction` values.  The dict is taken over,
-        not copied."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "_variables", variables)
-        object.__setattr__(self, "_terms", clean_terms)
-        return self
+        return super()._trusted(variables, clean)
 
     @property
     def variables(self) -> tuple[str, ...]:
@@ -105,14 +93,6 @@ class MultiPoly(_Frozen):
 
     def __bool__(self) -> bool:
         return bool(self._terms)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return self._variables == other._variables and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash((self._variables, frozenset(self._terms.items())))
 
     def __str__(self) -> str:
         return format_poly(self)
@@ -343,7 +323,7 @@ def poly_divmod(p: MultiPoly, q: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
         deg = top[0]
         if deg < qdeg:
             break
-        factor = _exact(Fraction(rem[top], qlead))
+        factor = _exact(Fraction(rem[top], qlead), "coefficients")
         shift = deg - qdeg
         quo[(shift,)] = factor
         for exps, coeff in q.terms.items():

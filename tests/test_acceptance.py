@@ -133,7 +133,7 @@ def test_criterion_5_smoothness():
 
 def test_criterion_6_degenerate_fiber(swept):
     for t in TRIPLES:
-        assert fiber_analysis(normalized_ring(t), 0) == [(t.d, 1)], t
+        assert fiber_analysis(normalized_ring(t)) == [(t.d, 1)], t
         assert component_permutation(t.d, t.e).transitive, t
     for row in swept["rows"]:
         fiber = row["report"]["normalized"]["degenerate_fiber"]

@@ -29,7 +29,6 @@ from pseudoplane import (
     classify_presentation,
     component_permutation,
     divisor_roots,
-    fiber_analysis,
     find_valid_lnd_degrees,
     freeness_check,
     parse_divisor,
@@ -93,12 +92,9 @@ GOLDEN_D_HEAVY_SWEEP = "348cb6d8a815879d3e3c3fe980c0223b9bf4f1b490c04953c98429dc
 UNREACHED = {
     # HypersurfaceRing and CyclicAction are exported value classes: their
     # validating constructors are their interface, while the pipeline builds
-    # its rings and actions from checked values through _trusted; _exact is
-    # the normalization of a scalar that only the validating constructor of
-    # HypersurfaceRing runs
-    "hypersurface_ring.HypersurfaceRing.__init__",
-    "cyclic_quotient.CyclicAction.__init__",
-    "exact_algebra._exact",
+    # its rings and actions from checked values through _trusted
+    "hypersurface_ring.HypersurfaceRing.__new__",
+    "cyclic_quotient.CyclicAction.__new__",
     # a divisor's truth value and its text forms
     "qdivisor.QDivisor.__bool__",
     "qdivisor.QDivisor.__str__",
@@ -109,17 +105,15 @@ UNREACHED = {
     "qdivisor.QDivisor.coefficients",
     "qdivisor.QDivisor.items",
     # value-class interface: the immutable value classes refuse assignment
-    # and deletion, print their fields, and compare (and hash, where their
-    # fields allow it) by value, which no CLI run needs
+    # and deletion, print their fields, and hash, where their fields allow
+    # it, by value, which no CLI run needs; each class reads its slots'
+    # setters and compared fields once, when it is created at import
+    "exact_algebra._Frozen.__init_subclass__",
     "exact_algebra._Frozen.__setattr__",
     "exact_algebra._Frozen.__delattr__",
+    "exact_algebra._Frozen.__hash__",
     "exact_algebra._Frozen.__repr__",
     "qdivisor.DpdPair.__repr__",
-    "hypersurface_ring.HypersurfaceRing.__eq__",
-    "hypersurface_ring.HypersurfaceRing.__hash__",
-    "cyclic_quotient.CyclicAction.__eq__",
-    "cyclic_quotient.SurfaceTriple.__eq__",
-    "cyclic_quotient.SurfaceTriple.__hash__",
 }
 
 
@@ -409,18 +403,6 @@ INPUT_CHECKS = {
         lambda: HypersurfaceRing(2, 3, ((0.5, 1),), "w"),
         ValueError, "root points must be ints or Fractions: 0.5",
     ),
-    "fiber_analysis-u-string": (
-        lambda: fiber_analysis(HypersurfaceRing(2, 3, ((1, 1),), "w"), "0"),
-        ValueError, "u_value must be an int or a Fraction: '0'",
-    ),
-    "fiber_analysis-u-bool": (
-        lambda: fiber_analysis(HypersurfaceRing(2, 3, ((1, 1),), "w"), True),
-        ValueError, "u_value must be an int or a Fraction: True",
-    ),
-    "fiber_analysis-u-float": (
-        lambda: fiber_analysis(HypersurfaceRing(2, 3, ((1, 1),), "w"), 0.0),
-        ValueError, "u_value must be an int or a Fraction: 0.0",
-    ),
     "HypersurfaceRing-second-variable-u": (
         lambda: HypersurfaceRing(2, 3, ((1, 1),), "u"),
         ValueError, "second variable may not shadow u or s: 'u'",
@@ -609,6 +591,16 @@ def test_value_classes_are_immutable_and_compare_by_value(name):
             hash(value)
 
 
+@pytest.mark.parametrize("name", VALUE_CLASSES)
+def test_value_classes_equal_no_value_of_another_class(name):
+    # equality defers to the other operand unless both are of one class, so
+    # a value differs from a value of every other class, fields or not
+    value = VALUE_CLASSES[name][0]()
+    others = [make() for other, (make, *_) in VALUE_CLASSES.items() if other != name]
+    for other in [None, 3, (3, 2, 2), *others]:
+        assert value != other and other != value
+
+
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     # a fresh interpreter, as the test process has both loaded already;
     # -S keeps site's start-up files out, so only the package's imports count
@@ -619,6 +611,19 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
         [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert done.stdout == "[]\n"
+
+
+def test_importing_the_cli_loads_no_typing():
+    # the result tuples are collections.namedtuples and the annotation-only
+    # names come from collections.abc, so a fresh -S import, with site's
+    # start-up files left out, does not load typing
+    src = Path(pseudoplane.__file__).resolve().parents[1]
+    probe = "import sys, pseudoplane.cli; print('typing' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "False\n"
 
 
 def test_importing_the_cli_ends_with_an_empty_young_generation():

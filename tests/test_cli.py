@@ -5,8 +5,6 @@ import time
 
 import pytest
 
-from helpers import oracle_relation
-
 from pseudoplane import classify_pair, sweep, verify_triple
 from pseudoplane.cli import main
 
@@ -281,7 +279,7 @@ def test_singular_normalized_model_is_reported_and_sweep_carries_on(capsys, monk
 
     def singular_normalized(ring):
         if ring.second_var == "w":
-            return SmoothCheck(False, ((oracle_relation(ring), 2),))
+            return SmoothCheck(False, (((1,), 2),))
         return smooth_check(ring)
 
     monkeypatch.setattr(report_module, "smooth_check", singular_normalized)
@@ -402,7 +400,7 @@ def _not_free(freeness_check):
 
 
 def _double_fiber(fiber_analysis):
-    return lambda ring, u_value: [(ring.d, 2)]
+    return lambda ring: [(ring.d, 2)]
 
 
 def _not_transitive(component_permutation):

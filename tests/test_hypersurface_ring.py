@@ -181,13 +181,10 @@ def test_smooth_check_examples():
 
 
 def test_fiber_analysis_examples():
-    ring = w_ring(2, 3)
-    assert fiber_analysis(ring, 1) == [(1, 1)]
-    assert fiber_analysis(ring, F(-7, 2)) == [(1, 1)]
-    assert fiber_analysis(ring, 0) == [(3, 1)]
-    assert fiber_analysis(v_ring(6, 3, 3), 0) == [(3, 3)]
+    assert fiber_analysis(w_ring(2, 3)) == [(3, 1)]
+    assert fiber_analysis(v_ring(6, 3, 3)) == [(3, 3)]
     mixed = HypersurfaceRing(2, 2, ((-1, 2), (F(1, 2), 1), (3, 2)), "v")
-    assert fiber_analysis(mixed, 0) == [(2, 1), (4, 2)]
+    assert fiber_analysis(mixed) == [(2, 1), (4, 2)]
 
 
 @given(st.integers(1, 4), st.integers(1, 12), factored_roots(min_size=1, max_size=3, max_exp=4))
@@ -196,7 +193,7 @@ def test_factored_reading_matches_yun(k, d, roots):
     # expanded P: the same factors, in the same order of multiplicity
     ring = HypersurfaceRing(k, d, roots, "v")
     check = smooth_check(ring)
-    assert (witness_factors(d, check.witness), fiber_analysis(ring, 0)) == yun_reading(ring)
+    assert (witness_factors(d, check.witness), fiber_analysis(ring)) == yun_reading(ring)
     assert check.smooth == (not check.witness)
 
 
