@@ -49,6 +49,7 @@ TIER1 = [
 GUARD = "tests/test_scripts.py::test_every_mutant_fragment_matches_once"
 
 CQ = "src/pseudoplane/cyclic_quotient.py"
+DP = "src/pseudoplane/dpd_presentation.py"
 EA = "src/pseudoplane/exact_algebra.py"
 HR = "src/pseudoplane/hypersurface_ring.py"
 QD = "src/pseudoplane/qdivisor.py"
@@ -196,9 +197,19 @@ MUTANTS: list[tuple[str, str, str, str, bool]] = [
         "_exact refuses a bool",
         False,
     ),
-    # classify_pair and the divisor text
-    (RP, "    if not action.admissible:\n", "    if False:\n",
+    # classify_pair, its decision table, the family pair and the divisor text
+    (RP, "    if not admissible:\n", "    if False:\n",
      "classify_pair excludes a presentation that the decision table rules out", False),
+    (RP, "    if lnd_degree == 0:\n", "    if False:\n",
+     "classify_pair's decision table rules out a degree-0 derivation", False),
+    (RP, "    elif not locus.torsion_compatible:\n", "    elif False:\n",
+     "classify_pair's decision table rules out a negative locus of two or more points", False),
+    (RP, "    if boundary.numerator != -1:\n", "    if False:\n",
+     "_recover_family_parameters recognizes only a boundary coefficient -1/m", False),
+    (DP, "QDivisor._trusted({0: (-e_prime, d)})", "QDivisor._trusted({0: (e_prime, d)})",
+     "_family_pair writes D+ = -(e'/d)[0]", False),
+    (QD, 'r"[0-9]+(?:/[0-9]+)?\\Z"', 'r"\\d+(?:/\\d+)?\\Z"',
+     "_parse_rational refuses the digits of other scripts", False),
     (RP, "    elif ml1 is None:\n", "    elif False:\n",
      "classify_pair reports a pair outside the classified regime as outside-regime", False),
     (RP, "    elif not ml1:\n        verdict = \"excluded\"\n        excluded_reason = (",
@@ -235,7 +246,18 @@ MUTANTS: list[tuple[str, str, str, str, bool]] = [
         "_grid_size counts the triples of d = 1",
         False,
     ),
-    # the verdict: each check's failed.append dropped
+    # the verdict: a few checks' conditions inverted, and each check's
+    # failed.append dropped
+    *(
+        (RP, f"    if not {value}:\n", f"    if {value}:\n",
+         f"verify_triple lists {check} in failed_checks only when it fails", False)
+        for value, check in (
+            ("exponent_check", "exponent_identity"),
+            ("freeness.free", "freeness"),
+            ("transitive", "component_transitivity"),
+            ("degrees", "lnd_degrees"),
+        )
+    ),
     (
         RP,
         'failed.append("lnd_degrees")',

@@ -22,11 +22,6 @@ from .qdivisor import (
     negative_locus,
     parse_divisor,
 )
-from .dpd_presentation import (
-    classify_presentation,
-    pseudoplane_dpd_pair,
-    smoothness_condition,
-)
 from .hypersurface_ring import (
     HypersurfaceRing,
     fiber_analysis,
@@ -53,7 +48,6 @@ __all__ = [
     "SurfaceTriple",
     "canonical_pair",
     "classify_pair",
-    "classify_presentation",
     "component_permutation",
     "divisor_roots",
     "fiber_analysis",
@@ -66,9 +60,7 @@ __all__ = [
     "negative_locus",
     "parse_divisor",
     "product_window",
-    "pseudoplane_dpd_pair",
     "smooth_check",
-    "smoothness_condition",
     "standard_action",
     "sweep",
     "verify_exit_code",

@@ -22,9 +22,9 @@ classes' unchecked constructor, ``exact_algebra._Frozen``), which takes the
 dict over without a copy.
 
 Text format: comma-separated ``point:coefficient`` entries, each rational
-written ``[+-]p`` or ``[+-]p/q`` in decimal digits, e.g. ``0:-2/3,1:-1/2``.
-The parser accepts entries in any order; the printer emits points in
-increasing order.  The empty string is the zero divisor.
+written ``[+-]p`` or ``[+-]p/q`` in ASCII decimal digits, e.g.
+``0:-2/3,1:-1/2``.  The parser accepts entries in any order; the printer
+emits points in increasing order.  The empty string is the zero divisor.
 """
 
 from __future__ import annotations
@@ -85,10 +85,6 @@ class QDivisor(_Frozen):
             point, coeff = _point(point), _exact(coeff, "divisor coefficients")
             entries.append((point, (coeff.numerator, coeff.denominator)))
         return super()._trusted(_summed({}, entries))
-
-    @classmethod
-    def zero(cls) -> "QDivisor":
-        return cls()
 
     @property
     def coefficients(self) -> Mapping[Fraction, Fraction]:
@@ -253,12 +249,15 @@ def divisor_roots(d_minus: QDivisor, k: int) -> tuple[int, tuple[tuple[Scalar, i
 
 # -- text format ---------------------------------------------------------------
 
-_NUMBER_RE = re.compile(r"\d+(?:/\d+)?\Z")
+# [0-9], not \d: in a str pattern \d matches every Unicode decimal digit,
+# which Fraction reads too
+_NUMBER_RE = re.compile(r"[0-9]+(?:/[0-9]+)?\Z")
 
 
 def _parse_rational(text: str) -> Fraction:
-    """``[+-]p`` or ``[+-]p/q``; decimals, exponents and underscores, which
-    ``Fraction`` would accept, are refused before it reads them."""
+    """``[+-]p`` or ``[+-]p/q`` in ASCII digits; decimals, exponents,
+    underscores and other scripts' digits, which ``Fraction`` would accept,
+    are refused before it reads them."""
     text = text.strip()
     if not _NUMBER_RE.match(text[1:] if text.startswith(("+", "-")) else text):
         raise ValueError(f"expected [+-]p or [+-]p/q, got {text!r}")
@@ -269,7 +268,7 @@ def parse_divisor(text: str) -> QDivisor:
     """Parse ``point:coefficient`` entries (any order); '' is the zero divisor."""
     s = text.strip()
     if not s:
-        return QDivisor.zero()
+        return QDivisor()
     entries: dict[Fraction, Fraction] = {}
     for chunk in s.split(","):
         chunk = chunk.strip()

@@ -56,7 +56,7 @@ from .cyclic_quotient import (
     product_window,
     standard_action,
 )
-from .dpd_presentation import classify_presentation, pseudoplane_dpd_pair, smoothness_condition
+from .dpd_presentation import _family_pair
 from .exact_algebra import _is_int
 from .hypersurface_ring import HypersurfaceRing, _format_relation, fiber_analysis, smooth_check
 from .qdivisor import (
@@ -270,13 +270,14 @@ def _recover_family_parameters(pair: DpdPair) -> dict | None:
     total = pair.total
     if total.support != (Fraction(1),):
         return None
-    # the coefficient at the point 1 must be a/m with a = -1 for a smooth surface
+    # the coefficient at the point 1 is a/m, and only a = -1 gives a smooth surface
     boundary = total.coefficient(1)
-    if not smoothness_condition(boundary.denominator, boundary.numerator):
+    if boundary.numerator != -1:
         return None
+    # 1 - {D+}(0) lies in (0, 1], so e' is in [1, d] and coprime to d
     ratio = 1 - fractional.coefficient(0)
     d, e_prime, m = ratio.denominator, ratio.numerator, boundary.denominator
-    exact = pair == pseudoplane_dpd_pair(d, e_prime, m)
+    exact = pair == _family_pair(d, e_prime, m)
     return {"d": d, "e_prime": e_prime, "m": m, "up_to_equivalence": not exact}
 
 
@@ -284,13 +285,31 @@ def classify_pair(
     d_plus_text: str, d_minus_text: str, lnd_degree: int | None = None
 ) -> dict:
     """Classify a raw divisor pair: action class, uniqueness of the ruling,
-    Picard compatibility, canonical form, and recovered family parameters."""
+    Picard compatibility, canonical form, and recovered family parameters.
+
+    The action class is a decision table ruling a hyperbolic presentation in
+    or out as a candidate for a surface with an essentially unique ruling
+    over the affine line; no ring computation runs, as each exclusion is a
+    recorded fact.  lnd_degree, when known, is the degree of a homogeneous
+    locally nilpotent derivation: an int (not a bool) or None, and anything
+    else raises ValueError."""
     d_plus = parse_divisor(d_plus_text)
     d_minus = parse_divisor(d_minus_text)
     pair = DpdPair(d_plus, d_minus)  # raises ValueError with pointwise witness
+    if lnd_degree is not None and not _is_int(lnd_degree):
+        raise ValueError(f"lnd_degree must be an integer or None, got {lnd_degree!r}")
 
-    action = classify_presentation(pair, lnd_degree)
     locus = negative_locus(pair)
+    admissible = False
+    if lnd_degree == 0:
+        reason = "degree-0 derivation presents a line times a torus (ruling over the torus)"
+    elif not locus.torsion_compatible:
+        reason = (
+            f"negative locus has {locus.l} points, so Picard rank >= "
+            f"{locus.picard_rank_lower_bound} is not a torsion group"
+        )
+    else:
+        admissible, reason = True, "admissible"
     ml1: bool | None
     ml1_note: str | None
     try:
@@ -302,9 +321,9 @@ def classify_pair(
     canonical = canonical_pair(pair)
     recovered = _recover_family_parameters(pair)
 
-    if not action.admissible:
+    if not admissible:
         verdict = "excluded"
-        excluded_reason = action.reason
+        excluded_reason = reason
     elif ml1 is None:
         verdict = "outside-regime"
         excluded_reason = None
@@ -326,8 +345,8 @@ def classify_pair(
         },
         "action_class": {
             "kind": "hyperbolic",
-            "admissible": action.admissible,
-            "reason": action.reason,
+            "admissible": admissible,
+            "reason": reason,
         },
         "ml1": ml1,
         "ml1_note": ml1_note,

@@ -45,7 +45,6 @@ from pseudoplane import (
     find_valid_lnd_degrees,
     floor_div,
     freeness_check,
-    pseudoplane_dpd_pair,
     standard_action,
     sweep,
     weight_piece_generator,
@@ -194,7 +193,7 @@ def test_criterion_8_oracle_suites():
             failures += 1
 
     # canonical_pair vs the graded-piece shift identity for |n| <= 12
-    pairs = [pseudoplane_dpd_pair(t.d, t.e_prime, t.m) for t in TRIPLES]
+    pairs = [t.pair for t in TRIPLES]
     pairs.append(DpdPair(QDivisor({0: F(-7, 3), 2: F(5, 2)}), QDivisor({0: F(1, 3), 2: F(-5, 2), 1: F(-1, 4)})))
     pairs.append(DpdPair(QDivisor({0: F(9, 4)}), QDivisor({0: F(-9, 4), 1: -2})))
     for pair in pairs:
@@ -218,9 +217,8 @@ def test_criterion_9_picard_exclusion():
     assert report["picard"]["l"] == 2
     assert report["verdict"] == "excluded"
     for t in TRIPLES:
-        pair = pseudoplane_dpd_pair(t.d, t.e_prime, t.m)
         from pseudoplane import format_divisor
 
-        row = classify_pair(format_divisor(pair.d_plus), format_divisor(pair.d_minus))
+        row = classify_pair(format_divisor(t.pair.d_plus), format_divisor(t.pair.d_minus))
         assert row["picard"]["l"] <= 1, t
     _passed(9, "constructed l = 2 pair is torsion-incompatible; family pairs have l <= 1")

@@ -26,15 +26,12 @@ from pseudoplane import (
     QDivisor,
     SurfaceTriple,
     classify_pair,
-    classify_presentation,
     component_permutation,
     divisor_roots,
     find_valid_lnd_degrees,
     freeness_check,
     parse_divisor,
     product_window,
-    pseudoplane_dpd_pair,
-    smoothness_condition,
     sweep,
 )
 from pseudoplane.cli import main
@@ -44,14 +41,14 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 PUBLIC_NAMES = {
     "CyclicAction", "DpdPair", "HypersurfaceRing", "QDivisor",
     "RegimeError", "SurfaceTriple",
-    "canonical_pair", "classify_pair", "classify_presentation",
+    "canonical_pair", "classify_pair",
     "component_permutation", "divisor_roots", "fiber_analysis",
     "find_valid_lnd_degrees", "floor_div", "format_divisor", "fract_div",
     "freeness_check", "ml1_test",
     "negative_locus",
     "parse_divisor",
-    "product_window", "pseudoplane_dpd_pair",
-    "smooth_check", "smoothness_condition",
+    "product_window",
+    "smooth_check",
     "standard_action", "sweep", "verify_exit_code", "verify_triple",
     "weight_piece_generator",
 }
@@ -141,7 +138,7 @@ def _defined_functions(code, prefix):
 
 
 def test_cli_reaches_every_function_but_the_allowlist(capsys):
-    assert set(pseudoplane.__all__) == PUBLIC_NAMES and len(pseudoplane.__all__) == 29
+    assert set(pseudoplane.__all__) == PUBLIC_NAMES and len(pseudoplane.__all__) == 26
 
     defined = {}
     for module in _package_modules():
@@ -317,50 +314,14 @@ INPUT_CHECKS = {
         lambda: component_permutation(3, 1.0),
         ValueError, "e must be an integer: 1.0",
     ),
-    "pseudoplane_dpd_pair-d-0": (
-        lambda: pseudoplane_dpd_pair(0, 1, 2),
-        ValueError, "d and m must be positive: d=0, m=2",
-    ),
-    "pseudoplane_dpd_pair-d-float": (
-        lambda: pseudoplane_dpd_pair(3.0, 2, 2),
-        ValueError, "d and m must be positive: d=3.0, m=2",
-    ),
-    "pseudoplane_dpd_pair-m-0": (
-        lambda: pseudoplane_dpd_pair(3, 2, 0),
-        ValueError, "d and m must be positive: d=3, m=0",
-    ),
-    "pseudoplane_dpd_pair-m-bool": (
-        lambda: pseudoplane_dpd_pair(3, 2, True),
-        ValueError, "d and m must be positive: d=3, m=True",
-    ),
-    "pseudoplane_dpd_pair-e_prime-float": (
-        lambda: pseudoplane_dpd_pair(3, 2.0, 2),
-        ValueError, "e' must be an integer: 2.0",
-    ),
-    "smoothness_condition-m-0": (
-        lambda: smoothness_condition(0, 1),
-        ValueError, "m must be positive: 0",
-    ),
-    "smoothness_condition-m-bool": (
-        lambda: smoothness_condition(True, -1),
-        ValueError, "m must be positive: True",
-    ),
-    "smoothness_condition-a-float": (
-        lambda: smoothness_condition(2, -1.0),
-        ValueError, "a must be an integer: -1.0",
-    ),
-    "smoothness_condition-a-bool": (
-        lambda: smoothness_condition(2, True),
-        ValueError, "a must be an integer: True",
-    ),
     # lnd_degree is None or an int: False and 0.0 once read as degree 0,
     # "0" and 2.5 as admissible
-    "classify_presentation-lnd_degree-bool": (
-        lambda: classify_presentation(pseudoplane_dpd_pair(3, 2, 2), False),
+    "classify_pair-lnd_degree-bool": (
+        lambda: classify_pair("0:-2/3", "0:2/3,1:-1/2", False),
         ValueError, "lnd_degree must be an integer or None, got False",
     ),
-    "classify_presentation-lnd_degree-float-zero": (
-        lambda: classify_presentation(pseudoplane_dpd_pair(3, 2, 2), 0.0),
+    "classify_pair-lnd_degree-float-zero": (
+        lambda: classify_pair("0:-2/3", "0:2/3,1:-1/2", 0.0),
         ValueError, "lnd_degree must be an integer or None, got 0.0",
     ),
     "classify_pair-lnd_degree-string": (
@@ -467,6 +428,19 @@ INPUT_CHECKS = {
     "parse_divisor-empty-entry": (
         lambda: parse_divisor("0:1,,1:2"),
         ValueError, "empty entry in divisor text '0:1,,1:2'",
+    ),
+    # digits of other scripts, which a str pattern's \d and Fraction read
+    "parse_divisor-fullwidth-digits": (
+        lambda: parse_divisor("\uff10:-\uff12/\uff13"),
+        ValueError,
+        "bad rational in divisor entry '\uff10:-\uff12/\uff13': "
+        "expected [+-]p or [+-]p/q, got '\uff10'",
+    ),
+    "parse_divisor-arabic-indic-digits": (
+        lambda: parse_divisor("\u0660:-\u0662/\u0663"),
+        ValueError,
+        "bad rational in divisor entry '\u0660:-\u0662/\u0663': "
+        "expected [+-]p or [+-]p/q, got '\u0660'",
     ),
     "sweep-d_max-0": (
         lambda: sweep(0, 1),

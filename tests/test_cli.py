@@ -72,18 +72,23 @@ def test_verify_cli_invalid_values(capsys):
 
 
 def test_classify_cli_family_pair(capsys):
-    code, out = run_cli(
-        capsys, "classify", "--d-plus", "0:-2/3", "--d-minus", "0:2/3,1:-1/2", "--json"
-    )
-    assert code == 0
-    report = json.loads(out)
-    assert report["action_class"]["kind"] == "hyperbolic"
-    assert report["ml1"] is True
-    assert report["picard"]["l"] == 1
-    assert report["recovered"] == {
-        "d": 3, "e_prime": 2, "m": 2, "up_to_equivalence": False,
-    }
-    assert report["verdict"] == "admissible"
+    # a derivation degree other than 0 leaves the family pair admissible
+    for lnd_degree in ([], ["--lnd-degree", "2"]):
+        code, out = run_cli(
+            capsys, "classify", "--d-plus", "0:-2/3", "--d-minus", "0:2/3,1:-1/2",
+            *lnd_degree, "--json",
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert report["action_class"] == {
+            "kind": "hyperbolic", "admissible": True, "reason": "admissible",
+        }
+        assert report["ml1"] is True
+        assert report["picard"]["l"] == 1
+        assert report["recovered"] == {
+            "d": 3, "e_prime": 2, "m": 2, "up_to_equivalence": False,
+        }
+        assert report["verdict"] == "admissible"
 
 
 def test_classify_cli_single_fractional_point(capsys):
@@ -198,6 +203,20 @@ def test_classify_cli_refuses_exponent_notation_at_once(capsys):
     assert time.perf_counter() - start < 1
     assert code == 2
     assert "bad rational in divisor entry '0:1e10000000'" in json.loads(out)["error"]
+
+
+def test_classify_cli_refuses_digits_of_other_scripts(capsys):
+    # fullwidth 0:-2/3, which Fraction would read as the family pair's D+
+    code, out = run_cli(
+        capsys, "classify", "--d-plus", "\uff10:-\uff12/\uff13",
+        "--d-minus", "0:2/3,1:-1/2", "--json",
+    )
+    assert code == 2
+    assert json.loads(out) == {
+        "format_version": 1,
+        "error": "bad rational in divisor entry '\uff10:-\uff12/\uff13': "
+        "expected [+-]p or [+-]p/q, got '\uff10'",
+    }
 
 
 def test_sweep_cli_small(capsys):

@@ -24,13 +24,14 @@ from helpers import (
 
 from pseudoplane import (
     CyclicAction,
+    DpdPair,
     HypersurfaceRing,
+    QDivisor,
     SurfaceTriple,
     component_permutation,
     find_valid_lnd_degrees,
     freeness_check,
     product_window,
-    pseudoplane_dpd_pair,
     standard_action,
     weight_piece_generator,
 )
@@ -62,7 +63,7 @@ def test_surface_triple_derived_constants():
     t = SurfaceTriple(3, 2, 2)
     assert (t.e_prime, t.k, t.m_prime, t.d_prime, t.l) == (2, 6, 3, 2, -4)
     assert t.k * t.e_prime + t.d * t.l == 0
-    assert t.pair == pseudoplane_dpd_pair(3, 2, 2)
+    assert t.pair == DpdPair(QDivisor({0: F(-2, 3)}), QDivisor({0: F(2, 3), 1: F(-1, 2)}))
     with pytest.raises(ValueError, match="coprime"):
         SurfaceTriple(4, 2, 3)
     with pytest.raises(ValueError):
@@ -189,14 +190,13 @@ def test_weight_piece_generator_is_invariant_normal_monomial():
 
 def test_ceiling_identity_links_generator_to_graded_piece():
     for t in TRIPLES:
-        pair = pseudoplane_dpd_pair(t.d, t.e_prime, t.m)
         for n in range(-8, 9):
             c = (-t.e_prime * n) % t.d
             assert (n * t.e_prime + c) % t.d == 0
             ceiling = (n * t.e_prime + c) // t.d
             assert ceiling == math.ceil(F(n * t.e_prime, t.d))
             if n != 0:
-                assert graded_piece(pair, n).get(0, 0) == ceiling
+                assert graded_piece(t.pair, n).get(0, 0) == ceiling
 
 
 @given(surface_triples())

@@ -1,6 +1,3 @@
-import math
-
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -16,38 +13,26 @@ from helpers import (
 from pseudoplane import (
     DpdPair,
     QDivisor,
-    classify_presentation,
+    SurfaceTriple,
     floor_div,
     ml1_test,
-    pseudoplane_dpd_pair,
-    smoothness_condition,
 )
 
 
 def test_family_pair_values():
-    pair = pseudoplane_dpd_pair(3, 2, 2)
+    pair = SurfaceTriple(3, 2, 2).pair
     assert pair.d_plus == QDivisor({0: F(-2, 3)})
     assert pair.d_minus == QDivisor({0: F(2, 3), 1: F(-1, 2)})
-    pair = pseudoplane_dpd_pair(2, 1, 2)
+    pair = SurfaceTriple(2, 1, 2).pair
     assert pair.d_plus == QDivisor({0: F(-1, 2)})
     assert pair.d_minus == QDivisor({0: F(1, 2), 1: F(-1, 2)})
-    pair = pseudoplane_dpd_pair(1, 1, 1)
+    pair = SurfaceTriple(1, 1, 1).pair
     assert pair.d_plus == QDivisor({0: -1})
     assert pair.d_minus == QDivisor({0: 1, 1: -1})
 
 
-def test_family_pair_normalizes_e_prime():
-    assert pseudoplane_dpd_pair(3, 5, 2) == pseudoplane_dpd_pair(3, 2, 2)
-    assert pseudoplane_dpd_pair(3, -1, 2) == pseudoplane_dpd_pair(3, 2, 2)
-
-
-def test_family_pair_rejects_non_coprime():
-    with pytest.raises(ValueError, match="coprime"):
-        pseudoplane_dpd_pair(4, 2, 2)
-
-
 def test_graded_piece_examples():
-    pair = pseudoplane_dpd_pair(3, 2, 2)
+    pair = SurfaceTriple(3, 2, 2).pair
     assert graded_piece(pair, 1) == {F(0): 1}
     assert graded_piece(pair, -1) == {F(1): 1}
     assert graded_piece(pair, 0) == {}
@@ -57,37 +42,10 @@ def test_graded_piece_examples():
 
 
 def test_product_defect_examples():
-    pair = pseudoplane_dpd_pair(3, 2, 2)
+    pair = SurfaceTriple(3, 2, 2).pair
     assert product_defect(pair, 1, -1) == {F(0): 1, F(1): 1}
     assert product_defect(pair, 1, 1) == {}
     assert product_defect(pair, 0, -5) == {}
-
-
-def test_classify_hyperbolic_admissible():
-    pair = pseudoplane_dpd_pair(3, 2, 2)
-    out = classify_presentation(pair, lnd_degree=2)
-    assert out.admissible
-
-
-def test_classify_degree_zero_excluded():
-    pair = pseudoplane_dpd_pair(3, 2, 2)
-    out = classify_presentation(pair, lnd_degree=0)
-    assert not out.admissible
-    assert "torus" in out.reason
-
-
-def test_classify_picard_excluded():
-    pair = DpdPair(QDivisor.zero(), QDivisor({1: F(-1, 2), 2: F(-1, 2)}))
-    out = classify_presentation(pair)
-    assert not out.admissible and "Picard" in out.reason
-
-
-def test_smoothness_condition():
-    assert smoothness_condition(2, -1) is True
-    assert smoothness_condition(3, 2) is False
-    assert smoothness_condition(5, -1) is True
-    with pytest.raises(ValueError, match="coprime"):
-        smoothness_condition(4, 2)
 
 
 def _shift_identity_holds(pair, n_range=12):
@@ -107,8 +65,7 @@ def _shift_identity_holds(pair, n_range=12):
 
 def test_graded_piece_shift_identity_on_family():
     for d, e, m in grid_triples(5, 4):
-        e_prime = pow(e, -1, d) if d > 1 else 1
-        assert _shift_identity_holds(pseudoplane_dpd_pair(d, e_prime, m))
+        assert _shift_identity_holds(SurfaceTriple(d, e, m).pair)
 
 
 @given(small_divisors(), nonpositive_divisors())
@@ -124,10 +81,6 @@ def test_product_defect_nonnegative(d_plus, slack, n, n_prime):
 
 
 def test_ml1_iff_d_and_m_at_least_two():
-    for d in range(1, 7):
-        for m in range(1, 6):
-            for e_prime in range(1, d + 1):
-                if math.gcd(e_prime, d) != 1:
-                    continue
-                pair = pseudoplane_dpd_pair(d, e_prime, m)
-                assert ml1_test(pair) == (d >= 2 and m >= 2)
+    # e runs over the units mod d, and so does e'
+    for d, e, m in grid_triples(6, 5):
+        assert ml1_test(SurfaceTriple(d, e, m).pair) == (d >= 2 and m >= 2)

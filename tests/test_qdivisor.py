@@ -33,7 +33,7 @@ def test_floor_fract_single_point():
 
 
 def test_floor_fract_zero():
-    z = QDivisor.zero()
+    z = QDivisor()
     assert floor_div(z) == z
     assert fract_div(z) == z
 
@@ -45,7 +45,7 @@ def test_fract_two_points():
 
 def test_pair_invariant_violation_names_point():
     with pytest.raises(ValueError, match=r"positive at .*1/2"):
-        DpdPair(qd({0: F(1, 2)}), QDivisor.zero())
+        DpdPair(qd({0: F(1, 2)}), QDivisor())
 
 
 def test_canonical_pair_shifts_floor():
@@ -56,9 +56,9 @@ def test_canonical_pair_shifts_floor():
 
 
 def test_canonical_pair_zero_fixed_point():
-    pair = DpdPair(QDivisor.zero(), QDivisor.zero())
+    pair = DpdPair(QDivisor(), QDivisor())
     out = canonical_pair(pair)
-    assert out.d_plus == out.d_minus == QDivisor.zero()
+    assert out.d_plus == out.d_minus == QDivisor()
 
 
 def test_canonical_pair_family_shape():
@@ -76,11 +76,11 @@ def test_ml1_examples():
     assert ml1_test(pair) is True
     single = DpdPair(qd({0: F(-1, 2)}), qd({0: F(1, 2), 1: -1}))
     assert ml1_test(single) is False
-    assert ml1_test(DpdPair(QDivisor.zero(), QDivisor.zero())) is False
+    assert ml1_test(DpdPair(QDivisor(), QDivisor())) is False
 
 
 def test_ml1_outside_regime():
-    pair = DpdPair(qd({0: F(-1, 2), 1: F(-1, 2)}), QDivisor.zero())
+    pair = DpdPair(qd({0: F(-1, 2), 1: F(-1, 2)}), QDivisor())
     with pytest.raises(RegimeError, match="outside classified regime"):
         ml1_test(pair)
 
@@ -88,9 +88,9 @@ def test_ml1_outside_regime():
 def test_negative_locus():
     pair = DpdPair(qd({0: F(-2, 3)}), qd({0: F(2, 3), 1: F(-1, 2)}))
     assert negative_locus(pair) == (1, 0, True)
-    two = DpdPair(QDivisor.zero(), qd({1: F(-1, 2), 2: F(-1, 2)}))
+    two = DpdPair(QDivisor(), qd({1: F(-1, 2), 2: F(-1, 2)}))
     assert negative_locus(two) == (2, 1, False)
-    assert negative_locus(DpdPair(QDivisor.zero(), QDivisor.zero())) == (0, -1, True)
+    assert negative_locus(DpdPair(QDivisor(), QDivisor())) == (0, -1, True)
 
 
 def test_divisor_to_poly_examples():
@@ -113,8 +113,8 @@ def test_divisor_to_poly_errors():
 def test_divisor_text_roundtrip_and_order():
     d = parse_divisor("1:-1/2,0:-2/3")
     assert format_divisor(d) == "0:-2/3,1:-1/2"
-    assert parse_divisor("") == QDivisor.zero()
-    assert format_divisor(QDivisor.zero()) == ""
+    assert parse_divisor("") == QDivisor()
+    assert format_divisor(QDivisor()) == ""
     with pytest.raises(ValueError, match="duplicate"):
         parse_divisor("0:1,0:2")
     with pytest.raises(ValueError):
