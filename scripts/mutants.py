@@ -48,6 +48,7 @@ TIER1 = [
 # the copy's fragment no longer matches, so the mutant runs leave it out
 GUARD = "tests/test_scripts.py::test_every_mutant_fragment_matches_once"
 
+CL = "src/pseudoplane/cli.py"
 CQ = "src/pseudoplane/cyclic_quotient.py"
 DP = "src/pseudoplane/dpd_presentation.py"
 EA = "src/pseudoplane/exact_algebra.py"
@@ -236,9 +237,24 @@ MUTANTS: list[tuple[str, str, str, str, bool]] = [
         "_recover_family_parameters reads e'/d as 1 - {D+}(0)",
         False,
     ),
+    (QD, '    text = text.strip(" ")\n', "    text = text.strip()\n",
+     "_parse_rational skips spaces around a number and no other whitespace", False),
+    (QD, '    s = text.strip(" ")\n', "    s = text.strip()\n",
+     "parse_divisor skips spaces around its text and no other whitespace", False),
+    (CL, "if not (digits.isascii() and digits.isdigit()):", "if not digits.isdigit():",
+     "the CLI reads an integer option in ASCII digits only", False),
     (QD, 'if not _NUMBER_RE.match(text[1:] if text.startswith(("+", "-")) else text):',
      "if False:", "_parse_rational refuses decimals, exponents and underscores", False),
-    (CQ, "    if value > cap:\n", "    if value >= cap:\n", "_check_cap accepts a value equal to its cap", False),
+    # the one integer bound check, at each end and in its type test
+    (EA, "    if value > cap:\n", "    if value >= cap:\n", "_check_int accepts a value equal to its cap", False),
+    (EA, "    if value < low:\n", "    if value <= low:\n", "_check_int accepts a value equal to its lower bound", False),
+    (
+        EA,
+        "if type(value) is not int and not _is_int(value):",
+        "if type(value) is not int and not isinstance(value, int):",
+        "_check_int refuses a bool",
+        False,
+    ),
     (
         RP,
         "return m_max * sum(phi[1:])",

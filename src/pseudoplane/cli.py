@@ -29,6 +29,16 @@ from .report import (
 )
 
 
+def _decimal(text: str) -> int:
+    """An integer option's value: an optional sign and ASCII digits, as in
+    divisor text; ``int`` would also read other scripts' digits, underscores
+    and surrounding whitespace."""
+    digits = text[1:] if text.startswith(("+", "-")) else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pseudoplane",
@@ -40,27 +50,27 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     verify = sub.add_parser("verify", help="run the full pipeline for one (d, e, m) triple")
-    verify.add_argument("-d", type=int, required=True, help="fiber multiplicity / covering degree")
-    verify.add_argument("-e", type=int, required=True, help="symmetry exponent on s (coprime to d)")
-    verify.add_argument("-m", type=int, required=True, help="exponent of u in the relation")
-    verify.add_argument("--max-weight", type=int, default=8,
+    verify.add_argument("-d", type=_decimal, required=True, help="fiber multiplicity / covering degree")
+    verify.add_argument("-e", type=_decimal, required=True, help="symmetry exponent on s (coprime to d)")
+    verify.add_argument("-m", type=_decimal, required=True, help="exponent of u in the relation")
+    verify.add_argument("--max-weight", type=_decimal, default=8,
                         help="check products of weight pieces for |n|, |n'| up to this bound (0 skips)")
-    verify.add_argument("--max-exponent", type=int, default=10,
+    verify.add_argument("--max-exponent", type=_decimal, default=10,
                         help="search bound for valid derivation degrees")
     verify.add_argument("--json", action="store_true", help="emit the JSON report")
 
     classify = sub.add_parser("classify", help="classify a raw divisor pair")
     classify.add_argument("--d-plus", required=True, help="divisor string for D+")
     classify.add_argument("--d-minus", required=True, help="divisor string for D-")
-    classify.add_argument("--lnd-degree", type=int, default=None,
+    classify.add_argument("--lnd-degree", type=_decimal, default=None,
                           help="degree of a known homogeneous locally nilpotent derivation")
     classify.add_argument("--json", action="store_true", help="emit the JSON report")
 
     swp = sub.add_parser("sweep", help="verify a whole parameter grid")
-    swp.add_argument("--d-max", type=int, required=True)
-    swp.add_argument("--m-max", type=int, required=True)
-    swp.add_argument("--max-weight", type=int, default=8)
-    swp.add_argument("--max-exponent", type=int, default=10,
+    swp.add_argument("--d-max", type=_decimal, required=True)
+    swp.add_argument("--m-max", type=_decimal, required=True)
+    swp.add_argument("--max-weight", type=_decimal, default=8)
+    swp.add_argument("--max-exponent", type=_decimal, default=10,
                      help="search bound for valid derivation degrees")
     swp.add_argument("--json", action="store_true", help="emit the JSON summary")
 

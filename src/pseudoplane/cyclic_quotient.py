@@ -14,7 +14,7 @@ from functools import partial
 from itertools import compress, product
 
 from .dpd_presentation import _family_pair
-from .exact_algebra import _Frozen, _is_int, _is_positive_int
+from .exact_algebra import _check_int, _Frozen, _is_int, _is_positive_int
 from .hypersurface_ring import HypersurfaceRing, _relation_terms
 from .qdivisor import _integer_rows
 
@@ -179,12 +179,6 @@ MAX_WEIGHT_CAP = 512
 MAX_EXPONENT_CAP = 4096
 
 
-def _check_cap(name: str, value: int, cap: int) -> None:
-    """Reject a value above its cap, before any work starts."""
-    if value > cap:
-        raise ValueError(f"{name} must be <= {cap}, got {value}")
-
-
 def product_window(triple: SurfaceTriple, max_weight: int) -> int | None:
     """The first weight n in -2W..2W (W = max_weight), increasing, whose
     generator g(n) = (a, b, c) and piece exponents p0, p1 at the points 0
@@ -222,11 +216,7 @@ def product_window(triple: SurfaceTriple, max_weight: int) -> int | None:
     so d divides c - c(N) and kappa is the defect at 0.  No piece has
     another point, so no other defect needs a check.
     """
-    if not _is_int(max_weight):
-        raise ValueError(f"max_weight must be an integer, got {max_weight!r}")
-    if max_weight < 0:
-        raise ValueError(f"max_weight must be >= 0, got {max_weight}")
-    _check_cap("max_weight", max_weight, MAX_WEIGHT_CAP)
+    _check_int("max_weight", max_weight, 0, MAX_WEIGHT_CAP)
     d, m, e_prime = triple.d, triple.m, triple.e_prime
     weights = range(-2 * max_weight, 2 * max_weight + 1)
     # the rows of -D- serve the weights below 0, those of D+ the rest
@@ -299,7 +289,7 @@ def _keeps_ring(generator: tuple[int, int, int], degree: int, m: int) -> bool:
 def find_valid_lnd_degrees(triple: SurfaceTriple, bound: int) -> list[int]:
     """Degrees x in [1, bound], congruent to e mod d, for which D = u^x d/ds
     is a locally nilpotent derivation of the invariant ring.  An empty
-    result is a finding, not an error.  A bound above
+    result is a finding, not an error.  A bound below m + d, or above
     max(``MAX_EXPONENT_CAP``, m + d), the largest that ``verify_triple``
     passes, is refused.
 
@@ -336,13 +326,8 @@ def find_valid_lnd_degrees(triple: SurfaceTriple, bound: int) -> list[int]:
     tail starts, in O(log(bound/d)) tests.  No basis is built; the rule
     still runs, so a fault in it shows as a missing degree.
     """
-    if not _is_int(bound):
-        raise ValueError(f"bound must be an integer, got {bound!r}")
-    if bound < triple.m + triple.d:
-        raise ValueError(
-            f"bound must be at least m + d = {triple.m + triple.d}, got {bound}"
-        )
-    _check_cap("bound", bound, max(MAX_EXPONENT_CAP, triple.m + triple.d))
+    least = triple.m + triple.d
+    _check_int("bound", bound, least, max(MAX_EXPONENT_CAP, least))
     m = triple.m
     binding = (0, 1, m * triple.e_prime % triple.d)
     # the least degree >= 1 congruent to e mod d, then every d-th one

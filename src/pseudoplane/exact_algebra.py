@@ -77,6 +77,18 @@ def _is_positive_int(value) -> bool:
     return _is_int(value) and value >= 1
 
 
+def _check_int(name: str, value, low: int, cap: int) -> None:
+    """Refuse `value` with ``ValueError``, naming it as `name`, unless it is
+    an `int` (not a `bool`) in ``[low, cap]``; called before any work starts."""
+    # an exact int skips the call, as in _exact
+    if type(value) is not int and not _is_int(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    if value > cap:
+        raise ValueError(f"{name} must be <= {cap}, got {value}")
+
+
 def _exact(value, what: str) -> Scalar:
     """`value` as stored: an `int` when integral, else the `Fraction`.
     Anything but an `int` (not a `bool`) or a `Fraction` is refused with

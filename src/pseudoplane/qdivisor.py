@@ -257,21 +257,24 @@ _NUMBER_RE = re.compile(r"[0-9]+(?:/[0-9]+)?\Z")
 def _parse_rational(text: str) -> Fraction:
     """``[+-]p`` or ``[+-]p/q`` in ASCII digits; decimals, exponents,
     underscores and other scripts' digits, which ``Fraction`` would accept,
-    are refused before it reads them."""
-    text = text.strip()
+    are refused before it reads them.  Spaces around it are skipped; other
+    whitespace, which ``str.strip()`` would also skip, is refused."""
+    text = text.strip(" ")
     if not _NUMBER_RE.match(text[1:] if text.startswith(("+", "-")) else text):
         raise ValueError(f"expected [+-]p or [+-]p/q, got {text!r}")
     return Fraction(text)
 
 
 def parse_divisor(text: str) -> QDivisor:
-    """Parse ``point:coefficient`` entries (any order); '' is the zero divisor."""
-    s = text.strip()
+    """Parse ``point:coefficient`` entries (any order), skipping the spaces
+    (U+0020, not other whitespace) around entries and numbers; '' is the
+    zero divisor."""
+    s = text.strip(" ")
     if not s:
         return QDivisor()
     entries: dict[Fraction, Fraction] = {}
     for chunk in s.split(","):
-        chunk = chunk.strip()
+        chunk = chunk.strip(" ")
         if not chunk:
             raise ValueError(f"empty entry in divisor text {text!r}")
         if chunk.count(":") != 1:

@@ -48,7 +48,6 @@ from .cyclic_quotient import (
     MAX_EXPONENT_CAP,
     MAX_WEIGHT_CAP,
     SurfaceTriple,
-    _check_cap,
     _same_subgroup_as_induced,
     component_permutation,
     find_valid_lnd_degrees,
@@ -57,7 +56,7 @@ from .cyclic_quotient import (
     standard_action,
 )
 from .dpd_presentation import _family_pair
-from .exact_algebra import _is_int
+from .exact_algebra import _check_int, _is_int
 from .hypersurface_ring import HypersurfaceRing, _format_relation, fiber_analysis, smooth_check
 from .qdivisor import (
     DpdPair,
@@ -95,23 +94,6 @@ _REASON_D1 = (
 )
 
 
-def _require_int(**bounds: int) -> None:
-    """Reject bool and non-int bounds the way ``SurfaceTriple`` rejects them."""
-    for name, value in bounds.items():
-        if not _is_int(value):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
-def _check_work_bounds(max_weight: int, max_exponent: int) -> None:
-    """Reject a product window or an LND search bound out of range, before
-    any work starts."""
-    _require_int(max_weight=max_weight, max_exponent=max_exponent)
-    if max_weight < 0 or max_exponent < 1:
-        raise ValueError("max_weight must be >= 0 and max_exponent >= 1")
-    _check_cap("max_weight", max_weight, MAX_WEIGHT_CAP)
-    _check_cap("max_exponent", max_exponent, MAX_EXPONENT_CAP)
-
-
 def verify_triple(
     d: int, e: int, m: int, max_weight: int = 8, max_exponent: int = 10
 ) -> dict:
@@ -119,11 +101,12 @@ def verify_triple(
 
     The product structure is checked on |n|, |n'| <= max_weight (skipped at
     0) and derivation degrees are searched up to max_exponent (at least
-    m + d); d, m and these bounds above their caps raise ``ValueError``."""
+    m + d); d, m and these bounds out of range raise ``ValueError``."""
     triple = SurfaceTriple(d, e, m)
-    _check_cap("d", d, MAX_D_CAP)
-    _check_cap("m", m, MAX_M_CAP)
-    _check_work_bounds(max_weight, max_exponent)
+    _check_int("d", d, 1, MAX_D_CAP)
+    _check_int("m", m, 1, MAX_M_CAP)
+    _check_int("max_weight", max_weight, 0, MAX_WEIGHT_CAP)
+    _check_int("max_exponent", max_exponent, 1, MAX_EXPONENT_CAP)
     failed: list[str] = []
 
     exponent_check = triple.k * triple.e_prime + triple.d * triple.l == 0
@@ -395,13 +378,11 @@ def sweep(
 ) -> dict:
     """Verify every admissible triple with d <= d_max, e in [1, d] coprime to
     d, m <= m_max; rows are ordered by (d, e, m)."""
-    _require_int(d_max=d_max, m_max=m_max)
-    if d_max < 1 or m_max < 1:
-        raise ValueError("d_max and m_max must be positive integers")
-    _check_cap("d_max", d_max, MAX_D_CAP)
-    _check_cap("m_max", m_max, MAX_M_CAP)
-    _check_cap("grid triples", _grid_size(d_max, m_max), MAX_GRID_TRIPLES)
-    _check_work_bounds(max_weight, max_exponent)
+    _check_int("d_max", d_max, 1, MAX_D_CAP)
+    _check_int("m_max", m_max, 1, MAX_M_CAP)
+    _check_int("grid triples", _grid_size(d_max, m_max), 1, MAX_GRID_TRIPLES)
+    _check_int("max_weight", max_weight, 0, MAX_WEIGHT_CAP)
+    _check_int("max_exponent", max_exponent, 1, MAX_EXPONENT_CAP)
     rows: list[dict] = []
     counts = {"consistent": 0, "excluded": 0, "inconsistent": 0}
     for d, e, m in grid_triples(d_max, m_max):

@@ -33,6 +33,7 @@ from pseudoplane import (
     parse_divisor,
     product_window,
     sweep,
+    verify_triple,
 )
 from pseudoplane.cli import main
 
@@ -442,9 +443,44 @@ INPUT_CHECKS = {
         "bad rational in divisor entry '\u0660:-\u0662/\u0663': "
         "expected [+-]p or [+-]p/q, got '\u0660'",
     ),
+    # whitespace other than spaces, which str.strip() would skip; the
+    # message prints it escaped
+    "parse_divisor-ideographic-space": (
+        lambda: parse_divisor("\u30000:-2/3"),
+        ValueError,
+        "bad rational in divisor entry '\\u30000:-2/3': "
+        "expected [+-]p or [+-]p/q, got '\\u30000'",
+    ),
+    "parse_divisor-ideographic-space-only": (
+        lambda: parse_divisor("\u3000"),
+        ValueError, "expected 'point:coefficient', got '\\u3000'",
+    ),
+    "parse_divisor-no-break-space": (
+        lambda: parse_divisor("0:-2/3\u00a0"),
+        ValueError,
+        "bad rational in divisor entry '0:-2/3\\xa0': "
+        "expected [+-]p or [+-]p/q, got '-2/3\\xa0'",
+    ),
+    # each bound out of range is named with its value
+    "find_valid_lnd_degrees-bound-below-m-plus-d": (
+        lambda: find_valid_lnd_degrees(SurfaceTriple(3, 2, 2), 4),
+        ValueError, "bound must be >= 5, got 4",
+    ),
+    "verify_triple-max_weight-negative": (
+        lambda: verify_triple(3, 2, 2, max_weight=-1),
+        ValueError, "max_weight must be >= 0, got -1",
+    ),
+    "verify_triple-max_exponent-0": (
+        lambda: verify_triple(3, 2, 2, max_exponent=0),
+        ValueError, "max_exponent must be >= 1, got 0",
+    ),
     "sweep-d_max-0": (
-        lambda: sweep(0, 1),
-        ValueError, "d_max and m_max must be positive integers",
+        lambda: sweep(0, 3),
+        ValueError, "d_max must be >= 1, got 0",
+    ),
+    "sweep-m_max-0": (
+        lambda: sweep(3, 0),
+        ValueError, "m_max must be >= 1, got 0",
     ),
     # same_subgroup and the tests' polynomial type, which left the package
     # as oracles, keep the input checks they had there

@@ -219,6 +219,27 @@ def test_classify_cli_refuses_digits_of_other_scripts(capsys):
     }
 
 
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (["verify", "-d", "\uff13", "-e", "2", "-m", "2"], "-d", "\uff13"),
+        (["verify", "-d", "3", "-e", "2", "-m", "1_0"], "-m", "1_0"),
+        (["verify", "-d", "3", "-e", "2", "-m", " 2"], "-m", " 2"),
+        (["sweep", "--d-max", "3", "--m-max", "\u0663"], "--m-max", "\u0663"),
+        (["classify", "--d-plus", "", "--d-minus", "", "--lnd-degree", "1_0"], "--lnd-degree", "1_0"),
+    ],
+)
+def test_cli_reads_integers_in_ascii_digits_only(capsys, argv, flag, value):
+    # int() reads fullwidth and Arabic-Indic digits, underscores and
+    # surrounding spaces; an integer option refuses them before any work
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: argument {flag}: invalid int value: {value!r}\n")
+
+
 def test_sweep_cli_small(capsys):
     code, out = run_cli(capsys, "sweep", "--d-max", "1", "--m-max", "1", "--json")
     assert code == 0

@@ -244,7 +244,7 @@ def test_product_structure_examples():
     check = product_structure_check(t, 5, 0)
     assert check.measured == {} and check.match
     assert product_window(t, 0) is None and product_window(t, 5) is None
-    with pytest.raises(ValueError, match="max_weight must be >= 0"):
+    with pytest.raises(ValueError, match="^max_weight must be >= 0, got -1$"):
         product_window(t, -1)
 
 

@@ -947,14 +947,20 @@ def test_verify_triple_reads_the_pair_on_integers():
 
 
 def test_verify_triple_validates_its_inputs_once():
-    # SurfaceTriple checks d, e, m, and _check_work_bounds the two bounds;
-    # divisor_roots, component_permutation, product_window and
-    # find_valid_lnd_degrees check their own arguments.  The family pair,
-    # both rings and the standard action are built from these values
-    # without a check (30 and 15 calls when each constructor checked again)
-    from pseudoplane.exact_algebra import _is_int, _is_positive_int
+    # SurfaceTriple checks d, e, m, and _check_int the caps on d and m and
+    # the two bounds; divisor_roots, component_permutation, product_window
+    # and find_valid_lnd_degrees check their own arguments.  The family
+    # pair, both rings and the standard action are built from these values
+    # without a check (30 and 15 calls when each constructor checked again).
+    # _check_int tests an exact int without calling _is_int, so its own
+    # calls are counted too
+    from pseudoplane.exact_algebra import _check_int, _is_int, _is_positive_int
 
-    names = {_is_int.__code__: "_is_int", _is_positive_int.__code__: "_is_positive_int"}
+    names = {
+        _is_int.__code__: "_is_int",
+        _is_positive_int.__code__: "_is_positive_int",
+        _check_int.__code__: "_check_int",
+    }
     counts = dict.fromkeys(names.values(), 0)
 
     def profile(frame, event, arg):
@@ -966,12 +972,12 @@ def test_verify_triple_validates_its_inputs_once():
         verify_triple(5, 2, 4)
     finally:
         sys.setprofile(None)
-    assert counts == {"_is_int": 10, "_is_positive_int": 5}
+    assert counts == {"_is_int": 6, "_is_positive_int": 5, "_check_int": 6}
 
 
 def test_verify_triple_runs_in_few_python_frames():
     # every Python-level call of one triple, the relation memo warm: the 33
-    # generator reads of the window -16..16 and 65 calls around them.  The
+    # generator reads of the window -16..16 and 59 calls around them.  The
     # checks append their names without a closure, and no generator
     # expression runs on the path (158 calls while they did); the standard
     # action takes its weights already reduced, so no dict comprehension
@@ -993,7 +999,7 @@ def test_verify_triple_runs_in_few_python_frames():
         sys.setprofile(None)
     listed = "\n".join(f"{n:3} {name}" for name, n in sorted(counts.items(), key=lambda kv: -kv[1]))
     assert counts["cyclic_quotient.weight_piece_generator"] == 33, listed
-    assert sum(counts.values()) == 98, listed
+    assert sum(counts.values()) == 92, listed
 
 
 def test_trusted_rings_and_actions_match_the_validating_constructors(monkeypatch):
