@@ -205,7 +205,7 @@ MUTANTS: list[tuple[str, str, str, str, bool]] = [
      "classify_pair's decision table rules out a degree-0 derivation", False),
     (RP, "    elif not locus.torsion_compatible:\n", "    elif False:\n",
      "classify_pair's decision table rules out a negative locus of two or more points", False),
-    (RP, "    if boundary.numerator != -1:\n", "    if False:\n",
+    (DP, "    if boundary.numerator != -1:\n", "    if False:\n",
      "_recover_family_parameters recognizes only a boundary coefficient -1/m", False),
     (DP, "QDivisor._trusted({0: (-e_prime, d)})", "QDivisor._trusted({0: (e_prime, d)})",
      "_family_pair writes D+ = -(e'/d)[0]", False),
@@ -224,14 +224,14 @@ MUTANTS: list[tuple[str, str, str, str, bool]] = [
         False,
     ),
     (
-        RP,
+        DP,
         '"up_to_equivalence": not exact}',
         '"up_to_equivalence": exact}',
         "_recover_family_parameters flags a pair that is not the family pair itself",
         False,
     ),
     (
-        RP,
+        DP,
         "ratio = 1 - fractional.coefficient(0)",
         "ratio = fractional.coefficient(0)",
         "_recover_family_parameters reads e'/d as 1 - {D+}(0)",
@@ -243,11 +243,21 @@ MUTANTS: list[tuple[str, str, str, str, bool]] = [
      "parse_divisor skips spaces around its text and no other whitespace", False),
     (CL, "if not (digits.isascii() and digits.isdigit()):", "if not digits.isdigit():",
      "the CLI reads an integer option in ASCII digits only", False),
+    (CL, "            each.error = _refuse\n", "            pass\n",
+     "under --json the CLI reports a malformed command line as the JSON error object", False),
     (QD, 'if not _NUMBER_RE.match(text[1:] if text.startswith(("+", "-")) else text):',
      "if False:", "_parse_rational refuses decimals, exponents and underscores", False),
-    # the one integer bound check, at each end and in its type test
-    (EA, "    if value > cap:\n", "    if value >= cap:\n", "_check_int accepts a value equal to its cap", False),
-    (EA, "    if value < low:\n", "    if value <= low:\n", "_check_int accepts a value equal to its lower bound", False),
+    # the one integer check, at each bound, with a bound of None, and in
+    # its type test
+    (EA, "value > cap:\n", "value >= cap:\n", "_check_int accepts a value equal to its cap", False),
+    (EA, "value < low:\n", "value <= low:\n", "_check_int accepts a value equal to its lower bound", False),
+    (EA, "    if low is not None and value < low:\n", "    if low and value < low:\n",
+     "_check_int keeps a lower bound of 0", False),
+    (EA, "    if low is not None and value < low:\n", "    if value < (low or 0):\n",
+     "_check_int with no lower bound accepts a negative integer", False),
+    (EA, "    if cap is not None and value > cap:\n", "    if value > (cap or 0):\n",
+     "_check_int with no cap accepts a positive integer", False),
+    (CQ, '        _check_int("e", e, 1)\n', "", "SurfaceTriple refuses an e that is not an integer >= 1", False),
     (
         EA,
         "if type(value) is not int and not _is_int(value):",

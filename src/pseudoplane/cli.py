@@ -7,7 +7,8 @@
 Divisor strings are comma-separated ``point:coefficient`` entries with exact
 rationals, e.g. ``0:-2/3,1:-1/2``.  Exit codes: 0 = consistent or excluded as
 predicted, 1 = some check contradicts the expected structure, 2 = invalid
-input.
+input; under ``--json`` an invalid input, a malformed command line included,
+prints ``{"format_version": 1, "error": ...}``.
 """
 
 from __future__ import annotations
@@ -39,7 +40,20 @@ def _decimal(text: str) -> int:
     return int(text)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _wants_json(argv: list[str]) -> bool:
+    """Whether `argv` asks for JSON: ``--json`` or a prefix of it that
+    argparse reads as the option, which is unambiguous in every command."""
+    return any(len(arg) > 2 and "--json".startswith(arg) for arg in argv)
+
+
+def _refuse(message: str):
+    raise ValueError(message)
+
+
+def _build_parser(json_errors: bool) -> argparse.ArgumentParser:
+    """The command line's parser; with `json_errors`, each of its parsers
+    raises its complaint as a ``ValueError``, which ``main`` reports as
+    JSON, in place of printing its usage and exiting."""
     parser = argparse.ArgumentParser(
         prog="pseudoplane",
         description=(
@@ -74,6 +88,9 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="search bound for valid derivation degrees")
     swp.add_argument("--json", action="store_true", help="emit the JSON summary")
 
+    if json_errors:
+        for each in (parser, verify, classify, swp):
+            each.error = _refuse
     return parser
 
 
@@ -186,9 +203,10 @@ def _print_sweep_text(result: dict) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    json_errors = _wants_json(argv)
     try:
+        args = _build_parser(json_errors).parse_args(argv)
         if args.command == "verify":
             report = verify_triple(
                 args.d, args.e, args.m,
@@ -217,7 +235,7 @@ def main(argv: list[str] | None = None) -> int:
                 _print_sweep_text(result)
             return sweep_exit_code(result)
     except ValueError as exc:
-        if getattr(args, "json", False):
+        if json_errors:
             _emit_json({"format_version": FORMAT_VERSION, "error": str(exc)})
         else:
             print(f"error: {exc}", file=sys.stderr)

@@ -14,7 +14,7 @@ from functools import partial
 from itertools import compress, product
 
 from .dpd_presentation import _family_pair
-from .exact_algebra import _check_int, _Frozen, _is_int, _is_positive_int
+from .exact_algebra import _check_int, _Frozen
 from .hypersurface_ring import HypersurfaceRing, _relation_terms
 from .qdivisor import _integer_rows
 
@@ -29,11 +29,9 @@ class CyclicAction(_Frozen):
     __hash__ = None
 
     def __new__(cls, modulus: int, weights: dict[str, int]):
-        if not _is_positive_int(modulus):
-            raise ValueError(f"modulus must be a positive integer: {modulus}")
+        _check_int("modulus", modulus, 1)
         for v, w in weights.items():
-            if not _is_int(w):
-                raise ValueError(f"weight of {v} must be an integer: {w!r}")
+            _check_int(f"weight of {v}", w)
         return super()._trusted(modulus, {v: w % modulus for v, w in weights.items()})
 
 
@@ -49,25 +47,18 @@ class SurfaceTriple(_Frozen):
     __slots__ = ("d", "e", "m", "e_prime", "k", "m_prime", "d_prime", "l", "pair")
     _key = ("d", "e", "m")
 
-    def __init__(self, d: int, e: int, m: int):
-        for name, value in (("d", d), ("e", e), ("m", m)):
-            if not _is_positive_int(value):
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    def __new__(cls, d: int, e: int, m: int):
+        _check_int("d", d, 1)
+        _check_int("e", e, 1)
+        _check_int("m", m, 1)
         if math.gcd(e, d) != 1:
             raise ValueError(
                 f"e and d must be coprime for the quotient to act freely: gcd({e}, {d}) = {math.gcd(e, d)}"
             )
         e_prime = pow(e, -1, d) if d > 1 else 1
         k = d * m // math.gcd(d, m)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "e_prime", e_prime)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "m_prime", k // m)
-        object.__setattr__(self, "d_prime", k // d)
-        object.__setattr__(self, "l", -e_prime * (k // d))
-        object.__setattr__(self, "pair", _family_pair(d, e_prime, m))
+        pair = _family_pair(d, e_prime, m)
+        return super()._trusted(d, e, m, e_prime, k, k // m, k // d, -e_prime * (k // d), pair)
 
 
 def standard_action(triple: SurfaceTriple) -> CyclicAction:
@@ -265,10 +256,8 @@ def component_permutation(d: int, e: int) -> ComponentPermutation:
     With g = gcd(d, e), the orbit of j is j + (multiples of g) mod d, of
     length d // g, so each residue below g starts its own cycle, and the
     cycles are listed by their least residue, each from it."""
-    if not _is_positive_int(d):
-        raise ValueError(f"d must be a positive integer: {d}")
-    if not _is_int(e):
-        raise ValueError(f"e must be an integer: {e}")
+    _check_int("d", d, 1)
+    _check_int("e", e)
     g = math.gcd(d, e)
     step, length = e % d + d, d // g  # step = e (mod d) and > 0; d.__rmod__(x) = x % d
     cycles = []

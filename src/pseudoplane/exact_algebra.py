@@ -72,20 +72,16 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_positive_int(value) -> bool:
-    """Whether `value` is an `int` >= 1, not a `bool`."""
-    return _is_int(value) and value >= 1
-
-
-def _check_int(name: str, value, low: int, cap: int) -> None:
+def _check_int(name: str, value, low: int | None = None, cap: int | None = None) -> None:
     """Refuse `value` with ``ValueError``, naming it as `name`, unless it is
-    an `int` (not a `bool`) in ``[low, cap]``; called before any work starts."""
+    an `int` (not a `bool`) in ``[low, cap]``, a bound of None being no
+    bound; called before any work starts."""
     # an exact int skips the call, as in _exact
     if type(value) is not int and not _is_int(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < low:
+    if low is not None and value < low:
         raise ValueError(f"{name} must be >= {low}, got {value}")
-    if value > cap:
+    if cap is not None and value > cap:
         raise ValueError(f"{name} must be <= {cap}, got {value}")
 
 

@@ -43,7 +43,7 @@ import functools
 from collections import namedtuple
 from collections.abc import Iterable
 
-from .exact_algebra import Scalar, _Frozen, _exact, _is_positive_int
+from .exact_algebra import Scalar, _check_int, _exact, _Frozen
 
 
 def _relation_terms(d: int, roots: Iterable[tuple[Scalar, int]]) -> list[tuple[int, Scalar]]:
@@ -112,18 +112,16 @@ class HypersurfaceRing(_Frozen):
     __slots__ = ("k", "d", "roots", "second_var")
 
     def __new__(cls, k: int, d: int, roots: Iterable[tuple[Scalar, int]], second_var: str = "v"):
-        if not _is_positive_int(k):
-            raise ValueError(f"k must be a positive integer: {k}")
-        if not _is_positive_int(d):
-            raise ValueError(f"d must be a positive integer: {d}")
+        _check_int("k", k, 1)
+        _check_int("d", d, 1)
         roots = tuple((_exact(p, "root points"), j) for p, j in roots)
         points = [p for p, _ in roots]
         if 0 in points:
             raise ValueError(f"root points must be nonzero: {points}")
         if any(a >= b for a, b in zip(points, points[1:])):
             raise ValueError(f"root points must be distinct and increasing: {points}")
-        if not all(_is_positive_int(j) for _, j in roots):
-            raise ValueError(f"root exponents must be positive integers: {roots}")
+        for p, j in roots:
+            _check_int(f"exponent of root {p}", j, 1)
         if second_var in ("u", "s"):
             raise ValueError(f"second variable may not shadow u or s: {second_var!r}")
         return super()._trusted(k, d, roots, second_var)

@@ -37,7 +37,7 @@ from fractions import Fraction
 from operator import itemgetter
 from types import MappingProxyType
 
-from .exact_algebra import Scalar, _exact, _Frozen, _is_positive_int
+from .exact_algebra import Scalar, _check_int, _exact, _Frozen
 
 
 class RegimeError(ValueError):
@@ -47,11 +47,6 @@ class RegimeError(ValueError):
 
 # (numerator, denominator) of a coefficient: reduced, the denominator positive
 _Ratio = tuple[int, int]
-
-
-def _point(value) -> Scalar:
-    """A point as stored: an int when it is integral, else the Fraction."""
-    return _exact(value, "divisor points")
 
 
 def _summed(rows: dict, entries: Iterable[tuple[Scalar, _Ratio]]) -> dict[Scalar, _Ratio]:
@@ -82,7 +77,7 @@ class QDivisor(_Frozen):
             coefficients = coefficients.items()
         entries = []
         for point, coeff in coefficients:
-            point, coeff = _point(point), _exact(coeff, "divisor coefficients")
+            point, coeff = _exact(point, "divisor points"), _exact(coeff, "divisor coefficients")
             entries.append((point, (coeff.numerator, coeff.denominator)))
         return super()._trusted(_summed({}, entries))
 
@@ -95,7 +90,7 @@ class QDivisor(_Frozen):
         return tuple(map(Fraction, self._coeffs))
 
     def coefficient(self, point: Scalar) -> Fraction:
-        return Fraction(*self._coeffs.get(_point(point), (0, 1)))
+        return Fraction(*self._coeffs.get(_exact(point, "divisor points"), (0, 1)))
 
     def items(self) -> list[tuple[Fraction, Fraction]]:
         return [(Fraction(p), Fraction(num, den)) for p, (num, den) in self._coeffs.items()]
@@ -156,7 +151,7 @@ class DpdPair(_Frozen):
     _key = ("d_plus", "d_minus")
     __hash__ = None
 
-    def __init__(self, d_plus: QDivisor, d_minus: QDivisor):
+    def __new__(cls, d_plus: QDivisor, d_minus: QDivisor):
         total = d_plus + d_minus
         for num, _ in total._coeffs.values():
             if num > 0:
@@ -164,9 +159,7 @@ class DpdPair(_Frozen):
                     f"({p}: {Fraction(num, den)})" for p, (num, den) in total._coeffs.items() if num > 0
                 )
                 raise ValueError(f"D+ + D- must be <= 0 everywhere; positive at {witness}")
-        object.__setattr__(self, "d_plus", d_plus)
-        object.__setattr__(self, "d_minus", d_minus)
-        object.__setattr__(self, "total", total)
+        return super()._trusted(d_plus, d_minus, total)
 
     def __repr__(self) -> str:
         return f"DpdPair(d_plus={self.d_plus!r}, d_minus={self.d_minus!r})"
@@ -225,8 +218,7 @@ def divisor_roots(d_minus: QDivisor, k: int) -> tuple[int, tuple[tuple[Scalar, i
     ``report.verify_triple`` builds its covering ring from it unchecked
     (``HypersurfaceRing._trusted``).
     """
-    if not _is_positive_int(k):
-        raise ValueError(f"k must be a positive integer: {k}")
+    _check_int("k", k, 1)
     l = 0
     roots = []
     for p, (num, den) in d_minus._coeffs.items():

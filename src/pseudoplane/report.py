@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from fractions import Fraction
 
 from .cyclic_quotient import (
     MAX_EXPONENT_CAP,
@@ -55,8 +54,8 @@ from .cyclic_quotient import (
     product_window,
     standard_action,
 )
-from .dpd_presentation import _family_pair
-from .exact_algebra import _check_int, _is_int
+from .dpd_presentation import _recover_family_parameters
+from .exact_algebra import _check_int
 from .hypersurface_ring import HypersurfaceRing, _format_relation, fiber_analysis, smooth_check
 from .qdivisor import (
     DpdPair,
@@ -64,7 +63,6 @@ from .qdivisor import (
     canonical_pair,
     divisor_roots,
     format_divisor,
-    fract_div,
     ml1_test,
     negative_locus,
     parse_divisor,
@@ -243,27 +241,6 @@ def verify_triple(
     }
 
 
-def _recover_family_parameters(pair: DpdPair) -> dict | None:
-    """Recognize pairs of the family shape (-(e'/d)[0], (e'/d)[0] - (1/m)[1])
-    up to the integral shift equivalence; ``up_to_equivalence`` is False when
-    the pair is the family pair itself."""
-    fractional = fract_div(pair.d_plus)
-    if any(p != 0 for p in fractional.support):
-        return None
-    total = pair.total
-    if total.support != (Fraction(1),):
-        return None
-    # the coefficient at the point 1 is a/m, and only a = -1 gives a smooth surface
-    boundary = total.coefficient(1)
-    if boundary.numerator != -1:
-        return None
-    # 1 - {D+}(0) lies in (0, 1], so e' is in [1, d] and coprime to d
-    ratio = 1 - fractional.coefficient(0)
-    d, e_prime, m = ratio.denominator, ratio.numerator, boundary.denominator
-    exact = pair == _family_pair(d, e_prime, m)
-    return {"d": d, "e_prime": e_prime, "m": m, "up_to_equivalence": not exact}
-
-
 def classify_pair(
     d_plus_text: str, d_minus_text: str, lnd_degree: int | None = None
 ) -> dict:
@@ -279,8 +256,8 @@ def classify_pair(
     d_plus = parse_divisor(d_plus_text)
     d_minus = parse_divisor(d_minus_text)
     pair = DpdPair(d_plus, d_minus)  # raises ValueError with pointwise witness
-    if lnd_degree is not None and not _is_int(lnd_degree):
-        raise ValueError(f"lnd_degree must be an integer or None, got {lnd_degree!r}")
+    if lnd_degree is not None:
+        _check_int("lnd_degree", lnd_degree)
 
     locus = negative_locus(pair)
     admissible = False

@@ -3,18 +3,23 @@
 from __future__ import annotations
 
 import math
+import os
 import re
+import subprocess
+import sys
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from operator import add
+from pathlib import Path
 from types import MappingProxyType
 from typing import NamedTuple
 
 from hypothesis import strategies as st
 
+import pseudoplane
 from pseudoplane import (
     CyclicAction,
     DpdPair,
@@ -32,6 +37,18 @@ from pseudoplane.qdivisor import _NUMBER_RE
 F = Fraction
 
 Exponents = tuple[int, ...]
+
+
+def fresh_probe(probe: str) -> str:
+    """What the Python source `probe` prints in a fresh interpreter that
+    imports the package from this checkout.  ``-S`` keeps site's start-up
+    files out, so only the package's own imports are loaded."""
+    src = Path(pseudoplane.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    return done.stdout
 
 
 # -- the polynomial type and its text format --------------------------------------

@@ -53,9 +53,9 @@ def test_verify_cli_exit_codes(capsys):
 
 
 def test_verify_cli_invalid_values(capsys):
-    # the exact messages and exit code the CLI has always given
+    # the exact messages and the exit code of invalid values
     for argv, message in [
-        (("-d", "0", "-e", "1", "-m", "1"), "d must be a positive integer, got 0"),
+        (("-d", "0", "-e", "1", "-m", "1"), "d must be >= 1, got 0"),
         (
             ("-d", "4", "-e", "2", "-m", "3"),
             "e and d must be coprime for the quotient to act freely: gcd(2, 4) = 2",
@@ -238,6 +238,34 @@ def test_cli_reads_integers_in_ascii_digits_only(capsys, argv, flag, value):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.endswith(f"error: argument {flag}: invalid int value: {value!r}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "-d", "abc", "-e", "2", "-m", "2", "--json"], "argument -d: invalid int value: 'abc'"),
+        (["verify", "--json", "-d", "abc", "-e", "2", "-m", "2"], "argument -d: invalid int value: 'abc'"),
+        (["sweep", "--d-max", "3", "--json"], "the following arguments are required: --m-max"),
+        (["sweep", "--js", "--d-max", "3"], "the following arguments are required: --m-max"),
+        (["classify", "--json", "--d-plus", "0:-2/3"], "the following arguments are required: --d-minus"),
+    ],
+)
+def test_cli_reports_usage_errors_as_json_under_json(capsys, argv, message):
+    # --json before or after the faulty option, or abbreviated as argparse
+    # allows: argparse's message goes into the JSON error object
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ""
+    assert json.loads(captured.out) == {"format_version": 1, "error": message}
+    # without it, argparse prints its usage and message and exits
+    with pytest.raises(SystemExit) as exc:
+        main([arg for arg in argv if not arg.startswith("--j")])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: pseudoplane ")
+    assert captured.err.endswith(f"error: {message}\n")
 
 
 def test_sweep_cli_small(capsys):

@@ -3,10 +3,8 @@ memo caches."""
 
 import importlib
 import math
-import os
 import pkgutil
 import re
-import subprocess
 import sys
 from fractions import Fraction
 from itertools import accumulate, product
@@ -26,6 +24,7 @@ from helpers import (
     dpd_pairs,
     factored_roots,
     first_failing_pair,
+    fresh_probe,
     graded_piece,
     grid_triples,
     hilbert_basis,
@@ -922,8 +921,7 @@ def test_verify_triple_reads_the_pair_on_integers():
     # the first triple of a fresh interpreter, as a CLI run makes it: no
     # call into fractions.py and no ABC instance check, as the pair's three
     # divisors are built, summed, checked and printed on their integer
-    # storage.  -S keeps site's start-up files out of the process.
-    src = Path(pseudoplane.__file__).resolve().parents[1]
+    # storage
     probe = """if True:
         import sys
         from pseudoplane.report import verify_triple
@@ -939,28 +937,20 @@ def test_verify_triple_reads_the_pair_on_integers():
         sys.setprofile(None)
         print(counts["fractions"], counts["abc"])
     """
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    done = subprocess.run(
-        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
-    )
-    assert done.stdout.split() == ["0", "0"]
+    assert fresh_probe(probe).split() == ["0", "0"]
 
 
 def test_verify_triple_validates_its_inputs_once():
-    # SurfaceTriple checks d, e, m, and _check_int the caps on d and m and
-    # the two bounds; divisor_roots, component_permutation, product_window
-    # and find_valid_lnd_degrees check their own arguments.  The family
-    # pair, both rings and the standard action are built from these values
-    # without a check (30 and 15 calls when each constructor checked again).
-    # _check_int tests an exact int without calling _is_int, so its own
-    # calls are counted too
-    from pseudoplane.exact_algebra import _check_int, _is_int, _is_positive_int
+    # SurfaceTriple checks d, e, m, and verify_triple the caps on d and m
+    # and the two bounds; divisor_roots, component_permutation,
+    # product_window and find_valid_lnd_degrees check their own arguments.
+    # The family pair, both rings and the standard action are built from
+    # these values without a check (30 and 15 calls when each constructor
+    # checked again).  Every integer check is a _check_int call, and
+    # _is_int, which it skips on an exact int, is counted too
+    from pseudoplane.exact_algebra import _check_int, _is_int
 
-    names = {
-        _is_int.__code__: "_is_int",
-        _is_positive_int.__code__: "_is_positive_int",
-        _check_int.__code__: "_check_int",
-    }
+    names = {_is_int.__code__: "_is_int", _check_int.__code__: "_check_int"}
     counts = dict.fromkeys(names.values(), 0)
 
     def profile(frame, event, arg):
@@ -972,12 +962,12 @@ def test_verify_triple_validates_its_inputs_once():
         verify_triple(5, 2, 4)
     finally:
         sys.setprofile(None)
-    assert counts == {"_is_int": 6, "_is_positive_int": 5, "_check_int": 6}
+    assert counts == {"_is_int": 0, "_check_int": 12}
 
 
 def test_verify_triple_runs_in_few_python_frames():
     # every Python-level call of one triple, the relation memo warm: the 33
-    # generator reads of the window -16..16 and 59 calls around them.  The
+    # generator reads of the window -16..16 and 56 calls around them.  The
     # checks append their names without a closure, and no generator
     # expression runs on the path (158 calls while they did); the standard
     # action takes its weights already reduced, so no dict comprehension
@@ -999,7 +989,7 @@ def test_verify_triple_runs_in_few_python_frames():
         sys.setprofile(None)
     listed = "\n".join(f"{n:3} {name}" for name, n in sorted(counts.items(), key=lambda kv: -kv[1]))
     assert counts["cyclic_quotient.weight_piece_generator"] == 33, listed
-    assert sum(counts.values()) == 92, listed
+    assert sum(counts.values()) == 89, listed
 
 
 def test_trusted_rings_and_actions_match_the_validating_constructors(monkeypatch):
