@@ -87,9 +87,12 @@ MUTANTS: list[tuple[str, str, str, str, bool]] = [
         True,
     ),
     # the ring facts and the printer
-    (HR, "        if j >= 2:\n", "        if j >= 3:\n",
-     "smooth_check's witness lists every exponent j >= 2", False),
-    (HR, "power *= -p", "power *= p", "_relation_terms expands (t - p)^j with the powers of -p", False),
+    (HR, "SmoothCheck(ring.j == 1, ring.j)", "SmoothCheck(ring.j <= 2, ring.j)",
+     "smooth_check finds the ring singular at every j >= 2", False),
+    (HR, "return [(ring.d, ring.j)]", "return [(ring.d, 1)]",
+     "fiber_analysis gives the d lines over u = 0 multiplicity j", False),
+    (HR, "-binom if i % 2 else binom", "binom",
+     "_relation_terms writes (t - 1)^j with alternating signs", False),
     (
         HR,
         "@functools.lru_cache(maxsize=_RELATION_MEMO_SIZE)",
@@ -100,25 +103,9 @@ MUTANTS: list[tuple[str, str, str, str, bool]] = [
     # freeness_check
     (
         CQ,
-        "    if ring.d * wts[2] % d:\n",
-        "    if False:\n",
-        "freeness_check reads P's exponent residues when s^d is not invariant, not {x, 0} always",
-        False,
-    ),
-    (
-        CQ,
-        " and (not has_nonzero_root or math.gcd(d, wts[2]) == 1):",
-        ":",
-        "freeness_check's short-circuit needs the {s} pattern free when P has a nonzero root",
-        False,
-    ),
-    (
-        CQ,
-        "    # P(s) = Q(s^d) with Q(0) != 0,",
-        "    if math.gcd(d, wts[0], wts[1]) == 1 and (not ring.roots or math.gcd(d, wts[2]) == 1):\n"
-        "        return FreenessResult(True, [])\n"
-        "    # P(s) = Q(s^d) with Q(0) != 0,",
-        "freeness_check refuses a relation that is not semi-invariant before it short-circuits",
+        "    if top or unit:\n",
+        "    if top:\n",
+        "freeness_check refuses an action under which s^d is not invariant",
         False,
     ),
     (
@@ -267,6 +254,13 @@ MUTANTS: list[tuple[str, str, str, str, bool]] = [
     ),
     (
         RP,
+        "if l_from_divisor != triple.l or not power_identity:",
+        "if l_from_divisor != triple.l:",
+        "divisor_polynomial fails when divisor_roots reads a Q that is not (t - 1)^m'",
+        False,
+    ),
+    (
+        RP,
         "return m_max * sum(phi[1:])",
         "return m_max * sum(phi[2:])",
         "_grid_size counts the triples of d = 1",
@@ -298,7 +292,6 @@ MUTANTS: list[tuple[str, str, str, str, bool]] = [
             "ml1_prediction",
             "picard_torsion",
             "divisor_polynomial",
-            "covering_relation",
             "pre_normalization_smoothness",
             "normalization_witnesses",
             "freeness",

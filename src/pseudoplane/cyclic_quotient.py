@@ -1,8 +1,9 @@
 """Diagonal cyclic symmetries of hypersurface rings and their invariants.
 
 Roots of unity are represented by residue indices only: fixed-locus and
-component-permutation questions are answered with modular arithmetic plus the
-root points of the factored relation, never with numeric roots.
+component-permutation questions are answered with modular arithmetic on the
+weights and on the integers (d, j) of the relation (s^d - 1)^j, never with
+numeric roots.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from itertools import compress, product
 
 from .dpd_presentation import _family_pair
 from .exact_algebra import _check_int, _Frozen
-from .hypersurface_ring import HypersurfaceRing, _relation_terms
+from .hypersurface_ring import HypersurfaceRing
 from .qdivisor import _integer_rows
 
 
@@ -77,24 +78,27 @@ FreenessResult = namedtuple("FreenessResult", "free fixed_loci")
 def freeness_check(action: CyclicAction, ring: HypersurfaceRing) -> FreenessResult:
     """Decide freeness of the action on the hypersurface.
 
-    Requires the relation to be semi-invariant (all monomials of
-    u^k*second - P(s) share one residue, that of P's constant term, 0).
-    For each nontrivial group power b and each zero/nonzero coordinate pattern, the
-    pattern is a fixed locus iff every coordinate allowed to be nonzero has
-    b*weight = 0 mod d and the surface has a point with exactly that
-    pattern.  As P(0) = prod (-p)^j != 0, a point with u and second both
-    nonzero always exists, and any other point needs P(s) = 0 at some
-    s != 0, that is a root of the factored relation.  A pattern admits a
-    power b < d iff its gcd(d, weights) exceeds 1, and then exactly the
-    multiples of d / gcd; the loci are listed by power, then pattern.
+    Requires the relation u^k*second = P(s), P = (s^d - 1)^j, to be
+    semi-invariant (all its monomials share one residue, that of P's
+    constant term, 0).  Every coefficient of (t - 1)^j is nonzero, so with
+    t = s^d the exponents of P are the multiples of d up to d*j, and the
+    relation is semi-invariant iff k*w_u + w_second = 0 and d*w_s = 0 (mod
+    the action's modulus).  For each nontrivial group power b and each
+    zero/nonzero coordinate pattern, the pattern is a fixed locus iff every
+    coordinate allowed to be nonzero has b*weight = 0 mod the modulus and
+    the surface has a point with exactly that pattern.  As P(0) = (-1)^j
+    != 0, a point with u and second both nonzero always exists, and any
+    other point needs P(s) = 0, that is s^d = 1, at some s != 0.  A pattern
+    admits a power b below the modulus iff its gcd(modulus, weights)
+    exceeds 1, and then exactly the multiples of modulus / gcd; the loci
+    are listed by power, then pattern.
 
-    Lemma (two least patterns).  Every admitted pattern contains {u, second}
-    or, when P has a nonzero root, {s}.  Adding coordinates can only shrink
-    the gcd, so an admitted pattern's gcd divides that of {u, second} or of
-    {s}, both admitted themselves.  So the action is free iff
-    gcd(d, w_u, w_second) = 1 and, when P has a nonzero root,
-    gcd(d, w_s) = 1; only an action that is not free enumerates the patterns
-    to list its loci.
+    Lemma (two least patterns).  Every admitted pattern contains
+    {u, second} or {s}.  Adding coordinates can only shrink the gcd, so an
+    admitted pattern's gcd divides that of {u, second} or of {s}, both
+    admitted themselves.  So the action is free iff
+    gcd(modulus, w_u, w_second) = 1 and gcd(modulus, w_s) = 1; only an
+    action that is not free enumerates the patterns to list its loci.
     """
     d = action.modulus
     variables = ring.variables
@@ -102,27 +106,22 @@ def freeness_check(action: CyclicAction, ring: HypersurfaceRing) -> FreenessResu
         wts = list(map(action.weights.__getitem__, variables))
     except KeyError as exc:
         raise ValueError(f"action is missing a weight for variable {exc}") from None
-    # P(s) = Q(s^d) with Q(0) != 0, so P's exponents are multiples of ring.d
-    # and 0 is one of them.  When s^d is invariant, as under the pipeline's
-    # actions (modulus ring.d), every term of P has residue 0; otherwise the
-    # residues depend on which coefficients of Q cancel, so the exponents
-    # are read off the integer expansion of the relation.
-    residues = {(ring.k * wts[0] + wts[1]) % d, 0}
-    if ring.d * wts[2] % d:
-        residues.update((exp * wts[2]) % d for exp, _ in _relation_terms(ring.d, ring.roots))
-    if len(residues) > 1:
+    top = (ring.k * wts[0] + wts[1]) % d  # the residue of u^k * second
+    unit = ring.d * wts[2] % d  # the residue of s^d
+    if top or unit:
+        # the residues of u^k * second and of the relation's terms s^(d*i)
+        residues = {top, *(i * unit % d for i in range(ring.j + 1))}
         raise ValueError(
             f"relation is not semi-invariant under the action: residues {sorted(residues)}"
         )
-    has_nonzero_root = bool(ring.roots)
-    if math.gcd(d, wts[0], wts[1]) == 1 and (not has_nonzero_root or math.gcd(d, wts[2]) == 1):
+    if math.gcd(d, wts[0], wts[1]) == 1 and math.gcd(d, wts[2]) == 1:
         return FreenessResult(True, [])
     hits = []
     for index, pattern in enumerate(product((False, True), repeat=3)):
         u_nz, v_nz, s_nz = pattern
         # u^k * second = P(s) is solvable at every s; u = 0 or second = 0
         # needs P(s) = 0, and P(0) != 0
-        if not (u_nz and v_nz or s_nz and has_nonzero_root):
+        if not (u_nz and v_nz or s_nz):
             continue
         # b*w = 0 mod d for the weight w of every nonzero coordinate iff
         # d / gcd(d, those weights) divides b

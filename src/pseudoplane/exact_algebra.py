@@ -3,12 +3,12 @@
 Coefficients and points are exact: an `int` or a `fractions.Fraction`, which
 compare and hash equal where their values are.  A scalar is stored as an
 `int` when it is integral and as a `Fraction` only when it is not
-(``_exact``).  Complex numbers never appear anywhere in this package: the
-rings hold their relations factored over rational points, every question
-about roots is answered from those points and their exponents, and the
-relations are printed from integers (``hypersurface_ring``).  No polynomial
-is built as a value: the tests keep the polynomial type, its text format and
-its arithmetic, as the oracles of those readings.
+(``_exact``).  Complex numbers never appear anywhere in this package: a
+ring holds its relation (s^d - 1)^j as the integers d and j, every question
+about roots is answered from them, and the relations are printed from
+integers (``hypersurface_ring``).  No polynomial is built as a value: the
+tests keep the polynomial type, its text format and its arithmetic, as the
+oracles of those readings.
 """
 
 from __future__ import annotations

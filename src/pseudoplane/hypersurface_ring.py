@@ -1,38 +1,35 @@
-"""Hypersurface coordinate rings C[u, y, s]/(u^k * y - P(s)), P factored.
+"""Hypersurface coordinate rings C[u, y, s]/(u^k * y - (s^d - 1)^j).
 
-A ring is held as its presentation (k, d, roots, the second variable's
-name), which stands for u^k * y = P(s) = prod over (p, j) in roots of
-(s^d - p)^j, with the points p nonzero, distinct and increasing and every
-exponent j >= 1.  No element of it is ever built, and neither is P as a
-polynomial: ``_format_relation`` prints the relation (``serialize``) and
-the factors of ``smooth_check``'s witness (``report``) from the
-coefficients that ``_relation_terms`` expands on the points and exponents.
-It prints each text once per process: a bounded memo keyed by
-``(d, roots)`` keeps the last ``_RELATION_MEMO_SIZE`` texts.  A sweep in
-row order keeps few of them live, as every relation of a triple is
-(s^d - 1)^j with j = 1 or j = m' = lcm(d, m)/m, a divisor of d.
+A ring is held as its presentation (k, d, j, the second variable's name),
+which stands for u^k * y = P(s) = (s^d - 1)^j with j >= 1: a triple's
+covering relation (j = m') or its normalized model (j = 1).  No element of
+it is ever built, and neither is P as a polynomial: ``_format_relation``
+prints the relation (``serialize``) and the factor s^d - 1 of
+``smooth_check``'s witness (``report``) from the binomial row that
+``_relation_terms`` writes.  It prints each text once per process: a
+bounded memo keyed by ``(d, j)`` keeps the last ``_RELATION_MEMO_SIZE``
+texts.  A sweep in row order keeps few of them live, as every relation of a
+triple has j = 1 or j = m' = lcm(d, m)/m, a divisor of d.
 This module answers what the presentation decides on its own: smoothness
-(``smooth_check``) and the fibers of the u-projection (``fiber_analysis``).
-Each question is settled on the integers of the factored relation, by one
-lemma.
+(``smooth_check``) and the fibers of the u-projection (``fiber_analysis``),
+each on the integers (d, j), by one lemma.
 
-Lemma.  For p != 0, s^d - p is squarefree, because its derivative d*s^(d-1)
-vanishes only at s = 0, which is not a root of it.  Distinct points give
-coprime factors, as a common root s would give s^d = p = p'.  So the
-squarefree factor of P of multiplicity j is prod over the points with
-j_p = j of (s^d - p), of degree d*#{p : j_p = j}, and
+Lemma.  s^d - 1 is squarefree, because its derivative d*s^(d-1) vanishes
+only at s = 0, which is not a root of it.  So the squarefree decomposition
+of P = (s^d - 1)^j is the one factor s^d - 1, of degree d and multiplicity
+j, and
 
-- the ring is smooth iff every j = 1: the gradient
-  (k*u^(k-1)*y, u^k, -P'(s)) vanishes on the surface exactly where u = 0,
-  P(s) = P'(s) = 0 (and also y = 0 when k = 1), that is at a multiple root;
-- the fiber over u = 0 is {P(s) = 0} in the (y, s)-plane: d*#{p : j_p = j}
-  lines of multiplicity j for each exponent j.
+- the ring is smooth iff j = 1: the gradient (k*u^(k-1)*y, u^k, -P'(s))
+  vanishes on the surface exactly where u = 0, P(s) = P'(s) = 0 (and also
+  y = 0 when k = 1), that is at a multiple root;
+- the fiber over u = 0 is {P(s) = 0} in the (y, s)-plane: d lines of
+  multiplicity j.
 
-Listed in increasing multiplicity, these are the factors of Yun's squarefree
-decomposition of P, which the tests keep as the oracle of this reading.
+Yun's squarefree decomposition of the expanded P, which the tests keep, is
+the oracle of this reading.
 
-The normalized model of a triple is HypersurfaceRing(m, d, ((1, 1),), "w"),
-the relation u^m * w = s^d - 1, built by ``report.verify_triple``.  Its
+The normalized model of a triple is HypersurfaceRing(m, d, 1, "w"), the
+relation u^m * w = s^d - 1, built by ``report.verify_triple``.  Its
 derivations u^e * d/ds are certified by an integer rule on exponent vectors
 (``cyclic_quotient.find_valid_lnd_degrees``).
 """
@@ -41,37 +38,21 @@ from __future__ import annotations
 
 import functools
 from collections import namedtuple
-from collections.abc import Iterable
 
-from .exact_algebra import Scalar, _check_int, _exact, _Frozen
+from .exact_algebra import _check_int, _Frozen
 
 
-def _relation_terms(d: int, roots: Iterable[tuple[Scalar, int]]) -> list[tuple[int, Scalar]]:
-    """The nonzero (exponent, coefficient) terms of prod (s^d - p)^j over the
-    (point p, exponent j) pairs of ``roots``, in decreasing exponent.
-
-    Each factor (t - p)^j is written by C(j, i + 1) = C(j, i) (j - i)/(i + 1),
-    exact in the integers, times the powers of -p.  The factors' coefficient
-    lists in t are convolved, the coefficients that cancel (as in
-    (t + 1)(t - 1) = t^2 - 1) are dropped, and t becomes s^d.
-    """
-    coeffs: list[Scalar] = [1]  # of the product in t, leading first
-    for p, j in roots:
-        row: list[Scalar] = []
-        binom, power = 1, 1
-        for i in range(j + 1):
-            row.append(binom * power)
-            binom = binom * (j - i) // (i + 1)
-            power *= -p
-        if len(coeffs) > 1:
-            product = [0] * (len(coeffs) + j)
-            for a, x in enumerate(coeffs):
-                for b, y in enumerate(row):
-                    product[a + b] += x * y
-            row = product
-        coeffs = row
-    top = len(coeffs) - 1
-    return [(d * (top - i), c) for i, c in enumerate(coeffs) if c]
+def _relation_terms(d: int, j: int) -> list[tuple[int, int]]:
+    """The (exponent, coefficient) terms of (s^d - 1)^j, in decreasing
+    exponent: the binomial row of (t - 1)^j at t = s^d, written by
+    C(j, i + 1) = C(j, i) (j - i)/(i + 1), exact in the integers, with the
+    sign (-1)^i at t^(j - i).  No coefficient is zero."""
+    terms = []
+    binom = 1
+    for i in range(j + 1):
+        terms.append((d * (j - i), -binom if i % 2 else binom))
+        binom = binom * (j - i) // (i + 1)
+    return terms
 
 
 # The relations of a triple are (s^d - 1)^j with j = 1 or j = m', and m'
@@ -82,15 +63,12 @@ _RELATION_MEMO_SIZE = 64
 
 
 @functools.lru_cache(maxsize=_RELATION_MEMO_SIZE)
-def _format_relation(d: int, roots: tuple[tuple[Scalar, int], ...]) -> str:
-    """The text of prod (s^d - p)^j over the (point p, exponent j) pairs of
-    ``roots``, expanded in s: terms in decreasing exponent, a negative
-    coefficient as a minus sign, unit coefficients and ``^1`` elided, and
-    rationals written ``p/q``, e.g. ``s^6 - 3/2*s^3 + 1/2``.  Memoized on
-    (d, roots), so ``roots`` is a tuple, and an int point and an equal
-    Fraction share one text, which is the same either way."""
+def _format_relation(d: int, j: int) -> str:
+    """The text of (s^d - 1)^j expanded in s: terms in decreasing exponent,
+    a negative coefficient as a minus sign, unit coefficients and ``^1``
+    elided, e.g. ``s^6 - 2*s^3 + 1``.  Memoized on (d, j)."""
     parts: list[str] = []
-    for e, c in _relation_terms(d, roots):
+    for e, c in _relation_terms(d, j):
         if c < 0:
             parts.append(" - " if parts else "-")
             c = -c
@@ -105,26 +83,18 @@ def _format_relation(d: int, roots: tuple[tuple[Scalar, int], ...]) -> str:
 
 
 class HypersurfaceRing(_Frozen):
-    """Presentation of C[u, second, s] / (u^k * second - prod (s^d - p)^j),
-    the product over the (point p, exponent j) pairs of ``roots``.  Compared
-    and hashed by (k, d, roots, second_var)."""
+    """Presentation of C[u, second, s] / (u^k * second - (s^d - 1)^j).
+    Compared and hashed by (k, d, j, second_var)."""
 
-    __slots__ = ("k", "d", "roots", "second_var")
+    __slots__ = ("k", "d", "j", "second_var")
 
-    def __new__(cls, k: int, d: int, roots: Iterable[tuple[Scalar, int]], second_var: str = "v"):
+    def __new__(cls, k: int, d: int, j: int, second_var: str = "v"):
         _check_int("k", k, 1)
         _check_int("d", d, 1)
-        roots = tuple((_exact(p, "root points"), j) for p, j in roots)
-        points = [p for p, _ in roots]
-        if 0 in points:
-            raise ValueError(f"root points must be nonzero: {points}")
-        if any(a >= b for a, b in zip(points, points[1:])):
-            raise ValueError(f"root points must be distinct and increasing: {points}")
-        for p, j in roots:
-            _check_int(f"exponent of root {p}", j, 1)
+        _check_int("j", j, 1)
         if second_var in ("u", "s"):
             raise ValueError(f"second variable may not shadow u or s: {second_var!r}")
-        return super()._trusted(k, d, roots, second_var)
+        return super()._trusted(k, d, j, second_var)
 
     @property
     def variables(self) -> tuple[str, str, str]:
@@ -133,42 +103,27 @@ class HypersurfaceRing(_Frozen):
     def serialize(self) -> dict:
         """The ring as JSON: the right-hand side P is printed expanded in s by
         ``_format_relation``."""
-        return {"k": self.k, "P": _format_relation(self.d, self.roots), "second_var": self.second_var}
+        return {"k": self.k, "P": _format_relation(self.d, self.j), "second_var": self.second_var}
 
 
-# witness: ((points, j), ...), the root points of each exponent j >= 2
+# witness: j, the multiplicity of the factor s^d - 1 of P
 SmoothCheck = namedtuple("SmoothCheck", "smooth witness")
 
 
-def _points_by_exponent(ring: HypersurfaceRing) -> list[tuple[int, list[Scalar]]]:
-    """The ring's root points grouped by exponent, in increasing exponent."""
-    groups: dict[int, list[Scalar]] = {}
-    for p, j in ring.roots:
-        groups.setdefault(j, []).append(p)
-    return sorted(groups.items())
-
-
 def smooth_check(ring: HypersurfaceRing) -> SmoothCheck:
-    """Smooth iff every root exponent is 1.  Otherwise the witness lists, for
-    each exponent j >= 2 in increasing order, (points, j) with the
-    increasing root points of exponent j: by the module's lemma,
-    prod (s^d - p) over those points is the factor of P's squarefree
-    decomposition of multiplicity j (s-coordinates of the singular points
-    along u = 0).  ``_format_relation`` prints it from the pairs (p, 1)."""
-    witness = []
-    for j, points in _points_by_exponent(ring):
-        if j >= 2:
-            witness.append((tuple(points), j))
-    return SmoothCheck(not witness, tuple(witness))
+    """Smooth iff j = 1, by the module's lemma.  The witness is j: when
+    j >= 2, s^d - 1 is the factor of P's squarefree decomposition of
+    multiplicity j, whose roots are the s-coordinates of the singular
+    points along u = 0."""
+    return SmoothCheck(ring.j == 1, ring.j)
 
 
 def fiber_analysis(ring: HypersurfaceRing) -> list[tuple[int, int]]:
     """Components of the fiber over u = 0 of the u-projection, as
     (component count, multiplicity) pairs: {P(s) = 0} in the
-    (second, s)-plane, which by the module's lemma is d*#{p : j_p = j}
-    lines of multiplicity j for each root exponent j, in increasing j
-    (component count = degree of the squarefree factor; roots are never
-    extracted).  Away from u = 0 every fiber is a single reduced line,
-    [(1, 1)].
+    (second, s)-plane, which by the module's lemma is d lines of
+    multiplicity j (component count = degree of the squarefree factor;
+    roots are never extracted).  Away from u = 0 every fiber is a single
+    reduced line, [(1, 1)].
     """
-    return [(ring.d * len(points), j) for j, points in _points_by_exponent(ring)]
+    return [(ring.d, ring.j)]

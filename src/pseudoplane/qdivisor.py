@@ -214,9 +214,9 @@ def divisor_roots(d_minus: QDivisor, k: int) -> tuple[int, tuple[tuple[Scalar, i
     (p, -k*D-(p)) over the support points p != 0, in increasing order of p,
     each p an int when integral and each exponent an int >= 1; no
     polynomial is built.  Requires k*D- integral and -k*D-(p) >= 0 for
-    every p != 0.  So roots is clean as ``HypersurfaceRing`` stores it, and
-    ``report.verify_triple`` builds its covering ring from it unchecked
-    (``HypersurfaceRing._trusted``).
+    every p != 0.  ``report.verify_triple`` compares roots with ((1, m'),),
+    the Q = (t - 1)^m' of its covering ring, under ``divisor_polynomial``:
+    a D- whose Q is not that pure power is read here and fails there.
     """
     _check_int("k", k, 1)
     l = 0

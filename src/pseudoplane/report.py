@@ -20,8 +20,9 @@ verdict is "consistent", "excluded" (with excluded_reason set) or
 "inconsistent" (with failed_checks non-empty).  Exit codes: 0 for consistent
 or excluded-as-predicted, 1 for inconsistent, 2 for invalid input.
 ``normalized.witnesses.power_identity`` (w^m' = v for w = (s^d - 1)/u^m)
-equals the result of ``covering_relation``, so ``normalization_witnesses``
-fails on ``normalized.witnesses.normalized_smooth`` alone.
+is true exactly when ``divisor_roots`` reads Q = (t - 1)^m' off -k*D-, which
+``divisor_polynomial`` checks, so ``normalization_witnesses`` fails on
+``normalized.witnesses.normalized_smooth`` alone.
 ``product_structure.all_match`` is false when ``product_window`` finds a
 weight n in -2*max_weight..2*max_weight whose generator or graded piece
 breaks one of its identities.  The check certifies each piece's generator,
@@ -122,29 +123,23 @@ def verify_triple(
 
     # -k*D- is the divisor of t^l (t - 1)^m', so Q = (t - 1)^m'; with
     # k*e' + d*l = 0 (exponent_identity) the covering relation is
-    # u^k v = Q(s^d) = (s^d - 1)^m'
-    pure_power = ((1, triple.m_prime),)
+    # u^k v = Q(s^d) = (s^d - 1)^m'.  The normalized model adjoins
+    # w = (s^d - 1)/u^m, and with k = m*m', w^m' = (s^d - 1)^m'/u^k = v
+    # exactly when Q = (t - 1)^m', so power_identity is that comparison
+    # and the witness check reads normalized_smooth alone
     l_from_divisor, roots = divisor_roots(pair.d_minus, triple.k)
-    if l_from_divisor != triple.l or roots != pure_power:
+    power_identity = roots == ((1, triple.m_prime),)
+    if l_from_divisor != triple.l or not power_identity:
         failed.append("divisor_polynomial")
 
-    # both rings are built unchecked from checked values: k, m and d are
-    # ints >= 1, divisor_roots returns clean roots, and neither v nor w
-    # shadows u or s
-    covering = HypersurfaceRing._trusted(triple.k, d, roots, "v")
-    covering_ok = covering.roots == pure_power
-    if not covering_ok:
-        failed.append("covering_relation")
-
+    # both rings are built unchecked from checked values: k, m, d and m'
+    # are ints >= 1, and neither v nor w shadows u or s
+    covering = HypersurfaceRing._trusted(triple.k, d, triple.m_prime, "v")
     covering_smooth = smooth_check(covering)
     if covering_smooth.smooth != (triple.m_prime == 1):
         failed.append("pre_normalization_smoothness")
 
-    # the normalized model adjoins w = (s^d - 1)/u^m; with k = m*m',
-    # w^m' = (s^d - 1)^m'/u^k = P/u^k = v exactly when P = (s^d - 1)^m',
-    # which is what covering_relation checks, so power_identity is its
-    # result and the witness check reads normalized_smooth alone
-    normalized = HypersurfaceRing._trusted(m, d, ((1, 1),), "w")
+    normalized = HypersurfaceRing._trusted(m, d, 1, "w")
     normalized_smooth = smooth_check(normalized).smooth
     if not normalized_smooth:
         failed.append("normalization_witnesses")
@@ -176,9 +171,8 @@ def verify_triple(
     if not degrees:
         failed.append("lnd_degrees")
 
-    singular_witness = []  # each factor printed as prod (s^d - p) over its points
-    for points, mult in covering_smooth.witness:
-        singular_witness.append([_format_relation(d, tuple(zip(points, [1] * len(points)))), mult])
+    # the factor s^d - 1 of the covering relation and its multiplicity
+    singular_witness = [] if covering_smooth.smooth else [[_format_relation(d, 1), covering_smooth.witness]]
 
     excluded_reason = None
     if failed:
@@ -224,7 +218,7 @@ def verify_triple(
         "normalized": {
             "ring": normalized.serialize(),
             "witnesses": {
-                "power_identity": covering_ok,
+                "power_identity": power_identity,
                 "normalized_smooth": normalized_smooth,
             },
             "degenerate_fiber": list(map(list, fiber)),

@@ -54,7 +54,7 @@ def fresh_probe(probe: str) -> str:
 # -- the polynomial type and its text format --------------------------------------
 #
 # The package builds no polynomial: it prints its relations and witnesses
-# from the integers of their roots (hypersurface_ring._format_relation).
+# from the integers (d, j) of (s^d - 1)^j (hypersurface_ring._format_relation).
 # MultiPoly, its printer and its parser are the oracles of that text: a
 # printed relation parses back to the expanded product, and format_poly
 # keeps its own term rules, so it stays independent of the printer it checks.
@@ -395,8 +395,11 @@ def squarefree_decomposition(p: MultiPoly) -> list[tuple[MultiPoly, int]]:
 #
 # HypersurfaceRing once expanded its relation into a MultiPoly, P, which the
 # ring printed and smooth_check and freeness_check read.  The ring now
-# prints the relation from the integers of its roots; the expansion is kept
-# as the oracle of that printer and of the readings below.
+# prints the relation from the integers (d, j) of (s^d - 1)^j; the expansion
+# is kept as the oracle of that printer and of the readings below.  The
+# oracles read a relation factored as prod (s^d - p)^j over (point p,
+# exponent j) pairs, a ring's own as ((1, ring.j),), so that they also read
+# the relations that the ring class cannot hold.
 
 
 def root_factor(d: int, p: Scalar) -> MultiPoly:
@@ -404,13 +407,18 @@ def root_factor(d: int, p: Scalar) -> MultiPoly:
     return MultiPoly._trusted(("s",), {(d,): 1, (0,): -p})
 
 
-def oracle_relation(ring: HypersurfaceRing) -> MultiPoly:
-    """The right-hand side prod (s^d - p)^j of the ring, expanded in s by
-    repeated squaring."""
+def oracle_relation(d: int, roots) -> MultiPoly:
+    """prod (s^d - p)^j over the (point p, exponent j) pairs of `roots`,
+    expanded in s by repeated squaring."""
     product = MultiPoly._trusted(("s",), {(0,): 1})
-    for p, j in ring.roots:
-        product = poly_mul(product, poly_pow(root_factor(ring.d, p), j))
+    for p, j in roots:
+        product = poly_mul(product, poly_pow(root_factor(d, p), j))
     return product
+
+
+def ring_relation(ring: HypersurfaceRing) -> MultiPoly:
+    """The ring's relation (s^d - 1)^j, expanded by ``oracle_relation``."""
+    return oracle_relation(ring.d, ((1, ring.j),))
 
 
 def oracle_component_permutation(d: int, e: int) -> tuple[tuple[int, ...], ...]:
@@ -432,24 +440,19 @@ def oracle_component_permutation(d: int, e: int) -> tuple[tuple[int, ...], ...]:
     return tuple(cycles)
 
 
-def witness_factors(d: int, witness) -> tuple[tuple[MultiPoly, int], ...]:
-    """smooth_check's witness ((points, j), ...) as the polynomials it stands
-    for: (prod (s^d - p) over the points, j)."""
-    factors = []
-    for points, j in witness:
-        f = MultiPoly._trusted(("s",), {(0,): 1})
-        for p in points:
-            f = poly_mul(f, root_factor(d, p))
-        factors.append((f, j))
-    return tuple(factors)
+def witness_factors(d: int, check) -> tuple[tuple[MultiPoly, int], ...]:
+    """smooth_check's result as the singular factors it stands for: none
+    when smooth, else the one factor s^d - 1 with its witness j as
+    multiplicity."""
+    return () if check.smooth else ((root_factor(d, 1), check.witness),)
 
 
 def yun_reading(ring: HypersurfaceRing) -> tuple[tuple[tuple[MultiPoly, int], ...], list[tuple[int, int]]]:
-    """smooth_check's witness (as ``witness_factors``) and fiber_analysis
-    over u = 0 as they were read off Yun's decomposition of the expanded P:
-    the factors of multiplicity >= 2, and (degree, multiplicity) of every
-    factor."""
-    yun = squarefree_decomposition(oracle_relation(ring))
+    """smooth_check's singular factors (as ``witness_factors``) and
+    fiber_analysis over u = 0 as they were read off Yun's decomposition of
+    the expanded P: the factors of multiplicity >= 2, and (degree,
+    multiplicity) of every factor."""
+    yun = squarefree_decomposition(ring_relation(ring))
     return tuple((f, j) for f, j in yun if j >= 2), [(degree(f), j) for f, j in yun]
 
 
@@ -496,13 +499,15 @@ def with_variables(p: MultiPoly, variables) -> MultiPoly:
 
 
 @lru_cache(maxsize=512)
-def rhs_power(ring: HypersurfaceRing, j: int) -> MultiPoly:
-    """P(s)^j of the ring's relation, expanded once per (ring, j)."""
-    return poly_pow(oracle_relation(ring), j)
+def rhs_power(d: int, roots, j: int) -> MultiPoly:
+    """P(s)^j of the relation prod (s^d - p)^j over `roots`, expanded once
+    per (d, roots, j)."""
+    return poly_pow(oracle_relation(d, roots), j)
 
 
-def normal_form(ring: HypersurfaceRing, p: MultiPoly) -> RingElement:
-    """Exhaustively rewrite u^k * second -> P(s).
+def normal_form(ring: HypersurfaceRing, p: MultiPoly, roots=None) -> RingElement:
+    """Exhaustively rewrite u^k * second -> P(s), with P the ring's
+    (s^d - 1)^j or, when `roots` is given, prod (s^d - p)^j over them.
 
     min(a // k, b) steps apply to a monomial u^a * second^b * s^c, after which
     either a < k or b = 0; the replacement only involves s, so one pass per
@@ -510,6 +515,8 @@ def normal_form(ring: HypersurfaceRing, p: MultiPoly) -> RingElement:
     """
     if p.variables != ring.variables:
         raise ValueError(f"polynomial variables {p.variables} do not match ring {ring.variables}")
+    if roots is None:
+        roots = ((1, ring.j),)
     k = ring.k
     out: dict[tuple[int, int, int], Scalar] = {}
     for (a, b, c), coeff in p.terms.items():
@@ -518,18 +525,20 @@ def normal_form(ring: HypersurfaceRing, p: MultiPoly) -> RingElement:
             out[a, b, c] = out.get((a, b, c), 0) + coeff
             continue
         a, b = a - j * k, b - j
-        for (e,), pc in rhs_power(ring, j).terms.items():
+        for (e,), pc in rhs_power(ring.d, roots, j).terms.items():
             key = (a, b, c + e)
             out[key] = out.get(key, 0) + coeff * pc
     clean = {key: v for key, v in out.items() if v}
     return RingElement(ring, MultiPoly._trusted(ring.variables, clean))
 
 
-def oracle_power_identity(ring: HypersurfaceRing, m: int, d: int) -> bool:
-    """The power identity as it was computed: the normal form of u^k * second
-    equals (s^d - 1)^(k // m)."""
-    reduced = normal_form(ring, monomial(ring, ring.k, 1, 0))
-    expected = poly_pow(upoly("s", {d: 1, 0: -1}), ring.k // m)
+def oracle_power_identity(k: int, d: int, roots, m: int) -> bool:
+    """The power identity as it was computed, on u^k v = prod (s^d - p)^j
+    over the (point p, exponent j) pairs of `roots`: the normal form of
+    u^k * v equals (s^d - 1)^(k // m)."""
+    ring = HypersurfaceRing(k, d, 1, "v")  # its k and variables; P is read off roots
+    reduced = normal_form(ring, monomial(ring, k, 1, 0), roots)
+    expected = poly_pow(upoly("s", {d: 1, 0: -1}), k // m)
     return reduced.poly == with_variables(expected, ring.variables)
 
 
@@ -584,14 +593,15 @@ class NonPolynomial:
 
 def normalized_ring(triple: SurfaceTriple) -> HypersurfaceRing:
     """The normalized model u^m w - (s^d - 1) for the triple."""
-    return HypersurfaceRing(triple.m, triple.d, ((1, 1),), "w")
+    return HypersurfaceRing(triple.m, triple.d, 1, "w")
 
 
 def _normalized_params(ring: HypersurfaceRing) -> tuple[int, int]:
     """(m, d) for a ring in the normalized shape u^m w - (s^d - 1)."""
-    if ring.roots != ((1, 1),):
+    if ring.j != 1:
         raise ValueError(
-            f"ring is not in the normalized shape u^m*{ring.second_var} - (s^d - 1): P = {format_poly(oracle_relation(ring))}"
+            f"ring is not in the normalized shape u^m*{ring.second_var} - (s^d - 1): "
+            f"P = {format_poly(ring_relation(ring))}"
         )
     return ring.k, ring.d
 
@@ -603,7 +613,7 @@ def _to_localization(ring: HypersurfaceRing, poly: MultiPoly) -> dict[int, dict[
     for (a, b, c), coeff in poly.terms.items():
         j = a - m * b
         row = loc.setdefault(j, {})
-        for (e,), c2 in rhs_power(ring, b).terms.items():
+        for (e,), c2 in rhs_power(ring.d, ((1, 1),), b).terms.items():
             key = e + c
             total = row.get(key, 0) + coeff * c2
             if total:
@@ -635,7 +645,7 @@ def _first_non_polynomial(
         if j >= 0:
             break
         f = MultiPoly._trusted(("s",), {(e,): c for e, c in loc[j].items()})
-        _, rem = poly_divmod(f, rhs_power(ring, (-j + m - 1) // m))
+        _, rem = poly_divmod(f, rhs_power(ring.d, ((1, 1),), (-j + m - 1) // m))
         if rem:
             top = max(rem.terms)
             return NonPolynomial(f"{rem.terms[top]}*u^{j}*s^{top[0]}")
@@ -835,7 +845,7 @@ def oracle_freeness_check(action: CyclicAction, ring: HypersurfaceRing):
     d = action.modulus
     variables = ring.variables
     wts = [action.weights[v] for v in variables]
-    relation = oracle_relation(ring)
+    relation = ring_relation(ring)
     residues = {(ring.k * wts[0] + wts[1]) % d}
     residues.update((exp * wts[2]) % d for (exp,) in relation.terms)
     if len(residues) > 1:
@@ -1168,18 +1178,6 @@ def dpd_pairs(draw):
             plus[p] = draw(small_fractions())
             minus[p] = draw(nonpositive) - plus[p]
     return DpdPair(QDivisor(plus), QDivisor(minus))
-
-
-_ROOT_POINTS = [F(-1), F(1, 2), F(1), F(2), F(3)]
-
-
-def factored_roots(min_size: int = 0, max_size: int = 3, max_exp: int = 4):
-    """The roots of a factored relation: (point, exponent) pairs over
-    distinct points of {-1, 1/2, 1, 2, 3}, in increasing order of point."""
-    points = st.lists(st.sampled_from(_ROOT_POINTS), unique=True, min_size=min_size, max_size=max_size)
-    return points.flatmap(
-        lambda ps: st.tuples(*[st.tuples(st.just(p), st.integers(1, max_exp)) for p in sorted(ps)])
-    )
 
 
 @st.composite

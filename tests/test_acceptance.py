@@ -106,7 +106,7 @@ def test_criterion_4_freeness_law():
     for d in range(1, D_MAX + 1):
         for e in range(1, 7):
             for m in range(1, M_MAX + 1):
-                ring = HypersurfaceRing(m, d, ((1, 1),), "w")
+                ring = HypersurfaceRing(m, d, 1, "w")
                 action = CyclicAction(d, {"u": 1, "w": -m, "s": e})
                 result = freeness_check(action, ring)
                 assert result.free == (math.gcd(e, d) == 1), (d, e, m)
@@ -121,8 +121,10 @@ def test_criterion_4_freeness_law():
 
 def test_criterion_5_smoothness():
     for t in TRIPLES:
-        _, roots = divisor_roots(t.pair.d_minus, t.k)
-        covering = HypersurfaceRing(t.k, t.d, roots, "v")
+        # -k*D- reads Q = (t - 1)^j, and the covering ring holds (s^d - 1)^j
+        _, ((point, j),) = divisor_roots(t.pair.d_minus, t.k)
+        assert point == 1, t
+        covering = HypersurfaceRing(t.k, t.d, j, "v")
         from pseudoplane import smooth_check
 
         assert smooth_check(covering).smooth == (t.m_prime == 1), t

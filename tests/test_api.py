@@ -294,7 +294,7 @@ INPUT_CHECKS = {
     ),
     "freeness_check-missing-weight": (
         lambda: freeness_check(
-            CyclicAction(3, {"u": 1, "s": 2}), HypersurfaceRing(2, 3, ((1, 1),), "w")
+            CyclicAction(3, {"u": 1, "s": 2}), HypersurfaceRing(2, 3, 1, "w")
         ),
         ValueError, "action is missing a weight for variable 'w'",
     ),
@@ -337,39 +337,31 @@ INPUT_CHECKS = {
         ValueError, "lnd_degree must be an integer, got 2.5",
     ),
     "HypersurfaceRing-k-float": (
-        lambda: HypersurfaceRing(1.5, 2, ((1, 1),)),
+        lambda: HypersurfaceRing(1.5, 2, 1),
         ValueError, "k must be an integer, got 1.5",
     ),
     "HypersurfaceRing-k-bool": (
-        lambda: HypersurfaceRing(True, 2, ((1, 1),)),
+        lambda: HypersurfaceRing(True, 2, 1),
         ValueError, "k must be an integer, got True",
     ),
     "HypersurfaceRing-d-bool": (
-        lambda: HypersurfaceRing(2, True, ((1, 1),)),
+        lambda: HypersurfaceRing(2, True, 1),
         ValueError, "d must be an integer, got True",
     ),
-    "HypersurfaceRing-root-exponent-bool": (
-        lambda: HypersurfaceRing(2, 3, ((1, True),)),
-        ValueError, "exponent of root 1 must be an integer, got True",
+    "HypersurfaceRing-j-bool": (
+        lambda: HypersurfaceRing(2, 3, True),
+        ValueError, "j must be an integer, got True",
     ),
-    "HypersurfaceRing-root-exponent-float": (
-        lambda: HypersurfaceRing(2, 3, ((1, 1.5),)),
-        ValueError, "exponent of root 1 must be an integer, got 1.5",
+    "HypersurfaceRing-j-float": (
+        lambda: HypersurfaceRing(2, 3, 1.5),
+        ValueError, "j must be an integer, got 1.5",
     ),
-    "HypersurfaceRing-root-point-string": (
-        lambda: HypersurfaceRing(2, 3, (("2", 1),), "w"),
-        ValueError, "root points must be ints or Fractions: '2'",
-    ),
-    "HypersurfaceRing-root-point-bool": (
-        lambda: HypersurfaceRing(2, 3, ((True, 1),), "w"),
-        ValueError, "root points must be ints or Fractions: True",
-    ),
-    "HypersurfaceRing-root-point-float": (
-        lambda: HypersurfaceRing(2, 3, ((0.5, 1),), "w"),
-        ValueError, "root points must be ints or Fractions: 0.5",
+    "HypersurfaceRing-j-0": (
+        lambda: HypersurfaceRing(2, 3, 0),
+        ValueError, "j must be >= 1, got 0",
     ),
     "HypersurfaceRing-second-variable-u": (
-        lambda: HypersurfaceRing(2, 3, ((1, 1),), "u"),
+        lambda: HypersurfaceRing(2, 3, 1, "u"),
         ValueError, "second variable may not shadow u or s: 'u'",
     ),
     "divisor_roots-k-0": (
@@ -560,13 +552,13 @@ VALUE_CLASSES = {
         True,
     ),
     "HypersurfaceRing": (
-        lambda: HypersurfaceRing(2, 3, ((1, 1),)),
-        lambda: HypersurfaceRing(k=2, d=3, roots=[(F(1), 1)], second_var="v"),
+        lambda: HypersurfaceRing(2, 3, 1),
+        lambda: HypersurfaceRing(k=2, d=3, j=1, second_var="v"),
         lambda: [
-            HypersurfaceRing(3, 3, ((1, 1),)),
-            HypersurfaceRing(2, 4, ((1, 1),)),
-            HypersurfaceRing(2, 3, ((1, 2),)),
-            HypersurfaceRing(2, 3, ((1, 1),), "w"),
+            HypersurfaceRing(3, 3, 1),
+            HypersurfaceRing(2, 4, 1),
+            HypersurfaceRing(2, 3, 2),
+            HypersurfaceRing(2, 3, 1, "w"),
         ],
         True,
     ),

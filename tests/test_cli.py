@@ -317,26 +317,27 @@ def test_verify_max_weight_zero_skips_product_section(capsys):
     assert "not checked" in out
 
 
-def test_failed_covering_relation_is_reported_not_raised(capsys, monkeypatch):
-    from pseudoplane import HypersurfaceRing
+def test_moved_divisor_root_is_reported_not_raised(capsys, monkeypatch):
+    from pseudoplane import report as report_module
 
-    # the covering ring's root moves from 1 to 2; the normalized model is
-    # built as it was
-    trusted = HypersurfaceRing._trusted
+    # divisor_roots reads Q's root at 2 in place of 1; the covering ring
+    # holds (s^d - 1)^m' as before, and the pure-power comparison fails
+    # divisor_polynomial alone
+    divisor_roots = report_module.divisor_roots
 
-    def moved(k, d, roots, second_var):
-        if second_var == "v":
-            roots = tuple((2 if p == 1 else p, j) for p, j in roots)
-        return trusted(k, d, roots, second_var)
+    def moved(d_minus, k):
+        l, roots = divisor_roots(d_minus, k)
+        return l, tuple((2 if p == 1 else p, j) for p, j in roots)
 
-    monkeypatch.setattr(HypersurfaceRing, "_trusted", staticmethod(moved))
+    monkeypatch.setattr(report_module, "divisor_roots", moved)
     report = verify_triple(3, 2, 2)
     assert report["verdict"] == "inconsistent"
-    assert report["failed_checks"] == ["covering_relation"]
+    assert report["failed_checks"] == ["divisor_polynomial"]
     assert report["normalized"]["witnesses"] == {"power_identity": False, "normalized_smooth": True}
     code, out = run_cli(capsys, "verify", "-d", "3", "-e", "2", "-m", "2")
     assert code == 1
     assert "verdict: inconsistent" in out
+    assert "root identity: FAIL" in out
 
 
 def test_singular_normalized_model_is_reported_and_sweep_carries_on(capsys, monkeypatch):
@@ -347,7 +348,7 @@ def test_singular_normalized_model_is_reported_and_sweep_carries_on(capsys, monk
 
     def singular_normalized(ring):
         if ring.second_var == "w":
-            return SmoothCheck(False, (((1,), 2),))
+            return SmoothCheck(False, 2)
         return smooth_check(ring)
 
     monkeypatch.setattr(report_module, "smooth_check", singular_normalized)

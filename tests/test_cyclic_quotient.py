@@ -76,7 +76,7 @@ def test_surface_triple_derived_constants():
 
 
 def xyz_ring(m, d):
-    return HypersurfaceRing(m, d, ((1, 1),), "w")
+    return HypersurfaceRing(m, d, 1, "w")
 
 
 def test_freeness_free_case():
@@ -105,6 +105,10 @@ def test_freeness_requires_semi_invariant_relation():
     action = CyclicAction(3, {"u": 1, "w": 0, "s": 1})
     with pytest.raises(ValueError, match="semi-invariant"):
         freeness_check(action, xyz_ring(2, 3))
+    # u^2 w is invariant, but s^3 has residue 3 mod 6
+    action = CyclicAction(6, {"u": 1, "w": -2, "s": 1})
+    with pytest.raises(ValueError, match=r"^relation is not semi-invariant under the action: residues \[0, 3\]$"):
+        freeness_check(action, xyz_ring(2, 3))
 
 
 def _freeness_and_oracle(action, ring):
@@ -121,10 +125,9 @@ def test_freeness_pattern_u_second_binds_though_s_weight_is_a_unit():
 
 
 def test_freeness_pattern_s_needs_a_nonzero_root():
-    # gcd(4, 2) = 2 at s, but P = 1 has no root, so no point has u or w zero
+    # gcd(4, 2) = 2 at s, and P = s^2 - 1 has the nonzero roots s = +-1, so
+    # the power 2 fixes the points u = w = 0, s = +-1 of u w = s^2 - 1
     action = CyclicAction(4, {"u": 1, "w": -1, "s": 2})
-    assert _freeness_and_oracle(action, HypersurfaceRing(1, 2, (), "w")).free
-    # the same action on u w = s^2 - 1 fixes the points u = w = 0, s = +-1
     result = _freeness_and_oracle(action, xyz_ring(1, 2))
     assert not result.free
     assert {"power": 2, "pattern": {"u": "zero", "w": "zero", "s": "nonzero"}} in result.fixed_loci

@@ -14,8 +14,10 @@ from pseudoplane import (
     DpdPair,
     QDivisor,
     SurfaceTriple,
+    classify_pair,
     floor_div,
     ml1_test,
+    sweep,
 )
 
 
@@ -84,3 +86,29 @@ def test_ml1_iff_d_and_m_at_least_two():
     # e runs over the units mod d, and so does e'
     for d, e, m in grid_triples(6, 5):
         assert ml1_test(SurfaceTriple(d, e, m).pair) == (d >= 2 and m >= 2)
+
+
+def test_classify_reads_back_the_pair_that_verify_prints():
+    # verify and classify read one divisor pair through two entry points.
+    # For every triple of sweep(20, 10): the printed pair comes back as its
+    # exact (d, e', m); its canonical shift comes back with the same
+    # parameters, up to equivalence; and given the first degree verify
+    # found, classify admits the pair iff verify finds it consistent, while
+    # a degree-0 derivation excludes it
+    rows = sweep(20, 10, max_weight=0, include_reports=True)["rows"]
+    assert len(rows) == 1280
+    for row in rows:
+        report = row["report"]
+        params = {"d": row["d"], "e_prime": report["derived"]["e_prime"], "m": row["m"]}
+        plus, minus = report["dpd"]["d_plus"], report["dpd"]["d_minus"]
+        degrees = report["lnd"]["degrees_found"]
+        assert degrees, row
+        read = classify_pair(plus, minus, degrees[0])
+        assert read["recovered"] == {**params, "up_to_equivalence": False}, row
+        assert (read["verdict"] == "admissible") == (report["verdict"] == "consistent"), row
+        canonical = read["canonical"]
+        shifted = classify_pair(canonical["d_plus"], canonical["d_minus"])
+        assert shifted["recovered"] == {**params, "up_to_equivalence": True}, row
+        degree_zero = classify_pair(plus, minus, 0)
+        assert degree_zero["verdict"] == "excluded", row
+        assert degree_zero["excluded_reason"].startswith("degree-0 derivation"), row

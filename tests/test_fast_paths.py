@@ -22,7 +22,6 @@ from helpers import (
     degree,
     derivation_leaves_ring,
     dpd_pairs,
-    factored_roots,
     first_failing_pair,
     fresh_probe,
     graded_piece,
@@ -232,23 +231,19 @@ def _assert_int_coefficients(p):
     assert p.terms and all(type(c) is int for c in p.terms.values()), p
 
 
-def _assert_int_relation(ring):
-    terms = _relation_terms(ring.d, ring.roots)
-    assert terms and all(type(c) is int for _, c in terms), terms
-
-
 def test_pipeline_coefficients_stay_int():
     for d in range(1, 7):
-        for j in range(7):
-            _assert_int_relation(HypersurfaceRing(1, d, ((1, j),) if j else ()))
+        for j in range(1, 7):
+            terms = _relation_terms(d, j)
+            assert len(terms) == j + 1 and all(type(c) is int and c for _, c in terms), terms
     triple = SurfaceTriple(3, 2, 2)
     ring = normalized_ring(triple)
     g1 = monomial(ring, *weight_piece_generator(triple, -5))
     g2 = monomial(ring, *weight_piece_generator(triple, 3))
     _assert_int_coefficients(normal_form(ring, poly_mul(g1, g2)).poly)
-    # the points of -k*D- are Fractions; the ring stores the integral ones as int
+    # the points of -k*D- are Fractions; divisor_roots gives the integral ones as int
     roots = divisor_roots(triple.pair.d_minus, triple.k)[1]
-    _assert_int_relation(HypersurfaceRing(triple.k, triple.d, roots))
+    assert roots == ((1, triple.m_prime),) and type(roots[0][0]) is int
 
 
 def test_division_promotes_to_fraction_not_float():
@@ -311,7 +306,7 @@ LARGE_D = [
 def test_lnd_rule_matches_laurent_membership(d, m, exps, degree):
     from pseudoplane.cyclic_quotient import _keeps_ring
 
-    ring = HypersurfaceRing(m, d, ((1, 1),), "w")
+    ring = HypersurfaceRing(m, d, 1, "w")
     x = normal_form(ring, monomial(ring, *exps))
     assert _keeps_ring(exps, degree, m) == (derivation_leaves_ring(ring, degree, x) is None)
 
@@ -450,12 +445,11 @@ def test_product_window_fails_where_the_per_pair_oracle_first_fails(triple, max_
 
 
 def test_hand_built_normalized_ring_is_accepted(monkeypatch):
-    # the normalized model the pipeline builds, and one written by hand with
-    # its point as a Fraction
+    # the normalized model the pipeline builds, and one written by hand
     rings = record_rings(monkeypatch)
     verify_triple(3, 2, 2)
     _, built = rings
-    hand_built = HypersurfaceRing(2, 3, ((F(1), 1),), "w")
+    hand_built = HypersurfaceRing(2, 3, 1, "w")
     assert hand_built is not built and hand_built == built
     assert hand_built.serialize() == built.serialize()
     for exps in [(1, 0, 2), (0, 1, 1), (3, 0, 0)]:
@@ -465,7 +459,7 @@ def test_hand_built_normalized_ring_is_accepted(monkeypatch):
             for entry in (derivation_leaves_ring, nilpotency_index):
                 assert entry(hand_built, e, got) == entry(built, e, want)
     assert s_weight(normal_form(hand_built, monomial(hand_built, 0, 1, 1))) == 4
-    other = HypersurfaceRing(2, 3, ((2, 1),), "w")
+    other = HypersurfaceRing(2, 3, 2, "w")
     x = normal_form(other, monomial(other, 0, 0, 1))
     for entry in (derivation_leaves_ring, nilpotency_index):
         with pytest.raises(ValueError, match="not in the normalized shape"):
@@ -773,13 +767,14 @@ def test_exact_integer_division_stays_int(p, q):
 
 @st.composite
 def freeness_inputs(draw):
-    """A random action on a factored hypersurface ring: semi-invariant when
-    the ring's d is a multiple of the s-weight's period and the second
-    weight is solved from P's constant term, arbitrary otherwise."""
+    """A random action on a hypersurface ring u^k y = (s^d - 1)^j:
+    semi-invariant when the ring's d is a multiple of the s-weight's period
+    and the second weight is solved from P's constant term, arbitrary
+    otherwise."""
     modulus = draw(st.integers(1, 40))
     k = draw(st.integers(1, 5))
     wu, ws = draw(st.integers(-50, 50)), draw(st.integers(-50, 50))
-    roots = draw(factored_roots(max_exp=3))
+    j = draw(st.integers(1, 4))
     if draw(st.booleans()):
         # P's exponents are multiples of d, and P(0) != 0 is one of its terms
         d = modulus // math.gcd(modulus, ws) * draw(st.integers(1, 3))
@@ -789,7 +784,7 @@ def freeness_inputs(draw):
         wv = draw(st.integers(-50, 50))
     second = draw(st.sampled_from(["v", "w"]))
     action = CyclicAction(modulus, {"u": wu, second: wv, "s": ws})
-    return action, HypersurfaceRing(k, d, roots, second)
+    return action, HypersurfaceRing(k, d, j, second)
 
 
 @given(freeness_inputs())
@@ -824,18 +819,17 @@ def test_power_identity_matches_normal_form_oracle_on_every_covering_ring(monkey
     for row, ring, normalized in zip(result["rows"], rings[::2], rings[1::2]):
         m, d = row["m"], row["d"]
         assert ring.second_var == "v"
-        assert normalized == HypersurfaceRing(m, d, ((1, 1),), "w")
+        assert normalized == HypersurfaceRing(m, d, 1, "w")
         assert row["report"]["normalized"]["witnesses"]["power_identity"] is True
-        assert oracle_power_identity(ring, m, d) is True
-        assert (witness_factors(d, smooth_check(ring).witness), fiber_analysis(ring)) == yun_reading(ring)
+        assert oracle_power_identity(ring.k, d, ((1, ring.j),), m) is True
+        assert (witness_factors(d, smooth_check(ring)), fiber_analysis(ring)) == yun_reading(ring)
 
 
 @given(st.integers(1, 30), st.integers(1, 12), st.integers(1, 12))
 def test_power_identity_matches_normal_form_oracle_on_pure_power_rings(d, m, m_prime):
-    # the relation covering_relation accepts, u^(m m') v = (s^d - 1)^m',
+    # the relation divisor_polynomial accepts, u^(m m') v = (s^d - 1)^m',
     # satisfies the computed identity at every (d, m, m')
-    ring = HypersurfaceRing(m * m_prime, d, ((1, m_prime),), "v")
-    assert oracle_power_identity(ring, m, d) is True
+    assert oracle_power_identity(m * m_prime, d, ((1, m_prime),), m) is True
 
 
 _other_points = st.sampled_from([F(-1), F(1, 2), F(2), F(3)])
@@ -849,7 +843,9 @@ _other_points = st.sampled_from([F(-1), F(1, 2), F(2), F(3)])
 def test_refused_rings_fail_the_normal_form_oracle(triple, fault, data):
     # verify_triple's power_identity and the computed identity reject the
     # same covering relations: divisor_roots is made to read Q off -k*D-
-    # with a moved root, an extra root or a wrong power
+    # with a moved root, an extra root or a wrong power.  The covering ring
+    # still holds (s^d - 1)^m', so the fault fails divisor_polynomial alone,
+    # and the oracle reads the faulted relation off (k, d, roots)
     from pseudoplane import report as report_module
 
     m_prime = triple.m_prime
@@ -865,11 +861,10 @@ def test_refused_rings_fail_the_normal_form_oracle(triple, fault, data):
         patch.setattr(report_module, "divisor_roots", lambda d_minus, k: (triple.l, roots))
         rings = record_rings(patch)
         got = verify_triple(triple.d, triple.e, triple.m, max_weight=0)
-    covering = rings[0]
-    assert covering == HypersurfaceRing(triple.k, triple.d, roots, "v")
-    assert "covering_relation" in got["failed_checks"]
+    assert rings[0] == HypersurfaceRing(triple.k, triple.d, m_prime, "v")
+    assert got["failed_checks"] == ["divisor_polynomial"]
     assert got["normalized"]["witnesses"]["power_identity"] is False
-    assert oracle_power_identity(covering, triple.m, triple.d) is False
+    assert oracle_power_identity(triple.k, triple.d, roots, triple.m) is False
 
 
 _fract_coefficients = st.one_of(
@@ -967,12 +962,13 @@ def test_verify_triple_validates_its_inputs_once():
 
 def test_verify_triple_runs_in_few_python_frames():
     # every Python-level call of one triple, the relation memo warm: the 33
-    # generator reads of the window -16..16 and 56 calls around them.  The
+    # generator reads of the window -16..16 and 52 calls around them.  The
     # checks append their names without a closure, and no generator
     # expression runs on the path (158 calls while they did); the standard
     # action takes its weights already reduced, so no dict comprehension
-    # runs either.  A new frame fails here, and the message lists the calls
-    # of each function
+    # runs either, and the ring facts read (d, j) with no grouping of root
+    # points (89 calls while they grouped them).  A new frame fails here,
+    # and the message lists the calls of each function
     verify_triple(5, 2, 4)
     counts = {}
 
@@ -989,7 +985,7 @@ def test_verify_triple_runs_in_few_python_frames():
         sys.setprofile(None)
     listed = "\n".join(f"{n:3} {name}" for name, n in sorted(counts.items(), key=lambda kv: -kv[1]))
     assert counts["cyclic_quotient.weight_piece_generator"] == 33, listed
-    assert sum(counts.values()) == 89, listed
+    assert sum(counts.values()) == 85, listed
 
 
 def test_trusted_rings_and_actions_match_the_validating_constructors(monkeypatch):

@@ -5,21 +5,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import (
-    F,
     NonPolynomial,
     derivation_leaves_ring,
     element,
-    factored_roots,
     format_poly,
     homogeneous_weight,
     monomial,
     nilpotency_index,
     normal_form,
-    oracle_relation,
     parse_poly,
     poly_mul,
     poly_pow,
     record_rings,
+    ring_relation,
     s_weight,
     small_multipolys,
     upoly,
@@ -46,12 +44,12 @@ def s_pow_minus_1(d):
 
 def w_ring(m, d):
     """Normalized model u^m w - (s^d - 1)."""
-    return HypersurfaceRing(m, d, ((1, 1),), "w")
+    return HypersurfaceRing(m, d, 1, "w")
 
 
 def v_ring(k, d, m_prime):
     """Covering model u^k v - (s^d - 1)^m'."""
-    return HypersurfaceRing(k, d, ((1, m_prime),), "v")
+    return HypersurfaceRing(k, d, m_prime, "v")
 
 
 # -- construction ---------------------------------------------------------------
@@ -62,20 +60,15 @@ def test_ring_invariants():
     assert ring.variables == ("u", "w", "s")
     assert ring.serialize() == {"k": 2, "P": "s^3 - 1", "second_var": "w"}
     with pytest.raises(ValueError, match="k must be"):
-        HypersurfaceRing(0, 2, ((1, 1),))
-    # the relation stays factored over nonzero, distinct, increasing points
-    # with positive exponents, at d >= 1
-    for d, roots, message in [
-        (2, ((0, 1),), "nonzero"),
-        (2, ((-1, 1), (0, 2)), "nonzero"),
-        (2, ((1, 1), (1, 2)), "distinct and increasing"),
-        (2, ((2, 1), (1, 1)), "distinct and increasing"),
-        (2, ((1, 0),), "exponent of root 1 must be >= 1"),
-        (2, ((1, 1), (2, -1)), "exponent of root 2 must be >= 1"),
-        (0, ((1, 1),), "d must be"),
+        HypersurfaceRing(0, 2, 1)
+    # the relation is (s^d - 1)^j with d >= 1 and j >= 1
+    for d, j, message in [
+        (2, 0, "j must be >= 1, got 0"),
+        (2, -1, "j must be >= 1, got -1"),
+        (0, 1, "d must be >= 1, got 0"),
     ]:
         with pytest.raises(ValueError, match=message):
-            HypersurfaceRing(2, d, roots)
+            HypersurfaceRing(2, d, j)
 
 
 def printed_relation(ring):
@@ -83,27 +76,22 @@ def printed_relation(ring):
 
 
 def test_ring_expands_its_factored_relation():
-    ring = HypersurfaceRing(2, 2, ((-1, 2), (F(1, 2), 1)), "v")
-    expanded = poly_mul(poly_pow(upoly("s", {2: 1, 0: 1}), 2), upoly("s", {2: 1, 0: F(-1, 2)}))
-    assert printed_relation(ring) == format_poly(expanded)
-    # the empty product, and (s + 1)(s - 1), whose middle term cancels
-    assert printed_relation(HypersurfaceRing(1, 3, ())) == "1"
-    assert printed_relation(HypersurfaceRing(1, 1, ((-1, 1), (1, 1)))) == "s^2 - 1"
-    assert printed_relation(HypersurfaceRing(1, 3, ((-1, 1), (1, 1)))) == "s^6 - 1"
-    # integral points are stored as int, so the expansion keeps int coefficients
-    ring = HypersurfaceRing(6, 3, ((F(1), 3),))
-    assert ring.roots == ((1, 3),) and type(ring.roots[0][0]) is int
-    assert all(type(c) is int for _, c in _relation_terms(ring.d, ring.roots))
+    # the binomial row of (t - 1)^j at t = s^d, its signs alternating
+    ring = HypersurfaceRing(2, 2, 3, "v")
+    assert printed_relation(ring) == format_poly(poly_pow(s_pow_minus_1(2), 3)) == "s^6 - 3*s^4 + 3*s^2 - 1"
+    assert _relation_terms(2, 3) == [(6, 1), (4, -3), (2, 3), (0, -1)]
+    assert printed_relation(HypersurfaceRing(1, 1, 1)) == "s - 1"
+    assert printed_relation(HypersurfaceRing(1, 3, 2)) == "s^6 - 2*s^3 + 1"
 
 
-@given(st.integers(1, 3), st.integers(1, 5), factored_roots())
-def test_printed_relation_is_the_expanded_product(k, d, roots):
-    # the printer reads the roots' integers; the oracle multiplies the
-    # powers of s^d - p as polynomials, and the printed text parses back to it
-    ring = HypersurfaceRing(k, d, roots)
+@given(st.integers(1, 3), st.integers(1, 5), st.integers(1, 8))
+def test_printed_relation_is_the_expanded_product(k, d, j):
+    # the printer writes the binomial row; the oracle multiplies the
+    # powers of s^d - 1 as polynomials, and the printed text parses back to it
+    ring = HypersurfaceRing(k, d, j)
     text = printed_relation(ring)
-    assert text == format_poly(oracle_relation(ring))
-    assert parse_poly(text, ("s",)) == oracle_relation(ring)
+    assert text == format_poly(ring_relation(ring))
+    assert parse_poly(text, ("s",)) == ring_relation(ring)
 
 
 def test_covering_ring_from_divisor_roots():
@@ -116,7 +104,8 @@ def test_covering_ring_from_divisor_roots():
     ]:
         triple = SurfaceTriple(d, e, m)
         _, roots = divisor_roots(triple.pair.d_minus, triple.k)
-        ring = HypersurfaceRing(triple.k, d, roots, "v")
+        assert roots == ((1, triple.m_prime),)
+        ring = HypersurfaceRing(triple.k, d, triple.m_prime, "v")
         assert printed_relation(ring) == format_poly(p)
         assert ring.second_var == "v"
 
@@ -161,40 +150,30 @@ def test_normal_form_preserves_weight(a, b, c):
 
 
 def test_smooth_check_examples():
-    assert smooth_check(w_ring(2, 3)).smooth
+    assert smooth_check(w_ring(2, 3)) == (True, 1)
     singular = smooth_check(v_ring(6, 3, 3))
-    assert not singular.smooth
-    assert singular.witness == (((1,), 3),)
-    assert witness_factors(3, singular.witness) == ((s_pow_minus_1(3), 3),)
+    assert singular == (False, 3)
+    assert witness_factors(3, singular) == ((s_pow_minus_1(3), 3),)
     # k = 1 follows the same rule: u*v = s - 1 is smooth, and u*v = (s - 1)^2
     # is singular at u = v = 0, s = 1
     assert smooth_check(v_ring(1, 1, 1)).smooth
-    witness = smooth_check(v_ring(1, 1, 2)).witness
-    assert witness == (((1,), 2),)
-    assert witness_factors(1, witness) == ((upoly("s", {1: 1, 0: -1}), 2),)
-    # one factor per multiplicity, of the points that share it
-    mixed = smooth_check(HypersurfaceRing(2, 2, ((-1, 2), (F(1, 2), 1), (3, 2)), "v"))
-    assert mixed.witness == (((-1, 3), 2),)
-    assert witness_factors(2, mixed.witness) == (
-        (poly_mul(upoly("s", {2: 1, 0: 1}), upoly("s", {2: 1, 0: -3})), 2),
-    )
+    singular = smooth_check(v_ring(1, 1, 2))
+    assert singular == (False, 2)
+    assert witness_factors(1, singular) == ((upoly("s", {1: 1, 0: -1}), 2),)
 
 
 def test_fiber_analysis_examples():
     assert fiber_analysis(w_ring(2, 3)) == [(3, 1)]
     assert fiber_analysis(v_ring(6, 3, 3)) == [(3, 3)]
-    mixed = HypersurfaceRing(2, 2, ((-1, 2), (F(1, 2), 1), (3, 2)), "v")
-    assert fiber_analysis(mixed) == [(2, 1), (4, 2)]
+    assert fiber_analysis(v_ring(4, 2, 2)) == [(2, 2)]
 
 
-@given(st.integers(1, 4), st.integers(1, 12), factored_roots(min_size=1, max_size=3, max_exp=4))
-def test_factored_reading_matches_yun(k, d, roots):
+@given(st.integers(1, 4), st.integers(1, 12), st.integers(1, 6))
+def test_factored_reading_matches_yun(k, d, j):
     # the lemma of the module docstring against Yun's decomposition of the
-    # expanded P: the same factors, in the same order of multiplicity
-    ring = HypersurfaceRing(k, d, roots, "v")
-    check = smooth_check(ring)
-    assert (witness_factors(d, check.witness), fiber_analysis(ring)) == yun_reading(ring)
-    assert check.smooth == (not check.witness)
+    # expanded P: the same factor, of the same multiplicity
+    ring = HypersurfaceRing(k, d, j, "v")
+    assert (witness_factors(d, smooth_check(ring)), fiber_analysis(ring)) == yun_reading(ring)
 
 
 # -- printed relations and witnesses parse back -----------------------------------
@@ -215,22 +194,21 @@ def test_reported_relations_and_witnesses_parse_back_to_the_oracles(monkeypatch)
     singular = 0
     for report, covering, normalized in zip(reports, rings[::2], rings[1::2]):
         pre = report["pre_normalization"]
-        assert parse_poly(pre["ring"]["P"], S) == oracle_relation(covering)
-        assert parse_poly(report["normalized"]["ring"]["P"], S) == oracle_relation(normalized)
+        assert parse_poly(pre["ring"]["P"], S) == ring_relation(covering)
+        assert parse_poly(report["normalized"]["ring"]["P"], S) == ring_relation(normalized)
         witness = tuple((parse_poly(text, S), j) for text, j in pre["singular_witness"])
         assert witness == yun_reading(covering)[0]
         singular += bool(witness)
     assert singular > len(D_HEAVY)
 
 
-@given(st.integers(1, 6), factored_roots(min_size=1, max_size=3, max_exp=4))
-def test_printed_witness_is_the_yun_factor(d, roots):
-    # points -1, 1/2, 1, 2, 3 at several exponents: the printer's +, - and
-    # p/q paths, each text equal to the oracle printer's and parsing back
-    ring = HypersurfaceRing(1, d, roots, "v")
-    printed = [
-        (_format_relation(d, tuple((p, 1) for p in points)), j) for points, j in smooth_check(ring).witness
-    ]
+@given(st.integers(1, 6), st.integers(1, 6))
+def test_printed_witness_is_the_yun_factor(d, j):
+    # the witness factor s^d - 1 as the report prints it, equal to the
+    # oracle printer's text of Yun's factor and parsing back to it
+    ring = HypersurfaceRing(1, d, j, "v")
+    check = smooth_check(ring)
+    printed = [] if check.smooth else [(_format_relation(d, 1), check.witness)]
     factors = yun_reading(ring)[0]
     assert [(format_poly(f), j) for f, j in factors] == printed
     assert tuple((parse_poly(text, S), j) for text, j in printed) == factors
@@ -240,19 +218,16 @@ def test_printed_witness_is_the_yun_factor(d, roots):
 
 
 def _printed_keys(report, covering, normalized):
-    """(text, (d, roots)) for each relation and witness text of a report,
+    """(text, (d, j)) for each relation and witness text of a report,
     with the key the pipeline printed it from."""
     pre = report["pre_normalization"]
     keys = [
-        (pre["ring"]["P"], (covering.d, covering.roots)),
-        (report["normalized"]["ring"]["P"], (normalized.d, normalized.roots)),
+        (pre["ring"]["P"], (covering.d, covering.j)),
+        (report["normalized"]["ring"]["P"], (normalized.d, normalized.j)),
     ]
-    witness = smooth_check(covering).witness
-    assert [j for _, j in pre["singular_witness"]] == [j for _, j in witness]
-    keys += [
-        (text, (covering.d, tuple((p, 1) for p in points)))
-        for (text, _), (points, _) in zip(pre["singular_witness"], witness)
-    ]
+    check = smooth_check(covering)
+    assert [j for _, j in pre["singular_witness"]] == ([] if check.smooth else [check.witness])
+    keys += [(text, (covering.d, 1)) for text, _ in pre["singular_witness"]]
     return keys
 
 
@@ -266,16 +241,8 @@ def test_memoized_texts_equal_the_printer(monkeypatch):
     reports += [verify_triple(d, e, m) for d, e, m in D_HEAVY]
     assert len(rings) == 2 * len(reports)
     for report, covering, normalized in zip(reports, rings[::2], rings[1::2]):
-        for text, (d, roots) in _printed_keys(report, covering, normalized):
-            assert text == _format_relation.__wrapped__(d, roots)
-
-
-def test_an_int_point_and_an_equal_fraction_share_one_text():
-    for first, second in [(2, F(2)), (F(-1), -1)]:
-        _format_relation.cache_clear()
-        texts = [_format_relation(3, ((p, 2), (5, 1))) for p in (first, second)]
-        assert _format_relation.cache_info().hits == 1
-        assert texts == [_format_relation.__wrapped__(3, ((p, 2), (5, 1))) for p in (first, second)]
+        for text, (d, j) in _printed_keys(report, covering, normalized):
+            assert text == _format_relation.__wrapped__(d, j)
 
 
 def test_a_report_shares_no_mutable_object_with_the_next():
@@ -320,13 +287,15 @@ def test_normalize_examples(monkeypatch):
 
 
 def test_normalize_accepts_matching_ring(monkeypatch):
-    # the covering ring the pipeline builds for (d, e, m) = (3, 2, 2) is the
-    # one divisor_roots reads off -k*D-, and it passes covering_relation
+    # the covering ring the pipeline builds for (d, e, m) = (3, 2, 2) holds
+    # the Q = (t - 1)^m' that divisor_roots reads off -k*D-, and the triple
+    # passes divisor_polynomial
     triple = SurfaceTriple(3, 2, 2)
     _, roots = divisor_roots(triple.pair.d_minus, triple.k)
+    assert roots == ((1, triple.m_prime),)
     rings = record_rings(monkeypatch)
     report = verify_triple(3, 2, 2)
-    assert rings == [HypersurfaceRing(triple.k, 3, roots, "v"), w_ring(2, 3)]
+    assert rings == [HypersurfaceRing(triple.k, 3, triple.m_prime, "v"), w_ring(2, 3)]
     assert report["failed_checks"] == [] and report["normalized"]["witnesses"]["power_identity"]
 
 
