@@ -91,8 +91,12 @@ MUTANTS: list[tuple[str, str, str, str, bool]] = [
      "smooth_check finds the ring singular at every j >= 2", False),
     (HR, "return [(ring.d, ring.j)]", "return [(ring.d, 1)]",
      "fiber_analysis gives the d lines over u = 0 multiplicity j", False),
-    (HR, "-binom if i % 2 else binom", "binom",
-     "_relation_terms writes (t - 1)^j with alternating signs", False),
+    (HR, "' - ' if i % 2 else ' + '", "' + '",
+     "_format_relation writes (t - 1)^j with alternating signs", False),
+    (HR, "binom * (j - i + 1) // i", "binom * (j - i) // i",
+     "_format_relation writes C(j, i) = C(j, i - 1) (j - i + 1)/i", False),
+    (HR, "if d == 1 and j > 1:", "if False:",
+     "_format_relation elides the ^1 of the last inner term when d = 1", False),
     (
         HR,
         "@functools.lru_cache(maxsize=_RELATION_MEMO_SIZE)",

@@ -5,8 +5,8 @@ which stands for u^k * y = P(s) = (s^d - 1)^j with j >= 1: a triple's
 covering relation (j = m') or its normalized model (j = 1).  No element of
 it is ever built, and neither is P as a polynomial: ``_format_relation``
 prints the relation (``serialize``) and the factor s^d - 1 of
-``smooth_check``'s witness (``report``) from the binomial row that
-``_relation_terms`` writes.  It prints each text once per process: a
+``smooth_check``'s witness (``report``) in one pass over the binomial row
+of (t - 1)^j at t = s^d.  It prints each text once per process: a
 bounded memo keyed by ``(d, j)`` keeps the last ``_RELATION_MEMO_SIZE``
 texts.  A sweep in row order keeps few of them live, as every relation of a
 triple has j = 1 or j = m' = lcm(d, m)/m, a divisor of d.
@@ -42,19 +42,6 @@ from collections import namedtuple
 from .exact_algebra import _check_int, _Frozen
 
 
-def _relation_terms(d: int, j: int) -> list[tuple[int, int]]:
-    """The (exponent, coefficient) terms of (s^d - 1)^j, in decreasing
-    exponent: the binomial row of (t - 1)^j at t = s^d, written by
-    C(j, i + 1) = C(j, i) (j - i)/(i + 1), exact in the integers, with the
-    sign (-1)^i at t^(j - i).  No coefficient is zero."""
-    terms = []
-    binom = 1
-    for i in range(j + 1):
-        terms.append((d * (j - i), -binom if i % 2 else binom))
-        binom = binom * (j - i) // (i + 1)
-    return terms
-
-
 # The relations of a triple are (s^d - 1)^j with j = 1 or j = m', and m'
 # divides d, so a sweep in row order keeps at most tau(d) texts live, and
 # tau(d) <= tau(720) = 30 for d <= MAX_D_CAP = 800.  64 entries cover that
@@ -66,19 +53,18 @@ _RELATION_MEMO_SIZE = 64
 def _format_relation(d: int, j: int) -> str:
     """The text of (s^d - 1)^j expanded in s: terms in decreasing exponent,
     a negative coefficient as a minus sign, unit coefficients and ``^1``
-    elided, e.g. ``s^6 - 2*s^3 + 1``.  Memoized on (d, j)."""
-    parts: list[str] = []
-    for e, c in _relation_terms(d, j):
-        if c < 0:
-            parts.append(" - " if parts else "-")
-            c = -c
-        elif parts:
-            parts.append(" + ")
-        if e:
-            mono = f"s^{e}" if e > 1 else "s"
-            parts.append(mono if c == 1 else f"{c}*{mono}")
-        else:
-            parts.append(str(c))
+    elided, e.g. ``s^6 - 2*s^3 + 1``.  Memoized on (d, j).  The term at
+    t^(j - i) is (-1)^i C(j, i), written by C(j, i) = C(j, i - 1) (j - i + 1)/i,
+    exact in the integers; an inner C(j, i) is at least 2, and only the last
+    inner term can have exponent 1, when d = 1."""
+    parts = ["s" if d * j == 1 else f"s^{d * j}"]
+    binom = 1
+    for i in range(1, j):
+        binom = binom * (j - i + 1) // i
+        parts.append(f"{' - ' if i % 2 else ' + '}{binom}*s^{d * (j - i)}")
+    if d == 1 and j > 1:
+        parts[-1] = parts[-1][:-2]
+    parts.append(" - 1" if j % 2 else " + 1")
     return "".join(parts)
 
 

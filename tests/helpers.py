@@ -396,7 +396,8 @@ def squarefree_decomposition(p: MultiPoly) -> list[tuple[MultiPoly, int]]:
 # HypersurfaceRing once expanded its relation into a MultiPoly, P, which the
 # ring printed and smooth_check and freeness_check read.  The ring now
 # prints the relation from the integers (d, j) of (s^d - 1)^j; the expansion
-# is kept as the oracle of that printer and of the readings below.  The
+# is kept as the oracle of that printer and of the readings below, and the
+# term-by-term printer it replaced as a second, textual oracle.  The
 # oracles read a relation factored as prod (s^d - p)^j over (point p,
 # exponent j) pairs, a ring's own as ((1, ring.j),), so that they also read
 # the relations that the ring class cannot hold.
@@ -419,6 +420,39 @@ def oracle_relation(d: int, roots) -> MultiPoly:
 def ring_relation(ring: HypersurfaceRing) -> MultiPoly:
     """The ring's relation (s^d - 1)^j, expanded by ``oracle_relation``."""
     return oracle_relation(ring.d, ((1, ring.j),))
+
+
+def oracle_relation_terms(d: int, j: int) -> list[tuple[int, int]]:
+    """The (exponent, coefficient) terms of (s^d - 1)^j, in decreasing
+    exponent: the binomial row of (t - 1)^j at t = s^d, written by
+    C(j, i + 1) = C(j, i) (j - i)/(i + 1), exact in the integers, with the
+    sign (-1)^i at t^(j - i).  No coefficient is zero."""
+    terms = []
+    binom = 1
+    for i in range(j + 1):
+        terms.append((d * (j - i), -binom if i % 2 else binom))
+        binom = binom * (j - i) // (i + 1)
+    return terms
+
+
+def oracle_format_relation(d: int, j: int) -> str:
+    """The text of (s^d - 1)^j as the package printed it term by term from
+    ``oracle_relation_terms``, each term deciding its own sign, unit
+    coefficient and ``^1``: the oracle of the one-pass
+    ``hypersurface_ring._format_relation``."""
+    parts: list[str] = []
+    for e, c in oracle_relation_terms(d, j):
+        if c < 0:
+            parts.append(" - " if parts else "-")
+            c = -c
+        elif parts:
+            parts.append(" + ")
+        if e:
+            mono = f"s^{e}" if e > 1 else "s"
+            parts.append(mono if c == 1 else f"{c}*{mono}")
+        else:
+            parts.append(str(c))
+    return "".join(parts)
 
 
 def oracle_component_permutation(d: int, e: int) -> tuple[tuple[int, ...], ...]:

@@ -50,6 +50,7 @@ from helpers import (
     oracle_pair_total,
     oracle_power_identity,
     oracle_qdivisor_coefficients,
+    oracle_relation_terms,
     partial,
     poly_add,
     poly_divmod,
@@ -92,7 +93,7 @@ from pseudoplane import (
     verify_triple,
     weight_piece_generator,
 )
-from pseudoplane.hypersurface_ring import _RELATION_MEMO_SIZE, _relation_terms
+from pseudoplane.hypersurface_ring import _RELATION_MEMO_SIZE, _format_relation
 
 UWS = ("u", "w", "s")
 
@@ -234,7 +235,7 @@ def _assert_int_coefficients(p):
 def test_pipeline_coefficients_stay_int():
     for d in range(1, 7):
         for j in range(1, 7):
-            terms = _relation_terms(d, j)
+            terms = oracle_relation_terms(d, j)
             assert len(terms) == j + 1 and all(type(c) is int and c for _, c in terms), terms
     triple = SurfaceTriple(3, 2, 2)
     ring = normalized_ring(triple)
@@ -986,6 +987,25 @@ def test_verify_triple_runs_in_few_python_frames():
     listed = "\n".join(f"{n:3} {name}" for name, n in sorted(counts.items(), key=lambda kv: -kv[1]))
     assert counts["cyclic_quotient.weight_piece_generator"] == 33, listed
     assert sum(counts.values()) == 85, listed
+
+
+def test_relation_printer_runs_in_one_python_frame():
+    # the unmemoized printer writes (s^d - 1)^j in one loop over the
+    # binomial row: one call event, its own.  A per-term helper or a
+    # comprehension adds a frame and fails here
+    counts = {}
+
+    def profile(frame, event, arg):
+        if event == "call":
+            name = frame.f_code.co_qualname
+            counts[name] = counts.get(name, 0) + 1
+
+    sys.setprofile(profile)
+    try:
+        _format_relation.__wrapped__(43, 43)
+    finally:
+        sys.setprofile(None)
+    assert counts == {"_format_relation": 1}
 
 
 def test_trusted_rings_and_actions_match_the_validating_constructors(monkeypatch):

@@ -13,6 +13,8 @@ from helpers import (
     monomial,
     nilpotency_index,
     normal_form,
+    oracle_format_relation,
+    oracle_relation_terms,
     parse_poly,
     poly_mul,
     poly_pow,
@@ -35,7 +37,7 @@ from pseudoplane import (
     sweep,
     verify_triple,
 )
-from pseudoplane.hypersurface_ring import _format_relation, _relation_terms
+from pseudoplane.hypersurface_ring import _format_relation
 
 
 def s_pow_minus_1(d):
@@ -79,7 +81,7 @@ def test_ring_expands_its_factored_relation():
     # the binomial row of (t - 1)^j at t = s^d, its signs alternating
     ring = HypersurfaceRing(2, 2, 3, "v")
     assert printed_relation(ring) == format_poly(poly_pow(s_pow_minus_1(2), 3)) == "s^6 - 3*s^4 + 3*s^2 - 1"
-    assert _relation_terms(2, 3) == [(6, 1), (4, -3), (2, 3), (0, -1)]
+    assert oracle_relation_terms(2, 3) == [(6, 1), (4, -3), (2, 3), (0, -1)]
     assert printed_relation(HypersurfaceRing(1, 1, 1)) == "s - 1"
     assert printed_relation(HypersurfaceRing(1, 3, 2)) == "s^6 - 2*s^3 + 1"
 
@@ -92,6 +94,17 @@ def test_printed_relation_is_the_expanded_product(k, d, j):
     text = printed_relation(ring)
     assert text == format_poly(ring_relation(ring))
     assert parse_poly(text, ("s",)) == ring_relation(ring)
+
+
+def test_one_pass_printer_matches_the_term_by_term_oracle():
+    # the printer decides no sign, unit or ^1 per term; the oracle, the
+    # printer it replaced, decides each, on every small key, on d = 1 (the
+    # ^1 of the last inner term elided) and on keys up to the d cap
+    keys = [(d, j) for d in range(1, 41) for j in range(1, 41)]
+    keys += [(1, j) for j in range(41, 101)]
+    keys += [(400, 2), (799, 799), (800, 1), (800, 800)]
+    for d, j in keys:
+        assert _format_relation.__wrapped__(d, j) == oracle_format_relation(d, j), (d, j)
 
 
 def test_covering_ring_from_divisor_roots():
